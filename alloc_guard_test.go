@@ -92,3 +92,33 @@ func TestAdmitAllocCeiling(t *testing.T) {
 		t.Fatalf("pooled admit cycle allocates %.1f allocs/op, ceiling %d", allocs, ceiling)
 	}
 }
+
+// TestEpochAllocCeiling pins the allocation budget of one control epoch on
+// a warm system. Before the epoch kept its working state across passes and
+// resized allocations in place it spent 15 allocations per active slice
+// (four deep allocation clones, a sorted registry copy, per-cell scheduler
+// maps, telemetry batches); it now spends a fraction of one — what remains
+// is per violation (the event detail string) and per shard worker, not per
+// slice. The ceiling of 3 per slice leaves room for a burst of violations
+// but fails loudly if any per-slice copy comes back.
+func TestEpochAllocCeiling(t *testing.T) {
+	const slices, perSlice = 256, 3
+	sys := epochLoadedSystem(t, slices, 16)
+	if got := sys.Orchestrator.ActiveCount(); got != slices {
+		t.Fatalf("loaded %d active slices, want %d", got, slices)
+	}
+	// Warm: per-slice series resolved, epoch scratch sized, grant pools full.
+	for i := 0; i < 8; i++ {
+		sys.Orchestrator.RunEpoch()
+	}
+	reconfigs := sys.Orchestrator.Gain().Reconfigurations
+	allocs := testing.AllocsPerRun(20, sys.Orchestrator.RunEpoch)
+	if got := sys.Orchestrator.Gain().Reconfigurations; got == reconfigs {
+		t.Fatal("no slice was resized during the measured epochs; the guard would prove nothing")
+	}
+	t.Logf("%.0f allocs per %d-slice epoch", allocs, slices)
+	if allocs > slices*perSlice {
+		t.Fatalf("control epoch allocates %.0f per pass over %d slices (%.1f per slice), ceiling %d per slice",
+			allocs, slices, allocs/slices, perSlice)
+	}
+}

@@ -349,7 +349,7 @@ func BenchmarkWatchFanout(b *testing.B) {
 // testbed is scaled (aggregated carriers, lifted MOCN list, larger core DC,
 // fat transport links) so the radio grid, not the model limits, is what
 // binds; every slice is genuinely installed through the multi-domain engine.
-func epochLoadedSystem(b *testing.B, n, shards int) *System {
+func epochLoadedSystem(b testing.TB, n, shards int) *System {
 	b.Helper()
 	cfg := core.Config{
 		Overbook:            true,

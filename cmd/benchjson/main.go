@@ -62,7 +62,8 @@ type Report struct {
 	Notes []string `json:"notes,omitempty"`
 	// GateThreshold and Regressions record the CI regression gate: any
 	// benchmark whose speedup against the baseline fell below
-	// 1-GateThreshold is listed in Regressions (and fails the build).
+	// 1-GateThreshold, or whose allocs/op grew by more than GateThreshold,
+	// is listed in Regressions (and fails the build).
 	GateThreshold float64     `json:"gate_threshold,omitempty"`
 	Regressions   []string    `json:"regressions,omitempty"`
 	Benchmarks    []Benchmark `json:"benchmarks"`
@@ -162,17 +163,24 @@ func ApplyBaseline(rep *Report, prev Report, from string) {
 	}
 }
 
-// Gate returns the names of benchmarks whose speedup against the baseline
-// fell below 1-threshold, i.e. regressed by more than the allowed fraction.
-// Benchmarks without a baseline entry are never gated (new benchmarks must
-// not fail the build that introduces them).
+// Gate returns the names of benchmarks that regressed against the baseline
+// by more than the allowed fraction: speedup fell below 1-threshold, or
+// allocs/op grew by more than threshold (allocation counts repeat exactly
+// from run to run, so the same fraction that absorbs timing noise is a
+// generous allowance for them). Benchmarks without a baseline entry are
+// never gated (new benchmarks must not fail the build that introduces
+// them).
 func Gate(rep Report, threshold float64) []string {
 	if threshold <= 0 {
 		return nil
 	}
 	var out []string
 	for _, b := range rep.Benchmarks {
-		if b.Baseline != nil && b.Baseline.Speedup > 0 && b.Baseline.Speedup < 1-threshold {
+		if b.Baseline == nil {
+			continue
+		}
+		slower := b.Baseline.Speedup > 0 && b.Baseline.Speedup < 1-threshold
+		if slower || b.Baseline.AllocReduction < -threshold {
 			out = append(out, b.Name)
 		}
 	}
@@ -190,7 +198,7 @@ func main() {
 	out := flag.String("out", "-", "JSON file to write (- for stdout)")
 	label := flag.String("label", "", "trajectory label recorded in the report (e.g. \"PR 7\")")
 	baseline := flag.String("baseline", "", "previous BENCH_*.json to diff against")
-	gate := flag.Float64("gate", 0, "fail (exit 2) when any baselined benchmark slows down by more than this fraction (e.g. 0.25); the report is still written first")
+	gate := flag.Float64("gate", 0, "fail (exit 2) when any baselined benchmark slows down, or allocates more per op, by more than this fraction (e.g. 0.25); the report is still written first")
 	var notes noteList
 	flag.Var(&notes, "note", "free-form note recorded in the report (repeatable)")
 	flag.Parse()

@@ -87,4 +87,14 @@ func TestGate(t *testing.T) {
 	if got := Gate(rep, 0); got != nil {
 		t.Fatalf("disabled gate flagged %v", got)
 	}
+	// Allocations gate on growth alone: 30% more allocs/op fails a 25% gate
+	// even at an unchanged ns/op, 20% more does not, fewer never does.
+	allocs := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkLeaner", Baseline: &BaselineDelta{Speedup: 1, AllocReduction: 0.9}},
+		{Name: "BenchmarkBitMore", Baseline: &BaselineDelta{Speedup: 1, AllocReduction: -0.20}},
+		{Name: "BenchmarkBloated", Baseline: &BaselineDelta{Speedup: 1, AllocReduction: -0.30}},
+	}}
+	if got := Gate(allocs, 0.25); len(got) != 1 || got[0] != "BenchmarkBloated" {
+		t.Fatalf("alloc gate at 25%%: %v", got)
+	}
 }

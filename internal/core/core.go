@@ -247,8 +247,11 @@ func (c Config) effectiveRisk() float64 {
 // managedSlice is the orchestrator's bookkeeping for one slice. All fields
 // are guarded by the owning shard's mutex.
 type managedSlice struct {
-	s    *slice.Slice
-	sh   *shard
+	s  *slice.Slice
+	sh *shard
+	// seq is the submission sequence parsed from the slice ID, set once by
+	// shard.insert: the key of the shard's ordered list.
+	seq  int
 	prov *forecast.Provisioner
 	// demand is the simulated offered-load process (nil in live mode,
 	// where demand arrives via RecordDemand).
@@ -269,13 +272,19 @@ type managedSlice struct {
 	// activateAt is the scheduled vEPC-boot completion instant (recovery
 	// re-arms the activation timer from it).
 	activateAt time.Time
-	// Cached telemetry series names ("slice/<id>/demand_mbps", ...), built
-	// lazily on the slice's first epoch so the monitoring flush does not
-	// re-format three names per slice per epoch.
-	seriesDemand, seriesServed, seriesAlloc string
+	// series holds the slice's telemetry rings ("slice/<id>/demand_mbps",
+	// ...), resolved on the slice's first epoch so the epoch appends samples
+	// without formatting names or consulting the store's registry; nil until
+	// then. Dropped from the store when the slice leaves the history.
+	series *sliceSeries
 
 	expiry *sim.Event
 	timers []*sim.Event // pending installation stage events
+}
+
+// sliceSeries are one slice's per-epoch telemetry rings.
+type sliceSeries struct {
+	demand, served, alloc *monitor.Series
 }
 
 // Orchestrator is the end-to-end slice orchestrator. It is safe for
@@ -318,6 +327,11 @@ type Orchestrator struct {
 	// so no two of them interleave their multi-phase work. It is always
 	// acquired before any shard lock (never while holding one).
 	epochMu sync.Mutex
+	// walk is the registry walker's cursor heap and ep the control epoch's
+	// dense working state (epoch.go); both are reused across passes and
+	// guarded by epochMu.
+	walk orderedWalk
+	ep   epochScratch
 
 	seq    atomic.Int64 // slice ID sequence
 	epochs atomic.Int64 // control-loop passes
@@ -368,7 +382,7 @@ func New(cfg Config, tb *testbed.Testbed, clock sim.Scheduler, store *monitor.St
 	}
 	o.commit.cond.L = &o.commit.mu
 	for i := range o.shards {
-		o.shards[i] = newShard()
+		o.shards[i] = newShard(i)
 	}
 	o.feas = newFeasTable(o.domains)
 	if cfg.Audit {
@@ -567,7 +581,7 @@ func (o *Orchestrator) rejectLocked(sh *shard, s *slice.Slice, cause *slice.Reje
 	s.Reject(cause)
 	sh.rejected.Add(1)
 	o.acc.reject(string(cause.Code))
-	sh.slices[s.ID()] = &managedSlice{s: s, sh: sh}
+	sh.insert(&managedSlice{s: s, sh: sh})
 	rejEv := o.publish(EventRejected, s, cause.Detail)
 	if o.persist != nil {
 		o.appendRecord(recReject, rejectRecord{

@@ -52,13 +52,10 @@ import (
 const sliceSeriesCapacity = 512
 
 // epochItem carries one active slice through the epoch pipeline. The serial
-// phases fill plmn/demand/served; the slice's shard worker fills live,
-// violated and target.
+// phases fill the slice's entries in the index-aligned demand/served arrays
+// (epochScratch); the slice's shard worker fills live, violated and target.
 type epochItem struct {
 	m        *managedSlice
-	plmn     slice.PLMN
-	demand   float64
-	served   float64
 	live     bool // still Active when its shard worker reached it
 	violated bool
 	target   float64
@@ -67,6 +64,24 @@ type epochItem struct {
 	charged       bool
 	ledgerUpdated bool
 	ledgerTo      float64
+}
+
+// epochScratch is the control epoch's working state, kept on the
+// orchestrator and reused every epoch (guarded by epochMu) so a steady-state
+// pass allocates nothing per slice. items, plmns, demand and served are
+// index-aligned: entry i of each belongs to the i-th measured slice in
+// submission order, and that is the form they travel in through the RAN
+// scheduling pass. groups[k] lists the item indexes of shard k for the
+// parallel analysis phase; events and records feed the epoch's WAL record
+// and are encoded before the next epoch can overwrite them.
+type epochScratch struct {
+	items   []epochItem
+	plmns   []slice.PLMN
+	demand  []float64
+	served  []float64
+	groups  [][]int
+	events  []Event
+	records []epochItemRecord
 }
 
 // RunEpoch executes one pass of the Fig. 1 closed loop:
@@ -109,11 +124,12 @@ func (o *Orchestrator) runEpoch() {
 
 	// P1: demand collection, in submission order (the sampling draws from
 	// the shared RNG, so order is part of determinism).
+	ep := &o.ep
+	clear(ep.items) // release the previous epoch's slice pointers
+	ep.items, ep.plmns, ep.demand = ep.items[:0], ep.plmns[:0], ep.demand[:0]
 	o.lockAll()
-	ordered := o.orderedSlicesAllLocked()
-	items := make([]epochItem, 0, len(ordered))
-	demands := make(map[slice.PLMN]float64, len(ordered))
-	for _, m := range ordered {
+	walk := o.walkAllLocked()
+	for m := walk.next(); m != nil; m = walk.next() {
 		if m.s.State() != slice.StateActive {
 			continue
 		}
@@ -124,26 +140,28 @@ func (o *Orchestrator) runEpoch() {
 		if !m.haveDemand {
 			continue
 		}
-		plmn := m.s.Allocation().PLMN
-		demands[plmn] = m.lastDemand
-		items = append(items, epochItem{m: m, plmn: plmn, demand: m.lastDemand})
+		ep.items = append(ep.items, epochItem{m: m})
+		ep.plmns = append(ep.plmns, m.s.PLMN())
+		ep.demand = append(ep.demand, m.lastDemand)
 	}
+	items := ep.items
+	if cap(ep.served) < len(items) {
+		ep.served = make([]float64, len(items), cap(ep.items))
+	}
+	ep.served = ep.served[:len(items)]
 
 	// P2: the global cell-scheduler pass and its violation inputs.
-	served, ranUtil := o.tb.Ctrl.RAN.ScheduleEpoch(demands, o.cfg.ShareUnusedPRBs)
-	for i := range items {
-		items[i].served = served[items[i].plmn]
-	}
+	ranUtil := o.tb.Ctrl.RAN.ScheduleDense(ep.plmns, ep.demand, ep.served, o.cfg.ShareUnusedPRBs)
 	o.unlockAll()
 
 	// P3: per-shard parallel monitor/analyze/optimize workers.
-	o.analyzePhase(now, items)
+	o.analyzePhase(now)
 
 	// P3c: ordered commit. First charge and publish every SLA violation in
 	// submission order, each under its shard lock so a concurrent Delete
 	// serializes against the charge — a slice torn down since P3 is
 	// dropped, never billed or announced after its EventDeleted...
-	var epochEvents []Event
+	ep.events = ep.events[:0]
 	for i := range items {
 		it := &items[i]
 		if !it.violated {
@@ -155,9 +173,9 @@ func (o *Orchestrator) runEpoch() {
 			m.sh.violations.Add(1)
 			o.acc.penalty(m.s.SLA().PenaltyEUR)
 			ev := o.publish(EventViolation, m.s,
-				fmt.Sprintf("served %.1f of %.1f Mbps demanded", it.served, it.demand))
+				fmt.Sprintf("served %.1f of %.1f Mbps demanded", ep.served[i], ep.demand[i]))
 			it.charged = true
-			epochEvents = append(epochEvents, ev)
+			ep.events = append(ep.events, ev)
 		}
 		m.sh.mu.Unlock()
 	}
@@ -166,7 +184,7 @@ func (o *Orchestrator) runEpoch() {
 	// so their order decides marginal grow/shrink outcomes and the ledger's
 	// float bits — pinning it here keeps fixed-seed runs identical at any
 	// shard count.
-	allocBatch := make([]monitor.BatchSample, 0, len(items))
+	nanos := now.UnixNano()
 	for i := range items {
 		it := &items[i]
 		if !it.live {
@@ -180,20 +198,18 @@ func (o *Orchestrator) runEpoch() {
 			m.ledgerMbps = it.target
 			it.ledgerUpdated = true
 			it.ledgerTo = it.target
-			allocBatch = append(allocBatch, monitor.BatchSample{
-				Name: m.seriesAlloc, Value: m.s.Allocation().AllocatedMbps})
+			m.series.alloc.AddNanos(nanos, m.s.AllocatedMbps())
 		}
 		m.sh.mu.Unlock()
 	}
 
-	// P4: telemetry barrier — flush the commit batch, push domain
-	// telemetry, fold the gain report and publish the epoch snapshot. The
-	// fold runs under a momentary lockAll: every counter/accumulator
-	// update happens while holding a shard lock, so quiescing the shards
-	// makes the snapshot one mutually consistent cut (the lock-free
-	// Gain() alone guarantees only per-field exactness) — O(shards) work,
-	// once per epoch.
-	o.store.RecordBatchSized(now, allocBatch, sliceSeriesCapacity)
+	// P4: telemetry barrier — push domain telemetry, fold the gain report
+	// and publish the epoch snapshot (the per-slice samples went straight to
+	// their rings in P3 and P3c). The fold runs under a momentary lockAll:
+	// every counter/accumulator update happens while holding a shard lock,
+	// so quiescing the shards makes the snapshot one mutually consistent cut
+	// (the lock-free Gain() alone guarantees only per-field exactness) —
+	// O(shards) work, once per epoch.
 	o.tb.Ctrl.PushTelemetry(o.store, now)
 	o.lockAll()
 	g := o.Gain()
@@ -218,27 +234,29 @@ func (o *Orchestrator) runEpoch() {
 	// verbatim. The epoch's resize outcomes precede it as their own records
 	// in commit order.
 	if o.persist != nil {
-		rec := epochRecord{
-			Epoch:    o.epochs.Load(),
-			At:       now,
-			RANUtil:  ranUtil,
-			Snapshot: snap,
-			Events:   epochEvents,
-			Items:    make([]epochItemRecord, 0, len(items)),
-		}
+		ep.records = ep.records[:0]
 		for i := range items {
 			it := &items[i]
-			rec.Items = append(rec.Items, epochItemRecord{
+			ep.records = append(ep.records, epochItemRecord{
 				Slice:         it.m.s.ID(),
-				Demand:        it.demand,
-				Served:        it.served,
+				Demand:        ep.demand[i],
+				Served:        ep.served[i],
 				Counted:       it.live,
 				Charged:       it.charged,
 				LedgerUpdated: it.ledgerUpdated,
 				LedgerTo:      it.ledgerTo,
 			})
 		}
-		o.appendRecord(recEpoch, rec)
+		// appendRecord encodes synchronously, so the scratch-backed Events
+		// and Items are free for reuse once it returns.
+		o.appendRecord(recEpoch, epochRecord{
+			Epoch:    o.epochs.Load(),
+			At:       now,
+			RANUtil:  ranUtil,
+			Snapshot: snap,
+			Events:   ep.events,
+			Items:    ep.records,
+		})
 	}
 
 	// Audit barrier: snapshot monotonicity plus the full conservation/leak
@@ -260,68 +278,83 @@ func (o *Orchestrator) runEpoch() {
 
 // analyzePhase is P3: per-slice violation detection, forecaster update and
 // provisioning-target computation, partitioned by shard. Each worker holds
-// only its own shard's lock, touches only that shard's slices (and their
-// slice-private forecasters), and flushes its demand/served telemetry as
-// one batch after unlocking — no shared state is written, which is what
-// makes the phase safe to run on one goroutine per shard. With a single
-// shard (or a single populated shard) the phase runs inline: that is the
-// serial path the shard-equivalence tests compare against.
-func (o *Orchestrator) analyzePhase(now time.Time, items []epochItem) {
-	if len(items) == 0 {
+// only its own shard's lock, touches only that shard's slices (their
+// slice-private forecasters and telemetry rings) and its own entries of the
+// epoch's arrays — no shared state is written, which is what makes the phase
+// safe to run on one goroutine per shard. With a single shard (or a single
+// populated shard) the phase runs inline: that is the serial path the
+// shard-equivalence tests compare against.
+func (o *Orchestrator) analyzePhase(now time.Time) {
+	ep := &o.ep
+	if len(ep.items) == 0 {
 		return
 	}
-	groups := make(map[*shard][]int, len(o.shards))
-	for i := range items {
-		sh := items[i].m.sh
-		groups[sh] = append(groups[sh], i)
+	if len(ep.groups) != len(o.shards) {
+		ep.groups = make([][]int, len(o.shards))
 	}
-	work := func(idxs []int) {
-		sh := items[idxs[0]].m.sh
-		batch := make([]monitor.BatchSample, 0, 2*len(idxs))
-		sh.mu.Lock()
-		for _, i := range idxs {
-			it := &items[i]
-			m := it.m
-			// A teardown may have won the race since P1 released the
-			// locks (live mode); a dead slice is dropped from the epoch.
-			if m.s.State() != slice.StateActive {
-				continue
-			}
-			it.live = true
-			it.violated = m.s.RecordEpoch(it.demand, it.served)
-			if m.seriesDemand == "" {
-				id := string(m.s.ID())
-				m.seriesDemand = monitor.SliceMetric(id, "demand_mbps")
-				m.seriesServed = monitor.SliceMetric(id, "served_mbps")
-				m.seriesAlloc = monitor.SliceMetric(id, "allocated_mbps")
-			}
-			batch = append(batch,
-				monitor.BatchSample{Name: m.seriesDemand, Value: it.demand},
-				monitor.BatchSample{Name: m.seriesServed, Value: it.served})
-			m.prov.Observe(it.demand)
-			it.target = m.prov.Provision(m.s.SLA().ThroughputMbps)
-			// The intent plane's rollout cap bounds the target (the canary
-			// knob); resizeLocked still clamps to [floor, contract].
-			if m.provCapMbps > 0 && it.target > m.provCapMbps {
-				it.target = m.provCapMbps
-			}
-		}
-		sh.mu.Unlock()
-		o.store.RecordBatchSized(now, batch, sliceSeriesCapacity)
+	for k := range ep.groups {
+		ep.groups[k] = ep.groups[k][:0]
 	}
-	if len(groups) == 1 {
-		for _, idxs := range groups {
-			work(idxs)
+	populated := 0
+	for i := range ep.items {
+		k := ep.items[i].m.sh.idx
+		if len(ep.groups[k]) == 0 {
+			populated++
 		}
+		ep.groups[k] = append(ep.groups[k], i)
+	}
+	nanos := now.UnixNano()
+	if populated == 1 {
+		o.analyzeShard(nanos, ep.groups[ep.items[0].m.sh.idx])
 		return
 	}
 	var wg sync.WaitGroup
-	for _, idxs := range groups {
+	for _, idxs := range ep.groups {
+		if len(idxs) == 0 {
+			continue
+		}
 		wg.Add(1)
 		go func(idxs []int) {
 			defer wg.Done()
-			work(idxs)
+			o.analyzeShard(nanos, idxs)
 		}(idxs)
 	}
 	wg.Wait()
+}
+
+// analyzeShard is one P3 worker: the items at idxs all live on one shard.
+func (o *Orchestrator) analyzeShard(nanos int64, idxs []int) {
+	ep := &o.ep
+	sh := ep.items[idxs[0]].m.sh
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, i := range idxs {
+		it := &ep.items[i]
+		m := it.m
+		// A teardown may have won the race since P1 released the
+		// locks (live mode); a dead slice is dropped from the epoch.
+		if m.s.State() != slice.StateActive {
+			continue
+		}
+		demand, served := ep.demand[i], ep.served[i]
+		it.live = true
+		it.violated = m.s.RecordEpoch(demand, served)
+		if m.series == nil {
+			id := string(m.s.ID())
+			m.series = &sliceSeries{
+				demand: o.store.SeriesSized(monitor.SliceMetric(id, "demand_mbps"), sliceSeriesCapacity),
+				served: o.store.SeriesSized(monitor.SliceMetric(id, "served_mbps"), sliceSeriesCapacity),
+				alloc:  o.store.SeriesSized(monitor.SliceMetric(id, "allocated_mbps"), sliceSeriesCapacity),
+			}
+		}
+		m.series.demand.AddNanos(nanos, demand)
+		m.series.served.AddNanos(nanos, served)
+		m.prov.Observe(demand)
+		it.target = m.prov.Provision(m.s.SLA().ThroughputMbps)
+		// The intent plane's rollout cap bounds the target (the canary
+		// knob); resizeLocked still clamps to [floor, contract].
+		if m.provCapMbps > 0 && it.target > m.provCapMbps {
+			it.target = m.provCapMbps
+		}
+	}
 }

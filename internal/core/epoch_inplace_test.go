@@ -1,0 +1,211 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/slice"
+	"repro/internal/testbed"
+)
+
+// image renders every copy-returning view of the slice as canonical JSON —
+// the "bits" a holder of an earlier copy must keep seeing.
+func image(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestInPlaceAllocationAliasing pins the ownership discipline of the
+// in-place allocation (DESIGN.md §7.5): the epoch resizes a slice by
+// mutating its live allocation under the slice lock, so everything handed
+// out before — Snapshot, Allocation, Persist, a delivered EventResized —
+// must be unaffected, and nothing a caller does to a returned PRB map or
+// path-ID slice may show through to the live slice or the auditor's sweep.
+func TestInPlaceAllocationAliasing(t *testing.T) {
+	o, _, s := auditEnv(t, Config{Overbook: true, Risk: 0.9, Epoch: time.Minute})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	events := o.Watch(ctx, WatchOptions{Types: []EventType{EventResized}})
+
+	sl, err := o.Submit(req("alias", 40, 50, 6*time.Hour, 100), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if sl.State() != slice.StateActive {
+		t.Fatalf("slice is %s, want active", sl.State())
+	}
+
+	// First resize: demand far below the contract shrinks the allocation.
+	if err := o.RecordDemand(sl.ID(), 5); err != nil {
+		t.Fatal(err)
+	}
+	o.RunEpoch()
+	var first Event
+	select {
+	case first = <-events:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no EventResized after the first epoch")
+	}
+	firstImage := image(t, first)
+
+	snap, alloc, pers := sl.Snapshot(), sl.Allocation(), sl.Persist()
+	before := [3]string{image(t, snap), image(t, alloc), image(t, pers)}
+	if len(alloc.PRBs) == 0 || len(alloc.PathIDs) == 0 {
+		t.Fatalf("allocation holds no containers to alias: %+v", alloc)
+	}
+
+	// Second resize: demand back at the contract grows it again, in place.
+	if err := o.RecordDemand(sl.ID(), 40); err != nil {
+		t.Fatal(err)
+	}
+	reconfigs := o.Gain().Reconfigurations
+	for i := 0; i < 4; i++ {
+		o.RunEpoch()
+	}
+	if got := o.Gain().Reconfigurations; got == reconfigs {
+		t.Fatal("the second phase never resized; the test would prove nothing")
+	}
+	if sl.AllocatedMbps() == alloc.AllocatedMbps {
+		t.Fatalf("allocation still %.2f Mbps after the resize", alloc.AllocatedMbps)
+	}
+	after := [3]string{image(t, snap), image(t, alloc), image(t, pers)}
+	if before != after {
+		t.Fatalf("copies taken before the resize changed:\nbefore %v\nafter  %v", before, after)
+	}
+	if got := image(t, first); got != firstImage {
+		t.Fatalf("delivered EventResized changed: %s -> %s", firstImage, got)
+	}
+
+	// Scribbling over returned containers reaches neither the live slice
+	// nor what the auditor reads.
+	live := image(t, sl.Allocation())
+	for _, a := range []slice.Allocation{sl.Allocation(), sl.Snapshot().Allocation, sl.Persist().Allocation} {
+		for k := range a.PRBs {
+			a.PRBs[k] = -7
+		}
+		a.PRBs["ghost-enb"] = 1
+		for i := range a.PathIDs {
+			a.PathIDs[i] = "ghost-path"
+		}
+	}
+	if got := image(t, sl.Allocation()); got != live {
+		t.Fatalf("mutating returned copies changed the live allocation:\n%s\n%s", live, got)
+	}
+	o.AuditSweep()
+	o.RunEpoch() // one more resize opportunity plus the barrier sweep
+	if err := o.Auditor().Err(); err != nil {
+		t.Fatalf("auditor saw the scribbles: %v", err)
+	}
+}
+
+// sliceSeriesNames lists the store's per-slice series of one slice.
+func sliceSeriesNames(o *Orchestrator, id slice.ID) []string {
+	var out []string
+	for _, name := range o.store.Names() {
+		if strings.HasPrefix(name, "slice/"+string(id)+"/") {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// TestEvictedSliceTelemetryDropped is the regression test for the per-slice
+// telemetry leak: the three series a slice gets on its first epoch used to
+// stay in the store forever. They must survive while the finished slice is
+// still in the retained history (the dashboard charts what it can list) and
+// leave with it — through both eviction paths.
+func TestEvictedSliceTelemetryDropped(t *testing.T) {
+	const history = 3
+	// churn finishes n more slices, each pushing one onto the history.
+	churn := func(t *testing.T, o *Orchestrator, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			sl, err := o.Submit(req("filler", 1, 50, time.Hour, 1), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sl.State() != slice.StateRejected {
+				if err := o.Delete(sl.ID()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	measured := func(t *testing.T) (*Orchestrator, *slice.Slice) {
+		t.Helper()
+		s, o := env(t, Config{Overbook: true, Risk: 0.9, HistoryLimit: history})
+		sl, err := o.Submit(req("leak", 20, 50, time.Hour, 10), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunFor(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.RecordDemand(sl.ID(), 8); err != nil {
+			t.Fatal(err)
+		}
+		o.RunEpoch()
+		if got := sliceSeriesNames(o, sl.ID()); len(got) != 3 {
+			t.Fatalf("measured slice has series %v, want 3", got)
+		}
+		return o, sl
+	}
+
+	t.Run("delete", func(t *testing.T) {
+		o, sl := measured(t)
+		if err := o.Delete(sl.ID()); err != nil {
+			t.Fatal(err)
+		}
+		churn(t, o, history-1)
+		if _, ok := o.Get(sl.ID()); !ok {
+			t.Fatal("slice left the history early")
+		}
+		if got := sliceSeriesNames(o, sl.ID()); len(got) != 3 {
+			t.Fatalf("in-history slice lost series: %v", got)
+		}
+		churn(t, o, 1) // dropFinished evicts it
+		if _, ok := o.Get(sl.ID()); ok {
+			t.Fatal("slice still registered past HistoryLimit")
+		}
+		if got := sliceSeriesNames(o, sl.ID()); len(got) != 0 {
+			t.Fatalf("evicted slice left series behind: %v", got)
+		}
+	})
+
+	t.Run("restoration", func(t *testing.T) {
+		// No backup switch: failing the access link drops every slice on
+		// it, and the pass evicts through dropFinishedAllLocked.
+		o, sl := measured(t)
+		if err := o.Delete(sl.ID()); err != nil {
+			t.Fatal(err)
+		}
+		churn(t, o, history-1)
+		victim, err := o.Submit(req("victim", 1, 50, time.Hour, 1), nil)
+		if err != nil || victim.State() == slice.StateRejected {
+			t.Fatalf("victim not admitted: %v", err)
+		}
+		rep, err := o.HandleLinkFailure(testbed.ENBName(0), testbed.Switch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Dropped) != 1 {
+			t.Fatalf("restoration dropped %v, want the victim", rep.Dropped)
+		}
+		if _, ok := o.Get(sl.ID()); ok {
+			t.Fatal("slice still registered past HistoryLimit")
+		}
+		if got := sliceSeriesNames(o, sl.ID()); len(got) != 0 {
+			t.Fatalf("restoration eviction left series behind: %v", got)
+		}
+	})
+}

@@ -68,15 +68,16 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 		o.plmns.Release(plmn)
 		return err
 	}
-	alloc := slice.Allocation{PLMN: plmn}
 	bootDelay := time.Duration(0)
-	for _, dg := range grants {
-		dg.g.Apply(&alloc)
-		if d := dg.g.ActivationDelay(); d > bootDelay {
-			bootDelay = d
+	s.UpdateAllocation(func(a *slice.Allocation) {
+		a.PLMN = plmn
+		for _, dg := range grants {
+			dg.g.Apply(a)
+			if d := dg.g.ActivationDelay(); d > bootDelay {
+				bootDelay = d
+			}
 		}
-	}
-	s.SetAllocation(alloc)
+	})
 	// Applied grants surrendered their containers to the allocation; the
 	// engine holds the last reference and can hand them back to the pools.
 	o.recycleGrants(grants)
@@ -89,7 +90,7 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 		prov:       forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps),
 		ledgerMbps: reservedMbps,
 	}
-	sh.slices[s.ID()] = m
+	sh.insert(m)
 
 	// Installation stage timeline (Fig. 2 workflow). Resources are already
 	// committed; the stages model configuration latency, so their completion
@@ -123,9 +124,8 @@ func (o *Orchestrator) activate(id slice.ID) {
 		sh.mu.Unlock()
 		return
 	}
-	alloc := m.s.Allocation()
 	now := o.clock.Now()
-	if err := o.tb.Ctrl.Cloud.MarkEPCRunning(alloc.EPCID, now); err != nil {
+	if err := o.tb.Ctrl.Cloud.MarkEPCRunning(m.s.EPCID(), now); err != nil {
 		evicted := o.teardownLocked(sh, m, fmt.Sprintf("EPC failed to boot: %v", err), EventDeleted)
 		o.auditSliceReleased(id)
 		sh.mu.Unlock()
@@ -197,7 +197,7 @@ func (o *Orchestrator) teardownLocked(sh *shard, m *managedSlice, reason string,
 		m.expiry = nil
 	}
 	st := m.s.State()
-	alloc := m.s.Allocation()
+	plmn, allocated := m.s.PLMN(), m.s.AllocatedMbps()
 	m.s.Terminate(reason)
 	ev := o.publish(typ, m.s, reason)
 	// The teardown record must be sequenced BEFORE any substrate resource is
@@ -211,15 +211,15 @@ func (o *Orchestrator) teardownLocked(sh *shard, m *managedSlice, reason string,
 	if o.persist != nil {
 		o.appendRecord(recTeardown, teardownRecord{Slice: m.s.ID(), Reason: reason, Events: []Event{ev}})
 	}
-	o.releaseAll(m.s.ID(), alloc.PLMN)
-	o.plmns.Release(alloc.PLMN)
+	o.releaseAll(m.s.ID(), plmn)
+	o.plmns.Release(plmn)
 	o.ledger.Release(m.ledgerMbps)
 	m.ledgerMbps = 0
 	// Read-plane bookkeeping: the slice leaves the live totals, and the
 	// active count drops if it was carrying traffic.
 	switch st {
 	case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
-		o.acc.release(m.s.SLA().ThroughputMbps, alloc.AllocatedMbps)
+		o.acc.release(m.s.SLA().ThroughputMbps, allocated)
 	}
 	switch st {
 	case slice.StateActive, slice.StateReconfiguring:
@@ -240,7 +240,8 @@ func (o *Orchestrator) squeezeAll() {
 	defer o.epochMu.Unlock()
 	o.lockAll()
 	defer o.unlockAll()
-	for _, m := range o.orderedSlicesAllLocked() {
+	walk := o.walkAllLocked()
+	for m := walk.next(); m != nil; m = walk.next() {
 		switch m.s.State() {
 		case slice.StateAdmitted, slice.StateInstalling, slice.StateActive:
 		default:
@@ -257,16 +258,22 @@ func (o *Orchestrator) squeezeAll() {
 // resizeLocked applies a new multi-domain allocation to the slice if it
 // differs enough from the current one (hysteresis). Returns whether a
 // reconfiguration happened. The caller holds the slice's shard lock.
+//
+// The hysteresis test reads one float and runs first, so a resize it
+// swallows — most slices, most epochs — costs nothing else. A resize that
+// goes through applies its grants to the live allocation under the slice
+// lock: the grants hand over their containers (ctrl pool contract), so no
+// copy of the allocation is made on the way in or out.
 func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) bool {
 	sla := m.s.SLA()
-	alloc := m.s.Allocation()
+	before := m.s.AllocatedMbps()
 	if targetMbps < o.cfg.FloorMbps {
 		targetMbps = o.cfg.FloorMbps
 	}
 	if targetMbps > sla.ThroughputMbps {
 		targetMbps = sla.ThroughputMbps
 	}
-	if diff := targetMbps - alloc.AllocatedMbps; diff > -sla.ThroughputMbps*o.cfg.ReconfigThreshold &&
+	if diff := targetMbps - before; diff > -sla.ThroughputMbps*o.cfg.ReconfigThreshold &&
 		diff < sla.ThroughputMbps*o.cfg.ReconfigThreshold {
 		return false
 	}
@@ -279,42 +286,42 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) bool {
 		}
 		reconfiguring = true
 	}
-	endReconfigure := func() {
-		if reconfiguring {
-			m.s.EndReconfigure()
-		}
-	}
 
 	tx := ctrl.Tx{
 		Slice:           m.s.ID(),
-		PLMN:            alloc.PLMN,
+		PLMN:            m.s.PLMN(),
 		SLA:             sla,
-		DataCenter:      alloc.DataCenter,
+		DataCenter:      m.s.DataCenter(),
 		LatencyBudgetMs: o.latencyBudget(sla),
 	}
-	before := alloc.AllocatedMbps
-	gs, ok := o.resizeAll(tx, targetMbps, alloc.AllocatedMbps)
-	if !ok {
-		endReconfigure()
-		return false
+	gs, ok := o.resizeAll(tx, targetMbps, before)
+	if ok {
+		m.s.UpdateAllocation(func(a *slice.Allocation) {
+			for _, dg := range *gs {
+				if dg.g != nil {
+					dg.g.Apply(a)
+				}
+			}
+		})
+		o.recycleGrants(*gs) // applied; the engine holds the last reference
+		putGrants(gs)
 	}
-	for _, dg := range *gs {
-		if dg.g != nil {
-			dg.g.Apply(&alloc)
-		}
-	}
-	m.s.SetAllocation(alloc)
-	o.recycleGrants(*gs) // applied; the engine holds the last reference
-	putGrants(gs)
-	o.acc.allocDelta(alloc.AllocatedMbps - before)
-	m.sh.reconfigurations.Add(1)
 	// Publish after the Reconfiguring -> Active transition completes so the
 	// event carries the post-transition state.
-	endReconfigure()
+	if reconfiguring {
+		m.s.EndReconfigure()
+	}
+	if !ok {
+		return false
+	}
+	o.acc.allocDelta(m.s.AllocatedMbps() - before)
+	m.sh.reconfigurations.Add(1)
 	ev := o.publish(EventResized, m.s, "")
 	if o.persist != nil {
 		// The engine threads the radio-quantized throughput into transport
-		// and MEC, so the post-apply allocation is what every domain saw.
+		// and MEC, so the post-apply allocation is what every domain saw. The
+		// record is encoded here, under the shard lock, from a copy.
+		alloc := m.s.Allocation()
 		o.appendRecord(recResize, resizeRecord{
 			Slice:       m.s.ID(),
 			Mbps:        alloc.AllocatedMbps,

@@ -515,9 +515,10 @@ func (o *Orchestrator) appendAdmit(m *managedSlice, reservedMbps float64, submit
 	if o.persist == nil {
 		return
 	}
-	alloc := m.s.Allocation()
+	image := m.s.Persist()
+	alloc := &image.Allocation
 	rec := admitRecord{
-		Slice:        m.s.Persist(),
+		Slice:        image,
 		ReservedMbps: reservedMbps,
 		Paths:        o.pathRecords(alloc.PathIDs),
 		SubmittedAt:  submittedAt,
@@ -758,7 +759,8 @@ func (o *Orchestrator) buildCheckpointLocked() ([]byte, error) {
 	for _, ls := range o.tb.Transport.Snapshot() {
 		st.Links = append(st.Links, linkState{From: ls.From, To: ls.To, Up: ls.Up, CapacityMbps: ls.CapacityMbps})
 	}
-	for _, m := range o.orderedSlicesAllLocked() {
+	walk := o.walkAllLocked()
+	for m := walk.next(); m != nil; m = walk.next() {
 		ps := persistedSlice{
 			Slice:      m.s.Persist(),
 			LedgerMbps: m.ledgerMbps,
@@ -768,7 +770,7 @@ func (o *Orchestrator) buildCheckpointLocked() ([]byte, error) {
 		}
 		switch m.s.State() {
 		case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
-			alloc := m.s.Allocation()
+			alloc := &ps.Slice.Allocation
 			ps.Paths = o.pathRecords(alloc.PathIDs)
 			if alloc.MECAppID != "" {
 				if app, ok := o.tb.MEC.App(alloc.MECAppID); ok {

@@ -255,12 +255,12 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 		}
 		switch s.State() {
 		case slice.StateActive, slice.StateReconfiguring:
-			if err := o.tb.Ctrl.Cloud.MarkEPCRunning(s.Allocation().EPCID, ps.Slice.Starts); err != nil {
+			if err := o.tb.Ctrl.Cloud.MarkEPCRunning(s.EPCID(), ps.Slice.Starts); err != nil {
 				return err
 			}
 		}
 	}
-	sh.slices[id] = m
+	sh.insert(m)
 	if ps.Timeline != nil {
 		tl := *ps.Timeline
 		sh.timelines[id] = &tl
@@ -410,12 +410,12 @@ func (o *Orchestrator) applyAdmit(ar admitRecord) error {
 	}
 	o.ledger.Update(0, ar.ReservedMbps)
 	sh := o.shardFor(id)
-	sh.slices[id] = &managedSlice{
+	sh.insert(&managedSlice{
 		s: s, sh: sh,
 		prov:       forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps),
 		ledgerMbps: ar.ReservedMbps,
 		activateAt: ar.ActivateAt,
-	}
+	})
 	sh.admitted.Add(1)
 	o.acc.admit(s.SLA().PriceEUR, s.SLA().ThroughputMbps, alloc.AllocatedMbps)
 	radioAt := ar.SubmittedAt.Add(o.cfg.RadioConfigDelay)
@@ -438,7 +438,7 @@ func (o *Orchestrator) applyReject(rr rejectRecord) error {
 	id := s.ID()
 	o.bumpSeq(id)
 	sh := o.shardFor(id)
-	sh.slices[id] = &managedSlice{s: s, sh: sh}
+	sh.insert(&managedSlice{s: s, sh: sh})
 	sh.rejected.Add(1)
 	if cause, ok := s.Cause(); ok {
 		o.acc.reject(string(cause.Code))
@@ -459,7 +459,7 @@ func (o *Orchestrator) applyActivate(ar activateRecord) error {
 	if !ok {
 		return fmt.Errorf("unknown slice")
 	}
-	if err := o.tb.Ctrl.Cloud.MarkEPCRunning(m.s.Allocation().EPCID, ar.At); err != nil {
+	if err := o.tb.Ctrl.Cloud.MarkEPCRunning(m.s.EPCID(), ar.At); err != nil {
 		return err
 	}
 	if err := m.s.Activate(ar.At); err != nil {
@@ -482,14 +482,14 @@ func (o *Orchestrator) applyTeardown(tr teardownRecord) error {
 		return fmt.Errorf("unknown slice")
 	}
 	st := m.s.State()
-	alloc := m.s.Allocation()
-	o.releaseAll(tr.Slice, alloc.PLMN)
-	o.plmns.Release(alloc.PLMN)
+	plmn := m.s.PLMN()
+	o.releaseAll(tr.Slice, plmn)
+	o.plmns.Release(plmn)
 	o.ledger.Release(m.ledgerMbps)
 	m.ledgerMbps = 0
 	switch st {
 	case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
-		o.acc.release(m.s.SLA().ThroughputMbps, alloc.AllocatedMbps)
+		o.acc.release(m.s.SLA().ThroughputMbps, m.s.AllocatedMbps())
 	}
 	switch st {
 	case slice.StateActive, slice.StateReconfiguring:
@@ -551,12 +551,10 @@ func (o *Orchestrator) applyResize(rr resizeRecord) error {
 			return err
 		}
 	}
-	alloc.AllocatedMbps = rr.Mbps
-	alloc.PRBs = make(map[string]int, len(rr.PRBs))
-	for k, v := range rr.PRBs {
-		alloc.PRBs[k] = v
-	}
-	m.s.SetAllocation(alloc)
+	m.s.UpdateAllocation(func(a *slice.Allocation) {
+		a.AllocatedMbps = rr.Mbps
+		a.PRBs = rr.PRBs // decoded for this record alone; the slice takes it over
+	})
 	o.acc.allocDelta(rr.Mbps - before)
 	if rr.ResizePaths {
 		sh.reconfigurations.Add(1)
@@ -582,10 +580,10 @@ func (o *Orchestrator) applyReroute(rr rerouteRecord) error {
 		pids = append(pids, pr.ID)
 	}
 	o.tb.Ctrl.Transport.ImportPaths(rr.Slice, pids)
-	alloc := m.s.Allocation()
-	alloc.PathIDs = pids
-	alloc.PathLatencyMs = rr.WorstDelayMs
-	m.s.SetAllocation(alloc)
+	m.s.UpdateAllocation(func(a *slice.Allocation) {
+		a.PathIDs = pids // ImportPaths kept its own copy
+		a.PathLatencyMs = rr.WorstDelayMs
+	})
 	sh.reconfigurations.Add(1)
 	o.republish(rr.Events)
 	return nil
@@ -661,8 +659,15 @@ func (o *Orchestrator) applyLink(lr linkRecord) error {
 // A scheduled instant already in the past fires on the clock's next step
 // (sim.At clamps), preserving the sim's deterministic event order.
 func (o *Orchestrator) rearmTimers() {
+	// Collected first and armed with no lock held: on a wall clock an
+	// overdue timer may fire at once on its own goroutine and take the
+	// slice's shard lock.
+	var ordered []*managedSlice
 	o.lockAll()
-	ordered := o.orderedSlicesAllLocked()
+	walk := o.walkAllLocked()
+	for m := walk.next(); m != nil; m = walk.next() {
+		ordered = append(ordered, m)
+	}
 	o.unlockAll()
 	for _, m := range ordered {
 		switch m.s.State() {

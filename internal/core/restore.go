@@ -79,7 +79,7 @@ func (o *Orchestrator) handleLinkFailure(from, to string) (RestorationReport, er
 		case slice.StateRejected, slice.StateTerminated:
 			continue
 		}
-		if o.rerouteLocked(m, m.s.Allocation().AllocatedMbps) {
+		if o.rerouteLocked(m, m.s.AllocatedMbps()) {
 			rep.Restored = append(rep.Restored, id)
 			ev := o.publish(EventRestored, m.s, "re-routed around "+rep.Link)
 			o.appendReroute(m, ev)
@@ -198,7 +198,7 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 		// First try to keep the full allocation on an alternative route;
 		// failing that, re-establish paths at the fair share of the
 		// degraded link and shrink the radio side to match.
-		if o.rerouteLocked(m, m.s.Allocation().AllocatedMbps) {
+		if o.rerouteLocked(m, m.s.AllocatedMbps()) {
 			rep.Restored = append(rep.Restored, id)
 			ev := o.publish(EventRestored, m.s, "re-routed around degraded "+rep.Link)
 			o.appendReroute(m, ev)
@@ -219,20 +219,21 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 		// (vEPC no-op, MEC app CPU, ...) follows the same target — shrinks
 		// always fit, so errors are ignored like in the engine's restore
 		// path.
-		alloc := m.s.Allocation()
-		before := alloc.AllocatedMbps
-		tx := ctrl.Tx{Slice: id, PLMN: alloc.PLMN, SLA: m.s.SLA(), DataCenter: alloc.DataCenter,
+		before := m.s.AllocatedMbps()
+		tx := ctrl.Tx{Slice: id, PLMN: m.s.PLMN(), SLA: m.s.SLA(), DataCenter: m.s.DataCenter(),
 			LatencyBudgetMs: o.latencyBudget(m.s.SLA())}
-		if g, err := o.domains.chain[0].Resize(tx, target); err == nil && g != nil {
-			g.Apply(&alloc)
-		} else {
-			alloc.AllocatedMbps = target
-		}
+		g, err := o.domains.chain[0].Resize(tx, target)
+		m.s.UpdateAllocation(func(a *slice.Allocation) {
+			if err == nil && g != nil {
+				g.Apply(a)
+			} else {
+				a.AllocatedMbps = target
+			}
+		})
 		for _, d := range o.domains.async {
 			d.Resize(tx, target)
 		}
-		m.s.SetAllocation(alloc)
-		o.acc.allocDelta(alloc.AllocatedMbps - before)
+		o.acc.allocDelta(m.s.AllocatedMbps() - before)
 		rep.Restored = append(rep.Restored, id)
 		ev := o.publish(EventResized, m.s, fmt.Sprintf("shrunk to fair share of degraded %s", rep.Link))
 		if o.persist != nil {
@@ -241,6 +242,7 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 			// and feeds the MEC app the raw share rather than the radio-
 			// quantized value; PRBs capture the radio's final state even
 			// when its resize failed and only AllocatedMbps moved.
+			alloc := m.s.Allocation()
 			o.appendRecord(recResize, resizeRecord{
 				Slice:       id,
 				Mbps:        alloc.AllocatedMbps,
@@ -268,23 +270,22 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 // repeatedly with shrinking targets. Returns success. The caller holds the
 // slice's shard lock.
 func (o *Orchestrator) rerouteLocked(m *managedSlice, mbps float64) bool {
-	alloc := m.s.Allocation()
+	plmn := m.s.PLMN()
 	sla := m.s.SLA()
 	d := o.tb.Ctrl.Wrapped(o.tb.Ctrl.Transport)
-	d.Release(m.s.ID(), alloc.PLMN)
+	d.Release(m.s.ID(), plmn)
 	g, cause := d.Reserve(ctrl.Tx{
 		Slice:           m.s.ID(),
-		PLMN:            alloc.PLMN,
+		PLMN:            plmn,
 		SLA:             sla,
-		DataCenter:      alloc.DataCenter,
+		DataCenter:      m.s.DataCenter(),
 		Mbps:            mbps,
 		LatencyBudgetMs: o.latencyBudget(sla),
 	})
 	if cause != nil {
 		return false
 	}
-	g.Apply(&alloc)
-	m.s.SetAllocation(alloc)
+	m.s.UpdateAllocation(g.Apply)
 	m.sh.reconfigurations.Add(1)
 	return true
 }

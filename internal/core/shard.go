@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,8 +37,18 @@ import (
 // counter is monotone and exact.
 type shard struct {
 	mu        sync.Mutex
+	idx       int // position in Orchestrator.shards
 	slices    map[slice.ID]*managedSlice
 	timelines map[slice.ID]*InstallTimeline
+
+	// ordered lists the shard's registry entries by ascending submission
+	// sequence — the per-shard run the whole-registry walks merge (see
+	// orderedWalk), maintained on insert and eviction instead of being
+	// collected and sorted every pass. Invariant, under mu: every slices
+	// entry has exactly one live element here, elements are strictly
+	// ascending in seq, and the evicted ones (m == nil) number dead.
+	ordered []orderedEntry
+	dead    int
 
 	// Cumulative counters for the demonstration dashboard; Gain aggregates
 	// them across shards. Order-sensitive float aggregates (money, live
@@ -52,8 +64,9 @@ type shard struct {
 	active atomic.Int64
 }
 
-func newShard() *shard {
+func newShard(idx int) *shard {
 	return &shard{
+		idx:       idx,
 		slices:    make(map[slice.ID]*managedSlice),
 		timelines: make(map[slice.ID]*InstallTimeline),
 	}
@@ -89,24 +102,138 @@ func (o *Orchestrator) unlockAll() {
 	}
 }
 
-// orderedSlicesAllLocked returns every managed slice across all shards
-// sorted by submission sequence. Caller must hold all shard locks. Every
-// loop that samples randomness, resizes reservations or sums floating-point
-// loads must use this order so that runs are bit-reproducible under a fixed
-// seed (map and shard iteration order are not).
-func (o *Orchestrator) orderedSlicesAllLocked() []*managedSlice {
-	n := 0
-	for _, sh := range o.shards {
-		n += len(sh.slices)
+// orderedEntry is one element of a shard's submission-ordered list. The
+// sequence is kept beside the pointer so eviction can find its element by
+// binary search and tombstone it (m = nil) without shifting the tail.
+type orderedEntry struct {
+	seq int
+	m   *managedSlice
+}
+
+// insert registers m in the shard: in the ID map and at its place in the
+// submission-ordered list. IDs are issued from one global counter but reach
+// their shard after the unlocked stretch between nextID and the shard lock,
+// so a concurrent submitter can arrive slightly out of order; the common
+// case is an append, the rare one a short walk back from the tail. The
+// caller holds sh.mu (or runs in the single-threaded recovery pass).
+func (sh *shard) insert(m *managedSlice) {
+	m.seq = seqOf(m.s.ID())
+	sh.slices[m.s.ID()] = m
+	i := len(sh.ordered)
+	sh.ordered = append(sh.ordered, orderedEntry{})
+	for i > 0 && sh.ordered[i-1].seq > m.seq {
+		sh.ordered[i] = sh.ordered[i-1]
+		i--
 	}
-	out := make([]*managedSlice, 0, n)
+	sh.ordered[i] = orderedEntry{seq: m.seq, m: m}
+}
+
+// evict removes a finished slice from the shard and returns its bookkeeping
+// (nil when the ID is unknown). The ordered-list element is tombstoned, and
+// the list is compacted once tombstones outnumber live elements — each
+// compaction pays for at least as many evictions as elements it moves, so
+// eviction is amortised O(1) after the O(log n) search. The caller holds
+// sh.mu.
+func (sh *shard) evict(id slice.ID) *managedSlice {
+	m, ok := sh.slices[id]
+	if !ok {
+		return nil
+	}
+	delete(sh.slices, id)
+	delete(sh.timelines, id)
+	i, found := slices.BinarySearchFunc(sh.ordered, m.seq, func(e orderedEntry, seq int) int {
+		return cmp.Compare(e.seq, seq)
+	})
+	if found && sh.ordered[i].m != nil {
+		sh.ordered[i].m = nil
+		sh.dead++
+	}
+	if sh.dead > 32 && 2*sh.dead > len(sh.ordered) {
+		live := sh.ordered[:0]
+		for _, e := range sh.ordered {
+			if e.m != nil {
+				live = append(live, e)
+			}
+		}
+		clear(sh.ordered[len(live):]) // drop the moved elements' pointers
+		sh.ordered = live
+		sh.dead = 0
+	}
+	return m
+}
+
+// orderedWalk is a k-way merge over the shards' submission-ordered lists:
+// next yields every registered slice in global submission order without
+// collecting or sorting the registry. Every loop that samples randomness,
+// resizes reservations or sums floating-point loads must use this order so
+// that runs are bit-reproducible under a fixed seed (map and shard iteration
+// order are not). The walker's cursor heap is reused between walks; one walk
+// runs at a time (the caller holds epochMu, or is the single-threaded
+// recovery pass) under every shard lock, and the registry must not change
+// while it is in progress.
+type orderedWalk struct {
+	// heap holds the unvisited tail of each shard's list (element 0 live),
+	// as a min-heap on that element's seq.
+	heap [][]orderedEntry
+}
+
+// skipDead drops leading tombstones.
+func skipDead(rest []orderedEntry) []orderedEntry {
+	for len(rest) > 0 && rest[0].m == nil {
+		rest = rest[1:]
+	}
+	return rest
+}
+
+// walkAllLocked starts a walk over the whole registry. Caller must hold all
+// shard locks for the duration of the walk.
+func (o *Orchestrator) walkAllLocked() *orderedWalk {
+	w := &o.walk
+	w.heap = w.heap[:0]
 	for _, sh := range o.shards {
-		for _, m := range sh.slices {
-			out = append(out, m)
+		if rest := skipDead(sh.ordered); len(rest) > 0 {
+			w.heap = append(w.heap, rest)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return seqOf(out[i].s.ID()) < seqOf(out[j].s.ID()) })
-	return out
+	for i := len(w.heap)/2 - 1; i >= 0; i-- {
+		w.siftDown(i)
+	}
+	return w
+}
+
+// next returns the next slice in submission order, nil when the walk is done.
+func (w *orderedWalk) next() *managedSlice {
+	if len(w.heap) == 0 {
+		return nil
+	}
+	m := w.heap[0][0].m
+	if rest := skipDead(w.heap[0][1:]); len(rest) > 0 {
+		w.heap[0] = rest
+	} else {
+		last := len(w.heap) - 1
+		w.heap[0] = w.heap[last]
+		w.heap[last] = nil
+		w.heap = w.heap[:last]
+	}
+	w.siftDown(0)
+	return m
+}
+
+func (w *orderedWalk) siftDown(i int) {
+	h := w.heap
+	for {
+		least := i
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[c][0].seq < h[least][0].seq {
+				least = c
+			}
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // lookupAllLocked finds the managed slice by ID. Caller holds all shard
@@ -205,8 +332,7 @@ func (o *Orchestrator) dropFinished(ids []slice.ID) {
 	for _, id := range ids {
 		sh := o.shardFor(id)
 		sh.mu.Lock()
-		delete(sh.slices, id)
-		delete(sh.timelines, id)
+		o.dropTelemetry(sh.evict(id))
 		sh.mu.Unlock()
 	}
 }
@@ -215,8 +341,17 @@ func (o *Orchestrator) dropFinished(ids []slice.ID) {
 // shard lock (restoration passes).
 func (o *Orchestrator) dropFinishedAllLocked(ids []slice.ID) {
 	for _, id := range ids {
-		sh := o.shardFor(id)
-		delete(sh.slices, id)
-		delete(sh.timelines, id)
+		o.dropTelemetry(o.shardFor(id).evict(id))
 	}
+}
+
+// dropTelemetry removes an evicted slice's per-slice series from the
+// monitoring store: the dashboard charts slices it can still list, and a
+// churning daemon must not keep three rings for every slice it ever ran.
+// Slices that never saw an epoch hold no series and cost nothing here.
+func (o *Orchestrator) dropTelemetry(m *managedSlice) {
+	if m == nil || m.series == nil {
+		return
+	}
+	o.store.Drop(m.series.demand.Name(), m.series.served.Name(), m.series.alloc.Name())
 }

@@ -61,6 +61,11 @@ type RANController struct {
 	// cellCache memoizes the sorted eNB list keyed by the RAN topology
 	// version, so the hot reserve/resize/schedule paths never rebuild it.
 	cellCache atomic.Pointer[ranCellCache]
+
+	// cellDemand is ScheduleDense's per-cell demand share, reused across
+	// epochs under schedMu.
+	schedMu    sync.Mutex
+	cellDemand []float64
 }
 
 // ranCellCache is one immutable snapshot of the sorted eNB list.
@@ -190,37 +195,55 @@ func (c *RANController) ReleaseSlice(p slice.PLMN) {
 	}
 }
 
-// ScheduleEpoch distributes per-slice demand evenly over the eNBs, runs
-// each cell's scheduler and returns the summed served throughput per PLMN
-// plus the mean cell utilization.
+// ScheduleDense distributes per-slice demand evenly over the eNBs, runs each
+// cell's scheduler and writes the summed served throughput of plmns[i] to
+// served[i] (index-aligned with demand; len(served) must equal len(plmns)).
+// It returns the mean cell utilization.
 //
 // It is the serial heart of the control epoch (core's phase P2): the
-// orchestrator calls it exactly once per epoch, from one goroutine, while
-// the per-slice forecast/provision work runs in the parallel phase around
-// it. The per-eNB demand split is built once and shared across cells (each
-// cell only reads it), so the pass is O(slices + slices·cells-in-scheduler)
-// rather than re-building a map per cell.
-func (c *RANController) ScheduleEpoch(demand map[slice.PLMN]float64, shareUnused bool) (map[slice.PLMN]float64, float64) {
+// orchestrator calls it exactly once per epoch with arrays it reuses across
+// epochs, while the per-slice forecast/provision work runs in the parallel
+// phase around it. Every slice's UEs camp on all cells, so the per-cell
+// demand share is computed once and read by every cell. Served throughput is
+// summed per PLMN across cells in cell order and each cell accumulates its
+// PRB sums in reservation order — the summation orders of the map-based pass
+// this replaces, so fixed-seed runs keep their float bits.
+func (c *RANController) ScheduleDense(plmns []slice.PLMN, demand, served []float64, shareUnused bool) float64 {
 	enbs := c.Cells()
-	served := make(map[slice.PLMN]float64, len(demand))
+	clear(served)
 	if len(enbs) == 0 {
-		return served, 0
+		return 0
 	}
-	// One shared per-cell demand map: every slice's UEs camp on all cells,
-	// so the per-cell share is the same everywhere.
-	local := make(ran.DemandMbps, len(demand))
-	for p, d := range demand {
-		local[p] = d / float64(len(enbs))
+	c.schedMu.Lock()
+	defer c.schedMu.Unlock()
+	c.cellDemand = c.cellDemand[:0]
+	for _, d := range demand {
+		c.cellDemand = append(c.cellDemand, d/float64(len(enbs)))
 	}
 	utilSum := 0.0
 	for _, e := range enbs {
-		s, u := e.ScheduleEpoch(local, shareUnused)
-		for p, v := range s {
-			served[p] += v
-		}
-		utilSum += u
+		utilSum += e.ScheduleDense(plmns, c.cellDemand, served, shareUnused)
 	}
-	return served, utilSum / float64(len(enbs))
+	return utilSum / float64(len(enbs))
+}
+
+// ScheduleEpoch is the map-typed adapter over ScheduleDense: it returns the
+// summed served throughput of every PLMN in demand (0 for a PLMN no cell
+// holds a reservation for) plus the mean cell utilization.
+func (c *RANController) ScheduleEpoch(demand map[slice.PLMN]float64, shareUnused bool) (map[slice.PLMN]float64, float64) {
+	plmns := make([]slice.PLMN, 0, len(demand))
+	offered := make([]float64, 0, len(demand))
+	for p, d := range demand {
+		plmns = append(plmns, p)
+		offered = append(offered, d)
+	}
+	delivered := make([]float64, len(plmns))
+	util := c.ScheduleDense(plmns, offered, delivered, shareUnused)
+	served := make(map[slice.PLMN]float64, len(plmns))
+	for i, p := range plmns {
+		served[p] = delivered[i]
+	}
+	return served, util
 }
 
 // Utilization implements Controller (mean reserved-PRB fraction).
@@ -343,30 +366,24 @@ func (c *TransportController) setupPathsInto(id slice.ID, dc string, mbps, maxDe
 // ResizePaths changes every path of the slice to the new aggregate
 // bandwidth. On failure, previously resized paths are restored.
 func (c *TransportController) ResizePaths(id slice.ID, mbps float64) error {
+	// bySlice values are immutable once stored (setup and import store fresh
+	// copies, release deletes the entry), so the list stays valid after the
+	// lock drops and needs no per-call copy.
 	c.mu.RLock()
-	pids := append([]string(nil), c.bySlice[id]...)
+	pids := c.bySlice[id]
 	c.mu.RUnlock()
 	if len(pids) == 0 {
 		return fmt.Errorf("ctrl: slice %s has no transport paths", id)
 	}
-	share := mbps / float64(len(pids))
-	prev := make([]float64, len(pids))
-	for i, pid := range pids {
-		r, ok := c.net.Reservation(pid)
-		if !ok {
-			return fmt.Errorf("ctrl: reservation %s vanished", pid)
-		}
-		prev[i] = r.Mbps
+	failed, err := c.net.ResizeEach(pids, mbps/float64(len(pids)))
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, transport.ErrUnknownPath):
+		return fmt.Errorf("ctrl: reservation %s vanished", failed)
+	default:
+		return fmt.Errorf("ctrl: transport resize %s: %w", failed, err)
 	}
-	for i, pid := range pids {
-		if err := c.net.Resize(pid, share); err != nil {
-			for j := 0; j < i; j++ {
-				c.net.Resize(pids[j], prev[j])
-			}
-			return fmt.Errorf("ctrl: transport resize %s: %w", pid, err)
-		}
-	}
-	return nil
 }
 
 // ReleasePaths frees every path of the slice. Idempotent.

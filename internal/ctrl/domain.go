@@ -162,10 +162,13 @@ func (g *radioGrant) EffectiveMbps() float64         { return g.res.TotalMbps }
 func (g *radioGrant) ActivationDelay() time.Duration { return 0 }
 func (g *radioGrant) Apply(a *slice.Allocation) {
 	a.AllocatedMbps = g.res.TotalMbps
-	a.PRBs = g.res.PRBs
-	// Ownership of the PRB map moves to the allocation; drop it so a later
-	// RecycleGrant can never alias live slice state.
-	g.res.PRBs = nil
+	// Ownership of the PRB map moves to the allocation, and the map it
+	// replaces (nil at install, the previous sizes at a resize) moves to the
+	// grant: RecycleGrant clears it for the next reservation, so a steady
+	// stream of resizes cycles two maps instead of allocating one each. The
+	// grant never keeps a reference to the live map, so a later RecycleGrant
+	// can never alias slice state.
+	a.PRBs, g.res.PRBs = g.res.PRBs, a.PRBs
 }
 
 // radioCause classifies a RAN substrate error: a full MOCN broadcast list is

@@ -8,9 +8,11 @@
 // Ownership rules (the §10 pool contract):
 //
 //   - A grant's heap containers (the radio PRB map, the transport path-ID
-//     slice) are surrendered to the slice allocation by Apply: Apply nils the
-//     grant's reference after the transfer, so recycling a applied grant can
-//     never alias live slice state.
+//     slice) are surrendered to the slice allocation by Apply, which drops
+//     the grant's reference after the transfer (the radio grant takes the
+//     allocation's superseded PRB map in exchange — dead state nobody else
+//     references), so recycling an applied grant can never alias live slice
+//     state.
 //   - RecycleGrant must only be called by the party holding the last
 //     reference (the engine after commit cleanup or rollback, or the domain
 //     itself on a failed Reserve). Recycling is optional — an un-recycled

@@ -62,6 +62,15 @@ func (s *Series) Add(at time.Time, v float64) {
 	s.addLocked(at.UnixNano(), v)
 }
 
+// AddNanos is Add for a caller that already holds the timestamp as Unix
+// nanoseconds — the control epoch stamps every per-slice sample of one pass
+// with the same instant and converts it once.
+func (s *Series) AddNanos(atNanos int64, v float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.addLocked(atNanos, v)
+}
+
 func (s *Series) addLocked(atNanos int64, v float64) {
 	s.at[s.head] = atNanos
 	s.val[s.head] = v
@@ -265,64 +274,16 @@ func (st *Store) Record(name string, at time.Time, v float64) {
 	st.Series(name).Add(at, v)
 }
 
-// BatchSample is one (series, value) pair of a RecordBatch flush.
-type BatchSample struct {
-	Name  string
-	Value float64
-}
-
-// RecordBatch appends every sample, all stamped at, resolving the whole
-// batch against the series registry in a single shared-lock acquisition
-// (plus one write-lock pass when new series must be created) — the epoch
-// engine's per-shard telemetry flush, replacing one registry round-trip per
-// sample. Missing series are created with the store default capacity.
-// Semantics per sample are identical to Record.
-func (st *Store) RecordBatch(at time.Time, samples []BatchSample) {
-	st.recordBatch(at, samples, st.capacity)
-}
-
-// RecordBatchSized is RecordBatch, but series missing from the registry are
-// created with the given ring capacity (see SeriesSized).
-func (st *Store) RecordBatchSized(at time.Time, samples []BatchSample, capacity int) {
-	st.recordBatch(at, samples, capacity)
-}
-
-func (st *Store) recordBatch(at time.Time, samples []BatchSample, capacity int) {
-	if len(samples) == 0 {
-		return
-	}
-	ptrs := make([]*Series, len(samples))
-	missing := false
-	st.mu.RLock()
-	for i := range samples {
-		if s, ok := st.series[samples[i].Name]; ok {
-			ptrs[i] = s
-		} else {
-			missing = true
-		}
-	}
-	st.mu.RUnlock()
-	if missing {
-		st.mu.Lock()
-		for i := range samples {
-			if ptrs[i] != nil {
-				continue
-			}
-			s, ok := st.series[samples[i].Name]
-			if !ok {
-				s = NewSeries(samples[i].Name, capacity)
-				st.series[samples[i].Name] = s
-			}
-			ptrs[i] = s
-		}
-		st.mu.Unlock()
-	}
-	nanos := at.UnixNano()
-	for i := range samples {
-		s := ptrs[i]
-		s.mu.Lock()
-		s.addLocked(nanos, samples[i].Value)
-		s.mu.Unlock()
+// Drop removes the named series from the registry; unknown names are
+// ignored. Handles obtained earlier stay usable but are no longer reachable
+// through the store. The orchestrator calls it when a finished slice leaves
+// the retained history, so per-slice rings do not accumulate for the life of
+// the daemon.
+func (st *Store) Drop(names ...string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, name := range names {
+		delete(st.series, name)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 
 // The monitor-ring edge cases the chaos/invariant PR pins down: exact-
 // capacity wraparound (the per-slice rings are bounded at 512 samples and
-// the epoch engine fills them one batch per epoch), empty-series reads, and
-// RecordBatchSized batches that exceed or duplicate into a single ring.
+// the epoch engine appends to them through cached handles every epoch),
+// empty-series reads, sized-handle appends that overflow a ring, and Drop.
 // (The `at` time helper is shared with monitor_test.go.)
 
 // TestRingWraparoundAtExactCapacity fills a 512-ring to exactly its
@@ -84,19 +84,18 @@ func TestEmptyAndDegenerateSeries(t *testing.T) {
 	}
 }
 
-// TestRecordBatchSizedOverflow: one batch larger than the ring capacity
-// must land like the equivalent Record sequence — the ring retains the
-// batch's tail — and a batch writing the same series twice appends twice.
-func TestRecordBatchSizedOverflow(t *testing.T) {
+// TestSizedSeriesAddNanosOverflow: appends through a SeriesSized handle —
+// the control epoch's telemetry path — land like the equivalent Record
+// sequence: more samples than the sized ring holds retain the tail, and an
+// existing series keeps its original capacity on later sized lookups.
+func TestSizedSeriesAddNanosOverflow(t *testing.T) {
 	st := NewStore(1024)
-	batch := make([]BatchSample, 8)
-	for i := range batch {
-		batch[i] = BatchSample{Name: "over", Value: float64(i)}
-	}
-	st.RecordBatchSized(at(1), batch, 4) // ring half the batch size
-	s := st.Series("over")
+	s := st.SeriesSized("over", 4)
 	if s.Capacity() != 4 {
 		t.Fatalf("capacity %d, want the sized 4", s.Capacity())
+	}
+	for i := 0; i < 8; i++ { // twice the ring
+		s.AddNanos(at(1).UnixNano(), float64(i))
 	}
 	vals := s.Values(0)
 	want := []float64{4, 5, 6, 7}
@@ -108,47 +107,57 @@ func TestRecordBatchSizedOverflow(t *testing.T) {
 			t.Fatalf("values %v, want %v", vals, want)
 		}
 	}
+	if last, _ := s.Last(); !last.At.Equal(at(1)) {
+		t.Fatalf("AddNanos stamped %v, want %v", last.At, at(1))
+	}
 
-	// Duplicate names in one batch hit the same ring in order, and an
-	// existing series keeps its original capacity on later sized batches.
-	st.RecordBatchSized(at(2), []BatchSample{
-		{Name: "over", Value: 100},
-		{Name: "over", Value: 101},
-		{Name: "fresh", Value: 1},
-	}, 9)
-	vals = st.Series("over").Values(0)
-	if vals[len(vals)-2] != 100 || vals[len(vals)-1] != 101 {
-		t.Fatalf("duplicate-name batch landed as %v", vals)
+	// The handle and the registry are the same ring, and a later sized
+	// lookup neither replaces nor resizes it.
+	if again := st.SeriesSized("over", 9); again != s || again.Capacity() != 4 {
+		t.Fatalf("existing ring replaced or resized to %d", again.Capacity())
 	}
-	if c := st.Series("over").Capacity(); c != 4 {
-		t.Fatalf("existing ring resized to %d", c)
-	}
-	if c := st.Series("fresh").Capacity(); c != 9 {
+	if c := st.SeriesSized("fresh", 9).Capacity(); c != 9 {
 		t.Fatalf("new ring capacity %d, want 9", c)
-	}
-
-	// Empty batches are a no-op.
-	st.RecordBatchSized(at(3), nil, 4)
-	if got := len(st.Series("over").Values(0)); got != 4 {
-		t.Fatalf("empty batch changed the ring: %d values", got)
 	}
 }
 
-// TestRecordBatchConcurrentWithReads hammers batch writes against window
-// reads; the race detector owns the verdict, the final length check the
-// bookkeeping.
-func TestRecordBatchConcurrentWithReads(t *testing.T) {
+// TestStoreDrop: dropped names leave the registry (and only those), an
+// outstanding handle stays writable, and re-creating a dropped name yields
+// a fresh ring.
+func TestStoreDrop(t *testing.T) {
+	st := NewStore(8)
+	kept := st.Series("kept")
+	gone := st.Series("gone")
+	gone.Add(at(1), 1)
+	kept.Add(at(1), 2)
+	st.Drop("gone", "never-existed")
+	if names := st.Names(); len(names) != 1 || names[0] != "kept" {
+		t.Fatalf("names after drop: %v", names)
+	}
+	if _, ok := st.Snapshot()["gone"]; ok {
+		t.Fatal("dropped series still in the snapshot")
+	}
+	gone.Add(at(2), 3) // orphaned handle: harmless
+	if fresh := st.Series("gone"); fresh == gone || fresh.Len() != 0 {
+		t.Fatalf("re-created series reuses the dropped ring (len %d)", fresh.Len())
+	}
+}
+
+// TestAddNanosConcurrentWithReadsAndDrop hammers handle appends against
+// window reads, snapshots and registry drops; the race detector owns the
+// verdict, the final length check the bookkeeping.
+func TestAddNanosConcurrentWithReadsAndDrop(t *testing.T) {
 	st := NewStore(64)
+	shared := st.SeriesSized("shared", 32)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				st.RecordBatchSized(at(i), []BatchSample{
-					{Name: "shared", Value: float64(i)},
-					{Name: "shared", Value: float64(i) + 0.5},
-				}, 32)
+				nanos := at(i).UnixNano()
+				shared.AddNanos(nanos, float64(i))
+				shared.AddNanos(nanos, float64(i)+0.5)
 			}
 		}(w)
 	}
@@ -157,17 +166,21 @@ func TestRecordBatchConcurrentWithReads(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				_ = st.Series("shared").Window(0)
+				_ = shared.Window(0)
 				_ = st.Snapshot()
+				st.SeriesSized("churn", 4).AddNanos(int64(i), 1)
+				st.Drop("churn")
 			}
 		}()
 	}
 	wg.Wait()
-	// Whoever touched the name first fixed the ring capacity (32 from the
-	// sized batch, 64 from a reader's default-capacity lookup); either way
-	// far more samples than capacity landed, so the ring must be full.
-	s := st.Series("shared")
-	if s.Len() != s.Capacity() {
-		t.Fatalf("ring length %d after concurrent batches, want full %d", s.Len(), s.Capacity())
+	// Far more samples than capacity landed, so the ring must be full.
+	if shared.Len() != shared.Capacity() {
+		t.Fatalf("ring length %d after concurrent appends, want full %d", shared.Len(), shared.Capacity())
+	}
+	for _, name := range st.Names() {
+		if name == "churn" {
+			t.Fatal("dropped series survived")
+		}
 	}
 }

@@ -164,9 +164,9 @@ type ENB struct {
 	rng *rand.Rand
 
 	mu       sync.Mutex
-	reserved map[slice.PLMN]int // PRBs per PLMN
-	order    []slice.PLMN       // reservation order, for deterministic iteration
-	used     int                // sum of reserved PRBs, kept incrementally so
+	reserved map[slice.PLMN]*cellRes // reservation per PLMN
+	order    []*cellRes              // reservation order, for deterministic iteration
+	used     int                     // sum of reserved PRBs, kept incrementally so
 	// the free-PRB check on every reserve/resize is O(1) instead of a scan
 	// over all PLMNs (the control epoch resizes every slice every period).
 
@@ -174,6 +174,23 @@ type ENB struct {
 	// Reserve, Resize, Release, SetMeanCQI — so per-cell feasibility
 	// summaries can be cached and invalidated incrementally.
 	ver atomic.Uint64
+}
+
+// cellRes is one PLMN's reservation on a cell. The scheduler's per-pass
+// working state lives on the same record, so a scheduling pass walks the
+// reservations in place instead of copying the order and the PRB budgets and
+// building a state list every epoch.
+type cellRes struct {
+	plmn slice.PLMN
+	prbs int
+
+	// Scheduler scratch, meaningful only inside one scheduling pass (under
+	// the cell mutex): the PLMN's index in the pass's dense input (-1 when it
+	// offered no load), the PRBs its demand needs (fractional) and those
+	// granted so far.
+	item    int
+	want    float64
+	granted float64
 }
 
 // Version returns a counter bumped by every reservation or channel-quality
@@ -201,7 +218,7 @@ func NewENB(cfg Config, rng *rand.Rand) (*ENB, error) {
 	if cfg.ControlPRBs < 0 || cfg.ControlPRBs >= cfg.Bandwidth.PRBs()*cfg.Carriers {
 		return nil, fmt.Errorf("ran: control PRBs %d out of range for %v x%d", cfg.ControlPRBs, cfg.Bandwidth, cfg.Carriers)
 	}
-	return &ENB{cfg: cfg, rng: rng, reserved: make(map[slice.PLMN]int)}, nil
+	return &ENB{cfg: cfg, rng: rng, reserved: make(map[slice.PLMN]*cellRes)}, nil
 }
 
 // Name returns the eNB name.
@@ -266,9 +283,10 @@ func (e *ENB) Reserve(p slice.PLMN, prbs int) error {
 	if prbs > e.freeLocked() {
 		return fmt.Errorf("%w: want %d, free %d on %s", ErrInsufficientPRBs, prbs, e.freeLocked(), e.cfg.Name)
 	}
-	e.reserved[p] = prbs
+	r := &cellRes{plmn: p, prbs: prbs}
+	e.reserved[p] = r
 	e.used += prbs
-	e.order = append(e.order, p)
+	e.order = append(e.order, r)
 	e.ver.Add(1)
 	return nil
 }
@@ -282,15 +300,15 @@ func (e *ENB) Resize(p slice.PLMN, prbs int) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cur, ok := e.reserved[p]
+	r, ok := e.reserved[p]
 	if !ok {
 		return fmt.Errorf("%w: %s on %s", ErrUnknownPLMN, p, e.cfg.Name)
 	}
-	delta := prbs - cur
+	delta := prbs - r.prbs
 	if delta > e.freeLocked() {
 		return fmt.Errorf("%w: grow by %d, free %d on %s", ErrInsufficientPRBs, delta, e.freeLocked(), e.cfg.Name)
 	}
-	e.reserved[p] = prbs
+	r.prbs = prbs
 	e.used += delta
 	e.ver.Add(1)
 	return nil
@@ -301,15 +319,17 @@ func (e *ENB) Resize(p slice.PLMN, prbs int) error {
 func (e *ENB) Release(p slice.PLMN) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n, ok := e.reserved[p]
+	r, ok := e.reserved[p]
 	if !ok {
 		return
 	}
 	delete(e.reserved, p)
-	e.used -= n
+	e.used -= r.prbs
 	for i, q := range e.order {
-		if q == p {
-			e.order = append(e.order[:i], e.order[i+1:]...)
+		if q == r {
+			copy(e.order[i:], e.order[i+1:])
+			e.order[len(e.order)-1] = nil
+			e.order = e.order[:len(e.order)-1]
 			break
 		}
 	}
@@ -346,11 +366,11 @@ func (e *ENB) AuditConservation() []string {
 	defer e.mu.Unlock()
 	var out []string
 	sum := 0
-	for p, n := range e.reserved {
-		if n <= 0 {
-			out = append(out, fmt.Sprintf("ran %s: PLMN %s holds non-positive reservation %d", e.cfg.Name, p, n))
+	for p, r := range e.reserved {
+		if r.prbs <= 0 {
+			out = append(out, fmt.Sprintf("ran %s: PLMN %s holds non-positive reservation %d", e.cfg.Name, p, r.prbs))
 		}
-		sum += n
+		sum += r.prbs
 	}
 	if sum != e.used {
 		out = append(out, fmt.Sprintf("ran %s: used counter %d != sum of reservations %d", e.cfg.Name, e.used, sum))
@@ -361,9 +381,9 @@ func (e *ENB) AuditConservation() []string {
 	if len(e.order) != len(e.reserved) {
 		out = append(out, fmt.Sprintf("ran %s: broadcast list has %d entries, reservation map %d", e.cfg.Name, len(e.order), len(e.reserved)))
 	}
-	for _, p := range e.order {
-		if _, ok := e.reserved[p]; !ok {
-			out = append(out, fmt.Sprintf("ran %s: broadcast list entry %s has no reservation", e.cfg.Name, p))
+	for _, r := range e.order {
+		if e.reserved[r.plmn] != r {
+			out = append(out, fmt.Sprintf("ran %s: broadcast list entry %s has no reservation", e.cfg.Name, r.plmn))
 		}
 	}
 	if len(e.reserved) > e.cfg.MaxPLMNs {
@@ -376,8 +396,11 @@ func (e *ENB) AuditConservation() []string {
 func (e *ENB) Reservation(p slice.PLMN) (int, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n, ok := e.reserved[p]
-	return n, ok
+	r, ok := e.reserved[p]
+	if !ok {
+		return 0, false
+	}
+	return r.prbs, true
 }
 
 // BroadcastList returns the PLMNs in the MOCN SIB1 list, in reservation
@@ -385,12 +408,17 @@ func (e *ENB) Reservation(p slice.PLMN) (int, bool) {
 func (e *ENB) BroadcastList() []slice.PLMN {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return append([]slice.PLMN(nil), e.order...)
+	out := make([]slice.PLMN, len(e.order))
+	for i, r := range e.order {
+		out[i] = r.plmn
+	}
+	return out
 }
 
-// drawCQI samples the epoch CQI for one slice's UE population.
+// drawCQI samples the epoch CQI for the cell's UE population. The
+// caller holds the cell mutex (which also serializes the rng).
 func (e *ENB) drawCQI() int {
-	cqi := e.MeanCQI()
+	cqi := e.cfg.MeanCQI
 	if e.rng != nil && e.cfg.CQIStdDev > 0 {
 		cqi += e.rng.NormFloat64() * e.cfg.CQIStdDev
 	}
@@ -416,45 +444,71 @@ type ServedMbps map[slice.PLMN]float64
 // redistributed to saturated ones (work-conserving proportional reuse, the
 // in-scheduler statistical multiplexing of [1]).
 //
-// It returns the delivered throughput per PLMN and the overall PRB
-// utilization in [0,1].
+// It returns the delivered throughput for every PLMN on the broadcast list
+// and the overall PRB utilization in [0,1]. It is the map-typed adapter over
+// the dense pass (ScheduleDense), which the control epoch calls directly.
 func (e *ENB) ScheduleEpoch(demand DemandMbps, shareUnused bool) (ServedMbps, float64) {
 	e.mu.Lock()
-	order := append([]slice.PLMN(nil), e.order...)
-	res := make(map[slice.PLMN]int, len(e.reserved))
-	for p, n := range e.reserved {
-		res[p] = n
+	defer e.mu.Unlock()
+	plmns := make([]slice.PLMN, len(e.order))
+	offered := make([]float64, len(e.order))
+	delivered := make([]float64, len(e.order))
+	for i, r := range e.order {
+		plmns[i] = r.plmn
+		offered[i] = demand[r.plmn]
 	}
-	e.mu.Unlock()
+	util := e.scheduleLocked(plmns, offered, delivered, shareUnused)
+	served := make(ServedMbps, len(plmns))
+	for i, p := range plmns {
+		served[p] = delivered[i]
+	}
+	return served, util
+}
 
-	served := make(ServedMbps, len(order))
+// ScheduleDense is the scheduler pass on index-aligned inputs: plmns[i]
+// offers demand[i] Mbps on this cell, and the throughput the cell delivers
+// to it is added to served[i] (the caller sums cells into one array). PLMNs
+// without a reservation here are skipped; reserved PLMNs absent from the
+// input offer no load. It returns the cell's PRB utilization in [0,1].
+//
+// The pass runs under the cell mutex on the live reservation list, in
+// reservation order — the same order the idle/used PRB sums have always
+// been accumulated in, so results are bit-identical to ScheduleEpoch's.
+func (e *ENB) ScheduleDense(plmns []slice.PLMN, demand, served []float64, shareUnused bool) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.scheduleLocked(plmns, demand, served, shareUnused)
+}
+
+func (e *ENB) scheduleLocked(plmns []slice.PLMN, demand, served []float64, shareUnused bool) float64 {
+	for _, r := range e.order {
+		r.item = -1
+	}
+	for i, p := range plmns {
+		if r, ok := e.reserved[p]; ok {
+			r.item = i
+		}
+	}
 	perPRB := PRBThroughputMbps(e.drawCQI())
 	if perPRB <= 0 {
-		for _, p := range order {
-			served[p] = 0
-		}
-		return served, 0
+		return 0
 	}
 
-	type state struct {
-		plmn    slice.PLMN
-		want    float64 // PRBs needed to satisfy demand (fractional)
-		granted float64
-	}
-	states := make([]state, 0, len(order))
 	idle := 0.0
 	usedPRBs := 0.0
-	for _, p := range order {
-		d := demand[p]
-		budget := float64(res[p])
-		want := d / perPRB
-		granted := math.Min(want, budget)
-		if granted < 0 {
-			granted = 0
+	for _, r := range e.order {
+		d := 0.0
+		if r.item >= 0 {
+			d = demand[r.item]
 		}
-		idle += budget - granted
-		usedPRBs += granted
-		states = append(states, state{plmn: p, want: want, granted: granted})
+		budget := float64(r.prbs)
+		r.want = d / perPRB
+		r.granted = math.Min(r.want, budget)
+		if r.granted < 0 {
+			r.granted = 0
+		}
+		idle += budget - r.granted
+		usedPRBs += r.granted
 	}
 
 	if shareUnused && idle > 1e-9 {
@@ -462,39 +516,40 @@ func (e *ENB) ScheduleEpoch(demand DemandMbps, shareUnused bool) (ServedMbps, fl
 		// their unmet demand, iterating because a grant can satiate.
 		for iter := 0; iter < 4 && idle > 1e-9; iter++ {
 			totalUnmet := 0.0
-			for _, s := range states {
-				if s.want > s.granted {
-					totalUnmet += s.want - s.granted
+			for _, r := range e.order {
+				if r.want > r.granted {
+					totalUnmet += r.want - r.granted
 				}
 			}
 			if totalUnmet <= 1e-9 {
 				break
 			}
 			share := math.Min(idle, totalUnmet)
-			for i := range states {
-				s := &states[i]
-				if s.want <= s.granted {
+			for _, r := range e.order {
+				if r.want <= r.granted {
 					continue
 				}
-				extra := share * (s.want - s.granted) / totalUnmet
-				if s.granted+extra > s.want {
-					extra = s.want - s.granted
+				extra := share * (r.want - r.granted) / totalUnmet
+				if r.granted+extra > r.want {
+					extra = r.want - r.granted
 				}
-				s.granted += extra
+				r.granted += extra
 				idle -= extra
 				usedPRBs += extra
 			}
 		}
 	}
 
-	for _, s := range states {
-		served[s.plmn] = s.granted * perPRB
+	for _, r := range e.order {
+		if r.item >= 0 {
+			served[r.item] += r.granted * perPRB
+		}
 	}
 	util := 0.0
 	if t := float64(e.TotalPRBs()); t > 0 {
 		util = usedPRBs / t
 	}
-	return served, util
+	return util
 }
 
 // Utilization returns the fraction of schedulable PRBs currently reserved.
@@ -537,8 +592,8 @@ func (e *ENB) Snapshot() Snapshot {
 	if s.TotalPRBs > 0 {
 		s.Utilization = float64(s.TotalPRBs-s.FreePRBs) / float64(s.TotalPRBs)
 	}
-	for _, p := range e.order {
-		s.PLMNs = append(s.PLMNs, PLMNReservation{PLMN: p, PRBs: e.reserved[p]})
+	for _, r := range e.order {
+		s.PLMNs = append(s.PLMNs, PLMNReservation{PLMN: r.plmn, PRBs: r.prbs})
 	}
 	return s
 }

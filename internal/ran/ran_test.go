@@ -210,6 +210,35 @@ func TestScheduleEpochSharedUnused(t *testing.T) {
 	}
 }
 
+// TestScheduleDenseAlignsWithInput: the dense pass is the same scheduler on
+// index-aligned arrays — unreserved PLMNs are skipped, reserved PLMNs absent
+// from the input offer nothing, and served accumulates across calls (the
+// controller sums cells into one array).
+func TestScheduleDenseAlignsWithInput(t *testing.T) {
+	e := newTestENB(t)
+	p1, p2, idle, ghost := plmn("01"), plmn("02"), plmn("03"), plmn("09")
+	e.Reserve(p1, 50)
+	e.Reserve(idle, 10) // reserved, offers no load
+	e.Reserve(p2, 40)
+	per := PRBThroughputMbps(12)
+
+	want, wantUtil := e.ScheduleEpoch(DemandMbps{p1: 10 * per, p2: 100 * per}, true)
+	plmns := []slice.PLMN{p2, ghost, p1} // input order is not reservation order
+	demand := []float64{100 * per, 5, 10 * per}
+	served := make([]float64, 3)
+	util := e.ScheduleDense(plmns, demand, served, true)
+	if util != wantUtil || served[0] != want[p2] || served[2] != want[p1] || served[1] != 0 {
+		t.Fatalf("dense served %v util %v, map pass %v util %v", served, util, want, wantUtil)
+	}
+	if v, ok := want[idle]; !ok || v != 0 {
+		t.Fatalf("map adapter dropped the idle PLMN: %v", want)
+	}
+	e.ScheduleDense(plmns, demand, served, true)
+	if served[0] != 2*want[p2] || served[2] != 2*want[p1] {
+		t.Fatalf("second pass did not accumulate: %v", served)
+	}
+}
+
 func TestScheduleEpochZeroDemand(t *testing.T) {
 	e := newTestENB(t)
 	e.Reserve(plmn("01"), 30)

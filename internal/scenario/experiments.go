@@ -308,7 +308,7 @@ func PlacementSplit(seed int64, latenciesMs []float64) ([]PlacementRow, error) {
 		if sl.State() == slice.StateRejected {
 			row.Reason = sl.Reason()
 		} else {
-			row.DataCenter = sl.Allocation().DataCenter
+			row.DataCenter = sl.DataCenter()
 		}
 		rows = append(rows, row)
 	}

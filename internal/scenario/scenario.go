@@ -152,7 +152,7 @@ func (r *Runner) scheduleUEAttach(sl *slice.Slice) {
 		if sl.State() != slice.StateActive {
 			return
 		}
-		plmn := sl.Allocation().PLMN
+		plmn := sl.PLMN()
 		for i := 0; i < n; i++ {
 			r.ueSeq++
 			ue := epc.UE{IMSI: fmt.Sprintf("%s%s%010d", plmn.MCC, plmn.MNC, r.ueSeq), PLMN: plmn}

@@ -290,26 +290,59 @@ func (s *Slice) Expiry() time.Time {
 	return s.expires
 }
 
-// Allocation returns a copy of the current multi-domain allocation.
+// Allocation returns a deep copy of the current multi-domain allocation:
+// the caller may keep or mutate it freely. Callers that need one scalar use
+// the narrow accessors below (AllocatedMbps, PLMN, DataCenter, EPCID), which
+// copy nothing.
 func (s *Slice) Allocation() Allocation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.alloc.Clone()
 }
 
-// SetAllocation replaces the recorded allocation.
-func (s *Slice) SetAllocation(a Allocation) {
+// UpdateAllocation runs fn on the live allocation under the slice lock — the
+// in-place mutation path of the install, resize and restoration engines.
+// Containers fn stores into the allocation (a PRB map, a path-ID slice)
+// become the slice's property: the caller must hold the only reference and
+// drop it. fn must not retain the pointer or call back into the slice.
+// Readers are unaffected: Allocation, Snapshot and Persist hand out deep
+// copies, never the live containers.
+func (s *Slice) UpdateAllocation(fn func(*Allocation)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.alloc = a.Clone()
+	fn(&s.alloc)
 }
 
 // AllocatedMbps returns the current radio throughput reservation without
-// cloning the whole allocation (hot path: lifecycle event publication).
+// cloning the whole allocation (hot path: lifecycle event publication, the
+// resize hysteresis test).
 func (s *Slice) AllocatedMbps() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.alloc.AllocatedMbps
+}
+
+// PLMN returns the dedicated PLMN the slice is broadcast under (zero until
+// installation).
+func (s *Slice) PLMN() PLMN {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.alloc.PLMN
+}
+
+// DataCenter returns the data center hosting the slice's EPC stack ("" until
+// installation).
+func (s *Slice) DataCenter() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.alloc.DataCenter
+}
+
+// EPCID returns the deployed vEPC instance ("" until installation).
+func (s *Slice) EPCID() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.alloc.EPCID
 }
 
 // UpdateAllocatedMbps resizes only the radio throughput reservation record

@@ -176,10 +176,12 @@ func TestRejectedSliceEarnsNothing(t *testing.T) {
 
 func TestAllocationCloneIsDeep(t *testing.T) {
 	s, _ := New("s1", validReq())
-	s.SetAllocation(Allocation{
-		AllocatedMbps: 40,
-		PRBs:          map[string]int{"enb1": 10},
-		PathIDs:       []string{"p1"},
+	s.UpdateAllocation(func(a *Allocation) {
+		*a = Allocation{
+			AllocatedMbps: 40,
+			PRBs:          map[string]int{"enb1": 10},
+			PathIDs:       []string{"p1"},
+		}
 	})
 	a := s.Allocation()
 	a.PRBs["enb1"] = 99
@@ -187,6 +189,36 @@ func TestAllocationCloneIsDeep(t *testing.T) {
 	b := s.Allocation()
 	if b.PRBs["enb1"] != 10 || b.PathIDs[0] != "p1" {
 		t.Fatalf("allocation aliased: %+v", b)
+	}
+}
+
+// TestUpdateAllocationInPlace: the in-place path hands containers over
+// without copying, the narrow accessors read what it wrote, and every
+// copy-returning view stays detached from the live containers.
+func TestUpdateAllocationInPlace(t *testing.T) {
+	s, _ := New("s1", validReq())
+	prbs := map[string]int{"enb1": 10}
+	s.UpdateAllocation(func(a *Allocation) {
+		a.AllocatedMbps = 40
+		a.PRBs = prbs
+		a.PathIDs = []string{"p1"}
+		a.PLMN = PLMN{MCC: "001", MNC: "07"}
+		a.DataCenter = "edge"
+		a.EPCID = "s1/epc"
+	})
+	if s.AllocatedMbps() != 40 || s.PLMN() != (PLMN{MCC: "001", MNC: "07"}) || s.DataCenter() != "edge" || s.EPCID() != "s1/epc" {
+		t.Fatalf("accessors disagree with the update: %+v", s.Allocation())
+	}
+	before := s.Snapshot()
+	s.UpdateAllocation(func(a *Allocation) {
+		a.PRBs["enb1"] = 25 // the live map, mutated in place
+		a.AllocatedMbps = 90
+	})
+	if before.Allocation.PRBs["enb1"] != 10 || before.Allocation.AllocatedMbps != 40 {
+		t.Fatalf("earlier snapshot changed with the live allocation: %+v", before.Allocation)
+	}
+	if got := s.Persist().Allocation.PRBs["enb1"]; got != 25 {
+		t.Fatalf("in-place update lost: %d", got)
 	}
 }
 

@@ -496,23 +496,65 @@ func (n *Network) Resize(pathID string, mbps float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPath, pathID)
 	}
+	return n.resizeLocked(r, mbps)
+}
+
+// resizeLocked re-sizes one registered path on every link it crosses, or on
+// none. The caller holds n.mu exclusively.
+func (n *Network) resizeLocked(r *Reservation, mbps float64) error {
 	links, err := n.pathLinksScratchLocked(r.Hops)
 	if err != nil {
 		return err
 	}
 	for _, l := range links {
-		delta := mbps - l.byPath[pathID]
+		delta := mbps - l.byPath[r.ID]
 		if delta > l.ResidualMbps()+1e-9 {
 			return fmt.Errorf("%w: %s residual %.2f < grow %.2f", ErrInsufficientBW, l.key(), l.ResidualMbps(), delta)
 		}
 	}
 	for _, l := range links {
-		l.reservedMbps += mbps - l.byPath[pathID]
-		l.byPath[pathID] = mbps
+		l.reservedMbps += mbps - l.byPath[r.ID]
+		l.byPath[r.ID] = mbps
 	}
 	r.Mbps = mbps
 	n.feasVer.Add(1)
 	return nil
+}
+
+// ResizeEach re-sizes every listed path to mbps in list order under one
+// lock acquisition — the per-slice resize of the control epoch, which moves
+// all of a slice's paths to the same share. Each path's capacity check sees
+// the paths before it already re-sized (they may share links), exactly as a
+// sequence of Resize calls would. On the first failure the paths already
+// re-sized are put back to their previous bandwidths and the failing path's
+// ID is returned with the error; an unknown path fails before anything moves.
+func (n *Network) ResizeEach(pathIDs []string, mbps float64) (failed string, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var prevBuf [8]float64 // previous bandwidths, for the unwind; one path per eNB
+	prev := prevBuf[:0]
+	for _, pid := range pathIDs {
+		r, ok := n.paths[pid]
+		if !ok {
+			return pid, fmt.Errorf("%w: %s", ErrUnknownPath, pid)
+		}
+		prev = append(prev, r.Mbps)
+	}
+	if mbps <= 0 && len(pathIDs) > 0 {
+		return pathIDs[0], fmt.Errorf("transport: resize to %.2f Mbps must be positive", mbps)
+	}
+	for i, pid := range pathIDs {
+		if err := n.resizeLocked(n.paths[pid], mbps); err != nil {
+			for j := 0; j < i; j++ {
+				// A path that held prev[j] a moment ago fits it again unless
+				// a shared link was oversubscribed meanwhile; like the
+				// sequential unwind this replaces, that is left as is.
+				_ = n.resizeLocked(n.paths[pathIDs[j]], prev[j])
+			}
+			return pid, err
+		}
+	}
+	return "", nil
 }
 
 // Reservation returns a copy of the named path reservation.

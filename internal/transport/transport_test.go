@@ -199,6 +199,54 @@ func TestResizeFailureLeavesStateIntact(t *testing.T) {
 	}
 }
 
+// TestResizeEachSequentialAndAtomic: ResizeEach behaves like the Resize
+// sequence it replaces — later paths see earlier ones re-sized on shared
+// links — and a failure part-way puts every path back.
+func TestResizeEachSequentialAndAtomic(t *testing.T) {
+	n := testNet(t)
+	// a and b share enb2->sw1 (300 Mbps); c is alone on enb1->sw1.
+	n.Reserve("a", []string{"enb2", "sw1"}, 200)
+	n.Reserve("b", []string{"enb2", "sw1"}, 50)
+	n.Reserve("c", []string{"enb1", "sw1"}, 10)
+	mbps := func(id string) float64 {
+		r, ok := n.Reservation(id)
+		if !ok {
+			t.Fatalf("reservation %s vanished", id)
+		}
+		return r.Mbps
+	}
+
+	// Shrinking a first frees the room b's growth needs: 120+120 fits 300
+	// only because the second check sees the first resize applied.
+	if failed, err := n.ResizeEach([]string{"a", "b", "c"}, 120); err != nil {
+		t.Fatalf("resize each: %s: %v", failed, err)
+	}
+	if mbps("a") != 120 || mbps("b") != 120 || mbps("c") != 120 {
+		t.Fatalf("after resize: a=%.0f b=%.0f c=%.0f", mbps("a"), mbps("b"), mbps("c"))
+	}
+	// 160+160 overflows the shared link at b: c and a must be put back.
+	failed, err := n.ResizeEach([]string{"c", "a", "b"}, 160)
+	if !errors.Is(err, ErrInsufficientBW) || failed != "b" {
+		t.Fatalf("oversize resize each: failed=%q err=%v", failed, err)
+	}
+	if mbps("a") != 120 || mbps("b") != 120 || mbps("c") != 120 {
+		t.Fatalf("failed resize left a=%.0f b=%.0f c=%.0f", mbps("a"), mbps("b"), mbps("c"))
+	}
+	// An unknown path fails before anything moves; so does a non-positive size.
+	if failed, err := n.ResizeEach([]string{"a", "missing"}, 10); !errors.Is(err, ErrUnknownPath) || failed != "missing" {
+		t.Fatalf("unknown path: failed=%q err=%v", failed, err)
+	}
+	if _, err := n.ResizeEach([]string{"a"}, 0); err == nil {
+		t.Fatal("resize to 0 Mbps accepted")
+	}
+	if mbps("a") != 120 {
+		t.Fatalf("rejected resize moved a to %.0f", mbps("a"))
+	}
+	if msgs := n.AuditConservation(); len(msgs) != 0 {
+		t.Fatalf("books do not balance: %v", msgs)
+	}
+}
+
 func TestFlowTableInstallRemove(t *testing.T) {
 	n := testNet(t)
 	n.Reserve("p1", []string{"enb1", "sw1", "edge"}, 10)
