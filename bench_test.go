@@ -696,10 +696,7 @@ func BenchmarkDemandSampling(b *testing.B) {
 
 // durableSystem builds a wall-clock System persisting every mutation to a
 // fresh file-backed WAL — the fixture for the durable-path benchmarks.
-// perOp selects the PR 6 baseline (every operation fsyncs its own records
-// under the persistence lock) versus the group-commit pipeline (DESIGN.md
-// §12, the default).
-func durableSystem(b *testing.B, shards int, perOp bool) *System {
+func durableSystem(b *testing.B, shards int) *System {
 	b.Helper()
 	cfg := core.Config{
 		Overbook:            true,
@@ -708,7 +705,6 @@ func durableSystem(b *testing.B, shards int, perOp bool) *System {
 		PLMNLimit:           4096,
 		HistoryLimit:        256,
 		Shards:              shards,
-		CommitPerOp:         perOp,
 	}
 	sys, err := NewLiveDurable(Options{
 		Orchestrator: &cfg,
@@ -729,67 +725,61 @@ func durableSystem(b *testing.B, shards int, perOp bool) *System {
 
 // BenchmarkDurableAdmission measures the durable admit→teardown cycle — the
 // F3 hot path with every operation's records fsynced before Submit/Delete
-// return — under group commit versus the per-operation-fsync baseline. The
-// writers axis is the group-commit story: at writers=1 the pipeline
-// degenerates to a synchronous group of one (price of the protocol ≈ 0);
-// at writers=64 concurrent committers share fsyncs, and the reported
-// fsyncs/op metric (fsyncs per durable commit, from the orchestrator's
-// persistence counters) collapses toward 1/groupsize while the per-op
-// baseline stays pinned at 1. DESIGN.md §12 claim: shards=16/writers=64
-// group mode ≥5× the per-op baseline ops/sec with fsyncs/op < 0.1.
+// return — under group commit. The writers axis is the group-commit story:
+// at writers=1 the pipeline degenerates to a synchronous group of one
+// (fsyncs/op = 1); at writers=64 concurrent committers share fsyncs, and the
+// reported fsyncs/op metric (fsyncs per durable commit, from the
+// orchestrator's persistence counters) collapses toward 1/groupsize. The
+// mode=group name component pairs the rows with the BENCH_<n>.json
+// trajectory.
 func BenchmarkDurableAdmission(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		perOp bool
-	}{{"group", false}, {"perop", true}} {
-		for _, shards := range []int{1, 16} {
-			for _, writers := range []int{1, 64} {
-				b.Run(fmt.Sprintf("mode=%s/shards=%d/writers=%d", mode.name, shards, writers), func(b *testing.B) {
-					b.ReportAllocs()
-					sys := durableSystem(b, shards, mode.perOp)
-					before := sys.Orchestrator.PersistStatus()
-					var next atomic.Int64
-					var wg sync.WaitGroup
-					b.ResetTimer()
-					for w := 0; w < writers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							tenant := fmt.Sprintf("durable-%d", w)
-							for next.Add(1) <= int64(b.N) {
-								sl, err := sys.Orchestrator.Submit(slice.Request{
-									Tenant: tenant,
-									SLA: slice.SLA{
-										ThroughputMbps: 2,
-										MaxLatencyMs:   50,
-										Duration:       time.Hour,
-										PriceEUR:       10,
-										PenaltyEUR:     1,
-									},
-								}, nil)
-								if err != nil {
-									b.Error(err)
-									return
-								}
-								if sl.State() == slice.StateRejected {
-									b.Errorf("bench request rejected: %s", sl.Reason())
-									return
-								}
-								if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
-									b.Error(err)
-									return
-								}
+	for _, shards := range []int{1, 16} {
+		for _, writers := range []int{1, 64} {
+			b.Run(fmt.Sprintf("mode=group/shards=%d/writers=%d", shards, writers), func(b *testing.B) {
+				b.ReportAllocs()
+				sys := durableSystem(b, shards)
+				before := sys.Orchestrator.PersistStatus()
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						tenant := fmt.Sprintf("durable-%d", w)
+						for next.Add(1) <= int64(b.N) {
+							sl, err := sys.Orchestrator.Submit(slice.Request{
+								Tenant: tenant,
+								SLA: slice.SLA{
+									ThroughputMbps: 2,
+									MaxLatencyMs:   50,
+									Duration:       time.Hour,
+									PriceEUR:       10,
+									PenaltyEUR:     1,
+								},
+							}, nil)
+							if err != nil {
+								b.Error(err)
+								return
 							}
-						}(w)
-					}
-					wg.Wait()
-					b.StopTimer()
-					after := sys.Orchestrator.PersistStatus()
-					if ops := after.CommitOps - before.CommitOps; ops > 0 {
-						b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(ops), "fsyncs/op")
-					}
-				})
-			}
+							if sl.State() == slice.StateRejected {
+								b.Errorf("bench request rejected: %s", sl.Reason())
+								return
+							}
+							if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				b.StopTimer()
+				after := sys.Orchestrator.PersistStatus()
+				if ops := after.CommitOps - before.CommitOps; ops > 0 {
+					b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(ops), "fsyncs/op")
+				}
+			})
 		}
 	}
 }
@@ -803,7 +793,7 @@ func BenchmarkDurableBatch(b *testing.B) {
 	for _, size := range []int{8, 64} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			b.ReportAllocs()
-			sys := durableSystem(b, 16, false)
+			sys := durableSystem(b, 16)
 			before := sys.Orchestrator.PersistStatus()
 			items := make([]core.BatchItem, size)
 			b.ResetTimer()

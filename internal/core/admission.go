@@ -8,6 +8,79 @@ import (
 	"repro/internal/testbed"
 )
 
+// policyRule is one rejection the admission policy prelude or the ledger
+// headroom check can decide — the causes admit, DryRun and SubmitFast must
+// type and word identically: the code and domain every caller reports, the
+// full path's detail format over the verdict's numbers, and the fast path's
+// static detail (SubmitFast exists to allocate nothing, and a rejection
+// storm does not need per-request numbers).
+type policyRule struct {
+	code                 slice.RejectCode
+	domain               string
+	format, staticDetail string
+	nargs                int
+}
+
+var (
+	ruleDensity = &policyRule{slice.RejectRevenuePolicy, "", "revenue density %.3f EUR/(Mbps·h) below policy %.3f",
+		"fast-reject: revenue density below the configured policy floor", 2}
+	rulePenalty = &policyRule{slice.RejectRevenuePolicy, "", "revenue: expected penalty %.2f EUR >= price %.2f EUR at risk %.2f",
+		"fast-reject: expected SLA penalties at the configured risk reach the price", 3}
+	rulePLMN = &policyRule{slice.RejectPLMNExhausted, "", "PLMN broadcast list full",
+		"fast-reject: PLMN broadcast list full", 0}
+	// ruleLedger: the shared ledger at load cannot take newLoad under
+	// capacity. How the ledger is consulted is each caller's own (TryReserve,
+	// or read and compare); the numbers are load, newLoad, capacity.
+	ruleLedger = &policyRule{slice.RejectRadioCapacity, "ran", "radio capacity: estimated load %.1f+%.1f Mbps exceeds %.1f",
+		"fast-reject: estimated radio load exceeds the admission capacity cap", 3}
+)
+
+// cause is the full path's rejection cause: the format over the numbers.
+func (r *policyRule) cause(a [3]float64) *slice.RejectionCause {
+	args := []any{a[0], a[1], a[2]}
+	return slice.Rejectf(r.code, r.domain, r.format, args[:r.nargs]...)
+}
+
+// fastCause is the fast path's pooled static-detail cause.
+func (r *policyRule) fastCause() *slice.RejectionCause {
+	return slice.PooledRejection(r.code, r.domain, r.staticDetail)
+}
+
+// policyVerdict is a policy decision by value: the rule that rejects (nil to
+// pass) and the numbers its detail quotes. Nothing in it allocates.
+type policyVerdict struct {
+	rule *policyRule
+	args [3]float64
+}
+
+// admissionPolicy is the admission policy prelude — the checks that are pure
+// functions of the request, the configuration and the PLMN pool, in the
+// order that decides which rejection surfaces first. admit, DryRun and
+// SubmitFast all run it, so a policy is added or changed here only.
+func (o *Orchestrator) admissionPolicy(sla slice.SLA) policyVerdict {
+	// Revenue policy: EUR per Mbps·hour must clear the configured bar.
+	if floor := o.cfg.MinRevenueDensity; floor > 0 {
+		density := sla.PriceEUR / (sla.ThroughputMbps * sla.Duration.Hours())
+		if density < floor {
+			return policyVerdict{ruleDensity, [3]float64{density, floor}}
+		}
+	}
+	// Penalty-aware revenue check: when overbooking at risk r, each epoch
+	// independently exceeds the provisioned quantile with probability
+	// ~(1-r), costing PenaltyEUR. A slice whose expected penalties eat the
+	// price is a losing trade and is rejected up front.
+	if o.cfg.PenaltyAware {
+		if expected := o.expectedPenaltyEUR(sla); expected >= sla.PriceEUR {
+			return policyVerdict{rulePenalty, [3]float64{expected, sla.PriceEUR, o.cfg.effectiveRisk()}}
+		}
+	}
+	// PLMN slot (MOCN broadcast list).
+	if o.plmns.Available() == 0 {
+		return policyVerdict{rule: rulePLMN}
+	}
+	return policyVerdict{}
+}
+
 // admit runs the admission checks of Section 3: "our end-to-end
 // orchestration algorithm checks the infrastructure resources availability
 // in each domain and performs traffic forecasting, considering past and
@@ -28,31 +101,8 @@ import (
 // never re-runs the placement scan the admission dry runs already paid for.
 func (o *Orchestrator) admit(req slice.Request) (*slice.RejectionCause, float64, string) {
 	sla := req.SLA
-
-	// Revenue policy: EUR per Mbps·hour must clear the configured bar.
-	if o.cfg.MinRevenueDensity > 0 {
-		density := sla.PriceEUR / (sla.ThroughputMbps * sla.Duration.Hours())
-		if density < o.cfg.MinRevenueDensity {
-			return slice.Rejectf(slice.RejectRevenuePolicy, "",
-				"revenue density %.3f EUR/(Mbps·h) below policy %.3f", density, o.cfg.MinRevenueDensity), 0, ""
-		}
-	}
-
-	// Penalty-aware revenue check: when overbooking at risk r, each epoch
-	// independently exceeds the provisioned quantile with probability
-	// ~(1-r), costing PenaltyEUR. A slice whose expected penalties eat the
-	// price is a losing trade and is rejected up front.
-	if o.cfg.PenaltyAware {
-		if expected := o.expectedPenaltyEUR(sla); expected >= sla.PriceEUR {
-			return slice.Rejectf(slice.RejectRevenuePolicy, "",
-				"revenue: expected penalty %.2f EUR >= price %.2f EUR at risk %.2f",
-				expected, sla.PriceEUR, o.cfg.effectiveRisk()), 0, ""
-		}
-	}
-
-	// PLMN slot (MOCN broadcast list).
-	if o.plmns.Available() == 0 {
-		return slice.Rejectf(slice.RejectPLMNExhausted, "", "PLMN broadcast list full"), 0, ""
+	if v := o.admissionPolicy(sla); v.rule != nil {
+		return v.rule.cause(v.args), 0, ""
 	}
 
 	// Radio capacity (overbooking-aware estimate): atomic two-phase
@@ -61,8 +111,7 @@ func (o *Orchestrator) admit(req slice.Request) (*slice.RejectionCause, float64,
 	newLoad := o.admissionEstimate(sla)
 	ok, load := o.ledger.TryReserve(newLoad, capacity)
 	if !ok {
-		return slice.Rejectf(slice.RejectRadioCapacity, "ran",
-			"radio capacity: estimated load %.1f+%.1f Mbps exceeds %.1f", load, newLoad, capacity), 0, ""
+		return ruleLedger.cause([3]float64{load, newLoad, capacity}), 0, ""
 	}
 
 	// Per-domain feasibility: at least one data center must pass every

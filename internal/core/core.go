@@ -154,24 +154,6 @@ type Config struct {
 	// SnapshotEvery is the checkpoint cadence in control epochs
 	// (default 16). Only meaningful with Persist set.
 	SnapshotEvery int
-	// CommitMaxDelay bounds the group-commit grouping window: a commit
-	// leader that observes other writers in flight may wait up to this long
-	// for them to join its fsync before flushing (default 0 — natural
-	// batching only: the leader flushes immediately and concurrent arrivals
-	// form the next group while the fsync runs). A lone writer never waits,
-	// so single-threaded latency is unchanged. Only meaningful with Persist.
-	CommitMaxDelay time.Duration
-	// CommitMaxBatch caps how many operations a commit leader waits to
-	// accumulate inside the CommitMaxDelay window before fsyncing
-	// (default 64). Natural batching is not capped — one fsync always
-	// covers every record appended before it, regardless of this knob.
-	CommitMaxBatch int
-	// CommitPerOp disables group commit: every operation fsyncs its own
-	// records under the persistence mutex, serializing all durable
-	// operations — the PR 6 behaviour, kept as the measurable baseline for
-	// BenchmarkDurableAdmission and for sinks that must observe every
-	// operation boundary individually.
-	CommitPerOp bool
 }
 
 func (c Config) withDefaults() Config {
@@ -220,9 +202,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 16
-	}
-	if c.CommitMaxBatch <= 0 {
-		c.CommitMaxBatch = 64
 	}
 	return c
 }

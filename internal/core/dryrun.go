@@ -63,31 +63,15 @@ func (o *Orchestrator) DryRun(req slice.Request) (DryRunReport, error) {
 		return rep, nil
 	}
 
-	// The checks mirror admit() in order, so a dry-run rejection carries the
-	// same typed cause the live path would.
-	if o.cfg.MinRevenueDensity > 0 {
-		density := sla.PriceEUR / (sla.ThroughputMbps * sla.Duration.Hours())
-		if density < o.cfg.MinRevenueDensity {
-			return fail(slice.Rejectf(slice.RejectRevenuePolicy, "",
-				"revenue density %.3f EUR/(Mbps·h) below policy %.3f", density, o.cfg.MinRevenueDensity))
-		}
-	}
-	if o.cfg.PenaltyAware {
-		if expected := o.expectedPenaltyEUR(sla); expected >= sla.PriceEUR {
-			return fail(slice.Rejectf(slice.RejectRevenuePolicy, "",
-				"revenue: expected penalty %.2f EUR >= price %.2f EUR at risk %.2f",
-				expected, sla.PriceEUR, o.cfg.effectiveRisk()))
-		}
-	}
-	if o.plmns.Available() == 0 {
-		return fail(slice.Rejectf(slice.RejectPLMNExhausted, "", "PLMN broadcast list full"))
+	// The same prelude admit runs, so a dry-run rejection carries the same
+	// typed cause the live path would.
+	if v := o.admissionPolicy(sla); v.rule != nil {
+		return fail(v.rule.cause(v.args))
 	}
 	// Radio headroom: the same bound TryReserve enforces, evaluated by
 	// comparison instead of reservation.
 	if rep.LedgerLoadMbps+rep.EstimatedLoadMbps > rep.CapacityMbps {
-		return fail(slice.Rejectf(slice.RejectRadioCapacity, "ran",
-			"radio capacity: estimated load %.1f+%.1f Mbps exceeds %.1f",
-			rep.LedgerLoadMbps, rep.EstimatedLoadMbps, rep.CapacityMbps))
+		return fail(ruleLedger.cause([3]float64{rep.LedgerLoadMbps, rep.EstimatedLoadMbps, rep.CapacityMbps}))
 	}
 	dc, cause := o.chooseDataCenter(sla)
 	if cause != nil {

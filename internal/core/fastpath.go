@@ -16,16 +16,9 @@ import (
 // reject this right now?" — from version-keyed caches and pooled causes,
 // without any of that machinery.
 //
-// Static detail strings replace the formatted ones of the full path: the
-// fast path exists to allocate nothing, and a rejection storm does not need
-// per-request numbers in its error text.
-const (
-	fastDetailRevenueDensity = "fast-reject: revenue density below the configured policy floor"
-	fastDetailPenalty        = "fast-reject: expected SLA penalties at the configured risk reach the price"
-	fastDetailPLMN           = "fast-reject: PLMN broadcast list full"
-	fastDetailLedger         = "fast-reject: estimated radio load exceeds the admission capacity cap"
-	fastDetailPRBs           = "fast-reject: a cell lacks free PRBs for the contracted throughput"
-)
+// Static detail strings replace the formatted ones of the full path (the
+// policy and ledger ones live beside their formats in the policyRules).
+const fastDetailPRBs = "fast-reject: a cell lacks free PRBs for the contracted throughput"
 
 // cellHeadroom is one cell's admission-relevant state: free schedulable
 // PRBs and the per-PRB throughput at the cell's mean CQI.
@@ -103,23 +96,8 @@ func (o *Orchestrator) radioCapacityMbps() float64 {
 func (o *Orchestrator) SubmitFast(req slice.Request) *slice.RejectionCause {
 	sla := req.SLA
 
-	// Policy checks: pure functions of the request and the configuration,
-	// mirroring admit's order.
-	if o.cfg.MinRevenueDensity > 0 {
-		density := sla.PriceEUR / (sla.ThroughputMbps * sla.Duration.Hours())
-		if density < o.cfg.MinRevenueDensity {
-			return slice.PooledRejection(slice.RejectRevenuePolicy, "", fastDetailRevenueDensity)
-		}
-	}
-	if o.cfg.PenaltyAware {
-		if o.expectedPenaltyEUR(sla) >= sla.PriceEUR {
-			return slice.PooledRejection(slice.RejectRevenuePolicy, "", fastDetailPenalty)
-		}
-	}
-
-	// PLMN broadcast slots.
-	if o.plmns.Available() == 0 {
-		return slice.PooledRejection(slice.RejectPLMNExhausted, "", fastDetailPLMN)
+	if v := o.admissionPolicy(sla); v.rule != nil {
+		return v.rule.fastCause()
 	}
 
 	// Capacity-ledger headroom: admission's TryReserve admits iff
@@ -129,7 +107,7 @@ func (o *Orchestrator) SubmitFast(req slice.Request) *slice.RejectionCause {
 	capacity := hr.capacityMbps * o.cfg.UtilizationCap
 	newLoad := o.admissionEstimate(sla)
 	if o.ledger.Load()+newLoad > capacity {
-		return slice.PooledRejection(slice.RejectRadioCapacity, "ran", fastDetailLedger)
+		return ruleLedger.fastCause()
 	}
 
 	// Per-cell PRB headroom. Only definite under peak provisioning: when

@@ -316,15 +316,13 @@ type commitTicket struct {
 // lock and no epochMu held — test sinks read the orchestrator's state
 // digest from inside Committed.
 //
-// Group commit: the first operation to reach the boundary while no flush is
-// in flight becomes the leader and fsyncs once for every record appended so
-// far — its own and those of any operation still on its way here. Later
-// arrivals find a flush in flight, block, and are covered either by that
-// fsync (if their records made the capture) or by the next group's, whose
-// leader is elected among them when the current flush completes. A lone
-// committer flushes immediately and synchronously. With Config.CommitPerOp
-// the PR 6 behaviour is kept: every operation fsyncs its own records under
-// persistMu, serializing all durable operations (the benchmark baseline).
+// Group commit: the first operation to reach the boundary while no group is
+// gathering opens a ticket and leads it — it waits out any in-flight flush
+// (parked on cond), then fsyncs once for every record appended so far: its
+// own and those of every member that joined meanwhile. Joiners sleep on the
+// ticket's channel and are woken by one close — their records were appended
+// before they arrived here, so the leader's capture necessarily includes
+// them. A lone committer flushes immediately and synchronously.
 func (o *Orchestrator) commitPersist() {
 	if o.persist == nil {
 		return
@@ -335,38 +333,8 @@ func (o *Orchestrator) commitPersist() {
 		return
 	}
 	target := o.walSeq
-	if o.cfg.CommitPerOp {
-		err := o.persist.Committed()
-		if err != nil {
-			o.persistErr = err
-		}
-		o.persistMu.Unlock()
-		g := &o.commit
-		g.mu.Lock()
-		g.commitOps++
-		if err == nil {
-			g.fsyncs++
-			if target > g.durable {
-				g.durable = target
-			}
-			if g.maxGroup < 1 {
-				g.maxGroup = 1
-			}
-		}
-		g.mu.Unlock()
-		return
-	}
 	o.persistMu.Unlock()
-	o.commitWait(target)
-}
 
-// commitWait blocks until a completed fsync covers target. The first
-// arrival while no group is gathering opens a ticket and leads it: it waits
-// out any in-flight flush (parked on cond), then fsyncs once for every
-// member that joined meanwhile. Joiners sleep on the ticket's channel and
-// are woken by one close — their records were appended before they arrived
-// here, so the leader's capture necessarily includes them.
-func (o *Orchestrator) commitWait(target uint64) {
 	g := &o.commit
 	g.mu.Lock()
 	g.commitOps++
@@ -405,35 +373,8 @@ func (o *Orchestrator) commitWait(target uint64) {
 		return
 	}
 	g.flushing = true
-	members := t.members
-
-	// Grouping window: with other writers already queued, the leader may
-	// linger up to CommitMaxDelay for more to arrive, capped at
-	// CommitMaxBatch members; the ticket stays joinable until just before
-	// the flush. A lone writer never waits — the synchronous fallback that
-	// keeps single-threaded latency at the per-op cost. The window trades
-	// bounded latency for fewer fsyncs on devices whose sync is too fast
-	// for natural batching to build groups.
-	if d := o.cfg.CommitMaxDelay; d > 0 && members > 1 {
-		g.mu.Unlock()
-		deadline := time.Now().Add(d)
-		for members < o.cfg.CommitMaxBatch {
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				break
-			}
-			if step := 50 * time.Microsecond; remain > step {
-				remain = step
-			}
-			time.Sleep(remain)
-			g.mu.Lock()
-			members = t.members
-			g.mu.Unlock()
-		}
-		g.mu.Lock()
-	}
 	g.cur = nil
-	members = t.members
+	members := t.members
 	g.mu.Unlock()
 
 	covered, err := o.flushCommit()
@@ -463,8 +404,7 @@ func (o *Orchestrator) commitWait(target uint64) {
 // capture happens under persistMu but the write+fsync runs outside it, so
 // concurrent operations keep appending records while the disk works; the
 // caller's leadership (commitGroup.flushing) guarantees staged steps are
-// serialized in capture order. Failures latch persistErr exactly as the
-// per-op path always has.
+// serialized in capture order. Failures latch persistErr.
 func (o *Orchestrator) flushCommit() (uint64, error) {
 	o.persistMu.Lock()
 	if o.persistErr != nil || o.persistClosed {
@@ -550,10 +490,10 @@ type PersistStatus struct {
 	// DurableSeq is the highest WAL sequence covered by a completed fsync;
 	// LastSeq minus DurableSeq is the buffered, not-yet-durable tail.
 	DurableSeq uint64 `json:"durable_seq"`
-	// Fsyncs counts completed durability barriers (group-commit fsyncs,
-	// per-op commits under CommitPerOp, and checkpoints). CommitOps counts
-	// operations that reached their durability boundary; CommitOps/Fsyncs
-	// is the realized group-commit amortization.
+	// Fsyncs counts completed durability barriers (group-commit fsyncs and
+	// checkpoints). CommitOps counts operations that reached their
+	// durability boundary; CommitOps/Fsyncs is the realized group-commit
+	// amortization.
 	Fsyncs    uint64 `json:"fsyncs"`
 	CommitOps uint64 `json:"commit_ops"`
 	// MaxGroup is the largest number of operations one fsync covered.

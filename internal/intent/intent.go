@@ -19,6 +19,7 @@
 package intent
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -38,6 +39,17 @@ const (
 	TemplateDraft TemplateState = "draft"
 	// TemplatePublished: guardrails passed, immutable, instantiable.
 	TemplatePublished TemplateState = "published"
+)
+
+// Sentinel errors, wrapped so callers (the REST status mapping) classify a
+// failure with errors.Is instead of reading its message — which quotes
+// user-chosen names.
+var (
+	// ErrNotFound marks an unknown template version or fleet.
+	ErrNotFound = errors.New("not found")
+	// ErrGuardrail marks a publish a guardrail refused: the request was
+	// well-formed, the template violates policy.
+	ErrGuardrail = errors.New("guardrail")
 )
 
 // Region names a placement region of the single-cluster testbed: the core
@@ -258,7 +270,7 @@ func (s *Store) UpdateDraft(t Template) (Template, error) {
 	defer s.mu.Unlock()
 	vs := s.byName[t.Name]
 	if t.Version < 1 || t.Version > len(vs) {
-		return Template{}, fmt.Errorf("intent: template %s version %d not found", t.Name, t.Version)
+		return Template{}, fmt.Errorf("intent: template %s version %d %w", t.Name, t.Version, ErrNotFound)
 	}
 	cur := vs[t.Version-1]
 	if cur.State != TemplateDraft {
@@ -279,7 +291,7 @@ func (s *Store) Publish(name string, version int, now time.Time) (Template, erro
 	defer s.mu.Unlock()
 	vs := s.byName[name]
 	if version < 1 || version > len(vs) {
-		return Template{}, fmt.Errorf("intent: template %s version %d not found", name, version)
+		return Template{}, fmt.Errorf("intent: template %s version %d %w", name, version, ErrNotFound)
 	}
 	t := vs[version-1]
 	if t.State == TemplatePublished {
@@ -287,7 +299,7 @@ func (s *Store) Publish(name string, version int, now time.Time) (Template, erro
 	}
 	for _, g := range s.guardrails {
 		if err := g.Check(t); err != nil {
-			return Template{}, fmt.Errorf("intent: guardrail %s: template %s v%d: %w", g.Name, name, version, err)
+			return Template{}, fmt.Errorf("intent: %w %s: template %s v%d: %w", ErrGuardrail, g.Name, name, version, err)
 		}
 	}
 	t.State = TemplatePublished

@@ -160,7 +160,7 @@ func (m *Manager) Store() *Store { return m.store }
 func (m *Manager) DryRun(name string, version int, tenant string, region Region) (core.DryRunReport, error) {
 	t, ok := m.store.Get(name, version)
 	if !ok {
-		return core.DryRunReport{}, fmt.Errorf("intent: template %s version %d not found", name, version)
+		return core.DryRunReport{}, fmt.Errorf("intent: template %s version %d %w", name, version, ErrNotFound)
 	}
 	return m.orch.DryRun(t.Request(tenant, region))
 }
@@ -177,7 +177,7 @@ type DemandFactory func(tenant string, region Region, t Template) traffic.Demand
 func (m *Manager) Instantiate(name string, version int, tenants []string, regions []Region, policy core.BatchPolicy, demand DemandFactory) (Fleet, error) {
 	t, ok := m.store.Get(name, version)
 	if !ok {
-		return Fleet{}, fmt.Errorf("intent: template %s version %d not found", name, version)
+		return Fleet{}, fmt.Errorf("intent: template %s version %d %w", name, version, ErrNotFound)
 	}
 	if t.State != TemplatePublished {
 		return Fleet{}, fmt.Errorf("intent: template %s v%d is %s; only published templates can be instantiated", name, version, t.State)
@@ -323,7 +323,7 @@ func (m *Manager) StartRollout(cfg RolloutConfig) (Rollout, error) {
 
 	f, ok := m.fleets[cfg.Fleet]
 	if !ok {
-		return Rollout{}, fmt.Errorf("intent: fleet %s not found", cfg.Fleet)
+		return Rollout{}, fmt.Errorf("intent: fleet %s %w", cfg.Fleet, ErrNotFound)
 	}
 	for _, id := range m.rolloutOrder {
 		if r := m.rollouts[id]; r.Fleet == cfg.Fleet && r.Phase == RolloutCanary {
@@ -332,7 +332,7 @@ func (m *Manager) StartRollout(cfg RolloutConfig) (Rollout, error) {
 	}
 	to, ok := m.store.Get(f.Template, cfg.ToVersion)
 	if !ok {
-		return Rollout{}, fmt.Errorf("intent: template %s version %d not found", f.Template, cfg.ToVersion)
+		return Rollout{}, fmt.Errorf("intent: template %s version %d %w", f.Template, cfg.ToVersion, ErrNotFound)
 	}
 	if to.State != TemplatePublished {
 		return Rollout{}, fmt.Errorf("intent: template %s v%d is %s; only published versions can roll out", f.Template, cfg.ToVersion, to.State)

@@ -2,18 +2,15 @@ package restapi
 
 // The /api/v2/federation/ surface: the HTTP front of one federation tier
 // (DESIGN.md §11). FederationServer is the multi-cluster counterpart of
-// Server — same JSON envelopes, same error mapping, same Idempotency-Key
-// dedup on submission — serving the cluster registry, federated span
-// submission/teardown, the placement dry-run (explain), the aggregated
-// member event stream and the federation-wide gain report.
+// Server — same JSON envelopes, same error mapping, same route registrar and
+// Idempotency-Key dedup (routes.go) — serving the cluster registry,
+// federated span submission/teardown, the placement dry-run (explain), the
+// aggregated member event stream and the federation-wide gain report.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/federation"
@@ -65,31 +62,24 @@ func NewFederationServer(fed *federation.Federation) *FederationServer {
 	}
 	s.submit = fed.Submit
 
-	s.mux.HandleFunc("/healthz", s.handleHealth)
-
-	// Method patterns with bare-path JSON-405 fallbacks, exactly like the
-	// single-cluster surface. The /slices/ subtree fallback catches paths the
-	// patterns reject (empty ID, extra segments); the /federation/ root
-	// fallback answers unknown endpoints with the JSON 404 envelope.
-	s.mux.HandleFunc("GET /api/v2/federation/clusters", s.handleClusters)
-	s.mux.HandleFunc("/api/v2/federation/clusters", methodNotAllowed("restapi: use GET"))
-	s.mux.HandleFunc("GET /api/v2/federation/slices", s.handleListSpans)
-	s.mux.HandleFunc("POST /api/v2/federation/slices", s.handleSubmitSpan)
-	s.mux.HandleFunc("/api/v2/federation/slices", methodNotAllowed("restapi: use GET or POST"))
-	s.mux.HandleFunc("GET /api/v2/federation/slices/{id}", s.handleGetSpan)
-	s.mux.HandleFunc("DELETE /api/v2/federation/slices/{id}", s.handleDeleteSpan)
-	s.mux.HandleFunc("/api/v2/federation/slices/{id}", methodNotAllowed("restapi: use GET or DELETE"))
-	s.mux.HandleFunc("/api/v2/federation/slices/", s.spansSubtreeFallback)
-	s.mux.HandleFunc("POST /api/v2/federation/placement/explain", s.handleExplain)
-	s.mux.HandleFunc("/api/v2/federation/placement/explain", methodNotAllowed("restapi: use POST"))
-	s.mux.HandleFunc("GET /api/v2/federation/events", s.handleFedEvents)
-	s.mux.HandleFunc("/api/v2/federation/events", methodNotAllowed("restapi: use GET"))
-	s.mux.HandleFunc("GET /api/v2/federation/gain", s.handleFedGain)
-	s.mux.HandleFunc("/api/v2/federation/gain", methodNotAllowed("restapi: use GET"))
-	s.mux.HandleFunc("GET /api/v2/federation/stats", s.handleFedStats)
-	s.mux.HandleFunc("/api/v2/federation/stats", methodNotAllowed("restapi: use GET"))
-	s.mux.HandleFunc("/api/v2/federation/", s.handleUnknown)
+	mount(s.mux, s.routes())
 	return s
+}
+
+// routes is the federation route table. The /federation/ root row answers
+// unknown endpoints with the JSON 404 envelope.
+func (s *FederationServer) routes() []route {
+	return append([]route{
+		{"", "/healthz", s.handleHealth},
+		{http.MethodGet, "/api/v2/federation/clusters", s.handleClusters},
+		{http.MethodGet, "/api/v2/federation/slices", s.handleListSpans},
+		{http.MethodPost, "/api/v2/federation/slices", s.handleSubmitSpan},
+		{http.MethodPost, "/api/v2/federation/placement/explain", s.handleExplain},
+		{http.MethodGet, "/api/v2/federation/events", s.handleFedEvents},
+		{http.MethodGet, "/api/v2/federation/gain", s.handleFedGain},
+		{http.MethodGet, "/api/v2/federation/stats", s.handleFedStats},
+		{"", "/api/v2/federation/", s.handleUnknown},
+	}, itemRoutes("/api/v2/federation/slices", s.handleGetSpan, s.handleDeleteSpan)...)
 }
 
 // ServeHTTP implements http.Handler.
@@ -117,12 +107,11 @@ func (s *FederationServer) handleListSpans(w http.ResponseWriter, r *http.Reques
 	writeJSON(w, http.StatusOK, s.fed.Spans())
 }
 
-// decodeFedBody parses and validates a federated submission, reporting any
-// problem as a 400. The false return means the response is written.
-func (s *FederationServer) decodeFedBody(w http.ResponseWriter, r *http.Request) (federation.Request, bool) {
+// decodeFedBody parses a federated request body, reporting any problem as a
+// 400. The false return means the response is written.
+func decodeFedBody(w http.ResponseWriter, r *http.Request) (federation.Request, bool) {
 	var body FedSliceRequestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+	if !decodeBody(w, r, &body) {
 		return federation.Request{}, false
 	}
 	req, err := body.FedRequest()
@@ -130,21 +119,7 @@ func (s *FederationServer) decodeFedBody(w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusBadRequest, err)
 		return federation.Request{}, false
 	}
-	if err := (slice.Request{Tenant: req.Tenant, SLA: req.SLA}).Validate(); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return federation.Request{}, false
-	}
 	return req, true
-}
-
-// spanStatusCode maps a span outcome to the HTTP status: 202 for an
-// installed span (legs are converging on the members), 200 for an in-band
-// business rejection — the same mapping the single-cluster submit uses.
-func spanStatusCode(st federation.SpanStatus) int {
-	if st.State == "rejected" {
-		return http.StatusOK
-	}
-	return http.StatusAccepted
 }
 
 // handleSubmitSpan serves POST /api/v2/federation/slices: validation
@@ -154,55 +129,30 @@ func spanStatusCode(st federation.SpanStatus) int {
 // with a key submits, duplicates replay its outcome with
 // Idempotency-Replay: true; failed submissions are not cached.
 func (s *FederationServer) handleSubmitSpan(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeFedBody(w, r)
+	req, ok := decodeFedBody(w, r)
 	if !ok {
 		return
 	}
-	key := r.Header.Get("Idempotency-Key")
-	if key == "" {
-		st, err := s.submit(req)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		writeJSON(w, spanStatusCode(st), st)
+	if err := (slice.Request{Tenant: req.Tenant, SLA: req.SLA}).Validate(); err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	e := s.idem.entry(key)
-	fresh := false
-	e.once.Do(func() {
-		fresh = true
-		st, err := s.submit(req)
-		if err != nil {
-			e.err = err
-			s.idem.drop(key)
-			return
-		}
-		e.id = st.ID
-		e.status = spanStatusCode(st)
-		e.snap = st
-		s.idem.complete(key)
+	idemDo(w, r.Header.Get("Idempotency-Key"), s.idem, idemOp[federation.SpanStatus]{
+		act:       func() (federation.SpanStatus, error) { return s.submit(req) },
+		status:    func(st federation.SpanStatus) int { return submitStatus(st.State) },
+		errStatus: internalError,
+		refresh: func(st federation.SpanStatus) federation.SpanStatus {
+			if cur, ok := s.fed.Get(st.ID); ok {
+				return cur
+			}
+			return st
+		},
 	})
-	if e.err != nil {
-		writeErr(w, http.StatusInternalServerError, e.err)
-		return
-	}
-	st := e.snap
-	if cur, ok := s.fed.Get(e.id); ok {
-		st = cur // replay with the span's current state
-	}
-	if !fresh {
-		w.Header().Set("Idempotency-Replay", "true")
-	}
-	writeJSON(w, e.status, st)
 }
 
 // handleGetSpan serves GET /api/v2/federation/slices/{id}.
 func (s *FederationServer) handleGetSpan(w http.ResponseWriter, r *http.Request) {
-	s.getSpan(w, slice.ID(r.PathValue("id")))
-}
-
-func (s *FederationServer) getSpan(w http.ResponseWriter, id slice.ID) {
+	id := slice.ID(r.PathValue("id"))
 	st, ok := s.fed.Get(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("restapi: span %s not found", id))
@@ -214,30 +164,11 @@ func (s *FederationServer) getSpan(w http.ResponseWriter, id slice.ID) {
 // handleDeleteSpan serves DELETE /api/v2/federation/slices/{id}: the span
 // transaction aborts in reverse order, releasing every member leg.
 func (s *FederationServer) handleDeleteSpan(w http.ResponseWriter, r *http.Request) {
-	s.deleteSpan(w, slice.ID(r.PathValue("id")))
-}
-
-func (s *FederationServer) deleteSpan(w http.ResponseWriter, id slice.ID) {
-	if err := s.fed.Delete(id); err != nil {
+	if err := s.fed.Delete(slice.ID(r.PathValue("id"))); err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "terminated"})
-}
-
-// spansSubtreeFallback answers /api/v2/federation/slices/ paths no pattern
-// claims — empty ID or extra segments — with the standard parse-and-dispatch.
-func (s *FederationServer) spansSubtreeFallback(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/v2/federation/slices/")
-	id := slice.ID(strings.SplitN(rest, "/", 2)[0])
-	switch r.Method {
-	case http.MethodGet:
-		s.getSpan(w, id)
-	case http.MethodDelete:
-		s.deleteSpan(w, id)
-	default:
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("restapi: use GET or DELETE"))
-	}
 }
 
 // handleExplain serves POST /api/v2/federation/placement/explain: the
@@ -245,14 +176,8 @@ func (s *FederationServer) spansSubtreeFallback(w http.ResponseWriter, r *http.R
 // or the typed rejection, without reserving anything. Tenant is optional
 // here; only the SLA is judged.
 func (s *FederationServer) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var body FedSliceRequestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
-		return
-	}
-	req, err := body.FedRequest()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	req, ok := decodeFedBody(w, r)
+	if !ok {
 		return
 	}
 	ex, err := s.fed.Explain(req)

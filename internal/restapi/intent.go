@@ -6,7 +6,6 @@ package restapi
 // without one serves the v1/v2 slice surface unchanged.
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -98,29 +97,29 @@ func (s *Server) AttachIntent(m *intent.Manager) {
 		fleetIdem:   newIdemStore[intent.Fleet](1024),
 		rolloutIdem: newIdemStore[intent.Rollout](1024),
 	}
-	s.mux.HandleFunc("GET /api/v2/templates", is.handleListTemplates)
-	s.mux.HandleFunc("POST /api/v2/templates", is.handleCreateTemplate)
-	s.mux.HandleFunc("/api/v2/templates", methodNotAllowed("restapi: use GET or POST"))
-	s.mux.HandleFunc("GET /api/v2/templates/{name}/{version}", is.handleGetTemplate)
-	s.mux.HandleFunc("PUT /api/v2/templates/{name}/{version}", is.handleUpdateTemplate)
-	s.mux.HandleFunc("/api/v2/templates/{name}/{version}", methodNotAllowed("restapi: use GET or PUT"))
-	s.mux.HandleFunc("POST /api/v2/templates/{name}/{version}/publish", is.handlePublishTemplate)
-	s.mux.HandleFunc("/api/v2/templates/{name}/{version}/publish", methodNotAllowed("restapi: use POST"))
-	s.mux.HandleFunc("POST /api/v2/templates/{name}/{version}/dryrun", is.handleTemplateDryRun)
-	s.mux.HandleFunc("/api/v2/templates/{name}/{version}/dryrun", methodNotAllowed("restapi: use POST"))
-	s.mux.HandleFunc("/api/v2/templates/", is.handleUnknown)
+	mount(s.mux, is.routes())
+}
 
-	s.mux.HandleFunc("GET /api/v2/fleets", is.handleListFleets)
-	s.mux.HandleFunc("POST /api/v2/fleets", is.handleInstantiate)
-	s.mux.HandleFunc("/api/v2/fleets", methodNotAllowed("restapi: use GET or POST"))
-	s.mux.HandleFunc("GET /api/v2/fleets/{id}", is.handleGetFleet)
-	s.mux.HandleFunc("/api/v2/fleets/{id}", methodNotAllowed("restapi: use GET"))
+// routes is the intent-plane route table. The /templates/ subtree row
+// answers malformed template paths with the shape hint.
+func (is *intentServer) routes() []route {
+	return []route{
+		{http.MethodGet, "/api/v2/templates", is.handleListTemplates},
+		{http.MethodPost, "/api/v2/templates", is.handleCreateTemplate},
+		{http.MethodGet, "/api/v2/templates/{name}/{version}", is.handleGetTemplate},
+		{http.MethodPut, "/api/v2/templates/{name}/{version}", is.handleUpdateTemplate},
+		{http.MethodPost, "/api/v2/templates/{name}/{version}/publish", is.handlePublishTemplate},
+		{http.MethodPost, "/api/v2/templates/{name}/{version}/dryrun", is.handleTemplateDryRun},
+		{"", "/api/v2/templates/", is.handleUnknown},
 
-	s.mux.HandleFunc("GET /api/v2/rollouts", is.handleListRollouts)
-	s.mux.HandleFunc("POST /api/v2/rollouts", is.handleStartRollout)
-	s.mux.HandleFunc("/api/v2/rollouts", methodNotAllowed("restapi: use GET or POST"))
-	s.mux.HandleFunc("GET /api/v2/rollouts/{id}", is.handleGetRollout)
-	s.mux.HandleFunc("/api/v2/rollouts/{id}", methodNotAllowed("restapi: use GET"))
+		{http.MethodGet, "/api/v2/fleets", is.handleListFleets},
+		{http.MethodPost, "/api/v2/fleets", is.handleInstantiate},
+		{http.MethodGet, "/api/v2/fleets/{id}", is.handleGetFleet},
+
+		{http.MethodGet, "/api/v2/rollouts", is.handleListRollouts},
+		{http.MethodPost, "/api/v2/rollouts", is.handleStartRollout},
+		{http.MethodGet, "/api/v2/rollouts/{id}", is.handleGetRollout},
+	}
 }
 
 // intentServer groups the intent handlers and their idempotency stores.
@@ -157,8 +156,7 @@ func (is *intentServer) handleListTemplates(w http.ResponseWriter, r *http.Reque
 
 func (is *intentServer) handleCreateTemplate(w http.ResponseWriter, r *http.Request) {
 	var body TemplateBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	t, err := body.Template()
@@ -193,8 +191,7 @@ func (is *intentServer) handleUpdateTemplate(w http.ResponseWriter, r *http.Requ
 		return
 	}
 	var body TemplateBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	t, err := body.Template()
@@ -218,16 +215,7 @@ func (is *intentServer) handlePublishTemplate(w http.ResponseWriter, r *http.Req
 	}
 	t, err := is.mgr.Store().Publish(name, version, time.Now())
 	if err != nil {
-		status := http.StatusBadRequest
-		if strings.Contains(err.Error(), "not found") {
-			status = http.StatusNotFound
-		}
-		// Guardrail failures are 422: the request was well-formed, the
-		// template violates policy.
-		if strings.Contains(err.Error(), "guardrail") {
-			status = http.StatusUnprocessableEntity
-		}
-		writeErr(w, status, err)
+		writeErr(w, statusForIntentErr(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, t)
@@ -239,8 +227,7 @@ func (is *intentServer) handleTemplateDryRun(w http.ResponseWriter, r *http.Requ
 		return
 	}
 	var body DryRunBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	region := intent.RegionCore
@@ -278,8 +265,7 @@ func (is *intentServer) handleGetFleet(w http.ResponseWriter, r *http.Request) {
 
 func (is *intentServer) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 	var body InstantiateBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	policy, err := batchPolicyFromString(body.Policy)
@@ -296,10 +282,9 @@ func (is *intentServer) handleInstantiate(w http.ResponseWriter, r *http.Request
 		}
 		regions = append(regions, region)
 	}
-	run := func() (intent.Fleet, error) {
+	idemCreated(w, r, is.fleetIdem, func() (intent.Fleet, error) {
 		return is.mgr.Instantiate(body.Template, body.Version, body.Tenants, regions, policy, nil)
-	}
-	idemCreate(w, r, is.fleetIdem, run)
+	})
 }
 
 func (is *intentServer) handleListRollouts(w http.ResponseWriter, r *http.Request) {
@@ -321,11 +306,10 @@ func (is *intentServer) handleGetRollout(w http.ResponseWriter, r *http.Request)
 
 func (is *intentServer) handleStartRollout(w http.ResponseWriter, r *http.Request) {
 	var body RolloutBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+	if !decodeBody(w, r, &body) {
 		return
 	}
-	run := func() (intent.Rollout, error) {
+	idemCreated(w, r, is.rolloutIdem, func() (intent.Rollout, error) {
 		return is.mgr.StartRollout(intent.RolloutConfig{
 			Fleet:          body.Fleet,
 			ToVersion:      body.ToVersion,
@@ -333,54 +317,30 @@ func (is *intentServer) handleStartRollout(w http.ResponseWriter, r *http.Reques
 			Window:         time.Duration(body.WindowSeconds * float64(time.Second)),
 			MaxViolations:  body.MaxViolations,
 		})
-	}
-	idemCreate(w, r, is.rolloutIdem, run)
+	})
 }
 
-// idemCreate runs a creating action under the Idempotency-Key contract: no
-// key = plain create; with a key the first request acts, duplicates replay
-// the cached outcome with Idempotency-Replay: true, and failures are
-// dropped so retries re-attempt.
-func idemCreate[T any](w http.ResponseWriter, r *http.Request, st *idemStore[T], run func() (T, error)) {
-	key := r.Header.Get("Idempotency-Key")
-	if key == "" {
-		out, err := run()
-		if err != nil {
-			writeErr(w, statusForIntentErr(err), err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, out)
-		return
-	}
-	e := st.entry(key)
-	fresh := false
-	e.once.Do(func() {
-		fresh = true
-		out, err := run()
-		if err != nil {
-			e.err = err
-			st.drop(key)
-			return
-		}
-		e.snap = out
-		e.status = http.StatusCreated
-		st.complete(key)
+// idemCreated is the intent plane's idempotent create: 201 with the created
+// object, replayed as first answered (fleets and rollouts are fetched by ID
+// for their current state).
+func idemCreated[T any](w http.ResponseWriter, r *http.Request, st *idemStore[T], create func() (T, error)) {
+	idemDo(w, r.Header.Get("Idempotency-Key"), st, idemOp[T]{
+		act:       create,
+		status:    func(T) int { return http.StatusCreated },
+		errStatus: statusForIntentErr,
 	})
-	if e.err != nil {
-		writeErr(w, statusForIntentErr(e.err), e.err)
-		return
-	}
-	if !fresh {
-		w.Header().Set("Idempotency-Replay", "true")
-	}
-	writeJSON(w, e.status, e.snap)
 }
 
 // statusForIntentErr maps intent-plane errors onto the envelope statuses:
-// unknown objects are 404, everything else the caller's fault is 400.
+// unknown objects are 404, a guardrail's refusal is 422 (the request was
+// well-formed, the template violates policy), everything else the caller's
+// fault is 400.
 func statusForIntentErr(err error) int {
-	if strings.Contains(err.Error(), "not found") {
+	switch {
+	case errors.Is(err, intent.ErrNotFound):
 		return http.StatusNotFound
+	case errors.Is(err, intent.ErrGuardrail):
+		return http.StatusUnprocessableEntity
 	}
 	return http.StatusBadRequest
 }

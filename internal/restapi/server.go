@@ -121,53 +121,42 @@ func NewServer(orch *core.Orchestrator) *Server {
 	s := &Server{orch: orch, mux: http.NewServeMux(), idem: newIdemStore[slice.Snapshot](1024)}
 	s.submit = func(req slice.Request) (*slice.Slice, error) { return orch.Submit(req, nil) }
 
-	s.mux.HandleFunc("/healthz", s.handleHealth)
-
-	// v1 — method patterns; unmatched methods fall through to the bare
-	// path pattern (method patterns are more specific, so they win), which
-	// preserves the v1 JSON 405 envelope byte-for-byte. HEAD is registered
-	// explicitly because a GET pattern would otherwise claim it — the old
-	// hand-rolled method switches answered HEAD with the 405 envelope. The
-	// /api/v1/slices/ subtree fallback replicates the old prefix handler
-	// for paths the patterns reject (empty ID, extra segments).
-	s.mux.HandleFunc("GET /api/v1/slices", s.handleListV1)
-	s.mux.HandleFunc("POST /api/v1/slices", s.handleSubmitV1)
-	s.mux.HandleFunc("HEAD /api/v1/slices", methodNotAllowed("restapi: use GET or POST"))
-	s.mux.HandleFunc("/api/v1/slices", methodNotAllowed("restapi: use GET or POST"))
-	s.mux.HandleFunc("GET /api/v1/slices/{id}", s.handleGetSlice)
-	s.mux.HandleFunc("DELETE /api/v1/slices/{id}", s.handleDeleteSlice)
-	s.mux.HandleFunc("HEAD /api/v1/slices/{id}", methodNotAllowed("restapi: use GET or DELETE"))
-	s.mux.HandleFunc("/api/v1/slices/{id}", methodNotAllowed("restapi: use GET or DELETE"))
-	s.mux.HandleFunc("POST /api/v1/slices/{id}/demand", s.handleDemand)
-	s.mux.HandleFunc("/api/v1/slices/{id}/demand", methodNotAllowed("restapi: use POST"))
-	s.mux.HandleFunc("/api/v1/slices/", s.slicesSubtreeFallback("/api/v1/slices/"))
-	s.mux.HandleFunc("/api/v1/gain", s.handleGain)
-	s.mux.HandleFunc("/api/v1/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/api/v1/metrics/{name...}", s.handleMetricSeries)
-	s.mux.HandleFunc("/api/v1/topology", s.handleTopology)
-	s.mux.HandleFunc("POST /api/v1/links/{from}/{to}/{op}", s.handleLinkOps)
-	s.mux.HandleFunc("/api/v1/links/", s.handleLinksFallback)
-	s.mux.HandleFunc("/api/v1/enbs", s.handleENBs)
-	s.mux.HandleFunc("/api/v1/datacenters", s.handleDCs)
-	s.mux.HandleFunc("/api/v1/epcs", s.handleEPCs)
-
-	// v2 — the event-driven surface (v2.go).
-	s.mux.HandleFunc("GET /api/v2/slices", s.handleListV2)
-	s.mux.HandleFunc("POST /api/v2/slices", s.handleSubmitV2)
-	s.mux.HandleFunc("/api/v2/slices", methodNotAllowed("restapi: use GET or POST"))
-	s.mux.HandleFunc("GET /api/v2/slices/{id}", s.handleGetSlice)
-	s.mux.HandleFunc("DELETE /api/v2/slices/{id}", s.handleDeleteSlice)
-	s.mux.HandleFunc("/api/v2/slices/{id}", methodNotAllowed("restapi: use GET or DELETE"))
-	s.mux.HandleFunc("GET /api/v2/events", s.handleEvents)
-	s.mux.HandleFunc("/api/v2/events", methodNotAllowed("restapi: use GET"))
-	s.mux.HandleFunc("GET /api/v2/epoch", s.handleEpochV2)
-	s.mux.HandleFunc("/api/v2/epoch", methodNotAllowed("restapi: use GET"))
-	s.mux.HandleFunc("GET /api/v2/recovery", s.handleRecovery)
-	s.mux.HandleFunc("/api/v2/recovery", methodNotAllowed("restapi: use GET"))
-	s.mux.HandleFunc("POST /api/v2/dryrun", s.handleDryRunRaw)
-	s.mux.HandleFunc("/api/v2/dryrun", methodNotAllowed("restapi: use POST"))
-	s.mux.HandleFunc("/api/v2/slices/", s.slicesSubtreeFallback("/api/v2/slices/"))
+	mount(s.mux, s.routes())
 	return s
+}
+
+// routes is the single-cluster route table. v1 is the poll-only surface,
+// byte-for-byte preserved: it answers HEAD with the 405 envelope (the old
+// hand-rolled method switches did), hence its explicit HEAD rows. v2 is the
+// event-driven surface (v2.go).
+func (s *Server) routes() []route {
+	table := []route{
+		{"", "/healthz", s.handleHealth},
+
+		{http.MethodGet, "/api/v1/slices", s.handleListV1},
+		{http.MethodPost, "/api/v1/slices", s.handleSubmitV1},
+		{http.MethodHead, "/api/v1/slices", nil},
+		{http.MethodHead, "/api/v1/slices/{id}", nil},
+		{http.MethodPost, "/api/v1/slices/{id}/demand", s.handleDemand},
+		{"", "/api/v1/gain", s.handleGain},
+		{"", "/api/v1/metrics", s.handleMetrics},
+		{"", "/api/v1/metrics/{name...}", s.handleMetricSeries},
+		{"", "/api/v1/topology", s.handleTopology},
+		{http.MethodPost, "/api/v1/links/{from}/{to}/{op}", s.handleLinkOps},
+		{http.MethodPost, "/api/v1/links/", s.handleLinkShape},
+		{"", "/api/v1/enbs", s.handleENBs},
+		{"", "/api/v1/datacenters", s.handleDCs},
+		{"", "/api/v1/epcs", s.handleEPCs},
+
+		{http.MethodGet, "/api/v2/slices", s.handleListV2},
+		{http.MethodPost, "/api/v2/slices", s.handleSubmitV2},
+		{http.MethodGet, "/api/v2/events", s.handleEvents},
+		{http.MethodGet, "/api/v2/epoch", s.handleEpochV2},
+		{http.MethodGet, "/api/v2/recovery", s.handleRecovery},
+		{http.MethodPost, "/api/v2/dryrun", s.handleDryRunRaw},
+	}
+	table = append(table, itemRoutes("/api/v1/slices", s.handleGetSlice, s.handleDeleteSlice)...)
+	return append(table, itemRoutes("/api/v2/slices", s.handleGetSlice, s.handleDeleteSlice)...)
 }
 
 // ServeHTTP implements http.Handler.
@@ -192,14 +181,6 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
-// methodNotAllowed is the shared JSON 405 fallback registered on the bare
-// path patterns.
-func methodNotAllowed(msg string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New(msg))
-	}
-}
-
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
@@ -212,8 +193,7 @@ func (s *Server) handleListV1(w http.ResponseWriter, r *http.Request) {
 // problem as a 400. The nil,false return means the response is written.
 func (s *Server) decodeSubmitBody(w http.ResponseWriter, r *http.Request) (slice.Request, bool) {
 	var body SliceRequestBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+	if !decodeBody(w, r, &body) {
 		return slice.Request{}, false
 	}
 	req, err := body.Request()
@@ -228,24 +208,52 @@ func (s *Server) decodeSubmitBody(w http.ResponseWriter, r *http.Request) (slice
 	return req, true
 }
 
-// handleSubmitV1 serves POST /api/v1/slices. Validation failures are the
-// tenant's fault (400); anything Submit returns after validation passed is
-// an internal failure (500) — business rejections are not errors and are
-// reported in-band. The same mapping backs v2.
+// handleSubmitV1 serves POST /api/v1/slices: 202 installing, 200 in-band
+// rejection (business rejections are not errors). Validation failures are
+// the tenant's fault (400); anything Submit returns after validation passed
+// is an internal failure (500). v1 never deduplicates.
 func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request) {
+	s.submitSlice(w, r, "")
+}
+
+// submitSlice is the one slice-submission path behind v1 and v2.
+func (s *Server) submitSlice(w http.ResponseWriter, r *http.Request, key string) {
 	req, ok := s.decodeSubmitBody(w, r)
 	if !ok {
 		return
 	}
-	s.handleSubmitV1Decoded(w, req)
+	idemDo(w, key, s.idem, idemOp[slice.Snapshot]{
+		act: func() (slice.Snapshot, error) {
+			sl, err := s.submit(req)
+			if err != nil {
+				return slice.Snapshot{}, err
+			}
+			return sl.Snapshot(), nil
+		},
+		status:    func(snap slice.Snapshot) int { return submitStatus(snap.State) },
+		errStatus: internalError,
+		refresh: func(snap slice.Snapshot) slice.Snapshot {
+			if sl, ok := s.orch.Get(snap.ID); ok {
+				return sl.Snapshot()
+			}
+			return snap
+		},
+	})
+}
+
+// submitStatus maps a submission outcome to the HTTP status, for slices and
+// federated spans alike: 202 for an installing object, 200 for an in-band
+// business rejection.
+func submitStatus(state string) int {
+	if state == slice.StateRejected.String() {
+		return http.StatusOK
+	}
+	return http.StatusAccepted
 }
 
 // handleGetSlice serves GET /api/{v1,v2}/slices/{id}.
 func (s *Server) handleGetSlice(w http.ResponseWriter, r *http.Request) {
-	s.getSlice(w, slice.ID(r.PathValue("id")))
-}
-
-func (s *Server) getSlice(w http.ResponseWriter, id slice.ID) {
+	id := slice.ID(r.PathValue("id"))
 	sl, ok := s.orch.Get(id)
 	if !ok {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("restapi: slice %s not found", id))
@@ -256,42 +264,17 @@ func (s *Server) getSlice(w http.ResponseWriter, id slice.ID) {
 
 // handleDeleteSlice serves DELETE /api/{v1,v2}/slices/{id}.
 func (s *Server) handleDeleteSlice(w http.ResponseWriter, r *http.Request) {
-	s.deleteSlice(w, slice.ID(r.PathValue("id")))
-}
-
-func (s *Server) deleteSlice(w http.ResponseWriter, id slice.ID) {
-	if err := s.orch.Delete(id); err != nil {
+	if err := s.orch.Delete(slice.ID(r.PathValue("id"))); err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "terminated"})
 }
 
-// slicesSubtreeFallback answers /api/{v1,v2}/slices/ paths no pattern
-// claims — an empty ID ("/api/v1/slices/") or extra path segments — with
-// the original v1 prefix handler's parse-and-dispatch, JSON envelopes
-// included: the first segment is the slice ID, GET/DELETE operate on it
-// (404 for the inevitably unknown ID), anything else is the 405 envelope.
-func (s *Server) slicesSubtreeFallback(prefix string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rest := strings.TrimPrefix(r.URL.Path, prefix)
-		id := slice.ID(strings.SplitN(rest, "/", 2)[0])
-		switch r.Method {
-		case http.MethodGet:
-			s.getSlice(w, id)
-		case http.MethodDelete:
-			s.deleteSlice(w, id)
-		default:
-			writeErr(w, http.StatusMethodNotAllowed, errors.New("restapi: use GET or DELETE"))
-		}
-	}
-}
-
 // handleDemand serves POST /api/v1/slices/{id}/demand.
 func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 	var body DemandBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+	if !decodeBody(w, r, &body) {
 		return
 	}
 	if err := s.orch.RecordDemand(slice.ID(r.PathValue("id")), body.Mbps); err != nil {
@@ -362,8 +345,7 @@ func (s *Server) handleLinkOps(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "restored"})
 	case "degrade":
 		var body LinkOpBody
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad JSON: %w", err))
+		if !decodeBody(w, r, &body) {
 			return
 		}
 		rep, err := s.orch.HandleLinkDegradation(from, to, body.CapacityMbps)
@@ -377,14 +359,9 @@ func (s *Server) handleLinkOps(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleLinksFallback preserves the pre-pattern-routing link-op errors:
-// non-POST methods get the JSON 405 envelope; a POST whose path is not
-// exactly {from}/{to}/{op} gets the shape hint.
-func (s *Server) handleLinksFallback(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeErr(w, http.StatusMethodNotAllowed, errors.New("restapi: use POST"))
-		return
-	}
+// handleLinkShape answers a POST under /api/v1/links/ whose path is not
+// exactly {from}/{to}/{op} with the shape hint.
+func (s *Server) handleLinkShape(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, http.StatusBadRequest, errors.New("restapi: want /api/v1/links/{from}/{to}/{fail|restore|degrade}"))
 }
 
@@ -420,13 +397,14 @@ func (s *Server) handleEPCs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// idemStore deduplicates POST /api/v2/slices by Idempotency-Key: the first
-// request with a key performs the submission, concurrent and later
-// duplicates replay its outcome instead of creating another slice. The
-// store is bounded (oldest keys evicted) so a long-running daemon stays
-// flat; failed submissions are not cached, so retries re-attempt. Generic
-// over the cached outcome: slice.Snapshot for /api/v2/slices,
-// federation.SpanStatus for /api/v2/federation/slices.
+// idemStore is the bounded Idempotency-Key → outcome store behind idemDo
+// (routes.go): the first request with a key performs the create, concurrent
+// and later duplicates replay its outcome instead of creating another
+// object. The store is bounded (oldest keys evicted) so a long-running
+// daemon stays flat; failed creates are not cached, so retries re-attempt.
+// Generic over the cached outcome: slice.Snapshot for /api/v2/slices,
+// federation.SpanStatus for /api/v2/federation/slices, intent.Fleet and
+// intent.Rollout for the intent plane.
 type idemStore[T any] struct {
 	mu      sync.Mutex
 	limit   int
@@ -442,11 +420,9 @@ type idemEntry[T any] struct {
 	// store mutex via complete). Capacity eviction may only drop done
 	// entries: evicting an in-flight one would hand a concurrent duplicate
 	// of the same key a fresh entry with an unfired once — a double-submit.
-	done   bool
-	id     slice.ID
-	status int
-	snap   T
-	err    error
+	done bool
+	snap T
+	err  error
 }
 
 func newIdemStore[T any](limit int) *idemStore[T] {

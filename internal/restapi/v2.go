@@ -70,64 +70,10 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 
 // handleSubmitV2 serves POST /api/v2/slices: v1 submission semantics (202
 // installing, 200 in-band rejection, 400 validation, 5xx internal) plus
-// Idempotency-Key dedup — the first request with a key submits, concurrent
-// and later duplicates replay its outcome with Idempotency-Replay: true and
-// a fresh snapshot of the same slice. Failed submissions are not cached, so
-// retries after a 5xx re-attempt.
+// Idempotency-Key dedup — duplicates replay the first outcome's status with
+// a fresh snapshot of the same slice.
 func (s *Server) handleSubmitV2(w http.ResponseWriter, r *http.Request) {
-	req, ok := s.decodeSubmitBody(w, r)
-	if !ok {
-		return
-	}
-	key := r.Header.Get("Idempotency-Key")
-	if key == "" {
-		s.handleSubmitV1Decoded(w, req)
-		return
-	}
-	e := s.idem.entry(key)
-	fresh := false
-	e.once.Do(func() {
-		fresh = true
-		sl, err := s.submit(req)
-		if err != nil {
-			e.err = err
-			s.idem.drop(key)
-			return
-		}
-		e.id = sl.ID()
-		e.status = http.StatusAccepted
-		if sl.State() == slice.StateRejected {
-			e.status = http.StatusOK
-		}
-		e.snap = sl.Snapshot()
-		s.idem.complete(key)
-	})
-	if e.err != nil {
-		writeErr(w, http.StatusInternalServerError, e.err)
-		return
-	}
-	snap := e.snap
-	if sl, ok := s.orch.Get(e.id); ok {
-		snap = sl.Snapshot() // replay with the slice's current state
-	}
-	if !fresh {
-		w.Header().Set("Idempotency-Replay", "true")
-	}
-	writeJSON(w, e.status, snap)
-}
-
-// handleSubmitV1Decoded is the shared non-idempotent submission tail.
-func (s *Server) handleSubmitV1Decoded(w http.ResponseWriter, req slice.Request) {
-	sl, err := s.submit(req)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	status := http.StatusAccepted
-	if sl.State() == slice.StateRejected {
-		status = http.StatusOK
-	}
-	writeJSON(w, status, sl.Snapshot())
+	s.submitSlice(w, r, r.Header.Get("Idempotency-Key"))
 }
 
 // handleEvents serves GET /api/v2/events: the ordered slice-lifecycle
