@@ -1,6 +1,7 @@
 package overbook
 
 import (
+	"net/http"
 	"testing"
 
 	"repro/internal/core"
@@ -120,5 +121,43 @@ func TestEpochAllocCeiling(t *testing.T) {
 	if allocs > slices*perSlice {
 		t.Fatalf("control epoch allocates %.0f per pass over %d slices (%.1f per slice), ceiling %d per slice",
 			allocs, slices, allocs/slices, perSlice)
+	}
+}
+
+// TestListPageAllocCeiling pins what the dashboard's poll
+// (GET /api/v2/slices?limit=50) allocates. Warm — nothing changed since the
+// last poll — it is a small constant that must not depend on the registry:
+// the ordered-index selection's scratch, the page's slice and fragment lists
+// and the request's own parsing, with the body assembled from cached
+// fragments in a recycled buffer (11 measured; the scan-and-sort listing it
+// replaced spent 469 at 512 slices, and 1.1 MB per poll at 8192). Cold —
+// every slice of the page changed since the last poll — pays one Snapshot
+// and one encoding/json pass per slice, as every poll used to (11 per slice
+// measured). The ceilings leave room for the race detector, under which
+// sync.Pool drops items at random.
+func TestListPageAllocCeiling(t *testing.T) {
+	const warmCeiling, coldPerSlice = 16, 16
+	var warm [2]float64
+	for k, n := range []int{512, 8192} {
+		f := newListPageFixture(t, n)
+		w := &discardResponse{header: make(http.Header)}
+		f.serve(t, w)
+		warm[k] = testing.AllocsPerRun(100, func() { f.serve(t, w) })
+		i := 0
+		cold := testing.AllocsPerRun(20, func() {
+			i++
+			f.touch(i)
+			f.serve(t, w)
+		})
+		t.Logf("%d slices: warm page %.0f allocs, cold page %.0f", n, warm[k], cold)
+		if warm[k] > warmCeiling {
+			t.Errorf("%d slices: warm page allocates %.0f, ceiling %d", n, warm[k], warmCeiling)
+		}
+		if limit := float64(coldPerSlice * len(f.page)); cold > limit {
+			t.Errorf("%d slices: cold page allocates %.0f, ceiling %.0f (%d per listed slice)", n, cold, limit, coldPerSlice)
+		}
+	}
+	if diff := warm[0] - warm[1]; diff < -1 || diff > 1 {
+		t.Errorf("warm page allocations depend on the registry: %.0f at 512 slices, %.0f at 8192", warm[0], warm[1])
 	}
 }

@@ -16,6 +16,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +27,7 @@ import (
 	"repro/internal/forecast"
 	"repro/internal/intent"
 	"repro/internal/monitor"
+	"repro/internal/restapi"
 	"repro/internal/scenario"
 	"repro/internal/slice"
 	"repro/internal/testbed"
@@ -949,5 +952,99 @@ func BenchmarkTemplateInstantiation(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// discardResponse is the cheapest http.ResponseWriter: it keeps the header
+// map between requests and counts the body, so what a benchmark measures is
+// the handler.
+type discardResponse struct {
+	header http.Header
+	status int
+	bytes  int
+}
+
+func (d *discardResponse) Header() http.Header { return d.header }
+func (d *discardResponse) WriteHeader(status int) {
+	d.status = status
+}
+func (d *discardResponse) Write(p []byte) (int, error) {
+	d.bytes += len(p)
+	return len(p), nil
+}
+
+// listPageFixture is a 16-shard system with n active slices behind the REST
+// server, the dashboard's poll (`GET /api/v2/slices?limit=50`) ready to
+// serve, and the 50 slices that page returns.
+type listPageFixture struct {
+	srv  http.Handler
+	req  *http.Request
+	page []*slice.Slice
+}
+
+func newListPageFixture(tb testing.TB, n int) *listPageFixture {
+	tb.Helper()
+	sys := epochLoadedSystem(tb, n, 16)
+	sys.Orchestrator.RunEpoch()
+	f := &listPageFixture{
+		srv: restapi.NewServer(sys.Orchestrator),
+		req: httptest.NewRequest(http.MethodGet, "/api/v2/slices?limit=50", nil),
+	}
+	first, err := sys.Orchestrator.ListFiltered(core.ListOptions{Limit: 50})
+	if err != nil || len(first.Slices) != 50 || first.NextPageToken != "50" {
+		tb.Fatalf("first page: %d slices, token %q, err %v", len(first.Slices), first.NextPageToken, err)
+	}
+	for _, snap := range first.Slices {
+		sl, ok := sys.Orchestrator.Get(snap.ID)
+		if !ok {
+			tb.Fatalf("listed slice %s not found", snap.ID)
+		}
+		f.page = append(f.page, sl)
+	}
+	return f
+}
+
+// serve answers the poll once and returns the body size.
+func (f *listPageFixture) serve(tb testing.TB, w *discardResponse) int {
+	w.status, w.bytes = 0, 0
+	f.srv.ServeHTTP(w, f.req)
+	if w.status != http.StatusOK || w.bytes < 50*300 {
+		tb.Fatalf("list page: status %d, %d bytes", w.status, w.bytes)
+	}
+	return w.bytes
+}
+
+// touch mutates every slice of the page, as a control epoch does: the next
+// poll finds no current fragment and pays the encode.
+func (f *listPageFixture) touch(i int) {
+	for _, sl := range f.page {
+		sl.UpdateAllocatedMbps(1 + float64(i%7)/8)
+	}
+}
+
+// BenchmarkListPage measures the dashboard's poll at two registry sizes.
+// warm: nothing changed since the last poll — the page is selected through
+// the shards' ordered lists and assembled from cached fragments, so its cost
+// must not depend on the registry (8192 within 1.5x of 512). cold: every
+// slice of the page changed between polls (the worst case: a poller no
+// faster than the control epoch) — today's Snapshot + encoding/json per
+// slice, plus the fragment buffers.
+func BenchmarkListPage(b *testing.B) {
+	for _, mode := range []string{"warm", "cold"} {
+		for _, n := range []int{512, 8192} {
+			b.Run(fmt.Sprintf("%s/slices=%d", mode, n), func(b *testing.B) {
+				b.ReportAllocs()
+				f := newListPageFixture(b, n)
+				w := &discardResponse{header: make(http.Header)}
+				f.serve(b, w)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if mode == "cold" {
+						f.touch(i)
+					}
+					b.SetBytes(int64(f.serve(b, w)))
+				}
+			})
+		}
 	}
 }

@@ -31,16 +31,18 @@
 // capacity check is one atomic step rather than a registry scan.
 //
 // Submit, SubmitCtx, SubmitBatch, SubmitBatchCtx, Delete, Get, List,
-// ListFiltered, Watch, Timeline, RecordDemand, ActiveCount, Gain, LastEpoch,
-// RunEpoch, HandleLinkFailure, HandleLinkDegradation, RestoreLink, Start and
-// Stop are all goroutine-safe. Every lifecycle transition is additionally
-// published on an ordered event bus (events.go): Watch subscribers observe a
-// single global sequence and may resume from any recent sequence number;
-// slow subscribers are resynced, never allowed to stall admission.
+// ListFiltered, ListFragments, Watch, Timeline, RecordDemand, ActiveCount,
+// Gain, LastEpoch, RunEpoch, HandleLinkFailure, HandleLinkDegradation,
+// RestoreLink, Start and Stop are all goroutine-safe. Every lifecycle
+// transition is additionally published on an ordered event bus (events.go):
+// Watch subscribers observe a single global sequence and may resume from any
+// recent sequence number; slow subscribers are resynced, never allowed to
+// stall admission.
 //
 // The read plane never freezes the registry: Gain and ActiveCount are
 // served from per-shard atomic counters plus one leaf accumulator (gain.go),
-// List/ListFiltered snapshot shard by shard (one shard lock at a time), and
+// List/ListFiltered/ListFragments select their page through the shards'
+// maintained submission order (one shard lock at a time, list.go), and
 // each control epoch publishes an immutable EpochSnapshot for epoch-aligned
 // reads. The control epoch itself is a phase pipeline (epoch.go): a brief
 // serial collection pass holds every shard lock in index order, the
@@ -55,7 +57,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -605,124 +606,6 @@ func (o *Orchestrator) Get(id slice.ID) (*slice.Slice, bool) {
 		return nil, false
 	}
 	return m.s, true
-}
-
-// List returns snapshots of every slice, sorted by ID sequence. Snapshots
-// are taken shard by shard (see ListFiltered). It is a thin wrapper over
-// ListFiltered with zero options.
-func (o *Orchestrator) List() []slice.Snapshot {
-	page, _ := o.ListFiltered(ListOptions{}) // zero options never error
-	return page.Slices
-}
-
-// ListOptions filters and paginates ListFiltered. Zero values select
-// everything in one page.
-type ListOptions struct {
-	// State keeps only slices in this lifecycle state (API string form,
-	// e.g. "active", "rejected"); "" keeps all.
-	State string
-	// Tenant keeps only this tenant's slices; "" keeps all.
-	Tenant string
-	// RejectCode keeps only slices rejected with this taxonomy code; ""
-	// keeps all.
-	RejectCode slice.RejectCode
-	// Limit caps the page size (0 = unlimited).
-	Limit int
-	// PageToken resumes a paginated listing: pass the previous page's
-	// NextPageToken. Tokens are stable across calls (they encode the last
-	// returned slice's submission sequence).
-	PageToken string
-}
-
-// ListPage is one page of filtered slice snapshots.
-type ListPage struct {
-	Slices []slice.Snapshot `json:"slices"`
-	// NextPageToken is set when more matching slices remain; pass it as
-	// ListOptions.PageToken to continue.
-	NextPageToken string `json:"next_page_token,omitempty"`
-}
-
-// ListFiltered returns the snapshots matching opts, sorted by submission
-// sequence. Since PR 4 it snapshots shard by shard — one shard lock at a
-// time, never the whole registry — so a large list request can no longer
-// stall admission on other shards. The page is therefore not a single
-// atomic cut across shards: a transition committed on another shard while
-// the listing walks may or may not appear. Pagination is keyset-based (the
-// token encodes the last seen submission sequence), so pages stay
-// consistent under concurrent admissions: a slice admitted behind the
-// cursor is simply picked up by a later page, never duplicated.
-func (o *Orchestrator) ListFiltered(opts ListOptions) (ListPage, error) {
-	after := 0
-	if opts.PageToken != "" {
-		n, err := strconv.Atoi(opts.PageToken)
-		if err != nil || n < 0 {
-			return ListPage{}, fmt.Errorf("core: bad page token %q", opts.PageToken)
-		}
-		after = n
-	}
-	// Pass one: match on the cheap accessors only, collecting lightweight
-	// references — state transitions for a shard's slices need its lock,
-	// which we hold while walking it.
-	type matchRef struct {
-		seq int
-		id  slice.ID
-		sh  *shard
-	}
-	var matches []matchRef
-	for _, sh := range o.shards {
-		sh.mu.Lock()
-		for _, m := range sh.slices {
-			seq := seqOf(m.s.ID())
-			if seq <= after {
-				continue
-			}
-			if opts.Tenant != "" && m.s.Tenant() != opts.Tenant {
-				continue
-			}
-			if opts.State != "" && m.s.State().String() != opts.State {
-				continue
-			}
-			if opts.RejectCode != "" {
-				cause, ok := m.s.Cause()
-				if !ok || cause.Code != opts.RejectCode {
-					continue
-				}
-			}
-			matches = append(matches, matchRef{seq: seq, id: m.s.ID(), sh: sh})
-		}
-		sh.mu.Unlock()
-	}
-	// Pass two: order, cut the page, and pay the deep Snapshot clone only
-	// for the entries actually returned — a limit-16 request over an
-	// 8192-slice registry clones 16 snapshots, not 8192. A slice evicted
-	// or transitioned out of the requested filter between the passes is
-	// skipped (the page may come back short), never returned with a
-	// snapshot contradicting the query.
-	sort.Slice(matches, func(i, j int) bool { return matches[i].seq < matches[j].seq })
-	page := ListPage{}
-	if opts.Limit > 0 && len(matches) > opts.Limit {
-		page.NextPageToken = strconv.Itoa(matches[opts.Limit-1].seq)
-		matches = matches[:opts.Limit]
-	}
-	page.Slices = make([]slice.Snapshot, 0, len(matches))
-	for _, ref := range matches {
-		ref.sh.mu.Lock()
-		if m, ok := ref.sh.slices[ref.id]; ok {
-			stillMatches := true
-			if opts.State != "" && m.s.State().String() != opts.State {
-				stillMatches = false
-			}
-			if stillMatches && opts.RejectCode != "" {
-				cause, ok := m.s.Cause()
-				stillMatches = ok && cause.Code == opts.RejectCode
-			}
-			if stillMatches {
-				page.Slices = append(page.Slices, m.s.Snapshot())
-			}
-		}
-		ref.sh.mu.Unlock()
-	}
-	return page, nil
 }
 
 func seqOf(id slice.ID) int {

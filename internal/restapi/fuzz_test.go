@@ -34,7 +34,9 @@ func fuzzOrch(tb testing.TB) (*Server, *core.Orchestrator, *sim.Simulator) {
 // FuzzV2ListQuery hardens GET /api/v2/slices filter/pagination parsing:
 // whatever state/tenant/reject-code/limit/page-token combination the fuzzer
 // invents, the handler must answer 200 or 400 — never 5xx, never a panic —
-// with a well-formed JSON body, and a 200 page must respect the limit.
+// with a well-formed JSON body, and a 200 page must respect the limit and
+// equal, byte for byte, encoding/json over ListFiltered with the same options
+// (the handler assembles it from cached fragments, see wire_identity_test.go).
 func FuzzV2ListQuery(f *testing.F) {
 	srv, orch, s := fuzzOrch(f)
 	for i := 0; i < 8; i++ {
@@ -75,9 +77,13 @@ func FuzzV2ListQuery(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil {
 				t.Fatalf("200 body not a ListPage: %v (%s)", err, rec.Body.String())
 			}
-			if n, err := strconv.Atoi(limit); err == nil && n > 0 && len(page.Slices) > n {
+			n, _ := strconv.Atoi(limit) // a 200 means it parsed, or was absent
+			if n > 0 && len(page.Slices) > n {
 				t.Fatalf("limit %d ignored: %d slices returned", n, len(page.Slices))
 			}
+			checkListIdentity(t, orch, core.ListOptions{
+				State: state, Tenant: tenant, RejectCode: slice.RejectCode(rejectCode), Limit: n, PageToken: pageToken,
+			}, rec)
 		} else {
 			var e map[string]any
 			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {

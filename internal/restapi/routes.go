@@ -114,6 +114,8 @@ type idemOp[T any] struct {
 	// refresh, when set, brings a replayed outcome up to the object's
 	// current state.
 	refresh func(T) T
+	// write, when set, writes the outcome in place of writeJSON.
+	write func(http.ResponseWriter, int, T)
 }
 
 // idemDo runs a create under the Idempotency-Key protocol: without a key it
@@ -152,6 +154,10 @@ func idemDo[T any](w http.ResponseWriter, key string, st *idemStore[T], op idemO
 		if op.refresh != nil {
 			out = op.refresh(out)
 		}
+	}
+	if op.write != nil {
+		op.write(w, status, out)
+		return
 	}
 	writeJSON(w, status, out)
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,7 +111,7 @@ type errorBody struct {
 type Server struct {
 	orch *core.Orchestrator
 	mux  *http.ServeMux
-	idem *idemStore[slice.Snapshot]
+	idem *idemStore[submitReply]
 	// submit performs the slice submission; a seam so tests can inject
 	// internal failures (defaults to orch.Submit).
 	submit func(slice.Request) (*slice.Slice, error)
@@ -118,7 +119,7 @@ type Server struct {
 
 // NewServer builds the API server serving both /api/v1/ and /api/v2/.
 func NewServer(orch *core.Orchestrator) *Server {
-	s := &Server{orch: orch, mux: http.NewServeMux(), idem: newIdemStore[slice.Snapshot](1024)}
+	s := &Server{orch: orch, mux: http.NewServeMux(), idem: newIdemStore[submitReply](1024)}
 	s.submit = func(req slice.Request) (*slice.Slice, error) { return orch.Submit(req, nil) }
 
 	mount(s.mux, s.routes())
@@ -181,12 +182,77 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, errorBody{Error: err.Error()})
 }
 
+// writeEncoded writes a body already in wire form, trailing newline included
+// — the slice read plane's answers, assembled from cached fragments
+// (DESIGN.md §7.3) to the bytes writeJSON would have produced. Its length is
+// known, so it goes out with Content-Length in one Write instead of chunked.
+func writeEncoded(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(status)
+	if _, err := w.Write(body); err != nil {
+		logf("restapi: write %d-byte response: %v", len(body), err)
+	}
+}
+
+// appendFragments appends open + the comma-separated fragments + close +
+// newline to dst, growing it once. The fragments are copied, never appended
+// to: they are shared (slice.SnapshotJSON).
+func appendFragments(dst []byte, open string, frags [][]byte, close string) []byte {
+	n := len(open) + len(close) + 1 + max(len(frags)-1, 0) // newline, commas
+	for _, f := range frags {
+		n += len(f)
+	}
+	dst = append(slices.Grow(dst, n), open...)
+	for i, f := range frags {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, f...)
+	}
+	return append(append(dst, close...), '\n')
+}
+
+// pageBuffers recycles list-page bodies: a dashboard poll assembles tens of
+// kilobytes, and on a large registry garbage of that size is what a poll
+// would cost the collector.
+var pageBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeFragmentPage answers 200 with open + fragments + close.
+func writeFragmentPage(w http.ResponseWriter, open string, frags [][]byte, close string) {
+	buf := pageBuffers.Get().(*[]byte)
+	*buf = appendFragments((*buf)[:0], open, frags, close)
+	// A ResponseWriter does not retain what it is handed, so the buffer can
+	// go back — unless it is an unpaginated list of a large registry, which
+	// is not worth keeping.
+	writeEncoded(w, http.StatusOK, *buf)
+	if cap(*buf) <= 1<<20 {
+		pageBuffers.Put(buf)
+	}
+}
+
+// sliceBody is the wire form of one slice's current snapshot.
+func sliceBody(sl *slice.Slice) ([]byte, error) {
+	frag, err := sl.SnapshotJSON()
+	if err != nil {
+		return nil, err
+	}
+	return appendFragments(nil, "", [][]byte{frag}, ""), nil
+}
+
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
+// handleListV1 serves GET /api/v1/slices: every slice, one JSON array.
 func (s *Server) handleListV1(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.orch.List())
+	page, err := s.orch.ListFragments(core.ListOptions{})
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeFragmentPage(w, "[", page.Slices, "]")
 }
 
 // decodeSubmitBody parses and validates a slice submission, reporting any
@@ -222,23 +288,40 @@ func (s *Server) submitSlice(w http.ResponseWriter, r *http.Request, key string)
 	if !ok {
 		return
 	}
-	idemDo(w, key, s.idem, idemOp[slice.Snapshot]{
-		act: func() (slice.Snapshot, error) {
+	idemDo(w, key, s.idem, idemOp[submitReply]{
+		act: func() (submitReply, error) {
 			sl, err := s.submit(req)
 			if err != nil {
-				return slice.Snapshot{}, err
+				return submitReply{}, err
 			}
-			return sl.Snapshot(), nil
+			body, err := sliceBody(sl)
+			if err != nil {
+				return submitReply{}, err
+			}
+			// Rejection is decided before Submit returns and is final, so
+			// the state read here agrees with the one inside body.
+			return submitReply{id: sl.ID(), status: submitStatus(sl.State().String()), body: body}, nil
 		},
-		status:    func(snap slice.Snapshot) int { return submitStatus(snap.State) },
+		status:    func(rep submitReply) int { return rep.status },
 		errStatus: internalError,
-		refresh: func(snap slice.Snapshot) slice.Snapshot {
-			if sl, ok := s.orch.Get(snap.ID); ok {
-				return sl.Snapshot()
+		refresh: func(rep submitReply) submitReply {
+			if sl, ok := s.orch.Get(rep.id); ok {
+				if body, err := sliceBody(sl); err == nil {
+					rep.body = body
+				}
 			}
-			return snap
+			return rep
 		},
+		write: func(w http.ResponseWriter, status int, rep submitReply) { writeEncoded(w, status, rep.body) },
 	})
+}
+
+// submitReply is a slice submission's outcome as the idempotency store keeps
+// it: the snapshot already in wire form.
+type submitReply struct {
+	id     slice.ID
+	status int
+	body   []byte
 }
 
 // submitStatus maps a submission outcome to the HTTP status, for slices and
@@ -259,7 +342,12 @@ func (s *Server) handleGetSlice(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("restapi: slice %s not found", id))
 		return
 	}
-	writeJSON(w, http.StatusOK, sl.Snapshot())
+	body, err := sliceBody(sl)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeEncoded(w, http.StatusOK, body)
 }
 
 // handleDeleteSlice serves DELETE /api/{v1,v2}/slices/{id}.
@@ -402,7 +490,7 @@ func (s *Server) handleEPCs(w http.ResponseWriter, r *http.Request) {
 // and later duplicates replay its outcome instead of creating another
 // object. The store is bounded (oldest keys evicted) so a long-running
 // daemon stays flat; failed creates are not cached, so retries re-attempt.
-// Generic over the cached outcome: slice.Snapshot for /api/v2/slices,
+// Generic over the cached outcome: submitReply for /api/v2/slices,
 // federation.SpanStatus for /api/v2/federation/slices, intent.Fleet and
 // intent.Rollout for the intent plane.
 type idemStore[T any] struct {

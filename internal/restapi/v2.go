@@ -35,12 +35,21 @@ func (s *Server) handleListV2(w http.ResponseWriter, r *http.Request) {
 		}
 		opts.Limit = n
 	}
-	page, err := s.orch.ListFiltered(opts)
-	if err != nil {
+	page, err := s.orch.ListFragments(opts)
+	switch {
+	case errors.Is(err, core.ErrBadPageToken):
 		writeErr(w, http.StatusBadRequest, err)
 		return
+	case err != nil:
+		writeErr(w, http.StatusInternalServerError, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, page)
+	end := "]}"
+	if page.NextPageToken != "" {
+		token, _ := json.Marshal(page.NextPageToken) // a string always encodes
+		end = `],"next_page_token":` + string(token) + "}"
+	}
+	writeFragmentPage(w, `{"slices":[`, page.Slices, end)
 }
 
 // handleEpochV2 serves GET /api/v2/epoch: the snapshot the control loop's

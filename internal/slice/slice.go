@@ -8,6 +8,7 @@
 package slice
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -240,6 +241,13 @@ type Slice struct {
 	penaltyEUR      float64
 	demandMbps      float64 // last measured demand
 	servedMbps      float64 // last delivered throughput
+
+	// version counts mutations: every writer bumps it inside the critical
+	// section that changes the slice. frag is json.Marshal(Snapshot()) as of
+	// fragVersion, current while fragVersion == version (see SnapshotJSON).
+	version     uint64
+	frag        []byte
+	fragVersion uint64
 }
 
 // New creates a pending slice for the request. The caller (admission engine)
@@ -310,6 +318,7 @@ func (s *Slice) Allocation() Allocation {
 func (s *Slice) UpdateAllocation(fn func(*Allocation)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version++
 	fn(&s.alloc)
 }
 
@@ -350,14 +359,23 @@ func (s *Slice) EPCID() string {
 func (s *Slice) UpdateAllocatedMbps(mbps float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version++
 	s.alloc.AllocatedMbps = mbps
 }
 
 func (s *Slice) transition(to State, reason string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.transitionLocked(to, reason)
+}
+
+// transitionLocked moves the slice to state to. Transitions that stamp more
+// than the state (Reject, Activate) do so in the same critical section, so no
+// reader sees the new state without what comes with it. Caller holds s.mu.
+func (s *Slice) transitionLocked(to State, reason string) error {
 	for _, ok := range validTransitions[s.state] {
 		if ok == to {
+			s.version++
 			s.state = to
 			if reason != "" {
 				s.reason = reason
@@ -375,12 +393,12 @@ func (s *Slice) Reject(cause *RejectionCause) error {
 	if cause == nil {
 		cause = &RejectionCause{Code: RejectOther, Detail: "rejected"}
 	}
-	if err := s.transition(StateRejected, cause.Detail); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.transitionLocked(StateRejected, cause.Detail); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	s.cause = cause
-	s.mu.Unlock()
 	return nil
 }
 
@@ -402,13 +420,13 @@ func (s *Slice) BeginInstall() error { return s.transition(StateInstalling, "") 
 
 // Activate moves Installing -> Active and stamps the activity window.
 func (s *Slice) Activate(now time.Time) error {
-	if err := s.transition(StateActive, ""); err != nil {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.transitionLocked(StateActive, ""); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	s.starts = now
 	s.expires = now.Add(s.req.SLA.Duration)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -430,6 +448,7 @@ func (s *Slice) RecordEpoch(demandMbps, servedMbps float64) bool {
 	const tolerance = 1e-6
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.version++
 	s.servedEpochs++
 	s.demandMbps = demandMbps
 	s.servedMbps = servedMbps
@@ -463,6 +482,10 @@ type Accounting struct {
 func (s *Slice) Accounting() Accounting {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.accountingLocked()
+}
+
+func (s *Slice) accountingLocked() Accounting {
 	a := Accounting{
 		PenaltyEUR:      s.penaltyEUR,
 		ServedEpochs:    s.servedEpochs,
@@ -568,11 +591,27 @@ type Snapshot struct {
 	Expires    time.Time  `json:"expires"`
 }
 
-// Snapshot captures the slice state atomically.
+// Snapshot captures the slice state atomically: one critical section, so
+// the state, what the transition into it stamped (reject code, expiry) and
+// the accounting derived from it always agree.
 func (s *Slice) Snapshot() Snapshot {
-	acct := s.Accounting()
+	snap, _ := s.SnapshotIf(Filter{})
+	return snap
+}
+
+// SnapshotIf is Snapshot for a slice that still matches f: the predicates a
+// transition can change are checked and the snapshot cut under one lock, so a
+// listing never returns a snapshot that contradicts its own query.
+func (s *Slice) SnapshotIf(f Filter) (Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if !f.matchLocked(s) {
+		return Snapshot{}, false
+	}
+	return s.snapshotLocked(), true
+}
+
+func (s *Slice) snapshotLocked() Snapshot {
 	snap := Snapshot{
 		ID:         s.id,
 		Tenant:     s.req.Tenant,
@@ -581,11 +620,98 @@ func (s *Slice) Snapshot() Snapshot {
 		Reason:     s.reason,
 		SLA:        s.req.SLA,
 		Allocation: s.alloc.Clone(),
-		Accounting: acct,
+		Accounting: s.accountingLocked(),
 		Expires:    s.expires,
 	}
 	if s.cause != nil {
 		snap.RejectCode = s.cause.Code
 	}
 	return snap
+}
+
+// SnapshotJSON returns json.Marshal(s.Snapshot()), encoded at most once per
+// mutation: while no writer has touched the slice, every call returns the
+// same bytes. The result is shared with every other reader and must not be
+// modified (its capacity equals its length, so an append copies).
+func (s *Slice) SnapshotJSON() ([]byte, error) { return s.SnapshotJSONIf(Filter{}) }
+
+// SnapshotJSONIf is SnapshotJSON under SnapshotIf's rule; a slice that no
+// longer matches f yields nil bytes and no error.
+//
+// The snapshot is cut under the lock and encoded outside it, and the
+// encoding is published only if the mutation counter still reads what it
+// read at the cut — a reader that lost a race to a writer returns its own
+// (consistent, already superseded) bytes and leaves the cache to the next
+// reader. A published fragment is never written again, only replaced.
+func (s *Slice) SnapshotJSONIf(f Filter) ([]byte, error) {
+	s.mu.Lock()
+	if !f.matchLocked(s) {
+		s.mu.Unlock()
+		return nil, nil
+	}
+	if s.frag != nil && s.fragVersion == s.version {
+		frag := s.frag
+		s.mu.Unlock()
+		return frag, nil
+	}
+	snap, version := s.snapshotLocked(), s.version
+	s.mu.Unlock()
+
+	frag, err := json.Marshal(snap)
+	if err != nil {
+		return nil, fmt.Errorf("slice: encode snapshot of %s: %w", s.id, err)
+	}
+	frag = frag[:len(frag):len(frag)]
+	s.mu.Lock()
+	if s.version == version {
+		s.frag, s.fragVersion = frag, version
+	}
+	s.mu.Unlock()
+	return frag, nil
+}
+
+// Filter is the list query's predicates over one slice: tenant, lifecycle
+// state and rejection code. The zero Filter matches every slice.
+type Filter struct {
+	tenant  string
+	code    RejectCode
+	byState bool
+	state   State
+}
+
+// NewFilter builds a filter from the API forms; "" leaves a predicate open.
+// The state name is parsed here, once; a name no state has matches nothing.
+func NewFilter(tenant, state string, code RejectCode) Filter {
+	f := Filter{tenant: tenant, code: code}
+	if state != "" {
+		f.byState, f.state = true, State(-1)
+		for st, name := range stateNames {
+			if name == state {
+				f.state = st
+			}
+		}
+	}
+	return f
+}
+
+// matchLocked checks the predicates a transition can change. Caller holds
+// s.mu.
+func (f Filter) matchLocked(s *Slice) bool {
+	if f.byState && s.state != f.state {
+		return false
+	}
+	return f.code == "" || (s.cause != nil && s.cause.Code == f.code)
+}
+
+// Matches reports whether the slice currently satisfies f.
+func (s *Slice) Matches(f Filter) bool {
+	if f.tenant != "" && s.req.Tenant != f.tenant {
+		return false
+	}
+	if !f.byState && f.code == "" {
+		return true // the tenant never changes: nothing to lock for
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return f.matchLocked(s)
 }
