@@ -35,6 +35,11 @@ var (
 		"fast-reject: estimated radio load exceeds the admission capacity cap", 3}
 )
 
+// ledgerCause is ruleLedger's full-path cause over the book values.
+func ledgerCause(load, newLoad, capacity slice.Kbps) *slice.RejectionCause {
+	return ruleLedger.cause([3]float64{load.Mbps(), newLoad.Mbps(), capacity.Mbps()})
+}
+
 // cause is the full path's rejection cause: the format over the numbers.
 func (r *policyRule) cause(a [3]float64) *slice.RejectionCause {
 	args := []any{a[0], a[1], a[2]}
@@ -84,7 +89,7 @@ func (o *Orchestrator) admissionPolicy(sla slice.SLA) policyVerdict {
 // admit runs the admission checks of Section 3: "our end-to-end
 // orchestration algorithm checks the infrastructure resources availability
 // in each domain and performs traffic forecasting, considering past and
-// current network slices information". It returns (nil, reservedMbps) to
+// current network slices information". It returns (nil, reserved) to
 // admit — with the newcomer's estimated load already reserved on the shared
 // capacity ledger (phase one of the two-phase reservation; install commits
 // it, any failure must release it) — or a typed rejection cause.
@@ -95,11 +100,12 @@ func (o *Orchestrator) admissionPolicy(sla slice.SLA) policyVerdict {
 // Without overbooking the estimates are the full contracts, which
 // degenerates to classic peak-provisioning admission. The sum is maintained
 // incrementally by the ledger, so the check is O(1) and atomic under
-// concurrent admissions on other shards.
+// concurrent admissions on other shards. A rejection leaves the ledger as
+// it found it.
 //
 // On admission the chosen data center is returned alongside, so install
 // never re-runs the placement scan the admission dry runs already paid for.
-func (o *Orchestrator) admit(req slice.Request) (*slice.RejectionCause, float64, string) {
+func (o *Orchestrator) admit(req slice.Request) (*slice.RejectionCause, slice.Kbps, string) {
 	sla := req.SLA
 	if v := o.admissionPolicy(sla); v.rule != nil {
 		return v.rule.cause(v.args), 0, ""
@@ -107,22 +113,18 @@ func (o *Orchestrator) admit(req slice.Request) (*slice.RejectionCause, float64,
 
 	// Radio capacity (overbooking-aware estimate): atomic two-phase
 	// reservation against the shared ledger.
-	capacity := o.radioCapacityMbps() * o.cfg.UtilizationCap
-	newLoad := o.admissionEstimate(sla)
+	newLoad, capacity := o.ledgerEstimate(sla), o.admissionCap()
 	ok, load := o.ledger.TryReserve(newLoad, capacity)
 	if !ok {
-		return ruleLedger.cause([3]float64{load, newLoad, capacity}), 0, ""
+		return ledgerCause(load, newLoad, capacity), 0, ""
 	}
 
 	// Per-domain feasibility: at least one data center must pass every
-	// registered domain's dry run (latency budget, compute fit, ...). The
-	// released amount is returned alongside the cause: float addition is
-	// not exactly invertible, so the WAL reject record mirrors this
-	// reserve-then-release round trip to keep the ledger bit-reproducible.
+	// registered domain's dry run (latency budget, compute fit, ...).
 	dc, cause := o.chooseDataCenter(sla)
 	if cause != nil {
 		o.ledger.Release(newLoad)
-		return cause, newLoad, ""
+		return cause, 0, ""
 	}
 	return nil, newLoad, dc
 }
@@ -144,6 +146,11 @@ func (o *Orchestrator) admissionEstimate(sla slice.SLA) float64 {
 		return sla.ThroughputMbps
 	}
 	return sla.ThroughputMbps * o.cfg.AdmissionLoadFactor
+}
+
+// ledgerEstimate is admissionEstimate as it enters the capacity ledger.
+func (o *Orchestrator) ledgerEstimate(sla slice.SLA) slice.Kbps {
+	return slice.ToKbps(o.admissionEstimate(sla))
 }
 
 // chooseDataCenter picks the data center for the slice: the one with

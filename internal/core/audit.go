@@ -90,7 +90,7 @@ func (o *Orchestrator) auditSweepAllLocked() {
 			views = append(views, invariant.SliceView{
 				ID:         m.s.ID(),
 				State:      m.s.State().String(),
-				LedgerMbps: m.ledgerMbps,
+				LedgerKbps: m.ledgerKbps,
 				PLMN:       alloc.PLMN,
 				PathIDs:    alloc.PathIDs,
 				StackID:    alloc.StackID,

@@ -70,7 +70,7 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 	}
 	// Budget: remaining estimated radio capacity — one ledger read and one
 	// (cached) capacity read decide the whole batch's feasibility sweep.
-	budget := o.radioCapacityMbps()*o.cfg.UtilizationCap - o.ledger.Load()
+	budget := (o.admissionCap() - o.ledger.Load()).Mbps()
 	if budget < 0 {
 		budget = 0
 	}
@@ -153,7 +153,7 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 			curSh = sh
 		}
 		evicted = append(evicted, o.rejectLocked(curSh, sl, slice.Rejectf(slice.RejectRevenuePolicy, "",
-			"revenue policy: not selected by %s batch admission", policy), subEv, 0)...)
+			"revenue policy: not selected by %s batch admission", policy), subEv)...)
 		out[i] = sl
 	}
 	return out, nil

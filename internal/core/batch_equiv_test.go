@@ -138,7 +138,7 @@ func TestBatchOverflowConservation(t *testing.T) {
 	_, o, w := durableEnv(t, cfg, dir)
 
 	items := suboptimalBatch() // 60+40+40+10 Mbps against ~93 Mbps of budget
-	budget := o.radioCapacityMbps()*o.cfg.UtilizationCap - o.ledger.Load()
+	budget := (o.admissionCap() - o.ledger.Load()).Mbps()
 	reqs := make([]KnapsackRequest, len(items))
 	for i, it := range items {
 		reqs[i] = KnapsackRequest{Req: it.Request, LoadMbps: o.admissionEstimate(it.Request.SLA)}
@@ -156,13 +156,13 @@ func TestBatchOverflowConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLoad := 0.0
+	var wantLoad slice.Kbps
 	for i, sl := range slices {
 		if want[i] {
 			if sl.State() == slice.StateRejected {
 				t.Fatalf("winner %d rejected: %s", i, sl.Reason())
 			}
-			wantLoad += reqs[i].LoadMbps
+			wantLoad += o.ledgerEstimate(reqs[i].Req.SLA)
 			continue
 		}
 		if sl.State() != slice.StateRejected {
@@ -170,7 +170,7 @@ func TestBatchOverflowConservation(t *testing.T) {
 		}
 	}
 	if got := o.ledger.Load(); got != wantLoad {
-		t.Fatalf("ledger conservation broken: %v Mbps charged, winners total %v", got, wantLoad)
+		t.Fatalf("ledger conservation broken: %v kbps charged, winners total %v", got, wantLoad)
 	}
 
 	live := o.StateDigest()

@@ -176,8 +176,11 @@ func TestConcurrentAdmitTeardownEpochRollover(t *testing.T) {
 	if mean, _ := o.tb.Transport.Utilization(); math.Abs(mean) > eps {
 		t.Fatalf("transport utilization %g after teardown", mean)
 	}
-	if load := o.ledger.Load(); math.Abs(load) > eps {
-		t.Fatalf("capacity ledger holds %g Mbps after teardown", load)
+	if load := o.ledger.Load(); load != 0 {
+		t.Fatalf("capacity ledger holds %d kbps after teardown", load)
+	}
+	if g := o.Gain(); g.ContractedMbps != 0 || g.AllocatedMbps != 0 {
+		t.Fatalf("live totals (%v contracted, %v allocated Mbps) after teardown, want exact 0", g.ContractedMbps, g.AllocatedMbps)
 	}
 }
 

@@ -28,7 +28,13 @@
 // same shard queue up on its lock in arrival order. The shared radio
 // overbooking budget is a capacity ledger with a two-phase reservation
 // (reserve at admission, release on failure or teardown), so the admission
-// capacity check is one atomic step rather than a registry scan.
+// capacity check is one compare-and-swap rather than a registry scan.
+//
+// Every book — the ledger, each slice's entry in it, the money and live
+// capacity totals — is an int64 in slice.Kbps or slice.MicroEUR. Floats are
+// converted where they enter a book and derived again at the reporting
+// edge, so a reservation and its release cancel exactly in any order, and
+// recovery (recover.go) reproduces the books of a concurrent run to the bit.
 //
 // Submit, SubmitCtx, SubmitBatch, SubmitBatchCtx, Delete, Get, List,
 // ListFiltered, ListFragments, Watch, Timeline, RecordDemand, ActiveCount,
@@ -40,7 +46,7 @@
 // stall admission.
 //
 // The read plane never freezes the registry: Gain and ActiveCount are
-// served from per-shard atomic counters plus one leaf accumulator (gain.go),
+// served from per-shard atomic counters (gain.go),
 // List/ListFiltered/ListFragments select their page through the shards'
 // maintained submission order (one shard lock at a time, list.go), and
 // each control epoch publishes an immutable EpochSnapshot for epoch-aligned
@@ -239,8 +245,8 @@ type managedSlice struct {
 	// lastDemand is the most recent demand sample in Mbps.
 	lastDemand float64
 	haveDemand bool
-	// ledgerMbps is this slice's entry in the shared capacity ledger.
-	ledgerMbps float64
+	// ledgerKbps is this slice's entry in the shared capacity ledger.
+	ledgerKbps slice.Kbps
 	// provCapMbps, when > 0, caps the epoch loop's provisioning target for
 	// this slice — the intent plane's canary-rollout knob (SetProvisionCap):
 	// without it any rollout resize would be undone by the next control
@@ -296,10 +302,8 @@ type Orchestrator struct {
 	audit     *invariant.Auditor
 	pendingTx sync.Map // slice.ID -> struct{}
 
-	// acc holds the order-sensitive float aggregates of the gain report;
 	// lastEpoch is the snapshot the telemetry barrier (phase P4) publishes
 	// each epoch (gain.go).
-	acc       *gainAccumulator
 	lastEpoch atomic.Pointer[EpochSnapshot]
 
 	// epochMu serializes the whole-registry passes — the control epoch's
@@ -357,7 +361,6 @@ func New(cfg Config, tb *testbed.Testbed, clock sim.Scheduler, store *monitor.St
 		shardMask: uint32(cfg.Shards - 1),
 		history:   finishedHistory{limit: cfg.HistoryLimit},
 		bus:       NewEventBus(cfg.EventBuffer),
-		acc:       newGainAccumulator(),
 		persist:   cfg.Persist,
 	}
 	o.commit.cond.L = &o.commit.mu
@@ -492,10 +495,7 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 	// reservation for the newcomer's estimated radio load.
 	cause, reserved, dcName := o.admit(req)
 	if cause != nil {
-		// On rejection, reserved is the amount admit reserved-then-released
-		// on the ledger (non-zero only when the radio check passed but a
-		// later domain failed); the reject record mirrors that round trip.
-		evicted := o.rejectLocked(sh, s, cause, subEv, reserved)
+		evicted := o.rejectLocked(sh, s, cause, subEv)
 		sh.mu.Unlock()
 		o.dropFinished(evicted)
 		if syncPersist {
@@ -511,7 +511,7 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 		o.auditSliceReleased(id) // rollback must leave nothing behind
 		var rej errReject
 		if errors.As(err, &rej) {
-			evicted := o.rejectLocked(sh, s, rej.cause, subEv, reserved)
+			evicted := o.rejectLocked(sh, s, rej.cause, subEv)
 			sh.mu.Unlock()
 			o.dropFinished(evicted)
 			if syncPersist {
@@ -527,8 +527,7 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 		}
 		return nil, err
 	}
-	sh.admitted.Add(1)
-	o.acc.admit(req.SLA.PriceEUR, req.SLA.ThroughputMbps, s.AllocatedMbps())
+	sh.admit(req.SLA.PriceEUR, req.SLA.ThroughputMbps, s.AllocatedMbps())
 	admitEv := o.publish(EventAdmitted, s, "")
 	if o.persist != nil {
 		o.appendAdmit(sh.slices[id], reserved, subEv.Time, subEv, admitEv)
@@ -555,20 +554,14 @@ func (o *Orchestrator) nextID() slice.ID {
 // its own bucket — and returns any finished slices evicted from the bounded
 // history, which the caller must drop after releasing the shard lock.
 // subEv is the submission event (embedded in the WAL record alongside the
-// rejection event); mirrorMbps is the ledger reserve the admission path
-// released before failing (0 when it never reserved).
-func (o *Orchestrator) rejectLocked(sh *shard, s *slice.Slice, cause *slice.RejectionCause, subEv Event, mirrorMbps float64) []slice.ID {
+// rejection event).
+func (o *Orchestrator) rejectLocked(sh *shard, s *slice.Slice, cause *slice.RejectionCause, subEv Event) []slice.ID {
 	s.Reject(cause)
-	sh.rejected.Add(1)
-	o.acc.reject(string(cause.Code))
+	sh.reject(cause.Code)
 	sh.insert(&managedSlice{s: s, sh: sh})
 	rejEv := o.publish(EventRejected, s, cause.Detail)
 	if o.persist != nil {
-		o.appendRecord(recReject, rejectRecord{
-			Slice:        s.Persist(),
-			ReservedMbps: mirrorMbps,
-			Events:       []Event{subEv, rejEv},
-		})
+		o.appendRecord(recReject, rejectRecord{Slice: s.Persist(), Events: []Event{subEv, rejEv}})
 	}
 	return o.history.Push(s.ID())
 }
@@ -588,7 +581,7 @@ func (o *Orchestrator) Delete(id slice.ID) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("core: slice %s already %s", id, st)
 	}
-	evicted := o.teardownLocked(sh, m, "deleted by tenant", EventDeleted)
+	evicted := o.teardownLocked(m, "deleted by tenant", EventDeleted)
 	o.auditSliceReleased(id)
 	sh.mu.Unlock()
 	o.dropFinished(evicted)

@@ -10,15 +10,13 @@ import (
 // event. The intent plane uses it to answer "would this template admit
 // right now?" for a tenant before committing a fleet instantiation.
 //
-// Mutation-freedom is structural, not incidental: admit()'s radio check is a
-// TryReserve-then-Release round trip, and float addition is not exactly
-// invertible — replaying that round trip from a probe would perturb the
-// ledger's bit pattern and break bit-identical replay. The dry-run therefore
-// reads the ledger once (Load) and compares, and the per-domain feasibility
-// scan reuses feasibleAll, which is a pure dry run by construction (it backs
-// the memoized fast-reject path). TestDryRunIsolation pins the contract:
-// a dry-run burst racing live admissions leaves ledger bits and the event
-// sequence untouched.
+// The dry-run reads the ledger once (Load) and compares — the simplest way
+// to ask the headroom question, and one that can never make a concurrent
+// admission see capacity a probe was only borrowing — and the per-domain
+// feasibility scan reuses feasibleAll, which is a pure dry run by
+// construction (it backs the memoized fast-reject path). TestDryRunIsolation
+// pins the contract: a dry-run burst racing live admissions leaves the
+// ledger and the event sequence untouched.
 
 // DryRunReport is the outcome of one mutation-free admission probe.
 type DryRunReport struct {
@@ -52,10 +50,11 @@ func (o *Orchestrator) DryRun(req slice.Request) (DryRunReport, error) {
 		return DryRunReport{}, err
 	}
 	sla := req.SLA
+	load, newLoad, capacity := o.ledger.Load(), o.ledgerEstimate(sla), o.admissionCap()
 	rep := DryRunReport{
-		EstimatedLoadMbps: o.admissionEstimate(sla),
-		CapacityMbps:      o.radioCapacityMbps() * o.cfg.UtilizationCap,
-		LedgerLoadMbps:    o.ledger.Load(),
+		EstimatedLoadMbps: newLoad.Mbps(),
+		CapacityMbps:      capacity.Mbps(),
+		LedgerLoadMbps:    load.Mbps(),
 	}
 	fail := func(c *slice.RejectionCause) (DryRunReport, error) {
 		rep.RejectCode = c.Code
@@ -70,8 +69,8 @@ func (o *Orchestrator) DryRun(req slice.Request) (DryRunReport, error) {
 	}
 	// Radio headroom: the same bound TryReserve enforces, evaluated by
 	// comparison instead of reservation.
-	if rep.LedgerLoadMbps+rep.EstimatedLoadMbps > rep.CapacityMbps {
-		return fail(ruleLedger.cause([3]float64{rep.LedgerLoadMbps, rep.EstimatedLoadMbps, rep.CapacityMbps}))
+	if load+newLoad > capacity {
+		return fail(ledgerCause(load, newLoad, capacity))
 	}
 	dc, cause := o.chooseDataCenter(sla)
 	if cause != nil {

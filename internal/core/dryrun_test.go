@@ -2,12 +2,11 @@ package core
 
 // TestDryRunIsolation pins the dry-run mutation-freedom contract promised in
 // dryrun.go: a burst of concurrent probes — feasible and infeasible alike —
-// leaves the capacity ledger bit-identical, publishes zero events, and never
+// leaves the capacity ledger untouched, publishes zero events, and never
 // perturbs the outcome of live admissions racing it.
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -85,7 +84,7 @@ func dryRunBurst(t *testing.T, o *Orchestrator, workers, perWorker int) {
 // liveWorkload submits a deterministic sequence of admissions and teardowns
 // from the calling goroutine. With a simulated clock that never advances,
 // its effect on the ledger is a fixed sequence of reserve/release round
-// trips — any concurrent mutation would shift the final float bits.
+// trips — any concurrent mutation would shift the final load.
 func liveWorkload(t *testing.T, o *Orchestrator, n int) {
 	t.Helper()
 	var ids []slice.ID
@@ -100,7 +99,7 @@ func liveWorkload(t *testing.T, o *Orchestrator, n int) {
 			ids = append(ids, sl.ID())
 		}
 		// Tear down every third admission so releases interleave with
-		// reservations (float addition is order-sensitive).
+		// reservations.
 		if i%3 == 2 && len(ids) > 0 {
 			if err := o.Delete(ids[0]); err != nil {
 				t.Fatalf("teardown: %v", err)
@@ -119,14 +118,14 @@ func TestDryRunIsolation(t *testing.T) {
 	if v := o.Auditor().Violations(); len(v) != 0 {
 		t.Fatalf("baseline not invariant-clean: %+v", v[0])
 	}
-	bits := math.Float64bits(o.ledger.Load())
+	load := o.ledger.Load()
 	seq := o.Events().LastSeq()
 	digest := o.StateDigest()
 
 	dryRunBurst(t, o, 8, 50)
 
-	if got := math.Float64bits(o.ledger.Load()); got != bits {
-		t.Errorf("dry-run burst moved the ledger: %016x -> %016x", bits, got)
+	if got := o.ledger.Load(); got != load {
+		t.Errorf("dry-run burst moved the ledger: %d -> %d kbps", load, got)
 	}
 	if got := o.Events().LastSeq(); got != seq {
 		t.Errorf("dry-run burst published events: seq %d -> %d", seq, got)
@@ -154,9 +153,8 @@ func TestDryRunIsolation(t *testing.T) {
 	liveWorkload(t, racing, 60)
 	<-done
 
-	cb, rb := math.Float64bits(control.ledger.Load()), math.Float64bits(racing.ledger.Load())
-	if cb != rb {
-		t.Errorf("dry-runs perturbed racing admissions: ledger %016x vs %016x", cb, rb)
+	if cl, rl := control.ledger.Load(), racing.ledger.Load(); cl != rl {
+		t.Errorf("dry-runs perturbed racing admissions: ledger %d vs %d kbps", cl, rl)
 	}
 	if cs, rs := control.Events().LastSeq(), racing.Events().LastSeq(); cs != rs {
 		t.Errorf("dry-runs perturbed the event sequence: %d vs %d", cs, rs)

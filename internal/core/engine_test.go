@@ -120,7 +120,7 @@ func assertPristine(t *testing.T, o *Orchestrator, tb *testbed.Testbed) {
 		}
 	}
 	if load := o.ledger.Load(); load != 0 {
-		t.Fatalf("capacity ledger leaked %g Mbps", load)
+		t.Fatalf("capacity ledger leaked %d kbps", load)
 	}
 }
 

@@ -30,11 +30,11 @@ import (
 //	              charge and publish SLA violations, then apply resizes
 //	              through the transaction engine and roll the capacity
 //	              ledger forward. Everything order-sensitive (domain
-//	              mutations, ledger float additions, event sequence)
-//	              happens here, in exactly the order the pre-pipeline
-//	              epoch performed it — the determinism argument is that
-//	              P3 computes only per-slice values, and every shared-
-//	              state mutation is confined to the serial phases.
+//	              mutations, event sequence) happens here, in exactly
+//	              the order the pre-pipeline epoch performed it — the
+//	              determinism argument is that P3 computes only per-slice
+//	              values, and every shared-state mutation is confined to
+//	              the serial phases.
 //	P4  publish   telemetry barrier: flush the remaining batches, fold the
 //	              gain report and atomically publish the EpochSnapshot the
 //	              read plane serves from.
@@ -63,7 +63,7 @@ type epochItem struct {
 	// the violation and rolled the ledger, and to what value.
 	charged       bool
 	ledgerUpdated bool
-	ledgerTo      float64
+	ledgerTo      slice.Kbps
 }
 
 // epochScratch is the control epoch's working state, kept on the
@@ -170,8 +170,7 @@ func (o *Orchestrator) runEpoch() {
 		m := it.m
 		m.sh.mu.Lock()
 		if m.s.State() == slice.StateActive {
-			m.sh.violations.Add(1)
-			o.acc.penalty(m.s.SLA().PenaltyEUR)
+			m.sh.charge(m.s.SLA().PenaltyEUR)
 			ev := o.publish(EventViolation, m.s,
 				fmt.Sprintf("served %.1f of %.1f Mbps demanded", ep.served[i], ep.demand[i]))
 			it.charged = true
@@ -181,9 +180,8 @@ func (o *Orchestrator) runEpoch() {
 	}
 	// ...then apply reconfigurations and roll the ledger forward, still in
 	// submission order: resizes contend on the shared PRB/link/CPU pools,
-	// so their order decides marginal grow/shrink outcomes and the ledger's
-	// float bits — pinning it here keeps fixed-seed runs identical at any
-	// shard count.
+	// so their order decides marginal grow/shrink outcomes — pinning it here
+	// keeps fixed-seed runs identical at any shard count.
 	nanos := now.UnixNano()
 	for i := range items {
 		it := &items[i]
@@ -194,10 +192,9 @@ func (o *Orchestrator) runEpoch() {
 		m.sh.mu.Lock()
 		if m.s.State() == slice.StateActive {
 			o.resizeLocked(m, it.target)
-			o.ledger.Update(m.ledgerMbps, it.target)
-			m.ledgerMbps = it.target
-			it.ledgerUpdated = true
-			it.ledgerTo = it.target
+			it.ledgerUpdated, it.ledgerTo = true, slice.ToKbps(it.target)
+			o.ledger.Update(m.ledgerKbps, it.ledgerTo)
+			m.ledgerKbps = it.ledgerTo
 			m.series.alloc.AddNanos(nanos, m.s.AllocatedMbps())
 		}
 		m.sh.mu.Unlock()
@@ -206,8 +203,8 @@ func (o *Orchestrator) runEpoch() {
 	// P4: telemetry barrier — push domain telemetry, fold the gain report
 	// and publish the epoch snapshot (the per-slice samples went straight to
 	// their rings in P3 and P3c). The fold runs under a momentary lockAll:
-	// every counter/accumulator update happens while holding a shard lock,
-	// so quiescing the shards makes the snapshot one mutually consistent cut
+	// every counter update happens while holding a shard lock, so quiescing
+	// the shards makes the snapshot one mutually consistent cut
 	// (the lock-free Gain() alone guarantees only per-field exactness) —
 	// O(shards) work, once per epoch.
 	o.tb.Ctrl.PushTelemetry(o.store, now)

@@ -38,6 +38,9 @@ type radioHeadroom struct {
 	// cell order — bit-identical to testbed.RadioCapacityMbps, cached here
 	// so the admission hot path stops re-sorting and re-summing per request.
 	capacityMbps float64
+	// admissionCap is capacityMbps times the utilization cap as the ledger
+	// compares against it.
+	admissionCap slice.Kbps
 }
 
 // radioHeadroomNow returns the current headroom snapshot, rebuilding it only
@@ -61,6 +64,7 @@ func (o *Orchestrator) radioHeadroomNow() *radioHeadroom {
 		hr.cells[i] = cellHeadroom{freePRBs: e.FreePRBs(), perPRBMbps: per}
 		hr.capacityMbps += float64(e.TotalPRBs()) * per
 	}
+	hr.admissionCap = slice.ToKbps(hr.capacityMbps * o.cfg.UtilizationCap)
 	ver2 := rc.Network().Version()
 	for _, e := range cells {
 		ver2 += e.Version()
@@ -76,6 +80,12 @@ func (o *Orchestrator) radioHeadroomNow() *radioHeadroom {
 // sum (same cell order, same arithmetic) as tb.RadioCapacityMbps().
 func (o *Orchestrator) radioCapacityMbps() float64 {
 	return o.radioHeadroomNow().capacityMbps
+}
+
+// admissionCap is the load the capacity ledger may reach: the cached radio
+// capacity times Config.UtilizationCap.
+func (o *Orchestrator) admissionCap() slice.Kbps {
+	return o.radioHeadroomNow().admissionCap
 }
 
 // SubmitFast answers whether Submit would certainly reject the request right
@@ -104,9 +114,8 @@ func (o *Orchestrator) SubmitFast(req slice.Request) *slice.RejectionCause {
 	// load+new <= cap, and the squeeze never shrinks ledger entries, so an
 	// overfull ledger is a certain rejection.
 	hr := o.radioHeadroomNow()
-	capacity := hr.capacityMbps * o.cfg.UtilizationCap
 	newLoad := o.admissionEstimate(sla)
-	if o.ledger.Load()+newLoad > capacity {
+	if o.ledger.Load()+slice.ToKbps(newLoad) > hr.admissionCap {
 		return ruleLedger.fastCause()
 	}
 

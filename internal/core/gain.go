@@ -1,114 +1,130 @@
 package core
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/slice"
 )
 
 // This file is the orchestrator's lock-free read plane: the gain/penalty
 // report, the active-slice count and the per-epoch snapshot are served from
-// per-shard atomic counters plus one tiny global accumulator, never from a
-// whole-registry pass. Before PR 4, Gain() and ActiveCount() took every
-// shard lock and walked every slice — a stop-the-world freeze on each
-// dashboard poll; now a poll costs O(shards) atomic loads and one leaf
-// mutex, and admission never waits on a reader.
+// per-shard atomic counters, never from a whole-registry pass or a lock — a
+// dashboard poll costs O(shards) atomic loads, and admission never waits on
+// a reader.
 //
-// Counter taxonomy (see also DESIGN.md §7):
-//
-//   - Monotone integer counters (admitted, rejected, violation epochs,
-//     reconfigurations, active count) live in per-shard atomics: updates on
-//     different shards never contend and reads are exact at all times.
-//   - Order-sensitive float aggregates (revenue, penalties, contracted and
-//     allocated Mbps) live in the single gainAccumulator below, mutated in
-//     the deterministic order the engine performs the underlying
-//     transitions. Splitting them per shard would change float-addition
-//     grouping with the shard count, and a fixed-seed run must produce
-//     bit-identical money at any shard count
-//     (TestShardCountDoesNotChangeOutcomes).
-//
-// The accumulator mutex is a leaf: it is taken while holding a shard lock,
-// and never the other way around.
+// There is one class of counter (see also DESIGN.md §7.3): every total —
+// admission tallies, the rejection histogram, money in MicroEUR, live
+// capacity in Kbps — is an int64 a shard updates with atomic adds while it
+// holds its own lock. Integer addition commutes, so the sum over shards is
+// the same at any shard count and under any interleaving, and a slice's
+// release subtracts exactly what its admission and resizes added: an empty
+// registry reads exactly zero.
 
-// gainAccumulator tracks the order-sensitive aggregates of the gain report.
-type gainAccumulator struct {
-	mu             sync.Mutex
-	revenueEUR     float64
-	penaltyEUR     float64
-	contractedMbps float64
-	allocatedMbps  float64
-	// live counts the slices currently contributing to the Mbps totals.
-	// Incremental float sums accumulate rounding residue ((x+a)-a need not
-	// equal x), so when the last live slice leaves, the totals are snapped
-	// back to exactly zero — an empty registry must report zero contracted
-	// capacity, not an ulp-sized residue.
-	live          int
-	rejectReasons map[string]int
-}
+// counters is one shard's share of the totals.
+type counters struct {
+	admitted         atomic.Int64
+	rejected         atomic.Int64
+	violations       atomic.Int64
+	reconfigurations atomic.Int64
+	// active counts slices currently in StateActive or StateReconfiguring
+	// (incremented on activation, decremented on teardown from either
+	// state).
+	active atomic.Int64
 
-func newGainAccumulator() *gainAccumulator {
-	return &gainAccumulator{rejectReasons: make(map[string]int)}
+	revenue, penalty      atomic.Int64 // slice.MicroEUR
+	contracted, allocated atomic.Int64 // slice.Kbps, over live (installing or active) slices
+	rejectReasons         [len(slice.RejectCodes)]atomic.Int64
 }
 
 // admit records an accepted request: its price joins the revenue and its
 // contract and initial allocation join the live totals.
-func (a *gainAccumulator) admit(priceEUR, contractedMbps, allocatedMbps float64) {
-	a.mu.Lock()
-	a.revenueEUR += priceEUR
-	a.contractedMbps += contractedMbps
-	a.allocatedMbps += allocatedMbps
-	a.live++
-	a.mu.Unlock()
+func (c *counters) admit(priceEUR, contractedMbps, allocatedMbps float64) {
+	c.admitted.Add(1)
+	c.revenue.Add(int64(slice.ToMicroEUR(priceEUR)))
+	c.contracted.Add(int64(slice.ToKbps(contractedMbps)))
+	c.allocated.Add(int64(slice.ToKbps(allocatedMbps)))
 }
 
 // reject buckets a rejection under its stable taxonomy code.
-func (a *gainAccumulator) reject(code string) {
-	a.mu.Lock()
-	a.rejectReasons[code]++
-	a.mu.Unlock()
+func (c *counters) reject(code slice.RejectCode) {
+	c.rejected.Add(1)
+	c.rejectReasons[code.Ordinal()].Add(1)
 }
 
 // release removes a torn-down slice's contract and allocation from the live
 // totals.
-func (a *gainAccumulator) release(contractedMbps, allocatedMbps float64) {
-	a.mu.Lock()
-	a.contractedMbps -= contractedMbps
-	a.allocatedMbps -= allocatedMbps
-	a.live--
-	if a.live <= 0 {
-		a.contractedMbps = 0
-		a.allocatedMbps = 0
-	}
-	a.mu.Unlock()
+func (c *counters) release(contractedMbps, allocatedMbps float64) {
+	c.contracted.Add(-int64(slice.ToKbps(contractedMbps)))
+	c.allocated.Add(-int64(slice.ToKbps(allocatedMbps)))
 }
 
-// allocDelta shifts the live allocated total after a reconfiguration.
-func (a *gainAccumulator) allocDelta(deltaMbps float64) {
-	if deltaMbps == 0 {
-		return
-	}
-	a.mu.Lock()
-	a.allocatedMbps += deltaMbps
-	a.mu.Unlock()
+// reallocate moves a live slice's share of the allocated total after a
+// reconfiguration. Both ends are converted, not their difference, so the
+// slice's contributions telescope to its current allocation.
+func (c *counters) reallocate(beforeMbps, afterMbps float64) {
+	c.allocated.Add(int64(slice.ToKbps(afterMbps) - slice.ToKbps(beforeMbps)))
 }
 
-// penalty charges an SLA-violation penalty.
-func (a *gainAccumulator) penalty(eur float64) {
-	a.mu.Lock()
-	a.penaltyEUR += eur
-	a.mu.Unlock()
+// charge bills one SLA-violation epoch.
+func (c *counters) charge(penaltyEUR float64) {
+	c.violations.Add(1)
+	c.penalty.Add(int64(slice.ToMicroEUR(penaltyEUR)))
 }
 
-// report copies the accumulator into g (floats plus the histogram).
-func (a *gainAccumulator) report(g *GainReport) {
-	a.mu.Lock()
-	g.RevenueTotalEUR = a.revenueEUR
-	g.PenaltyTotalEUR = a.penaltyEUR
-	g.ContractedMbps = a.contractedMbps
-	g.AllocatedMbps = a.allocatedMbps
-	for k, v := range a.rejectReasons {
-		g.RejectReasons[k] += v
+// counterState is the sum of the shards' counters: what Gain reports and
+// the checkpoint stores (restore folds it into shard 0 — only sums are ever
+// read).
+type counterState struct {
+	Admitted         int64          `json:"admitted"`
+	Rejected         int64          `json:"rejected"`
+	Violations       int64          `json:"violations"`
+	Reconfigurations int64          `json:"reconfigurations"`
+	Active           int64          `json:"active"`
+	Revenue          slice.MicroEUR `json:"revenue_micro_eur"`
+	Penalty          slice.MicroEUR `json:"penalty_micro_eur"`
+	Contracted       slice.Kbps     `json:"contracted_kbps"`
+	Allocated        slice.Kbps     `json:"allocated_kbps"`
+	RejectReasons    map[string]int `json:"reject_reasons,omitempty"`
+}
+
+// totals sums the counters across shards; each field is exact, the set is
+// one cut only under lockAll.
+func (o *Orchestrator) totals() counterState {
+	t := counterState{RejectReasons: make(map[string]int)}
+	for _, sh := range o.shards {
+		t.Admitted += sh.admitted.Load()
+		t.Rejected += sh.rejected.Load()
+		t.Violations += sh.violations.Load()
+		t.Reconfigurations += sh.reconfigurations.Load()
+		t.Active += sh.active.Load()
+		t.Revenue += slice.MicroEUR(sh.revenue.Load())
+		t.Penalty += slice.MicroEUR(sh.penalty.Load())
+		t.Contracted += slice.Kbps(sh.contracted.Load())
+		t.Allocated += slice.Kbps(sh.allocated.Load())
+		for i := range sh.rejectReasons {
+			if n := sh.rejectReasons[i].Load(); n != 0 {
+				t.RejectReasons[string(slice.RejectCodes[i])] += int(n)
+			}
+		}
 	}
-	a.mu.Unlock()
+	return t
+}
+
+// restore loads checkpointed totals into the shard's counters.
+func (c *counters) restore(t counterState) {
+	c.admitted.Store(t.Admitted)
+	c.rejected.Store(t.Rejected)
+	c.violations.Store(t.Violations)
+	c.reconfigurations.Store(t.Reconfigurations)
+	c.active.Store(t.Active)
+	c.revenue.Store(int64(t.Revenue))
+	c.penalty.Store(int64(t.Penalty))
+	c.contracted.Store(int64(t.Contracted))
+	c.allocated.Store(int64(t.Allocated))
+	for code, n := range t.RejectReasons {
+		c.rejectReasons[slice.RejectCode(code).Ordinal()].Add(int64(n))
+	}
 }
 
 // GainReport is the dashboard's "current gains vs. penalties" panel plus
@@ -146,34 +162,35 @@ type GainReport struct {
 
 // Gain returns the current gain/penalty report. Every individual counter is
 // exact — it reflects all completed transitions — and the read is cheap:
-// O(shards) atomic loads plus one leaf mutex, with no shard lock taken, so
-// a dashboard polling Gain at any rate never stalls admission or the epoch.
-// The report is not one atomic cut across fields, though: a transition
-// committing concurrently with the read may be visible in the integer
-// counters but not yet in the money/Mbps aggregates (or vice versa) for
-// that single poll. Epoch-aligned, mutually consistent numbers come from
-// LastEpoch, whose report is folded under a momentary all-shard quiesce.
+// O(shards) atomic loads and no lock, so a dashboard polling Gain at any
+// rate never stalls admission or the epoch. The report is not one atomic cut
+// across fields, though: a transition committing concurrently with the read
+// may be visible in some counters but not yet in others for that single
+// poll. Epoch-aligned, mutually consistent numbers come from LastEpoch,
+// whose report is folded under a momentary all-shard quiesce.
 func (o *Orchestrator) Gain() GainReport {
+	t := o.totals()
 	g := GainReport{
-		CapacityMbps:  o.tb.RadioCapacityMbps(),
-		Epochs:        int(o.epochs.Load()),
-		RejectReasons: make(map[string]int),
+		CapacityMbps:     o.tb.RadioCapacityMbps(),
+		ContractedMbps:   t.Contracted.Mbps(),
+		AllocatedMbps:    t.Allocated.Mbps(),
+		Admitted:         int(t.Admitted),
+		Rejected:         int(t.Rejected),
+		Active:           int(t.Active),
+		RejectReasons:    t.RejectReasons,
+		RevenueTotalEUR:  t.Revenue.EUR(),
+		PenaltyTotalEUR:  t.Penalty.EUR(),
+		NetRevenueEUR:    (t.Revenue - t.Penalty).EUR(),
+		ViolationEpochs:  int(t.Violations),
+		Reconfigurations: int(t.Reconfigurations),
+		Epochs:           int(o.epochs.Load()),
 	}
-	for _, sh := range o.shards {
-		g.Admitted += int(sh.admitted.Load())
-		g.Rejected += int(sh.rejected.Load())
-		g.ViolationEpochs += int(sh.violations.Load())
-		g.Reconfigurations += int(sh.reconfigurations.Load())
-		g.Active += int(sh.active.Load())
-	}
-	o.acc.report(&g)
 	if g.CapacityMbps > 0 {
 		g.OverbookingRatio = g.ContractedMbps / g.CapacityMbps
 	}
 	if g.AllocatedMbps > 0 {
 		g.MultiplexingGain = g.ContractedMbps / g.AllocatedMbps
 	}
-	g.NetRevenueEUR = g.RevenueTotalEUR - g.PenaltyTotalEUR
 	return g
 }
 

@@ -1,40 +1,51 @@
 package core
 
 import (
-	"math"
+	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/slice"
 )
 
-// TestGainAccumulatorConcurrentShardUpdates hammers the order-sensitive
-// float accumulator from parallel "shards": admits, rejects, penalties and
-// allocation deltas race against report() readers. The race detector owns
-// the data-race verdict; the assertions pin the conservation properties
-// that survive any interleaving — matched admit/release pairs return the
-// live totals to exactly zero (the live-count snap), money sums land on the
-// closed-form totals, and every intermediate report is finite.
+// shardsOnly is an orchestrator with nothing but its shards: enough for the
+// counters and their cross-shard sum.
+func shardsOnly(n int) *Orchestrator {
+	o := &Orchestrator{shards: make([]*shard, n)}
+	for i := range o.shards {
+		o.shards[i] = newShard(i)
+	}
+	return o
+}
+
+// TestGainAccumulatorConcurrentShardUpdates hammers the per-shard totals
+// from parallel shards: admits, rejects, penalties and reallocations race
+// against totals() readers. The race detector owns the data-race verdict;
+// the assertions pin the conservation properties that survive any
+// interleaving — matched admit/release pairs return the live totals to
+// exactly zero (by arithmetic: the books are integers), money sums land on
+// the closed-form totals, and every intermediate read is within the bounds
+// the workload allows.
 func TestGainAccumulatorConcurrentShardUpdates(t *testing.T) {
-	a := newGainAccumulator()
 	const (
 		workers = 8
 		perW    = 500
 	)
+	o := shardsOnly(workers)
 	var wg sync.WaitGroup
-	// Concurrent readers: every snapshot must be finite (a torn float
-	// would trip the race detector anyway; this guards the aggregates).
-	// Bounded iteration count — an unbounded spin starves the writers
-	// under the race detector's mutex accounting.
+	// Concurrent readers. A shard's worker releases only what it admitted,
+	// so each shard's live totals — and therefore any sum of per-shard reads
+	// — stay within [0, everything admitted at once]. Bounded iteration
+	// count — an unbounded spin starves the writers under the race detector.
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				var g GainReport
-				g.RejectReasons = map[string]int{}
-				a.report(&g)
-				for _, v := range []float64{g.RevenueTotalEUR, g.PenaltyTotalEUR, g.ContractedMbps, g.AllocatedMbps} {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Errorf("non-finite aggregate %v", v)
+				g := o.totals()
+				for _, v := range []slice.Kbps{g.Contracted, g.Allocated} {
+					if v < 0 || v > slice.ToKbps(workers*(30+8)) {
+						t.Errorf("live total %d kbps outside the workload's bounds", v)
 						return
 					}
 				}
@@ -43,68 +54,124 @@ func TestGainAccumulatorConcurrentShardUpdates(t *testing.T) {
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(a *counters) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				a.admit(10, 30, 20)
-				a.allocDelta(-5)
-				a.penalty(2)
-				a.reject("radio-capacity")
-				a.release(30, 15) // 20 alloc - 5 delta
+				a.reallocate(20, 15)
+				a.charge(2)
+				a.reject(slice.RejectRadioCapacity)
+				a.release(30, 15)
 			}
-		}()
+		}(&o.shards[w].counters)
 	}
 	for w := 0; w < workers; w++ {
-		// A second wave whose releases race the first wave's admits.
+		// A second wave whose releases race the first wave's admits on the
+		// same shard.
 		wg.Add(1)
-		go func() {
+		go func(a *counters) {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
 				a.admit(1, 8, 8)
 				a.release(8, 8)
 			}
-		}()
+		}(&o.shards[w].counters)
 	}
 	wg.Wait()
 
-	var g GainReport
-	g.RejectReasons = map[string]int{}
-	a.report(&g)
+	g := o.totals()
 	const n = workers * perW
-	if g.RevenueTotalEUR != 11*n {
-		t.Errorf("revenue %v, want %v", g.RevenueTotalEUR, 11*n)
+	if g.Revenue.EUR() != 11*n {
+		t.Errorf("revenue %v, want %v", g.Revenue.EUR(), 11*n)
 	}
-	if g.PenaltyTotalEUR != 2*n {
-		t.Errorf("penalties %v, want %v", g.PenaltyTotalEUR, 2*n)
+	if g.Penalty.EUR() != 2*n {
+		t.Errorf("penalties %v, want %v", g.Penalty.EUR(), 2*n)
 	}
-	if g.RejectReasons["radio-capacity"] != n {
-		t.Errorf("reject histogram %v, want %d", g.RejectReasons, n)
+	if g.RejectReasons["radio-capacity"] != n || g.Rejected != n || g.Violations != n || g.Admitted != 2*n {
+		t.Errorf("counters %+v, want %d rejections and violations, %d admissions", g, n, 2*n)
 	}
-	// Every admit was matched by a release: the live totals must have
-	// snapped back to exactly zero, not an accumulated rounding residue.
-	if g.ContractedMbps != 0 || g.AllocatedMbps != 0 {
+	// Every admit was matched by a release: the live totals are exactly
+	// zero.
+	if g.Contracted != 0 || g.Allocated != 0 {
 		t.Errorf("live totals (%v contracted, %v allocated) after matched admit/release, want exact 0",
-			g.ContractedMbps, g.AllocatedMbps)
-	}
-	if a.live != 0 {
-		t.Errorf("live count %d, want 0", a.live)
+			g.Contracted, g.Allocated)
 	}
 }
 
-// TestGainAccumulatorZeroSnap: the empty-registry snap works even when
-// float rounding would otherwise leave an ulp-sized residue.
+// TestGainAccumulatorZeroSnap: an emptied registry reads exactly zero even
+// for amounts whose float sum would leave an ulp-sized residue.
 func TestGainAccumulatorZeroSnap(t *testing.T) {
-	a := newGainAccumulator()
-	// 0.1 + 0.2 - 0.3 != 0 in binary floating point — exactly the residue
-	// class the snap exists for.
-	a.admit(0, 0.1, 0.1)
-	a.admit(0, 0.2, 0.2)
-	a.release(0.3, 0.3)
-	a.release(0, 0) // releases the second slice; live hits 0
-	var g GainReport
-	g.RejectReasons = map[string]int{}
-	a.report(&g)
-	if g.ContractedMbps != 0 || g.AllocatedMbps != 0 {
-		t.Fatalf("residue survived the zero snap: contracted %v, allocated %v", g.ContractedMbps, g.AllocatedMbps)
+	o := shardsOnly(2)
+	// 0.1 + 0.2 - 0.3 != 0 in binary floating point; in book units it is
+	// 100 + 200 - 300, across shards or not.
+	o.shards[0].admit(0, 0.1, 0.1)
+	o.shards[1].admit(0, 0.2, 0.2)
+	o.shards[0].release(0.3, 0.3)
+	o.shards[1].release(0, 0)
+	if g := o.totals(); g.Contracted != 0 || g.Allocated != 0 {
+		t.Fatalf("residue in the live totals: contracted %v, allocated %v", g.Contracted, g.Allocated)
+	}
+}
+
+// TestLedgerConcurrentInterleaving is the same property for the capacity
+// ledger: goroutines reserve, roll and release random entries against a
+// limit that makes some reservations fail. Under any interleaving the load
+// never exceeds the limit, equals the sum of the held entries at a quiet
+// point, and is exactly zero once every entry is released.
+func TestLedgerConcurrentInterleaving(t *testing.T) {
+	const workers, perW = 8, 2000
+	var (
+		l     capacityLedger
+		limit = slice.ToKbps(100)
+		held  [workers]slice.Kbps
+		wg    sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			var mine []slice.Kbps
+			for i := 0; i < perW; i++ {
+				switch k := slice.ToKbps(rng.Float64() * 10); {
+				case len(mine) > 0 && rng.Intn(3) == 0:
+					l.Release(mine[len(mine)-1])
+					mine = mine[:len(mine)-1]
+				case len(mine) > 0 && rng.Intn(3) == 0:
+					// An epoch roll never grows an entry past its reservation.
+					j := rng.Intn(len(mine))
+					k = min(k, mine[j])
+					l.Update(mine[j], k)
+					mine[j] = k
+				default:
+					if ok, load := l.TryReserve(k, limit); ok {
+						mine = append(mine, k)
+					} else if load+k <= limit {
+						t.Errorf("refused %d kbps at load %d under limit %d", k, load, limit)
+					}
+				}
+				if load := l.Load(); load < 0 || load > limit {
+					t.Errorf("ledger load %d kbps outside [0, %d]", load, limit)
+					return
+				}
+			}
+			for _, k := range mine {
+				held[w] += k
+			}
+		}(w)
+	}
+	wg.Wait()
+	var sum slice.Kbps
+	for _, k := range held {
+		sum += k
+	}
+	if load := l.Load(); load != sum {
+		t.Fatalf("ledger %d kbps != Σ held entries %d", load, sum)
+	}
+	for _, k := range held {
+		l.Release(k)
+	}
+	if load := l.Load(); load != 0 {
+		t.Fatalf("ledger holds %d kbps after every release, want exact 0", load)
 	}
 }

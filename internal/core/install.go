@@ -23,12 +23,12 @@ const epcProcMs = 0.5
 // converts to a typed rejection.
 //
 // The caller holds sh.mu (its shard's lock) and has already reserved
-// reservedMbps on the capacity ledger and chosen dcName at admission (the
+// reserved on the capacity ledger and chosen dcName at admission (the
 // placement scan is not repeated here); install commits that reservation to
 // the managed slice's bookkeeping on success (the caller releases it on
 // failure). The engine may briefly release and re-acquire sh.mu around the
 // overbooking squeeze — see reserveAll.
-func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand, reservedMbps float64, dcName string) error {
+func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand, reserved slice.Kbps, dcName string) error {
 	sla := s.SLA()
 	now := o.clock.Now()
 
@@ -88,7 +88,7 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 		sh:         sh,
 		demand:     demand,
 		prov:       forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps),
-		ledgerMbps: reservedMbps,
+		ledgerKbps: reserved,
 	}
 	sh.insert(m)
 
@@ -126,7 +126,7 @@ func (o *Orchestrator) activate(id slice.ID) {
 	}
 	now := o.clock.Now()
 	if err := o.tb.Ctrl.Cloud.MarkEPCRunning(m.s.EPCID(), now); err != nil {
-		evicted := o.teardownLocked(sh, m, fmt.Sprintf("EPC failed to boot: %v", err), EventDeleted)
+		evicted := o.teardownLocked(m, fmt.Sprintf("EPC failed to boot: %v", err), EventDeleted)
 		o.auditSliceReleased(id)
 		sh.mu.Unlock()
 		o.dropFinished(evicted)
@@ -172,7 +172,7 @@ func (o *Orchestrator) armExpiry(m *managedSlice) {
 			sh.mu.Unlock()
 			return
 		}
-		evicted := o.teardownLocked(sh, mm, "expired", EventExpired)
+		evicted := o.teardownLocked(mm, "expired", EventExpired)
 		o.auditSliceReleased(id)
 		sh.mu.Unlock()
 		o.dropFinished(evicted)
@@ -187,7 +187,7 @@ func (o *Orchestrator) armExpiry(m *managedSlice) {
 // idempotent per domain. The caller holds the slice's shard lock (or every
 // shard lock in restoration passes) and must drop the returned evicted
 // finished slices once its locks are released.
-func (o *Orchestrator) teardownLocked(sh *shard, m *managedSlice, reason string, typ EventType) []slice.ID {
+func (o *Orchestrator) teardownLocked(m *managedSlice, reason string, typ EventType) []slice.ID {
 	for _, t := range m.timers {
 		t.Cancel()
 	}
@@ -213,19 +213,25 @@ func (o *Orchestrator) teardownLocked(sh *shard, m *managedSlice, reason string,
 	}
 	o.releaseAll(m.s.ID(), plmn)
 	o.plmns.Release(plmn)
-	o.ledger.Release(m.ledgerMbps)
-	m.ledgerMbps = 0
-	// Read-plane bookkeeping: the slice leaves the live totals, and the
-	// active count drops if it was carrying traffic.
+	o.leaveBooks(m, st, allocated)
+	return o.history.Push(m.s.ID())
+}
+
+// leaveBooks is the bookkeeping half of a teardown, shared with its replay:
+// the slice's ledger entry is released, and it leaves the live totals — and
+// the active count, if it was carrying traffic — it joined from state st
+// with allocatedMbps reserved.
+func (o *Orchestrator) leaveBooks(m *managedSlice, st slice.State, allocatedMbps float64) {
+	o.ledger.Release(m.ledgerKbps)
+	m.ledgerKbps = 0
 	switch st {
 	case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
-		o.acc.release(m.s.SLA().ThroughputMbps, allocated)
+		m.sh.release(m.s.SLA().ThroughputMbps, allocatedMbps)
 	}
 	switch st {
 	case slice.StateActive, slice.StateReconfiguring:
-		sh.active.Add(-1)
+		m.sh.active.Add(-1)
 	}
-	return o.history.Push(m.s.ID())
 }
 
 // squeezeAll shrinks every live slice's domain reservations to its
@@ -314,7 +320,7 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) bool {
 	if !ok {
 		return false
 	}
-	o.acc.allocDelta(m.s.AllocatedMbps() - before)
+	m.sh.reallocate(before, m.s.AllocatedMbps())
 	m.sh.reconfigurations.Add(1)
 	ev := o.publish(EventResized, m.s, "")
 	if o.persist != nil {

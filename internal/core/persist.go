@@ -116,7 +116,7 @@ type pathRecord struct {
 // install transaction produced.
 type admitRecord struct {
 	Slice        slice.Persisted `json:"slice"`
-	ReservedMbps float64         `json:"reserved_mbps"`
+	ReservedKbps slice.Kbps      `json:"reserved_kbps"`
 	Paths        []pathRecord    `json:"paths,omitempty"`
 	MECHost      string          `json:"mec_host,omitempty"`
 	MECCPU       float64         `json:"mec_cpu,omitempty"`
@@ -125,15 +125,11 @@ type admitRecord struct {
 	Events       []Event         `json:"events"`
 }
 
-// rejectRecord logs a rejection. ReservedMbps mirrors a capacity-ledger
-// reserve-then-release the admission path performed before failing (zero
-// when admission failed before the radio check): float addition is not
-// exactly invertible, so replay must repeat the round trip to reproduce the
-// ledger's bits.
+// rejectRecord logs a rejection. A reservation the admission path took and
+// released before failing cancelled exactly and leaves nothing to log.
 type rejectRecord struct {
-	Slice        slice.Persisted `json:"slice"`
-	ReservedMbps float64         `json:"reserved_mbps,omitempty"`
-	Events       []Event         `json:"events"`
+	Slice  slice.Persisted `json:"slice"`
+	Events []Event         `json:"events"`
 }
 
 // activateRecord logs the vEPC-boot completion that turned a slice Active.
@@ -182,13 +178,13 @@ type rerouteRecord struct {
 // forecaster observation ran); Charged whether the commit phase actually
 // billed the violation; LedgerUpdated/LedgerTo the capacity-ledger roll.
 type epochItemRecord struct {
-	Slice         slice.ID `json:"slice"`
-	Demand        float64  `json:"demand"`
-	Served        float64  `json:"served"`
-	Counted       bool     `json:"counted,omitempty"`
-	Charged       bool     `json:"charged,omitempty"`
-	LedgerUpdated bool     `json:"ledger_updated,omitempty"`
-	LedgerTo      float64  `json:"ledger_to,omitempty"`
+	Slice         slice.ID   `json:"slice"`
+	Demand        float64    `json:"demand"`
+	Served        float64    `json:"served"`
+	Counted       bool       `json:"counted,omitempty"`
+	Charged       bool       `json:"charged,omitempty"`
+	LedgerUpdated bool       `json:"ledger_updated,omitempty"`
+	LedgerTo      slice.Kbps `json:"ledger_to_kbps,omitempty"`
 }
 
 // epochRecord logs one control-epoch pass. Resize outcomes of the epoch are
@@ -451,7 +447,7 @@ func (o *Orchestrator) pathRecords(pids []string) []pathRecord {
 
 // appendAdmit logs a successful admission with every substrate outcome.
 // The caller holds the slice's shard lock.
-func (o *Orchestrator) appendAdmit(m *managedSlice, reservedMbps float64, submittedAt time.Time, events ...Event) {
+func (o *Orchestrator) appendAdmit(m *managedSlice, reserved slice.Kbps, submittedAt time.Time, events ...Event) {
 	if o.persist == nil {
 		return
 	}
@@ -459,7 +455,7 @@ func (o *Orchestrator) appendAdmit(m *managedSlice, reservedMbps float64, submit
 	alloc := &image.Allocation
 	rec := admitRecord{
 		Slice:        image,
-		ReservedMbps: reservedMbps,
+		ReservedKbps: reserved,
 		Paths:        o.pathRecords(alloc.PathIDs),
 		SubmittedAt:  submittedAt,
 		ActivateAt:   m.activateAt,
@@ -597,13 +593,9 @@ type checkpointState struct {
 	// SeqCounter is the slice-ID sequence counter.
 	SeqCounter int64 `json:"seq_counter"`
 	// LastEpoch is the published epoch snapshot, verbatim.
-	LastEpoch *EpochSnapshot `json:"last_epoch,omitempty"`
-	// LedgerLoad is the capacity ledger's running float sum, bit-exact.
-	LedgerLoad float64         `json:"ledger_load"`
-	PLMN       slice.PLMNState `json:"plmn"`
-	Acc        accState        `json:"acc"`
-	// Counters are the global sums of the per-shard dashboard counters;
-	// restore folds them into shard 0 (only sums are ever read).
+	LastEpoch *EpochSnapshot  `json:"last_epoch,omitempty"`
+	PLMN      slice.PLMNState `json:"plmn"`
+	// Counters are the global sums of the per-shard counters (gain.go).
 	Counters counterState `json:"counters"`
 	// History is the bounded finished-slice eviction queue, in order.
 	History []slice.ID `json:"history,omitempty"`
@@ -612,26 +604,6 @@ type checkpointState struct {
 	// Slices are the registry's slices in submission order, each with its
 	// substrate outcomes for re-imposition.
 	Slices []persistedSlice `json:"slices,omitempty"`
-}
-
-// accState is the gain accumulator's durable image (order-sensitive float
-// aggregates, captured and restored bit-exactly).
-type accState struct {
-	RevenueEUR     float64        `json:"revenue_eur"`
-	PenaltyEUR     float64        `json:"penalty_eur"`
-	ContractedMbps float64        `json:"contracted_mbps"`
-	AllocatedMbps  float64        `json:"allocated_mbps"`
-	Live           int            `json:"live"`
-	RejectReasons  map[string]int `json:"reject_reasons,omitempty"`
-}
-
-// counterState sums the per-shard dashboard counters.
-type counterState struct {
-	Admitted         int64 `json:"admitted"`
-	Rejected         int64 `json:"rejected"`
-	Violations       int64 `json:"violations"`
-	Reconfigurations int64 `json:"reconfigurations"`
-	Active           int64 `json:"active"`
 }
 
 // linkState is one transport link's durable state.
@@ -644,10 +616,14 @@ type linkState struct {
 
 // persistedSlice is one registry entry in the checkpoint: the slice's full
 // durable image plus the orchestrator-level bookkeeping and substrate
-// outcomes that live outside the slice.
+// outcomes that live outside the slice. The capacity ledger has no field of
+// its own: it is exactly the sum of the LedgerKbps entries, and restore
+// rebuilds it from them — so a reservation an in-flight install holds at the
+// cut (engine.go's squeeze window: registered nowhere, nothing logged yet)
+// is not double-counted when its admit record replays.
 type persistedSlice struct {
 	Slice      slice.Persisted `json:"slice"`
-	LedgerMbps float64         `json:"ledger_mbps,omitempty"`
+	LedgerKbps slice.Kbps      `json:"ledger_kbps,omitempty"`
 	// Paths / MECHost / MECCPU capture substrate outcomes for live slices
 	// (empty for rejected/terminated entries kept only for the dashboard).
 	Paths      []pathRecord     `json:"paths,omitempty"`
@@ -666,32 +642,12 @@ func (o *Orchestrator) buildCheckpointLocked() ([]byte, error) {
 		EventNext:  o.bus.LastSeq() + 1,
 		Epochs:     o.epochs.Load(),
 		SeqCounter: o.seq.Load(),
-		LedgerLoad: o.ledger.Load(),
 		PLMN:       o.plmns.Export(),
+		Counters:   o.totals(),
 	}
 	if le := o.lastEpoch.Load(); le != nil {
 		snap := *le
 		st.LastEpoch = &snap
-	}
-	o.acc.mu.Lock()
-	st.Acc = accState{
-		RevenueEUR:     o.acc.revenueEUR,
-		PenaltyEUR:     o.acc.penaltyEUR,
-		ContractedMbps: o.acc.contractedMbps,
-		AllocatedMbps:  o.acc.allocatedMbps,
-		Live:           o.acc.live,
-		RejectReasons:  make(map[string]int, len(o.acc.rejectReasons)),
-	}
-	for k, v := range o.acc.rejectReasons {
-		st.Acc.RejectReasons[k] = v
-	}
-	o.acc.mu.Unlock()
-	for _, sh := range o.shards {
-		st.Counters.Admitted += sh.admitted.Load()
-		st.Counters.Rejected += sh.rejected.Load()
-		st.Counters.Violations += sh.violations.Load()
-		st.Counters.Reconfigurations += sh.reconfigurations.Load()
-		st.Counters.Active += sh.active.Load()
 	}
 	o.history.mu.Lock()
 	st.History = append([]slice.ID(nil), o.history.ids...)
@@ -703,7 +659,7 @@ func (o *Orchestrator) buildCheckpointLocked() ([]byte, error) {
 	for m := walk.next(); m != nil; m = walk.next() {
 		ps := persistedSlice{
 			Slice:      m.s.Persist(),
-			LedgerMbps: m.ledgerMbps,
+			LedgerKbps: m.ledgerKbps,
 			ActivateAt: m.activateAt,
 			LastDemand: m.lastDemand,
 			HaveDemand: m.haveDemand,
@@ -815,8 +771,8 @@ func (o *Orchestrator) checkpoint() {
 // StateDigest returns a canonical JSON image of every externally observable
 // outcome the recovery contract promises to reproduce bit-identically: the
 // gain report, every slice snapshot in submission order, the published
-// epoch snapshot, the capacity ledger's float bits, the event sequence head
-// and the epoch counter. Crash-point tests compare digests between an
+// epoch snapshot, the capacity ledger, the event sequence head and the epoch
+// counter. Crash-point tests compare digests between an
 // uncrashed run and a crash-recovered one at commit boundaries.
 //
 // Fields derived live from the radio environment (physical capacity at the
@@ -837,14 +793,14 @@ func (o *Orchestrator) StateDigest() []byte {
 		Gain         GainReport       `json:"gain"`
 		Slices       []slice.Snapshot `json:"slices"`
 		LastEpoch    *EpochSnapshot   `json:"last_epoch,omitempty"`
-		LedgerMbps   float64          `json:"ledger_mbps"`
+		LedgerKbps   slice.Kbps       `json:"ledger_kbps"`
 		LastEventSeq int64            `json:"last_event_seq"`
 		Epochs       int64            `json:"epochs"`
 	}{
 		Gain:         g,
 		Slices:       o.List(),
 		LastEpoch:    last,
-		LedgerMbps:   o.ledger.Load(),
+		LedgerKbps:   o.ledger.Load(),
 		LastEventSeq: o.bus.LastSeq(),
 		Epochs:       o.epochs.Load(),
 	}

@@ -6,10 +6,11 @@
 // durable path (DESIGN.md §12). These encoders produce output BYTE-IDENTICAL
 // to encoding/json for the exact struct shapes involved — same field order,
 // same omitempty decisions, same string escaping (HTML-escaping included),
-// same float and time formatting — so the WAL format does not change and
-// old logs replay unmodified. TestFastRecordEncodersMatchEncodingJSON pins
-// the equivalence over adversarial values; any struct change that breaks it
-// must update the matching encoder here.
+// same float and time formatting — so the WAL keeps one format, the one
+// recover.go's strict encoding/json decoder reads.
+// TestFastRecordEncodersMatchEncodingJSON pins the equivalence over
+// adversarial values; any struct change that breaks it must update the
+// matching encoder here.
 //
 // Cold record types (epoch, reroute, link, ...) keep using encoding/json:
 // they are off the admission path and not worth the maintenance surface.
@@ -330,8 +331,8 @@ func appendPathRecordJSON(dst []byte, pr *pathRecord) []byte {
 func appendAdmitRecordJSON(dst []byte, r *admitRecord) []byte {
 	dst = append(dst, `{"slice":`...)
 	dst = appendPersistedJSON(dst, &r.Slice)
-	dst = append(dst, `,"reserved_mbps":`...)
-	dst = appendJSONFloat(dst, r.ReservedMbps)
+	dst = append(dst, `,"reserved_kbps":`...)
+	dst = strconv.AppendInt(dst, int64(r.ReservedKbps), 10)
 	if len(r.Paths) > 0 {
 		dst = append(dst, `,"paths":[`...)
 		for i := range r.Paths {

@@ -149,7 +149,7 @@ func randPersisted(rng *rand.Rand) slice.Persisted {
 func randAdmitRecord(rng *rand.Rand) admitRecord {
 	r := admitRecord{
 		Slice:        randPersisted(rng),
-		ReservedMbps: randFloat(rng),
+		ReservedKbps: slice.Kbps(rng.Int63() - rng.Int63()),
 		MECHost:      randString(rng),
 		MECCPU:       randFloat(rng),
 		SubmittedAt:  randTime(rng),
@@ -207,7 +207,7 @@ func TestFastRecordEncodersMatchEncodingJSON(t *testing.T) {
 	})
 	t.Run("floats", func(t *testing.T) {
 		for _, f := range nastyFloats {
-			r := admitRecord{ReservedMbps: f, MECCPU: f}
+			r := admitRecord{ReservedKbps: slice.ToKbps(f), MECCPU: f}
 			r.Slice.Allocation.AllocatedMbps = f
 			r.Slice.Request.SLA.PriceEUR = f
 			check(t, r)

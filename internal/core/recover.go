@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -18,9 +20,8 @@ import (
 // This file is deterministic crash recovery (DESIGN.md §9): Recover loads
 // the latest checkpoint snapshot plus the write-ahead log tail from disk and
 // rebuilds an orchestrator whose externally observable state — gain report,
-// slice registry, published epoch snapshot, event sequence, capacity-ledger
-// float bits — is bit-identical to the crashed run's state at its last
-// commit boundary.
+// slice registry, published epoch snapshot, event sequence, capacity ledger
+// — is bit-identical to the crashed run's state at its last commit boundary.
 //
 // Replay never re-decides: every log record carries the original run's full
 // outcome (PRBs per eNB, path hops and bandwidth, MEC host, money and ledger
@@ -34,19 +35,19 @@ import (
 // runs until Recover returns, so the appliers touch shard maps and counters
 // without taking the locks the live paths require.
 //
-// Scope of the bit-identical contract: it holds for single-driver runs (the
-// deterministic sim driver, the crash-point harness, a daemon with one
-// mutating client). Under live concurrency, records are sequenced by
-// persistMu inside each shard's critical section, but the global float
-// accumulators (capacity ledger, gain accumulator) are guarded by their own
-// mutexes — two operations on different shards can mutate an accumulator in
-// one order while their WAL records land in the other. Replay applies in
-// WAL order, so a recovered concurrent run is semantically equivalent
-// (every slice, event, counter and euro is exact) while the low-order bits
-// of those float sums may differ by association order. Digest comparisons
-// (StateDigest) and the §8 auditor's strict ledger-equality sweep are
-// therefore deterministic-driver tools; DESIGN.md §9.3 records the same
-// caveat.
+// The contract holds for concurrent runs as well as single-driver ones.
+// Records are sequenced by persistMu inside each shard's critical section,
+// so one slice's records replay in the order its transitions happened;
+// across shards, two operations can touch the shared books (capacity ledger,
+// counters) in one order while their records land in the other — and it does
+// not matter, because the books are integers and integer adds commute. An
+// epoch item for a slice whose teardown record overtook the epoch record
+// skips the ledger roll the teardown already released
+// (TestConcurrentRunRecoversBitIdentical).
+//
+// Payloads decode strictly: a field this version does not know — a log or
+// checkpoint written with the float-book schema — is errRecordFormat, never
+// a silently zero book.
 
 // RecoveryReport summarises one crash-recovery pass.
 type RecoveryReport struct {
@@ -175,12 +176,12 @@ func (o *Orchestrator) AttachSink(sink Sink, lastSeq uint64) {
 	o.commit.mu.Unlock()
 }
 
-// restoreSnapshot rebuilds the orchestrator from a checkpoint blob: global
-// counters and accumulators bit-exactly, then every registry slice with its
+// restoreSnapshot rebuilds the orchestrator from a checkpoint blob: the
+// counters, then every registry slice with its ledger entry and its
 // substrate outcomes re-imposed.
 func (o *Orchestrator) restoreSnapshot(blob []byte) error {
 	var st checkpointState
-	if err := json.Unmarshal(blob, &st); err != nil {
+	if err := decodeStrict(blob, &st); err != nil {
 		return err
 	}
 	o.seq.Store(st.SeqCounter)
@@ -190,31 +191,10 @@ func (o *Orchestrator) restoreSnapshot(blob []byte) error {
 		o.lastEpoch.Store(&snap)
 	}
 	o.bus.Restore(st.EventNext)
-	o.ledger.mu.Lock()
-	o.ledger.load = st.LedgerLoad
-	o.ledger.mu.Unlock()
 	// Restore replaces the whole allocator state — snapshot slices' PLMNs
 	// are already in its in-use set, so they are not re-imposed per slice.
 	o.plmns.Restore(st.PLMN)
-	o.acc.mu.Lock()
-	o.acc.revenueEUR = st.Acc.RevenueEUR
-	o.acc.penaltyEUR = st.Acc.PenaltyEUR
-	o.acc.contractedMbps = st.Acc.ContractedMbps
-	o.acc.allocatedMbps = st.Acc.AllocatedMbps
-	o.acc.live = st.Acc.Live
-	o.acc.rejectReasons = make(map[string]int, len(st.Acc.RejectReasons))
-	for k, v := range st.Acc.RejectReasons {
-		o.acc.rejectReasons[k] = v
-	}
-	o.acc.mu.Unlock()
-	// The checkpoint stores global counter sums; only sums are ever read,
-	// so they all land in shard 0.
-	sh0 := o.shards[0]
-	sh0.admitted.Store(st.Counters.Admitted)
-	sh0.rejected.Store(st.Counters.Rejected)
-	sh0.violations.Store(st.Counters.Violations)
-	sh0.reconfigurations.Store(st.Counters.Reconfigurations)
-	sh0.active.Store(st.Counters.Active)
+	o.shards[0].restore(st.Counters)
 	o.history.mu.Lock()
 	o.history.ids = append([]slice.ID(nil), st.History...)
 	o.history.mu.Unlock()
@@ -242,7 +222,7 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 	sh := o.shardFor(id)
 	m := &managedSlice{
 		s: s, sh: sh,
-		ledgerMbps: ps.LedgerMbps,
+		ledgerKbps: ps.LedgerKbps,
 		activateAt: ps.ActivateAt,
 		lastDemand: ps.LastDemand,
 		haveDemand: ps.HaveDemand,
@@ -261,6 +241,7 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 		}
 	}
 	sh.insert(m)
+	o.ledger.Update(0, m.ledgerKbps)
 	if ps.Timeline != nil {
 		tl := *ps.Timeline
 		sh.timelines[id] = &tl
@@ -313,64 +294,58 @@ func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []pathRecord, mecHo
 	return nil
 }
 
+// errRecordFormat marks a WAL payload or checkpoint blob that is not in this
+// version's schema.
+var errRecordFormat = errors.New("core: not in this version's WAL format")
+
+// decodeStrict unmarshals a WAL payload or checkpoint blob, refusing fields
+// the target does not declare: a renamed field must fail recovery rather
+// than leave its successor zero.
+func decodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("%w: %v", errRecordFormat, err)
+	}
+	if dec.More() {
+		return fmt.Errorf("%w: data after the JSON value", errRecordFormat)
+	}
+	return nil
+}
+
+// replay decodes one record's payload and hands it to its applier.
+func replay[R any](r wal.Record, apply func(R) error) error {
+	var rec R
+	if err := decodeStrict(r.Payload, &rec); err != nil {
+		return err
+	}
+	return apply(rec)
+}
+
 // applyRecord dispatches one log record to its applier.
 func (o *Orchestrator) applyRecord(r wal.Record) error {
 	switch r.Type {
 	case recAdmit:
-		var ar admitRecord
-		if err := json.Unmarshal(r.Payload, &ar); err != nil {
-			return err
-		}
-		return o.applyAdmit(ar)
+		return replay(r, o.applyAdmit)
 	case recReject:
-		var rr rejectRecord
-		if err := json.Unmarshal(r.Payload, &rr); err != nil {
-			return err
-		}
-		return o.applyReject(rr)
+		return replay(r, o.applyReject)
 	case recActivate:
-		var ar activateRecord
-		if err := json.Unmarshal(r.Payload, &ar); err != nil {
-			return err
-		}
-		return o.applyActivate(ar)
+		return replay(r, o.applyActivate)
 	case recTeardown:
-		var tr teardownRecord
-		if err := json.Unmarshal(r.Payload, &tr); err != nil {
-			return err
-		}
-		return o.applyTeardown(tr)
+		return replay(r, o.applyTeardown)
 	case recResize:
-		var rr resizeRecord
-		if err := json.Unmarshal(r.Payload, &rr); err != nil {
-			return err
-		}
-		return o.applyResize(rr)
+		return replay(r, o.applyResize)
 	case recReroute:
-		var rr rerouteRecord
-		if err := json.Unmarshal(r.Payload, &rr); err != nil {
-			return err
-		}
-		return o.applyReroute(rr)
+		return replay(r, o.applyReroute)
 	case recEpoch:
-		var er epochRecord
-		if err := json.Unmarshal(r.Payload, &er); err != nil {
-			return err
-		}
-		return o.applyEpoch(er)
+		return replay(r, o.applyEpoch)
 	case recLink:
-		var lr linkRecord
-		if err := json.Unmarshal(r.Payload, &lr); err != nil {
-			return err
-		}
-		return o.applyLink(lr)
+		return replay(r, o.applyLink)
 	case recShutdown:
-		var sr shutdownRecord
-		if err := json.Unmarshal(r.Payload, &sr); err != nil {
-			return err
-		}
-		o.republish(sr.Events)
-		return nil
+		return replay(r, func(sr shutdownRecord) error {
+			o.republish(sr.Events)
+			return nil
+		})
 	default:
 		return fmt.Errorf("unknown record type %q", r.Type)
 	}
@@ -408,16 +383,15 @@ func (o *Orchestrator) applyAdmit(ar admitRecord) error {
 	if err := o.imposeSubstrate(s, ar.Paths, ar.MECHost, ar.MECCPU); err != nil {
 		return err
 	}
-	o.ledger.Update(0, ar.ReservedMbps)
+	o.ledger.Update(0, ar.ReservedKbps)
 	sh := o.shardFor(id)
 	sh.insert(&managedSlice{
 		s: s, sh: sh,
 		prov:       forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps),
-		ledgerMbps: ar.ReservedMbps,
+		ledgerKbps: ar.ReservedKbps,
 		activateAt: ar.ActivateAt,
 	})
-	sh.admitted.Add(1)
-	o.acc.admit(s.SLA().PriceEUR, s.SLA().ThroughputMbps, alloc.AllocatedMbps)
+	sh.admit(s.SLA().PriceEUR, s.SLA().ThroughputMbps, alloc.AllocatedMbps)
 	radioAt := ar.SubmittedAt.Add(o.cfg.RadioConfigDelay)
 	pathsAt := radioAt.Add(o.cfg.PathSetupDelay)
 	sh.timelines[id] = &InstallTimeline{
@@ -430,23 +404,18 @@ func (o *Orchestrator) applyAdmit(ar admitRecord) error {
 	return nil
 }
 
-// applyReject registers a logged rejection, repeating the admission path's
-// ledger reserve-then-release round trip when it happened — float addition
-// is not exactly invertible, so skipping it would change the ledger's bits.
+// applyReject registers a logged rejection.
 func (o *Orchestrator) applyReject(rr rejectRecord) error {
 	s := slice.Rehydrate(rr.Slice)
+	cause, ok := s.Cause()
+	if !ok {
+		return fmt.Errorf("rejected slice %s carries no cause", s.ID())
+	}
 	id := s.ID()
 	o.bumpSeq(id)
 	sh := o.shardFor(id)
 	sh.insert(&managedSlice{s: s, sh: sh})
-	sh.rejected.Add(1)
-	if cause, ok := s.Cause(); ok {
-		o.acc.reject(string(cause.Code))
-	}
-	if rr.ReservedMbps > 0 {
-		o.ledger.Update(0, rr.ReservedMbps)
-		o.ledger.Release(rr.ReservedMbps)
-	}
+	sh.reject(cause.Code)
 	o.dropFinished(o.history.Push(id))
 	o.republish(rr.Events)
 	return nil
@@ -481,20 +450,13 @@ func (o *Orchestrator) applyTeardown(tr teardownRecord) error {
 	if !ok {
 		return fmt.Errorf("unknown slice")
 	}
-	st := m.s.State()
+	if st := m.s.State(); st == slice.StateRejected || st == slice.StateTerminated {
+		return fmt.Errorf("slice %s is already %s", tr.Slice, st)
+	}
 	plmn := m.s.PLMN()
 	o.releaseAll(tr.Slice, plmn)
 	o.plmns.Release(plmn)
-	o.ledger.Release(m.ledgerMbps)
-	m.ledgerMbps = 0
-	switch st {
-	case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
-		o.acc.release(m.s.SLA().ThroughputMbps, m.s.AllocatedMbps())
-	}
-	switch st {
-	case slice.StateActive, slice.StateReconfiguring:
-		sh.active.Add(-1)
-	}
+	o.leaveBooks(m, m.s.State(), m.s.AllocatedMbps())
 	if err := m.s.Terminate(tr.Reason); err != nil {
 		return err
 	}
@@ -555,7 +517,7 @@ func (o *Orchestrator) applyResize(rr resizeRecord) error {
 		a.AllocatedMbps = rr.Mbps
 		a.PRBs = rr.PRBs // decoded for this record alone; the slice takes it over
 	})
-	o.acc.allocDelta(rr.Mbps - before)
+	sh.reallocate(before, rr.Mbps)
 	if rr.ResizePaths {
 		sh.reconfigurations.Add(1)
 	}
@@ -592,8 +554,10 @@ func (o *Orchestrator) applyReroute(rr rerouteRecord) error {
 // applyEpoch replays a control epoch's per-slice outcomes. The epoch's
 // resizes preceded this record as their own records, so only the analysis
 // results (demand samples, violation counting, forecaster observations),
-// the charges and the ledger rolls happen here — each phase in the logged
-// item order, preserving every accumulator's float-addition order.
+// the charges and the ledger rolls happen here. Under concurrency a slice's
+// teardown record can precede the record of the epoch that measured it: the
+// charge still counts (it happened), the ledger roll does not (the teardown
+// released the entry it rolled).
 func (o *Orchestrator) applyEpoch(er epochRecord) error {
 	o.epochs.Store(er.Epoch)
 	for _, it := range er.Items {
@@ -604,26 +568,18 @@ func (o *Orchestrator) applyEpoch(er epochRecord) error {
 		m.lastDemand = it.Demand
 		m.haveDemand = true
 		if it.Counted {
+			if m.prov == nil {
+				return fmt.Errorf("epoch %d measured slice %s, which was never admitted", er.Epoch, it.Slice)
+			}
 			m.s.RecordEpoch(it.Demand, it.Served)
 			m.prov.Observe(it.Demand)
 		}
-	}
-	for _, it := range er.Items {
-		if !it.Charged {
-			continue
+		if it.Charged {
+			m.sh.charge(m.s.SLA().PenaltyEUR)
 		}
-		if m, ok := o.shardFor(it.Slice).slices[it.Slice]; ok {
-			m.sh.violations.Add(1)
-			o.acc.penalty(m.s.SLA().PenaltyEUR)
-		}
-	}
-	for _, it := range er.Items {
-		if !it.LedgerUpdated {
-			continue
-		}
-		if m, ok := o.shardFor(it.Slice).slices[it.Slice]; ok {
-			o.ledger.Update(m.ledgerMbps, it.LedgerTo)
-			m.ledgerMbps = it.LedgerTo
+		if st := m.s.State(); it.LedgerUpdated && st != slice.StateTerminated && st != slice.StateRejected {
+			o.ledger.Update(m.ledgerKbps, it.LedgerTo)
+			m.ledgerKbps = it.LedgerTo
 		}
 	}
 	snap := er.Snapshot

@@ -1,0 +1,302 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/monitor"
+	"repro/internal/sim"
+	"repro/internal/slice"
+	"repro/internal/testbed"
+	"repro/internal/traffic"
+	"repro/internal/wal"
+)
+
+// memSink is an in-memory Sink that keeps every record and checkpoint.
+type memSink struct {
+	mu      sync.Mutex
+	records []wal.Record
+	snapSeq uint64
+	snap    []byte
+}
+
+func (s *memSink) Append(rec wal.Record) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.records = append(s.records, rec)
+	return nil
+}
+func (s *memSink) Committed() error { return nil }
+func (s *memSink) Snapshot(seq uint64, blob []byte) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.snapSeq, s.snap = seq, append([]byte(nil), blob...)
+	return nil
+}
+
+// replayEnv is a fresh orchestrator on a default-environment testbed with
+// the backup switch (so a logged re-route has somewhere to go).
+func replayEnv(t testing.TB, cfg Config) (*sim.Simulator, *Orchestrator) {
+	t.Helper()
+	s := sim.NewSimulator(1)
+	tcfg := testbed.Default()
+	tcfg.RedundantTransport = true
+	tb, err := testbed.New(tcfg, s.Rand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, New(cfg, tb, s, monitor.NewStore(256))
+}
+
+// allRecordTypesRun drives one small deterministic run that logs every one
+// of the nine record types, and returns the log with the number of leading
+// records (admissions, the rejection, activations) that populate a registry
+// the later records act on.
+func allRecordTypesRun(t testing.TB) (records []wal.Record, populated int) {
+	t.Helper()
+	sink := &memSink{}
+	s, o := replayEnv(t, Config{Overbook: true, Risk: 0.9, Persist: sink})
+	var ids []slice.ID
+	for _, mbps := range []float64{30, 20, 10} {
+		sl, err := o.Submit(req("t", mbps, 50, 2*time.Hour, 100), traffic.NewConstant(mbps/3, 0, nil))
+		if err != nil || sl.State() == slice.StateRejected {
+			t.Fatalf("fixture submit %v Mbps: %v %v", mbps, err, sl)
+		}
+		ids = append(ids, sl.ID())
+	}
+	if sl, err := o.Submit(req("t", 1<<20, 50, time.Hour, 100), nil); err != nil || sl.State() != slice.StateRejected {
+		t.Fatalf("fixture reject: %v %v", err, sl)
+	}
+	if err := s.RunFor(15 * time.Second); err != nil { // three activations
+		t.Fatal(err)
+	}
+	populated = len(sink.records)
+	for i := 0; i < 3; i++ {
+		o.RunEpoch() // epoch records, and the resizes overbooking applies
+	}
+	if _, err := o.HandleLinkFailure(testbed.ENBName(0), testbed.Switch); err != nil { // link + reroutes
+		t.Fatal(err)
+	}
+	if err := o.Delete(ids[0]); err != nil { // teardown
+		t.Fatal(err)
+	}
+	o.Shutdown()
+	return sink.records, populated
+}
+
+// FuzzApplyRecord: whatever a CRC-valid record says, replaying it onto a
+// populated registry returns — an error or success — and never panics.
+// Seeds are one real record of each of the nine types.
+func FuzzApplyRecord(f *testing.F) {
+	records, populated := allRecordTypesRun(f)
+	seeded := map[string]bool{}
+	for _, r := range records {
+		if !seeded[r.Type] {
+			seeded[r.Type] = true
+			f.Add(r.Type, r.Payload)
+		}
+	}
+	for _, typ := range []string{recAdmit, recReject, recActivate, recTeardown, recResize, recReroute, recEpoch, recLink, recShutdown} {
+		if !seeded[typ] {
+			f.Fatalf("fixture run logged no %q record to seed with", typ)
+		}
+	}
+	f.Fuzz(func(t *testing.T, typ string, payload []byte) {
+		_, o := replayEnv(t, Config{Overbook: true, Risk: 0.9})
+		for _, r := range records[:populated] {
+			if err := o.applyRecord(r); err != nil {
+				t.Fatalf("fixture record %d (%s): %v", r.Seq, r.Type, err)
+			}
+		}
+		_ = o.applyRecord(wal.Record{Seq: uint64(populated) + 1, Type: typ, Payload: payload})
+	})
+}
+
+// TestReplayRefusesWhatItCannotRead covers the recovery paths that must
+// error rather than panic or misread: an epoch item that counts a slice
+// which was never admitted, a teardown of a slice that holds nothing, and
+// payloads or checkpoints in the pre-integer (float-book) schema, whose
+// renamed fields a lenient decoder would leave silently zero.
+func TestReplayRefusesWhatItCannotRead(t *testing.T) {
+	records, populated := allRecordTypesRun(t)
+	primed := func() *Orchestrator {
+		_, o := replayEnv(t, Config{Overbook: true, Risk: 0.9})
+		for _, r := range records[:populated] {
+			if err := o.applyRecord(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return o
+	}
+	rejected := slice.ID("s-4") // the fixture's fourth submission
+	if sl, ok := primed().Get(rejected); !ok || sl.State() != slice.StateRejected {
+		t.Fatalf("fixture drifted: %s is not the rejected slice", rejected)
+	}
+
+	for _, tc := range []struct {
+		name, typ, payload string
+		format             bool // must be errRecordFormat
+	}{
+		{"epoch counts a rejected slice", recEpoch,
+			`{"epoch":1,"at":"2018-01-01T00:00:00Z","ran_util":0,"items":[{"slice":"s-4","demand":1,"served":1,"counted":true}],"snapshot":{"epoch":1,"at":"2018-01-01T00:00:00Z","measured_slices":0,"ran_utilization":0,"gain":{}}}`, false},
+		{"teardown of a rejected slice", recTeardown, `{"slice":"s-4","reason":"x","events":null}`, false},
+		{"float-schema admit", recAdmit, strings.Replace(string(records[0].Payload), `"reserved_kbps":`, `"reserved_mbps":`, 1), true},
+		{"float-schema reject mirror", recReject, `{"slice":{"id":"s-9"},"reserved_mbps":18,"events":null}`, true},
+		{"float-schema epoch item", recEpoch, `{"epoch":1,"items":[{"slice":"s-1","ledger_updated":true,"ledger_to":12.5}]}`, true},
+		{"not JSON", recLink, `{nope`, true},
+		{"trailing data", recTeardown, `{"slice":"s-1","reason":"x","events":null}{}`, true},
+	} {
+		err := primed().applyRecord(wal.Record{Seq: 99, Type: tc.typ, Payload: []byte(tc.payload)})
+		if err == nil {
+			t.Errorf("%s: replayed without error", tc.name)
+		} else if errors.Is(err, errRecordFormat) != tc.format {
+			t.Errorf("%s: error %q, format error wanted: %v", tc.name, err, tc.format)
+		}
+	}
+
+	// A pre-change data dir fails recovery with the explicit format error,
+	// from the checkpoint blob as from the log.
+	old := &wal.Recovered{SnapshotSeq: 1, LastSeq: 1,
+		Snapshot: []byte(`{"event_next":1,"epochs":0,"seq_counter":0,"ledger_load":18.5,"plmn":{"next":0},"acc":{"revenue_eur":100,"live":1},"counters":{"admitted":1}}`)}
+	_, o := replayEnv(t, Config{})
+	if _, _, err := RecoverFromWAL(Config{}, o.tb, o.clock, nil, old); !errors.Is(err, errRecordFormat) {
+		t.Errorf("float-schema checkpoint: %v, want the format error", err)
+	}
+}
+
+// TestConcurrentRunRecoversBitIdentical is the payoff of keeping the books
+// in integers: eight goroutines submit, delete and cap slices on 16 shards
+// while a driver runs control epochs and checkpoints, so operations on
+// different shards touch the ledger and the counters in one order and land
+// in the log in another — and replaying that log still rebuilds a state
+// whose digest is byte-equal to the live one, with the ledger exactly the
+// sum of the live entries. Recovery is checked from the start of the log
+// and from the last checkpoint taken mid-run. The clock stands still during
+// the concurrent part (a standing population activated beforehand is what
+// the epochs measure), the radio grid is sized so PRBs never bind and the
+// run finishes fewer slices than the history holds. Run with -race.
+func TestConcurrentRunRecoversBitIdentical(t *testing.T) {
+	cfg := Config{Overbook: true, Risk: 0.9, Shards: 16, PLMNLimit: 48, SnapshotEvery: 2, Audit: true}
+	env := func(cfg Config) (*sim.Simulator, *Orchestrator) {
+		s := sim.NewSimulator(1)
+		tb, err := testbed.New(testbed.Config{ENBs: 4, ENBCarriers: 4, MaxPLMNs: 64, CoreHosts: 16, EdgeHosts: 8}, s.Rand())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, New(cfg, tb, s, monitor.NewStore(256))
+	}
+	sink := &memSink{}
+	live := cfg
+	live.Persist = sink
+	s, o := env(live)
+
+	const workers, perWorker, standing = 8, 40, 24
+	var pool [workers][]slice.ID
+	for i := 0; i < standing; i++ {
+		mbps := float64(2 + i%5)
+		sl, err := o.Submit(req("standing", mbps, 50, 2*time.Hour, 100),
+			traffic.NewConstant(mbps/2, mbps/4, rand.New(rand.NewSource(int64(i)))))
+		if err != nil || sl.State() == slice.StateRejected {
+			t.Fatalf("standing slice %d: %v %v", i, err, sl)
+		}
+		pool[i%workers] = append(pool[i%workers], sl.ID())
+	}
+	if err := s.RunFor(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n := o.ActiveCount(); n != standing {
+		t.Fatalf("%d of %d standing slices active", n, standing)
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int, mine []slice.ID) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			for i := 0; i < perWorker; i++ {
+				r := req(fmt.Sprintf("t%d", w), 1+3*rng.Float64(), 50, time.Hour, 10+rng.Float64())
+				switch op := rng.Intn(8); {
+				case op == 0: // refused at the ledger
+					r.SLA.ThroughputMbps = 1 << 20
+				case op == 1: // reserved on the ledger, then refused by a domain
+					r.SLA.MaxLatencyMs = 0.01
+				case op <= 3 && len(mine) > 0:
+					k := rng.Intn(len(mine))
+					if _, err := o.SetProvisionCap(mine[k], float64(rng.Intn(4))); err != nil {
+						t.Errorf("cap %s: %v", mine[k], err)
+					}
+					continue
+				case op <= 5 && len(mine) > 0:
+					k := rng.Intn(len(mine))
+					if err := o.Delete(mine[k]); err != nil {
+						t.Errorf("delete %s: %v", mine[k], err)
+					}
+					mine = append(mine[:k], mine[k+1:]...)
+					continue
+				}
+				sl, err := o.Submit(r, nil)
+				if err != nil {
+					t.Errorf("submit: %v", err)
+					return
+				}
+				if sl.State() != slice.StateRejected {
+					mine = append(mine, sl.ID())
+				}
+			}
+		}(w, pool[w])
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for epochs := 0; ; epochs++ {
+		select {
+		case <-done:
+			if epochs < 2*cfg.SnapshotEvery {
+				for ; epochs < 2*cfg.SnapshotEvery; epochs++ {
+					o.RunEpoch()
+				}
+			}
+			goto quiet
+		default:
+			o.RunEpoch()
+		}
+	}
+quiet:
+	if st := o.PersistStatus(); st.Error != "" {
+		t.Fatalf("persistence latched an error: %s", st.Error)
+	}
+	o.AuditSweep()
+	if v := o.Auditor().Violations(); len(v) != 0 {
+		t.Fatalf("live run not invariant-clean: %d violations, first %+v", len(v), v[0])
+	}
+	want := o.StateDigest()
+	g := o.Gain()
+	if g.Rejected == 0 || g.Reconfigurations == 0 || g.ViolationEpochs == 0 || sink.snap == nil {
+		t.Fatalf("workload lost its tension: %+v, checkpoint taken: %v", g, sink.snap != nil)
+	}
+
+	all := uint64(len(sink.records))
+	for name, img := range map[string]*wal.Recovered{
+		"whole log":         {Records: sink.records, LastSeq: all},
+		"checkpoint + tail": {SnapshotSeq: sink.snapSeq, Snapshot: sink.snap, Records: sink.records[sink.snapSeq:], LastSeq: all},
+	} {
+		_, fresh := env(Config{})
+		rec, _, err := RecoverFromWAL(cfg, fresh.tb, fresh.clock, nil, img)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := rec.StateDigest(); !bytes.Equal(got, want) {
+			t.Errorf("%s: recovered digest differs from the live run's:\nlive      %s\nrecovered %s", name, want, got)
+		}
+		rec.AuditSweep()
+		if v := rec.Auditor().Violations(); len(v) != 0 {
+			t.Errorf("%s: recovered state fails the audit: %d violations, first %+v", name, len(v), v[0])
+		}
+	}
+}

@@ -84,7 +84,7 @@ func (o *Orchestrator) handleLinkFailure(from, to string) (RestorationReport, er
 			ev := o.publish(EventRestored, m.s, "re-routed around "+rep.Link)
 			o.appendReroute(m, ev)
 		} else {
-			evicted = append(evicted, o.teardownLocked(m.sh, m, fmt.Sprintf("transport link %s failed, no feasible restoration path", rep.Link), EventDeleted)...)
+			evicted = append(evicted, o.teardownLocked(m, fmt.Sprintf("transport link %s failed, no feasible restoration path", rep.Link), EventDeleted)...)
 			rep.Dropped = append(rep.Dropped, id)
 		}
 	}
@@ -206,7 +206,7 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 		}
 		target := share
 		if target < o.cfg.FloorMbps || !o.rerouteLocked(m, target) {
-			evicted = append(evicted, o.teardownLocked(m.sh, m, fmt.Sprintf("transport link %s degraded below slice floor", rep.Link), EventDeleted)...)
+			evicted = append(evicted, o.teardownLocked(m, fmt.Sprintf("transport link %s degraded below slice floor", rep.Link), EventDeleted)...)
 			rep.Dropped = append(rep.Dropped, id)
 			continue
 		}
@@ -233,7 +233,7 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 		for _, d := range o.domains.async {
 			d.Resize(tx, target)
 		}
-		o.acc.allocDelta(m.s.AllocatedMbps() - before)
+		m.sh.reallocate(before, m.s.AllocatedMbps())
 		rep.Restored = append(rep.Restored, id)
 		ev := o.publish(EventResized, m.s, fmt.Sprintf("shrunk to fair share of degraded %s", rep.Link))
 		if o.persist != nil {

@@ -30,11 +30,7 @@ import (
 
 // shard is one partition of the orchestrator's slice registry. Its mutex
 // guards the maps and the managedSlice bookkeeping of every slice hashed to
-// it. The cumulative counters are atomics so the read plane (Gain,
-// ActiveCount, the dashboard) sums them without taking any shard lock;
-// writers update them while holding the shard lock (or, for the epoch's
-// violation pass, from the single ordered-commit goroutine), so each
-// counter is monotone and exact.
+// it; its counters (gain.go) are the shard's share of the read plane.
 type shard struct {
 	mu        sync.Mutex
 	idx       int // position in Orchestrator.shards
@@ -50,18 +46,7 @@ type shard struct {
 	ordered []orderedEntry
 	dead    int
 
-	// Cumulative counters for the demonstration dashboard; Gain aggregates
-	// them across shards. Order-sensitive float aggregates (money, live
-	// Mbps totals) live in the global gainAccumulator instead — see
-	// gain.go for the split's rationale.
-	admitted         atomic.Int64
-	rejected         atomic.Int64
-	violations       atomic.Int64
-	reconfigurations atomic.Int64
-	// active counts slices currently in StateActive or StateReconfiguring
-	// (incremented on activation, decremented on teardown from either
-	// state).
-	active atomic.Int64
+	counters
 }
 
 func newShard(idx int) *shard {
@@ -164,13 +149,12 @@ func (sh *shard) evict(id slice.ID) *managedSlice {
 
 // orderedWalk is a k-way merge over the shards' submission-ordered lists:
 // next yields every registered slice in global submission order without
-// collecting or sorting the registry. Every loop that samples randomness,
-// resizes reservations or sums floating-point loads must use this order so
-// that runs are bit-reproducible under a fixed seed (map and shard iteration
-// order are not). The walker's cursor heap is reused between walks; one walk
-// runs at a time (the caller holds epochMu, or is the single-threaded
-// recovery pass) under every shard lock, and the registry must not change
-// while it is in progress.
+// collecting or sorting the registry. Every loop that samples randomness or
+// resizes reservations must use this order so that runs are bit-reproducible
+// under a fixed seed (map and shard iteration order are not). The walker's
+// cursor heap is reused between walks; one walk runs at a time (the caller
+// holds epochMu, or is the single-threaded recovery pass) under every shard
+// lock, and the registry must not change while it is in progress.
 type orderedWalk struct {
 	// heap holds the unvisited tail of each shard's list (element 0 live),
 	// as a min-heap on that element's seq.
@@ -245,54 +229,37 @@ func (o *Orchestrator) lookupAllLocked(id slice.ID) (*managedSlice, bool) {
 
 // capacityLedger is the shared radio overbooking budget: the running sum of
 // every live slice's estimated load (the forecast provisioning target once
-// observed, the a-priori admission estimate before). Admission reserves
-// against it in one atomic step — phase one of the two-phase reservation —
-// and installation failure or teardown releases it, so concurrent admissions
-// on different shards never oversell the same capacity.
-type capacityLedger struct {
-	mu   sync.Mutex
-	load float64
-}
+// observed, the a-priori admission estimate before), in Kbps. Admission
+// reserves against it in one atomic step — phase one of the two-phase
+// reservation — and installation failure or teardown releases it, so
+// concurrent admissions on different shards never oversell the same
+// capacity. Integer adds commute and invert exactly: the load is the sum of
+// the live entries whatever order the shards applied them in.
+type capacityLedger struct{ load atomic.Int64 }
 
-// Load returns the current estimated radio load in Mbps.
-func (l *capacityLedger) Load() float64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.load
-}
+// Load returns the current estimated radio load.
+func (l *capacityLedger) Load() slice.Kbps { return slice.Kbps(l.load.Load()) }
 
-// TryReserve atomically adds mbps if the total stays within limit. It
-// returns whether the reservation was taken and the load seen at decision
-// time (for the rejection message).
-func (l *capacityLedger) TryReserve(mbps, limit float64) (bool, float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.load+mbps > limit {
-		return false, l.load
+// TryReserve atomically adds k if the total stays within limit. It returns
+// whether the reservation was taken and the load seen at decision time (for
+// the rejection message).
+func (l *capacityLedger) TryReserve(k, limit slice.Kbps) (bool, slice.Kbps) {
+	for {
+		cur := l.load.Load()
+		if slice.Kbps(cur)+k > limit {
+			return false, slice.Kbps(cur)
+		}
+		if l.load.CompareAndSwap(cur, cur+int64(k)) {
+			return true, slice.Kbps(cur) + k
+		}
 	}
-	l.load += mbps
-	return true, l.load
 }
 
 // Release subtracts a previously reserved load.
-func (l *capacityLedger) Release(mbps float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.load -= mbps
-	if l.load < 0 {
-		l.load = 0
-	}
-}
+func (l *capacityLedger) Release(k slice.Kbps) { l.load.Add(-int64(k)) }
 
 // Update replaces a slice's ledger entry (epoch reprovisioning).
-func (l *capacityLedger) Update(old, new float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.load += new - old
-	if l.load < 0 {
-		l.load = 0
-	}
-}
+func (l *capacityLedger) Update(old, new slice.Kbps) { l.load.Add(int64(new - old)) }
 
 // finishedHistory bounds how many finished (terminated/rejected) slices the
 // registry retains, globally across shards, so a long-running daemon stays

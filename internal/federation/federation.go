@@ -111,17 +111,18 @@ type Cluster struct {
 	domain  *ctrl.ClusterDomain
 	backend *memberBackend
 
-	// Federation-tier capacity books (guarded by Federation.mu).
-	// advertised is the member's capacity bar (radio capacity times the
-	// member's utilization cap) at the last refresh; headroom is what the
-	// federation may still place on it (advertised minus the member's
-	// ledger load at refresh, minus contracts placed since); reserved is
-	// the running sum of live span-leg contracts on the member.
-	advertised float64
-	headroom   float64
-	reserved   float64
-	ledgerLast float64 // member ledger load at the last refresh
-	epochLast  int     // member epoch count at the last refresh
+	// Federation-tier capacity books (guarded by Federation.mu), in the
+	// same exact unit as the members' own ledgers. advertised is the
+	// member's capacity bar (radio capacity times the member's utilization
+	// cap) at the last refresh; headroom is what the federation may still
+	// place on it (advertised minus the member's ledger load at refresh,
+	// minus contracts placed since); reserved is the running sum of live
+	// span-leg contracts on the member.
+	advertised slice.Kbps
+	headroom   slice.Kbps
+	reserved   slice.Kbps
+	ledgerLast slice.Kbps // member ledger load at the last refresh
+	epochLast  int        // member epoch count at the last refresh
 
 	partitioned bool
 	failed      bool
@@ -279,10 +280,10 @@ func (f *Federation) ClusterInfos() []ClusterInfo {
 			Alive:          c.alive(),
 			Partitioned:    c.partitioned,
 			Failed:         c.failed,
-			AdvertisedMbps: c.advertised,
-			HeadroomMbps:   c.headroom,
-			ReservedMbps:   c.reserved,
-			LedgerMbps:     c.ledgerLast,
+			AdvertisedMbps: c.advertised.Mbps(),
+			HeadroomMbps:   c.headroom.Mbps(),
+			ReservedMbps:   c.reserved.Mbps(),
+			LedgerMbps:     c.ledgerLast.Mbps(),
 			Epoch:          c.epochLast,
 			ActiveSlices:   c.orch.ActiveCount(),
 		})
@@ -353,12 +354,10 @@ func (f *Federation) refreshLocked(c *Cluster) {
 		return
 	}
 	mcfg := c.orch.Config()
-	c.advertised = c.tb.RadioCapacityMbps() * mcfg.UtilizationCap
-	c.ledgerLast = c.orch.LedgerLoad()
-	c.headroom = c.advertised - c.ledgerLast
-	if c.headroom < 0 {
-		c.headroom = 0
-	}
+	c.advertised = slice.ToKbps(c.tb.RadioCapacityMbps() * mcfg.UtilizationCap)
+	c.ledgerLast = c.orch.LedgerKbps()
+	// A fade can drop the bar below what the member already carries.
+	c.headroom = max(c.advertised-c.ledgerLast, 0)
 	c.epochLast = c.orch.Gain().Epochs
 	c.backend.bump()
 }
@@ -394,18 +393,18 @@ func (f *Federation) fedSweepInputLocked() invariant.FedSweepInput {
 	}
 	for _, c := range f.members {
 		mv := invariant.FedMemberView{
-			Name:           c.cfg.Name,
-			Alive:          c.alive(),
-			AdvertisedMbps: c.advertised,
-			HeadroomMbps:   c.headroom,
-			ReservedMbps:   c.reserved,
-			FedSlices:      make(map[slice.ID]slice.ID),
+			Name:       c.cfg.Name,
+			Alive:      c.alive(),
+			Advertised: c.advertised,
+			Headroom:   c.headroom,
+			Reserved:   c.reserved,
+			FedSlices:  make(map[slice.ID]slice.ID),
 		}
 		if c.alive() {
 			// Fresh ground truth, read after the refresh in the same
 			// barrier event: verifies the refresh pipeline kept the
 			// identity, not merely that a-b == a-b.
-			mv.LedgerMbps = c.orch.LedgerLoad()
+			mv.Ledger = c.orch.LedgerKbps()
 			for _, sn := range c.orch.List() {
 				if spanID, ok := spanOfTenant(sn.Tenant); ok && liveState(sn.State) {
 					mv.FedSlices[sn.ID] = spanID
@@ -424,7 +423,7 @@ func (f *Federation) fedSweepInputLocked() invariant.FedSweepInput {
 		sv := invariant.FedSpanView{ID: id}
 		for _, leg := range sp.legs {
 			sv.Legs = append(sv.Legs, invariant.FedLegView{
-				Member: leg.Cluster, Leg: leg.Slice, Mbps: leg.Mbps,
+				Member: leg.Cluster, Leg: leg.Slice, Contract: leg.contract,
 			})
 		}
 		in.Spans = append(in.Spans, sv)

@@ -11,8 +11,8 @@ import (
 // legPlan is one placement decision: the owning cluster and the throughput
 // share it carries.
 type legPlan struct {
-	cluster *Cluster
-	mbps    float64
+	cluster  *Cluster
+	contract slice.Kbps
 }
 
 // ExplainCandidate is the placement engine's per-member verdict for one
@@ -59,10 +59,6 @@ func (f *Federation) Explain(req Request) (PlacementExplain, error) {
 	return ex, nil
 }
 
-// minLegMbps floors a leg share: placement never creates a sliver leg whose
-// contract would round to nothing on the member.
-const minLegMbps = 1e-6
-
 // placeLocked maps the request onto owning clusters against the current
 // federation books. Strategy: prefer the single eligible cluster with the
 // lowest federation latency that fits the whole contract (ties broken by
@@ -71,8 +67,7 @@ const minLegMbps = 1e-6
 // iterated in name order and every tie-break is by name. Caller holds f.mu;
 // when ex is non-nil the full per-candidate trace is recorded.
 func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, *slice.RejectionCause) {
-	need := req.SLA.ThroughputMbps
-	eps := 1e-9 * (1 + need)
+	need := slice.ToKbps(req.SLA.ThroughputMbps)
 
 	reject := func(cause *slice.RejectionCause) ([]legPlan, *slice.RejectionCause) {
 		if ex != nil {
@@ -96,7 +91,7 @@ func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, 
 			Cluster:      c.cfg.Name,
 			Location:     c.cfg.Location,
 			LatencyMs:    c.cfg.LatencyMs,
-			HeadroomMbps: c.headroom,
+			HeadroomMbps: c.headroom.Mbps(),
 			Alive:        c.alive(),
 		}
 		switch {
@@ -137,15 +132,15 @@ func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, 
 	// lexicographically first member on latency ties.
 	var best *Cluster
 	for _, c := range eligible {
-		if c.headroom+eps >= need && (best == nil || c.cfg.LatencyMs < best.cfg.LatencyMs) {
+		if c.headroom >= need && (best == nil || c.cfg.LatencyMs < best.cfg.LatencyMs) {
 			best = c
 		}
 	}
 	if best != nil {
-		plan := []legPlan{{cluster: best, mbps: need}}
+		plan := []legPlan{{cluster: best, contract: need}}
 		if ex != nil {
 			ex.Placed = true
-			ex.Legs = []ExplainLeg{{Cluster: best.cfg.Name, Mbps: need}}
+			ex.Legs = []ExplainLeg{{Cluster: best.cfg.Name, Mbps: need.Mbps()}}
 		}
 		return plan, nil
 	}
@@ -160,33 +155,27 @@ func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, 
 		return split[i].cfg.Name < split[j].cfg.Name
 	})
 	var plan []legPlan
-	remaining := need
-	total := 0.0
+	var remaining, total slice.Kbps = need, 0
 	for _, c := range split {
 		total += c.headroom
-		take := c.headroom
-		if take > remaining {
-			take = remaining
-		}
-		if take < minLegMbps {
+		take := min(c.headroom, remaining)
+		if take == 0 {
 			continue
 		}
-		plan = append(plan, legPlan{cluster: c, mbps: take})
-		remaining -= take
-		if remaining <= eps {
-			remaining = 0
+		plan = append(plan, legPlan{cluster: c, contract: take})
+		if remaining -= take; remaining == 0 {
 			break
 		}
 	}
-	if remaining > eps {
+	if remaining > 0 {
 		return reject(slice.Rejectf(slice.RejectRadioCapacity, "federation",
 			"%.1f Mbps requested, %.1f Mbps federated headroom across %d eligible clusters",
-			need, total, len(eligible)))
+			need.Mbps(), total.Mbps(), len(eligible)))
 	}
 	if ex != nil {
 		ex.Placed = true
 		for _, lp := range plan {
-			ex.Legs = append(ex.Legs, ExplainLeg{Cluster: lp.cluster.cfg.Name, Mbps: lp.mbps})
+			ex.Legs = append(ex.Legs, ExplainLeg{Cluster: lp.cluster.cfg.Name, Mbps: lp.contract.Mbps()})
 		}
 	}
 	return plan, nil
@@ -205,10 +194,10 @@ func (f *Federation) legFeasible(c *Cluster, tx ctrl.Tx) *slice.RejectionCause {
 		return slice.Rejectf(slice.RejectClusterUnavailable, c.domain.Domain(),
 			"cluster %s unreachable", c.cfg.Name)
 	}
-	if tx.Mbps > c.headroom+1e-9 {
+	if slice.ToKbps(tx.Mbps) > c.headroom {
 		return slice.Rejectf(slice.RejectRadioCapacity, c.domain.Domain(),
 			"leg %.1f Mbps exceeds cluster %s federated headroom %.1f Mbps",
-			tx.Mbps, c.cfg.Name, c.headroom)
+			tx.Mbps, c.cfg.Name, c.headroom.Mbps())
 	}
 	return nil
 }

@@ -36,8 +36,10 @@ type Leg struct {
 	Cluster string `json:"cluster"`
 	// Slice is the member-local slice realizing the leg.
 	Slice slice.ID `json:"slice"`
-	// Mbps is the leg's contracted throughput share.
-	Mbps float64 `json:"mbps"`
+	// Mbps is the leg's contracted throughput share; contract is the same
+	// share as the federation books carry it.
+	Mbps     float64 `json:"mbps"`
+	contract slice.Kbps
 }
 
 // SpanStatus is the outcome view of one federated submission.
@@ -117,8 +119,8 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	}
 	f.pendingFrac[id] = frac
 	for _, lp := range plan {
-		lp.cluster.headroom -= lp.mbps
-		lp.cluster.reserved += lp.mbps
+		lp.cluster.headroom -= lp.contract
+		lp.cluster.reserved += lp.contract
 		lp.cluster.backend.bump()
 	}
 	f.mu.Unlock()
@@ -130,7 +132,7 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 			Tx: ctrl.Tx{
 				Slice:           id,
 				SLA:             legSLA(req.SLA, lp),
-				Mbps:            lp.mbps,
+				Mbps:            lp.contract.Mbps(),
 				LatencyBudgetMs: req.SLA.MaxLatencyMs - lp.cluster.cfg.LatencyMs,
 			},
 		})
@@ -141,8 +143,8 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	delete(f.pendingFrac, id)
 	if cause != nil {
 		for _, lp := range plan {
-			lp.cluster.headroom += lp.mbps
-			lp.cluster.reserved -= lp.mbps
+			lp.cluster.headroom += lp.contract
+			lp.cluster.reserved -= lp.contract
 			lp.cluster.backend.bump()
 		}
 		f.rejectLocked(cause)
@@ -159,7 +161,7 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	}
 	grants := spanTx.Grants()
 	for i, lp := range plan {
-		leg := Leg{Cluster: lp.cluster.cfg.Name, Mbps: lp.mbps}
+		leg := Leg{Cluster: lp.cluster.cfg.Name, Mbps: lp.contract.Mbps(), contract: lp.contract}
 		if cg, ok := grants[i].(*ctrl.ClusterGrant); ok {
 			leg.Slice = cg.Leg().Slice
 		}
@@ -186,16 +188,15 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 
 // legSLA derives the member-facing contract for one leg: the throughput
 // share, the latency budget left after the cluster's federation latency, and
-// price/penalty prorated by the leg's share of the contract.
+// price/penalty prorated by the leg's share of the contract (exactly 1 for
+// a single-cluster placement).
 func legSLA(sla slice.SLA, lp legPlan) slice.SLA {
 	leg := sla
-	leg.ThroughputMbps = lp.mbps
+	leg.ThroughputMbps = lp.contract.Mbps()
 	leg.MaxLatencyMs = sla.MaxLatencyMs - lp.cluster.cfg.LatencyMs
-	if sla.ThroughputMbps > 0 {
-		share := lp.mbps / sla.ThroughputMbps
-		leg.PriceEUR = sla.PriceEUR * share
-		leg.PenaltyEUR = sla.PenaltyEUR * share
-	}
+	share := float64(lp.contract) / float64(slice.ToKbps(sla.ThroughputMbps))
+	leg.PriceEUR = sla.PriceEUR * share
+	leg.PenaltyEUR = sla.PenaltyEUR * share
 	return leg
 }
 
@@ -239,9 +240,9 @@ func (f *Federation) dropSpanLocked(sp *span) {
 	for _, leg := range sp.legs {
 		if c, ok := f.byName[leg.Cluster]; ok {
 			if c.alive() {
-				c.headroom += leg.Mbps
+				c.headroom += leg.contract
 			}
-			c.reserved -= leg.Mbps
+			c.reserved -= leg.contract
 			c.backend.bump()
 			c.backend.forget(sp.id)
 		}

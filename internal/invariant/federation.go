@@ -22,23 +22,17 @@
 // scheduler event as the barrier refresh, so the cut is consistent.
 package invariant
 
-import (
-	"math"
-
-	"repro/internal/slice"
-)
+import "repro/internal/slice"
 
 // FedMemberView is one member cluster's books at the sweep cut.
 type FedMemberView struct {
 	Name  string
 	Alive bool
-	// AdvertisedMbps/HeadroomMbps/ReservedMbps are the federation-tier books.
-	AdvertisedMbps float64
-	HeadroomMbps   float64
-	ReservedMbps   float64
-	// LedgerMbps is the member's capacity-ledger load, read fresh from the
+	// Advertised/Headroom/Reserved are the federation-tier books.
+	Advertised, Headroom, Reserved slice.Kbps
+	// Ledger is the member's capacity-ledger load, read fresh from the
 	// member after the barrier refresh (only meaningful when Alive).
-	LedgerMbps float64
+	Ledger slice.Kbps
 	// FedSlices maps every live "fed:"-tagged member slice to its owning
 	// span ID (only populated when Alive — a partitioned member cannot be
 	// consulted).
@@ -47,9 +41,9 @@ type FedMemberView struct {
 
 // FedLegView is one registered span leg.
 type FedLegView struct {
-	Member string
-	Leg    slice.ID
-	Mbps   float64
+	Member   string
+	Leg      slice.ID
+	Contract slice.Kbps
 }
 
 // FedSpanView is one registered span and its legs.
@@ -77,18 +71,18 @@ func (a *Auditor) FedSweep(in FedSweepInput) {
 
 	// Walk the span registry: per-member reserved sums and the leg->span
 	// index the leak checks cross-reference.
-	reservedWalk := make(map[string]float64, len(in.Members))
+	reservedWalk := make(map[string]slice.Kbps, len(in.Members))
 	legSpan := make(map[string]map[slice.ID]slice.ID, len(in.Members))
 	for _, sp := range in.Spans {
 		if len(sp.Legs) == 0 {
 			a.record("fed-ledger", "span %s registered with no legs", sp.ID)
 		}
 		for _, leg := range sp.Legs {
-			if leg.Mbps <= 0 {
-				a.record("fed-ledger", "span %s leg %s on %s holds non-positive contract %.3f Mbps",
-					sp.ID, leg.Leg, leg.Member, leg.Mbps)
+			if leg.Contract <= 0 {
+				a.record("fed-ledger", "span %s leg %s on %s holds non-positive contract %d kbps",
+					sp.ID, leg.Leg, leg.Member, leg.Contract)
 			}
-			reservedWalk[leg.Member] += leg.Mbps
+			reservedWalk[leg.Member] += leg.Contract
 			m := legSpan[leg.Member]
 			if m == nil {
 				m = make(map[slice.ID]slice.ID)
@@ -108,19 +102,19 @@ func (a *Auditor) FedSweep(in FedSweepInput) {
 	}
 
 	for _, mv := range in.Members {
-		if mv.HeadroomMbps < -1e-6 {
-			a.record("fed-ledger", "member %s headroom negative: %.6f Mbps", mv.Name, mv.HeadroomMbps)
+		if mv.Headroom < 0 {
+			a.record("fed-ledger", "member %s headroom negative: %d kbps", mv.Name, mv.Headroom)
 		}
-		if mv.ReservedMbps < -1e-6 {
-			a.record("fed-ledger", "member %s reserved book negative: %.6f Mbps", mv.Name, mv.ReservedMbps)
+		if mv.Reserved < 0 {
+			a.record("fed-ledger", "member %s reserved book negative: %d kbps", mv.Name, mv.Reserved)
 		}
-		if mv.HeadroomMbps > mv.AdvertisedMbps+1e-6 {
-			a.record("fed-ledger", "member %s headroom %.6f exceeds advertised %.6f Mbps",
-				mv.Name, mv.HeadroomMbps, mv.AdvertisedMbps)
+		if mv.Headroom > mv.Advertised {
+			a.record("fed-ledger", "member %s headroom %d exceeds advertised %d kbps",
+				mv.Name, mv.Headroom, mv.Advertised)
 		}
-		if d := mv.ReservedMbps - reservedWalk[mv.Name]; math.Abs(d) > 1e-6 {
-			a.record("fed-ledger", "member %s reserved book %.6f != Σ registered legs %.6f (Δ %.3g)",
-				mv.Name, mv.ReservedMbps, reservedWalk[mv.Name], d)
+		if walk := reservedWalk[mv.Name]; mv.Reserved != walk {
+			a.record("fed-ledger", "member %s reserved book %d kbps != Σ registered legs %d (Δ %d)",
+				mv.Name, mv.Reserved, walk, mv.Reserved-walk)
 		}
 		legs := legSpan[mv.Name]
 		if !mv.Alive {
@@ -138,11 +132,9 @@ func (a *Auditor) FedSweep(in FedSweepInput) {
 		// refresh pipeline (skip lists, partition flags, clamping) kept the
 		// identity rather than checking a − b == a − b. The refresh clamps
 		// negative headroom to zero, so only over-budget members are exempt.
-		if mv.LedgerMbps <= mv.AdvertisedMbps+1e-6 {
-			if d := mv.HeadroomMbps + mv.LedgerMbps - mv.AdvertisedMbps; math.Abs(d) > 1e-6 {
-				a.record("fed-ledger", "member %s headroom %.6f + ledger %.6f != advertised %.6f (Δ %.3g)",
-					mv.Name, mv.HeadroomMbps, mv.LedgerMbps, mv.AdvertisedMbps, d)
-			}
+		if mv.Ledger <= mv.Advertised && mv.Headroom+mv.Ledger != mv.Advertised {
+			a.record("fed-ledger", "member %s headroom %d + ledger %d != advertised %d kbps (Δ %d)",
+				mv.Name, mv.Headroom, mv.Ledger, mv.Advertised, mv.Headroom+mv.Ledger-mv.Advertised)
 		}
 		// Leak-freedom, both directions.
 		for legID, spanID := range mv.FedSlices {

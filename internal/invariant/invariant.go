@@ -35,7 +35,6 @@ package invariant
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -266,8 +265,8 @@ func (a *Auditor) ObserveEpoch(epoch int, at time.Time) {
 type SliceView struct {
 	ID    slice.ID
 	State string // API string form ("installing", "active", ...)
-	// LedgerMbps is the slice's entry in the shared radio capacity ledger.
-	LedgerMbps float64
+	// LedgerKbps is the slice's entry in the shared radio capacity ledger.
+	LedgerKbps slice.Kbps
 	// Allocation echoes the slice's recorded multi-domain allocation.
 	PLMN     slice.PLMN
 	PathIDs  []string
@@ -293,7 +292,7 @@ type SweepInput struct {
 	TB     *testbed.Testbed
 	Slices []SliceView
 	// LedgerLoad is the capacity ledger's current total.
-	LedgerLoad float64
+	LedgerLoad slice.Kbps
 	// PLMNOwners maps every allocator-held PLMN to its owning slice.
 	PLMNOwners map[slice.PLMN]slice.ID
 	// Pending lists slice IDs whose install transaction is in flight (the
@@ -312,15 +311,15 @@ func (a *Auditor) Sweep(in SweepInput) {
 	a.mu.Unlock()
 
 	live := make(map[slice.ID]SliceView, len(in.Slices))
-	ledgerSum := 0.0
+	var ledgerSum slice.Kbps
 	for _, v := range in.Slices {
 		if !v.live() {
 			continue
 		}
 		live[v.ID] = v
-		ledgerSum += v.LedgerMbps
-		if v.LedgerMbps < 0 {
-			a.record("ledger", "slice %s holds negative ledger entry %.3f Mbps", v.ID, v.LedgerMbps)
+		ledgerSum += v.LedgerKbps
+		if v.LedgerKbps < 0 {
+			a.record("ledger", "slice %s holds negative ledger entry %d kbps", v.ID, v.LedgerKbps)
 		}
 	}
 
@@ -329,13 +328,13 @@ func (a *Auditor) Sweep(in SweepInput) {
 	// their admission estimate but not yet recorded it on a managed slice,
 	// so equality can only be checked on a quiet registry.
 	if len(in.Pending) == 0 {
-		if d := in.LedgerLoad - ledgerSum; math.Abs(d) > 1e-6 {
-			a.record("ledger", "capacity ledger %.6f != Σ live slice entries %.6f (Δ %.3g over %d slices)",
-				in.LedgerLoad, ledgerSum, d, len(live))
+		if in.LedgerLoad != ledgerSum {
+			a.record("ledger", "capacity ledger %d kbps != Σ live slice entries %d (Δ %d over %d slices)",
+				in.LedgerLoad, ledgerSum, in.LedgerLoad-ledgerSum, len(live))
 		}
 	}
 	if in.LedgerLoad < 0 {
-		a.record("ledger", "capacity ledger negative: %.6f", in.LedgerLoad)
+		a.record("ledger", "capacity ledger negative: %d kbps", in.LedgerLoad)
 	}
 
 	a.sweepRadio(in, live)

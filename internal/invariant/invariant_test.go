@@ -25,7 +25,7 @@ func reserveSlice(t *testing.T, tb *testbed.Testbed, id slice.ID, plmn slice.PLM
 	t.Helper()
 	tx := ctrl.Tx{Slice: id, PLMN: plmn, SLA: slice.SLA{ThroughputMbps: mbps, MaxLatencyMs: 50,
 		Duration: time.Hour, Class: slice.ClassEMBB}, DataCenter: testbed.CoreDC, Mbps: mbps, LatencyBudgetMs: 40}
-	v := SliceView{ID: id, State: "active", PLMN: plmn, LedgerMbps: mbps, DC: testbed.CoreDC}
+	v := SliceView{ID: id, State: "active", PLMN: plmn, LedgerKbps: slice.ToKbps(mbps), DC: testbed.CoreDC}
 	rg, cause := tb.Ctrl.RAN.Reserve(tx)
 	if cause != nil {
 		t.Fatal(cause)
@@ -70,7 +70,7 @@ func TestSweepCleanBaseline(t *testing.T) {
 	a.Sweep(SweepInput{
 		TB:         tb,
 		Slices:     []SliceView{v},
-		LedgerLoad: 20,
+		LedgerLoad: slice.ToKbps(20),
 		PLMNOwners: map[slice.PLMN]slice.ID{p: "s-1"},
 	})
 	if err := a.Err(); err != nil {
@@ -78,6 +78,18 @@ func TestSweepCleanBaseline(t *testing.T) {
 	}
 	if st := a.Stats(); st.Sweeps != 2 {
 		t.Fatalf("stats %+v, want 2 sweeps", st)
+	}
+
+	// The books are integers and the comparison is ==: a single unit of
+	// drift is a violation.
+	a.Sweep(SweepInput{
+		TB:         tb,
+		Slices:     []SliceView{v},
+		LedgerLoad: slice.ToKbps(20) + 1,
+		PLMNOwners: map[slice.PLMN]slice.ID{p: "s-1"},
+	})
+	if got := a.Violations(); len(got) != 1 || !strings.Contains(got[0].Detail, "capacity ledger 20001 kbps != Σ live slice entries 20000") {
+		t.Fatalf("one unit of ledger drift not flagged exactly once: %v", got)
 	}
 }
 
@@ -92,7 +104,7 @@ func TestSweepDetectsLeaks(t *testing.T) {
 	// No live slices at all: the radio PRBs, transport paths, cloud stack
 	// and MEC app all become leaks; the ledger total has no owner.
 	a := New(Options{})
-	a.Sweep(SweepInput{TB: tb, LedgerLoad: 20, PLMNOwners: map[slice.PLMN]slice.ID{p: "s-1"}})
+	a.Sweep(SweepInput{TB: tb, LedgerLoad: slice.ToKbps(20), PLMNOwners: map[slice.PLMN]slice.ID{p: "s-1"}})
 	wants := []string{"PLMN", "transport path", "cloud stack", "mec app", "capacity ledger"}
 	got := a.Violations()
 	for _, want := range wants {
@@ -122,7 +134,7 @@ func TestSweepDetectsDanglingRecords(t *testing.T) {
 	tb.Ctrl.Extra[0].Release("s-1", p)
 
 	a := New(Options{})
-	a.Sweep(SweepInput{TB: tb, Slices: []SliceView{v}, LedgerLoad: 20,
+	a.Sweep(SweepInput{TB: tb, Slices: []SliceView{v}, LedgerLoad: slice.ToKbps(20),
 		PLMNOwners: map[slice.PLMN]slice.ID{p: "s-1"}})
 	wants := []string{"no PRB reservation", "transport no longer holds", "no longer holds", "mec app"}
 	got := a.Violations()
@@ -147,7 +159,7 @@ func TestSweepPendingExemption(t *testing.T) {
 	p := plmn("01")
 	reserveSlice(t, tb, "s-1", p, 20)
 	a := New(Options{})
-	a.Sweep(SweepInput{TB: tb, LedgerLoad: 20,
+	a.Sweep(SweepInput{TB: tb, LedgerLoad: slice.ToKbps(20),
 		PLMNOwners: map[slice.PLMN]slice.ID{p: "s-1"},
 		Pending:    map[slice.ID]bool{"s-1": true}})
 	if err := a.Err(); err != nil {
@@ -255,5 +267,40 @@ func TestViolationLimitAndCallback(t *testing.T) {
 	}
 	if calls != 4 {
 		t.Fatalf("callback fired %d times, want 4", calls)
+	}
+}
+
+// TestFedSweepBooksAreExact: the federation books are integers and FedSweep
+// compares them with ==, so a cut that balances is clean and one unit of
+// drift in either identity is flagged.
+func TestFedSweepBooksAreExact(t *testing.T) {
+	cut := func(headroom, reserved slice.Kbps) FedSweepInput {
+		return FedSweepInput{
+			Members: []FedMemberView{{
+				Name: "east", Alive: true,
+				Advertised: 100_000, Ledger: 40_000, Headroom: headroom, Reserved: reserved,
+				FedSlices: map[slice.ID]slice.ID{"s-1": "f-1"},
+			}},
+			Spans: []FedSpanView{{ID: "f-1", Legs: []FedLegView{{Member: "east", Leg: "s-1", Contract: 20_000}}}},
+		}
+	}
+	for _, tc := range []struct {
+		name               string
+		headroom, reserved slice.Kbps
+		want               string // "" = clean
+	}{
+		{"balanced", 60_000, 20_000, ""},
+		{"headroom one unit over", 60_001, 20_000, "headroom 60001 + ledger 40000 != advertised 100000"},
+		{"reserved one unit under", 60_000, 19_999, "reserved book 19999 kbps != Σ registered legs 20000"},
+	} {
+		a := New(Options{})
+		a.FedSweep(cut(tc.headroom, tc.reserved))
+		got := a.Violations()
+		switch {
+		case tc.want == "" && len(got) != 0:
+			t.Errorf("%s: flagged %v", tc.name, got)
+		case tc.want != "" && (len(got) != 1 || !strings.Contains(got[0].Detail, tc.want)):
+			t.Errorf("%s: violations %v, want exactly one mentioning %q", tc.name, got, tc.want)
+		}
 	}
 }

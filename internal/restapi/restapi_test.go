@@ -275,6 +275,31 @@ func TestBadJSONRejected(t *testing.T) {
 	}
 }
 
+// TestSLABeyondBookBoundsRejected: an ask the fixed-point books could not
+// hold is the tenant's 400, while a merely enormous one (the repository
+// benchmark's 2^20-Mbps reject_storm request) is still decided by admission.
+func TestSLABeyondBookBoundsRejected(t *testing.T) {
+	c, _ := apiEnv(t)
+	resp, err := http.Post(c.BaseURL+"/api/v1/slices", "application/json", strings.NewReader(
+		`{"tenant":"acme","duration_seconds":3600,"max_latency_ms":20,"throughput_mbps":1e300,"price_eur":100,"penalty_eur":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("1e300 Mbps: status %d, want 400", resp.StatusCode)
+	}
+	huge := validBody()
+	huge.ThroughputMbps = 1 << 20
+	snap, err := c.SubmitSlice(huge)
+	if err != nil {
+		t.Fatalf("2^20 Mbps: %v, want a decided request", err)
+	}
+	if snap.State != "rejected" || !strings.HasSuffix(string(snap.RejectCode), "-capacity") {
+		t.Fatalf("2^20 Mbps: state %q code %q, want rejected/*-capacity", snap.State, snap.RejectCode)
+	}
+}
+
 func TestClassParsing(t *testing.T) {
 	for _, s := range []string{"", "eMBB", "automotive", "e-health", "ehealth", "mMTC"} {
 		if _, err := classFromString(s); err != nil {

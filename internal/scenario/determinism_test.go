@@ -68,9 +68,9 @@ func TestFixedSeedScenarioGolden(t *testing.T) {
 // telemetry series — every sample of every series, bit for bit — and an
 // identical GainReport. Shard count, like before the pipeline, changes
 // contention only, never outcomes: all RNG draws happen in the epoch's
-// serial head, every order-sensitive mutation (domain resizes, ledger and
-// money float additions, event publication) commits in submission order,
-// and the parallel phase computes only per-slice values.
+// serial head, every order-sensitive mutation (domain resizes, event
+// publication) commits in submission order, the books are integers whose
+// additions commute, and the parallel phase computes only per-slice values.
 func TestEpochPipelineShardEquivalence(t *testing.T) {
 	type outcome struct {
 		res    Result

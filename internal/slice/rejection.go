@@ -54,6 +54,26 @@ const (
 	RejectOther RejectCode = "other"
 )
 
+// RejectCodes is the taxonomy in a fixed order, RejectOther last: a code's
+// Ordinal indexes fixed-size per-code counters (the core's lock-free
+// rejection histogram).
+var RejectCodes = [...]RejectCode{
+	RejectPLMNExhausted, RejectRadioCapacity, RejectLatencyUnmeetable, RejectTransportCapacity,
+	RejectCloudCapacity, RejectMECCapacity, RejectRevenuePolicy, RejectFaultInjected,
+	RejectClusterUnavailable, RejectInternal, RejectOther,
+}
+
+// Ordinal returns the code's position in RejectCodes; a code outside the
+// taxonomy counts as RejectOther.
+func (c RejectCode) Ordinal() int {
+	for i, k := range RejectCodes {
+		if k == c {
+			return i
+		}
+	}
+	return len(RejectCodes) - 1
+}
+
 // Error implements error, making each code an errors.Is target.
 func (c RejectCode) Error() string { return string(c) }
 

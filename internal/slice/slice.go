@@ -77,6 +77,40 @@ type SLA struct {
 	EdgeCompute bool
 }
 
+// Kbps and MicroEUR are the units every capacity and money book is kept in
+// (the core's ledger and gain totals, the federation's headroom books, the
+// WAL fields that carry them): exact int64 arithmetic, so a reserve and its
+// release cancel to the bit in any order. Floats are converted exactly where
+// they enter a book — SLA fields, admission estimates and forecast targets,
+// RAN-quantized allocations — and books are printed as Mbps/EUR floats only
+// at the reporting edge.
+type (
+	Kbps     int64
+	MicroEUR int64
+)
+
+// ToKbps rounds a throughput in Mbps to the nearest book unit.
+func ToKbps(mbps float64) Kbps { return Kbps(math.Round(mbps * 1e3)) }
+
+// Mbps renders the book value for reports.
+func (k Kbps) Mbps() float64 { return float64(k) / 1e3 }
+
+// ToMicroEUR rounds an amount in EUR to the nearest book unit.
+func ToMicroEUR(eur float64) MicroEUR { return MicroEUR(math.Round(eur * 1e6)) }
+
+// EUR renders the book value for reports.
+func (m MicroEUR) EUR() float64 { return float64(m) / 1e6 }
+
+// Input bounds that keep the books inside int64: 2^20 simultaneously live
+// slices at the bound still sum below 2^63 in either unit. Throughput has a
+// lower bound too, since anything under half a unit would enter the books
+// as zero.
+const (
+	MaxThroughputMbps = 1e9
+	MinThroughputMbps = 1e-3
+	MaxMoneyEUR       = 1e6
+)
+
 // Validate reports the first problem with the SLA, or nil. Non-finite
 // numbers are rejected outright: a NaN throughput passes every `<= 0` gate
 // yet poisons the capacity ledger, so finiteness is checked first.
@@ -105,6 +139,12 @@ func (s SLA) Validate() error {
 		return fmt.Errorf("slice: price %.2f must be non-negative", s.PriceEUR)
 	case s.PenaltyEUR < 0:
 		return fmt.Errorf("slice: penalty %.2f must be non-negative", s.PenaltyEUR)
+	case s.ThroughputMbps < MinThroughputMbps || s.ThroughputMbps > MaxThroughputMbps:
+		return fmt.Errorf("slice: throughput %g Mbps outside [%g, %g]", s.ThroughputMbps, MinThroughputMbps, MaxThroughputMbps)
+	case s.PriceEUR > MaxMoneyEUR:
+		return fmt.Errorf("slice: price %g EUR above the limit %g", s.PriceEUR, MaxMoneyEUR)
+	case s.PenaltyEUR > MaxMoneyEUR:
+		return fmt.Errorf("slice: penalty %g EUR above the limit %g", s.PenaltyEUR, MaxMoneyEUR)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package slice
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -35,6 +36,18 @@ func TestSLAValidate(t *testing.T) {
 		{"negative price", func(s *SLA) { s.PriceEUR = -1 }, false},
 		{"negative penalty", func(s *SLA) { s.PenaltyEUR = -0.5 }, false},
 		{"zero price ok", func(s *SLA) { s.PriceEUR = 0 }, true},
+		// Book-unit bounds: everything accepted converts into int64 books
+		// that 2^20 live slices at the bound still cannot overflow.
+		{"throughput overflows the books", func(s *SLA) { s.ThroughputMbps = 1e300 }, false},
+		{"throughput just above the bound", func(s *SLA) { s.ThroughputMbps = math.Nextafter(MaxThroughputMbps, math.Inf(1)) }, false},
+		{"throughput at the bound ok", func(s *SLA) { s.ThroughputMbps = MaxThroughputMbps }, true},
+		{"bench reject_storm ask ok", func(s *SLA) { s.ThroughputMbps = 1 << 20 }, true},
+		{"throughput below one book unit", func(s *SLA) { s.ThroughputMbps = 4e-4 }, false},
+		{"one book unit ok", func(s *SLA) { s.ThroughputMbps = MinThroughputMbps }, true},
+		{"price overflows the books", func(s *SLA) { s.PriceEUR = 1e300 }, false},
+		{"price at the bound ok", func(s *SLA) { s.PriceEUR = MaxMoneyEUR }, true},
+		{"penalty overflows the books", func(s *SLA) { s.PenaltyEUR = 1e300 }, false},
+		{"penalty at the bound ok", func(s *SLA) { s.PenaltyEUR = MaxMoneyEUR }, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -45,6 +58,31 @@ func TestSLAValidate(t *testing.T) {
 				t.Fatalf("Validate() = %v, want ok=%v", err, tc.ok)
 			}
 		})
+	}
+}
+
+// TestBookUnitsAtTheBounds: conversion is exact at the input bounds, a
+// 2^20-slice sum of bound-sized entries stays inside int64, and a book value
+// survives the trip through its report float.
+func TestBookUnitsAtTheBounds(t *testing.T) {
+	if k := ToKbps(MaxThroughputMbps); k != 1e12 || k > math.MaxInt64>>20 {
+		t.Errorf("ToKbps(max) = %d: not exact, or a 2^20-slice sum overflows", k)
+	}
+	if m := ToMicroEUR(MaxMoneyEUR); m != 1e12 || m > math.MaxInt64>>20 {
+		t.Errorf("ToMicroEUR(max) = %d: not exact, or a 2^20-slice sum overflows", m)
+	}
+	if ToKbps(MinThroughputMbps) != 1 {
+		t.Errorf("the smallest accepted throughput enters the books as %d, want 1", ToKbps(MinThroughputMbps))
+	}
+	for _, k := range []Kbps{1, 999, 98_496, 1e12 - 1, 1e12} {
+		if got := ToKbps(k.Mbps()); got != k {
+			t.Errorf("Kbps %d -> %v Mbps -> %d", k, k.Mbps(), got)
+		}
+	}
+	for _, m := range []MicroEUR{1, 1_978_362_937, 1e12 - 1, 1e12} {
+		if got := ToMicroEUR(m.EUR()); got != m {
+			t.Errorf("MicroEUR %d -> %v EUR -> %d", m, m.EUR(), got)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 // testbed, and checks the outcome:
 //
 //   - at a commit boundary the recovered state digest (gain report, slice
-//     registry, epoch snapshot, ledger float bits, event sequence) must be
+//     registry, epoch snapshot, capacity ledger, event sequence) must be
 //     bit-identical to the uncrashed run's digest at that boundary;
 //   - at any other prefix — a crash inside the fsync window, where part of
 //     an operation's records reached the disk — recovery must still

@@ -202,9 +202,9 @@ func TestResizeReplayAgainstDeletedSlice(t *testing.T) {
 	if v := torn.Auditor().Violations(); len(v) != 0 {
 		t.Fatalf("torn recovery fails audit: %d violations, first: %+v", len(v), v[0])
 	}
-	// Bit-identical to the checkpoint alone — the digest covers the ledger
-	// float bits, so any resurrected capacity from the skipped resize would
-	// show up here.
+	// Bit-identical to the checkpoint alone — the digest covers the ledger,
+	// so any resurrected capacity from the skipped resize would show up
+	// here.
 	if c, g := clean.StateDigest(), torn.StateDigest(); !bytes.Equal(c, g) {
 		t.Fatalf("stale resize mutated recovered state:\ncheckpoint only: %s\nwith stale resize: %s", c, g)
 	}
