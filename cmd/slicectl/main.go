@@ -15,6 +15,11 @@
 //	gain
 //	topology
 //	watch [-since SEQ] [-n COUNT] [-timeout D] [-tenant NAME] [-type EVENT]
+//	wal <data-dir>
+//
+// wal reads a daemon's -data-dir offline (no server involved) and prints the
+// checkpoint anchor and one "seq type json" line per log record past it; the
+// log's payloads are binary (DESIGN.md §9.1), this is how to look inside.
 //
 // watch streams the orchestrator's ordered slice-lifecycle events over
 // GET /api/v2/events (Server-Sent Events) instead of polling list: it
@@ -48,6 +53,7 @@ import (
 	"repro/internal/federation"
 	"repro/internal/restapi"
 	"repro/internal/slice"
+	"repro/internal/wal"
 )
 
 func main() {
@@ -101,6 +107,8 @@ func main() {
 		err = cmdFleet(c, args[1:])
 	case "rollout":
 		err = cmdRollout(c, args[1:])
+	case "wal":
+		err = cmdWAL(args[1:])
 	default:
 		usage()
 		os.Exit(2)
@@ -111,10 +119,35 @@ func main() {
 	}
 }
 
+// cmdWAL prints a data directory's durable state: the checkpoint anchor and
+// every log record past it, payloads rendered through core.RecordJSON.
+func cmdWAL(args []string) error {
+	if len(args) != 1 {
+		return errors.New("usage: slicectl wal <data-dir>")
+	}
+	rec, err := wal.Load(args[0])
+	if err != nil {
+		return err
+	}
+	fmt.Printf("checkpoint seq=%d bytes=%d\n", rec.SnapshotSeq, len(rec.Snapshot))
+	for _, r := range rec.Records {
+		js, err := core.RecordJSON(r)
+		if err != nil {
+			return fmt.Errorf("record %d (%s): %w", r.Seq, r.Type, err)
+		}
+		fmt.Printf("%d %s %s\n", r.Seq, r.Type, js)
+	}
+	if rec.TornTail {
+		fmt.Printf("torn tail after seq %d\n", rec.LastSeq)
+	}
+	return nil
+}
+
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: slicectl [-server URL] <request|list|get|delete|demand|gain|topology|watch|link|clusters|spans|explain> [args]
+	fmt.Fprintln(os.Stderr, `usage: slicectl [-server URL] <request|list|get|delete|demand|gain|topology|watch|wal|link|clusters|spans|explain> [args]
   watch [-since SEQ] [-n N] [-timeout D] [-tenant NAME] [-type EVENT]
                                    stream lifecycle events (SSE, auto-resume)
+  wal <data-dir>                   print a data dir's checkpoint anchor and log records as JSON (offline)
   link fail <from> <to>            take a transport link down (slices re-route or drop)
   link restore <from> <to>         bring it back up
   link degrade <from> <to> <mbps>  rain-fade the link to the given capacity

@@ -57,6 +57,19 @@
 // squeeze and restoration passes serialize on epochMu; everything else
 // holds at most one shard lock, which keeps the locking deadlock-free by
 // construction (see DESIGN.md §3.4 and §7).
+//
+// # Durability
+//
+// With a Sink attached (Config.Persist, or Recover on a data directory)
+// every state transition is logged as the outcome it produced and each
+// top-level operation ends at a group-committed fsync boundary (DESIGN.md
+// §9, §12). The durable schema is one file, records.go: the nine record
+// types and the checkpoint blob, each with a single walker over wal.Codec
+// that both encodes and decodes it behind a format-version byte — there is
+// no second reader or writer, and payloads of another version are refused.
+// persist.go holds the Sink seam and the append hook, commit.go the commit
+// pipeline, checkpoint.go the full-state cut, recover.go deterministic
+// replay; RecordJSON renders a payload for inspection.
 package core
 
 import (
@@ -408,11 +421,11 @@ func (o *Orchestrator) Stop() {
 // — the Fig. 2 workflow (PRB reserve → path setup → Heat stack → vEPC boot
 // → UEs may attach).
 type InstallTimeline struct {
-	Submitted time.Time `json:"submitted"`
-	RadioDone time.Time `json:"radio_done"`
-	PathsDone time.Time `json:"paths_done"`
-	StackDone time.Time `json:"stack_done"`
-	Active    time.Time `json:"active"`
+	Submitted time.Time
+	RadioDone time.Time
+	PathsDone time.Time
+	StackDone time.Time
+	Active    time.Time
 }
 
 // Total returns submission-to-active duration.
@@ -561,7 +574,7 @@ func (o *Orchestrator) rejectLocked(sh *shard, s *slice.Slice, cause *slice.Reje
 	sh.insert(&managedSlice{s: s, sh: sh})
 	rejEv := o.publish(EventRejected, s, cause.Detail)
 	if o.persist != nil {
-		o.appendRecord(recReject, rejectRecord{Slice: s.Persist(), Events: []Event{subEv, rejEv}})
+		o.appendRecord(recReject, &rejectRecord{Slice: s.Persist()}, subEv, rejEv)
 	}
 	return o.history.Push(s.ID())
 }

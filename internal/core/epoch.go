@@ -244,16 +244,15 @@ func (o *Orchestrator) runEpoch() {
 				LedgerTo:      it.ledgerTo,
 			})
 		}
-		// appendRecord encodes synchronously, so the scratch-backed Events
+		// appendRecord encodes synchronously, so the scratch-backed events
 		// and Items are free for reuse once it returns.
-		o.appendRecord(recEpoch, epochRecord{
+		o.appendRecord(recEpoch, &epochRecord{
 			Epoch:    o.epochs.Load(),
 			At:       now,
 			RANUtil:  ranUtil,
 			Snapshot: snap,
-			Events:   ep.events,
 			Items:    ep.records,
-		})
+		}, ep.events...)
 	}
 
 	// Audit barrier: snapshot monotonicity plus the full conservation/leak

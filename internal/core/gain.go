@@ -76,16 +76,16 @@ func (c *counters) charge(penaltyEUR float64) {
 // the checkpoint stores (restore folds it into shard 0 — only sums are ever
 // read).
 type counterState struct {
-	Admitted         int64          `json:"admitted"`
-	Rejected         int64          `json:"rejected"`
-	Violations       int64          `json:"violations"`
-	Reconfigurations int64          `json:"reconfigurations"`
-	Active           int64          `json:"active"`
-	Revenue          slice.MicroEUR `json:"revenue_micro_eur"`
-	Penalty          slice.MicroEUR `json:"penalty_micro_eur"`
-	Contracted       slice.Kbps     `json:"contracted_kbps"`
-	Allocated        slice.Kbps     `json:"allocated_kbps"`
-	RejectReasons    map[string]int `json:"reject_reasons,omitempty"`
+	Admitted         int64
+	Rejected         int64
+	Violations       int64
+	Reconfigurations int64
+	Active           int64
+	Revenue          slice.MicroEUR
+	Penalty          slice.MicroEUR
+	Contracted       slice.Kbps
+	Allocated        slice.Kbps
+	RejectReasons    map[string]int
 }
 
 // totals sums the counters across shards; each field is exact, the set is

@@ -66,9 +66,9 @@ func groupEnv(t *testing.T, cfg Config, sink Sink) *Orchestrator {
 	return New(cfg, tb, s, monitor.NewStore(128))
 }
 
-type groupPayload struct {
-	N int `json:"n"`
-}
+type groupPayload struct{ N int }
+
+func (p *groupPayload) wire(c *wal.Codec) { wal.Int(c, &p.N) }
 
 // TestGroupCommitSoloSynchronous proves the lone-writer fallback: with no
 // concurrency, every operation's commit is a synchronous group of one —
@@ -79,7 +79,7 @@ func TestGroupCommitSoloSynchronous(t *testing.T) {
 	o := groupEnv(t, Config{}, sink)
 	const ops = 5
 	for i := 0; i < ops; i++ {
-		o.appendRecord("test", groupPayload{N: i})
+		o.appendRecord("test", &groupPayload{N: i})
 		o.commitPersist()
 	}
 	st := o.PersistStatus()
@@ -115,7 +115,7 @@ func TestGroupCommitBatchesConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				o.appendRecord("test", groupPayload{N: w*iters + i})
+				o.appendRecord("test", &groupPayload{N: w*iters + i})
 				o.commitPersist()
 			}
 		}(w)
@@ -155,7 +155,7 @@ func TestGroupCommitFollowerObservesLeaderError(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			o.appendRecord("test", groupPayload{N: w})
+			o.appendRecord("test", &groupPayload{N: w})
 			o.commitPersist()
 		}(w)
 	}
@@ -177,7 +177,7 @@ func TestGroupCommitFollowerObservesLeaderError(t *testing.T) {
 		t.Fatalf("sink recorded %d successful syncs", sink.syncs.Load())
 	}
 	// Later operations must not block or fsync: persistence is disabled.
-	o.appendRecord("test", groupPayload{N: 99})
+	o.appendRecord("test", &groupPayload{N: 99})
 	o.commitPersist()
 	if got := o.PersistStatus(); got.Fsyncs != 0 {
 		t.Fatalf("commit after latched error fsynced: %+v", got)
@@ -205,7 +205,7 @@ func TestClosePersistRacesCommitGroup(t *testing.T) {
 					return
 				default:
 				}
-				o.appendRecord("test", groupPayload{N: w*1000 + i})
+				o.appendRecord("test", &groupPayload{N: w*1000 + i})
 				o.commitPersist()
 			}
 		}(w)
@@ -236,7 +236,7 @@ func TestClosePersistRacesCommitGroup(t *testing.T) {
 	}
 	// Post-close commits are no-ops, not errors.
 	before := st.Fsyncs
-	o.appendRecord("test", groupPayload{N: -1})
+	o.appendRecord("test", &groupPayload{N: -1})
 	o.commitPersist()
 	if got := o.PersistStatus(); got.Fsyncs != before || got.Error != "" {
 		t.Fatalf("post-close commit not a no-op: %+v", got)

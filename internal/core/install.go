@@ -143,7 +143,7 @@ func (o *Orchestrator) activate(id slice.ID) {
 	}
 	instEv := o.publish(EventInstalled, m.s, "")
 	if o.persist != nil {
-		o.appendRecord(recActivate, activateRecord{Slice: id, At: now, Events: []Event{instEv}})
+		o.appendRecord(recActivate, &activateRecord{Slice: id, At: now}, instEv)
 	}
 	o.armExpiry(m)
 	sh.mu.Unlock()
@@ -209,7 +209,7 @@ func (o *Orchestrator) teardownLocked(m *managedSlice, reason string, typ EventT
 	// WAL order: any reuse is logged strictly after the release that made
 	// it possible.
 	if o.persist != nil {
-		o.appendRecord(recTeardown, teardownRecord{Slice: m.s.ID(), Reason: reason, Events: []Event{ev}})
+		o.appendRecord(recTeardown, &teardownRecord{Slice: m.s.ID(), Reason: reason}, ev)
 	}
 	o.releaseAll(m.s.ID(), plmn)
 	o.plmns.Release(plmn)
@@ -328,14 +328,13 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) bool {
 		// and MEC, so the post-apply allocation is what every domain saw. The
 		// record is encoded here, under the shard lock, from a copy.
 		alloc := m.s.Allocation()
-		o.appendRecord(recResize, resizeRecord{
+		o.appendRecord(recResize, &resizeRecord{
 			Slice:       m.s.ID(),
 			Mbps:        alloc.AllocatedMbps,
 			PRBs:        alloc.PRBs,
 			MECMbps:     alloc.AllocatedMbps,
 			ResizePaths: true,
-			Events:      []Event{ev},
-		})
+		}, ev)
 	}
 	return true
 }

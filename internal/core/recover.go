@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -14,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/slice"
 	"repro/internal/testbed"
+	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -45,9 +43,10 @@ import (
 // skips the ledger roll the teardown already released
 // (TestConcurrentRunRecoversBitIdentical).
 //
-// Payloads decode strictly: a field this version does not know — a log or
-// checkpoint written with the float-book schema — is errRecordFormat, never
-// a silently zero book.
+// Payloads and the checkpoint blob decode strictly (records.go): anything
+// that is not exactly one value of this build's format version — a log
+// written by another version, a truncated or extended payload — is
+// errRecordFormat, never a silently zero book.
 
 // RecoveryReport summarises one crash-recovery pass.
 type RecoveryReport struct {
@@ -181,14 +180,13 @@ func (o *Orchestrator) AttachSink(sink Sink, lastSeq uint64) {
 // substrate outcomes re-imposed.
 func (o *Orchestrator) restoreSnapshot(blob []byte) error {
 	var st checkpointState
-	if err := decodeStrict(blob, &st); err != nil {
+	if err := decodeRecord(blob, &st); err != nil {
 		return err
 	}
 	o.seq.Store(st.SeqCounter)
 	o.epochs.Store(st.Epochs)
 	if st.LastEpoch != nil {
-		snap := *st.LastEpoch
-		o.lastEpoch.Store(&snap)
+		o.lastEpoch.Store(st.LastEpoch)
 	}
 	o.bus.Restore(st.EventNext)
 	// Restore replaces the whole allocator state — snapshot slices' PLMNs
@@ -196,7 +194,7 @@ func (o *Orchestrator) restoreSnapshot(blob []byte) error {
 	o.plmns.Restore(st.PLMN)
 	o.shards[0].restore(st.Counters)
 	o.history.mu.Lock()
-	o.history.ids = append([]slice.ID(nil), st.History...)
+	o.history.ids = st.History
 	o.history.mu.Unlock()
 	for _, ls := range st.Links {
 		if err := o.tb.Transport.SetLinkCapacity(ls.From, ls.To, ls.CapacityMbps); err != nil {
@@ -243,8 +241,7 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 	sh.insert(m)
 	o.ledger.Update(0, m.ledgerKbps)
 	if ps.Timeline != nil {
-		tl := *ps.Timeline
-		sh.timelines[id] = &tl
+		sh.timelines[id] = ps.Timeline
 	}
 	return nil
 }
@@ -254,7 +251,7 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 // recorded hops and bandwidth, the vEPC deployment (deterministic IDs), and
 // the MEC app on its recorded host. The slice's PLMN must already be owned
 // (allocator Restore or Impose).
-func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []pathRecord, mecHost string, mecCPU float64) error {
+func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []transport.Reservation, mecHost string, mecCPU float64) error {
 	alloc := s.Allocation()
 	id := s.ID()
 	enbs := make([]string, 0, len(alloc.PRBs))
@@ -294,62 +291,22 @@ func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []pathRecord, mecHo
 	return nil
 }
 
-// errRecordFormat marks a WAL payload or checkpoint blob that is not in this
-// version's schema.
-var errRecordFormat = errors.New("core: not in this version's WAL format")
-
-// decodeStrict unmarshals a WAL payload or checkpoint blob, refusing fields
-// the target does not declare: a renamed field must fail recovery rather
-// than leave its successor zero.
-func decodeStrict(b []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", errRecordFormat, err)
-	}
-	if dec.More() {
-		return fmt.Errorf("%w: data after the JSON value", errRecordFormat)
-	}
-	return nil
-}
-
-// replay decodes one record's payload and hands it to its applier.
-func replay[R any](r wal.Record, apply func(R) error) error {
-	var rec R
-	if err := decodeStrict(r.Payload, &rec); err != nil {
-		return err
-	}
-	return apply(rec)
-}
-
-// applyRecord dispatches one log record to its applier.
+// applyRecord decodes one log record and replays it: the record imposes its
+// outcome, then its events go back into the replay ring.
 func (o *Orchestrator) applyRecord(r wal.Record) error {
-	switch r.Type {
-	case recAdmit:
-		return replay(r, o.applyAdmit)
-	case recReject:
-		return replay(r, o.applyReject)
-	case recActivate:
-		return replay(r, o.applyActivate)
-	case recTeardown:
-		return replay(r, o.applyTeardown)
-	case recResize:
-		return replay(r, o.applyResize)
-	case recReroute:
-		return replay(r, o.applyReroute)
-	case recEpoch:
-		return replay(r, o.applyEpoch)
-	case recLink:
-		return replay(r, o.applyLink)
-	case recShutdown:
-		return replay(r, func(sr shutdownRecord) error {
-			o.republish(sr.Events)
-			return nil
-		})
-	default:
-		return fmt.Errorf("unknown record type %q", r.Type)
+	rec, events, err := decodeLogRecord(r)
+	if err == nil {
+		err = rec.apply(o)
 	}
+	if err == nil {
+		o.republish(events)
+	}
+	return err
 }
+
+// apply (shutdown) changes nothing: the record exists for its terminal event
+// and for CleanShutdown.
+func (sr *shutdownRecord) apply(*Orchestrator) error { return nil }
 
 // republish re-inserts logged events into the replay ring under their
 // original sequence numbers.
@@ -366,13 +323,13 @@ func (o *Orchestrator) bumpSeq(id slice.ID) {
 	}
 }
 
-// applyAdmit registers a logged admission: the slice image as of the admit
+// apply (admit) registers a logged admission: the slice image as of the admit
 // boundary, its substrate outcomes imposed, the ledger reservation repeated
 // and the deterministic installation timeline stamped. Stage-timer stamps
 // are written directly (the stages complete at fixed config offsets from
 // submission — exactly what the uncrashed run's timers record); only the
 // activation timer is re-armed afterwards (rearmTimers).
-func (o *Orchestrator) applyAdmit(ar admitRecord) error {
+func (ar *admitRecord) apply(o *Orchestrator) error {
 	s := slice.Rehydrate(ar.Slice)
 	id := s.ID()
 	o.bumpSeq(id)
@@ -400,12 +357,11 @@ func (o *Orchestrator) applyAdmit(ar admitRecord) error {
 		PathsDone: pathsAt,
 		StackDone: pathsAt.Add(o.cfg.StackCreateDelay),
 	}
-	o.republish(ar.Events)
 	return nil
 }
 
-// applyReject registers a logged rejection.
-func (o *Orchestrator) applyReject(rr rejectRecord) error {
+// apply (reject) registers a logged rejection.
+func (rr *rejectRecord) apply(o *Orchestrator) error {
 	s := slice.Rehydrate(rr.Slice)
 	cause, ok := s.Cause()
 	if !ok {
@@ -417,12 +373,11 @@ func (o *Orchestrator) applyReject(rr rejectRecord) error {
 	sh.insert(&managedSlice{s: s, sh: sh})
 	sh.reject(cause.Code)
 	o.dropFinished(o.history.Push(id))
-	o.republish(rr.Events)
 	return nil
 }
 
-// applyActivate replays a vEPC-boot completion.
-func (o *Orchestrator) applyActivate(ar activateRecord) error {
+// apply (activate) replays a vEPC-boot completion.
+func (ar *activateRecord) apply(o *Orchestrator) error {
 	sh := o.shardFor(ar.Slice)
 	m, ok := sh.slices[ar.Slice]
 	if !ok {
@@ -438,13 +393,12 @@ func (o *Orchestrator) applyActivate(ar activateRecord) error {
 	if tl, ok := sh.timelines[ar.Slice]; ok {
 		tl.Active = ar.At
 	}
-	o.republish(ar.Events)
 	return nil
 }
 
-// applyTeardown replays a teardown from any live state — teardownLocked's
+// apply (teardown) replays a teardown from any live state — teardownLocked's
 // bookkeeping minus publication.
-func (o *Orchestrator) applyTeardown(tr teardownRecord) error {
+func (tr *teardownRecord) apply(o *Orchestrator) error {
 	sh := o.shardFor(tr.Slice)
 	m, ok := sh.slices[tr.Slice]
 	if !ok {
@@ -461,17 +415,16 @@ func (o *Orchestrator) applyTeardown(tr teardownRecord) error {
 		return err
 	}
 	o.dropFinished(o.history.Push(tr.Slice))
-	o.republish(tr.Events)
 	return nil
 }
 
-// applyResize imposes a logged reallocation outcome: the recorded per-eNB
+// apply (resize) imposes a logged reallocation outcome: the recorded per-eNB
 // PRBs, the transport paths resized to the new aggregate when the original
 // operation did so (engine resizes — degradation shrinks leave transport to
 // their preceding reroute record), and the MEC app at its recorded sizing
 // input. Reconfiguration counting mirrors the original paths: engine resizes
 // count one; the shrink's count came from its reroute.
-func (o *Orchestrator) applyResize(rr resizeRecord) error {
+func (rr *resizeRecord) apply(o *Orchestrator) error {
 	sh := o.shardFor(rr.Slice)
 	m, ok := sh.slices[rr.Slice]
 	if !ok || m.s.State() == slice.StateTerminated || m.s.State() == slice.StateRejected {
@@ -481,10 +434,9 @@ func (o *Orchestrator) applyResize(rr resizeRecord) error {
 		// and the resize→teardown→crash enumeration in the crashtest harness
 		// proves every prefix replays with the slice present — but a torn or
 		// hand-truncated image must degrade to a skip, not abort the whole
-		// recovery or resurrect released ledger/substrate capacity. The
-		// logged events are still republished so the sequence space and
-		// replay ring stay contiguous.
-		o.republish(rr.Events)
+		// recovery or resurrect released ledger/substrate capacity.
+		// Returning nil still republishes the logged events (applyRecord), so
+		// the sequence space and replay ring stay contiguous.
 		return nil
 	}
 	alloc := m.s.Allocation()
@@ -521,13 +473,12 @@ func (o *Orchestrator) applyResize(rr resizeRecord) error {
 	if rr.ResizePaths {
 		sh.reconfigurations.Add(1)
 	}
-	o.republish(rr.Events)
 	return nil
 }
 
-// applyReroute rebuilds a slice's transport paths from a logged restoration
+// apply (reroute) rebuilds a slice's transport paths from a logged restoration
 // outcome.
-func (o *Orchestrator) applyReroute(rr rerouteRecord) error {
+func (rr *rerouteRecord) apply(o *Orchestrator) error {
 	sh := o.shardFor(rr.Slice)
 	m, ok := sh.slices[rr.Slice]
 	if !ok {
@@ -547,18 +498,17 @@ func (o *Orchestrator) applyReroute(rr rerouteRecord) error {
 		a.PathLatencyMs = rr.WorstDelayMs
 	})
 	sh.reconfigurations.Add(1)
-	o.republish(rr.Events)
 	return nil
 }
 
-// applyEpoch replays a control epoch's per-slice outcomes. The epoch's
+// apply (epoch) replays a control epoch's per-slice outcomes. The epoch's
 // resizes preceded this record as their own records, so only the analysis
 // results (demand samples, violation counting, forecaster observations),
 // the charges and the ledger rolls happen here. Under concurrency a slice's
 // teardown record can precede the record of the epoch that measured it: the
 // charge still counts (it happened), the ledger roll does not (the teardown
 // released the entry it rolled).
-func (o *Orchestrator) applyEpoch(er epochRecord) error {
+func (er *epochRecord) apply(o *Orchestrator) error {
 	o.epochs.Store(er.Epoch)
 	for _, it := range er.Items {
 		m, ok := o.shardFor(it.Slice).slices[it.Slice]
@@ -582,15 +532,13 @@ func (o *Orchestrator) applyEpoch(er epochRecord) error {
 			m.ledgerKbps = it.LedgerTo
 		}
 	}
-	snap := er.Snapshot
-	o.lastEpoch.Store(&snap)
-	o.republish(er.Events)
+	o.lastEpoch.Store(&er.Snapshot)
 	return nil
 }
 
-// applyLink replays a transport-link transition; per-victim outcomes follow
+// apply (link) replays a transport-link transition; per-victim outcomes follow
 // as their own records.
-func (o *Orchestrator) applyLink(lr linkRecord) error {
+func (lr *linkRecord) apply(o *Orchestrator) error {
 	var err error
 	switch lr.Kind {
 	case "fail":
@@ -602,16 +550,12 @@ func (o *Orchestrator) applyLink(lr linkRecord) error {
 	default:
 		err = fmt.Errorf("unknown link record kind %q", lr.Kind)
 	}
-	if err != nil {
-		return err
-	}
-	o.republish(lr.Events)
-	return nil
+	return err
 }
 
 // rearmTimers re-schedules the clock work the crashed run had pending:
 // installing slices' activation timers (the stage stamps are already
-// written — see applyAdmit) and active slices' contracted-expiry teardowns.
+// written — see admitRecord.apply) and active slices' contracted-expiry teardowns.
 // A scheduled instant already in the past fires on the clock's next step
 // (sim.At clamps), preserving the sim's deterministic event order.
 func (o *Orchestrator) rearmTimers() {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -118,11 +120,23 @@ func FuzzApplyRecord(f *testing.F) {
 	})
 }
 
+// pr15 reads a payload the parent commit (PR 15, JSON payloads) really wrote:
+// the first admit record of allRecordTypesRun, and a one-slice checkpoint.
+func pr15(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestReplayRefusesWhatItCannotRead covers the recovery paths that must
 // error rather than panic or misread: an epoch item that counts a slice
-// which was never admitted, a teardown of a slice that holds nothing, and
-// payloads or checkpoints in the pre-integer (float-book) schema, whose
-// renamed fields a lenient decoder would leave silently zero.
+// which was never admitted, a teardown of a slice that holds nothing, a
+// rejection without a cause, and payloads or checkpoints that are not in
+// this build's format — the parent commit's JSON, a later version, nothing
+// at all — each refused with an error naming the version that was wanted.
 func TestReplayRefusesWhatItCannotRead(t *testing.T) {
 	records, populated := allRecordTypesRun(t)
 	primed := func() *Orchestrator {
@@ -138,35 +152,37 @@ func TestReplayRefusesWhatItCannotRead(t *testing.T) {
 	if sl, ok := primed().Get(rejected); !ok || sl.State() != slice.StateRejected {
 		t.Fatalf("fixture drifted: %s is not the rejected slice", rejected)
 	}
+	nextVersion := append([]byte(nil), records[0].Payload...)
+	nextVersion[0] = formatVersion + 1
+	wanted := fmt.Sprintf("want format version %d", formatVersion)
 
 	for _, tc := range []struct {
-		name, typ, payload string
-		format             bool // must be errRecordFormat
+		name, typ string
+		payload   []byte
+		format    bool // must be errRecordFormat, naming the version wanted
 	}{
 		{"epoch counts a rejected slice", recEpoch,
-			`{"epoch":1,"at":"2018-01-01T00:00:00Z","ran_util":0,"items":[{"slice":"s-4","demand":1,"served":1,"counted":true}],"snapshot":{"epoch":1,"at":"2018-01-01T00:00:00Z","measured_slices":0,"ran_utilization":0,"gain":{}}}`, false},
-		{"teardown of a rejected slice", recTeardown, `{"slice":"s-4","reason":"x","events":null}`, false},
-		{"float-schema admit", recAdmit, strings.Replace(string(records[0].Payload), `"reserved_kbps":`, `"reserved_mbps":`, 1), true},
-		{"float-schema reject mirror", recReject, `{"slice":{"id":"s-9"},"reserved_mbps":18,"events":null}`, true},
-		{"float-schema epoch item", recEpoch, `{"epoch":1,"items":[{"slice":"s-1","ledger_updated":true,"ledger_to":12.5}]}`, true},
-		{"not JSON", recLink, `{nope`, true},
-		{"trailing data", recTeardown, `{"slice":"s-1","reason":"x","events":null}{}`, true},
+			encodeRecord(&logPayload{rec: &epochRecord{Epoch: 1, Items: []epochItemRecord{{Slice: rejected, Demand: 1, Served: 1, Counted: true}}}}), false},
+		{"teardown of a rejected slice", recTeardown, encodeRecord(&logPayload{rec: &teardownRecord{Slice: rejected, Reason: "x"}}), false},
+		{"reject without a cause", recReject, encodeRecord(&logPayload{rec: &rejectRecord{Slice: slice.Persisted{ID: "s-9", State: slice.StateRejected}}}), false},
+		{"PR-15 JSON admit", recAdmit, pr15(t, "pr15_admit.json"), true},
+		{"next format version", recAdmit, nextVersion, true},
+		{"empty payload", recTeardown, nil, true},
 	} {
-		err := primed().applyRecord(wal.Record{Seq: 99, Type: tc.typ, Payload: []byte(tc.payload)})
+		err := primed().applyRecord(wal.Record{Seq: 99, Type: tc.typ, Payload: tc.payload})
 		if err == nil {
 			t.Errorf("%s: replayed without error", tc.name)
-		} else if errors.Is(err, errRecordFormat) != tc.format {
-			t.Errorf("%s: error %q, format error wanted: %v", tc.name, err, tc.format)
+		} else if errors.Is(err, errRecordFormat) != tc.format || (tc.format && !strings.Contains(err.Error(), wanted)) {
+			t.Errorf("%s: error %q, format error (%q) wanted: %v", tc.name, err, wanted, tc.format)
 		}
 	}
 
-	// A pre-change data dir fails recovery with the explicit format error,
-	// from the checkpoint blob as from the log.
-	old := &wal.Recovered{SnapshotSeq: 1, LastSeq: 1,
-		Snapshot: []byte(`{"event_next":1,"epochs":0,"seq_counter":0,"ledger_load":18.5,"plmn":{"next":0},"acc":{"revenue_eur":100,"live":1},"counters":{"admitted":1}}`)}
+	// A data dir written by the parent commit fails recovery with the
+	// explicit format error, from the checkpoint blob as from the log.
+	old := &wal.Recovered{SnapshotSeq: 1, LastSeq: 1, Snapshot: pr15(t, "pr15_checkpoint.json")}
 	_, o := replayEnv(t, Config{})
-	if _, _, err := RecoverFromWAL(Config{}, o.tb, o.clock, nil, old); !errors.Is(err, errRecordFormat) {
-		t.Errorf("float-schema checkpoint: %v, want the format error", err)
+	if _, _, err := RecoverFromWAL(Config{}, o.tb, o.clock, nil, old); !errors.Is(err, errRecordFormat) || !strings.Contains(err.Error(), wanted) {
+		t.Errorf("PR-15 JSON checkpoint: %v, want the format error", err)
 	}
 }
 

@@ -59,7 +59,7 @@ func (o *Orchestrator) handleLinkFailure(from, to string) (RestorationReport, er
 	}
 	linkEv := o.publishLink(EventLinkFailed, rep.Link, "")
 	if o.persist != nil {
-		o.appendRecord(recLink, linkRecord{Kind: "fail", From: from, To: to, Events: []Event{linkEv}})
+		o.appendRecord(recLink, &linkRecord{Kind: "fail", From: from, To: to}, linkEv)
 	}
 	if len(victims) == 0 {
 		o.unlockAll()
@@ -102,12 +102,11 @@ func (o *Orchestrator) appendReroute(m *managedSlice, events ...Event) {
 		return
 	}
 	alloc := m.s.Allocation()
-	o.appendRecord(recReroute, rerouteRecord{
+	o.appendRecord(recReroute, &rerouteRecord{
 		Slice:        m.s.ID(),
 		Paths:        o.pathRecords(alloc.PathIDs),
 		WorstDelayMs: alloc.PathLatencyMs,
-		Events:       events,
-	})
+	}, events...)
 }
 
 // victimSliceIDs maps path IDs ("<sliceID>/<enb>-><dc>") onto their unique
@@ -139,7 +138,7 @@ func (o *Orchestrator) RestoreLink(from, to string) error {
 	}
 	ev := o.publishLink(EventLinkRestored, from+"->"+to, "")
 	if o.persist != nil {
-		o.appendRecord(recLink, linkRecord{Kind: "restore", From: from, To: to, Events: []Event{ev}})
+		o.appendRecord(recLink, &linkRecord{Kind: "restore", From: from, To: to}, ev)
 	}
 	o.commitPersist()
 	return nil
@@ -173,7 +172,7 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 	}
 	linkEv := o.publishLink(EventLinkDegraded, rep.Link, fmt.Sprintf("capacity rescaled to %.1f Mbps", newCapacityMbps))
 	if o.persist != nil {
-		o.appendRecord(recLink, linkRecord{Kind: "degrade", From: from, To: to, CapacityMbps: newCapacityMbps, Events: []Event{linkEv}})
+		o.appendRecord(recLink, &linkRecord{Kind: "degrade", From: from, To: to, CapacityMbps: newCapacityMbps}, linkEv)
 	}
 	over := o.tb.Transport.OversubscribedPaths()
 	if len(over) == 0 {
@@ -243,14 +242,13 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 			// quantized value; PRBs capture the radio's final state even
 			// when its resize failed and only AllocatedMbps moved.
 			alloc := m.s.Allocation()
-			o.appendRecord(recResize, resizeRecord{
+			o.appendRecord(recResize, &resizeRecord{
 				Slice:       id,
 				Mbps:        alloc.AllocatedMbps,
 				PRBs:        alloc.PRBs,
 				MECMbps:     target,
 				ResizePaths: false,
-				Events:      []Event{ev},
-			})
+			}, ev)
 		}
 	}
 	o.dropFinishedAllLocked(evicted)

@@ -117,17 +117,17 @@ func (a *PLMNAllocator) InUse() []PLMN {
 
 // PLMNAssignment is one in-use entry of an exported allocator state.
 type PLMNAssignment struct {
-	PLMN  PLMN `json:"plmn"`
-	Owner ID   `json:"owner"`
+	PLMN  PLMN
+	Owner ID
 }
 
 // PLMNState is the allocator's durable state for checkpoint snapshots.
 // Free preserves stack order (Allocate pops the tail), so a restored
 // allocator recycles identifiers in exactly the original order.
 type PLMNState struct {
-	Next  int              `json:"next"`
-	Free  []PLMN           `json:"free,omitempty"`
-	InUse []PLMNAssignment `json:"in_use,omitempty"`
+	Next  int
+	Free  []PLMN
+	InUse []PLMNAssignment
 }
 
 // Export captures the allocator state for a snapshot. InUse is sorted by

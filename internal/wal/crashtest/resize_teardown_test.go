@@ -12,15 +12,31 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/slice"
 	"repro/internal/wal"
 )
 
-// slicedPayload extracts the slice ID shared by resize and teardown record
-// payloads.
+// slicedPayload extracts the slice ID shared by resize and teardown records
+// from their core.RecordJSON rendering (the wire layout is core's business).
 type slicedPayload struct {
-	Slice slice.ID `json:"slice"`
+	Record struct {
+		Slice slice.ID `json:"slice"`
+	} `json:"record"`
+}
+
+func sliceOf(t *testing.T, n int, rec wal.Record) slice.ID {
+	t.Helper()
+	js, err := core.RecordJSON(rec)
+	if err != nil {
+		t.Fatalf("record %d: %v", n, err)
+	}
+	var p slicedPayload
+	if err := json.Unmarshal(js, &p); err != nil {
+		t.Fatalf("record %d: %v", n, err)
+	}
+	return p.Record.Slice
 }
 
 // resizeTeardownPair is one (resize record, later teardown record of the
@@ -41,18 +57,11 @@ func findPairs(t *testing.T, ref *Reference) []resizeTeardownPair {
 	for i, rec := range ref.Sink.Records {
 		switch rec.Type {
 		case "resize":
-			var p slicedPayload
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				t.Fatalf("record %d: %v", i+1, err)
-			}
-			lastResize[p.Slice] = i + 1
+			lastResize[sliceOf(t, i+1, rec)] = i + 1
 		case "teardown":
-			var p slicedPayload
-			if err := json.Unmarshal(rec.Payload, &p); err != nil {
-				t.Fatalf("record %d: %v", i+1, err)
-			}
-			if r, ok := lastResize[p.Slice]; ok {
-				pairs = append(pairs, resizeTeardownPair{id: p.Slice, resize: r, death: i + 1})
+			id := sliceOf(t, i+1, rec)
+			if r, ok := lastResize[id]; ok {
+				pairs = append(pairs, resizeTeardownPair{id: id, resize: r, death: i + 1})
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 // Package wal implements the orchestrator's durable write-ahead log: an
 // append-only stream of typed, length-prefixed, CRC32-guarded records plus
 // periodically checkpointed snapshot files. The package is deliberately
-// payload-agnostic — record payloads and snapshot blobs are opaque byte
-// slices whose schema belongs to the caller (internal/core) — so the
-// framing layer can be tested and fuzzed in isolation and never imports
-// orchestration code.
+// schema-free — record payloads and snapshot blobs are opaque byte slices
+// whose schema belongs to the caller (internal/core) — so the framing layer
+// can be tested and fuzzed in isolation and never imports orchestration
+// code. What it does offer schema owners is the vocabulary payloads are
+// written in: Codec (codec.go) is a set of type-free binary primitives over
+// which a record type lists its fields once, for encoding and decoding alike.
 //
 // On-disk layout inside a data directory:
 //
@@ -27,9 +29,11 @@
 // CRC is ErrCorrupt and rejected outright, even at the tail: the length
 // prefix was durable, so the damage is not a torn write.
 //
-// Snapshot files carry their own magic, sequence anchor and CRC and are
-// written to a temporary name then atomically renamed, so a crash during
-// checkpointing never yields a half-written snapshot under the final name.
+// Snapshot files carry their own magic, sequence anchor and CRC. They, and
+// the compacted log, are published by writeFileAtomic — temporary name,
+// fsync, rename, fsync of the directory — so a crash never yields a
+// half-written file under a final name, nor a rename that is lost after
+// something was discarded on the strength of it.
 package wal
 
 import (
@@ -234,7 +238,53 @@ func Create(dir string, lastSeq uint64) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open log: %w", err)
 	}
+	// The log may have just been made: its directory entry must be durable
+	// before any fsynced record in it can be.
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: fsync dir: %w", err)
+	}
 	return &Writer{dir: dir, f: f, seq: lastSeq}, nil
+}
+
+// syncDir fsyncs a directory, making the creations and renames inside it
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// writeFileAtomic publishes data under dir/name so that a crash at any point
+// leaves either the previous file or the complete new one: write to a
+// temporary name, fsync, rename over the final name, fsync the directory —
+// without the last step the rename itself can be lost, and with it whatever
+// the caller went on to discard on the strength of it.
+func writeFileAtomic(dir, name string, data []byte) error {
+	final := filepath.Join(dir, name)
+	tmp := final + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(dir)
 }
 
 // LastSeq returns the sequence of the most recently appended record.
@@ -260,19 +310,13 @@ func (w *Writer) Append(rec Record) error {
 }
 
 // Sync writes all buffered records to the log and fsyncs — the batch
-// commit point. A no-op when nothing is pending.
+// commit point, a staged step run on the spot. A no-op when nothing is
+// pending.
 func (w *Writer) Sync() error {
 	if len(w.pend) == 0 {
 		return nil
 	}
-	if _, err := w.f.Write(w.pend); err != nil {
-		return fmt.Errorf("wal: write batch: %w", err)
-	}
-	w.pend = w.pend[:0]
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	return nil
+	return w.StageSync()()
 }
 
 // StageSync detaches the buffered records and returns a step that writes
@@ -306,9 +350,9 @@ func (w *Writer) StageSync() func() error {
 }
 
 // Snapshot durably writes a checkpoint anchored at record sequence seq:
-// the framed blob goes to a temporary file, is fsynced, and is atomically
-// renamed to snapshot-<seq>.snap. Pending records are synced first so the
-// snapshot never anchors ahead of the durable log.
+// the framed blob is published as snapshot-<seq>.snap by writeFileAtomic.
+// Pending records are synced first so the snapshot never anchors ahead of
+// the durable log.
 //
 // After the checkpoint is durable the directory is compacted, keeping one
 // fallback generation: snapshots older than the previous checkpoint are
@@ -326,28 +370,7 @@ func (w *Writer) Snapshot(seq uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(w.dir, fmt.Sprintf("%s%d%s", snapPrefix, seq, snapSuffix))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: create snapshot: %w", err)
-	}
-	if _, err := f.Write(framed); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: fsync snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: close snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
+	if err := writeFileAtomic(w.dir, fmt.Sprintf("%s%d%s", snapPrefix, seq, snapSuffix), framed); err != nil {
 		return fmt.Errorf("wal: publish snapshot: %w", err)
 	}
 	return w.compact(seq)
@@ -380,8 +403,8 @@ func snapshotSeqs(dir string) []uint64 {
 // anchor newest: every snapshot older than the previous checkpoint is
 // deleted, and the log is atomically rewritten without the records the
 // previous checkpoint folded in (they can never be replayed again — even
-// the fallback path starts at the previous anchor). The rewrite is
-// tmp+fsync+rename; a crash at any point leaves either the old or the new
+// the fallback path starts at the previous anchor). The rewrite goes through
+// writeFileAtomic; a crash at any point leaves either the old or the new
 // log, both valid. Compaction is an optimization, so a dirty log (torn
 // tail, decode anomaly) skips it rather than failing the checkpoint; only
 // losing the writer's own file handle after the rename is a hard error.
@@ -424,31 +447,12 @@ func (w *Writer) compact(newest uint64) error {
 	if !dropped {
 		return nil
 	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return nil
-	}
-	if _, err := f.Write(out); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return nil
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil
-	}
-	// The writer's handle still points at the replaced inode; appends must
-	// land in the rewritten log.
+	// A failure before the rename leaves the old log under the name and one
+	// after it (the directory fsync) the new one — both valid, the previous
+	// checkpoint being durable since its own Snapshot call. Reopening by name
+	// lands appends in whichever it is: after a rename the writer's handle
+	// still points at the replaced inode.
+	_ = writeFileAtomic(w.dir, logName, out)
 	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: reopen compacted log: %w", err)
