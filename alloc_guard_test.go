@@ -124,6 +124,38 @@ func TestEpochAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestResizeZeroAllocs pins what one reconfiguration that goes through — the
+// unit of the epoch's commit phase — allocates on a warm system with no WAL:
+// nothing. The radio and transport resizes run through handles resolved at
+// install, the grants and the grant list come from and return to their
+// pools, the PRB map is swapped with the one it replaces, the slice is read
+// once and written once, and the resize event is published by value. (The
+// epoch ceiling above cannot see a single allocation per resize come back;
+// this can.)
+func TestResizeZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	sys := epochLoadedSystem(t, 8, 16)
+	o := sys.Orchestrator
+	id := o.List()[0].ID
+	targets := [2]float64{0.6, 1.8} // far enough apart to clear the hysteresis both ways
+	resize := func(i int) {
+		changed, err := o.Resize(id, targets[i%2])
+		if err != nil || !changed {
+			t.Fatalf("resize to %.1f Mbps: changed=%v err=%v", targets[i%2], changed, err)
+		}
+	}
+	for i := 0; i < 8; i++ { // warm the pools and both PRB maps
+		resize(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(200, func() { resize(i); i++ })
+	if allocs != 0 {
+		t.Fatalf("a resize that goes through allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
 // TestListPageAllocCeiling pins what the dashboard's poll
 // (GET /api/v2/slices?limit=50) allocates. Warm — nothing changed since the
 // last poll — it is a small constant that must not depend on the registry:

@@ -271,19 +271,16 @@ type managedSlice struct {
 	// activateAt is the scheduled vEPC-boot completion instant (recovery
 	// re-arms the activation timer from it).
 	activateAt time.Time
-	// series holds the slice's telemetry rings ("slice/<id>/demand_mbps",
-	// ...), resolved on the slice's first epoch so the epoch appends samples
-	// without formatting names or consulting the store's registry; nil until
-	// then. Dropped from the store when the slice leaves the history.
-	series *sliceSeries
+	// series is the slice's telemetry ring — one row per epoch, a column each
+	// for "slice/<id>/demand_mbps", ".../served_mbps" and
+	// ".../allocated_mbps" — created on the slice's first epoch so the epoch
+	// appends rows without formatting names or consulting the store's
+	// registry; nil until then. Dropped from the store when the slice leaves
+	// the history.
+	series *monitor.Rows
 
 	expiry *sim.Event
 	timers []*sim.Event // pending installation stage events
-}
-
-// sliceSeries are one slice's per-epoch telemetry rings.
-type sliceSeries struct {
-	demand, served, alloc *monitor.Series
 }
 
 // Orchestrator is the end-to-end slice orchestrator. It is safe for

@@ -190,12 +190,16 @@ func (o *Orchestrator) runEpoch() {
 		}
 		m := it.m
 		m.sh.mu.Lock()
-		if m.s.State() == slice.StateActive {
-			o.resizeLocked(m, it.target)
+		if v := m.s.ReconfigView(); v.State == slice.StateActive {
+			allocated, _ := o.resizeLocked(m, v, it.target)
 			it.ledgerUpdated, it.ledgerTo = true, slice.ToKbps(it.target)
 			o.ledger.Update(m.ledgerKbps, it.ledgerTo)
 			m.ledgerKbps = it.ledgerTo
-			m.series.alloc.AddNanos(nanos, m.s.AllocatedMbps())
+			// The slice's telemetry row: what it asked for, what the cells
+			// delivered and what it holds after this epoch's reconfiguration.
+			// A slice torn down since P3 gets no row — its ring leaves the
+			// store with it.
+			m.series.Add(nanos, ep.demand[i], ep.served[i], allocated)
 		}
 		m.sh.mu.Unlock()
 	}
@@ -337,14 +341,11 @@ func (o *Orchestrator) analyzeShard(nanos int64, idxs []int) {
 		it.violated = m.s.RecordEpoch(demand, served)
 		if m.series == nil {
 			id := string(m.s.ID())
-			m.series = &sliceSeries{
-				demand: o.store.SeriesSized(monitor.SliceMetric(id, "demand_mbps"), sliceSeriesCapacity),
-				served: o.store.SeriesSized(monitor.SliceMetric(id, "served_mbps"), sliceSeriesCapacity),
-				alloc:  o.store.SeriesSized(monitor.SliceMetric(id, "allocated_mbps"), sliceSeriesCapacity),
-			}
+			m.series = o.store.Rows(sliceSeriesCapacity,
+				monitor.SliceMetric(id, "demand_mbps"),
+				monitor.SliceMetric(id, "served_mbps"),
+				monitor.SliceMetric(id, "allocated_mbps"))
 		}
-		m.series.demand.AddNanos(nanos, demand)
-		m.series.served.AddNanos(nanos, served)
 		m.prov.Observe(demand)
 		it.target = m.prov.Provision(m.s.SLA().ThroughputMbps)
 		// The intent plane's rollout cap bounds the target (the canary

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/forecast"
+	"repro/internal/monitor"
 	"repro/internal/slice"
 	"repro/internal/testbed"
 )
@@ -208,4 +210,90 @@ func TestEvictedSliceTelemetryDropped(t *testing.T) {
 			t.Fatalf("restoration eviction left series behind: %v", got)
 		}
 	})
+}
+
+// observeHook is a forecaster that runs a callback, once, inside Observe —
+// that is, inside the epoch's analysis phase P3, under its slice's shard lock.
+type observeHook struct {
+	forecast.Forecaster
+	onObserve func()
+}
+
+func (f *observeHook) Observe(v float64) {
+	if fn := f.onObserve; fn != nil {
+		f.onObserve = nil
+		fn()
+	}
+	f.Forecaster.Observe(v)
+}
+
+// TestSliceGoneBeforeCommitGetsNoTelemetryRow states the one behavioural edge
+// of writing a slice's telemetry as one row in the commit phase P3c. A slice
+// measured in P1 and analysed in P3 — its demand and served samples counted,
+// its forecaster fed — but torn down before P3c reaches it gets no row for
+// that epoch. (When the three metrics were three rings, demand and served
+// were appended in P3 and such a slice kept a last pair of samples its
+// allocated series never matched.) Its ring leaves the store with it either
+// way; a slice that stays gets its row.
+func TestSliceGoneBeforeCommitGetsNoTelemetryRow(t *testing.T) {
+	var hooks []*observeHook
+	s, o := env(t, Config{Overbook: true, Risk: 0.9, Shards: 16, NewForecaster: func() forecast.Forecaster {
+		h := &observeHook{Forecaster: forecast.NewEWMA(0.3)}
+		hooks = append(hooks, h)
+		return h
+	}})
+	// Two slices on different shards, so P3 analyses them on two goroutines
+	// and a Delete of one can run while the other's worker is in Observe.
+	var sls []*slice.Slice
+	for len(sls) < 2 || o.shardFor(sls[0].ID()) == o.shardFor(sls[len(sls)-1].ID()) {
+		sl, err := o.Submit(req("edge", 2, 50, time.Hour, 10), nil)
+		if err != nil || sl.State() == slice.StateRejected {
+			t.Fatalf("slice %d not admitted: %v", len(sls), err)
+		}
+		sls = append(sls, sl)
+	}
+	if err := s.RunFor(time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	for _, sl := range sls {
+		if err := o.RecordDemand(sl.ID(), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim, stayer := sls[0], sls[len(sls)-1]
+	rows := func(sl *slice.Slice, metric string) int {
+		return o.Store().Series(monitor.SliceMetric(string(sl.ID()), metric)).Len()
+	}
+	o.RunEpoch()
+	if rows(victim, "demand_mbps") != 1 || rows(stayer, "demand_mbps") != 1 {
+		t.Fatalf("first epoch wrote %d and %d rows, want 1 and 1", rows(victim, "demand_mbps"), rows(stayer, "demand_mbps"))
+	}
+
+	// Second epoch: the stayer's analysis waits until the victim's has run,
+	// then deletes the victim. Delete needs the victim's shard lock, which
+	// its P3 worker holds until it is done — so the teardown lands after P3
+	// analysed the victim and before P3c starts.
+	analysed := make(chan struct{})
+	hooks[0].onObserve = func() { close(analysed) }
+	hooks[len(hooks)-1].onObserve = func() {
+		<-analysed
+		if err := o.Delete(victim.ID()); err != nil {
+			t.Error(err)
+		}
+	}
+	o.RunEpoch()
+	if got := victim.Accounting().ServedEpochs; got != 2 {
+		t.Fatalf("victim was analysed in %d epochs, want 2 (the second ran before its teardown)", got)
+	}
+	if victim.State() != slice.StateTerminated {
+		t.Fatalf("victim is %s, want terminated", victim.State())
+	}
+	for _, metric := range []string{"demand_mbps", "served_mbps", "allocated_mbps"} {
+		if got := rows(victim, metric); got != 1 {
+			t.Fatalf("victim's %s holds %d samples, want 1: no row for the epoch it did not live through", metric, got)
+		}
+		if got := rows(stayer, metric); got != 2 {
+			t.Fatalf("stayer's %s holds %d samples, want 2", metric, got)
+		}
+	}
 }

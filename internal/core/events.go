@@ -357,17 +357,22 @@ func (o *Orchestrator) Watch(ctx context.Context, opts WatchOptions) <-chan Even
 // The published event (with its assigned sequence number) is returned so
 // mutation paths can embed it in their write-ahead records.
 func (o *Orchestrator) publish(typ EventType, s *slice.Slice, detail string) Event {
+	return o.publishView(typ, s, s.EventView(), detail)
+}
+
+// publishView is publish for a caller that already holds the slice's event
+// view (the resize path cuts it in the critical section that ends the
+// reconfiguration).
+func (o *Orchestrator) publishView(typ EventType, s *slice.Slice, v slice.EventView, detail string) Event {
 	ev := Event{
-		Time:   o.clock.Now(),
-		Type:   typ,
-		Slice:  s.ID(),
-		Tenant: s.Tenant(),
-		State:  s.State().String(),
-		Mbps:   s.AllocatedMbps(),
-		Detail: detail,
-	}
-	if c, ok := s.Cause(); ok {
-		ev.RejectCode = c.Code
+		Time:       o.clock.Now(),
+		Type:       typ,
+		Slice:      s.ID(),
+		Tenant:     s.Tenant(),
+		State:      v.State.String(),
+		RejectCode: v.RejectCode,
+		Mbps:       v.AllocatedMbps,
+		Detail:     detail,
 	}
 	ev.Seq = o.bus.Publish(ev)
 	return ev

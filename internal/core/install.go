@@ -248,7 +248,8 @@ func (o *Orchestrator) squeezeAll() {
 	defer o.unlockAll()
 	walk := o.walkAllLocked()
 	for m := walk.next(); m != nil; m = walk.next() {
-		switch m.s.State() {
+		v := m.s.ReconfigView()
+		switch v.State {
 		case slice.StateAdmitted, slice.StateInstalling, slice.StateActive:
 		default:
 			continue
@@ -257,22 +258,27 @@ func (o *Orchestrator) squeezeAll() {
 		if m.prov != nil && m.prov.Observed() {
 			target = m.prov.Provision(m.s.SLA().ThroughputMbps)
 		}
-		o.resizeLocked(m, target)
+		o.resizeLocked(m, v, target)
 	}
 }
 
 // resizeLocked applies a new multi-domain allocation to the slice if it
-// differs enough from the current one (hysteresis). Returns whether a
-// reconfiguration happened. The caller holds the slice's shard lock.
+// differs enough from the current one (hysteresis). It returns the slice's
+// radio reservation afterwards and whether a reconfiguration happened. The
+// caller holds the slice's shard lock and passes the view v it just cut of
+// the slice (every caller reads the state first, to skip finished slices).
 //
-// The hysteresis test reads one float and runs first, so a resize it
-// swallows — most slices, most epochs — costs nothing else. A resize that
-// goes through applies its grants to the live allocation under the slice
-// lock: the grants hand over their containers (ctrl pool contract), so no
-// copy of the allocation is made on the way in or out.
-func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) bool {
+// The slice is read once, for v, and written once, when the resize went
+// through: the hysteresis test needs one float of v and runs first, so a
+// resize it swallows — a good share of the slices, every epoch — costs
+// nothing else. A resize that goes through applies its grants to the live
+// allocation under the slice lock — the grants hand over their containers
+// (ctrl pool contract), so no copy of the allocation is made on the way in
+// or out — and the same critical section ends the Reconfiguring state and
+// cuts what the event reports.
+func (o *Orchestrator) resizeLocked(m *managedSlice, v slice.ReconfigView, targetMbps float64) (allocatedMbps float64, changed bool) {
 	sla := m.s.SLA()
-	before := m.s.AllocatedMbps()
+	before := v.AllocatedMbps
 	if targetMbps < o.cfg.FloorMbps {
 		targetMbps = o.cfg.FloorMbps
 	}
@@ -281,48 +287,46 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) bool {
 	}
 	if diff := targetMbps - before; diff > -sla.ThroughputMbps*o.cfg.ReconfigThreshold &&
 		diff < sla.ThroughputMbps*o.cfg.ReconfigThreshold {
-		return false
+		return before, false
 	}
 	// Active slices go through the Reconfiguring state; slices still being
 	// installed are resized in place (their data plane is not live yet).
 	reconfiguring := false
-	if m.s.State() == slice.StateActive {
+	if v.State == slice.StateActive {
 		if err := m.s.BeginReconfigure(); err != nil {
-			return false
+			return before, false
 		}
 		reconfiguring = true
 	}
 
 	tx := ctrl.Tx{
 		Slice:           m.s.ID(),
-		PLMN:            m.s.PLMN(),
+		PLMN:            v.PLMN,
 		SLA:             sla,
-		DataCenter:      m.s.DataCenter(),
+		DataCenter:      v.DataCenter,
 		LatencyBudgetMs: o.latencyBudget(sla),
 	}
 	gs, ok := o.resizeAll(tx, targetMbps, before)
-	if ok {
-		m.s.UpdateAllocation(func(a *slice.Allocation) {
-			for _, dg := range *gs {
-				if dg.g != nil {
-					dg.g.Apply(a)
-				}
-			}
-		})
-		o.recycleGrants(*gs) // applied; the engine holds the last reference
-		putGrants(gs)
-	}
-	// Publish after the Reconfiguring -> Active transition completes so the
-	// event carries the post-transition state.
-	if reconfiguring {
-		m.s.EndReconfigure()
-	}
 	if !ok {
-		return false
+		if reconfiguring {
+			m.s.EndReconfigure()
+		}
+		return before, false
 	}
-	m.sh.reallocate(before, m.s.AllocatedMbps())
+	// The event is published after the Reconfiguring -> Active transition, so
+	// it carries the post-transition state.
+	after := m.s.CommitReconfigure(func(a *slice.Allocation) {
+		for _, dg := range *gs {
+			if dg.g != nil {
+				dg.g.Apply(a)
+			}
+		}
+	})
+	o.recycleGrants(*gs) // applied; the engine holds the last reference
+	putGrants(gs)
+	m.sh.reallocate(before, after.AllocatedMbps)
 	m.sh.reconfigurations.Add(1)
-	ev := o.publish(EventResized, m.s, "")
+	ev := o.publishView(EventResized, m.s, after, "")
 	if o.persist != nil {
 		// The engine threads the radio-quantized throughput into transport
 		// and MEC, so the post-apply allocation is what every domain saw. The
@@ -336,5 +340,5 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) bool {
 			ResizePaths: true,
 		}, ev)
 	}
-	return true
+	return after.AllocatedMbps, true
 }

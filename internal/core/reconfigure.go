@@ -20,10 +20,10 @@ import (
 // rejected or terminated are skipped without error — a fleet operation must
 // tolerate members expiring under it; only an unknown ID is an error.
 func (o *Orchestrator) Resize(id slice.ID, targetMbps float64) (bool, error) {
-	changed, err := o.resizeWith(id, func(m *managedSlice) bool {
-		return o.resizeLocked(m, targetMbps)
+	return o.resizeWith(id, func(m *managedSlice, v slice.ReconfigView) bool {
+		_, changed := o.resizeLocked(m, v, targetMbps)
+		return changed
 	})
-	return changed, err
 }
 
 // SetProvisionCap caps the slice's epoch provisioning target at capMbps
@@ -41,10 +41,11 @@ func (o *Orchestrator) SetProvisionCap(id slice.ID, capMbps float64) (bool, erro
 	if capMbps < 0 {
 		return false, fmt.Errorf("core: negative provision cap %.1f", capMbps)
 	}
-	return o.resizeWith(id, func(m *managedSlice) bool {
+	return o.resizeWith(id, func(m *managedSlice, v slice.ReconfigView) bool {
 		m.provCapMbps = capMbps
 		if capMbps > 0 {
-			return o.resizeLocked(m, capMbps)
+			_, changed := o.resizeLocked(m, v, capMbps)
+			return changed
 		}
 		return false
 	})
@@ -52,7 +53,7 @@ func (o *Orchestrator) SetProvisionCap(id slice.ID, capMbps float64) (bool, erro
 
 // resizeWith runs fn on the slice under its shard lock, skipping terminal
 // states, then commits any WAL records the reconfiguration appended.
-func (o *Orchestrator) resizeWith(id slice.ID, fn func(*managedSlice) bool) (bool, error) {
+func (o *Orchestrator) resizeWith(id slice.ID, fn func(*managedSlice, slice.ReconfigView) bool) (bool, error) {
 	sh := o.shardFor(id)
 	sh.mu.Lock()
 	m, ok := sh.slices[id]
@@ -60,12 +61,13 @@ func (o *Orchestrator) resizeWith(id slice.ID, fn func(*managedSlice) bool) (boo
 		sh.mu.Unlock()
 		return false, fmt.Errorf("core: unknown slice %s", id)
 	}
-	switch m.s.State() {
+	v := m.s.ReconfigView()
+	switch v.State {
 	case slice.StateRejected, slice.StateTerminated:
 		sh.mu.Unlock()
 		return false, nil
 	}
-	changed := fn(m)
+	changed := fn(m, v)
 	sh.mu.Unlock()
 	if changed {
 		o.commitPersist()

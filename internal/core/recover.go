@@ -268,14 +268,10 @@ func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []transport.Reserva
 			return fmt.Errorf("radio impose on %s: %w", name, err)
 		}
 	}
-	pids := make([]string, 0, len(paths))
-	for _, pr := range paths {
-		if _, err := o.tb.Transport.Reserve(pr.ID, pr.Hops, pr.Mbps); err != nil {
-			return fmt.Errorf("transport impose %s: %w", pr.ID, err)
-		}
-		pids = append(pids, pr.ID)
+	o.tb.Ctrl.RAN.ImportSlice(alloc.PLMN)
+	if _, err := o.imposePaths(id, paths); err != nil {
+		return err
 	}
-	o.tb.Ctrl.Transport.ImportPaths(id, pids)
 	if alloc.StackID != "" {
 		dep, err := o.tb.Ctrl.Cloud.DeployEPC(id, alloc.DataCenter, alloc.PLMN, s.SLA().ThroughputMbps, s.SLA().Class)
 		if err != nil {
@@ -289,6 +285,24 @@ func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []transport.Reserva
 		}
 	}
 	return nil
+}
+
+// imposePaths reserves a slice's logged transport paths — recorded hops at
+// recorded bandwidth — and hands the handles to the transport controller. It
+// returns the path IDs in log order.
+func (o *Orchestrator) imposePaths(id slice.ID, paths []transport.Reservation) ([]string, error) {
+	pids := make([]string, 0, len(paths))
+	handles := make([]*transport.Reservation, 0, len(paths))
+	for _, pr := range paths {
+		r, err := o.tb.Transport.Reserve(pr.ID, pr.Hops, pr.Mbps)
+		if err != nil {
+			return nil, fmt.Errorf("transport impose %s: %w", pr.ID, err)
+		}
+		pids = append(pids, pr.ID)
+		handles = append(handles, r)
+	}
+	o.tb.Ctrl.Transport.ImportPaths(id, handles)
+	return pids, nil
 }
 
 // applyRecord decodes one log record and replays it: the record imposes its
@@ -485,16 +499,12 @@ func (rr *rerouteRecord) apply(o *Orchestrator) error {
 		return fmt.Errorf("unknown slice")
 	}
 	o.tb.Ctrl.Transport.ReleasePaths(rr.Slice)
-	pids := make([]string, 0, len(rr.Paths))
-	for _, pr := range rr.Paths {
-		if _, err := o.tb.Transport.Reserve(pr.ID, pr.Hops, pr.Mbps); err != nil {
-			return fmt.Errorf("transport impose %s: %w", pr.ID, err)
-		}
-		pids = append(pids, pr.ID)
+	pids, err := o.imposePaths(rr.Slice, rr.Paths)
+	if err != nil {
+		return err
 	}
-	o.tb.Ctrl.Transport.ImportPaths(rr.Slice, pids)
 	m.s.UpdateAllocation(func(a *slice.Allocation) {
-		a.PathIDs = pids // ImportPaths kept its own copy
+		a.PathIDs = pids
 		a.PathLatencyMs = rr.WorstDelayMs
 	})
 	sh.reconfigurations.Add(1)

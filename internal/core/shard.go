@@ -314,11 +314,11 @@ func (o *Orchestrator) dropFinishedAllLocked(ids []slice.ID) {
 
 // dropTelemetry removes an evicted slice's per-slice series from the
 // monitoring store: the dashboard charts slices it can still list, and a
-// churning daemon must not keep three rings for every slice it ever ran.
+// churning daemon must not keep a ring for every slice it ever ran.
 // Slices that never saw an epoch hold no series and cost nothing here.
 func (o *Orchestrator) dropTelemetry(m *managedSlice) {
 	if m == nil || m.series == nil {
 		return
 	}
-	o.store.Drop(m.series.demand.Name(), m.series.served.Name(), m.series.alloc.Name())
+	o.store.Drop(m.series.Names()...)
 }

@@ -62,6 +62,14 @@ type RANController struct {
 	// version, so the hot reserve/resize/schedule paths never rebuild it.
 	cellCache atomic.Pointer[ranCellCache]
 
+	// byPLMN holds each installed slice's per-cell reservation handles, in
+	// cell order: resolved once, by ReserveSlice (or ImportSlice on recovery),
+	// so a resize names nothing. The list is immutable once stored and the
+	// entry leaves at ReleaseSlice, before the cells release — the handles
+	// die with the reservations, never the other way round.
+	mu     sync.RWMutex
+	byPLMN map[slice.PLMN][]ran.Handle
+
 	// cellDemand is ScheduleDense's per-cell demand share, reused across
 	// epochs under schedMu.
 	schedMu    sync.Mutex
@@ -87,7 +95,9 @@ func (c *RANController) Cells() []*ran.ENB {
 }
 
 // NewRANController wraps the RAN.
-func NewRANController(net *ran.Network) *RANController { return &RANController{net: net} }
+func NewRANController(net *ran.Network) *RANController {
+	return &RANController{net: net, byPLMN: make(map[slice.PLMN][]ran.Handle)}
+}
 
 // Domain implements Controller.
 func (c *RANController) Domain() string { return "ran" }
@@ -125,21 +135,38 @@ func (c *RANController) reserveSliceInto(p slice.PLMN, mbps float64, res *RadioR
 	}
 	share := mbps / float64(len(enbs))
 	res.TotalMbps = 0
+	cells := make([]ran.Handle, 0, len(enbs))
 	for i, e := range enbs {
-		prbs := e.PRBsForThroughput(share)
-		if prbs == 0 {
-			prbs = 1 // every cell keeps the slice schedulable
-		}
-		if err := e.Reserve(p, prbs); err != nil {
+		h, prbs, granted, err := e.ReserveThroughput(p, share)
+		if err != nil {
 			for j := 0; j < i; j++ {
 				enbs[j].Release(p)
 			}
 			return fmt.Errorf("ctrl: radio reserve on %s: %w", e.Name(), err)
 		}
+		cells = append(cells, h)
 		res.PRBs[e.Name()] = prbs
-		res.TotalMbps += e.ThroughputForPRBs(prbs)
+		res.TotalMbps += granted
 	}
+	c.mu.Lock()
+	c.byPLMN[p] = cells
+	c.mu.Unlock()
 	return nil
+}
+
+// ImportSlice rebuilds the PLMN's handle set after crash recovery, which
+// re-imposes the per-cell reservations on the eNBs directly (recorded PRBs,
+// no sizing): every cell holding the PLMN contributes its handle.
+func (c *RANController) ImportSlice(p slice.PLMN) {
+	var cells []ran.Handle
+	for _, e := range c.Cells() {
+		if h, ok := e.Handle(p); ok {
+			cells = append(cells, h)
+		}
+	}
+	c.mu.Lock()
+	c.byPLMN[p] = cells
+	c.mu.Unlock()
 }
 
 // ResizeSlice adjusts the PLMN's reservations for a new aggregate
@@ -153,43 +180,40 @@ func (c *RANController) ResizeSlice(p slice.PLMN, mbps float64) (RadioReservatio
 }
 
 // resizeSliceInto is ResizeSlice writing into a caller-owned reservation
-// (res.PRBs must be a non-nil empty map). The previous per-eNB sizes used
-// for rollback live in a small stack buffer at common cell counts.
+// (res.PRBs must be a non-nil empty map). Each cell is visited once, through
+// its handle, under one acquisition of its mutex. The previous per-eNB sizes
+// used for rollback live in a small stack buffer at common cell counts.
 func (c *RANController) resizeSliceInto(p slice.PLMN, mbps float64, res *RadioReservation) error {
-	enbs := c.Cells()
-	if len(enbs) == 0 {
-		return errors.New("ctrl: RAN has no eNBs")
+	c.mu.RLock()
+	cells := c.byPLMN[p]
+	c.mu.RUnlock()
+	if len(cells) == 0 {
+		return fmt.Errorf("ctrl: resize: no radio reservation for %s", p)
 	}
-	share := mbps / float64(len(enbs))
+	share := mbps / float64(len(cells))
 	var prevBuf [8]int
 	prev := prevBuf[:0]
-	for _, e := range enbs {
-		n, ok := e.Reservation(p)
-		if !ok {
-			return fmt.Errorf("ctrl: resize: %s has no reservation for %s", e.Name(), p)
-		}
-		prev = append(prev, n)
-	}
 	res.TotalMbps = 0
-	for i, e := range enbs {
-		prbs := e.PRBsForThroughput(share)
-		if prbs == 0 {
-			prbs = 1
-		}
-		if err := e.Resize(p, prbs); err != nil {
+	for i, h := range cells {
+		was, prbs, granted, err := h.ResizeThroughput(share)
+		if err != nil {
 			for j := 0; j < i; j++ {
-				enbs[j].Resize(p, prev[j])
+				cells[j].Resize(prev[j])
 			}
-			return fmt.Errorf("ctrl: radio resize on %s: %w", e.Name(), err)
+			return fmt.Errorf("ctrl: radio resize on %s: %w", h.Cell().Name(), err)
 		}
-		res.PRBs[e.Name()] = prbs
-		res.TotalMbps += e.ThroughputForPRBs(prbs)
+		prev = append(prev, was)
+		res.PRBs[h.Cell().Name()] = prbs
+		res.TotalMbps += granted
 	}
 	return nil
 }
 
 // ReleaseSlice drops the PLMN from every eNB. Idempotent.
 func (c *RANController) ReleaseSlice(p slice.PLMN) {
+	c.mu.Lock()
+	delete(c.byPLMN, p)
+	c.mu.Unlock()
 	for _, e := range c.Cells() {
 		e.Release(p)
 	}
@@ -273,8 +297,13 @@ type TransportController struct {
 	FaultArm
 	net *transport.Network
 
+	// bySlice holds each slice's path handles, in eNB order: what resize and
+	// release pass to the network in place of path IDs. A list is immutable
+	// once stored — setup and import store fresh ones, release and re-route
+	// delete the entry — so it stays valid after the lock drops and needs no
+	// per-call copy.
 	mu      sync.RWMutex
-	bySlice map[slice.ID][]string // path IDs per slice
+	bySlice map[slice.ID][]*transport.Reservation
 
 	// enbCache memoizes the sorted eNB transport-port list keyed by the
 	// topology version, so path setup and feasibility checks never rebuild
@@ -302,7 +331,7 @@ func (c *TransportController) enbNodes() []string {
 
 // NewTransportController wraps the transport network.
 func NewTransportController(net *transport.Network) *TransportController {
-	return &TransportController{net: net, bySlice: make(map[slice.ID][]string)}
+	return &TransportController{net: net, bySlice: make(map[slice.ID][]*transport.Reservation)}
 }
 
 // Domain implements Controller.
@@ -340,25 +369,25 @@ func (c *TransportController) setupPathsInto(id slice.ID, dc string, mbps, maxDe
 	share := mbps / float64(len(enbs))
 	setup.PathIDs = setup.PathIDs[:0]
 	setup.WorstDelayMs = 0
+	paths := make([]*transport.Reservation, 0, len(enbs))
 	for _, enb := range enbs {
 		pid := string(id) + "/" + enb + "->" + dc
 		r, err := c.net.ReservePath(pid, transport.PathRequest{
 			From: enb, To: dc, MinMbps: share, MaxDelayMs: maxDelayMs,
 		})
 		if err != nil {
-			for _, done := range setup.PathIDs { // roll back: all paths or none
-				c.net.Release(done)
-			}
+			c.net.ReleaseEach(paths) // roll back: all paths or none
 			setup.PathIDs = setup.PathIDs[:0]
 			return fmt.Errorf("ctrl: path %s->%s: %w", enb, dc, err)
 		}
+		paths = append(paths, r)
 		setup.PathIDs = append(setup.PathIDs, pid)
 		if r.DelayMs > setup.WorstDelayMs {
 			setup.WorstDelayMs = r.DelayMs
 		}
 	}
 	c.mu.Lock()
-	c.bySlice[id] = append([]string(nil), setup.PathIDs...)
+	c.bySlice[id] = paths
 	c.mu.Unlock()
 	return nil
 }
@@ -366,16 +395,13 @@ func (c *TransportController) setupPathsInto(id slice.ID, dc string, mbps, maxDe
 // ResizePaths changes every path of the slice to the new aggregate
 // bandwidth. On failure, previously resized paths are restored.
 func (c *TransportController) ResizePaths(id slice.ID, mbps float64) error {
-	// bySlice values are immutable once stored (setup and import store fresh
-	// copies, release deletes the entry), so the list stays valid after the
-	// lock drops and needs no per-call copy.
 	c.mu.RLock()
-	pids := c.bySlice[id]
+	paths := c.bySlice[id]
 	c.mu.RUnlock()
-	if len(pids) == 0 {
+	if len(paths) == 0 {
 		return fmt.Errorf("ctrl: slice %s has no transport paths", id)
 	}
-	failed, err := c.net.ResizeEach(pids, mbps/float64(len(pids)))
+	failed, err := c.net.ResizeEach(paths, mbps/float64(len(paths)))
 	switch {
 	case err == nil:
 		return nil
@@ -389,21 +415,19 @@ func (c *TransportController) ResizePaths(id slice.ID, mbps float64) error {
 // ReleasePaths frees every path of the slice. Idempotent.
 func (c *TransportController) ReleasePaths(id slice.ID) {
 	c.mu.Lock()
-	pids := c.bySlice[id]
+	paths := c.bySlice[id]
 	delete(c.bySlice, id)
 	c.mu.Unlock()
-	for _, pid := range pids {
-		c.net.Release(pid)
-	}
+	c.net.ReleaseEach(paths)
 }
 
-// ImportPaths restores the slice→path-ID index after crash recovery. The
-// underlying transport reservations are re-imposed separately (recorded
-// hops at recorded bandwidth); this only rebuilds the controller's lookup
-// table that resize and release consult.
-func (c *TransportController) ImportPaths(id slice.ID, pids []string) {
+// ImportPaths restores the slice's path handles after crash recovery, which
+// re-imposes the transport reservations on the network directly (recorded
+// hops at recorded bandwidth) and hands the handles Reserve returned to the
+// controller that resize and release go through.
+func (c *TransportController) ImportPaths(id slice.ID, paths []*transport.Reservation) {
 	c.mu.Lock()
-	c.bySlice[id] = append([]string(nil), pids...)
+	c.bySlice[id] = paths
 	c.mu.Unlock()
 }
 

@@ -1,6 +1,8 @@
 package ctrl_test
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/ctrl"
 	"repro/internal/epc"
 	"repro/internal/monitor"
+	"repro/internal/ran"
 	"repro/internal/slice"
 	"repro/internal/testbed"
 	"repro/internal/transport"
@@ -89,6 +92,74 @@ func TestRANResizeRestoresOnFailure(t *testing.T) {
 	after2, _ := e2.Reservation(plmnA)
 	if after1 != before1 || after2 != before2 {
 		t.Fatalf("failed resize mutated reservations: %d/%d -> %d/%d", before1, before2, after1, after2)
+	}
+}
+
+// TestRANResizeRollsBackCellByCell: only the second cell lacks the room, so
+// the first has already moved when the resize fails — the per-cell rollback,
+// through the handles, must leave both cells' books exactly as they were.
+func TestRANResizeRollsBackCellByCell(t *testing.T) {
+	tb := newTB(t)
+	c := tb.Ctrl.RAN
+	if _, err := c.ReserveSlice(plmnA, 20); err != nil {
+		t.Fatal(err)
+	}
+	e1, _ := tb.RAN.Get(testbed.ENBName(0))
+	e2, _ := tb.RAN.Get(testbed.ENBName(1))
+	e2.Reserve(plmnB, e2.FreePRBs())
+	before1, before2 := e1.Snapshot(), e2.Snapshot()
+	if _, err := c.ResizeSlice(plmnA, 60); !errors.Is(err, ran.ErrInsufficientPRBs) {
+		t.Fatalf("resize with one full cell: %v", err)
+	}
+	if after1, after2 := e1.Snapshot(), e2.Snapshot(); !reflect.DeepEqual(before1, after1) || !reflect.DeepEqual(before2, after2) {
+		t.Fatalf("failed resize moved the books:\n %+v -> %+v\n %+v -> %+v", before1, after1, before2, after2)
+	}
+	if msgs := append(e1.AuditConservation(), e2.AuditConservation()...); len(msgs) != 0 {
+		t.Fatal(msgs)
+	}
+}
+
+// TestRANStaleHandleNeverResizes: a cell's reservation is released and made
+// again behind the controller's back, so the controller's handle for that
+// cell is stale. The resize must fail with ErrUnknownPLMN and move nothing —
+// not the cells before the stale one, and never the new reservation. A
+// release and a new reservation through the controller heal it.
+func TestRANStaleHandleNeverResizes(t *testing.T) {
+	tb := newTB(t)
+	c := tb.Ctrl.RAN
+	if _, err := c.ReserveSlice(plmnA, 20); err != nil {
+		t.Fatal(err)
+	}
+	e1, _ := tb.RAN.Get(testbed.ENBName(0))
+	e2, _ := tb.RAN.Get(testbed.ENBName(1))
+	e2.Release(plmnA)
+	if err := e2.Reserve(plmnA, 7); err != nil {
+		t.Fatal(err)
+	}
+	before1, before2 := e1.Snapshot(), e2.Snapshot()
+	if _, err := c.ResizeSlice(plmnA, 10); !errors.Is(err, ran.ErrUnknownPLMN) {
+		t.Fatalf("resize through a stale handle: %v", err)
+	}
+	if after1, after2 := e1.Snapshot(), e2.Snapshot(); !reflect.DeepEqual(before1, after1) || !reflect.DeepEqual(before2, after2) {
+		t.Fatalf("stale handle moved the books:\n %+v -> %+v\n %+v -> %+v", before1, after1, before2, after2)
+	}
+	c.ReleaseSlice(plmnA)
+	if _, err := c.ResizeSlice(plmnA, 10); err == nil {
+		t.Fatal("resize of a released slice succeeded")
+	}
+	if _, err := c.ReserveSlice(plmnA, 20); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := c.ResizeSlice(plmnA, 10); err != nil || res.TotalMbps < 10 {
+		t.Fatalf("resize after re-reserve: %+v, %v", res, err)
+	}
+	// Recovery imposes the per-cell reservations directly and imports them.
+	c.ReleaseSlice(plmnA)
+	e1.Reserve(plmnA, 3)
+	e2.Reserve(plmnA, 4)
+	c.ImportSlice(plmnA)
+	if res, err := c.ResizeSlice(plmnA, 10); err != nil || len(res.PRBs) != 2 {
+		t.Fatalf("resize after import: %+v, %v", res, err)
 	}
 }
 

@@ -28,107 +28,156 @@ type Sample struct {
 	Value float64   `json:"value"`
 }
 
-// Series is a fixed-capacity ring buffer of samples. Safe for concurrent use.
+// Rows is a fixed-capacity ring of rows: one timestamp column and one value
+// column per metric, all behind one lock. Metrics that are always sampled
+// together — a slice's demand, served and allocated throughput — share one
+// Rows and are written as one row; each column reads back as a Series. Safe
+// for concurrent use.
 //
-// Internally the ring stores (unix-nanosecond, value) pairs rather than
-// Sample structs: time.Time carries a *Location pointer, and a store with
-// tens of thousands of per-slice series would otherwise hand the garbage
-// collector millions of pointer slots to scan on every cycle. Timestamps
-// round-trip exactly (nanosecond precision, reported in UTC).
-type Series struct {
+// Internally the ring stores unix-nanosecond timestamps and float values
+// rather than Sample structs: time.Time carries a *Location pointer, and a
+// store with tens of thousands of per-slice rings would otherwise hand the
+// garbage collector millions of pointer slots to scan on every cycle.
+// Timestamps round-trip exactly (nanosecond precision, reported in UTC).
+type Rows struct {
 	mu   sync.RWMutex
-	name string
-	at   []int64 // UnixNano per sample
-	val  []float64
+	at   []int64   // UnixNano per row
+	val  []float64 // row-major: row i's columns are val[i*cols : (i+1)*cols]
+	cols []*Series
 	head int // next write position
-	n    int // valid samples
+	n    int // valid rows
+}
+
+// newRows returns an empty ring of capacity rows (minimum 1) with one column
+// per name.
+func newRows(capacity int, names ...string) *Rows {
+	if capacity < 1 {
+		capacity = 1
+	}
+	r := &Rows{at: make([]int64, capacity), val: make([]float64, capacity*len(names)), cols: make([]*Series, len(names))}
+	for i, name := range names {
+		r.cols[i] = &Series{name: name, rows: r, col: i}
+	}
+	return r
+}
+
+// Add appends one row, evicting the oldest when full: vals[i] goes to column
+// i, columns past len(vals) read zero.
+func (r *Rows) Add(atNanos int64, vals ...float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	copy(r.pushLocked(atNanos), vals)
+}
+
+// pushLocked claims the next row, stamped atNanos and zeroed, evicting the
+// oldest when full. The caller holds r.mu exclusively.
+func (r *Rows) pushLocked(atNanos int64) []float64 {
+	r.at[r.head] = atNanos
+	row := r.val[r.head*len(r.cols) : (r.head+1)*len(r.cols)]
+	clear(row)
+	r.head = (r.head + 1) % len(r.at)
+	if r.n < len(r.at) {
+		r.n++
+	}
+	return row
+}
+
+// Names returns the column names in column order.
+func (r *Rows) Names() []string {
+	out := make([]string, len(r.cols))
+	for i, s := range r.cols {
+		out[i] = s.name
+	}
+	return out
+}
+
+// Series is one named metric: a column of a Rows ring (Store.Rows registers
+// every column under its name). A series made by NewSeries, Store.Series or
+// Store.SeriesSized owns a single-column ring. Safe for concurrent
+// use.
+type Series struct {
+	name string
+	rows *Rows
+	col  int
 }
 
 // NewSeries returns an empty series with the given capacity (minimum 1).
 func NewSeries(name string, capacity int) *Series {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Series{name: name, at: make([]int64, capacity), val: make([]float64, capacity)}
+	return newRows(capacity, name).cols[0]
 }
 
 // Name returns the series name.
 func (s *Series) Name() string { return s.name }
 
-// Add appends a sample, evicting the oldest when full.
-func (s *Series) Add(at time.Time, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(at.UnixNano(), v)
-}
+// Add appends a sample, evicting the oldest when full. On a column of a
+// shared ring it appends a row that reads zero in the sibling columns; the
+// ring's owner writes whole rows with Rows.Add instead.
+func (s *Series) Add(at time.Time, v float64) { s.AddNanos(at.UnixNano(), v) }
 
 // AddNanos is Add for a caller that already holds the timestamp as Unix
-// nanoseconds — the control epoch stamps every per-slice sample of one pass
-// with the same instant and converts it once.
+// nanoseconds.
 func (s *Series) AddNanos(atNanos int64, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.addLocked(atNanos, v)
-}
-
-func (s *Series) addLocked(atNanos int64, v float64) {
-	s.at[s.head] = atNanos
-	s.val[s.head] = v
-	s.head = (s.head + 1) % len(s.at)
-	if s.n < len(s.at) {
-		s.n++
-	}
+	s.rows.mu.Lock()
+	defer s.rows.mu.Unlock()
+	s.rows.pushLocked(atNanos)[s.col] = v
 }
 
 // Len returns the number of stored samples.
 func (s *Series) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.n
+	s.rows.mu.RLock()
+	defer s.rows.mu.RUnlock()
+	return s.rows.n
 }
 
 // Capacity returns the ring size.
-func (s *Series) Capacity() int { return len(s.at) }
+func (s *Series) Capacity() int { return len(s.rows.at) }
 
 // Last returns the most recent sample, if any.
 func (s *Series) Last() (Sample, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.n == 0 {
+	r := s.rows
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if r.n == 0 {
 		return Sample{}, false
 	}
-	idx := (s.head - 1 + len(s.at)) % len(s.at)
-	return Sample{At: time.Unix(0, s.at[idx]).UTC(), Value: s.val[idx]}, true
+	return s.sampleLocked((r.head - 1 + len(r.at)) % len(r.at)), true
+}
+
+// sampleLocked reads the series' sample in ring slot j.
+func (s *Series) sampleLocked(j int) Sample {
+	r := s.rows
+	return Sample{At: time.Unix(0, r.at[j]).UTC(), Value: r.val[j*len(r.cols)+s.col]}
 }
 
 // Window returns up to n most recent samples in chronological order.
 // n <= 0 returns everything stored.
 func (s *Series) Window(n int) []Sample {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n <= 0 || n > s.n {
-		n = s.n
+	r := s.rows
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if n <= 0 || n > r.n {
+		n = r.n
 	}
 	out := make([]Sample, n)
-	start := (s.head - n + len(s.at)) % len(s.at)
-	for i := 0; i < n; i++ {
-		j := (start + i) % len(s.at)
-		out[i] = Sample{At: time.Unix(0, s.at[j]).UTC(), Value: s.val[j]}
+	start := (r.head - n + len(r.at)) % len(r.at)
+	for i := range out {
+		out[i] = s.sampleLocked((start + i) % len(r.at))
 	}
 	return out
 }
 
 // Values returns just the values of Window(n).
 func (s *Series) Values(n int) []float64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n <= 0 || n > s.n {
-		n = s.n
+	r := s.rows
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if n <= 0 || n > r.n {
+		n = r.n
 	}
 	out := make([]float64, n)
-	start := (s.head - n + len(s.at)) % len(s.at)
+	start := (r.head - n + len(r.at)) % len(r.at)
 	for i := range out {
-		out[i] = s.val[(start+i)%len(s.at)]
+		out[i] = r.val[(start+i)%len(r.at)*len(r.cols)+s.col]
 	}
 	return out
 }
@@ -230,28 +279,11 @@ func NewStore(capacity int) *Store {
 }
 
 // Series returns the named series, creating it on first use.
-func (st *Store) Series(name string) *Series {
-	st.mu.RLock()
-	s, ok := st.series[name]
-	st.mu.RUnlock()
-	if ok {
-		return s
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if s, ok = st.series[name]; ok {
-		return s
-	}
-	s = NewSeries(name, st.capacity)
-	st.series[name] = s
-	return s
-}
+func (st *Store) Series(name string) *Series { return st.SeriesSized(name, st.capacity) }
 
 // SeriesSized returns the named series, creating it on first use with the
 // given ring capacity instead of the store default. An existing series keeps
-// its original capacity. The orchestrator uses this to bound per-slice
-// telemetry rings: with tens of thousands of slices, default-sized rings
-// would dominate the daemon's memory.
+// its original capacity.
 func (st *Store) SeriesSized(name string, capacity int) *Series {
 	st.mu.RLock()
 	s, ok := st.series[name]
@@ -267,6 +299,23 @@ func (st *Store) SeriesSized(name string, capacity int) *Series {
 	s = NewSeries(name, capacity)
 	st.series[name] = s
 	return s
+}
+
+// Rows creates one ring of capacity rows with a column per name and
+// registers every column as the series of its name (replacing a series
+// already registered under it), so Series(name) reads the column back. The
+// caller keeps the returned handle and writes whole rows through it. The
+// orchestrator holds one per slice, sized well below the store default: with
+// tens of thousands of slices, default-sized rings would dominate the
+// daemon's memory.
+func (st *Store) Rows(capacity int, names ...string) *Rows {
+	r := newRows(capacity, names...)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, s := range r.cols {
+		st.series[s.name] = s
+	}
+	return r
 }
 
 // Record appends to the named series, creating it if needed.

@@ -165,10 +165,19 @@ type ENB struct {
 
 	mu       sync.Mutex
 	reserved map[slice.PLMN]*cellRes // reservation per PLMN
-	order    []*cellRes              // reservation order, for deterministic iteration
-	used     int                     // sum of reserved PRBs, kept incrementally so
+	// head/tail are the reservations as a doubly linked list in reservation
+	// order — the MOCN broadcast list, and the order the scheduler sums idle
+	// and used PRBs in, so it is part of the determinism contract. A list,
+	// not a slice: a release unlinks the record it holds instead of searching
+	// for it.
+	head, tail *cellRes
+	used       int // sum of reserved PRBs, kept incrementally so
 	// the free-PRB check on every reserve/resize is O(1) instead of a scan
 	// over all PLMNs (the control epoch resizes every slice every period).
+
+	// perPRB is the throughput one PRB sustains at the mean CQI, the sizing
+	// constant of every reserve and resize; recomputed only by SetMeanCQI.
+	perPRB float64
 
 	// ver counts every state change that can flip a headroom answer —
 	// Reserve, Resize, Release, SetMeanCQI — so per-cell feasibility
@@ -183,6 +192,10 @@ type ENB struct {
 type cellRes struct {
 	plmn slice.PLMN
 	prbs int
+	// live is cleared at release: a Handle that outlives its reservation then
+	// resizes nothing, even after the PLMN was reserved here again.
+	live       bool
+	prev, next *cellRes
 
 	// Scheduler scratch, meaningful only inside one scheduling pass (under
 	// the cell mutex): the PLMN's index in the pass's dense input (-1 when it
@@ -218,8 +231,11 @@ func NewENB(cfg Config, rng *rand.Rand) (*ENB, error) {
 	if cfg.ControlPRBs < 0 || cfg.ControlPRBs >= cfg.Bandwidth.PRBs()*cfg.Carriers {
 		return nil, fmt.Errorf("ran: control PRBs %d out of range for %v x%d", cfg.ControlPRBs, cfg.Bandwidth, cfg.Carriers)
 	}
-	return &ENB{cfg: cfg, rng: rng, reserved: make(map[slice.PLMN]*cellRes)}, nil
+	return &ENB{cfg: cfg, rng: rng, reserved: make(map[slice.PLMN]*cellRes), perPRB: perPRBAt(cfg.MeanCQI)}, nil
 }
+
+// perPRBAt is the per-PRB throughput at a mean channel quality.
+func perPRBAt(meanCQI float64) float64 { return PRBThroughputMbps(int(math.Round(meanCQI))) }
 
 // Name returns the eNB name.
 func (e *ENB) Name() string { return e.cfg.Name }
@@ -247,62 +263,152 @@ func (e *ENB) MeanCQI() float64 {
 }
 
 // CapacityMbps returns the cell capacity at the mean CQI.
-func (e *ENB) CapacityMbps() float64 {
-	return float64(e.TotalPRBs()) * PRBThroughputMbps(int(math.Round(e.MeanCQI())))
-}
+func (e *ENB) CapacityMbps() float64 { return e.ThroughputForPRBs(e.TotalPRBs()) }
 
 // PRBsForThroughput converts a required throughput into a PRB budget at the
 // eNB's mean CQI, rounding up. It is the sizing function the RAN controller
 // uses when translating an orchestrator reservation into radio resources.
 func (e *ENB) PRBsForThroughput(mbps float64) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.sizeLocked(mbps)
+}
+
+func (e *ENB) sizeLocked(mbps float64) int {
 	if mbps <= 0 {
 		return 0
 	}
-	per := PRBThroughputMbps(int(math.Round(e.MeanCQI())))
-	return int(math.Ceil(mbps / per))
+	return int(math.Ceil(mbps / e.perPRB))
 }
 
 // ThroughputForPRBs is the inverse sizing function at mean CQI.
 func (e *ENB) ThroughputForPRBs(prbs int) float64 {
-	return float64(prbs) * PRBThroughputMbps(int(math.Round(e.MeanCQI())))
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return float64(prbs) * e.perPRB
+}
+
+// Handle addresses one PLMN's reservation on one cell without naming it: the
+// RAN controller resolves it once, when the slice is installed, and resizes
+// through it from then on. It stays valid until that reservation is released;
+// afterwards it fails with ErrUnknownPLMN and touches nothing. Cells are
+// never removed from a RAN, so the cell a handle points at outlives it. The
+// zero Handle is a released one.
+type Handle struct {
+	e *ENB
+	r *cellRes
+}
+
+// Cell returns the eNB holding the reservation.
+func (h Handle) Cell() *ENB { return h.e }
+
+// Handle resolves the PLMN's reservation on this cell.
+func (e *ENB) Handle(p slice.PLMN) (Handle, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if r, ok := e.reserved[p]; ok {
+		return Handle{e, r}, true
+	}
+	return Handle{}, false
 }
 
 // Reserve dedicates prbs to the PLMN, adding it to the MOCN broadcast list.
 func (e *ENB) Reserve(p slice.PLMN, prbs int) error {
-	if prbs <= 0 {
-		return fmt.Errorf("ran: reservation of %d PRBs on %s must be positive", prbs, e.cfg.Name)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	_, err := e.reserveLocked(p, prbs)
+	return err
+}
+
+// ReserveThroughput sizes a reservation for mbps at the mean CQI — at least
+// one PRB, so the cell keeps the slice schedulable — and makes it, in one
+// critical section. It returns the reservation's handle, the PRBs dedicated
+// and the throughput they sustain.
+func (e *ENB) ReserveThroughput(p slice.PLMN, mbps float64) (h Handle, prbs int, granted float64, err error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	prbs = max(e.sizeLocked(mbps), 1)
+	r, err := e.reserveLocked(p, prbs)
+	if err != nil {
+		return Handle{}, 0, 0, err
+	}
+	return Handle{e, r}, prbs, float64(prbs) * e.perPRB, nil
+}
+
+func (e *ENB) reserveLocked(p slice.PLMN, prbs int) (*cellRes, error) {
+	if prbs <= 0 {
+		return nil, fmt.Errorf("ran: reservation of %d PRBs on %s must be positive", prbs, e.cfg.Name)
+	}
 	if _, ok := e.reserved[p]; ok {
-		return fmt.Errorf("%w: %s on %s", ErrAlreadyReserved, p, e.cfg.Name)
+		return nil, fmt.Errorf("%w: %s on %s", ErrAlreadyReserved, p, e.cfg.Name)
 	}
 	if len(e.reserved) >= e.cfg.MaxPLMNs {
-		return fmt.Errorf("%w: %d PLMNs on %s", ErrPLMNListFull, len(e.reserved), e.cfg.Name)
+		return nil, fmt.Errorf("%w: %d PLMNs on %s", ErrPLMNListFull, len(e.reserved), e.cfg.Name)
 	}
 	if prbs > e.freeLocked() {
-		return fmt.Errorf("%w: want %d, free %d on %s", ErrInsufficientPRBs, prbs, e.freeLocked(), e.cfg.Name)
+		return nil, fmt.Errorf("%w: want %d, free %d on %s", ErrInsufficientPRBs, prbs, e.freeLocked(), e.cfg.Name)
 	}
-	r := &cellRes{plmn: p, prbs: prbs}
+	r := &cellRes{plmn: p, prbs: prbs, live: true, prev: e.tail}
+	if e.tail != nil {
+		e.tail.next = r
+	} else {
+		e.head = r
+	}
+	e.tail = r
 	e.reserved[p] = r
 	e.used += prbs
-	e.order = append(e.order, r)
 	e.ver.Add(1)
-	return nil
+	return r, nil
 }
 
 // Resize changes the PLMN's reservation to prbs (the overbooking
 // reconfiguration primitive). Growing fails if free PRBs do not cover the
 // increase.
 func (e *ENB) Resize(p slice.PLMN, prbs int) error {
-	if prbs <= 0 {
-		return fmt.Errorf("ran: resize to %d PRBs must be positive (release instead)", prbs)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	r, ok := e.reserved[p]
 	if !ok {
 		return fmt.Errorf("%w: %s on %s", ErrUnknownPLMN, p, e.cfg.Name)
+	}
+	return e.resizeLocked(r, prbs)
+}
+
+// Resize is ENB.Resize through the handle.
+func (h Handle) Resize(prbs int) error {
+	if h.e == nil {
+		return ErrUnknownPLMN
+	}
+	h.e.mu.Lock()
+	defer h.e.mu.Unlock()
+	return h.e.resizeLocked(h.r, prbs)
+}
+
+// ResizeThroughput re-sizes the reservation for mbps at the mean CQI (at
+// least one PRB) in one critical section: read the previous size, size the
+// new one, check headroom, write. It returns the previous PRBs — what a
+// caller resizing several cells puts back on failure — the new PRBs and the
+// throughput they sustain.
+func (h Handle) ResizeThroughput(mbps float64) (prev, prbs int, granted float64, err error) {
+	if h.e == nil {
+		return 0, 0, 0, ErrUnknownPLMN
+	}
+	e := h.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	prev, prbs = h.r.prbs, max(e.sizeLocked(mbps), 1)
+	if err := e.resizeLocked(h.r, prbs); err != nil {
+		return 0, 0, 0, err
+	}
+	return prev, prbs, float64(prbs) * e.perPRB, nil
+}
+
+func (e *ENB) resizeLocked(r *cellRes, prbs int) error {
+	if !r.live {
+		return fmt.Errorf("%w: %s on %s", ErrUnknownPLMN, r.plmn, e.cfg.Name)
+	}
+	if prbs <= 0 {
+		return fmt.Errorf("ran: resize to %d PRBs must be positive (release instead)", prbs)
 	}
 	delta := prbs - r.prbs
 	if delta > e.freeLocked() {
@@ -325,14 +431,17 @@ func (e *ENB) Release(p slice.PLMN) {
 	}
 	delete(e.reserved, p)
 	e.used -= r.prbs
-	for i, q := range e.order {
-		if q == r {
-			copy(e.order[i:], e.order[i+1:])
-			e.order[len(e.order)-1] = nil
-			e.order = e.order[:len(e.order)-1]
-			break
-		}
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		e.head = r.next
 	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		e.tail = r.prev
+	}
+	r.live, r.prev, r.next = false, nil, nil
 	e.ver.Add(1)
 }
 
@@ -351,6 +460,7 @@ func (e *ENB) SetMeanCQI(cqi float64) {
 	}
 	e.mu.Lock()
 	e.cfg.MeanCQI = cqi
+	e.perPRB = perPRBAt(cqi)
 	e.mu.Unlock()
 	e.ver.Add(1)
 }
@@ -378,13 +488,18 @@ func (e *ENB) AuditConservation() []string {
 	if e.freeLocked() < 0 {
 		out = append(out, fmt.Sprintf("ran %s: negative slack (%d free of %d)", e.cfg.Name, e.freeLocked(), e.TotalPRBs()))
 	}
-	if len(e.order) != len(e.reserved) {
-		out = append(out, fmt.Sprintf("ran %s: broadcast list has %d entries, reservation map %d", e.cfg.Name, len(e.order), len(e.reserved)))
-	}
-	for _, r := range e.order {
-		if e.reserved[r.plmn] != r {
+	listed := 0
+	for r, prev := e.head, (*cellRes)(nil); r != nil; r, prev = r.next, r {
+		listed++
+		if e.reserved[r.plmn] != r || !r.live {
 			out = append(out, fmt.Sprintf("ran %s: broadcast list entry %s has no reservation", e.cfg.Name, r.plmn))
 		}
+		if r.prev != prev || (r.next == nil && e.tail != r) {
+			out = append(out, fmt.Sprintf("ran %s: broadcast list is mislinked at %s", e.cfg.Name, r.plmn))
+		}
+	}
+	if listed != len(e.reserved) {
+		out = append(out, fmt.Sprintf("ran %s: broadcast list has %d entries, reservation map %d", e.cfg.Name, listed, len(e.reserved)))
 	}
 	if len(e.reserved) > e.cfg.MaxPLMNs {
 		out = append(out, fmt.Sprintf("ran %s: %d PLMNs exceed MOCN list bound %d", e.cfg.Name, len(e.reserved), e.cfg.MaxPLMNs))
@@ -408,9 +523,9 @@ func (e *ENB) Reservation(p slice.PLMN) (int, bool) {
 func (e *ENB) BroadcastList() []slice.PLMN {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]slice.PLMN, len(e.order))
-	for i, r := range e.order {
-		out[i] = r.plmn
+	out := make([]slice.PLMN, 0, len(e.reserved))
+	for r := e.head; r != nil; r = r.next {
+		out = append(out, r.plmn)
 	}
 	return out
 }
@@ -450,13 +565,13 @@ type ServedMbps map[slice.PLMN]float64
 func (e *ENB) ScheduleEpoch(demand DemandMbps, shareUnused bool) (ServedMbps, float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	plmns := make([]slice.PLMN, len(e.order))
-	offered := make([]float64, len(e.order))
-	delivered := make([]float64, len(e.order))
-	for i, r := range e.order {
-		plmns[i] = r.plmn
-		offered[i] = demand[r.plmn]
+	plmns := make([]slice.PLMN, 0, len(e.reserved))
+	offered := make([]float64, 0, len(e.reserved))
+	for r := e.head; r != nil; r = r.next {
+		plmns = append(plmns, r.plmn)
+		offered = append(offered, demand[r.plmn])
 	}
+	delivered := make([]float64, len(plmns))
 	util := e.scheduleLocked(plmns, offered, delivered, shareUnused)
 	served := make(ServedMbps, len(plmns))
 	for i, p := range plmns {
@@ -481,7 +596,7 @@ func (e *ENB) ScheduleDense(plmns []slice.PLMN, demand, served []float64, shareU
 }
 
 func (e *ENB) scheduleLocked(plmns []slice.PLMN, demand, served []float64, shareUnused bool) float64 {
-	for _, r := range e.order {
+	for r := e.head; r != nil; r = r.next {
 		r.item = -1
 	}
 	for i, p := range plmns {
@@ -496,7 +611,7 @@ func (e *ENB) scheduleLocked(plmns []slice.PLMN, demand, served []float64, share
 
 	idle := 0.0
 	usedPRBs := 0.0
-	for _, r := range e.order {
+	for r := e.head; r != nil; r = r.next {
 		d := 0.0
 		if r.item >= 0 {
 			d = demand[r.item]
@@ -516,7 +631,7 @@ func (e *ENB) scheduleLocked(plmns []slice.PLMN, demand, served []float64, share
 		// their unmet demand, iterating because a grant can satiate.
 		for iter := 0; iter < 4 && idle > 1e-9; iter++ {
 			totalUnmet := 0.0
-			for _, r := range e.order {
+			for r := e.head; r != nil; r = r.next {
 				if r.want > r.granted {
 					totalUnmet += r.want - r.granted
 				}
@@ -525,7 +640,7 @@ func (e *ENB) scheduleLocked(plmns []slice.PLMN, demand, served []float64, share
 				break
 			}
 			share := math.Min(idle, totalUnmet)
-			for _, r := range e.order {
+			for r := e.head; r != nil; r = r.next {
 				if r.want <= r.granted {
 					continue
 				}
@@ -540,7 +655,7 @@ func (e *ENB) scheduleLocked(plmns []slice.PLMN, demand, served []float64, share
 		}
 	}
 
-	for _, r := range e.order {
+	for r := e.head; r != nil; r = r.next {
 		if r.item >= 0 {
 			served[r.item] += r.granted * perPRB
 		}
@@ -592,7 +707,7 @@ func (e *ENB) Snapshot() Snapshot {
 	if s.TotalPRBs > 0 {
 		s.Utilization = float64(s.TotalPRBs-s.FreePRBs) / float64(s.TotalPRBs)
 	}
-	for _, r := range e.order {
+	for r := e.head; r != nil; r = r.next {
 		s.PLMNs = append(s.PLMNs, PLMNReservation{PLMN: r.plmn, PRBs: r.prbs})
 	}
 	return s

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -98,12 +99,121 @@ func TestReserveResizeRelease(t *testing.T) {
 	if e.FreePRBs() != 90 {
 		t.Fatalf("free after shrink %d", e.FreePRBs())
 	}
+	h, ok := e.Handle(p)
+	if !ok || h.Cell() != e {
+		t.Fatalf("handle of a reserved PLMN: ok=%v cell=%v", ok, h.Cell())
+	}
+	if err := h.Resize(25); err != nil || e.FreePRBs() != 75 {
+		t.Fatalf("resize through the handle: %v, free %d", err, e.FreePRBs())
+	}
 	e.Release(p)
 	if e.FreePRBs() != 100 {
 		t.Fatalf("free after release %d", e.FreePRBs())
 	}
 	if _, ok := e.Reservation(p); ok {
 		t.Fatal("released PLMN still reserved")
+	}
+
+	// The PLMN is reserved again: the handle of the released reservation must
+	// not reach the new one. Stale handle ⇒ ErrUnknownPLMN, nothing mutated.
+	fresh, prbs, granted, err := e.ReserveThroughput(p, 10)
+	if err != nil || prbs != e.PRBsForThroughput(10) || granted != e.ThroughputForPRBs(prbs) {
+		t.Fatalf("reserve by throughput: %d PRBs, %.3f Mbps, %v", prbs, granted, err)
+	}
+	ver := e.Version()
+	if err := h.Resize(60); !errors.Is(err, ErrUnknownPLMN) {
+		t.Fatalf("stale handle resize: %v", err)
+	}
+	if _, _, _, err := h.ResizeThroughput(30); !errors.Is(err, ErrUnknownPLMN) {
+		t.Fatalf("stale handle resize by throughput: %v", err)
+	}
+	if _, _, _, err := (Handle{}).ResizeThroughput(30); !errors.Is(err, ErrUnknownPLMN) {
+		t.Fatalf("zero handle: %v", err)
+	}
+	if got, _ := e.Reservation(p); got != prbs || e.FreePRBs() != 100-prbs || e.Version() != ver {
+		t.Fatalf("stale handle mutated the cell: reservation %d (want %d), free %d, version %d -> %d",
+			got, prbs, e.FreePRBs(), ver, e.Version())
+	}
+	// The live handle sizes, checks and writes in one step and reports what
+	// it replaced.
+	was, now, granted, err := fresh.ResizeThroughput(20)
+	if err != nil || was != prbs || now != e.PRBsForThroughput(20) || granted != e.ThroughputForPRBs(now) {
+		t.Fatalf("resize by throughput: %d -> %d PRBs, %.3f Mbps, %v", was, now, granted, err)
+	}
+	if _, _, _, err := fresh.ResizeThroughput(1e6); !errors.Is(err, ErrInsufficientPRBs) {
+		t.Fatalf("oversize resize by throughput: %v", err)
+	}
+	if got, _ := e.Reservation(p); got != now {
+		t.Fatalf("failed resize moved the reservation to %d", got)
+	}
+	if msgs := e.AuditConservation(); len(msgs) != 0 {
+		t.Fatal(msgs)
+	}
+}
+
+// TestReleaseKeepsReservationOrder: the broadcast list is the order the
+// scheduler sums in, so a release must take out exactly its own entry —
+// first, middle or last — and a PLMN reserved again goes to the back.
+func TestReleaseKeepsReservationOrder(t *testing.T) {
+	e := newTestENB(t)
+	list := func() string {
+		s := ""
+		for _, p := range e.BroadcastList() {
+			s += p.MNC + " "
+		}
+		return s
+	}
+	for _, mnc := range []string{"01", "02", "03", "04", "05"} {
+		if err := e.Reserve(plmn(mnc), 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, step := range []struct{ release, want string }{
+		{"03", "01 02 04 05 "}, {"01", "02 04 05 "}, {"05", "02 04 "},
+	} {
+		e.Release(plmn(step.release))
+		if got := list(); got != step.want {
+			t.Fatalf("after releasing %s: list %q, want %q", step.release, got, step.want)
+		}
+		if msgs := e.AuditConservation(); len(msgs) != 0 {
+			t.Fatal(msgs)
+		}
+	}
+	e.Reserve(plmn("03"), 5)
+	e.Release(plmn("02"))
+	e.Release(plmn("02")) // idempotent
+	if got := list(); got != "04 03 " {
+		t.Fatalf("list %q, want \"04 03 \"", got)
+	}
+	e.Release(plmn("04"))
+	e.Release(plmn("03"))
+	if got := list(); got != "" || e.FreePRBs() != e.TotalPRBs() {
+		t.Fatalf("emptied cell lists %q, %d PRBs free", got, e.FreePRBs())
+	}
+	if msgs := e.AuditConservation(); len(msgs) != 0 {
+		t.Fatal(msgs)
+	}
+}
+
+// TestSetMeanCQIInvalidatesSizing: the cached per-PRB throughput follows the
+// mean CQI, so sizing after a fade equals sizing on a cell built at that CQI.
+func TestSetMeanCQIInvalidatesSizing(t *testing.T) {
+	e := newTestENB(t)
+	h, _, _, err := e.ReserveThroughput(plmn("01"), 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetMeanCQI(5)
+	faded, err := NewENB(Config{Name: "faded", Bandwidth: BW20MHz, MeanCQI: 5}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.CapacityMbps() != faded.CapacityMbps() || e.PRBsForThroughput(10) != faded.PRBsForThroughput(10) {
+		t.Fatalf("after the fade: capacity %.3f vs %.3f, sizing %d vs %d",
+			e.CapacityMbps(), faded.CapacityMbps(), e.PRBsForThroughput(10), faded.PRBsForThroughput(10))
+	}
+	if _, prbs, granted, err := h.ResizeThroughput(10); err != nil || prbs != faded.PRBsForThroughput(10) || granted != faded.ThroughputForPRBs(prbs) {
+		t.Fatalf("resize after the fade: %d PRBs, %.3f Mbps, %v", prbs, granted, err)
 	}
 }
 
@@ -349,5 +459,60 @@ func TestPropertySchedulerConservation(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHandlesConcurrent resizes through handles from several goroutines
+// while one fades the channel, one runs the scheduler and one churns a PLMN
+// of its own; the race detector owns the verdict, the audit the books.
+func TestHandlesConcurrent(t *testing.T) {
+	e := newTestENB(t)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		h, _, _, err := e.ReserveThroughput(plmn(string(rune('a'+w))), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(h Handle, w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if _, _, _, err := h.ResizeThroughput(float64(1 + (i+w)%5)); err != nil && !errors.Is(err, ErrInsufficientPRBs) {
+					t.Errorf("resize through a live handle: %v", err)
+				}
+			}
+		}(h, w)
+	}
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			e.SetMeanCQI(float64(5 + i%10))
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			e.ScheduleEpoch(DemandMbps{plmn("a"): 1}, true)
+			_ = e.Snapshot()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		p := plmn("churn")
+		for i := 0; i < 500; i++ {
+			h, _, _, err := e.ReserveThroughput(p, 1)
+			if err != nil {
+				continue // the resizers may hold every free PRB for a moment
+			}
+			e.Release(p)
+			if err := h.Resize(1); !errors.Is(err, ErrUnknownPLMN) {
+				t.Errorf("released handle resized: %v", err)
+			}
+		}
+	}()
+	wg.Wait()
+	if msgs := e.AuditConservation(); len(msgs) != 0 {
+		t.Fatal(msgs)
 	}
 }

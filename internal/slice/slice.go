@@ -394,6 +394,63 @@ func (s *Slice) EPCID() string {
 	return s.alloc.EPCID
 }
 
+// ReconfigView is what a reconfiguration decides on and addresses the domains
+// with — the slice's state, its current radio reservation and where it is
+// installed — cut in one critical section.
+type ReconfigView struct {
+	State         State
+	AllocatedMbps float64
+	PLMN          PLMN
+	DataCenter    string
+}
+
+// ReconfigView returns the slice's reconfiguration view.
+func (s *Slice) ReconfigView() ReconfigView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return ReconfigView{State: s.state, AllocatedMbps: s.alloc.AllocatedMbps, PLMN: s.alloc.PLMN, DataCenter: s.alloc.DataCenter}
+}
+
+// EventView is what a lifecycle event reports about the slice, cut in one
+// critical section: the state after the transition being announced, the
+// radio reservation and the rejection code ("" unless rejected).
+type EventView struct {
+	State         State
+	AllocatedMbps float64
+	RejectCode    RejectCode
+}
+
+// EventView returns the slice's event view.
+func (s *Slice) EventView() EventView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.eventViewLocked()
+}
+
+func (s *Slice) eventViewLocked() EventView {
+	v := EventView{State: s.state, AllocatedMbps: s.alloc.AllocatedMbps}
+	if s.cause != nil {
+		v.RejectCode = s.cause.Code
+	}
+	return v
+}
+
+// CommitReconfigure is the write half of a reconfiguration that went
+// through, in one critical section: fn records the new reservation in the
+// live allocation (under UpdateAllocation's rules), a Reconfiguring slice
+// returns to Active (one resized in place, while installing, keeps its
+// state), and the view the resize event reports is cut.
+func (s *Slice) CommitReconfigure(fn func(*Allocation)) EventView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.version++
+	fn(&s.alloc)
+	if s.state == StateReconfiguring {
+		s.state = StateActive
+	}
+	return s.eventViewLocked()
+}
+
 // UpdateAllocatedMbps resizes only the radio throughput reservation record
 // (used by the overbooking reconfiguration loop).
 func (s *Slice) UpdateAllocatedMbps(mbps float64) {

@@ -83,6 +83,9 @@ var mutators = []struct {
 		})
 	}},
 	{"update-allocated-mbps", func(rng *rand.Rand, s *Slice) { s.UpdateAllocatedMbps(rng.Float64() * 50) }},
+	{"commit-reconfigure", func(rng *rand.Rand, s *Slice) {
+		s.CommitReconfigure(func(a *Allocation) { a.AllocatedMbps = rng.Float64() * 50 })
+	}},
 }
 
 // TestSnapshotJSONInvalidation is the cache's whole contract as a property:

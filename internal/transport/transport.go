@@ -14,6 +14,7 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,7 +85,10 @@ type Link struct {
 	Up bool
 
 	reservedMbps float64
-	byPath       map[string]float64
+	// byPath is the link's per-path book: the reservations crossing it, by
+	// path ID. Each entry's share of reservedMbps is the reservation's Mbps —
+	// one number, kept on the Reservation, never mirrored here.
+	byPath map[string]*Reservation
 	// fromIdx/toIdx are the dense node indices of From/To, assigned at
 	// AddLink time so path computation runs on int-indexed arrays instead
 	// of string-keyed maps.
@@ -140,13 +144,7 @@ type Network struct {
 	links map[string]*Link        // key: "a->b"
 	adjx  [][]*Link               // outgoing links per dense node index
 	paths map[string]*Reservation // by path ID
-	flows map[string][]FlowEntry  // per-switch flow table
-
-	// linkScratch backs pathLinksScratchLocked: a working array for
-	// transient hop→link resolution on the reserve/release/resize paths,
-	// reused under the exclusive lock so steady-state churn allocates
-	// nothing here.
-	linkScratch []*Link
+	flows map[string]*flowTable   // per-switch flow table, created on first entry
 
 	// topoVer counts node/link-set changes (AddNode, AddLink) and guards
 	// cached node-kind lists held by callers. feasVer counts every state
@@ -157,12 +155,75 @@ type Network struct {
 	feasVer atomic.Uint64
 }
 
-// Reservation records one reserved path.
+// Reservation records one reserved path. The pointer Reserve returns is the
+// path's handle: ResizeEach and ReleaseEach take it in place of the path ID
+// and reach the links and flow entries through it, resolving nothing. The
+// exported fields of a live handle are read under the network's lock only;
+// Reservation and Reservations hand out detached copies.
 type Reservation struct {
 	ID      string   `json:"id"`
 	Hops    []string `json:"hops"` // node sequence, src..dst
 	Mbps    float64  `json:"mbps"`
 	DelayMs float64  `json:"delay_ms"`
+
+	// net is the network holding the reservation, nil once released: a handle
+	// that outlives its reservation resizes and releases nothing, even after
+	// the path ID was reserved again.
+	net *Network
+	// links are Hops resolved at Reserve. Links are never removed from a
+	// network and AddLink refuses duplicates, so the resolution cannot go out
+	// of date.
+	links []*Link
+	// flows are the entries this path installed, one per switch it crosses,
+	// each linked into its switch's table.
+	flows []flowNode
+	// linkBuf and flowBuf back links and flows for paths of the usual
+	// length (the testbed's are eNB, one or two switches, DC), so that a
+	// reservation is one allocation. The slices point into the struct, which
+	// is therefore never copied (see detached).
+	linkBuf [3]*Link
+	flowBuf [2]flowNode
+}
+
+// detached returns a copy safe to hand out: its own hop list, no handle state.
+func (r *Reservation) detached() Reservation {
+	return Reservation{ID: r.ID, Hops: append([]string(nil), r.Hops...), Mbps: r.Mbps, DelayMs: r.DelayMs}
+}
+
+// flowTable is one switch's flow entries as a doubly linked list in install
+// order. The nodes belong to the reservations that installed them, so a
+// release unlinks its own entries without searching the table.
+type flowTable struct{ head, tail *flowNode }
+
+type flowNode struct {
+	FlowEntry
+	table      *flowTable
+	prev, next *flowNode
+}
+
+func (t *flowTable) pushBack(f *flowNode) {
+	f.table, f.prev, f.next = t, t.tail, nil
+	if t.tail != nil {
+		t.tail.next = f
+	} else {
+		t.head = f
+	}
+	t.tail = f
+}
+
+func (f *flowNode) unlink() {
+	t := f.table
+	if f.prev != nil {
+		f.prev.next = f.next
+	} else {
+		t.head = f.next
+	}
+	if f.next != nil {
+		f.next.prev = f.prev
+	} else {
+		t.tail = f.prev
+	}
+	f.table, f.prev, f.next = nil, nil, nil
 }
 
 // NewNetwork returns an empty topology.
@@ -172,7 +233,7 @@ func NewNetwork() *Network {
 		idx:   make(map[string]int32),
 		links: make(map[string]*Link),
 		paths: make(map[string]*Reservation),
-		flows: make(map[string][]FlowEntry),
+		flows: make(map[string]*flowTable),
 	}
 }
 
@@ -223,7 +284,7 @@ func (n *Network) AddLink(from, to string, lt LinkType, capacityMbps, delayMs fl
 	}
 	l := &Link{
 		From: from, To: to, Type: lt, CapacityMbps: capacityMbps, DelayMs: delayMs,
-		Up: true, byPath: map[string]float64{},
+		Up: true, byPath: map[string]*Reservation{},
 		fromIdx: n.idx[from], toIdx: n.idx[to],
 	}
 	if _, ok := n.links[l.key()]; ok {
@@ -345,9 +406,10 @@ func (n *Network) NodesOfKind(kind NodeKind) []string {
 
 // appendPathLinks resolves a hop sequence into links appended to dst,
 // validating adjacency. Links are found through the dense adjacency index
-// rather than the "a->b"-keyed map: node out-degrees are small and the
-// scan avoids building a key string per segment on the reserve/release
-// hot path. Safe under either lock mode (read-only lookups).
+// rather than the "a->b"-keyed map: node out-degrees are small and the scan
+// avoids building a key string per segment. Safe under n.mu in either mode.
+// It runs once per reservation, at Reserve; everything later goes through
+// the links the reservation keeps.
 func (n *Network) appendPathLinks(dst []*Link, hops []string) ([]*Link, error) {
 	if len(hops) < 2 {
 		return nil, fmt.Errorf("transport: path needs >= 2 hops, got %d", len(hops))
@@ -370,26 +432,9 @@ func (n *Network) appendPathLinks(dst []*Link, hops []string) ([]*Link, error) {
 	return dst, nil
 }
 
-// pathLinksLocked resolves a hop sequence into a fresh link slice; safe
-// under n.mu in either mode.
-func (n *Network) pathLinksLocked(hops []string) ([]*Link, error) {
-	return n.appendPathLinks(make([]*Link, 0, len(hops)-1), hops)
-}
-
-// pathLinksScratchLocked is pathLinksLocked backed by the network's scratch
-// array. Callers must hold n.mu EXCLUSIVELY and drop the result before
-// releasing the lock — the next call reuses the backing array.
-func (n *Network) pathLinksScratchLocked(hops []string) ([]*Link, error) {
-	links, err := n.appendPathLinks(n.linkScratch[:0], hops)
-	if links != nil {
-		n.linkScratch = links
-	}
-	return links, err
-}
-
 // Reserve atomically reserves mbps along hops under pathID, installing flow
 // entries in every intermediate switch. Either all links are reserved or
-// none.
+// none. The returned reservation is the path's handle.
 func (n *Network) Reserve(pathID string, hops []string, mbps float64) (*Reservation, error) {
 	if mbps <= 0 {
 		return nil, fmt.Errorf("transport: reservation of %.2f Mbps must be positive", mbps)
@@ -399,11 +444,12 @@ func (n *Network) Reserve(pathID string, hops []string, mbps float64) (*Reservat
 	if _, ok := n.paths[pathID]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicatePath, pathID)
 	}
-	links, err := n.pathLinksScratchLocked(hops)
+	r := &Reservation{ID: pathID, Hops: append([]string(nil), hops...), Mbps: mbps, net: n}
+	links, err := n.appendPathLinks(r.linkBuf[:0], hops)
 	if err != nil {
 		return nil, err
 	}
-	delay := 0.0
+	r.links = links
 	for _, l := range links {
 		if !l.Up {
 			return nil, fmt.Errorf("transport: link %s down", l.key())
@@ -411,13 +457,12 @@ func (n *Network) Reserve(pathID string, hops []string, mbps float64) (*Reservat
 		if l.ResidualMbps() < mbps-1e-9 {
 			return nil, fmt.Errorf("%w: %s residual %.2f < %.2f", ErrInsufficientBW, l.key(), l.ResidualMbps(), mbps)
 		}
-		delay += l.DelayMs
+		r.DelayMs += l.DelayMs
 	}
 	for _, l := range links {
 		l.reservedMbps += mbps
-		l.byPath[pathID] = mbps
+		l.byPath[pathID] = r
 	}
-	r := &Reservation{ID: pathID, Hops: append([]string(nil), hops...), Mbps: mbps, DelayMs: delay}
 	n.paths[pathID] = r
 	n.installFlowsLocked(r)
 	n.feasVer.Add(1)
@@ -427,6 +472,17 @@ func (n *Network) Reserve(pathID string, hops []string, mbps float64) (*Reservat
 // installFlowsLocked writes OpenFlow entries for the path into each switch
 // node it traverses.
 func (n *Network) installFlowsLocked(r *Reservation) {
+	switches := 0
+	for _, hop := range r.Hops {
+		if n.nodes[hop] == KindSwitch {
+			switches++
+		}
+	}
+	// Sized once and never grown: the tables point into it.
+	r.flows = r.flowBuf[:0]
+	if switches > len(r.flowBuf) {
+		r.flows = make([]flowNode, 0, switches)
+	}
 	for i, hop := range r.Hops {
 		if n.nodes[hop] != KindSwitch {
 			continue
@@ -439,26 +495,13 @@ func (n *Network) installFlowsLocked(r *Reservation) {
 		if i+1 < len(r.Hops) {
 			out = r.Hops[i+1]
 		}
-		n.flows[hop] = append(n.flows[hop], FlowEntry{PathID: r.ID, InPort: in, OutPort: out})
-	}
-}
-
-// removeFlowsLocked drops the path's OpenFlow entries. Flows were installed
-// only on the reservation's own hops, so only those switches' tables need
-// touching — and install writes exactly one entry per (hop, path), so the
-// scan stops at the first hit instead of filtering the whole table.
-func (n *Network) removeFlowsLocked(r *Reservation) {
-	for _, hop := range r.Hops {
-		entries, ok := n.flows[hop]
-		if !ok {
-			continue
+		t := n.flows[hop]
+		if t == nil {
+			t = new(flowTable)
+			n.flows[hop] = t
 		}
-		for i := range entries {
-			if entries[i].PathID == r.ID {
-				n.flows[hop] = append(entries[:i], entries[i+1:]...)
-				break
-			}
-		}
+		r.flows = append(r.flows, flowNode{FlowEntry: FlowEntry{PathID: r.ID, InPort: in, OutPort: out}})
+		t.pushBack(&r.flows[len(r.flows)-1])
 	}
 }
 
@@ -467,21 +510,39 @@ func (n *Network) removeFlowsLocked(r *Reservation) {
 func (n *Network) Release(pathID string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	r, ok := n.paths[pathID]
-	if !ok {
-		return
+	if r, ok := n.paths[pathID]; ok {
+		n.releaseLocked(r)
 	}
-	if links, err := n.pathLinksScratchLocked(r.Hops); err == nil {
-		for _, l := range links {
-			l.reservedMbps -= l.byPath[pathID]
-			if l.reservedMbps < 0 {
-				l.reservedMbps = 0
-			}
-			delete(l.byPath, pathID)
+}
+
+// ReleaseEach is Release for every listed handle under one lock acquisition.
+// Handles already released are skipped.
+func (n *Network) ReleaseEach(rs []*Reservation) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, r := range rs {
+		if r.net == n {
+			n.releaseLocked(r)
 		}
 	}
-	n.removeFlowsLocked(r)
-	delete(n.paths, pathID)
+}
+
+// releaseLocked takes a live reservation off its links, its switches and the
+// registry, and kills the handle. Its cost does not depend on how many other
+// paths the network holds. The caller holds n.mu exclusively.
+func (n *Network) releaseLocked(r *Reservation) {
+	for _, l := range r.links {
+		l.reservedMbps -= r.Mbps
+		if l.reservedMbps < 0 {
+			l.reservedMbps = 0
+		}
+		delete(l.byPath, r.ID)
+	}
+	for i := range r.flows {
+		r.flows[i].unlink()
+	}
+	delete(n.paths, r.ID)
+	r.net, r.links, r.flows = nil, nil, nil
 	n.feasVer.Add(1)
 }
 
@@ -496,28 +557,26 @@ func (n *Network) Resize(pathID string, mbps float64) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownPath, pathID)
 	}
-	return n.resizeLocked(r, mbps)
-}
-
-// resizeLocked re-sizes one registered path on every link it crosses, or on
-// none. The caller holds n.mu exclusively.
-func (n *Network) resizeLocked(r *Reservation, mbps float64) error {
-	links, err := n.pathLinksScratchLocked(r.Hops)
-	if err != nil {
+	if err := n.resizeLocked(r, mbps); err != nil {
 		return err
 	}
-	for _, l := range links {
-		delta := mbps - l.byPath[r.ID]
+	n.feasVer.Add(1)
+	return nil
+}
+
+// resizeLocked re-sizes one live reservation on every link it crosses, or on
+// none. The caller holds n.mu exclusively and bumps feasVer.
+func (n *Network) resizeLocked(r *Reservation, mbps float64) error {
+	delta := mbps - r.Mbps
+	for _, l := range r.links {
 		if delta > l.ResidualMbps()+1e-9 {
 			return fmt.Errorf("%w: %s residual %.2f < grow %.2f", ErrInsufficientBW, l.key(), l.ResidualMbps(), delta)
 		}
 	}
-	for _, l := range links {
-		l.reservedMbps += mbps - l.byPath[r.ID]
-		l.byPath[r.ID] = mbps
+	for _, l := range r.links {
+		l.reservedMbps += delta
 	}
 	r.Mbps = mbps
-	n.feasVer.Add(1)
 	return nil
 }
 
@@ -526,34 +585,49 @@ func (n *Network) resizeLocked(r *Reservation, mbps float64) error {
 // all of a slice's paths to the same share. Each path's capacity check sees
 // the paths before it already re-sized (they may share links), exactly as a
 // sequence of Resize calls would. On the first failure the paths already
-// re-sized are put back to their previous bandwidths and the failing path's
-// ID is returned with the error; an unknown path fails before anything moves.
-func (n *Network) ResizeEach(pathIDs []string, mbps float64) (failed string, err error) {
+// re-sized are put back and the failing path's ID is returned with the
+// error: every link gets the very value it held before the call (x+d-d is
+// not x in floating point, so the unwind restores, it does not subtract). A
+// released handle fails with ErrUnknownPath before anything moves.
+func (n *Network) ResizeEach(rs []*Reservation, mbps float64) (failed string, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var prevBuf [8]float64 // previous bandwidths, for the unwind; one path per eNB
-	prev := prevBuf[:0]
-	for _, pid := range pathIDs {
-		r, ok := n.paths[pid]
-		if !ok {
-			return pid, fmt.Errorf("%w: %s", ErrUnknownPath, pid)
+	// Stack room for the unwind at common sizes: one path per eNB, a few
+	// links per path.
+	var (
+		prevBuf  [8]float64  // each path's bandwidth before the call
+		savedBuf [32]float64 // each crossed link's reserved bandwidth before its path moved
+	)
+	prev, saved := prevBuf[:0], savedBuf[:0]
+	for _, r := range rs {
+		if r.net != n {
+			return r.ID, fmt.Errorf("%w: %s", ErrUnknownPath, r.ID)
 		}
 		prev = append(prev, r.Mbps)
 	}
-	if mbps <= 0 && len(pathIDs) > 0 {
-		return pathIDs[0], fmt.Errorf("transport: resize to %.2f Mbps must be positive", mbps)
+	if mbps <= 0 && len(rs) > 0 {
+		return rs[0].ID, fmt.Errorf("transport: resize to %.2f Mbps must be positive", mbps)
 	}
-	for i, pid := range pathIDs {
-		if err := n.resizeLocked(n.paths[pid], mbps); err != nil {
-			for j := 0; j < i; j++ {
-				// A path that held prev[j] a moment ago fits it again unless
-				// a shared link was oversubscribed meanwhile; like the
-				// sequential unwind this replaces, that is left as is.
-				_ = n.resizeLocked(n.paths[pathIDs[j]], prev[j])
+	for i, r := range rs {
+		mark := len(saved)
+		for _, l := range r.links {
+			saved = append(saved, l.reservedMbps)
+		}
+		if err := n.resizeLocked(r, mbps); err != nil {
+			saved = saved[:mark]
+			for j := i - 1; j >= 0; j-- {
+				links := rs[j].links
+				base := len(saved) - len(links)
+				for k, l := range links {
+					l.reservedMbps = saved[base+k]
+				}
+				saved = saved[:base]
+				rs[j].Mbps = prev[j]
 			}
-			return pid, err
+			return r.ID, err
 		}
 	}
+	n.feasVer.Add(1)
 	return "", nil
 }
 
@@ -565,9 +639,7 @@ func (n *Network) Reservation(pathID string) (Reservation, bool) {
 	if !ok {
 		return Reservation{}, false
 	}
-	cp := *r
-	cp.Hops = append([]string(nil), r.Hops...)
-	return cp, true
+	return r.detached(), true
 }
 
 // Reservations returns a copy of every path reservation, sorted by ID —
@@ -578,9 +650,7 @@ func (n *Network) Reservations() []Reservation {
 	defer n.mu.RUnlock()
 	out := make([]Reservation, 0, len(n.paths))
 	for _, r := range n.paths {
-		cp := *r
-		cp.Hops = append([]string(nil), r.Hops...)
-		out = append(out, cp)
+		out = append(out, r.detached())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -588,12 +658,14 @@ func (n *Network) Reservations() []Reservation {
 
 // AuditConservation cross-checks the per-link bandwidth books against
 // ground truth and returns one message per discrepancy (empty when the
-// books balance): each link's reserved counter must equal the sum of its
-// per-path entries, per-path entries must belong to registered paths, every
-// registered path must hold an entry on each of its links, and reserved
-// bandwidth must never go negative. Links whose reservations exceed a
-// (degraded) capacity are not flagged — SetLinkCapacity documents that
-// oversubscription as legitimate until the orchestrator reacts.
+// books balance): each link's reserved counter must equal the sum of the
+// reservations in its per-path book, every such entry must be the registered
+// reservation of its ID, every registered path's handle must be live and its
+// cached links must be what its hops resolve to now, each holding the path's
+// entry, and reserved bandwidth must never go negative. Links whose
+// reservations exceed a (degraded) capacity are not flagged — SetLinkCapacity
+// documents that oversubscription as legitimate until the orchestrator
+// reacts.
 func (n *Network) AuditConservation() []string {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -606,14 +678,14 @@ func (n *Network) AuditConservation() []string {
 	for _, k := range keys {
 		l := n.links[k]
 		sum := 0.0
-		for id, mbps := range l.byPath {
-			if _, ok := n.paths[id]; !ok {
+		for id, r := range l.byPath {
+			if n.paths[id] != r {
 				out = append(out, fmt.Sprintf("transport %s: per-path entry %q has no registered reservation", k, id))
 			}
-			if mbps <= 0 {
-				out = append(out, fmt.Sprintf("transport %s: path %q reserves non-positive %.3f Mbps", k, id, mbps))
+			if r.Mbps <= 0 {
+				out = append(out, fmt.Sprintf("transport %s: path %q reserves non-positive %.3f Mbps", k, id, r.Mbps))
 			}
-			sum += mbps
+			sum += r.Mbps
 		}
 		if d := l.reservedMbps - sum; d > 1e-6 || d < -1e-6 {
 			out = append(out, fmt.Sprintf("transport %s: reserved counter %.3f != sum of path entries %.3f", k, l.reservedMbps, sum))
@@ -623,13 +695,19 @@ func (n *Network) AuditConservation() []string {
 		}
 	}
 	for id, r := range n.paths {
-		links, err := n.pathLinksLocked(r.Hops)
+		if r.net != n {
+			out = append(out, fmt.Sprintf("transport path %q: registered under a released handle", id))
+		}
+		links, err := n.appendPathLinks(nil, r.Hops)
 		if err != nil {
 			out = append(out, fmt.Sprintf("transport path %q: hops no longer resolve: %v", id, err))
 			continue
 		}
+		if !slices.Equal(links, r.links) {
+			out = append(out, fmt.Sprintf("transport path %q: cached links are not what its hops resolve to", id))
+		}
 		for _, l := range links {
-			if _, ok := l.byPath[id]; !ok {
+			if l.byPath[id] != r {
 				out = append(out, fmt.Sprintf("transport path %q: link %s holds no entry for it", id, l.key()))
 			}
 		}
@@ -638,11 +716,17 @@ func (n *Network) AuditConservation() []string {
 	return out
 }
 
-// FlowTable returns a copy of the switch's flow entries.
+// FlowTable returns a copy of the switch's flow entries, in install order.
 func (n *Network) FlowTable(node string) []FlowEntry {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return append([]FlowEntry(nil), n.flows[node]...)
+	var out []FlowEntry
+	if t := n.flows[node]; t != nil {
+		for f := t.head; f != nil; f = f.next {
+			out = append(out, f.FlowEntry)
+		}
+	}
+	return out
 }
 
 // PathsOverLink lists path IDs reserved over the directed link, sorted —

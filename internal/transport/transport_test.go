@@ -3,6 +3,7 @@ package transport
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -201,13 +202,13 @@ func TestResizeFailureLeavesStateIntact(t *testing.T) {
 
 // TestResizeEachSequentialAndAtomic: ResizeEach behaves like the Resize
 // sequence it replaces — later paths see earlier ones re-sized on shared
-// links — and a failure part-way puts every path back.
+// links — and a failure part-way puts every path back, bit for bit.
 func TestResizeEachSequentialAndAtomic(t *testing.T) {
 	n := testNet(t)
 	// a and b share enb2->sw1 (300 Mbps); c is alone on enb1->sw1.
-	n.Reserve("a", []string{"enb2", "sw1"}, 200)
-	n.Reserve("b", []string{"enb2", "sw1"}, 50)
-	n.Reserve("c", []string{"enb1", "sw1"}, 10)
+	a, _ := n.Reserve("a", []string{"enb2", "sw1"}, 200)
+	b, _ := n.Reserve("b", []string{"enb2", "sw1"}, 50)
+	c, _ := n.Reserve("c", []string{"enb1", "sw1"}, 10)
 	mbps := func(id string) float64 {
 		r, ok := n.Reservation(id)
 		if !ok {
@@ -218,33 +219,63 @@ func TestResizeEachSequentialAndAtomic(t *testing.T) {
 
 	// Shrinking a first frees the room b's growth needs: 120+120 fits 300
 	// only because the second check sees the first resize applied.
-	if failed, err := n.ResizeEach([]string{"a", "b", "c"}, 120); err != nil {
+	if failed, err := n.ResizeEach([]*Reservation{a, b, c}, 120); err != nil {
 		t.Fatalf("resize each: %s: %v", failed, err)
 	}
 	if mbps("a") != 120 || mbps("b") != 120 || mbps("c") != 120 {
 		t.Fatalf("after resize: a=%.0f b=%.0f c=%.0f", mbps("a"), mbps("b"), mbps("c"))
 	}
-	// 160+160 overflows the shared link at b: c and a must be put back.
-	failed, err := n.ResizeEach([]string{"c", "a", "b"}, 160)
+	// 160+160 overflows the shared link at b: c and a must be put back, and
+	// the books must read exactly what they read before the call. Sizes with
+	// no short binary form make "exactly" mean something.
+	if failed, err := n.ResizeEach([]*Reservation{a, b, c}, 0.1+0.2); err != nil {
+		t.Fatalf("resize each: %s: %v", failed, err)
+	}
+	before := booksOf(n)
+	failed, err := n.ResizeEach([]*Reservation{c, a, b}, 160)
 	if !errors.Is(err, ErrInsufficientBW) || failed != "b" {
 		t.Fatalf("oversize resize each: failed=%q err=%v", failed, err)
 	}
-	if mbps("a") != 120 || mbps("b") != 120 || mbps("c") != 120 {
-		t.Fatalf("failed resize left a=%.0f b=%.0f c=%.0f", mbps("a"), mbps("b"), mbps("c"))
+	if after := booksOf(n); !slices.Equal(before, after) {
+		t.Fatalf("failed resize moved the books:\n before %v\n after  %v", before, after)
 	}
-	// An unknown path fails before anything moves; so does a non-positive size.
-	if failed, err := n.ResizeEach([]string{"a", "missing"}, 10); !errors.Is(err, ErrUnknownPath) || failed != "missing" {
-		t.Fatalf("unknown path: failed=%q err=%v", failed, err)
+	// A released handle fails before anything moves — also once its path ID
+	// has been reserved again — and so does a non-positive size.
+	n.Release("c")
+	if failed, err := n.ResizeEach([]*Reservation{a, c}, 10); !errors.Is(err, ErrUnknownPath) || failed != "c" {
+		t.Fatalf("released handle: failed=%q err=%v", failed, err)
 	}
-	if _, err := n.ResizeEach([]string{"a"}, 0); err == nil {
+	c2, _ := n.Reserve("c", []string{"enb1", "sw1"}, 10)
+	before = booksOf(n)
+	if failed, err := n.ResizeEach([]*Reservation{a, c}, 10); !errors.Is(err, ErrUnknownPath) || failed != "c" {
+		t.Fatalf("stale handle after re-reserve: failed=%q err=%v", failed, err)
+	}
+	n.ReleaseEach([]*Reservation{c}) // a stale handle releases nothing
+	if _, err := n.ResizeEach([]*Reservation{a}, 0); err == nil {
 		t.Fatal("resize to 0 Mbps accepted")
 	}
-	if mbps("a") != 120 {
-		t.Fatalf("rejected resize moved a to %.0f", mbps("a"))
+	if after := booksOf(n); !slices.Equal(before, after) {
+		t.Fatalf("rejected calls moved the books:\n before %v\n after  %v", before, after)
+	}
+	if failed, err := n.ResizeEach([]*Reservation{c2}, 20); err != nil || mbps("c") != 20 {
+		t.Fatalf("live handle of the re-reserved path: failed=%q err=%v", failed, err)
 	}
 	if msgs := n.AuditConservation(); len(msgs) != 0 {
 		t.Fatalf("books do not balance: %v", msgs)
 	}
+}
+
+// booksOf reads every link's reserved bandwidth (in Snapshot's sorted order)
+// followed by every reservation's, for exact before/after comparison.
+func booksOf(n *Network) []float64 {
+	var out []float64
+	for _, l := range n.Snapshot() {
+		out = append(out, l.ReservedMbps)
+	}
+	for _, r := range n.Reservations() {
+		out = append(out, r.Mbps)
+	}
+	return out
 }
 
 func TestFlowTableInstallRemove(t *testing.T) {
