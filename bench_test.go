@@ -1,21 +1,16 @@
-// Benchmarks regenerating the performance side of every experiment in
-// DESIGN.md §4. Run with:
-//
-//	go test -bench=. -benchmem
-//
-// Each benchmark maps to one figure/claim: F1 BenchmarkOrchestrationCycle,
-// F2 BenchmarkSliceInstallation, F3 BenchmarkParallelAdmission (the
-// sharded-engine scaling claim), F4 BenchmarkWatchFanout (event publication
-// stays off the admission hot path), D1 BenchmarkAdmissionControl (+ the
-// knapsack solver), D2 BenchmarkGainTracking, D3 BenchmarkForecasters,
-// D4 BenchmarkOverbookingSweep, D5 BenchmarkDomainUtilization,
-// D6 BenchmarkEmbedding.
+// The repository's performance is stated and gated by one harness: bench/
+// (go run ./bench, declared in BENCHMARK.json; DESIGN.md §4 maps every claim
+// to its workload and metric). This file holds the fixtures of the allocation
+// guards in alloc_guard_test.go and the micro-benchmarks that survive under
+// one rule: a root micro-benchmark stays only while no bench/ workload or
+// per-layer metric exercises the same path, and its doc comment says so in
+// one "Kept:" line naming what would retire it. They gate nothing; CI runs
+// each once as a smoke test.
 package overbook
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -24,15 +19,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/forecast"
 	"repro/internal/intent"
-	"repro/internal/monitor"
 	"repro/internal/restapi"
-	"repro/internal/scenario"
 	"repro/internal/slice"
-	"repro/internal/testbed"
 	"repro/internal/traffic"
-	"repro/internal/transport"
 )
 
 // benchReq builds a small admissible request.
@@ -49,159 +39,9 @@ func benchReq(i int) slice.Request {
 	}
 }
 
-// BenchmarkOrchestrationCycle (F1) measures one pass of the Fig.-1 closed
-// loop — collect, monitor, forecast, optimize, reconfigure — on systems
-// loaded with an increasing number of active slices.
-func BenchmarkOrchestrationCycle(b *testing.B) {
-	for _, n := range []int{2, 6, 12, 24} {
-		b.Run(fmt.Sprintf("slices=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			r, err := scenario.LoadedRunner(1, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			r.Orch.Stop() // drive epochs manually
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Orch.RunEpoch()
-			}
-		})
-	}
-}
-
-// BenchmarkSliceInstallation (F2) measures the full multi-domain install +
-// teardown of a slice: admission, PLMN, PRBs, paths, Heat stack, vEPC.
-func BenchmarkSliceInstallation(b *testing.B) {
-	b.ReportAllocs()
-	sys, err := NewSimulated(Options{Seed: 1, Overbook: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sl, err := sys.Orchestrator.Submit(benchReq(i), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if sl.State() == slice.StateRejected {
-			b.Fatalf("bench request rejected: %s", sl.Reason())
-		}
-		sys.Sim.RunFor(15 * time.Second) // install stages
-		if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInstallTransaction (F2) measures the generic domain-transaction
-// engine on the same admit → multi-domain install → teardown cycle that
-// BenchmarkSliceInstallation recorded on the seed's hand-rolled install, so
-// the abstraction's overhead stays visible in the F2 trajectory. domains=3
-// is the direct apples-to-apples comparison; domains=4 adds the pluggable
-// MEC domain and prices one extra concurrent-group member.
-func BenchmarkInstallTransaction(b *testing.B) {
-	for _, mecHosts := range []int{0, 4} {
-		name := "domains=3"
-		if mecHosts > 0 {
-			name = "domains=4"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			sys, err := NewSimulated(Options{
-				Seed:     1,
-				Overbook: true,
-				Testbed:  TestbedConfig{MECHosts: mecHosts, MECHostCPUs: 64},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sl, err := sys.Orchestrator.Submit(benchReq(i), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if sl.State() == slice.StateRejected {
-					b.Fatalf("bench request rejected: %s", sl.Reason())
-				}
-				sys.Sim.RunFor(15 * time.Second) // install stages
-				if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkParallelAdmission (F3) is the admit-heavy concurrent-admission
-// benchmark of the sharded engine: every goroutine submits and immediately
-// deletes small slices for its own tenant on a wall-clock System, so the
-// full admit → multi-domain install → teardown cycle runs in parallel. The
-// shards=1 case serializes the whole cycle (the pre-sharding engine); the
-// 4- and 16-shard cases let independent tenants proceed concurrently, and
-// ops/sec should scale with cores (DESIGN.md §4, claim F3: ≥2× at 16
-// shards vs 1 on a multi-core runner). The reject-heavy counterpart is
-// BenchmarkParallelAdmissionReject (the name here is kept stable so the
-// BENCH_*.json trajectory stays comparable across PRs).
-func BenchmarkParallelAdmission(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := core.Config{
-				Overbook:            true,
-				Risk:                0.9,
-				AdmissionLoadFactor: 0.5,
-				PLMNLimit:           4096,
-				HistoryLimit:        256,
-				Shards:              shards,
-			}
-			sys, err := NewLive(Options{
-				Orchestrator: &cfg,
-				Testbed: TestbedConfig{
-					ENBs: 4, MaxPLMNs: 4096, CoreHosts: 32, EdgeHosts: 16,
-				},
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var seq atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				tenant := fmt.Sprintf("bench-tenant-%d", seq.Add(1))
-				for pb.Next() {
-					sl, err := sys.Orchestrator.Submit(slice.Request{
-						Tenant: tenant,
-						SLA: slice.SLA{
-							ThroughputMbps: 2,
-							MaxLatencyMs:   50,
-							Duration:       time.Hour,
-							PriceEUR:       10,
-							PenaltyEUR:     1,
-						},
-					}, nil)
-					// b.Fatal must not be called from RunParallel workers;
-					// b.Error + return stops this worker and fails the run.
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					if sl.State() == slice.StateRejected {
-						b.Errorf("bench request rejected: %s", sl.Reason())
-						return
-					}
-					if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			})
-		})
-	}
-}
-
 // saturatedSystem builds a peak-provisioned live system whose capacity
 // ledger is filled to the brim, so every further request is a certain
-// rejection — the fixture for the reject-heavy benchmarks and the
+// rejection — the fixture for the reject storm below and the
 // zero-allocation fast-reject guard.
 func saturatedSystem(tb testing.TB) *System {
 	tb.Helper()
@@ -245,12 +85,15 @@ func saturatedReq() slice.Request {
 	return req
 }
 
-// BenchmarkParallelAdmissionReject (F3) is the reject-heavy counterpart of
-// BenchmarkParallelAdmission: an overload storm against a saturated system,
-// answered by the SubmitFast zero-allocation fast-reject path. Steady state
-// must report 0 allocs/op — every rejection cause comes from and returns to
-// the pool, and the headroom/feasibility caches answer without touching the
-// WAL, the event bus or the slice registry.
+// BenchmarkParallelAdmissionReject is an overload storm against a saturated
+// system, answered from every core at once by the SubmitFast zero-allocation
+// fast-reject path. Steady state must report 0 allocs/op — every rejection
+// cause comes from and returns to the pool, and the headroom/feasibility
+// caches answer without touching the WAL, the event bus or the slice
+// registry.
+//
+// Kept: bench/'s core.submit_fast_ns times SubmitFast from one goroutine and
+// reject_storm has one client; a multi-client reject workload retires this.
 func BenchmarkParallelAdmissionReject(b *testing.B) {
 	sys := saturatedSystem(b)
 	req := saturatedReq()
@@ -270,10 +113,13 @@ func BenchmarkParallelAdmissionReject(b *testing.B) {
 
 // BenchmarkWatchFanout (F4) measures concurrent admission throughput while
 // 1/64/1024 subscribers consume the lifecycle event stream — the proof
-// that event publication stays off the sharded hot path: ops/sec at any
-// subscriber count must track BenchmarkParallelAdmission/shards=16 (each
-// admit+delete publishes three events; subscribers drain concurrently and
-// the slowest merely resyncs, never stalling Submit).
+// that event publication stays off the sharded hot path: ns/op must not grow
+// with the subscriber count (each admit+delete publishes three events;
+// subscribers drain concurrently and the slowest merely resyncs, never
+// stalling Submit).
+//
+// Kept: poll_watch has one SSE subscriber; a workload with a subscriber-count
+// axis retires this.
 func BenchmarkWatchFanout(b *testing.B) {
 	for _, subs := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
@@ -348,7 +194,8 @@ func BenchmarkWatchFanout(b *testing.B) {
 }
 
 // epochLoadedSystem builds a simulated system carrying n active slices with
-// live demand processes — the fixture for the epoch-engine benchmarks. The
+// live demand processes — the fixture of the epoch, resize and list-page
+// guards, and the configuration bench/'s epoch_1k workload reproduces. The
 // testbed is scaled (aggregated carriers, lifted MOCN list, larger core DC,
 // fat transport links) so the radio grid, not the model limits, is what
 // binds; every slice is genuinely installed through the multi-domain engine.
@@ -403,302 +250,8 @@ func epochLoadedSystem(b testing.TB, n, shards int) *System {
 	return sys
 }
 
-// BenchmarkEpoch measures one pass of the phase-structured control epoch at
-// increasing registry sizes and shard counts. shards=1 is the serial path;
-// shards=16 runs the per-shard monitor/forecast/provision phase in parallel
-// workers. The DESIGN.md §7 scaling claim: slices=8192/shards=16 at least
-// 2x faster than the pre-refactor stop-the-world epoch at the same size.
-func BenchmarkEpoch(b *testing.B) {
-	for _, n := range []int{64, 1024, 8192} {
-		for _, shards := range []int{1, 16} {
-			b.Run(fmt.Sprintf("slices=%d/shards=%d", n, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				sys := epochLoadedSystem(b, n, shards)
-				if got := sys.Orchestrator.ActiveCount(); got != n {
-					b.Fatalf("loaded %d active slices, want %d", got, n)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sys.Orchestrator.RunEpoch()
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkGainUnderLoad measures the dashboard's Gain() read while the
-// sharded engine is busy admitting and tearing down slices — the read plane
-// must not stall admission (and vice versa).
-func BenchmarkGainUnderLoad(b *testing.B) {
-	b.ReportAllocs()
-	cfg := core.Config{
-		Overbook:            true,
-		Risk:                0.9,
-		AdmissionLoadFactor: 0.5,
-		PLMNLimit:           4096,
-		HistoryLimit:        256,
-		Shards:              16,
-	}
-	sys, err := NewLive(Options{
-		Orchestrator: &cfg,
-		Testbed: TestbedConfig{
-			ENBs: 4, MaxPLMNs: 4096, CoreHosts: 32, EdgeHosts: 16,
-		},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	stop := make(chan struct{})
-	var churn sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		churn.Add(1)
-		go func(w int) {
-			defer churn.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sl, err := sys.Orchestrator.Submit(slice.Request{
-					Tenant: fmt.Sprintf("churn-%d", w),
-					SLA: slice.SLA{
-						ThroughputMbps: 2,
-						MaxLatencyMs:   50,
-						Duration:       time.Hour,
-						PriceEUR:       10,
-						PenaltyEUR:     1,
-					},
-				}, nil)
-				if err != nil {
-					b.Error(err)
-					return
-				}
-				if sl.State() != slice.StateRejected {
-					if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			g := sys.Orchestrator.Gain()
-			if g.CapacityMbps <= 0 {
-				b.Error("bad report")
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	churn.Wait()
-}
-
-// BenchmarkAdmissionControl (D1) measures the admission decision itself on
-// a loaded system, including the multi-domain feasibility checks.
-func BenchmarkAdmissionControl(b *testing.B) {
-	b.ReportAllocs()
-	r, err := scenario.LoadedRunner(1, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// An unmeetable latency forces the full check path then rejection, so
-	// state does not grow across iterations.
-	req := benchReq(0)
-	req.SLA.MaxLatencyMs = 0.01
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Orch.Submit(req, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAdmissionKnapsack (D1) measures the offline revenue-maximization
-// solver at increasing batch sizes.
-func BenchmarkAdmissionKnapsack(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{8, 32, 128} {
-		reqs := make([]core.KnapsackRequest, n)
-		for i := range reqs {
-			mbps := 5 + rng.Float64()*55
-			reqs[i] = core.KnapsackRequest{
-				Req: slice.Request{
-					Tenant: "k",
-					SLA: slice.SLA{
-						ThroughputMbps: mbps, MaxLatencyMs: 50,
-						Duration: time.Hour, PriceEUR: rng.Float64() * 200,
-					},
-				},
-				LoadMbps: mbps,
-			}
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				core.MaxRevenueSubset(reqs, 500)
-			}
-		})
-	}
-}
-
-// BenchmarkGainTracking (D2) measures producing the gains-vs-penalties
-// dashboard report on a loaded system.
-func BenchmarkGainTracking(b *testing.B) {
-	b.ReportAllocs()
-	r, err := scenario.LoadedRunner(1, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := r.Orch.Gain()
-		if g.CapacityMbps <= 0 {
-			b.Fatal("bad report")
-		}
-	}
-}
-
-// BenchmarkForecasters (D3) measures one observe+forecast step of each
-// forecaster in the zoo.
-func BenchmarkForecasters(b *testing.B) {
-	mk := map[string]func() forecast.Forecaster{
-		"naive":        func() forecast.Forecaster { return forecast.NewNaive() },
-		"ma8":          func() forecast.Forecaster { return forecast.NewMovingAverage(8) },
-		"ewma":         func() forecast.Forecaster { return forecast.NewEWMA(0.3) },
-		"holt":         func() forecast.Forecaster { return forecast.NewHolt(0.4, 0.1) },
-		"holt-winters": func() forecast.Forecaster { return forecast.NewHoltWinters(0.3, 0.05, 0.3, 96) },
-	}
-	rng := rand.New(rand.NewSource(1))
-	series := make([]float64, 4096)
-	for i := range series {
-		series[i] = 100 + 40*rng.Float64()
-	}
-	for name, ctor := range mk {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			f := ctor()
-			for i := 0; i < b.N; i++ {
-				f.Observe(series[i%len(series)])
-				_ = f.Forecast()
-			}
-		})
-	}
-}
-
-// BenchmarkOverbookingSweep (D4) measures a complete (short) scenario run
-// per risk level — the cost of regenerating one point of the trade-off
-// curve.
-func BenchmarkOverbookingSweep(b *testing.B) {
-	for _, risk := range []float64{1.0, 0.95, 0.7} {
-		b.Run(fmt.Sprintf("risk=%.2f", risk), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				scenario.MustRun(scenario.Options{
-					Seed:             1,
-					Duration:         2 * time.Hour,
-					MeanInterarrival: 15 * time.Minute,
-					Orchestrator: core.Config{
-						Overbook: risk < 0.9995, Risk: risk, PLMNLimit: 32,
-					},
-				})
-			}
-		})
-	}
-}
-
-// BenchmarkDomainUtilization (D5) measures one full telemetry push across
-// the three domain controllers.
-func BenchmarkDomainUtilization(b *testing.B) {
-	b.ReportAllocs()
-	r, err := scenario.LoadedRunner(1, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	store := monitor.NewStore(1024)
-	now := r.Sim.Now()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.TB.Ctrl.PushTelemetry(store, now)
-	}
-}
-
-// BenchmarkEmbedding (D6) measures the path-computation core of the
-// multi-domain embedding: delay-constrained shortest path and the
-// k-shortest alternative search on the testbed topology.
-func BenchmarkEmbedding(b *testing.B) {
-	tb, err := testbed.New(testbed.Config{ENBs: 8}, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	req := transport.PathRequest{From: testbed.ENBName(0), To: testbed.CoreDC, MinMbps: 20, MaxDelayMs: 50}
-	b.Run("shortest-path", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tb.Transport.ShortestPath(req); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("k-shortest-3", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := tb.Transport.KShortestPaths(req, 3); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkScheduler measures one RAN scheduling epoch (the per-epoch inner
-// loop of the monitoring stage) with shared-PRB multiplexing on and off.
-func BenchmarkScheduler(b *testing.B) {
-	r, err := scenario.LoadedRunner(1, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	demand := map[slice.PLMN]float64{}
-	for _, sn := range r.Orch.List() {
-		if sn.State == "active" {
-			demand[sn.Allocation.PLMN] = sn.SLA.ThroughputMbps * 0.5
-		}
-	}
-	for _, share := range []bool{false, true} {
-		b.Run(fmt.Sprintf("share=%v", share), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				r.TB.Ctrl.RAN.ScheduleEpoch(demand, share)
-			}
-		})
-	}
-}
-
-// BenchmarkDemandSampling measures the traffic generators feeding the
-// monitoring pipeline.
-func BenchmarkDemandSampling(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	at := time.Date(2018, 8, 20, 12, 0, 0, 0, time.UTC)
-	gens := map[string]traffic.Demand{
-		"constant": traffic.NewConstant(20, 1, rng),
-		"diurnal":  traffic.NewDiurnal(50, 20, 20, 3, rng),
-		"bursty":   traffic.NewBursty(5, 50, 0.1, 0.3, 1, rng),
-	}
-	for name, g := range gens {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				g.Sample(at)
-			}
-		})
-	}
-}
-
 // durableSystem builds a wall-clock System persisting every mutation to a
-// fresh file-backed WAL — the fixture for the durable-path benchmarks.
+// fresh file-backed WAL — the fixture of BenchmarkDurableAdmission.
 func durableSystem(b *testing.B, shards int) *System {
 	b.Helper()
 	cfg := core.Config{
@@ -726,15 +279,17 @@ func durableSystem(b *testing.B, shards int) *System {
 	return sys
 }
 
-// BenchmarkDurableAdmission measures the durable admit→teardown cycle — the
-// F3 hot path with every operation's records fsynced before Submit/Delete
-// return — under group commit. The writers axis is the group-commit story:
-// at writers=1 the pipeline degenerates to a synchronous group of one
-// (fsyncs/op = 1); at writers=64 concurrent committers share fsyncs, and the
-// reported fsyncs/op metric (fsyncs per durable commit, from the
-// orchestrator's persistence counters) collapses toward 1/groupsize. The
-// mode=group name component pairs the rows with the BENCH_<n>.json
-// trajectory.
+// BenchmarkDurableAdmission measures the durable admit→teardown cycle — every
+// operation's records fsynced before Submit/Delete return — under group
+// commit. The writers axis is the group-commit story: at writers=1 the
+// pipeline degenerates to a synchronous group of one (fsyncs/op = 1); at
+// writers=64 concurrent committers share fsyncs, and the reported fsyncs/op
+// metric (fsyncs per durable commit, from the orchestrator's persistence
+// counters) collapses toward 1/groupsize.
+//
+// Kept: churn_durable has one closed-loop client, so its core.max_group is 1
+// and wal.fsyncs_per_op is 1; a multi-client churn_durable (ROADMAP item 6b)
+// retires this.
 func BenchmarkDurableAdmission(b *testing.B) {
 	for _, shards := range []int{1, 16} {
 		for _, writers := range []int{1, 64} {
@@ -787,57 +342,6 @@ func BenchmarkDurableAdmission(b *testing.B) {
 	}
 }
 
-// BenchmarkDurableBatch measures durable batch admission: SubmitBatch makes
-// the whole batch durable with a single commit at the batch edge, so the
-// per-item fsync share falls with batch size even from a single driver —
-// the static counterpart of the dynamic grouping BenchmarkDurableAdmission
-// measures across concurrent submitters.
-func BenchmarkDurableBatch(b *testing.B) {
-	for _, size := range []int{8, 64} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			b.ReportAllocs()
-			sys := durableSystem(b, 16)
-			before := sys.Orchestrator.PersistStatus()
-			items := make([]core.BatchItem, size)
-			b.ResetTimer()
-			var ops int
-			for i := 0; i < b.N; i++ {
-				for j := range items {
-					items[j] = core.BatchItem{Request: slice.Request{
-						Tenant: fmt.Sprintf("batch-%d", j),
-						SLA: slice.SLA{
-							ThroughputMbps: 2,
-							MaxLatencyMs:   50,
-							Duration:       time.Hour,
-							PriceEUR:       10,
-							PenaltyEUR:     1,
-						},
-					}}
-				}
-				sls, err := sys.Orchestrator.SubmitBatch(items, core.BatchFCFS)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ops += len(sls)
-				for _, sl := range sls {
-					if sl.State() == slice.StateRejected {
-						b.Fatalf("batch item rejected: %s", sl.Reason())
-					}
-					if err := sys.Orchestrator.Delete(sl.ID()); err != nil {
-						b.Fatal(err)
-					}
-					ops++
-				}
-			}
-			b.StopTimer()
-			after := sys.Orchestrator.PersistStatus()
-			if ops > 0 {
-				b.ReportMetric(float64(after.Fsyncs-before.Fsyncs)/float64(ops), "fsyncs/item")
-			}
-		})
-	}
-}
-
 // BenchmarkFederatedAdmission (PR 8) measures the federation-tier admission
 // hot path — deterministic placement over the hierarchical capacity ledger
 // plus the two-phase span install across member clusters — at growing
@@ -845,6 +349,9 @@ func BenchmarkDurableBatch(b *testing.B) {
 // clusters=1 it is a single-leg admission and at 2 and 4 it forces a
 // cross-cluster span (the reverse-order abort path is exercised by the
 // paired Delete, which keeps the books level across iterations).
+//
+// Kept: no bench/ workload drives /api/v2/federation/; a fed_span workload
+// (ROADMAP item 6a) retires this.
 func BenchmarkFederatedAdmission(b *testing.B) {
 	for _, n := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("clusters=%d", n), func(b *testing.B) {
@@ -895,6 +402,9 @@ func BenchmarkFederatedAdmission(b *testing.B) {
 // capacity ledger level across iterations, so ns/op is the steady-state
 // cost of one whole fleet (instantiate + caps + teardown), not of a single
 // slice.
+//
+// Kept: no bench/ workload drives /api/v2/templates|fleets|rollouts; a
+// fleet_rollout workload (ROADMAP item 6a) retires this.
 func BenchmarkTemplateInstantiation(b *testing.B) {
 	for _, dims := range []struct{ tenants, regions int }{{4, 1}, {4, 2}, {8, 2}} {
 		b.Run(fmt.Sprintf("cells=%d", dims.tenants*dims.regions), func(b *testing.B) {
@@ -1017,8 +527,9 @@ func (f *listPageFixture) serve(tb testing.TB, w *discardResponse) int {
 // touch mutates every slice of the page, as a control epoch does: the next
 // poll finds no current fragment and pays the encode.
 func (f *listPageFixture) touch(i int) {
+	resize := func(a *slice.Allocation) { a.AllocatedMbps = 1 + float64(i%7)/8 }
 	for _, sl := range f.page {
-		sl.UpdateAllocatedMbps(1 + float64(i%7)/8)
+		sl.UpdateAllocation(resize)
 	}
 }
 
@@ -1029,6 +540,11 @@ func (f *listPageFixture) touch(i int) {
 // slice of the page changed between polls (the worst case: a poller no
 // faster than the control epoch) — today's Snapshot + encoding/json per
 // slice, plus the fragment buffers.
+//
+// Kept: bench/'s core.list_page_us.p0/.p512 stop at 512 slices and never
+// touch every slice of the page between polls; a poll_watch variant at 8192
+// slices with a cold-page metric retires this (the fixture stays for
+// TestListPageAllocCeiling).
 func BenchmarkListPage(b *testing.B) {
 	for _, mode := range []string{"warm", "cold"} {
 		for _, n := range []int{512, 8192} {

@@ -40,18 +40,6 @@ func (t *SpanTx) Grants() []ctrl.Grant {
 // Commit (the engine contract) and idempotent per grant.
 func (t *SpanTx) Abort() { abortGrants(t.grants) }
 
-// FeasibleSpan dry-runs every leg in order and returns the first typed
-// rejection, or nil when every leg reports feasible. Like the engine's
-// admission dry run, a concurrent reservation may still win the race.
-func FeasibleSpan(legs []SpanLeg) *slice.RejectionCause {
-	for _, l := range legs {
-		if cause := l.Domain.Feasible(l.Tx); cause != nil {
-			return cause
-		}
-	}
-	return nil
-}
-
 // InstallSpan runs the two-phase transaction across the legs: phase one
 // reserves each leg in order (any failure aborts everything reserved so far
 // in reverse order), phase two commits in acquisition order (a commit

@@ -410,11 +410,6 @@ func (p *Provisioner) Provision(contractMbps float64) float64 {
 	return v
 }
 
-// Margin returns the current safety margin in Mbps.
-func (p *Provisioner) Margin() float64 {
-	return ZScore(p.Risk) * p.resid.StdDev()
-}
-
 // Observed reports whether any demand sample has been fed yet. Admission
 // control uses it to fall back to the a-priori load estimate for slices
 // without history.

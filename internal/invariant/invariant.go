@@ -35,7 +35,6 @@ package invariant
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -550,21 +549,4 @@ func (a *Auditor) CheckSliceInstalled(tb *testbed.Testbed, v SliceView) {
 			a.record("leak", "post-commit: slice %s mec app %q not placed", v.ID, v.MECAppID)
 		}
 	}
-}
-
-// SortedViolationChecks returns the distinct Check families seen, sorted —
-// a compact summary for experiment output.
-func (a *Auditor) SortedViolationChecks() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	seen := map[string]bool{}
-	for _, v := range a.violations {
-		seen[v.Check] = true
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

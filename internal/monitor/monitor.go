@@ -281,22 +281,28 @@ func NewStore(capacity int) *Store {
 // Series returns the named series, creating it on first use.
 func (st *Store) Series(name string) *Series { return st.SeriesSized(name, st.capacity) }
 
+// Lookup returns the named series without creating it — the read for names
+// that arrive from outside the program, which must not grow the registry.
+func (st *Store) Lookup(name string) (*Series, bool) {
+	st.mu.RLock()
+	s, ok := st.series[name]
+	st.mu.RUnlock()
+	return s, ok
+}
+
 // SeriesSized returns the named series, creating it on first use with the
 // given ring capacity instead of the store default. An existing series keeps
 // its original capacity.
 func (st *Store) SeriesSized(name string, capacity int) *Series {
-	st.mu.RLock()
-	s, ok := st.series[name]
-	st.mu.RUnlock()
-	if ok {
+	if s, ok := st.Lookup(name); ok {
 		return s
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if s, ok = st.series[name]; ok {
+	if s, ok := st.series[name]; ok {
 		return s
 	}
-	s = NewSeries(name, capacity)
+	s := NewSeries(name, capacity)
 	st.series[name] = s
 	return s
 }

@@ -134,6 +134,20 @@ func TestStoreSeriesIdentity(t *testing.T) {
 	}
 }
 
+func TestStoreLookupNeverRegisters(t *testing.T) {
+	st := NewStore(8)
+	if s, ok := st.Lookup("x"); ok || s != nil {
+		t.Fatalf("Lookup of an unknown name returned %v, %v", s, ok)
+	}
+	if names := st.Names(); len(names) != 0 {
+		t.Fatalf("Lookup registered %v", names)
+	}
+	want := st.Series("x")
+	if got, ok := st.Lookup("x"); !ok || got != want {
+		t.Fatal("Lookup missed a registered series")
+	}
+}
+
 func TestMetricNameHelpers(t *testing.T) {
 	if SliceMetric("s1", "demand") != "slice/s1/demand" {
 		t.Fatal("SliceMetric format")

@@ -1,8 +1,11 @@
 package restapi
 
 import (
+	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +216,65 @@ func TestMetricSeriesBadWindow(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d", resp.StatusCode)
+	}
+}
+
+// TestMetricSeriesReadsOnly: GET /api/v1/metrics/{name} is a read. A name no
+// one has recorded under answers the 404 envelope and registers nothing —
+// Store.Series would create a default-capacity ring per probed name and
+// nothing ever drops it, so any reader could grow the daemon without bound —
+// while a name a controller has pushed answers exactly what it always did.
+func TestMetricSeriesReadsOnly(t *testing.T) {
+	srv, orch, s := fuzzOrch(t)
+	orch.Start()
+	if err := s.RunFor(5 * time.Minute); err != nil { // epochs push the domain telemetry
+		t.Fatal(err)
+	}
+	store := orch.Store()
+	known := monitor.DomainMetric("ran", "utilization")
+	series, ok := store.Lookup(known)
+	if !ok || series.Len() == 0 {
+		t.Fatalf("no %s samples after five minutes of epochs", known)
+	}
+	ref := func(window int) []byte {
+		return encodeRef(t, SeriesResponse{Name: known, Samples: series.Window(window), Stats: series.WindowStats(window)})
+	}
+	before := store.Names()
+
+	type probe struct {
+		target string
+		status int
+		body   []byte
+	}
+	unknown := func(name, query string) probe {
+		return probe{"/api/v1/metrics/" + name + query, http.StatusNotFound,
+			encodeRef(t, errorBody{Error: fmt.Sprintf("restapi: unknown metric %q", name)})}
+	}
+	cases := []probe{
+		{"/api/v1/metrics/" + known, http.StatusOK, ref(0)},
+		{"/api/v1/metrics/" + known + "?window=3", http.StatusOK, ref(3)},
+		unknown("junk/x", ""),
+		unknown("junk/x", "?window=3"),
+		{"/api/v1/metrics/junk/x?window=bogus", http.StatusBadRequest, encodeRef(t, errorBody{Error: `restapi: bad window "bogus"`})},
+	}
+	for i := 0; i < 100; i++ {
+		cases = append(cases, unknown(fmt.Sprintf("junk/%d", i), ""))
+	}
+	for _, tc := range cases {
+		rec := serve(srv, http.MethodGet, tc.target, nil, "")
+		if rec.Code != tc.status || !bytes.Equal(rec.Body.Bytes(), tc.body) {
+			t.Errorf("GET %s: %d %s, want %d %s", tc.target, rec.Code, rec.Body, tc.status, tc.body)
+		}
+	}
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	_, err := NewClient(ts.URL).MetricSeries("junk/client", 0)
+	if ae := asAPIError(t, err); ae.Status != http.StatusNotFound {
+		t.Errorf("client: %v, want a 404", ae)
+	}
+	if after := store.Names(); !slices.Equal(after, before) {
+		t.Errorf("reads registered series: %d names before, %d after", len(before), len(after))
 	}
 }
 

@@ -395,7 +395,11 @@ func (s *Server) handleMetricSeries(w http.ResponseWriter, r *http.Request) {
 		}
 		window = n
 	}
-	series := s.orch.Store().Series(name)
+	series, ok := s.orch.Store().Lookup(name)
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("restapi: unknown metric %q", name))
+		return
+	}
 	writeJSON(w, http.StatusOK, SeriesResponse{
 		Name:    name,
 		Samples: series.Window(window),

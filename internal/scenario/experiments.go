@@ -14,7 +14,7 @@ import (
 
 // This file implements the experiment battery of DESIGN.md §4. Each
 // function regenerates one figure/claim of the paper and returns plain row
-// structs that cmd/experiments renders and bench_test.go measures.
+// structs that cmd/experiments renders.
 
 // InstallStage is one row of the F2 installation timeline.
 type InstallStage struct {
@@ -331,7 +331,7 @@ func RejectionHistogram(seed int64) (map[string]int, error) {
 }
 
 // LoadedRunner builds a runner with n active slices, epochs already
-// flowing — the fixture for the F1 control-cycle benchmark.
+// flowing — the fixture of the F1 control-cycle walk-through.
 func LoadedRunner(seed int64, n int) (*Runner, error) {
 	r, err := NewRunner(Options{
 		Seed: seed,

@@ -222,13 +222,3 @@ func Run(opts Options) (Result, error) {
 	}
 	return r.Collect(), nil
 }
-
-// MustRun is Run panicking on error — for benches and examples where the
-// options are known-good.
-func MustRun(opts Options) Result {
-	res, err := Run(opts)
-	if err != nil {
-		panic(fmt.Sprintf("scenario: %v", err))
-	}
-	return res
-}

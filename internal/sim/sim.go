@@ -118,9 +118,6 @@ type Simulator struct {
 	queue eventQueue
 	seq   uint64
 	rng   *rand.Rand
-
-	// Stats.
-	fired uint64
 }
 
 // Epoch is the default simulation start time. A fixed epoch (rather than
@@ -147,13 +144,6 @@ func (s *Simulator) Now() time.Time {
 // never from the global rand, so a seed fully determines a run. It is not
 // synchronized: only the driving goroutine may draw from it.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// EventsFired reports how many callbacks have executed.
-func (s *Simulator) EventsFired() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fired
-}
 
 // Pending reports how many events are queued.
 func (s *Simulator) Pending() int {
@@ -229,7 +219,6 @@ func (s *Simulator) step(limit time.Time, bounded bool) bool {
 	if e.when.After(s.now) {
 		s.now = e.when
 	}
-	s.fired++
 	s.mu.Unlock()
 	e.fn()
 	if e.period > 0 && !e.canceled.Load() {

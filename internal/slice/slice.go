@@ -451,15 +451,6 @@ func (s *Slice) CommitReconfigure(fn func(*Allocation)) EventView {
 	return s.eventViewLocked()
 }
 
-// UpdateAllocatedMbps resizes only the radio throughput reservation record
-// (used by the overbooking reconfiguration loop).
-func (s *Slice) UpdateAllocatedMbps(mbps float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.version++
-	s.alloc.AllocatedMbps = mbps
-}
-
 func (s *Slice) transition(to State, reason string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

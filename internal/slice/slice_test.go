@@ -263,7 +263,7 @@ func TestUpdateAllocationInPlace(t *testing.T) {
 func TestSnapshotReflectsState(t *testing.T) {
 	s, _ := New("s9", validReq())
 	s.Admit()
-	s.UpdateAllocatedMbps(33)
+	s.UpdateAllocation(func(a *Allocation) { a.AllocatedMbps = 33 })
 	snap := s.Snapshot()
 	if snap.ID != "s9" || snap.State != "admitted" || snap.Class != "automotive" {
 		t.Fatalf("snapshot %+v", snap)

@@ -82,7 +82,9 @@ var mutators = []struct {
 			}
 		})
 	}},
-	{"update-allocated-mbps", func(rng *rand.Rand, s *Slice) { s.UpdateAllocatedMbps(rng.Float64() * 50) }},
+	{"update-allocated-mbps", func(rng *rand.Rand, s *Slice) {
+		s.UpdateAllocation(func(a *Allocation) { a.AllocatedMbps = rng.Float64() * 50 })
+	}},
 	{"commit-reconfigure", func(rng *rand.Rand, s *Slice) {
 		s.CommitReconfigure(func(a *Allocation) { a.AllocatedMbps = rng.Float64() * 50 })
 	}},
@@ -234,7 +236,7 @@ func TestSnapshotJSONConcurrent(t *testing.T) {
 			if err := s.BeginReconfigure(); err != nil {
 				t.Fatal(err)
 			}
-			s.UpdateAllocatedMbps(rng.Float64() * 50)
+			s.UpdateAllocation(func(a *Allocation) { a.AllocatedMbps = rng.Float64() * 50 })
 			if err := s.EndReconfigure(); err != nil {
 				t.Fatal(err)
 			}

@@ -123,20 +123,16 @@ func (s *dijkstraScratch) reset(n int) {
 // disconnected and ErrDelayBudget when a path exists but misses the budget.
 // The computation holds only the shared read lock, so admission feasibility
 // checks from concurrent slice requests run fully in parallel.
+//
+// Dijkstra runs by delay: neighbours are scanned in insertion order and ties
+// resolve deterministically via the (delay, insertion seq) queue ordering.
+// The working arrays come from a pool; only the returned hop list allocates.
 func (n *Network) ShortestPath(req PathRequest) (Path, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return n.shortestPathLocked(req, nil, nil)
-}
-
-// shortestPathLocked runs Dijkstra by delay. skipLinks/skipNodes support
-// Yen's algorithm. Neighbours are scanned in insertion order; ties resolve
-// deterministically via the (delay, insertion seq) queue ordering. The
-// working arrays come from a pool; only the returned hop list allocates.
-func (n *Network) shortestPathLocked(req PathRequest, skipLinks map[string]bool, skipNodes map[string]bool) (Path, error) {
 	s := dijkstraPool.Get().(*dijkstraScratch)
 	defer dijkstraPool.Put(s)
-	d, to, err := n.dijkstraLocked(s, req, skipLinks, skipNodes)
+	d, to, err := n.dijkstraLocked(s, req)
 	if err != nil {
 		return Path{}, err
 	}
@@ -165,7 +161,7 @@ func (n *Network) shortestPathLocked(req PathRequest, skipLinks map[string]bool,
 // dijkstraLocked is the shared search core: it fills s with the shortest
 // delay tree from req.From and returns the delay and dense index of req.To.
 // It performs no allocations beyond scratch growth on first use.
-func (n *Network) dijkstraLocked(s *dijkstraScratch, req PathRequest, skipLinks map[string]bool, skipNodes map[string]bool) (float64, int32, error) {
+func (n *Network) dijkstraLocked(s *dijkstraScratch, req PathRequest) (float64, int32, error) {
 	from, ok := n.idx[req.From]
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownNode, req.From)
@@ -190,12 +186,6 @@ func (n *Network) dijkstraLocked(s *dijkstraScratch, req PathRequest, skipLinks 
 		}
 		for _, l := range n.adjx[it.node] {
 			if !l.Up {
-				continue
-			}
-			if skipLinks != nil && skipLinks[l.key()] {
-				continue
-			}
-			if skipNodes != nil && skipNodes[l.To] {
 				continue
 			}
 			if l.ResidualMbps() < req.MinMbps-1e-9 {
@@ -229,133 +219,8 @@ func (n *Network) PathDelay(req PathRequest) (float64, error) {
 	defer n.mu.RUnlock()
 	s := dijkstraPool.Get().(*dijkstraScratch)
 	defer dijkstraPool.Put(s)
-	d, _, err := n.dijkstraLocked(s, req, nil, nil)
+	d, _, err := n.dijkstraLocked(s, req)
 	return d, err
-}
-
-// KShortestPaths returns up to k loop-free minimum-delay paths satisfying
-// the bandwidth constraint (Yen's algorithm). Paths that violate the delay
-// budget are excluded. Used for restoration after link failures and for the
-// embedding ablation.
-func (n *Network) KShortestPaths(req PathRequest, k int) ([]Path, error) {
-	if k < 1 {
-		k = 1
-	}
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-
-	unconstrained := req
-	unconstrained.MaxDelayMs = 0 // apply the budget as a filter at the end
-	first, err := n.shortestPathLocked(unconstrained, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	paths := []Path{first}
-	var candidates []Path
-
-	for len(paths) < k {
-		base := paths[len(paths)-1]
-		for i := 0; i+1 < len(base.Hops); i++ {
-			spurNode := base.Hops[i]
-			rootPath := base.Hops[:i+1]
-
-			skipLinks := map[string]bool{}
-			for _, p := range paths {
-				if len(p.Hops) > i && equalHops(p.Hops[:i+1], rootPath) {
-					skipLinks[p.Hops[i]+"->"+p.Hops[i+1]] = true
-				}
-			}
-			skipNodes := map[string]bool{}
-			for _, h := range rootPath[:len(rootPath)-1] {
-				skipNodes[h] = true
-			}
-
-			spurReq := unconstrained
-			spurReq.From = spurNode
-			spur, err := n.shortestPathLocked(spurReq, skipLinks, skipNodes)
-			if err != nil {
-				continue
-			}
-			total := append(append([]string(nil), rootPath[:len(rootPath)-1]...), spur.Hops...)
-			cand := n.assessLocked(total)
-			if cand == nil {
-				continue
-			}
-			if !containsPath(paths, cand.Hops) && !containsPath(candidates, cand.Hops) {
-				candidates = append(candidates, *cand)
-			}
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		// Pop the lowest-delay candidate.
-		best := 0
-		for i := range candidates {
-			if candidates[i].DelayMs < candidates[best].DelayMs {
-				best = i
-			}
-		}
-		paths = append(paths, candidates[best])
-		candidates = append(candidates[:best], candidates[best+1:]...)
-	}
-
-	// Apply the delay budget filter.
-	out := paths[:0]
-	for _, p := range paths {
-		if req.MaxDelayMs <= 0 || p.DelayMs <= req.MaxDelayMs+1e-9 {
-			out = append(out, p)
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%w: %d paths found, none within %.2f ms", ErrDelayBudget, len(paths), req.MaxDelayMs)
-	}
-	return out, nil
-}
-
-// assessLocked computes delay/bottleneck for a hop list, returning nil when
-// any link is missing, down, or the list has a loop.
-func (n *Network) assessLocked(hops []string) *Path {
-	seen := map[string]bool{}
-	for _, h := range hops {
-		if seen[h] {
-			return nil
-		}
-		seen[h] = true
-	}
-	delay := 0.0
-	bott := math.Inf(1)
-	for i := 0; i+1 < len(hops); i++ {
-		l, ok := n.links[hops[i]+"->"+hops[i+1]]
-		if !ok || !l.Up {
-			return nil
-		}
-		delay += l.DelayMs
-		if r := l.ResidualMbps(); r < bott {
-			bott = r
-		}
-	}
-	return &Path{Hops: append([]string(nil), hops...), DelayMs: delay, BottleneckMbps: bott}
-}
-
-func equalHops(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func containsPath(ps []Path, hops []string) bool {
-	for _, p := range ps {
-		if equalHops(p.Hops, hops) {
-			return true
-		}
-	}
-	return false
 }
 
 // ReservePath computes the best path for req and reserves req.MinMbps on it
