@@ -11,11 +11,11 @@ import (
 // TestFastRejectZeroAllocs is the allocation regression guard for the
 // SubmitFast fast-reject path: after the cause pool is warm, a rejection
 // storm must allocate nothing — causes come from and return to the pool,
-// and the headroom/feasibility caches answer without building state.
+// and the ledger and per-cell checks read the controllers in place.
 func TestFastRejectZeroAllocs(t *testing.T) {
 	sys := saturatedSystem(t)
 	req := saturatedReq()
-	// Warm the cause pool and the headroom cache.
+	// Warm the cause pool.
 	for i := 0; i < 16; i++ {
 		cause := sys.Orchestrator.SubmitFast(req)
 		if cause == nil {
@@ -38,11 +38,14 @@ func TestFastRejectZeroAllocs(t *testing.T) {
 
 // TestAdmitAllocCeiling pins the allocation budget of the full pooled
 // admit → install → delete cycle. The PR 6 baseline spent 435 allocs per
-// cycle; the pooled engine runs it in ~107. The ceiling leaves slack for
+// cycle; the pooled engine runs it in 62. The ceiling leaves slack for
 // map-growth jitter but fails loudly if pooling regresses — revisit the
 // number only alongside a deliberate hot-path change.
 func TestAdmitAllocCeiling(t *testing.T) {
-	const ceiling = 130
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	const ceiling = 72
 	cfg := core.Config{
 		Overbook:            true,
 		Risk:                0.9,
@@ -92,6 +95,7 @@ func TestAdmitAllocCeiling(t *testing.T) {
 	if allocs > ceiling {
 		t.Fatalf("pooled admit cycle allocates %.1f allocs/op, ceiling %d", allocs, ceiling)
 	}
+	t.Logf("pooled admit cycle: %.1f allocs/op (ceiling %d)", allocs, ceiling)
 }
 
 // TestEpochAllocCeiling pins the allocation budget of one control epoch on

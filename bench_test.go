@@ -88,9 +88,8 @@ func saturatedReq() slice.Request {
 // BenchmarkParallelAdmissionReject is an overload storm against a saturated
 // system, answered from every core at once by the SubmitFast zero-allocation
 // fast-reject path. Steady state must report 0 allocs/op — every rejection
-// cause comes from and returns to the pool, and the headroom/feasibility
-// caches answer without touching the WAL, the event bus or the slice
-// registry.
+// cause comes from and returns to the pool, and the ledger and per-cell
+// checks touch neither the WAL, the event bus nor the slice registry.
 //
 // Kept: bench/'s core.submit_fast_ns times SubmitFast from one goroutine and
 // reject_storm has one client; a multi-client reject workload retires this.

@@ -160,11 +160,6 @@ type DataCenter struct {
 	// dry-run and placement loops allocate nothing in steady state.
 	orderScratch []*Host
 	fitScratch   []hostFree
-
-	// ver counts every state change that can flip a CanFit answer:
-	// AddHost, CreateStack, DeleteStack. Memoized feasibility outcomes
-	// keyed by this value stay exact.
-	ver atomic.Uint64
 }
 
 // hostFree is the dry-run copy of one host's free capacity.
@@ -173,10 +168,6 @@ type hostFree struct {
 	ram   int
 	disk  int
 }
-
-// Version returns a counter bumped by every capacity-affecting mutation;
-// equal versions guarantee equal CanFit answers.
-func (dc *DataCenter) Version() uint64 { return dc.ver.Load() }
 
 // NewDataCenter returns a data center with the given placement policy.
 func NewDataCenter(name, kind string, policy PlacementPolicy) *DataCenter {
@@ -211,7 +202,6 @@ func (dc *DataCenter) AddHost(name string, vcpus float64, ramMB, diskGB int) err
 	dc.byName = append(dc.byName, nil)
 	copy(dc.byName[i+1:], dc.byName[i:])
 	dc.byName[i] = h
-	dc.ver.Add(1)
 	return nil
 }
 
@@ -324,7 +314,6 @@ func (dc *DataCenter) CreateStack(id string, tmpl Template) (*Stack, error) {
 		stack.VMs = append(stack.VMs, vm)
 	}
 	dc.stacks[id] = stack
-	dc.ver.Add(1)
 	return stack, nil
 }
 
@@ -342,7 +331,6 @@ func (dc *DataCenter) DeleteStack(id string) {
 		}
 	}
 	delete(dc.stacks, id)
-	dc.ver.Add(1)
 }
 
 // Stack returns the named stack.

@@ -153,6 +153,12 @@ func (o *Orchestrator) ledgerEstimate(sla slice.SLA) slice.Kbps {
 	return slice.ToKbps(o.admissionEstimate(sla))
 }
 
+// admissionCap is the load the capacity ledger may reach: the radio capacity
+// times Config.UtilizationCap.
+func (o *Orchestrator) admissionCap() slice.Kbps {
+	return slice.ToKbps(o.tb.Ctrl.RAN.CapacityMbps() * o.cfg.UtilizationCap)
+}
+
 // chooseDataCenter picks the data center for the slice: the one with
 // the fewest spare resources that still passes every registered domain's
 // feasibility dry run (keeping the scarce edge free for slices that need
@@ -180,6 +186,17 @@ func (o *Orchestrator) chooseDataCenter(sla slice.SLA) (string, *slice.Rejection
 		last = slice.Rejectf(slice.RejectOther, "", "no data center available")
 	}
 	return "", last
+}
+
+// feasibleAll runs every domain's admission dry run against tx in
+// acquisition order and returns the first failing domain's cause.
+func (o *Orchestrator) feasibleAll(tx ctrl.Tx) *slice.RejectionCause {
+	for _, d := range o.domains.all {
+		if cause := d.Feasible(tx); cause != nil {
+			return cause
+		}
+	}
+	return nil
 }
 
 // Candidate placement lists as package-level arrays: slicing them hands the

@@ -2,10 +2,15 @@ package core
 
 // The three admission entry points — Submit (admit), DryRun and SubmitFast —
 // share one policy prelude (admissionPolicy) and must agree on every request:
-// a seeded property test over random requests × configurations.
+// a seeded property test over random requests × configurations. Every third
+// case fades one cell after the standing load is in — the one event that
+// changes the radio capacity under a running orchestrator — and all three
+// must decide against the capacity as it is now, which every reader of it
+// must report to the bit.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,7 +28,7 @@ func TestAdmissionCallersAgree(t *testing.T) {
 
 	// replica builds one orchestrator of a scenario; two calls with the same
 	// arguments give identical replicas (same seed, same preload).
-	replica := func(cfg Config, maxPLMNs, preload int, saturate bool) *Orchestrator {
+	replica := func(cfg Config, maxPLMNs, preload int, saturate, fade bool) *Orchestrator {
 		s := sim.NewSimulator(7)
 		tb, err := testbed.New(testbed.Config{ENBs: 2, MaxPLMNs: maxPLMNs, CoreHosts: 8, EdgeHosts: 4}, s.Rand())
 		if err != nil {
@@ -35,12 +40,19 @@ func TestAdmissionCallersAgree(t *testing.T) {
 		}}
 		if saturate {
 			// One slice sized to the whole admission cap leaves no headroom.
-			load.SLA.ThroughputMbps = o.radioCapacityMbps() * o.cfg.UtilizationCap / o.admissionEstimate(slice.SLA{ThroughputMbps: 1})
+			load.SLA.ThroughputMbps = tb.RadioCapacityMbps() * o.cfg.UtilizationCap / o.admissionEstimate(slice.SLA{ThroughputMbps: 1})
 			preload = 1
 		}
 		for i := 0; i < preload; i++ {
 			if sl, err := o.Submit(load, nil); err != nil || sl.State() == slice.StateRejected {
 				t.Fatalf("preload %d: %v %s", i, err, sl.Reason())
+			}
+		}
+		if fade {
+			before := tb.RadioCapacityMbps()
+			tb.Ctrl.RAN.Cells()[0].SetMeanCQI(9)
+			if after := tb.RadioCapacityMbps(); after >= before {
+				t.Fatalf("fade left the capacity at %v (was %v)", after, before)
 			}
 		}
 		return o
@@ -71,9 +83,22 @@ func TestAdmissionCallersAgree(t *testing.T) {
 			PenaltyEUR:     pick(0, 1, 50),
 			EdgeCompute:    rng.Intn(4) == 0,
 		}}
-		desc := fmt.Sprintf("case %d: cfg %+v plmns %d preload %d saturate %v req %+v", i, cfg, maxPLMNs, preload, saturate, req.SLA)
+		fade := i%3 == 2
+		if fade {
+			// A slice is split evenly over the cells and the radio dry run is
+			// vacuous (per-cell fit surfaces at Reserve), so the three can only
+			// agree on asks whose half the faded cell can still carry.
+			req.SLA.ThroughputMbps = min(req.SLA.ThroughputMbps, 30)
+		}
+		desc := fmt.Sprintf("case %d: cfg %+v plmns %d preload %d saturate %v fade %v req %+v", i, cfg, maxPLMNs, preload, saturate, fade, req.SLA)
 
-		probe, live := replica(cfg, maxPLMNs, preload, saturate), replica(cfg, maxPLMNs, preload, saturate)
+		probe, live := replica(cfg, maxPLMNs, preload, saturate, fade), replica(cfg, maxPLMNs, preload, saturate, fade)
+		capacity := probe.tb.RadioCapacityMbps()
+		if g := probe.Gain().CapacityMbps; math.Float64bits(g) != math.Float64bits(capacity) ||
+			probe.admissionCap() != slice.ToKbps(capacity*probe.cfg.UtilizationCap) {
+			t.Fatalf("%s: capacity read three ways: gain %v, testbed %v, admission cap %v at utilization cap %v",
+				desc, g, capacity, probe.admissionCap(), probe.cfg.UtilizationCap)
+		}
 		rep, err := probe.DryRun(req)
 		if err != nil {
 			t.Fatalf("%s: dry-run: %v", desc, err)

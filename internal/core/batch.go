@@ -69,7 +69,7 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 		return nil, err
 	}
 	// Budget: remaining estimated radio capacity — one ledger read and one
-	// (cached) capacity read decide the whole batch's feasibility sweep.
+	// capacity read decide the whole batch's feasibility sweep.
 	budget := (o.admissionCap() - o.ledger.Load()).Mbps()
 	if budget < 0 {
 		budget = 0

@@ -129,11 +129,6 @@ type Config struct {
 	// NewForecaster builds the per-slice demand forecaster
 	// (default EWMA(0.3)).
 	NewForecaster func() forecast.Forecaster
-	// Installation latencies (defaults: radio 500ms, paths 200ms,
-	// stack 2s; vEPC boot time comes from epc.BootDelayFor).
-	RadioConfigDelay time.Duration
-	PathSetupDelay   time.Duration
-	StackCreateDelay time.Duration
 	// PLMNLimit bounds simultaneously installed slices (default 6, the
 	// MOCN SIB1 limit). Experiments that stress admission raise it.
 	PLMNLimit int
@@ -197,15 +192,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NewForecaster == nil {
 		c.NewForecaster = func() forecast.Forecaster { return forecast.NewEWMA(0.3) }
-	}
-	if c.RadioConfigDelay <= 0 {
-		c.RadioConfigDelay = 500 * time.Millisecond
-	}
-	if c.PathSetupDelay <= 0 {
-		c.PathSetupDelay = 200 * time.Millisecond
-	}
-	if c.StackCreateDelay <= 0 {
-		c.StackCreateDelay = 2 * time.Second
 	}
 	if c.PLMNLimit <= 0 {
 		c.PLMNLimit = slice.DefaultPLMNLimit
@@ -299,12 +285,6 @@ type Orchestrator struct {
 	history   finishedHistory
 	bus       *EventBus
 
-	// feas holds the per-domain feasibility memos (feascache.go); radioHead
-	// caches the per-cell radio headroom summary the fast-reject path probes
-	// (fastpath.go). Both are exact version-keyed caches.
-	feas      []feasMemo
-	radioHead atomic.Pointer[radioHeadroom]
-
 	// audit is the invariant auditor (nil unless Config.Audit); pendingTx
 	// tracks slice IDs whose install transaction is in flight so the sweep
 	// never mistakes the squeeze window's unregistered grants for leaks
@@ -377,7 +357,6 @@ func New(cfg Config, tb *testbed.Testbed, clock sim.Scheduler, store *monitor.St
 	for i := range o.shards {
 		o.shards[i] = newShard(i)
 	}
-	o.feas = newFeasTable(o.domains)
 	if cfg.Audit {
 		o.audit = invariant.New(invariant.Options{OnViolation: cfg.AuditOnViolation})
 		o.bus.SetTap(o.auditObserveEvent)
@@ -619,9 +598,20 @@ func seqOf(id slice.ID) int {
 	return n
 }
 
+// ErrBadDemand is wrapped by RecordDemand when the sample is not a finite
+// throughput in [0, slice.MaxThroughputMbps]; front ends map it to a 400.
+var ErrBadDemand = errors.New("core: bad demand sample")
+
 // RecordDemand feeds a live demand measurement for the slice (Mbps). In
-// simulations the attached traffic.Demand process supersedes it.
+// simulations the attached traffic.Demand process supersedes it. The sample
+// comes from outside the program and feeds the slice's forecaster, where one
+// absurd value would hold the provisioning target at the contract for
+// thousands of epochs — so anything outside the bound SLA.Validate puts on a
+// contract is refused with ErrBadDemand and recorded nowhere.
 func (o *Orchestrator) RecordDemand(id slice.ID, mbps float64) error {
+	if !(mbps >= 0 && mbps <= slice.MaxThroughputMbps) { // NaN fails both
+		return fmt.Errorf("%w: %g Mbps outside [0, %g]", ErrBadDemand, mbps, float64(slice.MaxThroughputMbps))
+	}
 	sh := o.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

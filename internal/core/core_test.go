@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -332,6 +334,15 @@ func TestRecordDemandLiveMode(t *testing.T) {
 	}
 	if err := o.RecordDemand("ghost", 1); err == nil {
 		t.Fatal("unknown slice demand accepted")
+	}
+	// A sample that is not a throughput is refused and recorded nowhere.
+	for _, bad := range []float64{-5, 1e300, math.Nextafter(slice.MaxThroughputMbps, math.Inf(1)), math.Inf(1), math.NaN()} {
+		if err := o.RecordDemand(sl.ID(), bad); !errors.Is(err, ErrBadDemand) {
+			t.Fatalf("sample %v: %v, want ErrBadDemand", bad, err)
+		}
+	}
+	if m := o.shardFor(sl.ID()).slices[sl.ID()]; m.lastDemand != 17 || !m.haveDemand {
+		t.Fatalf("refused samples moved the slice's demand to %v (have %v)", m.lastDemand, m.haveDemand)
 	}
 }
 

@@ -14,9 +14,8 @@ import (
 // to ask the headroom question, and one that can never make a concurrent
 // admission see capacity a probe was only borrowing — and the per-domain
 // feasibility scan reuses feasibleAll, which is a pure dry run by
-// construction (it backs the memoized fast-reject path). TestDryRunIsolation
-// pins the contract: a dry-run burst racing live admissions leaves the
-// ledger and the event sequence untouched.
+// construction. TestDryRunIsolation pins the contract: a dry-run burst
+// racing live admissions leaves the ledger and the event sequence untouched.
 
 // DryRunReport is the outcome of one mutation-free admission probe.
 type DryRunReport struct {

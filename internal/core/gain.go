@@ -171,7 +171,7 @@ type GainReport struct {
 func (o *Orchestrator) Gain() GainReport {
 	t := o.totals()
 	g := GainReport{
-		CapacityMbps:     o.tb.RadioCapacityMbps(),
+		CapacityMbps:     o.tb.Ctrl.RAN.CapacityMbps(),
 		ContractedMbps:   t.Contracted.Mbps(),
 		AllocatedMbps:    t.Allocated.Mbps(),
 		Admitted:         int(t.Admitted),

@@ -14,6 +14,29 @@ import (
 // slice's end-to-end latency budget; the domains see the remainder.
 const epcProcMs = 0.5
 
+// Installation stage latencies (Fig. 2 workflow): radio configuration, path
+// setup, Heat stack creation, in that order from submission. The vEPC boot
+// that follows comes from epc.BootDelayFor.
+const (
+	radioConfigDelay = 500 * time.Millisecond
+	pathSetupDelay   = 200 * time.Millisecond
+	stackCreateDelay = 2 * time.Second
+)
+
+// newInstallTimeline stamps the stage completions of a slice submitted at
+// the given instant — fixed offsets, so install and the admit record's
+// replay write the same timeline.
+func newInstallTimeline(submitted time.Time) *InstallTimeline {
+	radioAt := submitted.Add(radioConfigDelay)
+	pathsAt := radioAt.Add(pathSetupDelay)
+	return &InstallTimeline{
+		Submitted: submitted,
+		RadioDone: radioAt,
+		PathsDone: pathsAt,
+		StackDone: pathsAt.Add(stackCreateDelay),
+	}
+}
+
 // install reserves resources across the registered domain chain for an
 // admitted request and schedules the installation stages on the clock. The
 // heavy lifting is the generic two-phase transaction engine (engine.go):
@@ -96,14 +119,10 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 	// committed; the stages model configuration latency, so their completion
 	// times are the scheduled offsets, recorded up front exactly as recovery
 	// rebuilds them — only the activation transition needs a real timer.
-	radioAt := now.Add(o.cfg.RadioConfigDelay)
-	pathsAt := radioAt.Add(o.cfg.PathSetupDelay)
-	stackAt := pathsAt.Add(o.cfg.StackCreateDelay)
-	activeAt := stackAt.Add(bootDelay)
+	tl := newInstallTimeline(now)
+	activeAt := tl.StackDone.Add(bootDelay)
 	m.activateAt = activeAt
-	sh.timelines[s.ID()] = &InstallTimeline{
-		Submitted: now, RadioDone: radioAt, PathsDone: pathsAt, StackDone: stackAt,
-	}
+	sh.timelines[s.ID()] = tl
 
 	if err := s.BeginInstall(); err != nil {
 		return err

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/forecast"
 	"repro/internal/invariant"
@@ -247,37 +246,26 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 }
 
 // imposeSubstrate re-creates a live slice's logged substrate outcomes on the
-// rebuilt testbed: per-eNB PRB reservations, transport paths at their
-// recorded hops and bandwidth, the vEPC deployment (deterministic IDs), and
-// the MEC app on its recorded host. The slice's PLMN must already be owned
-// (allocator Restore or Impose).
+// rebuilt testbed, each through its domain controller's Impose verb — which
+// registers the handles the next resize and release go through, exactly as
+// Reserve does: per-eNB PRB reservations, transport paths at their recorded
+// hops and bandwidth, the vEPC deployment (deterministic IDs). The MEC app
+// goes on its recorded host through the pool (its controller keeps no
+// per-slice index). The slice's PLMN must already be owned (allocator
+// Restore or Impose).
 func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []transport.Reservation, mecHost string, mecCPU float64) error {
 	alloc := s.Allocation()
 	id := s.ID()
-	enbs := make([]string, 0, len(alloc.PRBs))
-	for name := range alloc.PRBs {
-		enbs = append(enbs, name)
+	if err := o.tb.Ctrl.RAN.ImposeSlice(alloc.PLMN, alloc.PRBs); err != nil {
+		return err
 	}
-	sort.Strings(enbs)
-	for _, name := range enbs {
-		e, ok := o.tb.RAN.Get(name)
-		if !ok {
-			return fmt.Errorf("unknown eNB %q", name)
-		}
-		if err := e.Reserve(alloc.PLMN, alloc.PRBs[name]); err != nil {
-			return fmt.Errorf("radio impose on %s: %w", name, err)
-		}
-	}
-	o.tb.Ctrl.RAN.ImportSlice(alloc.PLMN)
-	if _, err := o.imposePaths(id, paths); err != nil {
+	if err := o.tb.Ctrl.Transport.ImposePaths(id, paths); err != nil {
 		return err
 	}
 	if alloc.StackID != "" {
-		dep, err := o.tb.Ctrl.Cloud.DeployEPC(id, alloc.DataCenter, alloc.PLMN, s.SLA().ThroughputMbps, s.SLA().Class)
-		if err != nil {
+		if _, err := o.tb.Ctrl.Cloud.ImposeDeployment(id, alloc.DataCenter, alloc.PLMN, s.SLA().ThroughputMbps, s.SLA().Class); err != nil {
 			return fmt.Errorf("cloud impose: %w", err)
 		}
-		o.tb.Ctrl.Cloud.RestoreDeployment(id, dep)
 	}
 	if alloc.MECAppID != "" && o.tb.MEC != nil {
 		if _, err := o.tb.MEC.PlaceAt(alloc.MECAppID, id, mecCPU, mecHost); err != nil {
@@ -285,24 +273,6 @@ func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []transport.Reserva
 		}
 	}
 	return nil
-}
-
-// imposePaths reserves a slice's logged transport paths — recorded hops at
-// recorded bandwidth — and hands the handles to the transport controller. It
-// returns the path IDs in log order.
-func (o *Orchestrator) imposePaths(id slice.ID, paths []transport.Reservation) ([]string, error) {
-	pids := make([]string, 0, len(paths))
-	handles := make([]*transport.Reservation, 0, len(paths))
-	for _, pr := range paths {
-		r, err := o.tb.Transport.Reserve(pr.ID, pr.Hops, pr.Mbps)
-		if err != nil {
-			return nil, fmt.Errorf("transport impose %s: %w", pr.ID, err)
-		}
-		pids = append(pids, pr.ID)
-		handles = append(handles, r)
-	}
-	o.tb.Ctrl.Transport.ImportPaths(id, handles)
-	return pids, nil
 }
 
 // applyRecord decodes one log record and replays it: the record imposes its
@@ -340,8 +310,8 @@ func (o *Orchestrator) bumpSeq(id slice.ID) {
 // apply (admit) registers a logged admission: the slice image as of the admit
 // boundary, its substrate outcomes imposed, the ledger reservation repeated
 // and the deterministic installation timeline stamped. Stage-timer stamps
-// are written directly (the stages complete at fixed config offsets from
-// submission — exactly what the uncrashed run's timers record); only the
+// are written directly (the stages complete at fixed offsets from
+// submission — exactly what the uncrashed run's install records); only the
 // activation timer is re-armed afterwards (rearmTimers).
 func (ar *admitRecord) apply(o *Orchestrator) error {
 	s := slice.Rehydrate(ar.Slice)
@@ -363,14 +333,7 @@ func (ar *admitRecord) apply(o *Orchestrator) error {
 		activateAt: ar.ActivateAt,
 	})
 	sh.admit(s.SLA().PriceEUR, s.SLA().ThroughputMbps, alloc.AllocatedMbps)
-	radioAt := ar.SubmittedAt.Add(o.cfg.RadioConfigDelay)
-	pathsAt := radioAt.Add(o.cfg.PathSetupDelay)
-	sh.timelines[id] = &InstallTimeline{
-		Submitted: ar.SubmittedAt,
-		RadioDone: radioAt,
-		PathsDone: pathsAt,
-		StackDone: pathsAt.Add(o.cfg.StackCreateDelay),
-	}
+	sh.timelines[id] = newInstallTimeline(ar.SubmittedAt)
 	return nil
 }
 
@@ -455,19 +418,8 @@ func (rr *resizeRecord) apply(o *Orchestrator) error {
 	}
 	alloc := m.s.Allocation()
 	before := alloc.AllocatedMbps
-	enbs := make([]string, 0, len(rr.PRBs))
-	for name := range rr.PRBs {
-		enbs = append(enbs, name)
-	}
-	sort.Strings(enbs)
-	for _, name := range enbs {
-		e, ok := o.tb.RAN.Get(name)
-		if !ok {
-			return fmt.Errorf("unknown eNB %q", name)
-		}
-		if err := e.Resize(alloc.PLMN, rr.PRBs[name]); err != nil {
-			return fmt.Errorf("radio resize on %s: %w", name, err)
-		}
+	if err := o.tb.Ctrl.RAN.ImposeResize(alloc.PLMN, rr.PRBs); err != nil {
+		return err
 	}
 	if rr.ResizePaths && len(alloc.PathIDs) > 0 {
 		if err := o.tb.Ctrl.Transport.ResizePaths(rr.Slice, rr.Mbps); err != nil {
@@ -499,9 +451,12 @@ func (rr *rerouteRecord) apply(o *Orchestrator) error {
 		return fmt.Errorf("unknown slice")
 	}
 	o.tb.Ctrl.Transport.ReleasePaths(rr.Slice)
-	pids, err := o.imposePaths(rr.Slice, rr.Paths)
-	if err != nil {
+	if err := o.tb.Ctrl.Transport.ImposePaths(rr.Slice, rr.Paths); err != nil {
 		return err
+	}
+	pids := make([]string, len(rr.Paths))
+	for i := range rr.Paths {
+		pids[i] = rr.Paths[i].ID
 	}
 	m.s.UpdateAllocation(func(a *slice.Allocation) {
 		a.PathIDs = pids

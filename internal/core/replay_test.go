@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/slice"
@@ -90,6 +91,98 @@ func allRecordTypesRun(t testing.TB) (records []wal.Record, populated int) {
 	}
 	o.Shutdown()
 	return sink.records, populated
+}
+
+// reconfigureAndRelease is the stage a recovered orchestrator (built with
+// Config.Audit) must survive: every live slice is resized and then deleted
+// through the normal verbs. Recovery imposed the substrate outcomes through
+// the controllers' Impose verbs; if one of them made a reservation without
+// registering its handle, the resize is refused (no reconfiguration
+// happens), or the release leaves the reservation behind for the audit and
+// the emptiness checks to find.
+func reconfigureAndRelease(t *testing.T, o *Orchestrator) {
+	t.Helper()
+	type held struct {
+		id   slice.ID
+		plmn slice.PLMN
+	}
+	var all []*slice.Slice
+	o.lockAll()
+	walk := o.walkAllLocked()
+	for m := walk.next(); m != nil; m = walk.next() {
+		all = append(all, m.s)
+	}
+	o.unlockAll()
+	var live []held
+	for _, sl := range all {
+		switch sl.State() {
+		case slice.StateRejected, slice.StateTerminated:
+			continue
+		}
+		id, contract := sl.ID(), sl.SLA().ThroughputMbps
+		live = append(live, held{id, sl.PLMN()})
+		// Down to the floor, then up to the contract: unless hysteresis
+		// swallows both (a contract within 5 % of the floor), one must move.
+		down, err := o.Resize(id, o.cfg.FloorMbps)
+		if err != nil {
+			t.Fatalf("resize %s down: %v", id, err)
+		}
+		up, err := o.Resize(id, contract)
+		if err != nil {
+			t.Fatalf("resize %s up: %v", id, err)
+		}
+		if !down && !up && contract-o.cfg.FloorMbps >= contract*o.cfg.ReconfigThreshold {
+			t.Errorf("recovered slice %s (%s, %.2f of %.2f Mbps) cannot be resized", id, sl.State(), sl.AllocatedMbps(), contract)
+		}
+	}
+	if len(live) == 0 {
+		t.Fatal("nothing live to reconfigure")
+	}
+	for _, h := range live {
+		if err := o.Delete(h.id); err != nil {
+			t.Fatalf("delete %s: %v", h.id, err)
+		}
+		if _, err := o.tb.Ctrl.RAN.Resize(ctrl.Tx{PLMN: h.plmn}, 1); err == nil {
+			t.Errorf("RAN controller still holds handles for released slice %s", h.id)
+		}
+		if err := o.tb.Ctrl.Transport.ResizePaths(h.id, 1); err == nil {
+			t.Errorf("transport controller still holds handles for released slice %s", h.id)
+		}
+	}
+	o.AuditSweep()
+	if v := o.Auditor().Violations(); len(v) != 0 {
+		t.Errorf("after resize and release: %d violations, first %+v", len(v), v[0])
+	}
+	for _, e := range o.tb.RAN.All() {
+		if msgs := e.AuditConservation(); len(msgs) != 0 || e.FreePRBs() != e.TotalPRBs() {
+			t.Errorf("%s after release: %d of %d PRBs free, %v", e.Name(), e.FreePRBs(), e.TotalPRBs(), msgs)
+		}
+	}
+	if msgs, left := o.tb.Transport.AuditConservation(), o.tb.Transport.Reservations(); len(msgs) != 0 || len(left) != 0 {
+		t.Errorf("transport after release: %v, %d reservations left", msgs, len(left))
+	}
+	for _, dc := range o.tb.Region.All() {
+		if msgs := dc.AuditConservation(); len(msgs) != 0 || dc.Capacity().Stacks != 0 {
+			t.Errorf("%s after release: %d stacks, %v", dc.Name(), dc.Capacity().Stacks, msgs)
+		}
+	}
+}
+
+// TestRecoveredSlicesReconfigureAndRelease replays a log holding every record
+// type — admits, epoch resizes, a link failure's re-routes, a teardown — and
+// runs the resize-and-release stage on what comes back.
+func TestRecoveredSlicesReconfigureAndRelease(t *testing.T) {
+	records, _ := allRecordTypesRun(t)
+	cfg := Config{Overbook: true, Risk: 0.9, Audit: true}
+	_, fresh := replayEnv(t, Config{})
+	o, rep, err := RecoverFromWAL(cfg, fresh.tb, fresh.clock, nil, &wal.Recovered{Records: records, LastSeq: uint64(len(records))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LiveSlices != 2 {
+		t.Fatalf("recovered %d live slices, want the 2 the run left", rep.LiveSlices)
+	}
+	reconfigureAndRelease(t, o)
 }
 
 // FuzzApplyRecord: whatever a CRC-valid record says, replaying it onto a
@@ -314,5 +407,6 @@ quiet:
 		if v := rec.Auditor().Violations(); len(v) != 0 {
 			t.Errorf("%s: recovered state fails the audit: %d violations, first %+v", name, len(v), v[0])
 		}
+		reconfigureAndRelease(t, rec)
 	}
 }

@@ -43,8 +43,6 @@ type ClusterBackend interface {
 	// SpanReleaseSlice tears down whatever the member holds for the span
 	// slice ID. Idempotent.
 	SpanReleaseSlice(id slice.ID)
-	// FeasVersion is the member's feasibility version (see FeasVersioner).
-	FeasVersion() uint64
 	// Utilization is the member's radio utilization [0,1].
 	Utilization() float64
 }
@@ -75,11 +73,6 @@ func (c *ClusterDomain) Utilization() float64 { return c.backend.Utilization() }
 func (c *ClusterDomain) PushTelemetry(store *monitor.Store, now time.Time) {
 	store.Record(monitor.DomainMetric(c.name, "utilization"), now, c.backend.Utilization())
 }
-
-// FeasVersion implements FeasVersioner: the member's version counter covers
-// every state change that can alter its admission answer, so equal versions
-// guarantee equal Feasible outcomes.
-func (c *ClusterDomain) FeasVersion() uint64 { return c.backend.FeasVersion() }
 
 // ClusterGrant is the adapter's reservation: the member-side leg, plus the
 // single-shot abort latch every built-in grant carries (a second Abort after

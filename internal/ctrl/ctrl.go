@@ -19,11 +19,17 @@
 // cloud deployment concurrently with the radio/transport chain within one
 // request), so every reserve/resize/release primitive synchronizes on its
 // substrate's internal locks, and hot read paths (path feasibility, slice
-// path lookups, utilization) take shared read locks. Multi-step primitives
-// (ReserveSlice across eNBs, SetupPaths across paths) are all-or-nothing
-// per call but not atomic against concurrent callers — the orchestrator's
-// capacity ledger and shard serialization provide admission-level
-// consistency above them.
+// path lookups, utilization) take shared read locks. Multi-step verbs (the
+// radio Reserve across eNBs, the transport Reserve across paths) are
+// all-or-nothing per call but not atomic against concurrent callers — the
+// orchestrator's capacity ledger and shard serialization provide
+// admission-level consistency above them.
+//
+// The controllers are the only door to their substrates: they resolve a
+// slice's per-cell and per-path handles when the reservation is made — by
+// Reserve on the live path, by the Impose* verbs when crash recovery replays
+// a logged outcome — and every later resize and release goes through those
+// handles (DESIGN.md §10).
 package ctrl
 
 import (
@@ -63,8 +69,8 @@ type RANController struct {
 	cellCache atomic.Pointer[ranCellCache]
 
 	// byPLMN holds each installed slice's per-cell reservation handles, in
-	// cell order: resolved once, by ReserveSlice (or ImportSlice on recovery),
-	// so a resize names nothing. The list is immutable once stored and the
+	// cell order: resolved once, by Reserve (or ImposeSlice on recovery), so
+	// a resize names nothing. The list is immutable once stored and the
 	// entry leaves at ReleaseSlice, before the cells release — the handles
 	// die with the reservations, never the other way round.
 	mu     sync.RWMutex
@@ -102,10 +108,6 @@ func NewRANController(net *ran.Network) *RANController {
 // Domain implements Controller.
 func (c *RANController) Domain() string { return "ran" }
 
-// Network exposes the underlying RAN (read-mostly; used by telemetry and
-// experiments).
-func (c *RANController) Network() *ran.Network { return c.net }
-
 // RadioReservation reports the result of a slice's radio installation.
 type RadioReservation struct {
 	// PRBs per eNB name.
@@ -114,21 +116,24 @@ type RadioReservation struct {
 	TotalMbps float64
 }
 
-// ReserveSlice reserves PRBs for mbps of aggregate throughput, split evenly
-// across eNBs. On any per-eNB failure everything is rolled back, so the
-// radio domain never holds a partial slice.
-func (c *RANController) ReserveSlice(p slice.PLMN, mbps float64) (RadioReservation, error) {
-	res := RadioReservation{PRBs: make(map[string]int)}
-	if err := c.reserveSliceInto(p, mbps, &res); err != nil {
-		return RadioReservation{}, err
+// CapacityMbps is the total mean-CQI radio capacity: every cell's capacity
+// summed in cell order. It is the one place the sum is taken — admission's
+// cap, the gain report and the testbed's figure all call it, so they agree
+// to the bit.
+func (c *RANController) CapacityMbps() float64 {
+	sum := 0.0
+	for _, e := range c.Cells() {
+		sum += e.CapacityMbps()
 	}
-	return res, nil
+	return sum
 }
 
-// reserveSliceInto is ReserveSlice writing into a caller-owned reservation
-// (res.PRBs must be a non-nil empty map) so pooled grants can reuse their
-// map across slices.
-func (c *RANController) reserveSliceInto(p slice.PLMN, mbps float64, res *RadioReservation) error {
+// reserveCells reserves PRBs for mbps of aggregate throughput, split evenly
+// across eNBs, into a caller-owned reservation (res.PRBs must be a non-nil
+// empty map, so pooled grants reuse theirs across slices). On any per-eNB
+// failure everything is rolled back, so the radio domain never holds a
+// partial slice.
+func (c *RANController) reserveCells(p slice.PLMN, mbps float64, res *RadioReservation) error {
 	enbs := c.Cells()
 	if len(enbs) == 0 {
 		return errors.New("ctrl: RAN has no eNBs")
@@ -154,36 +159,68 @@ func (c *RANController) reserveSliceInto(p slice.PLMN, mbps float64, res *RadioR
 	return nil
 }
 
-// ImportSlice rebuilds the PLMN's handle set after crash recovery, which
-// re-imposes the per-cell reservations on the eNBs directly (recorded PRBs,
-// no sizing): every cell holding the PLMN contributes its handle.
-func (c *RANController) ImportSlice(p slice.PLMN) {
-	var cells []ran.Handle
-	for _, e := range c.Cells() {
-		if h, ok := e.Handle(p); ok {
-			cells = append(cells, h)
+// ImposeSlice re-creates a slice's logged radio outcome for crash recovery:
+// the recorded PRBs per eNB name, reserved in cell order with no sizing, and
+// the handles registered in the same step — so an imposed slice resizes and
+// releases exactly like one Reserve installed.
+func (c *RANController) ImposeSlice(p slice.PLMN, prbs map[string]int) error {
+	cells := make([]ran.Handle, 0, len(prbs))
+	undo := func() {
+		for _, h := range cells {
+			h.Cell().Release(p)
 		}
+	}
+	for _, e := range c.Cells() {
+		n, ok := prbs[e.Name()]
+		if !ok {
+			continue
+		}
+		h, err := e.Reserve(p, n)
+		if err != nil {
+			undo()
+			return fmt.Errorf("ctrl: radio impose on %s: %w", e.Name(), err)
+		}
+		cells = append(cells, h)
+	}
+	if len(cells) != len(prbs) {
+		undo()
+		return fmt.Errorf("ctrl: radio impose for %s names an unknown eNB", p)
 	}
 	c.mu.Lock()
 	c.byPLMN[p] = cells
 	c.mu.Unlock()
+	return nil
 }
 
-// ResizeSlice adjusts the PLMN's reservations for a new aggregate
-// throughput. Failures on one eNB restore the previous sizes everywhere.
-func (c *RANController) ResizeSlice(p slice.PLMN, mbps float64) (RadioReservation, error) {
-	res := RadioReservation{PRBs: make(map[string]int)}
-	if err := c.resizeSliceInto(p, mbps, &res); err != nil {
-		return RadioReservation{}, err
+// ImposeResize moves a slice's cells to the recorded PRBs per eNB name — a
+// logged resize outcome replayed through the handles, with no sizing.
+func (c *RANController) ImposeResize(p slice.PLMN, prbs map[string]int) error {
+	c.mu.RLock()
+	cells := c.byPLMN[p]
+	c.mu.RUnlock()
+	resized := 0
+	for _, h := range cells {
+		n, ok := prbs[h.Cell().Name()]
+		if !ok {
+			continue
+		}
+		if err := h.Resize(n); err != nil {
+			return fmt.Errorf("ctrl: radio resize on %s: %w", h.Cell().Name(), err)
+		}
+		resized++
 	}
-	return res, nil
+	if resized != len(prbs) {
+		return fmt.Errorf("ctrl: radio resize for %s names a cell it holds no reservation on", p)
+	}
+	return nil
 }
 
-// resizeSliceInto is ResizeSlice writing into a caller-owned reservation
-// (res.PRBs must be a non-nil empty map). Each cell is visited once, through
-// its handle, under one acquisition of its mutex. The previous per-eNB sizes
-// used for rollback live in a small stack buffer at common cell counts.
-func (c *RANController) resizeSliceInto(p slice.PLMN, mbps float64, res *RadioReservation) error {
+// resizeCells adjusts the PLMN's reservations for a new aggregate throughput
+// into a caller-owned reservation (res.PRBs must be a non-nil empty map).
+// Each cell is visited once, through its handle, under one acquisition of its
+// mutex; a failure on one eNB restores the previous sizes everywhere. Those
+// live in a small stack buffer at common cell counts.
+func (c *RANController) resizeCells(p slice.PLMN, mbps float64, res *RadioReservation) error {
 	c.mu.RLock()
 	cells := c.byPLMN[p]
 	c.mu.RUnlock()
@@ -299,9 +336,9 @@ type TransportController struct {
 
 	// bySlice holds each slice's path handles, in eNB order: what resize and
 	// release pass to the network in place of path IDs. A list is immutable
-	// once stored — setup and import store fresh ones, release and re-route
-	// delete the entry — so it stays valid after the lock drops and needs no
-	// per-call copy.
+	// once stored — Reserve and ImposePaths store fresh ones, release and
+	// re-route delete the entry — so it stays valid after the lock drops and
+	// needs no per-call copy.
 	mu      sync.RWMutex
 	bySlice map[slice.ID][]*transport.Reservation
 
@@ -337,9 +374,6 @@ func NewTransportController(net *transport.Network) *TransportController {
 // Domain implements Controller.
 func (c *TransportController) Domain() string { return "transport" }
 
-// Network exposes the underlying topology.
-func (c *TransportController) Network() *transport.Network { return c.net }
-
 // PathSetup reports the result of a slice's transport installation.
 type PathSetup struct {
 	PathIDs []string
@@ -348,20 +382,11 @@ type PathSetup struct {
 	WorstDelayMs float64
 }
 
-// SetupPaths reserves one path from every eNB transport port to the chosen
+// reservePaths reserves one path from every eNB transport port to the chosen
 // data-center gateway, each sized to the eNB's share of the slice
-// throughput. All-or-nothing.
-func (c *TransportController) SetupPaths(id slice.ID, dc string, mbps, maxDelayMs float64) (PathSetup, error) {
-	var setup PathSetup
-	if err := c.setupPathsInto(id, dc, mbps, maxDelayMs, &setup); err != nil {
-		return PathSetup{}, err
-	}
-	return setup, nil
-}
-
-// setupPathsInto is SetupPaths writing into a caller-owned setup (its
-// PathIDs backing array is reused) so pooled grants can recycle it.
-func (c *TransportController) setupPathsInto(id slice.ID, dc string, mbps, maxDelayMs float64, setup *PathSetup) error {
+// throughput, into a caller-owned setup (its PathIDs backing array is
+// reused, so pooled grants recycle it). All-or-nothing.
+func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDelayMs float64, setup *PathSetup) error {
 	enbs := c.enbNodes()
 	if len(enbs) == 0 {
 		return errors.New("ctrl: transport has no eNB nodes")
@@ -421,14 +446,23 @@ func (c *TransportController) ReleasePaths(id slice.ID) {
 	c.net.ReleaseEach(paths)
 }
 
-// ImportPaths restores the slice's path handles after crash recovery, which
-// re-imposes the transport reservations on the network directly (recorded
-// hops at recorded bandwidth) and hands the handles Reserve returned to the
-// controller that resize and release go through.
-func (c *TransportController) ImportPaths(id slice.ID, paths []*transport.Reservation) {
+// ImposePaths re-creates a slice's logged transport outcome for crash
+// recovery — the recorded hops at the recorded bandwidth, no path search —
+// and registers the handles in the same step. All-or-nothing.
+func (c *TransportController) ImposePaths(id slice.ID, paths []transport.Reservation) error {
+	handles := make([]*transport.Reservation, 0, len(paths))
+	for _, pr := range paths {
+		r, err := c.net.Reserve(pr.ID, pr.Hops, pr.Mbps)
+		if err != nil {
+			c.net.ReleaseEach(handles)
+			return fmt.Errorf("ctrl: transport impose %s: %w", pr.ID, err)
+		}
+		handles = append(handles, r)
+	}
 	c.mu.Lock()
-	c.bySlice[id] = paths
+	c.bySlice[id] = handles
 	c.mu.Unlock()
+	return nil
 }
 
 // FeasibleDelay returns the minimum worst-case eNB→DC delay achievable for
@@ -556,15 +590,18 @@ func (c *CloudController) DeployEPC(id slice.ID, dcName string, p slice.PLMN, th
 	}, nil
 }
 
-// RestoreDeployment re-registers a slice's live deployment after crash
-// recovery. DeployEPC recreates the stack and vEPC instance, but the
-// controller's per-slice deployment index is normally written by the
-// transaction engine's commit path — recovery bypasses that engine, so it
-// restores the index here for release/teardown to find.
-func (c *CloudController) RestoreDeployment(id slice.ID, dep Deployment) {
+// ImposeDeployment is DeployEPC plus the slice's entry in the deployment
+// index Release finds it through — what Reserve does on the live path and
+// what crash recovery replays (stack and vEPC IDs are deterministic).
+func (c *CloudController) ImposeDeployment(id slice.ID, dcName string, p slice.PLMN, throughputMbps float64, class slice.ServiceClass) (Deployment, error) {
+	dep, err := c.DeployEPC(id, dcName, p, throughputMbps, class)
+	if err != nil {
+		return Deployment{}, err
+	}
 	c.mu.Lock()
 	c.bySlice[id] = dep
 	c.mu.Unlock()
+	return dep, nil
 }
 
 // MarkEPCRunning flips the instance to Running (called when the boot timer

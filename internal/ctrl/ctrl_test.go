@@ -2,6 +2,7 @@ package ctrl_test
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,10 +33,46 @@ func newTB(t *testing.T) *testbed.Testbed {
 	return tb
 }
 
+// The helpers below drive the Domain verbs the engine drives — Reserve and
+// Resize with a ctrl.Tx — and read the outcome off Grant.Apply, the way the
+// engine records it in a slice's allocation.
+
+func reserveRadio(c *ctrl.RANController, p slice.PLMN, mbps float64) (ctrl.RadioReservation, error) {
+	g, cause := c.Reserve(ctrl.Tx{PLMN: p, Mbps: mbps})
+	if cause != nil {
+		return ctrl.RadioReservation{}, cause
+	}
+	return radioOutcome(g), nil
+}
+
+func resizeRadio(c *ctrl.RANController, p slice.PLMN, mbps float64) (ctrl.RadioReservation, error) {
+	g, err := c.Resize(ctrl.Tx{PLMN: p}, mbps)
+	if err != nil {
+		return ctrl.RadioReservation{}, err
+	}
+	return radioOutcome(g), nil
+}
+
+func radioOutcome(g ctrl.Grant) ctrl.RadioReservation {
+	var a slice.Allocation
+	g.Apply(&a)
+	return ctrl.RadioReservation{PRBs: a.PRBs, TotalMbps: a.AllocatedMbps}
+}
+
+func reservePaths(c *ctrl.TransportController, id slice.ID, dc string, mbps, maxDelayMs float64) (ctrl.PathSetup, error) {
+	g, cause := c.Reserve(ctrl.Tx{Slice: id, DataCenter: dc, Mbps: mbps, LatencyBudgetMs: maxDelayMs})
+	if cause != nil {
+		return ctrl.PathSetup{}, cause
+	}
+	var a slice.Allocation
+	g.Apply(&a)
+	return ctrl.PathSetup{PathIDs: a.PathIDs, WorstDelayMs: a.PathLatencyMs}, nil
+}
+
 func TestRANReserveSpreadsAcrossENBs(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	res, err := c.ReserveSlice(plmnA, 40)
+	res, err := reserveRadio(c, plmnA, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +95,10 @@ func TestRANReserveRollsBackOnPartialFailure(t *testing.T) {
 	tb := newTB(t)
 	// Saturate the second eNB so reservation succeeds on enb-1 only.
 	e2, _ := tb.RAN.Get(testbed.ENBName(1))
-	if err := e2.Reserve(plmnB, e2.TotalPRBs()); err != nil {
+	if _, err := e2.Reserve(plmnB, e2.TotalPRBs()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := tb.Ctrl.RAN.ReserveSlice(plmnA, 40)
+	_, err := reserveRadio(tb.Ctrl.RAN, plmnA, 40)
 	if err == nil {
 		t.Fatal("reserve should fail when one eNB is full")
 	}
@@ -74,7 +111,7 @@ func TestRANReserveRollsBackOnPartialFailure(t *testing.T) {
 func TestRANResizeRestoresOnFailure(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	if _, err := c.ReserveSlice(plmnA, 20); err != nil {
+	if _, err := reserveRadio(c, plmnA, 20); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the rest of both cells with another tenant, then attempt to
@@ -85,7 +122,7 @@ func TestRANResizeRestoresOnFailure(t *testing.T) {
 	e2.Reserve(plmnB, e2.FreePRBs())
 	before1, _ := e1.Reservation(plmnA)
 	before2, _ := e2.Reservation(plmnA)
-	if _, err := c.ResizeSlice(plmnA, 500); err == nil {
+	if _, err := resizeRadio(c, plmnA, 500); err == nil {
 		t.Fatal("oversize resize succeeded")
 	}
 	after1, _ := e1.Reservation(plmnA)
@@ -101,14 +138,14 @@ func TestRANResizeRestoresOnFailure(t *testing.T) {
 func TestRANResizeRollsBackCellByCell(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	if _, err := c.ReserveSlice(plmnA, 20); err != nil {
+	if _, err := reserveRadio(c, plmnA, 20); err != nil {
 		t.Fatal(err)
 	}
 	e1, _ := tb.RAN.Get(testbed.ENBName(0))
 	e2, _ := tb.RAN.Get(testbed.ENBName(1))
 	e2.Reserve(plmnB, e2.FreePRBs())
 	before1, before2 := e1.Snapshot(), e2.Snapshot()
-	if _, err := c.ResizeSlice(plmnA, 60); !errors.Is(err, ran.ErrInsufficientPRBs) {
+	if _, err := resizeRadio(c, plmnA, 60); !errors.Is(err, ran.ErrInsufficientPRBs) {
 		t.Fatalf("resize with one full cell: %v", err)
 	}
 	if after1, after2 := e1.Snapshot(), e2.Snapshot(); !reflect.DeepEqual(before1, after1) || !reflect.DeepEqual(before2, after2) {
@@ -127,45 +164,64 @@ func TestRANResizeRollsBackCellByCell(t *testing.T) {
 func TestRANStaleHandleNeverResizes(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	if _, err := c.ReserveSlice(plmnA, 20); err != nil {
+	if _, err := reserveRadio(c, plmnA, 20); err != nil {
 		t.Fatal(err)
 	}
 	e1, _ := tb.RAN.Get(testbed.ENBName(0))
 	e2, _ := tb.RAN.Get(testbed.ENBName(1))
 	e2.Release(plmnA)
-	if err := e2.Reserve(plmnA, 7); err != nil {
+	if _, err := e2.Reserve(plmnA, 7); err != nil {
 		t.Fatal(err)
 	}
 	before1, before2 := e1.Snapshot(), e2.Snapshot()
-	if _, err := c.ResizeSlice(plmnA, 10); !errors.Is(err, ran.ErrUnknownPLMN) {
+	if _, err := resizeRadio(c, plmnA, 10); !errors.Is(err, ran.ErrUnknownPLMN) {
 		t.Fatalf("resize through a stale handle: %v", err)
 	}
 	if after1, after2 := e1.Snapshot(), e2.Snapshot(); !reflect.DeepEqual(before1, after1) || !reflect.DeepEqual(before2, after2) {
 		t.Fatalf("stale handle moved the books:\n %+v -> %+v\n %+v -> %+v", before1, after1, before2, after2)
 	}
 	c.ReleaseSlice(plmnA)
-	if _, err := c.ResizeSlice(plmnA, 10); err == nil {
+	if _, err := resizeRadio(c, plmnA, 10); err == nil {
 		t.Fatal("resize of a released slice succeeded")
 	}
-	if _, err := c.ReserveSlice(plmnA, 20); err != nil {
+	if _, err := reserveRadio(c, plmnA, 20); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := c.ResizeSlice(plmnA, 10); err != nil || res.TotalMbps < 10 {
+	if res, err := resizeRadio(c, plmnA, 10); err != nil || res.TotalMbps < 10 {
 		t.Fatalf("resize after re-reserve: %+v, %v", res, err)
 	}
-	// Recovery imposes the per-cell reservations directly and imports them.
+	// Recovery imposes the recorded per-cell PRBs through the controller,
+	// which registers the handles in the same step.
 	c.ReleaseSlice(plmnA)
-	e1.Reserve(plmnA, 3)
-	e2.Reserve(plmnA, 4)
-	c.ImportSlice(plmnA)
-	if res, err := c.ResizeSlice(plmnA, 10); err != nil || len(res.PRBs) != 2 {
-		t.Fatalf("resize after import: %+v, %v", res, err)
+	if err := c.ImposeSlice(plmnA, map[string]int{e1.Name(): 3, e2.Name(): 4}); err != nil {
+		t.Fatal(err)
+	}
+	if got1, _ := e1.Reservation(plmnA); got1 != 3 {
+		t.Fatalf("imposed %d PRBs on %s, want 3", got1, e1.Name())
+	}
+	if res, err := resizeRadio(c, plmnA, 10); err != nil || len(res.PRBs) != 2 {
+		t.Fatalf("resize after impose: %+v, %v", res, err)
+	}
+	if err := c.ImposeResize(plmnA, map[string]int{e1.Name(): 5, e2.Name(): 6}); err != nil {
+		t.Fatal(err)
+	}
+	got1, _ := e1.Reservation(plmnA)
+	got2, _ := e2.Reservation(plmnA)
+	if got1 != 5 || got2 != 6 {
+		t.Fatalf("imposed resize left %d/%d PRBs, want 5/6", got1, got2)
+	}
+	// A record naming a cell the RAN does not have imposes nothing.
+	if err := c.ImposeSlice(plmnB, map[string]int{e1.Name(): 1, "enb-ghost": 1}); err == nil {
+		t.Fatal("impose on an unknown eNB succeeded")
+	}
+	if _, ok := e1.Reservation(plmnB); ok {
+		t.Fatal("failed impose left a reservation behind")
 	}
 }
 
 func TestRANResizeUnknownPLMN(t *testing.T) {
 	tb := newTB(t)
-	if _, err := tb.Ctrl.RAN.ResizeSlice(plmnA, 10); err == nil {
+	if _, err := resizeRadio(tb.Ctrl.RAN, plmnA, 10); err == nil {
 		t.Fatal("resize of unknown PLMN succeeded")
 	}
 }
@@ -173,7 +229,7 @@ func TestRANResizeUnknownPLMN(t *testing.T) {
 func TestRANScheduleEpochAggregates(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	res, err := c.ReserveSlice(plmnA, 40)
+	res, err := reserveRadio(c, plmnA, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +249,7 @@ func TestRANScheduleEpochAggregates(t *testing.T) {
 
 func TestRANReleaseIdempotent(t *testing.T) {
 	tb := newTB(t)
-	tb.Ctrl.RAN.ReserveSlice(plmnA, 20)
+	reserveRadio(tb.Ctrl.RAN, plmnA, 20)
 	tb.Ctrl.RAN.ReleaseSlice(plmnA)
 	tb.Ctrl.RAN.ReleaseSlice(plmnA)
 	if tb.Ctrl.RAN.Utilization() != 0 {
@@ -204,7 +260,7 @@ func TestRANReleaseIdempotent(t *testing.T) {
 func TestTransportSetupPathsBothENBs(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	setup, err := c.SetupPaths("s1", testbed.EdgeDC, 100, 5)
+	setup, err := reservePaths(c, "s1", testbed.EdgeDC, 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +282,7 @@ func TestTransportSetupRollsBack(t *testing.T) {
 	if _, err := tb.Transport.Reserve("filler", []string{testbed.ENBName(1), testbed.Switch}, tb.Config.MicroWaveMbps); err != nil {
 		t.Fatal(err)
 	}
-	_, err := tb.Ctrl.Transport.SetupPaths("s1", testbed.CoreDC, 300, 0)
+	_, err := reservePaths(tb.Ctrl.Transport, "s1", testbed.CoreDC, 300, 0)
 	if err == nil {
 		t.Fatal("setup should fail with saturated µWave hop")
 	}
@@ -240,10 +296,10 @@ func TestTransportDelayBudgetForcesEdge(t *testing.T) {
 	tb := newTB(t)
 	// Core is CoreDelayMs (6) + hop away: a 3 ms budget must fail to core
 	// and pass to edge.
-	if _, err := tb.Ctrl.Transport.SetupPaths("s1", testbed.CoreDC, 10, 3); err == nil {
+	if _, err := reservePaths(tb.Ctrl.Transport, "s1", testbed.CoreDC, 10, 3); err == nil {
 		t.Fatal("core within 3ms should be infeasible")
 	}
-	if _, err := tb.Ctrl.Transport.SetupPaths("s2", testbed.EdgeDC, 10, 3); err != nil {
+	if _, err := reservePaths(tb.Ctrl.Transport, "s2", testbed.EdgeDC, 10, 3); err != nil {
 		t.Fatalf("edge within 3ms failed: %v", err)
 	}
 }
@@ -251,7 +307,7 @@ func TestTransportDelayBudgetForcesEdge(t *testing.T) {
 func TestTransportResizeAndRelease(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	setup, err := c.SetupPaths("s1", testbed.EdgeDC, 100, 0)
+	setup, err := reservePaths(c, "s1", testbed.EdgeDC, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +331,7 @@ func TestTransportResizeAndRelease(t *testing.T) {
 func TestTransportResizeRestoresOnFailure(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	if _, err := c.SetupPaths("s1", testbed.CoreDC, 100, 0); err != nil {
+	if _, err := reservePaths(c, "s1", testbed.CoreDC, 100, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Saturate µWave so growing s1 fails on the enb-2 path.
@@ -289,6 +345,48 @@ func TestTransportResizeRestoresOnFailure(t *testing.T) {
 	r, _ := tb.Transport.Reservation("s1/" + testbed.ENBName(0) + "->" + testbed.CoreDC)
 	if r.Mbps != 50 {
 		t.Fatalf("path size after failed resize %.1f, want 50", r.Mbps)
+	}
+}
+
+// TestTransportImposePaths: recovery's verb reserves the recorded hops at the
+// recorded bandwidth and registers the handles, so an imposed slice resizes
+// and releases like an installed one; a record that does not fit imposes
+// nothing.
+func TestTransportImposePaths(t *testing.T) {
+	tb := newTB(t)
+	c := tb.Ctrl.Transport
+	setup, err := reservePaths(c, "s1", testbed.EdgeDC, 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logged []transport.Reservation
+	for _, pid := range setup.PathIDs {
+		r, _ := tb.Transport.Reservation(pid)
+		logged = append(logged, r)
+	}
+	c.ReleasePaths("s1")
+	if err := c.ImposePaths("s1", logged); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Transport.Reservations(); !reflect.DeepEqual(got, logged) {
+		t.Fatalf("imposed %+v, want %+v", got, logged)
+	}
+	if err := c.ResizePaths("s1", 300); err != nil {
+		t.Fatalf("resize after impose: %v", err)
+	}
+	c.ReleasePaths("s1")
+	if got := tb.Transport.Reservations(); len(got) != 0 {
+		t.Fatalf("release after impose left %+v", got)
+	}
+	logged[1].Mbps = 1e9
+	if err := c.ImposePaths("s1", logged); err == nil {
+		t.Fatal("oversize impose succeeded")
+	}
+	if got := tb.Transport.Reservations(); len(got) != 0 {
+		t.Fatalf("failed impose left %+v", got)
+	}
+	if err := c.ResizePaths("s1", 100); err == nil {
+		t.Fatal("failed impose registered handles")
 	}
 }
 
@@ -375,8 +473,8 @@ func TestCloudMarkRunningUnknown(t *testing.T) {
 func TestSetTelemetryPushesAllDomains(t *testing.T) {
 	tb := newTB(t)
 	store := monitor.NewStore(32)
-	tb.Ctrl.RAN.ReserveSlice(plmnA, 40)
-	tb.Ctrl.Transport.SetupPaths("s1", testbed.EdgeDC, 100, 0)
+	reserveRadio(tb.Ctrl.RAN, plmnA, 40)
+	reservePaths(tb.Ctrl.Transport, "s1", testbed.EdgeDC, 100, 0)
 	tb.Ctrl.Cloud.DeployEPC("s1", testbed.EdgeDC, plmnA, 30, slice.ClassEMBB)
 	tb.Ctrl.PushTelemetry(store, t0)
 	snap := store.Snapshot()
@@ -422,6 +520,13 @@ func TestTestbedShape(t *testing.T) {
 	}
 	if tb.RadioCapacityMbps() <= 0 {
 		t.Fatal("no radio capacity")
+	}
+	want := 0.0
+	for _, e := range tb.RAN.All() {
+		want += e.CapacityMbps()
+	}
+	if got := tb.Ctrl.RAN.CapacityMbps(); math.Abs(got-want) > 1e-9 || got != tb.RadioCapacityMbps() {
+		t.Fatalf("total capacity %v, want %v (testbed says %v)", got, want, tb.RadioCapacityMbps())
 	}
 	if _, ok := tb.Region.Get(testbed.CoreDC); !ok {
 		t.Fatal("core DC missing")

@@ -117,32 +117,27 @@ type LatencyContributor interface {
 
 // FeasVersioner is an optional Domain capability: a monotonic version
 // counter covering every substrate state that can change the outcome of
-// Feasible. Equal versions guarantee equal Feasible answers for the same
-// transaction, so the orchestrator may memoize outcomes keyed by
-// (tx signature, version) — an exact cache, not a heuristic. Domains whose
-// Feasible consults mutable state implement it; wrappers that inject faults
-// deliberately do not, which switches memoization off under chaos. This is
-// a capability query, never a domain-identity branch.
+// Feasible, so equal versions guarantee equal Feasible answers for the same
+// transaction.
+//
+// Kept: nothing in the orchestrator reads it (the feasibility memo it keyed
+// hit 0 of 162 600 probes and is deleted), but bench/trace.go forwards the
+// capability through its decorators and bench/bench_test.go asserts it on
+// exactly the transport and MEC domains. ROADMAP item 6(d) deletes the
+// interface, both methods and the two counters they read.
 type FeasVersioner interface {
 	FeasVersion() uint64
 }
 
-// FeasVersion implements FeasVersioner: the transport feasibility answer is
-// a pure function of the network state covered by its feasibility version.
+// FeasVersion implements FeasVersioner from the network's feasibility
+// version.
+//
+// Kept: bench/bench_test.go asserts it (see FeasVersioner).
 func (c *TransportController) FeasVersion() uint64 { return c.net.Version() }
 
-// FeasVersion implements FeasVersioner: CanFit depends on the DC set and
-// each DC's capacity books. Every counter is monotonic, so the sum strictly
-// increases on any mutation.
-func (c *CloudController) FeasVersion() uint64 {
-	v := c.region.Version()
-	for _, dc := range c.dcs() {
-		v += dc.Version()
-	}
-	return v
-}
-
 // FeasVersion implements FeasVersioner for the MEC pool.
+//
+// Kept: bench/bench_test.go asserts it (see FeasVersioner).
 func (c *MECController) FeasVersion() uint64 { return c.pool.Version() }
 
 // ---------------------------------------------------------------------------
@@ -192,7 +187,7 @@ func (c *RANController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 		return nil, cause
 	}
 	g := newRadioGrant(tx.PLMN)
-	if err := c.reserveSliceInto(tx.PLMN, tx.Mbps, &g.res); err != nil {
+	if err := c.reserveCells(tx.PLMN, tx.Mbps, &g.res); err != nil {
 		RecycleGrant(g)
 		return nil, radioCause(err)
 	}
@@ -218,7 +213,7 @@ func (c *RANController) Resize(tx Tx, mbps float64) (Grant, error) {
 		return nil, err
 	}
 	g := newRadioGrant(tx.PLMN)
-	if err := c.resizeSliceInto(tx.PLMN, mbps, &g.res); err != nil {
+	if err := c.resizeCells(tx.PLMN, mbps, &g.res); err != nil {
 		RecycleGrant(g)
 		return nil, err
 	}
@@ -280,7 +275,7 @@ func (c *TransportController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 		return nil, cause
 	}
 	g := newPathGrant(tx.Slice)
-	if err := c.setupPathsInto(tx.Slice, tx.DataCenter, tx.Mbps, tx.LatencyBudgetMs, &g.setup); err != nil {
+	if err := c.reservePaths(tx.Slice, tx.DataCenter, tx.Mbps, tx.LatencyBudgetMs, &g.setup); err != nil {
 		RecycleGrant(g)
 		return nil, transportCause(err, "transport: %w", err)
 	}
@@ -344,13 +339,10 @@ func (c *CloudController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	if cause := c.reserveFault("cloud"); cause != nil {
 		return nil, cause
 	}
-	dep, err := c.DeployEPC(tx.Slice, tx.DataCenter, tx.PLMN, tx.SLA.ThroughputMbps, tx.SLA.Class)
+	dep, err := c.ImposeDeployment(tx.Slice, tx.DataCenter, tx.PLMN, tx.SLA.ThroughputMbps, tx.SLA.Class)
 	if err != nil {
 		return nil, slice.Rejectf(slice.RejectCloudCapacity, "cloud", "cloud: %w", err)
 	}
-	c.mu.Lock()
-	c.bySlice[tx.Slice] = dep
-	c.mu.Unlock()
 	g := newCloudGrant(tx.Slice)
 	g.dep = dep
 	return g, nil

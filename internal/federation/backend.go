@@ -2,7 +2,6 @@ package federation
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/ctrl"
 	"repro/internal/slice"
@@ -11,13 +10,10 @@ import (
 
 // memberBackend implements ctrl.ClusterBackend over one member's public
 // orchestrator facade. It owns the span→member-leg mapping (set at reserve,
-// cleared on release) and the member's feasibility version counter: every
-// federation-tier state change that can alter a Feasible answer — headroom
-// reserve/release, summary refresh, partition, heal, fail — bumps it.
+// cleared on release).
 type memberBackend struct {
-	f       *Federation
-	c       *Cluster
-	version atomic.Uint64
+	f *Federation
+	c *Cluster
 
 	mu        sync.Mutex
 	legBySpan map[slice.ID]slice.ID // span ID -> member-local leg slice ID
@@ -32,13 +28,6 @@ func newMemberBackend(f *Federation, c *Cluster) *memberBackend {
 		spanByLeg: make(map[slice.ID]slice.ID),
 	}
 }
-
-// bump invalidates the member's feasibility version. Called under f.mu by
-// every books/reachability mutation.
-func (b *memberBackend) bump() { b.version.Add(1) }
-
-// FeasVersion implements ctrl.ClusterBackend.
-func (b *memberBackend) FeasVersion() uint64 { return b.version.Load() }
 
 // Utilization implements ctrl.ClusterBackend: the member's ledger load over
 // its advertised capacity bar, read straight from the member (no f.mu).
@@ -55,7 +44,7 @@ func (b *memberBackend) Utilization() float64 {
 }
 
 // SpanFeasible implements ctrl.ClusterBackend via the federation-tier dry
-// run (see Federation.legFeasible for the versioning contract).
+// run (Federation.legFeasible).
 func (b *memberBackend) SpanFeasible(tx ctrl.Tx) *slice.RejectionCause {
 	return b.f.legFeasible(b.c, tx)
 }

@@ -359,7 +359,6 @@ func (f *Federation) refreshLocked(c *Cluster) {
 	// A fade can drop the bar below what the member already carries.
 	c.headroom = max(c.advertised-c.ledgerLast, 0)
 	c.epochLast = c.orch.Gain().Epochs
-	c.backend.bump()
 }
 
 // RunBarrier runs one federation barrier: refresh every reachable member's
@@ -475,7 +474,6 @@ func (f *Federation) isolate(name string, fail bool) error {
 	} else {
 		c.partitioned = true
 	}
-	c.backend.bump()
 	// Roll back every span touching the member: release the books for all
 	// its legs, remember the unreachable leg as an orphan, and collect the
 	// reachable legs to tear down outside the lock.

@@ -182,11 +182,10 @@ func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, 
 }
 
 // legFeasible answers a leg's admission dry run from federation-tier state
-// only — the member's reachability and its headroom book — both of which
-// change only under f.mu with a version bump, making the FeasVersioner
-// contract exact: equal versions guarantee equal answers. The member's real
-// admission runs at Reserve; losing that race rolls back through the engine,
-// which the Feasible contract explicitly allows.
+// only — the member's reachability and its headroom book, both of which
+// change only under f.mu. The member's real admission runs at Reserve;
+// losing that race rolls back through the engine, which the Feasible
+// contract explicitly allows.
 func (f *Federation) legFeasible(c *Cluster, tx ctrl.Tx) *slice.RejectionCause {
 	f.mu.Lock()
 	defer f.mu.Unlock()

@@ -121,7 +121,6 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	for _, lp := range plan {
 		lp.cluster.headroom -= lp.contract
 		lp.cluster.reserved += lp.contract
-		lp.cluster.backend.bump()
 	}
 	f.mu.Unlock()
 
@@ -145,7 +144,6 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 		for _, lp := range plan {
 			lp.cluster.headroom += lp.contract
 			lp.cluster.reserved -= lp.contract
-			lp.cluster.backend.bump()
 		}
 		f.rejectLocked(cause)
 		f.mu.Unlock()
@@ -243,7 +241,6 @@ func (f *Federation) dropSpanLocked(sp *span) {
 				c.headroom += leg.contract
 			}
 			c.reserved -= leg.contract
-			c.backend.bump()
 			c.backend.forget(sp.id)
 		}
 	}

@@ -66,8 +66,11 @@ type Pool struct {
 
 	procDelayMs float64
 
-	// ver counts every state change that can flip a CanFit answer, so
-	// memoized feasibility outcomes keyed by it stay exact.
+	// ver counts every state change that can flip a CanFit answer.
+	//
+	// Kept: it has no reader left but ctrl.MECController.FeasVersion, which
+	// bench/bench_test.go asserts; it goes with ctrl.FeasVersioner (ROADMAP
+	// item 6d).
 	ver atomic.Uint64
 }
 

@@ -178,11 +178,6 @@ type ENB struct {
 	// perPRB is the throughput one PRB sustains at the mean CQI, the sizing
 	// constant of every reserve and resize; recomputed only by SetMeanCQI.
 	perPRB float64
-
-	// ver counts every state change that can flip a headroom answer —
-	// Reserve, Resize, Release, SetMeanCQI — so per-cell feasibility
-	// summaries can be cached and invalidated incrementally.
-	ver atomic.Uint64
 }
 
 // cellRes is one PLMN's reservation on a cell. The scheduler's per-pass
@@ -205,10 +200,6 @@ type cellRes struct {
 	want    float64
 	granted float64
 }
-
-// Version returns a counter bumped by every reservation or channel-quality
-// mutation; equal versions guarantee equal headroom answers.
-func (e *ENB) Version() uint64 { return e.ver.Load() }
 
 // NewENB validates cfg and returns the eNB. rng may be nil for a
 // deterministic (mean-CQI) channel.
@@ -253,15 +244,6 @@ func (e *ENB) FreePRBs() int {
 
 func (e *ENB) freeLocked() int { return e.TotalPRBs() - e.used }
 
-// MeanCQI returns the configured average channel quality. Guarded by the
-// cell mutex because SetMeanCQI (chaos fade injection) may rescale it at
-// runtime.
-func (e *ENB) MeanCQI() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cfg.MeanCQI
-}
-
 // CapacityMbps returns the cell capacity at the mean CQI.
 func (e *ENB) CapacityMbps() float64 { return e.ThroughputForPRBs(e.TotalPRBs()) }
 
@@ -302,22 +284,16 @@ type Handle struct {
 // Cell returns the eNB holding the reservation.
 func (h Handle) Cell() *ENB { return h.e }
 
-// Handle resolves the PLMN's reservation on this cell.
-func (e *ENB) Handle(p slice.PLMN) (Handle, bool) {
+// Reserve dedicates prbs to the PLMN, adding it to the MOCN broadcast list,
+// and returns the reservation's handle.
+func (e *ENB) Reserve(p slice.PLMN, prbs int) (Handle, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if r, ok := e.reserved[p]; ok {
-		return Handle{e, r}, true
+	r, err := e.reserveLocked(p, prbs)
+	if err != nil {
+		return Handle{}, err
 	}
-	return Handle{}, false
-}
-
-// Reserve dedicates prbs to the PLMN, adding it to the MOCN broadcast list.
-func (e *ENB) Reserve(p slice.PLMN, prbs int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, err := e.reserveLocked(p, prbs)
-	return err
+	return Handle{e, r}, nil
 }
 
 // ReserveThroughput sizes a reservation for mbps at the mean CQI — at least
@@ -357,24 +333,11 @@ func (e *ENB) reserveLocked(p slice.PLMN, prbs int) (*cellRes, error) {
 	e.tail = r
 	e.reserved[p] = r
 	e.used += prbs
-	e.ver.Add(1)
 	return r, nil
 }
 
-// Resize changes the PLMN's reservation to prbs (the overbooking
-// reconfiguration primitive). Growing fails if free PRBs do not cover the
-// increase.
-func (e *ENB) Resize(p slice.PLMN, prbs int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	r, ok := e.reserved[p]
-	if !ok {
-		return fmt.Errorf("%w: %s on %s", ErrUnknownPLMN, p, e.cfg.Name)
-	}
-	return e.resizeLocked(r, prbs)
-}
-
-// Resize is ENB.Resize through the handle.
+// Resize changes the reservation to prbs (the overbooking reconfiguration
+// primitive). Growing fails if free PRBs do not cover the increase.
 func (h Handle) Resize(prbs int) error {
 	if h.e == nil {
 		return ErrUnknownPLMN
@@ -416,7 +379,6 @@ func (e *ENB) resizeLocked(r *cellRes, prbs int) error {
 	}
 	r.prbs = prbs
 	e.used += delta
-	e.ver.Add(1)
 	return nil
 }
 
@@ -442,7 +404,6 @@ func (e *ENB) Release(p slice.PLMN) {
 		e.tail = r.prev
 	}
 	r.live, r.prev, r.next = false, nil, nil
-	e.ver.Add(1)
 }
 
 // SetMeanCQI rescales the cell's channel quality (clamped to 1..15) — the
@@ -462,7 +423,6 @@ func (e *ENB) SetMeanCQI(cqi float64) {
 	e.cfg.MeanCQI = cqi
 	e.perPRB = perPRBAt(cqi)
 	e.mu.Unlock()
-	e.ver.Add(1)
 }
 
 // AuditConservation cross-checks the cell's incremental PRB accounting
@@ -771,13 +731,4 @@ func (n *Network) All() []*ENB {
 		out = append(out, n.enbs[name])
 	}
 	return out
-}
-
-// TotalCapacityMbps sums the mean-CQI capacity of all cells.
-func (n *Network) TotalCapacityMbps() float64 {
-	sum := 0.0
-	for _, e := range n.All() {
-		sum += e.CapacityMbps()
-	}
-	return sum
 }

@@ -78,7 +78,8 @@ func TestNewENBValidation(t *testing.T) {
 func TestReserveResizeRelease(t *testing.T) {
 	e := newTestENB(t)
 	p := plmn("01")
-	if err := e.Reserve(p, 40); err != nil {
+	h, err := e.Reserve(p, 40)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := e.Reservation(p); got != 40 {
@@ -87,21 +88,20 @@ func TestReserveResizeRelease(t *testing.T) {
 	if e.FreePRBs() != 60 {
 		t.Fatalf("free %d", e.FreePRBs())
 	}
-	if err := e.Resize(p, 70); err != nil {
+	if err := h.Resize(70); err != nil {
 		t.Fatal(err)
 	}
 	if e.FreePRBs() != 30 {
 		t.Fatalf("free after grow %d", e.FreePRBs())
 	}
-	if err := e.Resize(p, 10); err != nil {
+	if err := h.Resize(10); err != nil {
 		t.Fatal(err)
 	}
 	if e.FreePRBs() != 90 {
 		t.Fatalf("free after shrink %d", e.FreePRBs())
 	}
-	h, ok := e.Handle(p)
-	if !ok || h.Cell() != e {
-		t.Fatalf("handle of a reserved PLMN: ok=%v cell=%v", ok, h.Cell())
+	if h.Cell() != e {
+		t.Fatalf("handle of a reserved PLMN: cell=%v", h.Cell())
 	}
 	if err := h.Resize(25); err != nil || e.FreePRBs() != 75 {
 		t.Fatalf("resize through the handle: %v, free %d", err, e.FreePRBs())
@@ -120,7 +120,6 @@ func TestReserveResizeRelease(t *testing.T) {
 	if err != nil || prbs != e.PRBsForThroughput(10) || granted != e.ThroughputForPRBs(prbs) {
 		t.Fatalf("reserve by throughput: %d PRBs, %.3f Mbps, %v", prbs, granted, err)
 	}
-	ver := e.Version()
 	if err := h.Resize(60); !errors.Is(err, ErrUnknownPLMN) {
 		t.Fatalf("stale handle resize: %v", err)
 	}
@@ -130,9 +129,8 @@ func TestReserveResizeRelease(t *testing.T) {
 	if _, _, _, err := (Handle{}).ResizeThroughput(30); !errors.Is(err, ErrUnknownPLMN) {
 		t.Fatalf("zero handle: %v", err)
 	}
-	if got, _ := e.Reservation(p); got != prbs || e.FreePRBs() != 100-prbs || e.Version() != ver {
-		t.Fatalf("stale handle mutated the cell: reservation %d (want %d), free %d, version %d -> %d",
-			got, prbs, e.FreePRBs(), ver, e.Version())
+	if got, _ := e.Reservation(p); got != prbs || e.FreePRBs() != 100-prbs {
+		t.Fatalf("stale handle mutated the cell: reservation %d (want %d), free %d", got, prbs, e.FreePRBs())
 	}
 	// The live handle sizes, checks and writes in one step and reports what
 	// it replaced.
@@ -164,7 +162,7 @@ func TestReleaseKeepsReservationOrder(t *testing.T) {
 		return s
 	}
 	for _, mnc := range []string{"01", "02", "03", "04", "05"} {
-		if err := e.Reserve(plmn(mnc), 5); err != nil {
+		if _, err := e.Reserve(plmn(mnc), 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,22 +218,23 @@ func TestSetMeanCQIInvalidatesSizing(t *testing.T) {
 func TestReserveErrors(t *testing.T) {
 	e := newTestENB(t)
 	p := plmn("01")
-	if err := e.Reserve(p, 0); err == nil {
+	if _, err := e.Reserve(p, 0); err == nil {
 		t.Fatal("zero reservation accepted")
 	}
-	if err := e.Reserve(p, 101); !errors.Is(err, ErrInsufficientPRBs) {
+	if _, err := e.Reserve(p, 101); !errors.Is(err, ErrInsufficientPRBs) {
 		t.Fatalf("oversize reserve: %v", err)
 	}
-	if err := e.Reserve(p, 50); err != nil {
+	h, err := e.Reserve(p, 50)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reserve(p, 10); !errors.Is(err, ErrAlreadyReserved) {
+	if _, err := e.Reserve(p, 10); !errors.Is(err, ErrAlreadyReserved) {
 		t.Fatalf("duplicate reserve: %v", err)
 	}
-	if err := e.Resize(plmn("09"), 10); !errors.Is(err, ErrUnknownPLMN) {
+	if err := (Handle{}).Resize(10); !errors.Is(err, ErrUnknownPLMN) {
 		t.Fatalf("resize unknown: %v", err)
 	}
-	if err := e.Resize(p, 200); !errors.Is(err, ErrInsufficientPRBs) {
+	if err := h.Resize(200); !errors.Is(err, ErrInsufficientPRBs) {
 		t.Fatalf("oversize resize: %v", err)
 	}
 	if got, _ := e.Reservation(p); got != 50 {
@@ -247,7 +246,7 @@ func TestMOCNListLimit(t *testing.T) {
 	e, _ := NewENB(Config{Name: "e", Bandwidth: BW20MHz, MaxPLMNs: 2, MeanCQI: 12}, nil)
 	e.Reserve(plmn("01"), 10)
 	e.Reserve(plmn("02"), 10)
-	if err := e.Reserve(plmn("03"), 10); !errors.Is(err, ErrPLMNListFull) {
+	if _, err := e.Reserve(plmn("03"), 10); !errors.Is(err, ErrPLMNListFull) {
 		t.Fatalf("3rd PLMN on limit-2 list: %v", err)
 	}
 	bl := e.BroadcastList()
@@ -261,7 +260,7 @@ func TestControlPRBsExcluded(t *testing.T) {
 	if e.TotalPRBs() != 40 {
 		t.Fatalf("schedulable %d", e.TotalPRBs())
 	}
-	if err := e.Reserve(plmn("01"), 41); !errors.Is(err, ErrInsufficientPRBs) {
+	if _, err := e.Reserve(plmn("01"), 41); !errors.Is(err, ErrInsufficientPRBs) {
 		t.Fatal("reservation ate control PRBs")
 	}
 }
@@ -400,9 +399,8 @@ func TestNetworkRegistry(t *testing.T) {
 	if _, ok := n.Get("enb-2"); !ok {
 		t.Fatal("Get missed enb-2")
 	}
-	want := e1.CapacityMbps() + e2.CapacityMbps()
-	if got := n.TotalCapacityMbps(); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("total capacity %v, want %v", got, want)
+	if all := n.All(); len(all) != 2 || all[0] != e1 || all[1] != e2 {
+		t.Fatalf("All() %v, want [enb-1 enb-2]", all)
 	}
 }
 
@@ -434,7 +432,7 @@ func TestPropertySchedulerConservation(t *testing.T) {
 			if r == 0 {
 				continue
 			}
-			if err := e.Reserve(p, r); err != nil {
+			if _, err := e.Reserve(p, r); err != nil {
 				return false
 			}
 			res[p] = r

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -237,5 +238,61 @@ func TestWriteJSONLogsEncodeError(t *testing.T) {
 	writeJSON(httptest.NewRecorder(), http.StatusOK, map[string]string{"ok": "yes"})
 	if len(logged) != 0 {
 		t.Fatalf("spurious log on success: %v", logged)
+	}
+}
+
+// TestDemandFeedValidation: the demand feed is a number from outside the
+// program that goes straight into a forecaster, so the handler must refuse
+// what is not a throughput — 400 with the JSON envelope — keep 404 for an
+// unknown slice, and answer valid samples exactly as before.
+func TestDemandFeedValidation(t *testing.T) {
+	c, _ := apiEnv(t)
+	snap, err := c.SubmitSlice(validBody())
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := "/api/v1/slices/" + string(snap.ID) + "/demand"
+	cases := []struct {
+		name, path, body string
+		status           int
+		reply            string // exact body on 200, substring of the envelope's error otherwise
+	}{
+		{"valid", known, `{"mbps":12.5}`, http.StatusOK, `{"status":"recorded"}` + "\n"},
+		{"zero", known, `{"mbps":0}`, http.StatusOK, `{"status":"recorded"}` + "\n"},
+		{"at the bound", known, `{"mbps":1e9}`, http.StatusOK, `{"status":"recorded"}` + "\n"},
+		{"negative", known, `{"mbps":-5}`, http.StatusBadRequest, "bad demand sample"},
+		{"absurd", known, `{"mbps":1e300}`, http.StatusBadRequest, "bad demand sample"},
+		{"just above the bound", known, `{"mbps":1000000001}`, http.StatusBadRequest, "bad demand sample"},
+		{"not a number", known, `{"mbps":"NaN"}`, http.StatusBadRequest, ""},
+		{"unknown slice", "/api/v1/slices/ghost/demand", `{"mbps":1}`, http.StatusNotFound, "unknown slice"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(c.BaseURL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status {
+				t.Fatalf("status %d, want %d (body %s)", resp.StatusCode, tc.status, raw)
+			}
+			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("content type %q", ct)
+			}
+			if tc.status == http.StatusOK {
+				if string(raw) != tc.reply {
+					t.Fatalf("body %q, want %q", raw, tc.reply)
+				}
+				return
+			}
+			var eb errorBody
+			if err := json.Unmarshal(raw, &eb); err != nil || eb.Error == "" || !strings.Contains(eb.Error, tc.reply) {
+				t.Fatalf("error envelope %q (%v), want it to mention %q", raw, err, tc.reply)
+			}
+		})
 	}
 }

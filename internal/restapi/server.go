@@ -366,7 +366,11 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.orch.RecordDemand(slice.ID(r.PathValue("id")), body.Mbps); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		status := http.StatusNotFound
+		if errors.Is(err, core.ErrBadDemand) {
+			status = http.StatusBadRequest
+		}
+		writeErr(w, status, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "recorded"})

@@ -298,5 +298,5 @@ func MustNew(cfg Config, rng *rand.Rand) *Testbed {
 // RadioCapacityMbps returns the total mean-CQI radio capacity — the
 // denominator of the multiplexing-gain metric.
 func (tb *Testbed) RadioCapacityMbps() float64 {
-	return tb.RAN.TotalCapacityMbps()
+	return tb.Ctrl.RAN.CapacityMbps()
 }

@@ -16,7 +16,8 @@ func TestSetLinkCapacityRejectsNonPositive(t *testing.T) {
 
 func TestDegradationOversubscribesExistingReservations(t *testing.T) {
 	n := testNet(t)
-	if _, err := n.Reserve("p1", []string{"enb1", "sw1"}, 800); err != nil {
+	p1, err := n.Reserve("p1", []string{"enb1", "sw1"}, 800)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Rain fade: the mmWave hop drops from 1000 to 300 Mbps.
@@ -36,11 +37,11 @@ func TestDegradationOversubscribesExistingReservations(t *testing.T) {
 		t.Fatal("reservation accepted on oversubscribed link")
 	}
 	// Growing the victim also fails.
-	if err := n.Resize("p1", 900); err == nil {
+	if _, err := n.ResizeEach([]*Reservation{p1}, 900); err == nil {
 		t.Fatal("grow accepted on oversubscribed link")
 	}
 	// Shrinking below the new capacity clears the condition.
-	if err := n.Resize("p1", 200); err != nil {
+	if _, err := n.ResizeEach([]*Reservation{p1}, 200); err != nil {
 		t.Fatalf("shrink rejected: %v", err)
 	}
 	if got := n.OversubscribedPaths(); len(got) != 0 {

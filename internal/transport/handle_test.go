@@ -80,12 +80,7 @@ func TestHandleLifetimeRandomized(t *testing.T) {
 						t.Fatalf("seed %d step %d: failed resize moved the books", seed, step)
 					}
 				}
-			case op == 3:
-				name = "release"
-				i := rng.Intn(len(live))
-				n.Release(live[i].ID)
-				kill(i)
-			case op == 4:
+			case op == 3 || op == 4:
 				name = "release-each"
 				i := rng.Intn(len(live))
 				n.ReleaseEach([]*Reservation{live[i]})
@@ -108,7 +103,7 @@ func TestHandleLifetimeRandomized(t *testing.T) {
 				n.SetLinkUp(l[0], l[1], false)
 				for _, id := range victims {
 					i := slices.IndexFunc(live, func(r *Reservation) bool { return r.ID == id })
-					n.Release(id)
+					n.ReleaseEach(live[i : i+1])
 					kill(i)
 					reserve(id)
 				}
@@ -173,10 +168,18 @@ func TestHandlesConcurrent(t *testing.T) {
 // out of each switch and leaves the others in the order they were installed.
 func TestFlowTableKeepsInstallOrder(t *testing.T) {
 	n := testNet(t)
+	h := map[string]*Reservation{}
+	release := func(ids ...string) {
+		for _, id := range ids {
+			n.ReleaseEach([]*Reservation{h[id]})
+		}
+	}
 	for _, id := range []string{"a", "b", "c", "d"} {
-		if _, err := n.Reserve(id, []string{"enb1", "sw1", "sw2", "core"}, 1); err != nil {
+		r, err := n.Reserve(id, []string{"enb1", "sw1", "sw2", "core"}, 1)
+		if err != nil {
 			t.Fatal(err)
 		}
+		h[id] = r
 	}
 	order := func(node string) string {
 		s := ""
@@ -185,9 +188,8 @@ func TestFlowTableKeepsInstallOrder(t *testing.T) {
 		}
 		return s
 	}
-	n.Release("b")
-	n.Release("d")
-	n.Reserve("b", []string{"enb1", "sw1", "core"}, 1)
+	release("b", "d")
+	h["b"], _ = n.Reserve("b", []string{"enb1", "sw1", "core"}, 1)
 	if got := order("sw1"); got != "acb" {
 		t.Fatalf("sw1 flow order %q, want acb", got)
 	}
@@ -196,19 +198,19 @@ func TestFlowTableKeepsInstallOrder(t *testing.T) {
 	}
 	// A path longer than a reservation's inline room, through sw1 twice:
 	// both of its entries there go with it.
-	if _, err := n.Reserve("long", []string{"enb1", "sw1", "sw2", "sw1", "core"}, 1); err != nil {
+	long, err := n.Reserve("long", []string{"enb1", "sw1", "sw2", "sw1", "core"}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
+	h["long"] = long
 	if got := order("sw1"); got != "acblonglong" {
 		t.Fatalf("sw1 flow order %q, want acblonglong", got)
 	}
-	n.Release("a")
-	n.Release("long")
+	release("a", "long")
 	if got := order("sw1") + "/" + order("sw2"); got != "cb/c" {
 		t.Fatalf("flow order %q, want cb/c", got)
 	}
-	n.Release("c")
-	n.Release("b")
+	release("c", "b")
 	if n.FlowTable("sw1") != nil || n.FlowTable("sw2") != nil {
 		t.Fatal("flow entries left behind")
 	}

@@ -149,8 +149,12 @@ type Network struct {
 	// topoVer counts node/link-set changes (AddNode, AddLink) and guards
 	// cached node-kind lists held by callers. feasVer counts every state
 	// change that can flip a feasibility answer — topology changes plus
-	// SetLinkUp, SetLinkCapacity, Reserve, Release, and Resize — and
-	// guards memoized Feasible outcomes. Both only ever increase.
+	// SetLinkUp, SetLinkCapacity, Reserve, Release, and Resize. Both only
+	// ever increase.
+	//
+	// Kept: feasVer has no reader left but ctrl.TransportController.FeasVersion,
+	// which bench/bench_test.go asserts; it goes with ctrl.FeasVersioner
+	// (ROADMAP item 6d).
 	topoVer atomic.Uint64
 	feasVer atomic.Uint64
 }
@@ -238,9 +242,8 @@ func NewNetwork() *Network {
 }
 
 // Version returns the feasibility version: a counter bumped by every state
-// change that can alter the outcome of a feasibility or path query. Callers
-// may memoize query results keyed by this value; equal versions guarantee
-// equal answers.
+// change that can alter the outcome of a feasibility or path query; equal
+// versions guarantee equal answers.
 func (n *Network) Version() uint64 { return n.feasVer.Load() }
 
 // TopoVersion returns the topology version: a counter bumped only when the
@@ -505,18 +508,9 @@ func (n *Network) installFlowsLocked(r *Reservation) {
 	}
 }
 
-// Release frees the path's bandwidth and flow entries. Unknown IDs are a
-// no-op (idempotent teardown).
-func (n *Network) Release(pathID string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if r, ok := n.paths[pathID]; ok {
-		n.releaseLocked(r)
-	}
-}
-
-// ReleaseEach is Release for every listed handle under one lock acquisition.
-// Handles already released are skipped.
+// ReleaseEach frees every listed path's bandwidth and flow entries under one
+// lock acquisition. Handles already released are skipped (idempotent
+// teardown).
 func (n *Network) ReleaseEach(rs []*Reservation) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -546,24 +540,6 @@ func (n *Network) releaseLocked(r *Reservation) {
 	n.feasVer.Add(1)
 }
 
-// Resize changes the path's reservation to mbps, atomically.
-func (n *Network) Resize(pathID string, mbps float64) error {
-	if mbps <= 0 {
-		return fmt.Errorf("transport: resize to %.2f Mbps must be positive", mbps)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	r, ok := n.paths[pathID]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPath, pathID)
-	}
-	if err := n.resizeLocked(r, mbps); err != nil {
-		return err
-	}
-	n.feasVer.Add(1)
-	return nil
-}
-
 // resizeLocked re-sizes one live reservation on every link it crosses, or on
 // none. The caller holds n.mu exclusively and bumps feasVer.
 func (n *Network) resizeLocked(r *Reservation, mbps float64) error {
@@ -583,8 +559,8 @@ func (n *Network) resizeLocked(r *Reservation, mbps float64) error {
 // ResizeEach re-sizes every listed path to mbps in list order under one
 // lock acquisition — the per-slice resize of the control epoch, which moves
 // all of a slice's paths to the same share. Each path's capacity check sees
-// the paths before it already re-sized (they may share links), exactly as a
-// sequence of Resize calls would. On the first failure the paths already
+// the paths before it already re-sized (they may share links), exactly as
+// re-sizing them one call at a time would. On the first failure the paths already
 // re-sized are put back and the failing path's ID is returned with the
 // error: every link gets the very value it held before the call (x+d-d is
 // not x in floating point, so the unwind restores, it does not subtract). A

@@ -142,19 +142,19 @@ func TestReserveLifecycle(t *testing.T) {
 	if l.ReservedMbps() != 400 || l.ResidualMbps() != 600 {
 		t.Fatalf("link accounting %+v", l)
 	}
-	if err := n.Resize("slice-1/dl", 700); err != nil {
+	if _, err := n.ResizeEach([]*Reservation{r}, 700); err != nil {
 		t.Fatal(err)
 	}
 	l, _ = n.Link("enb1", "sw1")
 	if l.ResidualMbps() != 300 {
 		t.Fatalf("residual after resize %.0f", l.ResidualMbps())
 	}
-	n.Release("slice-1/dl")
+	n.ReleaseEach([]*Reservation{r})
 	l, _ = n.Link("enb1", "sw1")
 	if l.ReservedMbps() != 0 {
 		t.Fatalf("residual after release %.0f", l.ReservedMbps())
 	}
-	n.Release("slice-1/dl") // idempotent
+	n.ReleaseEach([]*Reservation{r}) // idempotent
 }
 
 func TestReserveAtomicity(t *testing.T) {
@@ -186,16 +186,17 @@ func TestReserveDuplicateID(t *testing.T) {
 
 func TestResizeFailureLeavesStateIntact(t *testing.T) {
 	n := testNet(t)
-	n.Reserve("a", []string{"enb2", "sw1"}, 200)
-	n.Reserve("b", []string{"enb2", "sw1"}, 50)
-	if err := n.Resize("a", 300); !errors.Is(err, ErrInsufficientBW) {
+	a, _ := n.Reserve("a", []string{"enb2", "sw1"}, 200)
+	b, _ := n.Reserve("b", []string{"enb2", "sw1"}, 50)
+	if _, err := n.ResizeEach([]*Reservation{a}, 300); !errors.Is(err, ErrInsufficientBW) {
 		t.Fatalf("oversize resize: %v", err)
 	}
 	r, _ := n.Reservation("a")
 	if r.Mbps != 200 {
 		t.Fatalf("failed resize mutated to %.0f", r.Mbps)
 	}
-	if err := n.Resize("missing", 10); !errors.Is(err, ErrUnknownPath) {
+	n.ReleaseEach([]*Reservation{b})
+	if _, err := n.ResizeEach([]*Reservation{b}, 10); !errors.Is(err, ErrUnknownPath) {
 		t.Fatal(err)
 	}
 }
@@ -241,7 +242,7 @@ func TestResizeEachSequentialAndAtomic(t *testing.T) {
 	}
 	// A released handle fails before anything moves — also once its path ID
 	// has been reserved again — and so does a non-positive size.
-	n.Release("c")
+	n.ReleaseEach([]*Reservation{c})
 	if failed, err := n.ResizeEach([]*Reservation{a, c}, 10); !errors.Is(err, ErrUnknownPath) || failed != "c" {
 		t.Fatalf("released handle: failed=%q err=%v", failed, err)
 	}
@@ -280,7 +281,7 @@ func booksOf(n *Network) []float64 {
 
 func TestFlowTableInstallRemove(t *testing.T) {
 	n := testNet(t)
-	n.Reserve("p1", []string{"enb1", "sw1", "edge"}, 10)
+	p1, _ := n.Reserve("p1", []string{"enb1", "sw1", "edge"}, 10)
 	ft := n.FlowTable("sw1")
 	if len(ft) != 1 || ft[0].InPort != "enb1" || ft[0].OutPort != "edge" {
 		t.Fatalf("flow table %+v", ft)
@@ -288,7 +289,7 @@ func TestFlowTableInstallRemove(t *testing.T) {
 	if len(n.FlowTable("enb1")) != 0 {
 		t.Fatal("flow entry on non-switch node")
 	}
-	n.Release("p1")
+	n.ReleaseEach([]*Reservation{p1})
 	if len(n.FlowTable("sw1")) != 0 {
 		t.Fatal("flow entry survived release")
 	}
@@ -376,17 +377,17 @@ func TestPropertyReservationConservation(t *testing.T) {
 		Mbps    uint8
 	}) bool {
 		n := testNet(t)
-		var ids []string
+		var held []*Reservation
 		total := map[string]float64{}
 		for i, op := range ops {
-			if op.Release && len(ids) > 0 {
-				id := ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-				r, _ := n.Reservation(id)
+			if op.Release && len(held) > 0 {
+				h := held[len(held)-1]
+				held = held[:len(held)-1]
+				r, _ := n.Reservation(h.ID)
 				for j := 0; j+1 < len(r.Hops); j++ {
 					total[r.Hops[j]+"->"+r.Hops[j+1]] -= r.Mbps
 				}
-				n.Release(id)
+				n.ReleaseEach([]*Reservation{h})
 				continue
 			}
 			mbps := float64(op.Mbps%50) + 1
@@ -395,7 +396,7 @@ func TestPropertyReservationConservation(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			ids = append(ids, id)
+			held = append(held, r)
 			for j := 0; j+1 < len(r.Hops); j++ {
 				total[r.Hops[j]+"->"+r.Hops[j+1]] += mbps
 			}
