@@ -152,7 +152,7 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 			sh.mu.Lock()
 			curSh = sh
 		}
-		evicted = append(evicted, o.rejectLocked(curSh, sl, slice.Rejectf(slice.RejectRevenuePolicy, "",
+		evicted = append(evicted, o.rejectLocked(sl, slice.Rejectf(slice.RejectRevenuePolicy, "",
 			"revenue policy: not selected by %s batch admission", policy), subEv)...)
 		out[i] = sl
 	}

@@ -43,7 +43,7 @@ func (o *Orchestrator) buildCheckpointLocked() []byte {
 				}
 			}
 		}
-		ps.Timeline = m.sh.timelines[m.s.ID()]
+		ps.Timeline = m.timeline
 		st.Slices = append(st.Slices, ps)
 	}
 	return encodeRecord(&st)

@@ -34,7 +34,9 @@
 // capacity totals — is an int64 in slice.Kbps or slice.MicroEUR. Floats are
 // converted where they enter a book and derived again at the reporting
 // edge, so a reservation and its release cancel exactly in any order, and
-// recovery (recover.go) reproduces the books of a concurrent run to the bit.
+// recovery reproduces the books of a concurrent run to the bit. The books
+// and the registry are written only by the appliers in apply.go, which the
+// live operations and recovery's replay both run.
 //
 // Submit, SubmitCtx, SubmitBatch, SubmitBatchCtx, Delete, Get, List,
 // ListFiltered, ListFragments, Watch, Timeline, RecordDemand, ActiveCount,
@@ -68,8 +70,9 @@
 // that both encodes and decodes it behind a format-version byte — there is
 // no second reader or writer, and payloads of another version are refused.
 // persist.go holds the Sink seam and the append hook, commit.go the commit
-// pipeline, checkpoint.go the full-state cut, recover.go deterministic
-// replay; RecordJSON renders a payload for inspection.
+// pipeline, checkpoint.go the full-state cut, apply.go the appliers a record
+// is appended before, recover.go deterministic replay (decode → bind →
+// apply); RecordJSON renders a payload for inspection.
 package core
 
 import (
@@ -257,6 +260,8 @@ type managedSlice struct {
 	// activateAt is the scheduled vEPC-boot completion instant (recovery
 	// re-arms the activation timer from it).
 	activateAt time.Time
+	// timeline is the slice's installation timeline (nil for a rejection).
+	timeline *InstallTimeline
 	// series is the slice's telemetry ring — one row per epoch, a column each
 	// for "slice/<id>/demand_mbps", ".../served_mbps" and
 	// ".../allocated_mbps" — created on the slice's first epoch so the epoch
@@ -412,11 +417,11 @@ func (o *Orchestrator) Timeline(id slice.ID) (InstallTimeline, bool) {
 	sh := o.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	tl, ok := sh.timelines[id]
-	if !ok {
+	m, ok := sh.slices[id]
+	if !ok || m.timeline == nil {
 		return InstallTimeline{}, false
 	}
-	return *tl, true
+	return *m.timeline, true
 }
 
 // errReject carries a typed admission rejection cause through the install
@@ -481,10 +486,31 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 	sh.mu.Lock()
 
 	// Phase one: admission checks plus the atomic capacity-ledger
-	// reservation for the newcomer's estimated radio load.
+	// reservation for the newcomer's estimated radio load. Phase two: the
+	// multi-domain transaction; any failure releases the ledger reservation
+	// and converts to a typed rejection.
 	cause, reserved, dcName := o.admit(req)
+	var activateAt time.Time
+	if cause == nil {
+		if activateAt, err = o.install(sh, s, dcName); err != nil {
+			o.ledger.Release(reserved)
+			o.auditSliceReleased(id) // rollback must leave nothing behind
+			var rej errReject
+			if !errors.As(err, &rej) {
+				sh.mu.Unlock()
+				// The squeeze may have appended resize records before the
+				// failure; they are real committed outcomes and must become
+				// durable.
+				if syncPersist {
+					o.commitPersist()
+				}
+				return nil, err
+			}
+			cause = rej.cause
+		}
+	}
 	if cause != nil {
-		evicted := o.rejectLocked(sh, s, cause, subEv)
+		evicted := o.rejectLocked(s, cause, subEv)
 		sh.mu.Unlock()
 		o.dropFinished(evicted)
 		if syncPersist {
@@ -492,37 +518,15 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 		}
 		return s, nil
 	}
-
-	// Phase two: the multi-domain transaction; any failure releases the
-	// ledger reservation and converts to a typed rejection.
-	if err := o.install(sh, s, demand, reserved, dcName); err != nil {
-		o.ledger.Release(reserved)
-		o.auditSliceReleased(id) // rollback must leave nothing behind
-		var rej errReject
-		if errors.As(err, &rej) {
-			evicted := o.rejectLocked(sh, s, rej.cause, subEv)
-			sh.mu.Unlock()
-			o.dropFinished(evicted)
-			if syncPersist {
-				o.commitPersist()
-			}
-			return s, nil
-		}
-		sh.mu.Unlock()
-		// The squeeze may have appended resize records before the failure;
-		// they are real committed outcomes and must become durable.
-		if syncPersist {
-			o.commitPersist()
-		}
-		return nil, err
-	}
-	sh.admit(req.SLA.PriceEUR, req.SLA.ThroughputMbps, s.AllocatedMbps())
+	ar := admitRecord{ReservedKbps: reserved, SubmittedAt: subEv.Time, ActivateAt: activateAt}
 	admitEv := o.publish(EventAdmitted, s, "")
 	if o.persist != nil {
-		o.appendAdmit(sh.slices[id], reserved, subEv.Time, subEv, admitEv)
+		o.appendAdmit(s, ar, subEv, admitEv)
 	}
+	m, _ := o.applyAdmit(&ar, s, demand, false) // nothing to bind: cannot fail
+	m.timers = append(m.timers, o.clock.At(activateAt, string(id)+"/activate", func() { o.activate(id) }))
 	if o.audit != nil {
-		o.auditSliceInstalled(sh.slices[id]) // commit must hold what it recorded
+		o.auditSliceInstalled(m) // commit must hold what it recorded
 	}
 	sh.mu.Unlock()
 	if syncPersist {
@@ -537,22 +541,19 @@ func (o *Orchestrator) nextID() slice.ID {
 	return slice.ID("s-" + strconv.FormatInt(o.seq.Add(1), 10))
 }
 
-// rejectLocked registers a rejected request in the shard (so the dashboard
-// shows it), keys the rejection histogram on the cause's stable typed code
-// — never on the free-form detail string, which would give every rejection
-// its own bucket — and returns any finished slices evicted from the bounded
-// history, which the caller must drop after releasing the shard lock.
-// subEv is the submission event (embedded in the WAL record alongside the
-// rejection event).
-func (o *Orchestrator) rejectLocked(sh *shard, s *slice.Slice, cause *slice.RejectionCause, subEv Event) []slice.ID {
+// rejectLocked rejects a request: s takes the typed cause, the rejection is
+// published and logged, and applyReject registers it. It returns the finished
+// slices evicted from the bounded history, which the caller must drop after
+// releasing the shard lock it holds for s. subEv is the submission event
+// (logged with the record alongside the rejection event).
+func (o *Orchestrator) rejectLocked(s *slice.Slice, cause *slice.RejectionCause, subEv Event) []slice.ID {
 	s.Reject(cause)
-	sh.reject(cause.Code)
-	sh.insert(&managedSlice{s: s, sh: sh})
 	rejEv := o.publish(EventRejected, s, cause.Detail)
 	if o.persist != nil {
 		o.appendRecord(recReject, &rejectRecord{Slice: s.Persist()}, subEv, rejEv)
 	}
-	return o.history.Push(s.ID())
+	evicted, _ := o.applyReject(s) // s carries its cause: cannot fail
+	return evicted
 }
 
 // Delete tears the slice down ahead of its expiry.

@@ -170,7 +170,7 @@ func (o *Orchestrator) runEpoch() {
 		m := it.m
 		m.sh.mu.Lock()
 		if m.s.State() == slice.StateActive {
-			m.sh.charge(m.s.SLA().PenaltyEUR)
+			o.applyCharge(m)
 			ev := o.publish(EventViolation, m.s,
 				fmt.Sprintf("served %.1f of %.1f Mbps demanded", ep.served[i], ep.demand[i]))
 			it.charged = true
@@ -193,8 +193,7 @@ func (o *Orchestrator) runEpoch() {
 		if v := m.s.ReconfigView(); v.State == slice.StateActive {
 			allocated, _ := o.resizeLocked(m, v, it.target)
 			it.ledgerUpdated, it.ledgerTo = true, slice.ToKbps(it.target)
-			o.ledger.Update(m.ledgerKbps, it.ledgerTo)
-			m.ledgerKbps = it.ledgerTo
+			o.applyLedgerRoll(m, it.ledgerTo)
 			// The slice's telemetry row: what it asked for, what the cells
 			// delivered and what it holds after this epoch's reconfiguration.
 			// A slice torn down since P3 gets no row — its ring leaves the

@@ -5,9 +5,7 @@ import (
 	"time"
 
 	"repro/internal/ctrl"
-	"repro/internal/forecast"
 	"repro/internal/slice"
-	"repro/internal/traffic"
 )
 
 // epcProcMs is the vEPC user-plane processing share counted against every
@@ -24,12 +22,12 @@ const (
 )
 
 // newInstallTimeline stamps the stage completions of a slice submitted at
-// the given instant — fixed offsets, so install and the admit record's
-// replay write the same timeline.
-func newInstallTimeline(submitted time.Time) *InstallTimeline {
+// the given instant — fixed offsets, so applyAdmit records the same timeline
+// live and on replay.
+func newInstallTimeline(submitted time.Time) InstallTimeline {
 	radioAt := submitted.Add(radioConfigDelay)
 	pathsAt := radioAt.Add(pathSetupDelay)
-	return &InstallTimeline{
+	return InstallTimeline{
 		Submitted: submitted,
 		RadioDone: radioAt,
 		PathsDone: pathsAt,
@@ -37,21 +35,23 @@ func newInstallTimeline(submitted time.Time) *InstallTimeline {
 	}
 }
 
-// install reserves resources across the registered domain chain for an
-// admitted request and schedules the installation stages on the clock. The
-// heavy lifting is the generic two-phase transaction engine (engine.go):
+// install is admission's decide step past the ledger: it reserves resources
+// across the registered domain chain for an admitted request. The heavy
+// lifting is the generic two-phase transaction engine (engine.go):
 // concurrent-group domains (cloud vEPC, MEC apps, ...) reserve in parallel
 // with the sequential radio → transport chain, join in deterministic order,
 // and any failure rolls everything back in reverse order automatically and
 // converts to a typed rejection.
 //
-// The caller holds sh.mu (its shard's lock) and has already reserved
-// reserved on the capacity ledger and chosen dcName at admission (the
-// placement scan is not repeated here); install commits that reservation to
-// the managed slice's bookkeeping on success (the caller releases it on
-// failure). The engine may briefly release and re-acquire sh.mu around the
-// overbooking squeeze — see reserveAll.
-func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand, reserved slice.Kbps, dcName string) error {
+// The caller holds sh.mu (its shard's lock), has already reserved the
+// newcomer's estimate on the capacity ledger (it releases that reservation
+// if install fails) and chose dcName at admission (the placement scan is not
+// repeated here). On success s is Installing with every grant applied to its
+// allocation — the outcome the admit record logs — and install returns the
+// instant its installation stages end; registering s is applyAdmit's. The
+// engine may briefly release and re-acquire sh.mu around the overbooking
+// squeeze — see reserveAll.
+func (o *Orchestrator) install(sh *shard, s *slice.Slice, dcName string) (activateAt time.Time, err error) {
 	sla := s.SLA()
 	now := o.clock.Now()
 
@@ -59,7 +59,7 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 	// transaction and released after every grant on rollback.
 	plmn, err := o.plmns.Allocate(s.ID())
 	if err != nil {
-		return errReject{slice.CauseOf(err, slice.RejectPLMNExhausted, "")}
+		return time.Time{}, errReject{slice.CauseOf(err, slice.RejectPLMNExhausted, "")}
 	}
 
 	// 2. The multi-domain two-phase transaction.
@@ -74,14 +74,14 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 	gs, cause := o.reserveAll(sh, tx, o.admissionEstimate(sla))
 	if cause != nil {
 		o.plmns.Release(plmn)
-		return errReject{cause}
+		return time.Time{}, errReject{cause}
 	}
 	grants := *gs
 	if cause := commitGrants(grants); cause != nil {
 		o.recycleGrants(grants) // aborted by commitGrants; engine holds the last reference
 		putGrants(gs)
 		o.plmns.Release(plmn)
-		return errReject{cause}
+		return time.Time{}, errReject{cause}
 	}
 
 	if err := s.Admit(); err != nil {
@@ -89,7 +89,7 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 		o.recycleGrants(grants)
 		putGrants(gs)
 		o.plmns.Release(plmn)
-		return err
+		return time.Time{}, err
 	}
 	bootDelay := time.Duration(0)
 	s.UpdateAllocation(func(a *slice.Allocation) {
@@ -106,31 +106,14 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, demand traffic.Demand,
 	o.recycleGrants(grants)
 	putGrants(gs)
 
-	m := &managedSlice{
-		s:          s,
-		sh:         sh,
-		demand:     demand,
-		prov:       forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps),
-		ledgerKbps: reserved,
-	}
-	sh.insert(m)
-
 	// Installation stage timeline (Fig. 2 workflow). Resources are already
-	// committed; the stages model configuration latency, so their completion
-	// times are the scheduled offsets, recorded up front exactly as recovery
-	// rebuilds them — only the activation transition needs a real timer.
-	tl := newInstallTimeline(now)
-	activeAt := tl.StackDone.Add(bootDelay)
-	m.activateAt = activeAt
-	sh.timelines[s.ID()] = tl
-
+	// committed; the stages model configuration latency, so they end at
+	// fixed offsets from now — only the activation transition needs a real
+	// timer.
 	if err := s.BeginInstall(); err != nil {
-		return err
+		return time.Time{}, err
 	}
-	m.timers = append(m.timers,
-		o.clock.At(activeAt, string(s.ID())+"/activate", func() { o.activate(s.ID()) }),
-	)
-	return nil
+	return newInstallTimeline(now).StackDone.Add(bootDelay), nil
 }
 
 // activate fires when the vEPC boot delay elapses: the EPC starts serving
@@ -152,18 +135,14 @@ func (o *Orchestrator) activate(id slice.ID) {
 		o.commitPersist()
 		return
 	}
-	if err := m.s.Activate(now); err != nil {
-		sh.mu.Unlock()
-		return
-	}
-	sh.active.Add(1)
-	if tl, ok := sh.timelines[id]; ok {
-		tl.Active = now
-	}
-	instEv := o.publish(EventInstalled, m.s, "")
+	// The event reports the state the applier moves the slice to.
+	v := m.s.EventView()
+	v.State = slice.StateActive
+	instEv := o.publishView(EventInstalled, m.s, v, "")
 	if o.persist != nil {
 		o.appendRecord(recActivate, &activateRecord{Slice: id, At: now}, instEv)
 	}
+	_ = o.applyActivate(m, now, false) // the slice is Installing: it cannot refuse
 	o.armExpiry(m)
 	sh.mu.Unlock()
 	o.commitPersist()
@@ -199,13 +178,19 @@ func (o *Orchestrator) armExpiry(m *managedSlice) {
 	})
 }
 
-// teardownLocked releases every domain's resources (reverse acquisition
-// order through the generic engine), returns the slice's capacity-ledger
-// entry and terminates the slice, publishing typ (EventDeleted or
-// EventExpired) on the event bus. Safe to call from any live state;
-// idempotent per domain. The caller holds the slice's shard lock (or every
-// shard lock in restoration passes) and must drop the returned evicted
-// finished slices once its locks are released.
+// teardownLocked tears a live slice down, publishing typ (EventDeleted or
+// EventExpired) on the event bus; applyTeardown releases what it holds. The
+// caller holds the slice's shard lock (or every shard lock in restoration
+// passes) and must drop the returned evicted finished slices once its locks
+// are released.
+//
+// The record is sequenced BEFORE any substrate resource is released: the
+// allocators (PLMN, eNB PRBs, transport) are global, so the instant a
+// resource is freed a concurrent admission on another shard can take it and
+// append its admit record — and if that admit sequenced ahead of this
+// teardown, replay would impose the same exclusive resource twice and fail
+// recovery. Appending first pins the WAL order: any reuse is logged strictly
+// after the release that made it possible.
 func (o *Orchestrator) teardownLocked(m *managedSlice, reason string, typ EventType) []slice.ID {
 	for _, t := range m.timers {
 		t.Cancel()
@@ -215,42 +200,14 @@ func (o *Orchestrator) teardownLocked(m *managedSlice, reason string, typ EventT
 		m.expiry.Cancel()
 		m.expiry = nil
 	}
-	st := m.s.State()
-	plmn, allocated := m.s.PLMN(), m.s.AllocatedMbps()
-	m.s.Terminate(reason)
-	ev := o.publish(typ, m.s, reason)
-	// The teardown record must be sequenced BEFORE any substrate resource is
-	// released: the allocators (PLMN, eNB PRBs, transport) are global, so
-	// the instant a resource is freed a concurrent admission on another
-	// shard can take it and append its admit record — and if that admit
-	// sequenced ahead of this teardown, replay would impose the same
-	// exclusive resource twice and fail recovery. Appending first pins the
-	// WAL order: any reuse is logged strictly after the release that made
-	// it possible.
+	v := m.s.EventView()
+	v.State = slice.StateTerminated
+	ev := o.publishView(typ, m.s, v, reason)
 	if o.persist != nil {
 		o.appendRecord(recTeardown, &teardownRecord{Slice: m.s.ID(), Reason: reason}, ev)
 	}
-	o.releaseAll(m.s.ID(), plmn)
-	o.plmns.Release(plmn)
-	o.leaveBooks(m, st, allocated)
-	return o.history.Push(m.s.ID())
-}
-
-// leaveBooks is the bookkeeping half of a teardown, shared with its replay:
-// the slice's ledger entry is released, and it leaves the live totals — and
-// the active count, if it was carrying traffic — it joined from state st
-// with allocatedMbps reserved.
-func (o *Orchestrator) leaveBooks(m *managedSlice, st slice.State, allocatedMbps float64) {
-	o.ledger.Release(m.ledgerKbps)
-	m.ledgerKbps = 0
-	switch st {
-	case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
-		m.sh.release(m.s.SLA().ThroughputMbps, allocatedMbps)
-	}
-	switch st {
-	case slice.StateActive, slice.StateReconfiguring:
-		m.sh.active.Add(-1)
-	}
+	evicted, _ := o.applyTeardown(m, reason) // callers tear down live slices only
+	return evicted
 }
 
 // squeezeAll shrinks every live slice's domain reservations to its
@@ -294,7 +251,8 @@ func (o *Orchestrator) squeezeAll() {
 // allocation under the slice lock — the grants hand over their containers
 // (ctrl pool contract), so no copy of the allocation is made on the way in
 // or out — and the same critical section ends the Reconfiguring state and
-// cuts what the event reports.
+// cuts what the event reports. That is the decide step; resizedLocked logs
+// and applies its outcome.
 func (o *Orchestrator) resizeLocked(m *managedSlice, v slice.ReconfigView, targetMbps float64) (allocatedMbps float64, changed bool) {
 	sla := m.s.SLA()
 	before := v.AllocatedMbps
@@ -343,21 +301,27 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, v slice.ReconfigView, targe
 	})
 	o.recycleGrants(*gs) // applied; the engine holds the last reference
 	putGrants(gs)
-	m.sh.reallocate(before, after.AllocatedMbps)
-	m.sh.reconfigurations.Add(1)
 	ev := o.publishView(EventResized, m.s, after, "")
-	if o.persist != nil {
-		// The engine threads the radio-quantized throughput into transport
-		// and MEC, so the post-apply allocation is what every domain saw. The
-		// record is encoded here, under the shard lock, from a copy.
-		alloc := m.s.Allocation()
-		o.appendRecord(recResize, &resizeRecord{
-			Slice:       m.s.ID(),
-			Mbps:        alloc.AllocatedMbps,
-			PRBs:        alloc.PRBs,
-			MECMbps:     alloc.AllocatedMbps,
-			ResizePaths: true,
-		}, ev)
-	}
+	// The engine threads the radio-quantized throughput into transport and
+	// MEC, so the post-apply allocation is what every domain saw.
+	o.resizedLocked(m, resizeRecord{
+		Slice:       m.s.ID(),
+		Mbps:        after.AllocatedMbps,
+		MECMbps:     after.AllocatedMbps,
+		ResizePaths: true,
+	}, before, ev)
 	return after.AllocatedMbps, true
+}
+
+// resizedLocked logs and applies a reallocation decide has made — an engine
+// resize or a degradation shrink, the two producers of a resize record. The
+// caller holds the slice's shard lock.
+func (o *Orchestrator) resizedLocked(m *managedSlice, rr resizeRecord, beforeMbps float64, ev Event) {
+	if o.persist != nil {
+		// PRBs capture the radio's final state, copied under the shard lock.
+		logged := rr
+		logged.PRBs = m.s.Allocation().PRBs
+		o.appendRecord(recResize, &logged, ev)
+	}
+	_ = o.applyResize(m, &rr, beforeMbps, false) // nothing to bind: cannot fail
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"time"
 
 	"repro/internal/slice"
 	"repro/internal/transport"
@@ -17,11 +16,12 @@ import (
 //
 // Hook discipline: records are appended inside the mutating operation's
 // critical section (appendRecord takes only the leaf persistMu, so it is
-// safe under shard locks and epochMu), and each top-level operation ends
-// with one commitPersist() — the durability boundary — called with no shard
-// lock and no epochMu held. A crash between an append and its commit may
-// lose that operation entirely, but can never surface a torn prefix of it
-// as recovered state.
+// safe under shard locks and epochMu), after the operation decided and
+// before its applier (apply.go) makes the effect visible; each top-level
+// operation ends with one commitPersist() — the durability boundary — called
+// with no shard lock and no epochMu held. A crash between an append and its
+// commit may lose that operation entirely, but can never surface a torn
+// prefix of it as recovered state.
 //
 // Since PR 9 the boundary is group-committed (DESIGN.md §12): instead of
 // each operation fsyncing its own records, concurrent committers elect one
@@ -120,27 +120,19 @@ func (o *Orchestrator) pathRecords(pids []string) []transport.Reservation {
 	return out
 }
 
-// appendAdmit logs a successful admission with every substrate outcome.
-// The caller holds the slice's shard lock.
-func (o *Orchestrator) appendAdmit(m *managedSlice, reserved slice.Kbps, submittedAt time.Time, events ...Event) {
-	if o.persist == nil {
-		return
-	}
-	image := m.s.Persist()
-	alloc := &image.Allocation
-	rec := &admitRecord{
-		Slice:        image,
-		ReservedKbps: reserved,
-		Paths:        o.pathRecords(alloc.PathIDs),
-		SubmittedAt:  submittedAt,
-		ActivateAt:   m.activateAt,
-	}
+// appendAdmit logs a successful admission: ar's outcome plus the slice's
+// image and every substrate outcome its install produced. The caller holds
+// the slice's shard lock.
+func (o *Orchestrator) appendAdmit(s *slice.Slice, ar admitRecord, events ...Event) {
+	ar.Slice = s.Persist()
+	alloc := &ar.Slice.Allocation
+	ar.Paths = o.pathRecords(alloc.PathIDs)
 	if alloc.MECAppID != "" {
 		if app, ok := o.tb.MEC.App(alloc.MECAppID); ok {
-			rec.MECHost, rec.MECCPU = app.Host, app.CPU
+			ar.MECHost, ar.MECCPU = app.Host, app.CPU
 		}
 	}
-	o.appendRecord(recAdmit, rec, events...)
+	o.appendRecord(recAdmit, &ar, events...)
 }
 
 // PersistStatus reports the durability plane's health.

@@ -73,24 +73,19 @@ const (
 	recShutdown = "shutdown"
 )
 
-// logRecord is a record of the redo log: besides listing its fields it
-// replays itself onto a recovering orchestrator (recover.go).
-type logRecord interface {
-	record
-	apply(o *Orchestrator) error
-}
-
-// logRecordTypes maps a record's type tag to its struct.
-var logRecordTypes = map[string]func() logRecord{
-	recAdmit:    func() logRecord { return new(admitRecord) },
-	recReject:   func() logRecord { return new(rejectRecord) },
-	recActivate: func() logRecord { return new(activateRecord) },
-	recTeardown: func() logRecord { return new(teardownRecord) },
-	recResize:   func() logRecord { return new(resizeRecord) },
-	recReroute:  func() logRecord { return new(rerouteRecord) },
-	recEpoch:    func() logRecord { return new(epochRecord) },
-	recLink:     func() logRecord { return new(linkRecord) },
-	recShutdown: func() logRecord { return new(shutdownRecord) },
+// logRecordTypes maps a log record's type tag to its struct. Each record is
+// the outcome of one transition; the transition's applier (apply.go) is what
+// both the live operation and replay (recover.go) run on it.
+var logRecordTypes = map[string]func() record{
+	recAdmit:    func() record { return new(admitRecord) },
+	recReject:   func() record { return new(rejectRecord) },
+	recActivate: func() record { return new(activateRecord) },
+	recTeardown: func() record { return new(teardownRecord) },
+	recResize:   func() record { return new(resizeRecord) },
+	recReroute:  func() record { return new(rerouteRecord) },
+	recEpoch:    func() record { return new(epochRecord) },
+	recLink:     func() record { return new(linkRecord) },
+	recShutdown: func() record { return new(shutdownRecord) },
 }
 
 // logPayload is what a log record's payload walks: the record, then the
@@ -108,7 +103,7 @@ func (p *logPayload) wire(c *wal.Codec) {
 
 // decodeLogRecord decodes a log record into the struct its type tag names,
 // and its events.
-func decodeLogRecord(r wal.Record) (logRecord, []Event, error) {
+func decodeLogRecord(r wal.Record) (record, []Event, error) {
 	mk := logRecordTypes[r.Type]
 	if mk == nil {
 		return nil, nil, fmt.Errorf("unknown record type %q", r.Type)
@@ -128,8 +123,8 @@ func RecordJSON(r wal.Record) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(struct {
-		Record logRecord `json:"record"`
-		Events []Event   `json:"events"`
+		Record record  `json:"record"`
+		Events []Event `json:"events"`
 	}{rec, events})
 }
 

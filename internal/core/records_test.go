@@ -375,7 +375,7 @@ func TestRecordCodecStrict(t *testing.T) {
 		payload []byte
 	}
 	var samples []sample
-	records, _ := allRecordTypesRun(t)
+	records, _, _ := allRecordTypesRun(t)
 	seen := map[string]bool{}
 	for _, r := range records {
 		if !seen[r.Type] {

@@ -20,10 +20,13 @@ import (
 // slice registry, published epoch snapshot, event sequence, capacity ledger
 // — is bit-identical to the crashed run's state at its last commit boundary.
 //
-// Replay never re-decides: every log record carries the original run's full
-// outcome (PRBs per eNB, path hops and bandwidth, MEC host, money and ledger
-// movements), and the appliers below impose those outcomes onto the rebuilt
-// substrates. Environment perturbations (CQI fades, MEC brownouts) are
+// Replay never re-decides. Each record is decoded, bound and applied: every
+// log record carries the original run's full outcome (PRBs per eNB, path
+// hops and bandwidth, MEC host, money and ledger movements); applyRecord
+// finds the slice it names and runs the applier the live operation ran
+// (apply.go) with bind set, so the applier first imposes the outcome on the
+// rebuilt substrates through the bind helpers below (imposeSubstrate and
+// friends). Environment perturbations (CQI fades, MEC brownouts) are
 // deliberately not durable — they bypass the orchestrator and only lower
 // capacity below the defaults, so imposed outcomes always fit a
 // default-environment testbed.
@@ -124,14 +127,21 @@ func RecoverFromWAL(cfg Config, tb *testbed.Testbed, clock sim.Scheduler, store 
 		rep.CleanShutdown = r.Type == recShutdown
 	}
 	o.rearmTimers()
+	// The live slices, in the auditor's terms. Only live ones: terminal
+	// states forbid successors and are dropped from its tracking on
+	// observation.
+	states := make(map[slice.ID]string)
 	for _, sh := range o.shards {
-		for _, m := range sh.slices {
+		for id, m := range sh.slices {
 			switch m.s.State() {
-			case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
-				rep.LiveSlices++
+			case slice.StateAdmitted, slice.StateInstalling:
+				states[id] = "installing"
+			case slice.StateActive, slice.StateReconfiguring:
+				states[id] = "active"
 			}
 		}
 	}
+	rep.LiveSlices = len(states)
 
 	// Re-attach the auditor only now: it must not observe the historical
 	// stream twice (Republish bypasses the tap), and its state starts where
@@ -141,19 +151,6 @@ func RecoverFromWAL(cfg Config, tb *testbed.Testbed, clock sim.Scheduler, store 
 		o.cfg.AuditOnViolation = cfg.AuditOnViolation
 		o.audit = invariant.New(invariant.Options{OnViolation: cfg.AuditOnViolation})
 		o.bus.SetTap(o.auditObserveEvent)
-		states := make(map[slice.ID]string)
-		for _, sh := range o.shards {
-			for id, m := range sh.slices {
-				// Only live slices: terminal states forbid successors and
-				// are dropped from the auditor's tracking on observation.
-				switch m.s.State() {
-				case slice.StateAdmitted, slice.StateInstalling:
-					states[id] = "installing"
-				case slice.StateActive, slice.StateReconfiguring:
-					states[id] = "active"
-				}
-			}
-		}
 		o.audit.Prime(o.bus.LastSeq(), states, int(o.epochs.Load()), clock.Now())
 	}
 	o.recovery = rep
@@ -211,18 +208,18 @@ func (o *Orchestrator) restoreSnapshot(blob []byte) error {
 	return nil
 }
 
-// restoreSlice registers one checkpointed slice, re-imposing its substrate
-// outcomes when it is in a live state.
+// restoreSlice registers one checkpointed slice through the admission
+// applier's registration step, binding its ledger entry and — when it is in
+// a live state — re-imposing its substrate outcomes.
 func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 	s := slice.Rehydrate(ps.Slice)
-	id := s.ID()
-	sh := o.shardFor(id)
 	m := &managedSlice{
-		s: s, sh: sh,
+		s: s, sh: o.shardFor(s.ID()),
 		ledgerKbps: ps.LedgerKbps,
 		activateAt: ps.ActivateAt,
 		lastDemand: ps.LastDemand,
 		haveDemand: ps.HaveDemand,
+		timeline:   ps.Timeline,
 	}
 	switch s.State() {
 	case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
@@ -237,11 +234,7 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 			}
 		}
 	}
-	sh.insert(m)
-	o.ledger.Update(0, m.ledgerKbps)
-	if ps.Timeline != nil {
-		sh.timelines[id] = ps.Timeline
-	}
+	o.register(m, true)
 	return nil
 }
 
@@ -275,149 +268,13 @@ func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []transport.Reserva
 	return nil
 }
 
-// applyRecord decodes one log record and replays it: the record imposes its
-// outcome, then its events go back into the replay ring.
-func (o *Orchestrator) applyRecord(r wal.Record) error {
-	rec, events, err := decodeLogRecord(r)
-	if err == nil {
-		err = rec.apply(o)
-	}
-	if err == nil {
-		o.republish(events)
-	}
-	return err
-}
-
-// apply (shutdown) changes nothing: the record exists for its terminal event
-// and for CleanShutdown.
-func (sr *shutdownRecord) apply(*Orchestrator) error { return nil }
-
-// republish re-inserts logged events into the replay ring under their
-// original sequence numbers.
-func (o *Orchestrator) republish(events []Event) {
-	for _, ev := range events {
-		o.bus.Republish(ev)
-	}
-}
-
-// bumpSeq advances the slice-ID counter past a replayed slice's number.
-func (o *Orchestrator) bumpSeq(id slice.ID) {
-	if n := int64(seqOf(id)); n > o.seq.Load() {
-		o.seq.Store(n)
-	}
-}
-
-// apply (admit) registers a logged admission: the slice image as of the admit
-// boundary, its substrate outcomes imposed, the ledger reservation repeated
-// and the deterministic installation timeline stamped. Stage-timer stamps
-// are written directly (the stages complete at fixed offsets from
-// submission — exactly what the uncrashed run's install records); only the
-// activation timer is re-armed afterwards (rearmTimers).
-func (ar *admitRecord) apply(o *Orchestrator) error {
-	s := slice.Rehydrate(ar.Slice)
-	id := s.ID()
-	o.bumpSeq(id)
-	alloc := s.Allocation()
-	if err := o.plmns.Impose(alloc.PLMN, id); err != nil {
-		return err
-	}
-	if err := o.imposeSubstrate(s, ar.Paths, ar.MECHost, ar.MECCPU); err != nil {
-		return err
-	}
-	o.ledger.Update(0, ar.ReservedKbps)
-	sh := o.shardFor(id)
-	sh.insert(&managedSlice{
-		s: s, sh: sh,
-		prov:       forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps),
-		ledgerKbps: ar.ReservedKbps,
-		activateAt: ar.ActivateAt,
-	})
-	sh.admit(s.SLA().PriceEUR, s.SLA().ThroughputMbps, alloc.AllocatedMbps)
-	sh.timelines[id] = newInstallTimeline(ar.SubmittedAt)
-	return nil
-}
-
-// apply (reject) registers a logged rejection.
-func (rr *rejectRecord) apply(o *Orchestrator) error {
-	s := slice.Rehydrate(rr.Slice)
-	cause, ok := s.Cause()
-	if !ok {
-		return fmt.Errorf("rejected slice %s carries no cause", s.ID())
-	}
-	id := s.ID()
-	o.bumpSeq(id)
-	sh := o.shardFor(id)
-	sh.insert(&managedSlice{s: s, sh: sh})
-	sh.reject(cause.Code)
-	o.dropFinished(o.history.Push(id))
-	return nil
-}
-
-// apply (activate) replays a vEPC-boot completion.
-func (ar *activateRecord) apply(o *Orchestrator) error {
-	sh := o.shardFor(ar.Slice)
-	m, ok := sh.slices[ar.Slice]
-	if !ok {
-		return fmt.Errorf("unknown slice")
-	}
-	if err := o.tb.Ctrl.Cloud.MarkEPCRunning(m.s.EPCID(), ar.At); err != nil {
-		return err
-	}
-	if err := m.s.Activate(ar.At); err != nil {
-		return err
-	}
-	sh.active.Add(1)
-	if tl, ok := sh.timelines[ar.Slice]; ok {
-		tl.Active = ar.At
-	}
-	return nil
-}
-
-// apply (teardown) replays a teardown from any live state — teardownLocked's
-// bookkeeping minus publication.
-func (tr *teardownRecord) apply(o *Orchestrator) error {
-	sh := o.shardFor(tr.Slice)
-	m, ok := sh.slices[tr.Slice]
-	if !ok {
-		return fmt.Errorf("unknown slice")
-	}
-	if st := m.s.State(); st == slice.StateRejected || st == slice.StateTerminated {
-		return fmt.Errorf("slice %s is already %s", tr.Slice, st)
-	}
-	plmn := m.s.PLMN()
-	o.releaseAll(tr.Slice, plmn)
-	o.plmns.Release(plmn)
-	o.leaveBooks(m, m.s.State(), m.s.AllocatedMbps())
-	if err := m.s.Terminate(tr.Reason); err != nil {
-		return err
-	}
-	o.dropFinished(o.history.Push(tr.Slice))
-	return nil
-}
-
-// apply (resize) imposes a logged reallocation outcome: the recorded per-eNB
-// PRBs, the transport paths resized to the new aggregate when the original
-// operation did so (engine resizes — degradation shrinks leave transport to
-// their preceding reroute record), and the MEC app at its recorded sizing
-// input. Reconfiguration counting mirrors the original paths: engine resizes
-// count one; the shrink's count came from its reroute.
-func (rr *resizeRecord) apply(o *Orchestrator) error {
-	sh := o.shardFor(rr.Slice)
-	m, ok := sh.slices[rr.Slice]
-	if !ok || m.s.State() == slice.StateTerminated || m.s.State() == slice.StateRejected {
-		// A resize against a slice the recovered registry no longer holds
-		// live. In a well-formed log this cannot happen — per-slice record
-		// order (admit < resize < teardown) is pinned under the shard lock,
-		// and the resize→teardown→crash enumeration in the crashtest harness
-		// proves every prefix replays with the slice present — but a torn or
-		// hand-truncated image must degrade to a skip, not abort the whole
-		// recovery or resurrect released ledger/substrate capacity.
-		// Returning nil still republishes the logged events (applyRecord), so
-		// the sequence space and replay ring stay contiguous.
-		return nil
-	}
+// imposeResize binds a logged reallocation: the recorded per-eNB PRBs, the
+// transport paths resized to the new aggregate when the original operation
+// did so (engine resizes — degradation shrinks leave transport to their
+// preceding reroute record), the MEC app at its recorded sizing input, and
+// the recorded values in the slice's allocation.
+func (o *Orchestrator) imposeResize(m *managedSlice, rr *resizeRecord) error {
 	alloc := m.s.Allocation()
-	before := alloc.AllocatedMbps
 	if err := o.tb.Ctrl.RAN.ImposeResize(alloc.PLMN, rr.PRBs); err != nil {
 		return err
 	}
@@ -435,21 +292,12 @@ func (rr *resizeRecord) apply(o *Orchestrator) error {
 		a.AllocatedMbps = rr.Mbps
 		a.PRBs = rr.PRBs // decoded for this record alone; the slice takes it over
 	})
-	sh.reallocate(before, rr.Mbps)
-	if rr.ResizePaths {
-		sh.reconfigurations.Add(1)
-	}
 	return nil
 }
 
-// apply (reroute) rebuilds a slice's transport paths from a logged restoration
-// outcome.
-func (rr *rerouteRecord) apply(o *Orchestrator) error {
-	sh := o.shardFor(rr.Slice)
-	m, ok := sh.slices[rr.Slice]
-	if !ok {
-		return fmt.Errorf("unknown slice")
-	}
+// imposeReroute binds a logged restoration re-route: the slice's transport
+// paths replaced by the recorded ones, and the allocation pointed at them.
+func (o *Orchestrator) imposeReroute(m *managedSlice, rr *rerouteRecord) error {
 	o.tb.Ctrl.Transport.ReleasePaths(rr.Slice)
 	if err := o.tb.Ctrl.Transport.ImposePaths(rr.Slice, rr.Paths); err != nil {
 		return err
@@ -462,65 +310,79 @@ func (rr *rerouteRecord) apply(o *Orchestrator) error {
 		a.PathIDs = pids
 		a.PathLatencyMs = rr.WorstDelayMs
 	})
-	sh.reconfigurations.Add(1)
 	return nil
 }
 
-// apply (epoch) replays a control epoch's per-slice outcomes. The epoch's
-// resizes preceded this record as their own records, so only the analysis
-// results (demand samples, violation counting, forecaster observations),
-// the charges and the ledger rolls happen here. Under concurrency a slice's
-// teardown record can precede the record of the epoch that measured it: the
-// charge still counts (it happened), the ledger roll does not (the teardown
-// released the entry it rolled).
-func (er *epochRecord) apply(o *Orchestrator) error {
-	o.epochs.Store(er.Epoch)
-	for _, it := range er.Items {
-		m, ok := o.shardFor(it.Slice).slices[it.Slice]
-		if !ok {
-			continue
-		}
-		m.lastDemand = it.Demand
-		m.haveDemand = true
-		if it.Counted {
-			if m.prov == nil {
-				return fmt.Errorf("epoch %d measured slice %s, which was never admitted", er.Epoch, it.Slice)
-			}
-			m.s.RecordEpoch(it.Demand, it.Served)
-			m.prov.Observe(it.Demand)
-		}
-		if it.Charged {
-			m.sh.charge(m.s.SLA().PenaltyEUR)
-		}
-		if st := m.s.State(); it.LedgerUpdated && st != slice.StateTerminated && st != slice.StateRejected {
-			o.ledger.Update(m.ledgerKbps, it.LedgerTo)
-			m.ledgerKbps = it.LedgerTo
-		}
+// applyRecord replays one log record: decode it, find the slice it names,
+// run the applier the live operation ran (apply.go) with bind set — so the
+// applier imposes the logged outcome on the shared pools first — then put
+// the record's events back into the replay ring under their original
+// sequence numbers. A shutdown record changes nothing: it exists for its
+// terminal event and for CleanShutdown.
+func (o *Orchestrator) applyRecord(r wal.Record) error {
+	rec, events, err := decodeLogRecord(r)
+	if err != nil {
+		return err
 	}
-	o.lastEpoch.Store(&er.Snapshot)
-	return nil
-}
-
-// apply (link) replays a transport-link transition; per-victim outcomes follow
-// as their own records.
-func (lr *linkRecord) apply(o *Orchestrator) error {
-	var err error
-	switch lr.Kind {
-	case "fail":
-		err = o.tb.Transport.SetLinkUp(lr.From, lr.To, false)
-	case "degrade":
-		err = o.tb.Transport.SetLinkCapacity(lr.From, lr.To, lr.CapacityMbps)
-	case "restore":
-		err = o.tb.Transport.SetLinkUp(lr.From, lr.To, true)
-	default:
-		err = fmt.Errorf("unknown link record kind %q", lr.Kind)
+	var evicted []slice.ID
+	switch r := rec.(type) {
+	case *admitRecord:
+		_, err = o.applyAdmit(r, slice.Rehydrate(r.Slice), nil, true)
+	case *rejectRecord:
+		evicted, err = o.applyReject(slice.Rehydrate(r.Slice))
+	case *activateRecord:
+		var m *managedSlice
+		if m, err = o.loggedSlice(r.Slice); err == nil {
+			err = o.applyActivate(m, r.At, true)
+		}
+	case *teardownRecord:
+		var m *managedSlice
+		if m, err = o.loggedSlice(r.Slice); err == nil {
+			evicted, err = o.applyTeardown(m, r.Reason)
+		}
+	case *resizeRecord:
+		// A resize against a slice the recovered registry no longer holds
+		// live cannot occur in a well-formed log — per-slice record order
+		// (admit < resize < teardown) is pinned under the shard lock, and
+		// the crashtest harness replays every prefix of resize → teardown —
+		// but a torn or hand-truncated image must degrade to a skip, not
+		// abort the whole recovery or resurrect released capacity. The
+		// logged events are still republished, so the sequence space and
+		// the replay ring stay contiguous.
+		if m, ok := o.shardFor(r.Slice).slices[r.Slice]; ok && m.s.State() != slice.StateTerminated && m.s.State() != slice.StateRejected {
+			err = o.applyResize(m, r, m.s.AllocatedMbps(), true)
+		}
+	case *rerouteRecord:
+		var m *managedSlice
+		if m, err = o.loggedSlice(r.Slice); err == nil {
+			err = o.applyReroute(m, r, true)
+		}
+	case *epochRecord:
+		err = o.applyEpoch(r)
+	case *linkRecord:
+		err = o.applyLink(r)
+	}
+	o.dropFinished(evicted)
+	if err == nil {
+		for _, ev := range events {
+			o.bus.Republish(ev)
+		}
 	}
 	return err
 }
 
+// loggedSlice returns the registry entry a replayed record names.
+func (o *Orchestrator) loggedSlice(id slice.ID) (*managedSlice, error) {
+	m, ok := o.shardFor(id).slices[id]
+	if !ok {
+		return nil, fmt.Errorf("unknown slice")
+	}
+	return m, nil
+}
+
 // rearmTimers re-schedules the clock work the crashed run had pending:
 // installing slices' activation timers (the stage stamps are already
-// written — see admitRecord.apply) and active slices' contracted-expiry teardowns.
+// written — see applyAdmit) and active slices' contracted-expiry teardowns.
 // A scheduled instant already in the past fires on the clock's next step
 // (sim.At clamps), preserving the sim's deterministic event order.
 func (o *Orchestrator) rearmTimers() {

@@ -18,6 +18,7 @@ import (
 	"repro/internal/slice"
 	"repro/internal/testbed"
 	"repro/internal/traffic"
+	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -43,6 +44,90 @@ func (s *memSink) Snapshot(seq uint64, blob []byte) error {
 	return nil
 }
 
+// probeSink is a memSink that hands every record to check as it is appended,
+// before buffering it.
+type probeSink struct {
+	memSink
+	check func(wal.Record)
+}
+
+func (p *probeSink) Append(rec wal.Record) error {
+	p.check(rec)
+	return p.memSink.Append(rec)
+}
+
+// TestRecordAppendedBeforeEffect holds the order every transition takes —
+// decide, append, apply: when a record reaches the sink, the effect it logs
+// is not yet visible, so no other operation can act on the transition and be
+// logged ahead of it. A link restore finds the link still down, a failure
+// finds it still up, a degradation finds the old capacity and a teardown
+// finds the slice's PRBs still held.
+func TestRecordAppendedBeforeEffect(t *testing.T) {
+	sink := &probeSink{check: func(wal.Record) {}}
+	s, o := replayEnv(t, Config{Persist: sink})
+	from, to := testbed.ENBName(0), testbed.Switch
+	link := func() transport.Link {
+		l, ok := o.tb.Transport.Link(from, to)
+		if !ok {
+			t.Fatalf("no link %s->%s", from, to)
+		}
+		return l
+	}
+	sl, err := o.Submit(req("t", 10, 50, time.Hour, 100), nil)
+	if err != nil || sl.State() == slice.StateRejected {
+		t.Fatalf("submit: %v %v", err, sl)
+	}
+	if err := s.RunFor(15 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	plmn, capacity := sl.PLMN(), link().CapacityMbps
+
+	probed := map[string]bool{}
+	sink.check = func(r wal.Record) {
+		rec, _, err := decodeLogRecord(r)
+		if err != nil {
+			t.Fatalf("record %d: %v", r.Seq, err)
+		}
+		switch rec := rec.(type) {
+		case *linkRecord:
+			l := link()
+			switch {
+			case rec.Kind == "restore" && l.Up:
+				t.Error("link restore appended after the link came back up")
+			case rec.Kind == "fail" && !l.Up:
+				t.Error("link failure appended after the link went down")
+			case rec.Kind == "degrade" && l.CapacityMbps != capacity:
+				t.Errorf("link degradation appended after the capacity moved to %.1f Mbps", l.CapacityMbps)
+			}
+			probed[rec.Kind] = true
+		case *teardownRecord:
+			for _, e := range o.tb.RAN.All() {
+				if n, ok := e.Reservation(plmn); !ok || n == 0 {
+					t.Errorf("teardown appended after %s released the slice's PRBs", e.Name())
+				}
+			}
+			probed["teardown"] = true
+		}
+	}
+	if _, err := o.HandleLinkDegradation(from, to, capacity/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.HandleLinkFailure(from, to); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.RestoreLink(from, to); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.Delete(sl.ID()); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"degrade", "fail", "restore", "teardown"} {
+		if !probed[kind] {
+			t.Errorf("no %s record reached the sink", kind)
+		}
+	}
+}
+
 // replayEnv is a fresh orchestrator on a default-environment testbed with
 // the backup switch (so a logged re-route has somewhere to go).
 func replayEnv(t testing.TB, cfg Config) (*sim.Simulator, *Orchestrator) {
@@ -58,10 +143,12 @@ func replayEnv(t testing.TB, cfg Config) (*sim.Simulator, *Orchestrator) {
 }
 
 // allRecordTypesRun drives one small deterministic run that logs every one
-// of the nine record types, and returns the log with the number of leading
-// records (admissions, the rejection, activations) that populate a registry
-// the later records act on.
-func allRecordTypesRun(t testing.TB) (records []wal.Record, populated int) {
+// of the nine record types from every live producer — both resize producers
+// (the engine and a degradation shrink) and all three link kinds — and
+// returns the log with the number of leading records (admissions, the
+// rejection, activations) that populate a registry the later records act
+// on, and the run's final state digest.
+func allRecordTypesRun(t testing.TB) (records []wal.Record, populated int, digest []byte) {
 	t.Helper()
 	sink := &memSink{}
 	s, o := replayEnv(t, Config{Overbook: true, Risk: 0.9, Persist: sink})
@@ -86,11 +173,42 @@ func allRecordTypesRun(t testing.TB) (records []wal.Record, populated int) {
 	if _, err := o.HandleLinkFailure(testbed.ENBName(0), testbed.Switch); err != nil { // link + reroutes
 		t.Fatal(err)
 	}
+	// With the primary uplink down the backup is the only way out, so
+	// degrading it leaves its victims no alternative at full bandwidth: they
+	// take the shrink branch — an interim reroute at the fair share, then a
+	// resize that leaves the paths to it.
+	rep, err := o.HandleLinkDegradation(testbed.ENBName(0), testbed.BackupSwitch, 8)
+	if err != nil || len(rep.Dropped) != 0 {
+		t.Fatalf("degradation: %+v, %v", rep, err)
+	}
+	if err := o.RestoreLink(testbed.ENBName(0), testbed.Switch); err != nil {
+		t.Fatal(err)
+	}
 	if err := o.Delete(ids[0]); err != nil { // teardown
 		t.Fatal(err)
 	}
 	o.Shutdown()
-	return sink.records, populated
+	var shrinks, interims int
+	for _, r := range sink.records[populated:] {
+		rec, events, err := decodeLogRecord(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch rec := rec.(type) {
+		case *resizeRecord:
+			if !rec.ResizePaths {
+				shrinks++
+			}
+		case *rerouteRecord:
+			if len(events) == 0 {
+				interims++
+			}
+		}
+	}
+	if shrinks == 0 || interims == 0 {
+		t.Fatalf("the degradation logged %d shrink resizes and %d interim reroutes, want both", shrinks, interims)
+	}
+	return sink.records, populated, o.StateDigest()
 }
 
 // reconfigureAndRelease is the stage a recovered orchestrator (built with
@@ -169,10 +287,12 @@ func reconfigureAndRelease(t *testing.T, o *Orchestrator) {
 }
 
 // TestRecoveredSlicesReconfigureAndRelease replays a log holding every record
-// type — admits, epoch resizes, a link failure's re-routes, a teardown — and
-// runs the resize-and-release stage on what comes back.
+// type from every live producer — admits, epoch resizes, a link failure's
+// re-routes, a degradation's shrink, a restore, a teardown — checks the state
+// it rebuilds is byte-equal to the live run's, and runs the
+// resize-and-release stage on what comes back.
 func TestRecoveredSlicesReconfigureAndRelease(t *testing.T) {
-	records, _ := allRecordTypesRun(t)
+	records, _, want := allRecordTypesRun(t)
 	cfg := Config{Overbook: true, Risk: 0.9, Audit: true}
 	_, fresh := replayEnv(t, Config{})
 	o, rep, err := RecoverFromWAL(cfg, fresh.tb, fresh.clock, nil, &wal.Recovered{Records: records, LastSeq: uint64(len(records))})
@@ -182,20 +302,22 @@ func TestRecoveredSlicesReconfigureAndRelease(t *testing.T) {
 	if rep.LiveSlices != 2 {
 		t.Fatalf("recovered %d live slices, want the 2 the run left", rep.LiveSlices)
 	}
+	if got := o.StateDigest(); !bytes.Equal(got, want) {
+		t.Fatalf("recovered digest differs from the live run's:\nlive      %s\nrecovered %s", want, got)
+	}
 	reconfigureAndRelease(t, o)
 }
 
 // FuzzApplyRecord: whatever a CRC-valid record says, replaying it onto a
 // populated registry returns — an error or success — and never panics.
-// Seeds are one real record of each of the nine types.
+// Seeds are every record of the fixture run, so each of the nine types comes
+// from each of its live producers.
 func FuzzApplyRecord(f *testing.F) {
-	records, populated := allRecordTypesRun(f)
+	records, populated, _ := allRecordTypesRun(f)
 	seeded := map[string]bool{}
 	for _, r := range records {
-		if !seeded[r.Type] {
-			seeded[r.Type] = true
-			f.Add(r.Type, r.Payload)
-		}
+		seeded[r.Type] = true
+		f.Add(r.Type, r.Payload)
 	}
 	for _, typ := range []string{recAdmit, recReject, recActivate, recTeardown, recResize, recReroute, recEpoch, recLink, recShutdown} {
 		if !seeded[typ] {
@@ -231,7 +353,7 @@ func pr15(t *testing.T, name string) []byte {
 // this build's format — the parent commit's JSON, a later version, nothing
 // at all — each refused with an error naming the version that was wanted.
 func TestReplayRefusesWhatItCannotRead(t *testing.T) {
-	records, populated := allRecordTypesRun(t)
+	records, populated, _ := allRecordTypesRun(t)
 	primed := func() *Orchestrator {
 		_, o := replayEnv(t, Config{Overbook: true, Risk: 0.9})
 		for _, r := range records[:populated] {
@@ -281,20 +403,22 @@ func TestReplayRefusesWhatItCannotRead(t *testing.T) {
 
 // TestConcurrentRunRecoversBitIdentical is the payoff of keeping the books
 // in integers: eight goroutines submit, delete and cap slices on 16 shards
-// while a driver runs control epochs and checkpoints, so operations on
-// different shards touch the ledger and the counters in one order and land
-// in the log in another — and replaying that log still rebuilds a state
-// whose digest is byte-equal to the live one, with the ledger exactly the
-// sum of the live entries. Recovery is checked from the start of the log
-// and from the last checkpoint taken mid-run. The clock stands still during
-// the concurrent part (a standing population activated beforehand is what
-// the epochs measure), the radio grid is sized so PRBs never bind and the
-// run finishes fewer slices than the history holds. Run with -race.
+// while the test goroutine runs control epochs and checkpoints and, between
+// epochs, fails and restores one uplink, so operations on different shards
+// touch the ledger and the counters in one order and land in the log in
+// another, and the writers' admissions race the link transitions — and
+// replaying that log still rebuilds a state whose digest is byte-equal to
+// the live one, with the ledger exactly the sum of the live entries.
+// Recovery is checked from the start of the log and from the last
+// checkpoint taken mid-run. The clock stands still during the concurrent
+// part (a standing population activated beforehand is what the epochs
+// measure), the radio grid is sized so PRBs never bind and the run finishes
+// fewer slices than the history holds. Run with -race.
 func TestConcurrentRunRecoversBitIdentical(t *testing.T) {
 	cfg := Config{Overbook: true, Risk: 0.9, Shards: 16, PLMNLimit: 48, SnapshotEvery: 2, Audit: true}
 	env := func(cfg Config) (*sim.Simulator, *Orchestrator) {
 		s := sim.NewSimulator(1)
-		tb, err := testbed.New(testbed.Config{ENBs: 4, ENBCarriers: 4, MaxPLMNs: 64, CoreHosts: 16, EdgeHosts: 8}, s.Rand())
+		tb, err := testbed.New(testbed.Config{ENBs: 4, ENBCarriers: 4, MaxPLMNs: 64, CoreHosts: 16, EdgeHosts: 8, RedundantTransport: true}, s.Rand())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,6 +498,16 @@ func TestConcurrentRunRecoversBitIdentical(t *testing.T) {
 			goto quiet
 		default:
 			o.RunEpoch()
+			// The uplink's victims re-route over the backup switch; a writer
+			// that routes over the uplink once it is back must be logged
+			// after its restore.
+			if epochs%2 == 0 {
+				if _, err := o.HandleLinkFailure(testbed.ENBName(0), testbed.Switch); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := o.RestoreLink(testbed.ENBName(0), testbed.Switch); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 quiet:
@@ -386,8 +520,14 @@ quiet:
 	}
 	want := o.StateDigest()
 	g := o.Gain()
-	if g.Rejected == 0 || g.Reconfigurations == 0 || g.ViolationEpochs == 0 || sink.snap == nil {
-		t.Fatalf("workload lost its tension: %+v, checkpoint taken: %v", g, sink.snap != nil)
+	reroutes := 0
+	for _, r := range sink.records {
+		if r.Type == recReroute {
+			reroutes++
+		}
+	}
+	if g.Rejected == 0 || g.Reconfigurations == 0 || g.ViolationEpochs == 0 || sink.snap == nil || reroutes == 0 {
+		t.Fatalf("workload lost its tension: %+v, checkpoint taken: %v, %d reroutes", g, sink.snap != nil, reroutes)
 	}
 
 	all := uint64(len(sink.records))

@@ -39,50 +39,27 @@ type RestorationReport struct {
 // with no feasible alternative are terminated (the tenant's SLA failed
 // outright — shown on the dashboard). Safe for concurrent use.
 func (o *Orchestrator) HandleLinkFailure(from, to string) (RestorationReport, error) {
-	rep, err := o.handleLinkFailure(from, to)
-	o.commitPersist()
-	return rep, err
-}
-
-// handleLinkFailure is HandleLinkFailure's body; it holds epochMu and the
-// shard locks for the duration and leaves the WAL commit to the caller.
-func (o *Orchestrator) handleLinkFailure(from, to string) (RestorationReport, error) {
+	defer o.commitPersist() // deferred first, so it runs once every lock is released
 	o.epochMu.Lock()
 	defer o.epochMu.Unlock()
 	o.lockAll()
+	defer o.unlockAll()
 
 	rep := RestorationReport{Link: from + "->" + to}
 	victims := o.tb.Transport.PathsOverLink(from, to)
-	if err := o.tb.Transport.SetLinkUp(from, to, false); err != nil {
-		o.unlockAll()
+	if err := o.transitionLink(&linkRecord{Kind: "fail", From: from, To: to}, EventLinkFailed, ""); err != nil || len(victims) == 0 {
 		return rep, err
-	}
-	linkEv := o.publishLink(EventLinkFailed, rep.Link, "")
-	if o.persist != nil {
-		o.appendRecord(recLink, &linkRecord{Kind: "fail", From: from, To: to}, linkEv)
-	}
-	if len(victims) == 0 {
-		o.unlockAll()
-		return rep, nil
 	}
 
 	// Path IDs are "<sliceID>/<enb>-><dc>"; recover the victim slices.
-	ids := victimSliceIDs(victims)
-
 	var evicted []slice.ID
-	for _, id := range ids {
-		m, ok := o.lookupAllLocked(id)
-		if !ok {
+	for _, id := range victimSliceIDs(victims) {
+		m, ok := o.shardFor(id).slices[id]
+		if !ok || m.s.State() == slice.StateRejected || m.s.State() == slice.StateTerminated {
 			continue
 		}
-		switch m.s.State() {
-		case slice.StateRejected, slice.StateTerminated:
-			continue
-		}
-		if o.rerouteLocked(m, m.s.AllocatedMbps()) {
+		if o.rerouteLocked(m, m.s.AllocatedMbps(), "re-routed around "+rep.Link) {
 			rep.Restored = append(rep.Restored, id)
-			ev := o.publish(EventRestored, m.s, "re-routed around "+rep.Link)
-			o.appendReroute(m, ev)
 		} else {
 			evicted = append(evicted, o.teardownLocked(m, fmt.Sprintf("transport link %s failed, no feasible restoration path", rep.Link), EventDeleted)...)
 			rep.Dropped = append(rep.Dropped, id)
@@ -90,23 +67,23 @@ func (o *Orchestrator) handleLinkFailure(from, to string) (RestorationReport, er
 	}
 	o.dropFinishedAllLocked(evicted)
 	o.auditSweepAllLocked() // restoration is a whole-registry mutation: sweep before unlocking
-	o.unlockAll()
 	return rep, nil
 }
 
-// appendReroute logs the slice's freshly rebuilt transport paths (the
-// outcome of a successful rerouteLocked). The caller holds the shard locks;
-// events may be empty for the degradation shrink's interim re-route.
-func (o *Orchestrator) appendReroute(m *managedSlice, events ...Event) {
-	if o.persist == nil {
-		return
+// transitionLink takes a link verb's transition: decide, publish typ, log,
+// apply. Decide makes no substrate decision — it only checks the transport
+// will take the transition, so a refused one publishes and logs nothing (the
+// transport refuses it again, with its own error and no effect) and the
+// applier that follows the record cannot fail.
+func (o *Orchestrator) transitionLink(lr *linkRecord, typ EventType, detail string) error {
+	if _, ok := o.tb.Transport.Link(lr.From, lr.To); !ok || (lr.Kind == "degrade" && lr.CapacityMbps <= 0) {
+		return o.applyLink(lr)
 	}
-	alloc := m.s.Allocation()
-	o.appendRecord(recReroute, &rerouteRecord{
-		Slice:        m.s.ID(),
-		Paths:        o.pathRecords(alloc.PathIDs),
-		WorstDelayMs: alloc.PathLatencyMs,
-	}, events...)
+	ev := o.publishLink(typ, lr.From+"->"+lr.To, detail)
+	if o.persist != nil {
+		o.appendRecord(recLink, lr, ev)
+	}
+	return o.applyLink(lr)
 }
 
 // victimSliceIDs maps path IDs ("<sliceID>/<enb>-><dc>") onto their unique
@@ -131,14 +108,11 @@ func victimSliceIDs(pathIDs []string) []slice.ID {
 
 // RestoreLink marks the directed link up again. Existing paths are not
 // moved back (make-before-break is a non-goal); new computations will use
-// it.
+// it. The restore record is appended before the link comes up, so an
+// admission that routes over the link is logged after it.
 func (o *Orchestrator) RestoreLink(from, to string) error {
-	if err := o.tb.Transport.SetLinkUp(from, to, true); err != nil {
+	if err := o.transitionLink(&linkRecord{Kind: "restore", From: from, To: to}, EventLinkRestored, ""); err != nil {
 		return err
-	}
-	ev := o.publishLink(EventLinkRestored, from+"->"+to, "")
-	if o.persist != nil {
-		o.appendRecord(recLink, &linkRecord{Kind: "restore", From: from, To: to}, ev)
 	}
 	o.commitPersist()
 	return nil
@@ -152,31 +126,19 @@ func (o *Orchestrator) RestoreLink(from, to string) error {
 // monitoring loop's problem); a slice that cannot even keep the floor is
 // dropped. Safe for concurrent use.
 func (o *Orchestrator) HandleLinkDegradation(from, to string, newCapacityMbps float64) (RestorationReport, error) {
-	rep, err := o.handleLinkDegradation(from, to, newCapacityMbps)
-	o.commitPersist()
-	return rep, err
-}
-
-// handleLinkDegradation is HandleLinkDegradation's body; it holds epochMu
-// and the shard locks for the duration and leaves the WAL commit to the
-// caller.
-func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps float64) (RestorationReport, error) {
+	defer o.commitPersist() // deferred first, so it runs once every lock is released
 	o.epochMu.Lock()
 	defer o.epochMu.Unlock()
 	o.lockAll()
+	defer o.unlockAll()
 
 	rep := RestorationReport{Link: from + "->" + to}
-	if err := o.tb.Transport.SetLinkCapacity(from, to, newCapacityMbps); err != nil {
-		o.unlockAll()
+	lr := &linkRecord{Kind: "degrade", From: from, To: to, CapacityMbps: newCapacityMbps}
+	if err := o.transitionLink(lr, EventLinkDegraded, fmt.Sprintf("capacity rescaled to %.1f Mbps", newCapacityMbps)); err != nil {
 		return rep, err
-	}
-	linkEv := o.publishLink(EventLinkDegraded, rep.Link, fmt.Sprintf("capacity rescaled to %.1f Mbps", newCapacityMbps))
-	if o.persist != nil {
-		o.appendRecord(recLink, &linkRecord{Kind: "degrade", From: from, To: to, CapacityMbps: newCapacityMbps}, linkEv)
 	}
 	over := o.tb.Transport.OversubscribedPaths()
 	if len(over) == 0 {
-		o.unlockAll()
 		return rep, nil
 	}
 
@@ -186,32 +148,25 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 	share := newCapacityMbps / float64(len(ids))
 	var evicted []slice.ID
 	for _, id := range ids {
-		m, ok := o.lookupAllLocked(id)
-		if !ok {
-			continue
-		}
-		switch m.s.State() {
-		case slice.StateRejected, slice.StateTerminated:
+		m, ok := o.shardFor(id).slices[id]
+		if !ok || m.s.State() == slice.StateRejected || m.s.State() == slice.StateTerminated {
 			continue
 		}
 		// First try to keep the full allocation on an alternative route;
 		// failing that, re-establish paths at the fair share of the
-		// degraded link and shrink the radio side to match.
-		if o.rerouteLocked(m, m.s.AllocatedMbps()) {
+		// degraded link and shrink the radio side to match. The interim
+		// re-route at the fair share is its own WAL record with no event —
+		// the EventResized below announces the shrink.
+		if o.rerouteLocked(m, m.s.AllocatedMbps(), "re-routed around degraded "+rep.Link) {
 			rep.Restored = append(rep.Restored, id)
-			ev := o.publish(EventRestored, m.s, "re-routed around degraded "+rep.Link)
-			o.appendReroute(m, ev)
 			continue
 		}
 		target := share
-		if target < o.cfg.FloorMbps || !o.rerouteLocked(m, target) {
+		if target < o.cfg.FloorMbps || !o.rerouteLocked(m, target, "") {
 			evicted = append(evicted, o.teardownLocked(m, fmt.Sprintf("transport link %s degraded below slice floor", rep.Link), EventDeleted)...)
 			rep.Dropped = append(rep.Dropped, id)
 			continue
 		}
-		// The interim re-route at the fair share is its own WAL record (no
-		// event — the EventResized below announces the shrink).
-		o.appendReroute(m)
 		// The re-route just rebuilt the paths at the fair share; shrink the
 		// rest of the allocation to match. The chain head's quantized grant
 		// records the new throughput, and every concurrent-group domain
@@ -232,42 +187,33 @@ func (o *Orchestrator) handleLinkDegradation(from, to string, newCapacityMbps fl
 		for _, d := range o.domains.async {
 			d.Resize(tx, target)
 		}
-		m.sh.reallocate(before, m.s.AllocatedMbps())
 		rep.Restored = append(rep.Restored, id)
 		ev := o.publish(EventResized, m.s, fmt.Sprintf("shrunk to fair share of degraded %s", rep.Link))
-		if o.persist != nil {
-			// Unlike an engine resize, the shrink re-sizes no transport
-			// paths (the re-route above already rebuilt them at the share)
-			// and feeds the MEC app the raw share rather than the radio-
-			// quantized value; PRBs capture the radio's final state even
-			// when its resize failed and only AllocatedMbps moved.
-			alloc := m.s.Allocation()
-			o.appendRecord(recResize, &resizeRecord{
-				Slice:       id,
-				Mbps:        alloc.AllocatedMbps,
-				PRBs:        alloc.PRBs,
-				MECMbps:     target,
-				ResizePaths: false,
-			}, ev)
-		}
+		// Unlike an engine resize, the shrink re-sizes no transport paths
+		// (the re-route above already rebuilt them at the share) and feeds
+		// the MEC app the raw share rather than the radio-quantized value;
+		// PRBs capture the radio's final state even when its resize failed
+		// and only AllocatedMbps moved.
+		o.resizedLocked(m, resizeRecord{Slice: id, Mbps: m.s.AllocatedMbps(), MECMbps: target}, before, ev)
 	}
 	o.dropFinishedAllLocked(evicted)
 	o.auditSweepAllLocked()
-	o.unlockAll()
 	return rep, nil
 }
 
 // rerouteLocked rebuilds the slice's transport paths around the current
-// topology at the given bandwidth, keeping its DC, driving the transport
-// controller through its generic Domain surface (Release + Reserve + grant
-// Apply) with the Set's Wrap decoration applied, so fault-injection and
-// tracing wrappers observe restoration like any engine operation. Old
-// reservations are released first (their bandwidth is stranded on the
-// broken/degraded hop anyway, and the replacement may share the surviving
-// hops); Release is idempotent, so staged fallbacks may call this
-// repeatedly with shrinking targets. Returns success. The caller holds the
-// slice's shard lock.
-func (o *Orchestrator) rerouteLocked(m *managedSlice, mbps float64) bool {
+// topology at the given bandwidth, keeping its DC. Decide drives the
+// transport controller through its generic Domain surface (Release +
+// Reserve + grant Apply) with the Set's Wrap decoration applied, so
+// fault-injection and tracing wrappers observe restoration like any engine
+// operation. Old reservations are released first (their bandwidth is
+// stranded on the broken/degraded hop anyway, and the replacement may share
+// the surviving hops); Release is idempotent, so staged fallbacks may call
+// this repeatedly with shrinking targets. A re-route that succeeds publishes
+// EventRestored with detail (nothing for an empty detail), logs the new
+// paths and goes through applyReroute. Returns success. The caller holds
+// the slice's shard lock.
+func (o *Orchestrator) rerouteLocked(m *managedSlice, mbps float64, detail string) bool {
 	plmn := m.s.PLMN()
 	sla := m.s.SLA()
 	d := o.tb.Ctrl.Wrapped(o.tb.Ctrl.Transport)
@@ -284,6 +230,16 @@ func (o *Orchestrator) rerouteLocked(m *managedSlice, mbps float64) bool {
 		return false
 	}
 	m.s.UpdateAllocation(g.Apply)
-	m.sh.reconfigurations.Add(1)
+	var events []Event
+	if detail != "" {
+		events = append(events, o.publish(EventRestored, m.s, detail))
+	}
+	rr := &rerouteRecord{Slice: m.s.ID()}
+	if o.persist != nil {
+		alloc := m.s.Allocation()
+		rr.Paths, rr.WorstDelayMs = o.pathRecords(alloc.PathIDs), alloc.PathLatencyMs
+		o.appendRecord(recReroute, rr, events...)
+	}
+	_ = o.applyReroute(m, rr, false) // nothing to bind: cannot fail
 	return true
 }

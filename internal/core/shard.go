@@ -29,13 +29,12 @@ import (
 // no cross-shard iteration on the hot path.
 
 // shard is one partition of the orchestrator's slice registry. Its mutex
-// guards the maps and the managedSlice bookkeeping of every slice hashed to
+// guards the map and the managedSlice bookkeeping of every slice hashed to
 // it; its counters (gain.go) are the shard's share of the read plane.
 type shard struct {
-	mu        sync.Mutex
-	idx       int // position in Orchestrator.shards
-	slices    map[slice.ID]*managedSlice
-	timelines map[slice.ID]*InstallTimeline
+	mu     sync.Mutex
+	idx    int // position in Orchestrator.shards
+	slices map[slice.ID]*managedSlice
 
 	// ordered lists the shard's registry entries by ascending submission
 	// sequence — the per-shard run the whole-registry walks merge (see
@@ -50,11 +49,7 @@ type shard struct {
 }
 
 func newShard(idx int) *shard {
-	return &shard{
-		idx:       idx,
-		slices:    make(map[slice.ID]*managedSlice),
-		timelines: make(map[slice.ID]*InstallTimeline),
-	}
+	return &shard{idx: idx, slices: make(map[slice.ID]*managedSlice)}
 }
 
 // shardFor maps a slice ID onto its shard (FNV-1a inlined: this runs on
@@ -125,7 +120,6 @@ func (sh *shard) evict(id slice.ID) *managedSlice {
 		return nil
 	}
 	delete(sh.slices, id)
-	delete(sh.timelines, id)
 	i, found := slices.BinarySearchFunc(sh.ordered, m.seq, func(e orderedEntry, seq int) int {
 		return cmp.Compare(e.seq, seq)
 	})
@@ -218,13 +212,6 @@ func (w *orderedWalk) siftDown(i int) {
 		h[i], h[least] = h[least], h[i]
 		i = least
 	}
-}
-
-// lookupAllLocked finds the managed slice by ID. Caller holds all shard
-// locks (restoration paths).
-func (o *Orchestrator) lookupAllLocked(id slice.ID) (*managedSlice, bool) {
-	m, ok := o.shardFor(id).slices[id]
-	return m, ok
 }
 
 // capacityLedger is the shared radio overbooking budget: the running sum of
