@@ -103,11 +103,14 @@ func TestAdmitAllocCeiling(t *testing.T) {
 // resized allocations in place it spent 15 allocations per active slice
 // (four deep allocation clones, a sorted registry copy, per-cell scheduler
 // maps, telemetry batches); it now spends a fraction of one — what remains
-// is per violation (the event detail string) and per shard worker, not per
-// slice. The ceiling of 3 per slice leaves room for a burst of violations
-// but fails loudly if any per-slice copy comes back.
+// is per violation (the event detail string), not per slice. The ceiling of
+// 1 per slice leaves room for a burst of violations but fails loudly if any
+// per-slice copy comes back.
 func TestEpochAllocCeiling(t *testing.T) {
-	const slices, perSlice = 256, 3
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	const slices, perSlice = 256, 1
 	sys := epochLoadedSystem(t, slices, 16)
 	if got := sys.Orchestrator.ActiveCount(); got != slices {
 		t.Fatalf("loaded %d active slices, want %d", got, slices)

@@ -255,8 +255,8 @@ func TestConcurrentSubmitSqueeze(t *testing.T) {
 }
 
 // TestConcurrentSubmitDeleteWatchDuringEpochs hammers the phase-pipelined
-// epoch: back-to-back RunEpoch passes (serial head, parallel per-shard
-// analysis, ordered commit, snapshot publish) run while workers submit,
+// epoch: back-to-back RunEpoch passes (serial head, ordered analysis and
+// charge, ordered commit, snapshot publish) run while workers submit,
 // record demand and delete slices and a Watch subscriber drains the ordered
 // event stream. Run with -race; the final invariants catch lost counter
 // updates and a stale or inconsistent published snapshot.

@@ -53,9 +53,9 @@
 // maintained submission order (one shard lock at a time, list.go), and
 // each control epoch publishes an immutable EpochSnapshot for epoch-aligned
 // reads. The control epoch itself is a phase pipeline (epoch.go): a brief
-// serial collection pass holds every shard lock in index order, the
-// per-slice analysis phase runs one worker per shard holding only its own
-// shard lock, and reconfigurations commit in submission order. Epoch,
+// serial collection pass holds every shard lock in index order, then the
+// per-slice analysis and the reconfigurations each walk the slices in
+// submission order on the epoch's goroutine, one shard lock at a time. Epoch,
 // squeeze and restoration passes serialize on epochMu; everything else
 // holds at most one shard lock, which keeps the locking deadlock-free by
 // construction (see DESIGN.md §3.4 and §7).
@@ -360,7 +360,7 @@ func New(cfg Config, tb *testbed.Testbed, clock sim.Scheduler, store *monitor.St
 	}
 	o.commit.cond.L = &o.commit.mu
 	for i := range o.shards {
-		o.shards[i] = newShard(i)
+		o.shards[i] = newShard()
 	}
 	if cfg.Audit {
 		o.audit = invariant.New(invariant.Options{OnViolation: cfg.AuditOnViolation})

@@ -213,7 +213,7 @@ func TestEvictedSliceTelemetryDropped(t *testing.T) {
 }
 
 // observeHook is a forecaster that runs a callback, once, inside Observe —
-// that is, inside the epoch's analysis phase P3, under its slice's shard lock.
+// that is, inside the epoch's analysis pass P3, under its slice's shard lock.
 type observeHook struct {
 	forecast.Forecaster
 	onObserve func()
@@ -230,11 +230,13 @@ func (f *observeHook) Observe(v float64) {
 // TestSliceGoneBeforeCommitGetsNoTelemetryRow states the one behavioural edge
 // of writing a slice's telemetry as one row in the commit phase P3c. A slice
 // measured in P1 and analysed in P3 — its demand and served samples counted,
-// its forecaster fed — but torn down before P3c reaches it gets no row for
-// that epoch. (When the three metrics were three rings, demand and served
-// were appended in P3 and such a slice kept a last pair of samples its
-// allocated series never matched.) Its ring leaves the store with it either
-// way; a slice that stays gets its row.
+// its forecaster fed, its violation charged — but torn down before P3c
+// reaches it gets no row for that epoch. (When the three metrics were three
+// rings, demand and served were appended in P3 and such a slice kept a last
+// pair of samples its allocated series never matched.) Its ring leaves the
+// store with it either way; a slice that stays gets its row. The violation it
+// counted in that last epoch is in the books: the charge happens in the same
+// critical section as the count, so no teardown can fall between them.
 func TestSliceGoneBeforeCommitGetsNoTelemetryRow(t *testing.T) {
 	var hooks []*observeHook
 	s, o := env(t, Config{Overbook: true, Risk: 0.9, Shards: 16, NewForecaster: func() forecast.Forecaster {
@@ -242,8 +244,8 @@ func TestSliceGoneBeforeCommitGetsNoTelemetryRow(t *testing.T) {
 		hooks = append(hooks, h)
 		return h
 	}})
-	// Two slices on different shards, so P3 analyses them on two goroutines
-	// and a Delete of one can run while the other's worker is in Observe.
+	// Two slices on different shards, so a Delete of one can run from inside
+	// the other's analysis, which holds only the other's shard lock.
 	var sls []*slice.Slice
 	for len(sls) < 2 || o.shardFor(sls[0].ID()) == o.shardFor(sls[len(sls)-1].ID()) {
 		sl, err := o.Submit(req("edge", 2, 50, time.Hour, 10), nil)
@@ -269,14 +271,18 @@ func TestSliceGoneBeforeCommitGetsNoTelemetryRow(t *testing.T) {
 		t.Fatalf("first epoch wrote %d and %d rows, want 1 and 1", rows(victim, "demand_mbps"), rows(stayer, "demand_mbps"))
 	}
 
-	// Second epoch: the stayer's analysis waits until the victim's has run,
-	// then deletes the victim. Delete needs the victim's shard lock, which
-	// its P3 worker holds until it is done — so the teardown lands after P3
-	// analysed the victim and before P3c starts.
-	analysed := make(chan struct{})
-	hooks[0].onObserve = func() { close(analysed) }
+	// Second epoch: the victim asks for its whole contract, more than the
+	// first epoch shrank it to, so it violates. P3 walks the slices in
+	// submission order and the victim was submitted first, so the stayer's
+	// analysis runs after the victim's and deletes it there — the teardown
+	// lands after P3 analysed the victim and before P3c reaches it.
+	if got := victim.AllocatedMbps(); got >= victim.SLA().ThroughputMbps {
+		t.Fatalf("victim holds %.2f Mbps after the first epoch, want less than its contract", got)
+	}
+	if err := o.RecordDemand(victim.ID(), victim.SLA().ThroughputMbps); err != nil {
+		t.Fatal(err)
+	}
 	hooks[len(hooks)-1].onObserve = func() {
-		<-analysed
 		if err := o.Delete(victim.ID()); err != nil {
 			t.Error(err)
 		}
@@ -285,8 +291,22 @@ func TestSliceGoneBeforeCommitGetsNoTelemetryRow(t *testing.T) {
 	if got := victim.Accounting().ServedEpochs; got != 2 {
 		t.Fatalf("victim was analysed in %d epochs, want 2 (the second ran before its teardown)", got)
 	}
+	if got := victim.Accounting().ViolationEpochs; got != 1 {
+		t.Fatalf("victim counted %d violation epochs, want 1 (its last)", got)
+	}
 	if victim.State() != slice.StateTerminated {
 		t.Fatalf("victim is %s, want terminated", victim.State())
+	}
+	var penalty float64
+	var violations int
+	for _, sl := range sls {
+		a := sl.Accounting()
+		penalty += a.PenaltyEUR
+		violations += a.ViolationEpochs
+	}
+	if g := o.Gain(); g.PenaltyTotalEUR != penalty || g.ViolationEpochs != violations {
+		t.Fatalf("books charged %.2f EUR over %d violation epochs, the slices counted %.2f EUR over %d",
+			g.PenaltyTotalEUR, g.ViolationEpochs, penalty, violations)
 	}
 	for _, metric := range []string{"demand_mbps", "served_mbps", "allocated_mbps"} {
 		if got := rows(victim, metric); got != 1 {

@@ -13,7 +13,7 @@ import (
 func shardsOnly(n int) *Orchestrator {
 	o := &Orchestrator{shards: make([]*shard, n)}
 	for i := range o.shards {
-		o.shards[i] = newShard(i)
+		o.shards[i] = newShard()
 	}
 	return o
 }

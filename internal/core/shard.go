@@ -33,7 +33,6 @@ import (
 // it; its counters (gain.go) are the shard's share of the read plane.
 type shard struct {
 	mu     sync.Mutex
-	idx    int // position in Orchestrator.shards
 	slices map[slice.ID]*managedSlice
 
 	// ordered lists the shard's registry entries by ascending submission
@@ -48,8 +47,8 @@ type shard struct {
 	counters
 }
 
-func newShard(idx int) *shard {
-	return &shard{idx: idx, slices: make(map[slice.ID]*managedSlice)}
+func newShard() *shard {
+	return &shard{slices: make(map[slice.ID]*managedSlice)}
 }
 
 // shardFor maps a slice ID onto its shard (FNV-1a inlined: this runs on

@@ -263,9 +263,9 @@ func (c *RANController) ReleaseSlice(p slice.PLMN) {
 //
 // It is the serial heart of the control epoch (core's phase P2): the
 // orchestrator calls it exactly once per epoch with arrays it reuses across
-// epochs, while the per-slice forecast/provision work runs in the parallel
-// phase around it. Every slice's UEs camp on all cells, so the per-cell
-// demand share is computed once and read by every cell. Served throughput is
+// epochs, before the per-slice forecast/provision pass that reads served.
+// Every slice's UEs camp on all cells, so the per-cell demand share is
+// computed once and read by every cell. Served throughput is
 // summed per PLMN across cells in cell order and each cell accumulates its
 // PRB sums in reservation order — the summation orders of the map-based pass
 // this replaces, so fixed-seed runs keep their float bits.

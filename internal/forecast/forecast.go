@@ -14,12 +14,10 @@
 //
 // Forecasters and Provisioners are deliberately unsynchronized: each one
 // belongs to exactly one slice, and every Observe/Provision call happens
-// while the caller holds that slice's shard lock. Since PR 4 the control
-// epoch's analysis phase (P3) runs one worker goroutine per shard, so
-// forecasters on different shards are driven in parallel — but a single
-// forecaster still only ever sees one goroutine at a time (its shard's
-// worker, or the squeeze/restore passes, which the orchestrator serializes
-// against the epoch; see DESIGN.md §7). Do not share one instance across
+// while the caller holds that slice's shard lock (the control epoch's
+// analysis pass, or the squeeze/restore passes, which the orchestrator
+// serializes against the epoch; see DESIGN.md §7), so a single forecaster
+// only ever sees one goroutine at a time. Do not share one instance across
 // slices or goroutines.
 package forecast
 

@@ -62,19 +62,20 @@ func TestFixedSeedScenarioGolden(t *testing.T) {
 }
 
 // TestEpochPipelineShardEquivalence is the equivalence proof for the
-// phase-pipelined epoch engine: a fixed-seed scenario run on the Shards=1
-// serial path and on the Shards=16 pipelined path (parallel per-shard
-// analysis workers) must produce identical slice outcomes, identical
+// phase-pipelined epoch engine: a fixed-seed scenario run with Shards=1 and
+// with Shards=16 must publish the identical event stream — every event, in
+// the same sequence — and produce identical slice outcomes, identical
 // telemetry series — every sample of every series, bit for bit — and an
-// identical GainReport. Shard count, like before the pipeline, changes
-// contention only, never outcomes: all RNG draws happen in the epoch's
-// serial head, every order-sensitive mutation (domain resizes, event
-// publication) commits in submission order, the books are integers whose
-// additions commute, and the parallel phase computes only per-slice values.
+// identical GainReport. Shard count changes contention only, never outcomes:
+// every epoch phase walks the slices in submission order whatever shard
+// holds them, so RNG draws, violation charges and announcements, and domain
+// resizes happen in one order, and the books are integers whose additions
+// commute.
 func TestEpochPipelineShardEquivalence(t *testing.T) {
 	type outcome struct {
 		res    Result
 		series map[string][]monitor.Sample
+		events []core.Event
 	}
 	run := func(shards int) outcome {
 		r, err := NewRunner(Options{
@@ -88,11 +89,13 @@ func TestEpochPipelineShardEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var events []core.Event
+		r.Orch.Events().SetTap(func(ev core.Event) { events = append(events, ev) })
 		r.StartArrivals()
 		if err := r.Sim.RunFor(3 * time.Hour); err != nil {
 			t.Fatal(err)
 		}
-		out := outcome{res: r.Collect(), series: map[string][]monitor.Sample{}}
+		out := outcome{res: r.Collect(), series: map[string][]monitor.Sample{}, events: events}
 		store := r.Orch.Store()
 		for _, name := range store.Names() {
 			out.series[name] = store.Series(name).Window(0)
@@ -101,6 +104,19 @@ func TestEpochPipelineShardEquivalence(t *testing.T) {
 	}
 	serial, pipelined := run(1), run(16)
 
+	violations := 0
+	for _, ev := range serial.events {
+		if ev.Type == core.EventViolation {
+			violations++
+		}
+	}
+	if violations == 0 {
+		t.Fatalf("the %d-event stream holds no violation; the test would not see their order", len(serial.events))
+	}
+	t.Logf("%d events, %d violations", len(serial.events), violations)
+	if !reflect.DeepEqual(serial.events, pipelined.events) {
+		t.Errorf("event streams diverged (%d vs %d events)", len(serial.events), len(pipelined.events))
+	}
 	if !reflect.DeepEqual(serial.res.Gain, pipelined.res.Gain) {
 		t.Errorf("gain report diverged:\n serial:    %+v\n pipelined: %+v", serial.res.Gain, pipelined.res.Gain)
 	}

@@ -28,8 +28,8 @@
 // Get, List, Gain, RecordDemand and the control epoch may be driven from
 // many goroutines — independent tenants are admitted and installed in
 // parallel. The control epoch is a phase pipeline (DESIGN.md §7): only its
-// brief serial head quiesces the registry, the per-slice analysis runs one
-// worker per shard, and the read plane (Gain, ActiveCount, List,
+// brief serial head quiesces the registry, the per-slice passes take one
+// shard lock at a time, and the read plane (Gain, ActiveCount, List,
 // LastEpoch) never takes more than one shard lock at a time — a dashboard
 // polling at any rate cannot stall admission.
 //
