@@ -1,7 +1,8 @@
 // Command orchestrator runs the end-to-end slicing orchestrator as a live
 // daemon: the simulated testbed is managed on the wall clock, the REST API
-// is served under /api/v1/ (poll) and /api/v2/ (filtered list, idempotent
-// submit, SSE event stream), and the demo's control dashboard under /.
+// is served under /api/v2/ (filtered list, idempotent submit, SSE event
+// stream, substrate and telemetry reads), and the demo's control dashboard
+// under /.
 //
 // Usage:
 //
@@ -138,14 +139,14 @@ func main() {
 	api := restapi.NewServer(sys.Orchestrator)
 	api.AttachIntent(intent.NewManager(sys.Orchestrator, sim.NewRealtimeClock(), intent.Config{}))
 	mux := http.NewServeMux()
-	mux.Handle("/api/v1/", api)
+	mux.Handle("/api/v1/", api) // the one older name still served: GET /api/v1/gain
 	mux.Handle("/api/v2/", api)
 	mux.Handle("/healthz", api)
 	mux.Handle("/", dashboard.New(sys.Orchestrator))
 
 	log.Printf("end-to-end slicing orchestrator listening on %s (overbook=%v risk=%.2f epoch=%v durable=%v)",
 		*addr, *doOver, *risk, *epoch, *dataDir != "")
-	log.Printf("dashboard: http://localhost%s/  API: http://localhost%s/api/v1/slices  events: http://localhost%s/api/v2/events", *addr, *addr, *addr)
+	log.Printf("dashboard: http://localhost%s/  API: http://localhost%s/api/v2/slices  events: http://localhost%s/api/v2/events", *addr, *addr, *addr)
 
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	errCh := make(chan error, 1)

@@ -311,7 +311,7 @@ func cmdRequest(c *restapi.Client, args []string) error {
 		printSpan(st)
 		return nil
 	}
-	snap, err := c.SubmitSlice(body)
+	snap, err := c.SubmitSlice(body, "")
 	if err != nil {
 		return err
 	}
@@ -439,13 +439,13 @@ func cmdExplain(c *restapi.Client, args []string) error {
 }
 
 func cmdList(c *restapi.Client) error {
-	ls, err := c.ListSlices()
+	page, err := c.ListSlices(restapi.ListQuery{})
 	if err != nil {
 		return err
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "ID\tTENANT\tCLASS\tSTATE\tCONTRACT\tALLOCATED\tNET€\tCAUSE\tREASON")
-	for _, s := range ls {
+	for _, s := range page.Slices {
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.0f\t%.1f\t%.2f\t%s\t%s\n",
 			s.ID, s.Tenant, s.Class, s.State,
 			s.SLA.ThroughputMbps, s.Allocation.AllocatedMbps, s.Accounting.NetEUR, s.RejectCode, s.Reason)

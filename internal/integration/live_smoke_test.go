@@ -1,9 +1,9 @@
 package integration_test
 
 // Live-daemon smoke: boot the exact stack cmd/orchestrator serves — a
-// wall-clock System with the REST API mounted under /api/v1/ and /api/v2/
-// — and drive one idempotent submit / watch / delete round-trip through
-// the v2 client, asserting the ordered event stream reports the whole
+// wall-clock System with the REST API mounted as the daemon mounts it — and
+// drive one idempotent submit / watch / delete round-trip through the
+// client, asserting the ordered event stream reports the whole
 // lifecycle. The CI workflow runs the same round-trip against the real
 // binary; this in-process twin keeps it in tier-1 and under -race.
 
@@ -72,7 +72,7 @@ func TestLiveDaemonV2RoundTrip(t *testing.T) {
 		Tenant: "smoke", DurationSeconds: 300, MaxLatencyMs: 40,
 		ThroughputMbps: 15, PriceEUR: 20, PenaltyEUR: 1,
 	}
-	snap, err := c.SubmitSliceV2(body, "smoke-key")
+	snap, err := c.SubmitSlice(body, "smoke-key")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,22 +80,22 @@ func TestLiveDaemonV2RoundTrip(t *testing.T) {
 		t.Fatalf("state %q reason %q", snap.State, snap.Reason)
 	}
 	// Idempotent retry returns the same slice.
-	again, err := c.SubmitSliceV2(body, "smoke-key")
+	again, err := c.SubmitSlice(body, "smoke-key")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.ID != snap.ID {
 		t.Fatalf("idempotent retry created %s, want %s", again.ID, snap.ID)
 	}
-	// The filtered v2 list sees it.
-	page, err := c.ListSlicesV2(restapi.ListQuery{Tenant: "smoke"})
+	// The filtered list sees it.
+	page, err := c.ListSlices(restapi.ListQuery{Tenant: "smoke"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(page.Slices) != 1 || page.Slices[0].ID != snap.ID {
-		t.Fatalf("v2 list %+v", page.Slices)
+		t.Fatalf("list %+v", page.Slices)
 	}
-	if err := c.DeleteSliceV2(snap.ID); err != nil {
+	if err := c.DeleteSlice(snap.ID); err != nil {
 		t.Fatal(err)
 	}
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/intent"
@@ -45,6 +46,16 @@ func (e *apiError) Error() string {
 	return fmt.Sprintf("restapi: server returned %d: %s", e.Status, e.Msg)
 }
 
+// responseError decodes an error response's envelope; a body that is not one
+// (the mux's own 404) falls back to the status line.
+func responseError(resp *http.Response) error {
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		eb.Error = resp.Status
+	}
+	return &apiError{Status: resp.StatusCode, Msg: eb.Error}
+}
+
 // do performs a request and decodes the JSON response into out (unless nil).
 func (c *Client) do(method, path string, in, out any) error {
 	return c.doHeaders(method, path, nil, in, out)
@@ -76,16 +87,20 @@ func (c *Client) doHeaders(method, path string, hdr http.Header, in, out any) er
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
-		var eb errorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-			eb.Error = resp.Status
-		}
-		return &apiError{Status: resp.StatusCode, Msg: eb.Error}
+		return responseError(resp)
 	}
 	if out == nil {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// idemHeader carries a non-empty Idempotency-Key; nil for an empty key.
+func idemHeader(key string) http.Header {
+	if key == "" {
+		return nil
+	}
+	return http.Header{"Idempotency-Key": []string{key}}
 }
 
 // Health checks /healthz.
@@ -94,41 +109,48 @@ func (c *Client) Health() error {
 }
 
 // SubmitSlice posts a slice request and returns the resulting snapshot
-// (state "installing" or "rejected" with the reason filled in).
-func (c *Client) SubmitSlice(body SliceRequestBody) (slice.Snapshot, error) {
+// (state "installing" or "rejected" with the reason filled in). A non-empty
+// idempotencyKey deduplicates retries: resubmitting with the same key returns
+// the same slice instead of creating another.
+func (c *Client) SubmitSlice(body SliceRequestBody, idempotencyKey string) (slice.Snapshot, error) {
 	var snap slice.Snapshot
-	err := c.do(http.MethodPost, "/api/v1/slices", body, &snap)
+	err := c.doHeaders(http.MethodPost, "/api/v2/slices", idemHeader(idempotencyKey), body, &snap)
 	return snap, err
 }
 
-// ListSlices returns all slice snapshots.
-func (c *Client) ListSlices() ([]slice.Snapshot, error) {
-	var out []slice.Snapshot
-	err := c.do(http.MethodGet, "/api/v1/slices", nil, &out)
-	return out, err
+// ListSlices fetches one filtered page of slice snapshots; continue with
+// NextPageToken. The zero ListQuery lists everything in one page.
+func (c *Client) ListSlices(q ListQuery) (core.ListPage, error) {
+	path := "/api/v2/slices"
+	if v := q.values(); len(v) > 0 {
+		path += "?" + v.Encode()
+	}
+	var page core.ListPage
+	err := c.do(http.MethodGet, path, nil, &page)
+	return page, err
 }
 
 // GetSlice fetches one slice.
 func (c *Client) GetSlice(id slice.ID) (slice.Snapshot, error) {
 	var snap slice.Snapshot
-	err := c.do(http.MethodGet, "/api/v1/slices/"+url.PathEscape(string(id)), nil, &snap)
+	err := c.do(http.MethodGet, "/api/v2/slices/"+url.PathEscape(string(id)), nil, &snap)
 	return snap, err
 }
 
 // DeleteSlice tears a slice down.
 func (c *Client) DeleteSlice(id slice.ID) error {
-	return c.do(http.MethodDelete, "/api/v1/slices/"+url.PathEscape(string(id)), nil, nil)
+	return c.do(http.MethodDelete, "/api/v2/slices/"+url.PathEscape(string(id)), nil, nil)
 }
 
 // RecordDemand feeds a live demand sample for a slice.
 func (c *Client) RecordDemand(id slice.ID, mbps float64) error {
-	return c.do(http.MethodPost, "/api/v1/slices/"+url.PathEscape(string(id))+"/demand", DemandBody{Mbps: mbps}, nil)
+	return c.do(http.MethodPost, "/api/v2/slices/"+url.PathEscape(string(id))+"/demand", DemandBody{Mbps: mbps}, nil)
 }
 
 // Gain fetches the gains-vs-penalties report.
 func (c *Client) Gain() (core.GainReport, error) {
 	var g core.GainReport
-	err := c.do(http.MethodGet, "/api/v1/gain", nil, &g)
+	err := c.do(http.MethodGet, "/api/v2/gain", nil, &g)
 	return g, err
 }
 
@@ -144,14 +166,19 @@ func (c *Client) LastEpoch() (core.EpochSnapshot, error) {
 // Metrics fetches the latest value of every series.
 func (c *Client) Metrics() (map[string]float64, error) {
 	var out map[string]float64
-	err := c.do(http.MethodGet, "/api/v1/metrics", nil, &out)
+	err := c.do(http.MethodGet, "/api/v2/metrics", nil, &out)
 	return out, err
 }
 
 // MetricSeries fetches one series (window = number of most recent samples,
-// 0 for all stored).
+// 0 for all stored). Each "/"-separated segment of the name is escaped, so a
+// name holding '?', '#', '%' or a space reaches the server intact.
 func (c *Client) MetricSeries(name string, window int) (SeriesResponse, error) {
-	path := "/api/v1/metrics/" + name
+	segs := strings.Split(name, "/")
+	for i, seg := range segs {
+		segs[i] = url.PathEscape(seg)
+	}
+	path := "/api/v2/metrics/" + strings.Join(segs, "/")
 	if window > 0 {
 		path += fmt.Sprintf("?window=%d", window)
 	}
@@ -163,12 +190,12 @@ func (c *Client) MetricSeries(name string, window int) (SeriesResponse, error) {
 // Topology fetches the transport link table.
 func (c *Client) Topology() ([]transport.LinkSnapshot, error) {
 	var out []transport.LinkSnapshot
-	err := c.do(http.MethodGet, "/api/v1/topology", nil, &out)
+	err := c.do(http.MethodGet, "/api/v2/topology", nil, &out)
 	return out, err
 }
 
 func linkPath(from, to, op string) string {
-	return "/api/v1/links/" + url.PathEscape(from) + "/" + url.PathEscape(to) + "/" + op
+	return "/api/v2/links/" + url.PathEscape(from) + "/" + url.PathEscape(to) + "/" + op
 }
 
 // FailLink takes the directed link down; the orchestrator re-routes or
@@ -192,7 +219,7 @@ func (c *Client) DegradeLink(from, to string, capacityMbps float64) (core.Restor
 	return rep, err
 }
 
-// ListQuery filters and paginates ListSlicesV2; the zero value lists
+// ListQuery filters and paginates ListSlices; the zero value lists
 // everything in one page.
 type ListQuery struct {
 	State      string
@@ -220,43 +247,6 @@ func (q ListQuery) values() url.Values {
 		v.Set("page_token", q.PageToken)
 	}
 	return v
-}
-
-// ListSlicesV2 fetches one filtered page of slice snapshots from
-// GET /api/v2/slices; continue with NextPageToken.
-func (c *Client) ListSlicesV2(q ListQuery) (core.ListPage, error) {
-	path := "/api/v2/slices"
-	if v := q.values(); len(v) > 0 {
-		path += "?" + v.Encode()
-	}
-	var page core.ListPage
-	err := c.do(http.MethodGet, path, nil, &page)
-	return page, err
-}
-
-// SubmitSliceV2 posts a slice request through /api/v2/slices. A non-empty
-// idempotencyKey deduplicates retries: resubmitting with the same key
-// returns the same slice instead of creating another.
-func (c *Client) SubmitSliceV2(body SliceRequestBody, idempotencyKey string) (slice.Snapshot, error) {
-	var hdr http.Header
-	if idempotencyKey != "" {
-		hdr = http.Header{"Idempotency-Key": []string{idempotencyKey}}
-	}
-	var snap slice.Snapshot
-	err := c.doHeaders(http.MethodPost, "/api/v2/slices", hdr, body, &snap)
-	return snap, err
-}
-
-// GetSliceV2 fetches one slice through /api/v2/.
-func (c *Client) GetSliceV2(id slice.ID) (slice.Snapshot, error) {
-	var snap slice.Snapshot
-	err := c.do(http.MethodGet, "/api/v2/slices/"+url.PathEscape(string(id)), nil, &snap)
-	return snap, err
-}
-
-// DeleteSliceV2 tears a slice down through /api/v2/.
-func (c *Client) DeleteSliceV2(id slice.ID) error {
-	return c.do(http.MethodDelete, "/api/v2/slices/"+url.PathEscape(string(id)), nil, nil)
 }
 
 // --- intent plane (templates / fleets / rollouts) ---
@@ -319,12 +309,8 @@ func (c *Client) DryRunSlice(body SliceRequestBody) (core.DryRunReport, error) {
 // Instantiate bulk-creates a fleet from a published template. A non-empty
 // idempotencyKey deduplicates retries.
 func (c *Client) Instantiate(body InstantiateBody, idempotencyKey string) (intent.Fleet, error) {
-	var hdr http.Header
-	if idempotencyKey != "" {
-		hdr = http.Header{"Idempotency-Key": []string{idempotencyKey}}
-	}
 	var f intent.Fleet
-	err := c.doHeaders(http.MethodPost, "/api/v2/fleets", hdr, body, &f)
+	err := c.doHeaders(http.MethodPost, "/api/v2/fleets", idemHeader(idempotencyKey), body, &f)
 	return f, err
 }
 
@@ -345,12 +331,8 @@ func (c *Client) GetFleet(id string) (intent.Fleet, error) {
 // StartRollout begins a canary rollout. A non-empty idempotencyKey
 // deduplicates retries.
 func (c *Client) StartRollout(body RolloutBody, idempotencyKey string) (intent.Rollout, error) {
-	var hdr http.Header
-	if idempotencyKey != "" {
-		hdr = http.Header{"Idempotency-Key": []string{idempotencyKey}}
-	}
 	var ro intent.Rollout
-	err := c.doHeaders(http.MethodPost, "/api/v2/rollouts", hdr, body, &ro)
+	err := c.doHeaders(http.MethodPost, "/api/v2/rollouts", idemHeader(idempotencyKey), body, &ro)
 	return ro, err
 }
 

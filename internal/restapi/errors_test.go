@@ -1,8 +1,8 @@
 package restapi
 
-// Satellite coverage: the v1/v2 error surface — method-not-allowed JSON
-// envelopes across every route, the validation-vs-internal submit status
-// mapping, client error decoding, and writeJSON's encode-failure logging.
+// The error surface: method-not-allowed JSON envelopes across every route,
+// the validation-vs-internal submit status mapping, client error decoding,
+// and writeJSON's encode-failure logging.
 
 import (
 	"encoding/json"
@@ -22,51 +22,51 @@ import (
 )
 
 // TestMethodNotAllowedAllRoutes table-drives the wrong method against every
-// method-restricted route, v1 and v2: all must return the JSON 405 envelope
-// (not the mux's plain-text default) with the route's usage hint.
+// method-restricted route: all must return the JSON 405 envelope (not the
+// mux's plain-text default) with the route's usage hint. The /api/v1 twin of
+// each path, HEAD included, must be unrouted: only /api/v1/gain is served.
 func TestMethodNotAllowedAllRoutes(t *testing.T) {
 	c, _ := apiEnv(t)
-	cases := []struct {
+	do := func(t *testing.T, method, path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(method, c.BaseURL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	retired := []string{"HEAD /api/v1/slices", "HEAD /api/v1/slices/s-1"}
+	for _, tc := range []struct {
 		method, path, wantMsg string
 	}{
-		{http.MethodPut, "/api/v1/slices", "restapi: use GET or POST"},
-		{http.MethodDelete, "/api/v1/slices", "restapi: use GET or POST"},
-		{http.MethodHead, "/api/v1/slices", "restapi: use GET or POST"},
-		{http.MethodPatch, "/api/v1/slices/s-1", "restapi: use GET or DELETE"},
-		{http.MethodPost, "/api/v1/slices/s-1", "restapi: use GET or DELETE"},
-		{http.MethodHead, "/api/v1/slices/s-1", "restapi: use GET or DELETE"},
-		{http.MethodGet, "/api/v1/slices/s-1/demand", "restapi: use POST"},
-		{http.MethodDelete, "/api/v1/slices/s-1/demand", "restapi: use POST"},
+		{http.MethodPut, "/api/v2/slices", "restapi: use GET or POST"},
+		{http.MethodDelete, "/api/v2/slices", "restapi: use GET or POST"},
+		{http.MethodPatch, "/api/v2/slices/s-1", "restapi: use GET or DELETE"},
+		{http.MethodPost, "/api/v2/slices/s-1", "restapi: use GET or DELETE"},
+		{http.MethodGet, "/api/v2/slices/s-1/demand", "restapi: use POST"},
+		{http.MethodDelete, "/api/v2/slices/s-1/demand", "restapi: use POST"},
 		// Subtree-fallback paths the method patterns reject keep the old
 		// prefix handler's envelope too.
-		{http.MethodPost, "/api/v1/slices/s-1/extra", "restapi: use GET or DELETE"},
-		{http.MethodPut, "/api/v1/slices/", "restapi: use GET or DELETE"},
-		{http.MethodGet, "/api/v1/links/a/b/fail", "restapi: use POST"},
-		{http.MethodPut, "/api/v1/links/a/b/degrade", "restapi: use POST"},
-		{http.MethodPut, "/api/v2/slices", "restapi: use GET or POST"},
-		{http.MethodPatch, "/api/v2/slices/s-1", "restapi: use GET or DELETE"},
+		{http.MethodPost, "/api/v2/slices/s-1/extra", "restapi: use GET or DELETE"},
+		{http.MethodPut, "/api/v2/slices/", "restapi: use GET or DELETE"},
+		{http.MethodGet, "/api/v2/links/a/b/fail", "restapi: use POST"},
+		{http.MethodPut, "/api/v2/links/a/b/degrade", "restapi: use POST"},
 		{http.MethodPost, "/api/v2/events", "restapi: use GET"},
 		{http.MethodDelete, "/api/v2/events", "restapi: use GET"},
-	}
-	for _, tc := range cases {
+	} {
+		retired = append(retired, tc.method+" "+strings.Replace(tc.path, "/api/v2/", "/api/v1/", 1))
 		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
-			req, err := http.NewRequest(tc.method, c.BaseURL+tc.path, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
+			resp := do(t, tc.method, tc.path)
 			if resp.StatusCode != http.StatusMethodNotAllowed {
 				t.Fatalf("status %d, want 405", resp.StatusCode)
 			}
 			if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
 				t.Fatalf("content type %q: the JSON envelope was lost", ct)
-			}
-			if tc.method == http.MethodHead {
-				return // HEAD responses carry no body by HTTP semantics
 			}
 			var eb errorBody
 			if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
@@ -77,11 +77,26 @@ func TestMethodNotAllowedAllRoutes(t *testing.T) {
 			}
 		})
 	}
+	for _, name := range retired {
+		method, path, _ := strings.Cut(name, " ")
+		t.Run(name, func(t *testing.T) { isUnrouted(t, do(t, method, path)) })
+	}
+}
+
+// isUnrouted asserts the mux's own 404: no row of any route table matched.
+func isUnrouted(t *testing.T, resp *http.Response) {
+	t.Helper()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("status %d, want the mux's 404", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct == "application/json" {
+		t.Fatalf("content type %q: a route table still answers this path", ct)
+	}
 }
 
 // TestSubmitInternalError5xx pins the satellite fix: validation failures
 // stay 400, but a post-validation Submit failure (capacity ledger,
-// transition bug, ...) is an internal 5xx — on v1 and v2 alike.
+// transition bug, ...) is an internal 5xx.
 func TestSubmitInternalError5xx(t *testing.T) {
 	s := sim.NewSimulator(1)
 	tb, err := testbed.New(testbed.Default(), s.Rand())
@@ -96,26 +111,24 @@ func TestSubmitInternalError5xx(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	for _, path := range []string{"/api/v1/slices", "/api/v2/slices"} {
-		resp, err := http.Post(ts.URL+path, "application/json", jsonBody(t, validBody()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eb errorBody
-		json.NewDecoder(resp.Body).Decode(&eb)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusInternalServerError {
-			t.Fatalf("%s: status %d, want 500", path, resp.StatusCode)
-		}
-		if !strings.Contains(eb.Error, "ledger corrupted") {
-			t.Fatalf("%s: error %q", path, eb.Error)
-		}
+	resp, err := http.Post(ts.URL+"/api/v2/slices", "application/json", jsonBody(t, validBody()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	json.NewDecoder(resp.Body).Decode(&eb)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", resp.StatusCode)
+	}
+	if !strings.Contains(eb.Error, "ledger corrupted") {
+		t.Fatalf("error %q", eb.Error)
 	}
 
 	// Validation failures remain the tenant's 400 even with the seam broken.
 	bad := validBody()
 	bad.ThroughputMbps = -1
-	resp, err := http.Post(ts.URL+"/api/v1/slices", "application/json", jsonBody(t, bad))
+	resp, err = http.Post(ts.URL+"/api/v2/slices", "application/json", jsonBody(t, bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +159,11 @@ func TestIdempotentSubmitFailureNotCached(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL)
 
-	if _, err := c.SubmitSliceV2(validBody(), "retry-key"); err == nil {
+	if _, err := c.SubmitSlice(validBody(), "retry-key"); err == nil {
 		t.Fatal("expected the injected failure")
 	}
 	fail = false
-	snap, err := c.SubmitSliceV2(validBody(), "retry-key")
+	snap, err := c.SubmitSlice(validBody(), "retry-key")
 	if err != nil {
 		t.Fatalf("retry after 5xx failed: %v", err)
 	}
@@ -181,17 +194,16 @@ func TestClientErrorPaths(t *testing.T) {
 	}
 
 	// Non-JSON error body (the mux's own 404) falls back to the status line.
-	if err := c.do(http.MethodGet, "/api/v1/nope", nil, nil); err == nil {
+	if err := c.do(http.MethodGet, "/api/v2/nope", nil, nil); err == nil {
 		t.Fatal("unknown route accepted")
 	} else if !errors.As(err, &ae) || ae.Status != http.StatusNotFound || ae.Msg == "" {
 		t.Fatalf("plain-text 404: %v", err)
 	}
 
 	// Malformed slice paths keep the old prefix handler's JSON 404
-	// envelope (first segment is taken as the — unknown — ID), v1 and v2.
+	// envelope (first segment is taken as the — unknown — ID).
 	for _, path := range []string{
-		"/api/v1/slices/", "/api/v1/slices/ghost/extra/deep",
-		"/api/v2/slices/", "/api/v2/slices/ghost/extra",
+		"/api/v2/slices/", "/api/v2/slices/ghost/extra", "/api/v2/slices/ghost/extra/deep",
 	} {
 		err := c.do(http.MethodGet, path, nil, nil)
 		if !errors.As(err, &ae) || ae.Status != http.StatusNotFound || !strings.Contains(ae.Msg, "not found") {
@@ -199,8 +211,8 @@ func TestClientErrorPaths(t *testing.T) {
 		}
 	}
 
-	// v2 pagination token error surfaces as a 400 apiError.
-	if _, err := c.ListSlicesV2(ListQuery{PageToken: "bogus"}); err == nil {
+	// A pagination token error surfaces as a 400 apiError.
+	if _, err := c.ListSlices(ListQuery{PageToken: "bogus"}); err == nil {
 		t.Fatal("bad page token accepted")
 	} else if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
 		t.Fatalf("bad token: %v", err)
@@ -247,11 +259,11 @@ func TestWriteJSONLogsEncodeError(t *testing.T) {
 // unknown slice, and answer valid samples exactly as before.
 func TestDemandFeedValidation(t *testing.T) {
 	c, _ := apiEnv(t)
-	snap, err := c.SubmitSlice(validBody())
+	snap, err := c.SubmitSlice(validBody(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	known := "/api/v1/slices/" + string(snap.ID) + "/demand"
+	known := "/api/v2/slices/" + string(snap.ID) + "/demand"
 	cases := []struct {
 		name, path, body string
 		status           int
@@ -264,7 +276,7 @@ func TestDemandFeedValidation(t *testing.T) {
 		{"absurd", known, `{"mbps":1e300}`, http.StatusBadRequest, "bad demand sample"},
 		{"just above the bound", known, `{"mbps":1000000001}`, http.StatusBadRequest, "bad demand sample"},
 		{"not a number", known, `{"mbps":"NaN"}`, http.StatusBadRequest, ""},
-		{"unknown slice", "/api/v1/slices/ghost/demand", `{"mbps":1}`, http.StatusNotFound, "unknown slice"},
+		{"unknown slice", "/api/v2/slices/ghost/demand", `{"mbps":1}`, http.StatusNotFound, "unknown slice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -23,12 +23,8 @@ func (c *Client) FedClusters() ([]federation.ClusterInfo, error) {
 // deduplicates retries: resubmitting with the same key replays the same
 // span instead of creating another.
 func (c *Client) SubmitSpan(body FedSliceRequestBody, idempotencyKey string) (federation.SpanStatus, error) {
-	var hdr http.Header
-	if idempotencyKey != "" {
-		hdr = http.Header{"Idempotency-Key": []string{idempotencyKey}}
-	}
 	var st federation.SpanStatus
-	err := c.doHeaders(http.MethodPost, "/api/v2/federation/slices", hdr, body, &st)
+	err := c.doHeaders(http.MethodPost, "/api/v2/federation/slices", idemHeader(idempotencyKey), body, &st)
 	return st, err
 }
 

@@ -3,7 +3,7 @@ package restapi
 // The intent-plane surface (DESIGN.md §13): versioned slice templates with
 // server-side dry-run, fleet instantiation, and canary rollouts. Mounted by
 // AttachIntent because the intent Manager is optional equipment — a daemon
-// without one serves the v1/v2 slice surface unchanged.
+// without one serves the slice surface unchanged.
 
 import (
 	"errors"
@@ -93,7 +93,7 @@ func batchPolicyFromString(s string) (core.BatchPolicy, error) {
 // slice submission: first request acts, duplicates replay, failures are not
 // cached.
 func (s *Server) AttachIntent(m *intent.Manager) {
-	is := &intentServer{srv: s, mgr: m,
+	is := &intentServer{mgr: m,
 		fleetIdem:   newIdemStore[intent.Fleet](1024),
 		rolloutIdem: newIdemStore[intent.Rollout](1024),
 	}
@@ -124,7 +124,6 @@ func (is *intentServer) routes() []route {
 
 // intentServer groups the intent handlers and their idempotency stores.
 type intentServer struct {
-	srv         *Server
 	mgr         *intent.Manager
 	fleetIdem   *idemStore[intent.Fleet]
 	rolloutIdem *idemStore[intent.Rollout]

@@ -31,7 +31,7 @@ func redundantEnv(t *testing.T) (*Client, *sim.Simulator) {
 
 func TestFailAndRestoreLinkViaAPI(t *testing.T) {
 	c, s := redundantEnv(t)
-	snap, err := c.SubmitSlice(validBody())
+	snap, err := c.SubmitSlice(validBody(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestFailAndRestoreLinkViaAPI(t *testing.T) {
 
 func TestDegradeLinkViaAPI(t *testing.T) {
 	c, s := redundantEnv(t)
-	if _, err := c.SubmitSlice(validBody()); err != nil {
+	if _, err := c.SubmitSlice(validBody(), ""); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(15 * time.Second)
@@ -73,18 +73,16 @@ func TestDegradeLinkViaAPI(t *testing.T) {
 	if len(rep.Restored) != 1 {
 		t.Fatalf("report %+v", rep)
 	}
-	if _, err := c.DegradeLink(testbed.ENBName(0), testbed.Switch, -1); err == nil {
-		t.Fatal("negative capacity accepted")
+	_, err = c.DegradeLink(testbed.ENBName(0), testbed.Switch, -1)
+	if ae := asAPIError(t, err); ae.Status != http.StatusBadRequest {
+		t.Fatalf("negative capacity: %v, want a 400", ae)
 	}
 }
 
 func TestLinkOpsErrors(t *testing.T) {
 	c, _ := redundantEnv(t)
-	if _, err := c.FailLink("ghost", "sw1"); err == nil {
-		t.Fatal("unknown link accepted")
-	}
 	// Bad op name.
-	resp, err := http.Post(c.BaseURL+"/api/v1/links/a/b/teleport", "application/json", nil)
+	resp, err := http.Post(c.BaseURL+"/api/v2/links/a/b/teleport", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +91,7 @@ func TestLinkOpsErrors(t *testing.T) {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
 	// GET not allowed.
-	resp2, err := http.Get(c.BaseURL + "/api/v1/links/a/b/fail")
+	resp2, err := http.Get(c.BaseURL + "/api/v2/links/a/b/fail")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +100,28 @@ func TestLinkOpsErrors(t *testing.T) {
 		t.Fatalf("status %d", resp2.StatusCode)
 	}
 	// Malformed path.
-	resp3, err := http.Post(c.BaseURL+"/api/v1/links/only-one-part", "application/json", nil)
+	resp3, err := http.Post(c.BaseURL+"/api/v2/links/only-one-part", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d", resp3.StatusCode)
+	}
+}
+
+// TestUnknownLinkIs404 pins the same status for every op on a link the
+// topology does not have: degrade, whose capacity check sits beside the
+// lookup, must not answer 400 where fail and restore answer 404.
+func TestUnknownLinkIs404(t *testing.T) {
+	c, _ := redundantEnv(t)
+	for op, call := range map[string]func() error{
+		"fail":    func() error { _, err := c.FailLink("ghost", "sw1"); return err },
+		"restore": func() error { return c.RestoreLink("ghost", "sw1") },
+		"degrade": func() error { _, err := c.DegradeLink("ghost", "sw1", 5); return err },
+	} {
+		if ae := asAPIError(t, call()); ae.Status != http.StatusNotFound || ae.Msg != "transport: no link ghost->sw1" {
+			t.Errorf("POST /api/v2/links/ghost/sw1/%s: %v, want a 404 naming the link", op, ae)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func TestHealth(t *testing.T) {
 
 func TestSubmitAndGetSlice(t *testing.T) {
 	c, s := apiEnv(t)
-	snap, err := c.SubmitSlice(validBody())
+	snap, err := c.SubmitSlice(validBody(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestSubmitRejectedReportedInBand(t *testing.T) {
 	c, _ := apiEnv(t)
 	body := validBody()
 	body.MaxLatencyMs = 0.01 // unmeetable
-	snap, err := c.SubmitSlice(body)
+	snap, err := c.SubmitSlice(body, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,32 +98,32 @@ func TestSubmitValidationErrors(t *testing.T) {
 	c, _ := apiEnv(t)
 	body := validBody()
 	body.ThroughputMbps = -1
-	if _, err := c.SubmitSlice(body); err == nil {
+	if _, err := c.SubmitSlice(body, ""); err == nil {
 		t.Fatal("invalid throughput accepted")
 	}
 	body = validBody()
 	body.Class = "quantum"
-	if _, err := c.SubmitSlice(body); err == nil {
+	if _, err := c.SubmitSlice(body, ""); err == nil {
 		t.Fatal("unknown class accepted")
 	}
 }
 
 func TestListSlices(t *testing.T) {
 	c, _ := apiEnv(t)
-	c.SubmitSlice(validBody())
-	c.SubmitSlice(validBody())
-	ls, err := c.ListSlices()
+	c.SubmitSlice(validBody(), "")
+	c.SubmitSlice(validBody(), "")
+	page, err := c.ListSlices(ListQuery{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ls) != 2 {
-		t.Fatalf("%d slices", len(ls))
+	if len(page.Slices) != 2 || page.NextPageToken != "" {
+		t.Fatalf("%d slices, next page token %q", len(page.Slices), page.NextPageToken)
 	}
 }
 
 func TestDeleteSlice(t *testing.T) {
 	c, s := apiEnv(t)
-	snap, _ := c.SubmitSlice(validBody())
+	snap, _ := c.SubmitSlice(validBody(), "")
 	s.RunFor(15 * time.Second)
 	if err := c.DeleteSlice(snap.ID); err != nil {
 		t.Fatal(err)
@@ -140,21 +140,9 @@ func TestDeleteSlice(t *testing.T) {
 	}
 }
 
-func TestGetUnknownSlice404(t *testing.T) {
-	c, _ := apiEnv(t)
-	_, err := c.GetSlice("nope")
-	if err == nil {
-		t.Fatal("expected 404")
-	}
-	ae, ok := err.(*apiError)
-	if !ok || ae.Status != http.StatusNotFound {
-		t.Fatalf("error %v", err)
-	}
-}
-
 func TestDemandFeed(t *testing.T) {
 	c, s := apiEnv(t)
-	snap, _ := c.SubmitSlice(validBody())
+	snap, _ := c.SubmitSlice(validBody(), "")
 	s.RunFor(15 * time.Second)
 	if err := c.RecordDemand(snap.ID, 12.5); err != nil {
 		t.Fatal(err)
@@ -171,7 +159,7 @@ func TestDemandFeed(t *testing.T) {
 
 func TestGainEndpoint(t *testing.T) {
 	c, s := apiEnv(t)
-	c.SubmitSlice(validBody())
+	c.SubmitSlice(validBody(), "")
 	s.RunFor(15 * time.Second)
 	g, err := c.Gain()
 	if err != nil {
@@ -184,7 +172,7 @@ func TestGainEndpoint(t *testing.T) {
 
 func TestMetricsEndpoints(t *testing.T) {
 	c, s := apiEnv(t)
-	snap, _ := c.SubmitSlice(validBody())
+	snap, _ := c.SubmitSlice(validBody(), "")
 	s.RunFor(15 * time.Second)
 	c.RecordDemand(snap.ID, 10)
 	s.RunFor(5 * time.Minute)
@@ -209,7 +197,7 @@ func TestMetricsEndpoints(t *testing.T) {
 
 func TestMetricSeriesBadWindow(t *testing.T) {
 	c, _ := apiEnv(t)
-	resp, err := http.Get(c.BaseURL + "/api/v1/metrics/foo?window=bogus")
+	resp, err := http.Get(c.BaseURL + "/api/v2/metrics/foo?window=bogus")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +207,7 @@ func TestMetricSeriesBadWindow(t *testing.T) {
 	}
 }
 
-// TestMetricSeriesReadsOnly: GET /api/v1/metrics/{name} is a read. A name no
+// TestMetricSeriesReadsOnly: GET /api/v2/metrics/{name} is a read. A name no
 // one has recorded under answers the 404 envelope and registers nothing —
 // Store.Series would create a default-capacity ring per probed name and
 // nothing ever drops it, so any reader could grow the daemon without bound —
@@ -247,15 +235,15 @@ func TestMetricSeriesReadsOnly(t *testing.T) {
 		body   []byte
 	}
 	unknown := func(name, query string) probe {
-		return probe{"/api/v1/metrics/" + name + query, http.StatusNotFound,
+		return probe{"/api/v2/metrics/" + name + query, http.StatusNotFound,
 			encodeRef(t, errorBody{Error: fmt.Sprintf("restapi: unknown metric %q", name)})}
 	}
 	cases := []probe{
-		{"/api/v1/metrics/" + known, http.StatusOK, ref(0)},
-		{"/api/v1/metrics/" + known + "?window=3", http.StatusOK, ref(3)},
+		{"/api/v2/metrics/" + known, http.StatusOK, ref(0)},
+		{"/api/v2/metrics/" + known + "?window=3", http.StatusOK, ref(3)},
 		unknown("junk/x", ""),
 		unknown("junk/x", "?window=3"),
-		{"/api/v1/metrics/junk/x?window=bogus", http.StatusBadRequest, encodeRef(t, errorBody{Error: `restapi: bad window "bogus"`})},
+		{"/api/v2/metrics/junk/x?window=bogus", http.StatusBadRequest, encodeRef(t, errorBody{Error: `restapi: bad window "bogus"`})},
 	}
 	for i := 0; i < 100; i++ {
 		cases = append(cases, unknown(fmt.Sprintf("junk/%d", i), ""))
@@ -275,6 +263,26 @@ func TestMetricSeriesReadsOnly(t *testing.T) {
 	}
 	if after := store.Names(); !slices.Equal(after, before) {
 		t.Errorf("reads registered series: %d names before, %d after", len(before), len(after))
+	}
+}
+
+// TestMetricSeriesEscapedName: the client escapes each segment of a series
+// name, so one holding '?', '#', '%' or a space reads back whole rather than
+// truncated at the query or fragment, or rejected as a bad escape.
+func TestMetricSeriesEscapedName(t *testing.T) {
+	srv, orch, _ := fuzzOrch(t)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := NewClient(ts.URL)
+	for i, name := range []string{"odd/a b", "odd/what?x=1", "odd/c#d", "odd/100%", "odd/%41/sub dir/z"} {
+		orch.Store().Record(name, time.Unix(int64(i), 0), float64(i+1))
+		got, err := c.MetricSeries(name, 0)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if got.Name != name || len(got.Samples) != 1 || got.Samples[0].Value != float64(i+1) {
+			t.Fatalf("%q read back as %q with %+v", name, got.Name, got.Samples)
+		}
 	}
 }
 
@@ -298,9 +306,9 @@ func TestTopologyEndpoint(t *testing.T) {
 
 func TestInfrastructureEndpoints(t *testing.T) {
 	c, s := apiEnv(t)
-	c.SubmitSlice(validBody())
+	c.SubmitSlice(validBody(), "")
 	s.RunFor(15 * time.Second)
-	for _, path := range []string{"/api/v1/enbs", "/api/v1/datacenters", "/api/v1/epcs"} {
+	for _, path := range []string{"/api/v2/enbs", "/api/v2/datacenters", "/api/v2/epcs"} {
 		resp, err := http.Get(c.BaseURL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -314,7 +322,7 @@ func TestInfrastructureEndpoints(t *testing.T) {
 
 func TestMethodNotAllowed(t *testing.T) {
 	c, _ := apiEnv(t)
-	req, _ := http.NewRequest(http.MethodPut, c.BaseURL+"/api/v1/slices", nil)
+	req, _ := http.NewRequest(http.MethodPut, c.BaseURL+"/api/v2/slices", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -327,7 +335,7 @@ func TestMethodNotAllowed(t *testing.T) {
 
 func TestBadJSONRejected(t *testing.T) {
 	c, _ := apiEnv(t)
-	resp, err := http.Post(c.BaseURL+"/api/v1/slices", "application/json", strings.NewReader("{nope"))
+	resp, err := http.Post(c.BaseURL+"/api/v2/slices", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +350,7 @@ func TestBadJSONRejected(t *testing.T) {
 // benchmark's 2^20-Mbps reject_storm request) is still decided by admission.
 func TestSLABeyondBookBoundsRejected(t *testing.T) {
 	c, _ := apiEnv(t)
-	resp, err := http.Post(c.BaseURL+"/api/v1/slices", "application/json", strings.NewReader(
+	resp, err := http.Post(c.BaseURL+"/api/v2/slices", "application/json", strings.NewReader(
 		`{"tenant":"acme","duration_seconds":3600,"max_latency_ms":20,"throughput_mbps":1e300,"price_eur":100,"penalty_eur":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +361,7 @@ func TestSLABeyondBookBoundsRejected(t *testing.T) {
 	}
 	huge := validBody()
 	huge.ThroughputMbps = 1 << 20
-	snap, err := c.SubmitSlice(huge)
+	snap, err := c.SubmitSlice(huge, "")
 	if err != nil {
 		t.Fatalf("2^20 Mbps: %v, want a decided request", err)
 	}

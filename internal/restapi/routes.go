@@ -20,8 +20,7 @@ type route struct {
 	method string
 	// pattern is the http.ServeMux path pattern, without the method.
 	pattern string
-	// h serves the row. nil answers with the path's generated 405 — how v1
-	// pins HEAD, which a GET pattern would otherwise claim.
+	// h serves the row.
 	h http.HandlerFunc
 }
 
@@ -43,9 +42,7 @@ func mount(mux *http.ServeMux, table []route) {
 	for path, rows := range byPath {
 		var served []string
 		for _, rt := range rows {
-			if rt.h != nil {
-				served = append(served, rt.method)
-			}
+			served = append(served, rt.method)
 		}
 		msg := errors.New("restapi: use " + strings.Join(served, " or "))
 		deny := func(w http.ResponseWriter, r *http.Request) {
@@ -54,7 +51,7 @@ func mount(mux *http.ServeMux, table []route) {
 		if strings.HasSuffix(path, "/") {
 			mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 				for _, rt := range rows {
-					if rt.method == r.Method && rt.h != nil {
+					if rt.method == r.Method {
 						rt.h(w, r)
 						return
 					}
@@ -64,9 +61,6 @@ func mount(mux *http.ServeMux, table []route) {
 			continue
 		}
 		for _, rt := range rows {
-			if rt.h == nil {
-				rt.h = deny
-			}
 			mux.HandleFunc(rt.method+" "+path, rt.h)
 		}
 		mux.HandleFunc(path, deny)

@@ -1,8 +1,9 @@
 package restapi
 
 // Tests that hold by construction of the route tables (routes.go): the 405
-// surface of every row, today's HEAD behaviour, and the intent-plane status
-// mapping that must not depend on user-chosen names.
+// surface of every row, HEAD behaviour, the deleted /api/v1 rows staying
+// unrouted, and the intent-plane status mapping that must not depend on
+// user-chosen names.
 
 import (
 	"bytes"
@@ -24,9 +25,10 @@ import (
 // TestRouteTables405ByConstruction walks every row of the three route tables
 // and sends each path every method the table does not register for it: all
 // must answer the JSON 405 envelope whose text names exactly the registered
-// methods. HEAD is pinned as it behaves today: v1 answers the 405 envelope
-// (its explicit HEAD rows), subtree fallbacks dispatch on the exact method
-// (405), and every other GET route serves HEAD through its GET handler.
+// methods. HEAD is pinned too: subtree fallbacks dispatch on the exact method
+// (405), and every other GET route serves HEAD through its GET handler. The
+// /api/v1 twin of every single-cluster /api/v2 row must answer the mux's own
+// 404 for every method — only /api/v1/gain is still served.
 func TestRouteTables405ByConstruction(t *testing.T) {
 	s := sim.NewSimulator(1)
 	tb, err := testbed.New(testbed.Default(), s.Rand())
@@ -76,13 +78,8 @@ func TestRouteTables405ByConstruction(t *testing.T) {
 		}
 		for pattern, rows := range byPath {
 			var served []string
-			headRow := false
 			for _, rt := range rows {
-				if rt.h != nil {
-					served = append(served, rt.method)
-				} else if rt.method == http.MethodHead {
-					headRow = true
-				}
+				served = append(served, rt.method)
 			}
 			url := srv.URL + wildcard.ReplaceAllString(pattern, "x")
 			want := "restapi: use " + strings.Join(served, " or ")
@@ -115,19 +112,30 @@ func TestRouteTables405ByConstruction(t *testing.T) {
 				continue
 			}
 			t.Run(surface.name+" HEAD "+pattern, func(t *testing.T) {
-				v1 := strings.HasPrefix(pattern, "/api/v1/")
-				subtree := strings.HasSuffix(pattern, "/")
-				if headRow != (v1 && !subtree) {
-					t.Fatalf("HEAD row present = %v: only v1's pattern rows pin HEAD", headRow)
-				}
 				head := do(t, http.MethodHead, url)
-				if v1 || subtree {
+				if strings.HasSuffix(pattern, "/") {
 					is405(t, head)
 					return
 				}
 				if get := do(t, http.MethodGet, url); head.StatusCode != get.StatusCode {
 					t.Fatalf("HEAD status %d, GET status %d: HEAD is served by the GET handler", head.StatusCode, get.StatusCode)
 				}
+			})
+		}
+	}
+
+	srv := httptest.NewServer(api)
+	t.Cleanup(srv.Close)
+	retired := make(map[string]bool)
+	for _, rt := range api.routes() {
+		pattern, ok := strings.CutPrefix(rt.pattern, "/api/v2/")
+		if !ok || pattern == "gain" || retired[pattern] {
+			continue
+		}
+		retired[pattern] = true
+		for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch, http.MethodDelete} {
+			t.Run("single-cluster "+method+" /api/v1/"+pattern, func(t *testing.T) {
+				isUnrouted(t, do(t, method, srv.URL+"/api/v1/"+wildcard.ReplaceAllString(pattern, "x")))
 			})
 		}
 	}

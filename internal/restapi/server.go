@@ -4,13 +4,13 @@
 // submit a slice with duration, maximum latency, expected throughput, price
 // and penalty; watch its state; read the gains-vs-penalties report.
 //
-// Two API versions share one Server (routed with Go 1.22 method patterns):
-//
-//   - /api/v1/ is the original poll-only surface, byte-for-byte preserved.
-//   - /api/v2/ is the event-driven surface (DESIGN.md §6): filtered and
-//     keyset-paginated GET /api/v2/slices, Idempotency-Key-deduplicated
-//     POST /api/v2/slices, and GET /api/v2/events — the ordered lifecycle
-//     stream as Server-Sent Events with ?since=<seq> resume.
+// Every resource has one name under /api/v2/ (routed with Go 1.22 method
+// patterns, DESIGN.md §6): filtered and keyset-paginated GET /api/v2/slices,
+// Idempotency-Key-deduplicated POST /api/v2/slices, GET /api/v2/events — the
+// ordered lifecycle stream as Server-Sent Events with ?since=<seq> resume —
+// and the substrate and telemetry reads (gain, metrics, topology, enbs,
+// datacenters, epcs) with the link and demand hooks. GET /api/v1/gain is the
+// one older name still answered (see routes).
 //
 // Server wraps an *core.Orchestrator; Client is the typed counterpart used
 // by cmd/slicectl and the examples.
@@ -31,9 +31,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/slice"
+	"repro/internal/transport"
 )
 
-// SliceRequestBody is the JSON payload of POST /api/{v1,v2}/slices — exactly
+// SliceRequestBody is the JSON payload of POST /api/v2/slices — exactly
 // the dashboard's form fields (Section 3).
 type SliceRequestBody struct {
 	Tenant string `json:"tenant"`
@@ -89,13 +90,13 @@ func (b SliceRequestBody) Request() (slice.Request, error) {
 	}, nil
 }
 
-// DemandBody is the JSON payload of POST /api/v1/slices/{id}/demand, the
+// DemandBody is the JSON payload of POST /api/v2/slices/{id}/demand, the
 // live-mode monitoring feed.
 type DemandBody struct {
 	Mbps float64 `json:"mbps"`
 }
 
-// SeriesResponse is the payload of GET /api/v1/metrics/{name}.
+// SeriesResponse is the payload of GET /api/v2/metrics/{name}.
 type SeriesResponse struct {
 	Name    string           `json:"name"`
 	Samples []monitor.Sample `json:"samples"`
@@ -117,7 +118,7 @@ type Server struct {
 	submit func(slice.Request) (*slice.Slice, error)
 }
 
-// NewServer builds the API server serving both /api/v1/ and /api/v2/.
+// NewServer builds the API server.
 func NewServer(orch *core.Orchestrator) *Server {
 	s := &Server{orch: orch, mux: http.NewServeMux(), idem: newIdemStore[submitReply](1024)}
 	s.submit = func(req slice.Request) (*slice.Slice, error) { return orch.Submit(req, nil) }
@@ -126,38 +127,33 @@ func NewServer(orch *core.Orchestrator) *Server {
 	return s
 }
 
-// routes is the single-cluster route table. v1 is the poll-only surface,
-// byte-for-byte preserved: it answers HEAD with the 405 envelope (the old
-// hand-rolled method switches did), hence its explicit HEAD rows. v2 is the
-// event-driven surface (v2.go).
+// routes is the single-cluster route table.
 func (s *Server) routes() []route {
-	table := []route{
+	return append([]route{
 		{"", "/healthz", s.handleHealth},
 
-		{http.MethodGet, "/api/v1/slices", s.handleListV1},
-		{http.MethodPost, "/api/v1/slices", s.handleSubmitV1},
-		{http.MethodHead, "/api/v1/slices", nil},
-		{http.MethodHead, "/api/v1/slices/{id}", nil},
-		{http.MethodPost, "/api/v1/slices/{id}/demand", s.handleDemand},
-		{"", "/api/v1/gain", s.handleGain},
-		{"", "/api/v1/metrics", s.handleMetrics},
-		{"", "/api/v1/metrics/{name...}", s.handleMetricSeries},
-		{"", "/api/v1/topology", s.handleTopology},
-		{http.MethodPost, "/api/v1/links/{from}/{to}/{op}", s.handleLinkOps},
-		{http.MethodPost, "/api/v1/links/", s.handleLinkShape},
-		{"", "/api/v1/enbs", s.handleENBs},
-		{"", "/api/v1/datacenters", s.handleDCs},
-		{"", "/api/v1/epcs", s.handleEPCs},
-
-		{http.MethodGet, "/api/v2/slices", s.handleListV2},
-		{http.MethodPost, "/api/v2/slices", s.handleSubmitV2},
+		{http.MethodGet, "/api/v2/slices", s.handleList},
+		{http.MethodPost, "/api/v2/slices", s.handleSubmit},
+		{http.MethodPost, "/api/v2/slices/{id}/demand", s.handleDemand},
+		{"", "/api/v2/gain", s.handleGain},
+		{"", "/api/v2/metrics", s.handleMetrics},
+		{"", "/api/v2/metrics/{name...}", s.handleMetricSeries},
+		{"", "/api/v2/topology", s.handleTopology},
+		{http.MethodPost, "/api/v2/links/{from}/{to}/{op}", s.handleLinkOps},
+		{http.MethodPost, "/api/v2/links/", s.handleLinkShape},
+		{"", "/api/v2/enbs", s.handleENBs},
+		{"", "/api/v2/datacenters", s.handleDCs},
+		{"", "/api/v2/epcs", s.handleEPCs},
 		{http.MethodGet, "/api/v2/events", s.handleEvents},
-		{http.MethodGet, "/api/v2/epoch", s.handleEpochV2},
+		{http.MethodGet, "/api/v2/epoch", s.handleEpoch},
 		{http.MethodGet, "/api/v2/recovery", s.handleRecovery},
 		{http.MethodPost, "/api/v2/dryrun", s.handleDryRunRaw},
-	}
-	table = append(table, itemRoutes("/api/v1/slices", s.handleGetSlice, s.handleDeleteSlice)...)
-	return append(table, itemRoutes("/api/v2/slices", s.handleGetSlice, s.handleDeleteSlice)...)
+
+		// The repository benchmark's poll_watch workload still reads the
+		// gain report here; ROADMAP item 6(e) moves it to /api/v2/gain and
+		// deletes this row.
+		{"", "/api/v1/gain", s.handleGain},
+	}, itemRoutes("/api/v2/slices", s.handleGetSlice, s.handleDeleteSlice)...)
 }
 
 // ServeHTTP implements http.Handler.
@@ -245,14 +241,40 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleListV1 serves GET /api/v1/slices: every slice, one JSON array.
-func (s *Server) handleListV1(w http.ResponseWriter, r *http.Request) {
-	page, err := s.orch.ListFragments(core.ListOptions{})
-	if err != nil {
+// handleList serves GET /api/v2/slices with optional query filters
+// state, tenant, reject_code, limit and page_token (keyset pagination: pass
+// the previous response's next_page_token).
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
+	q := r.URL.Query()
+	opts := core.ListOptions{
+		State:      q.Get("state"),
+		Tenant:     q.Get("tenant"),
+		RejectCode: slice.RejectCode(q.Get("reject_code")),
+		PageToken:  q.Get("page_token"),
+	}
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad limit %q", v))
+			return
+		}
+		opts.Limit = n
+	}
+	page, err := s.orch.ListFragments(opts)
+	switch {
+	case errors.Is(err, core.ErrBadPageToken):
+		writeErr(w, http.StatusBadRequest, err)
+		return
+	case err != nil:
 		writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeFragmentPage(w, "[", page.Slices, "]")
+	end := "]}"
+	if page.NextPageToken != "" {
+		token, _ := json.Marshal(page.NextPageToken) // a string always encodes
+		end = `],"next_page_token":` + string(token) + "}"
+	}
+	writeFragmentPage(w, `{"slices":[`, page.Slices, end)
 }
 
 // decodeSubmitBody parses and validates a slice submission, reporting any
@@ -274,21 +296,17 @@ func (s *Server) decodeSubmitBody(w http.ResponseWriter, r *http.Request) (slice
 	return req, true
 }
 
-// handleSubmitV1 serves POST /api/v1/slices: 202 installing, 200 in-band
+// handleSubmit serves POST /api/v2/slices: 202 installing, 200 in-band
 // rejection (business rejections are not errors). Validation failures are
 // the tenant's fault (400); anything Submit returns after validation passed
-// is an internal failure (500). v1 never deduplicates.
-func (s *Server) handleSubmitV1(w http.ResponseWriter, r *http.Request) {
-	s.submitSlice(w, r, "")
-}
-
-// submitSlice is the one slice-submission path behind v1 and v2.
-func (s *Server) submitSlice(w http.ResponseWriter, r *http.Request, key string) {
+// is an internal failure (500). Idempotency-Key dedup: duplicates replay the
+// first outcome's status with a fresh snapshot of the same slice.
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.decodeSubmitBody(w, r)
 	if !ok {
 		return
 	}
-	idemDo(w, key, s.idem, idemOp[submitReply]{
+	idemDo(w, r.Header.Get("Idempotency-Key"), s.idem, idemOp[submitReply]{
 		act: func() (submitReply, error) {
 			sl, err := s.submit(req)
 			if err != nil {
@@ -334,7 +352,7 @@ func submitStatus(state string) int {
 	return http.StatusAccepted
 }
 
-// handleGetSlice serves GET /api/{v1,v2}/slices/{id}.
+// handleGetSlice serves GET /api/v2/slices/{id}.
 func (s *Server) handleGetSlice(w http.ResponseWriter, r *http.Request) {
 	id := slice.ID(r.PathValue("id"))
 	sl, ok := s.orch.Get(id)
@@ -350,7 +368,7 @@ func (s *Server) handleGetSlice(w http.ResponseWriter, r *http.Request) {
 	writeEncoded(w, http.StatusOK, body)
 }
 
-// handleDeleteSlice serves DELETE /api/{v1,v2}/slices/{id}.
+// handleDeleteSlice serves DELETE /api/v2/slices/{id}.
 func (s *Server) handleDeleteSlice(w http.ResponseWriter, r *http.Request) {
 	if err := s.orch.Delete(slice.ID(r.PathValue("id"))); err != nil {
 		writeErr(w, http.StatusNotFound, err)
@@ -359,7 +377,7 @@ func (s *Server) handleDeleteSlice(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "terminated"})
 }
 
-// handleDemand serves POST /api/v1/slices/{id}/demand.
+// handleDemand serves POST /api/v2/slices/{id}/demand.
 func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 	var body DemandBody
 	if !decodeBody(w, r, &body) {
@@ -374,6 +392,86 @@ func (s *Server) handleDemand(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]string{"status": "recorded"})
+}
+
+// handleEpoch serves GET /api/v2/epoch: the snapshot the control loop's
+// telemetry barrier published at the end of its most recent pass — an
+// epoch-aligned, immutable view of the gain report and RAN utilization that
+// is at most one epoch stale and costs the orchestrator nothing to serve
+// (a single atomic pointer load; see core.EpochSnapshot). 404 until the
+// first epoch completes. Clients that need exact live counters read
+// /api/v2/gain.
+func (s *Server) handleEpoch(w http.ResponseWriter, r *http.Request) {
+	snap, ok := s.orch.LastEpoch()
+	if !ok {
+		writeErr(w, http.StatusNotFound, fmt.Errorf("restapi: no control epoch has completed yet"))
+		return
+	}
+	writeJSON(w, http.StatusOK, snap)
+}
+
+// handleRecovery serves GET /api/v2/recovery: the durability plane's status
+// — whether a write-ahead log is attached, the last appended sequence, any
+// latched persistence error, and (after a restart) the crash-recovery
+// report of the boot (DESIGN.md §9). Always 200: a daemon without -data-dir
+// reports {"enabled": false}.
+func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.orch.PersistStatus())
+}
+
+// handleEvents serves GET /api/v2/events: the ordered slice-lifecycle
+// stream as Server-Sent Events. Each frame carries the event's sequence
+// number as the SSE id, its type as the SSE event name, and the JSON
+// encoding as data. Query parameters: since (resume after this sequence;
+// since=0 replays everything the ring retains; absent = live tail),
+// tenant, state and type (each repeatable) filter server-side. A consumer
+// that outruns the bounded replay ring receives one "resync" frame and
+// must re-list state (GET /api/v2/slices) before continuing.
+func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		writeErr(w, http.StatusInternalServerError, errors.New("restapi: streaming unsupported"))
+		return
+	}
+	opts := core.WatchOptions{Buffer: 256}
+	q := r.URL.Query()
+	if v := q.Get("since"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n < 0 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("restapi: bad since %q", v))
+			return
+		}
+		if n == 0 {
+			opts.Since = -1 // explicit since=0: full replay of the ring
+		} else {
+			opts.Since = n
+		}
+	}
+	opts.Tenants = q["tenant"]
+	opts.States = q["state"]
+	for _, t := range q["type"] {
+		opts.Types = append(opts.Types, core.EventType(t))
+	}
+
+	h := w.Header()
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	fmt.Fprint(w, "retry: 2000\n\n")
+	fl.Flush()
+
+	for ev := range s.orch.Watch(r.Context(), opts) {
+		data, err := json.Marshal(ev)
+		if err != nil {
+			logf("restapi: encode event %d: %v", ev.Seq, err)
+			continue
+		}
+		if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data); err != nil {
+			return // client hung up; Watch channel closes via r.Context()
+		}
+		fl.Flush()
+	}
 }
 
 func (s *Server) handleGain(w http.ResponseWriter, r *http.Request) {
@@ -415,14 +513,15 @@ func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.orch.Testbed().Transport.Snapshot())
 }
 
-// LinkOpBody is the JSON payload of POST /api/v1/links/{from}/{to}/degrade.
+// LinkOpBody is the JSON payload of POST /api/v2/links/{from}/{to}/degrade.
 type LinkOpBody struct {
 	CapacityMbps float64 `json:"capacity_mbps"`
 }
 
-// handleLinkOps serves POST /api/v1/links/{from}/{to}/{fail|restore|degrade}
+// handleLinkOps serves POST /api/v2/links/{from}/{to}/{fail|restore|degrade}
 // — the operational hooks for the demo's "different transport network
-// topology configurations" and failure injection.
+// topology configurations" and failure injection. An unknown link is a 404
+// for every op; a degrade to a non-positive capacity is the caller's 400.
 func (s *Server) handleLinkOps(w http.ResponseWriter, r *http.Request) {
 	from, to, op := r.PathValue("from"), r.PathValue("to"), r.PathValue("op")
 	switch op {
@@ -446,7 +545,11 @@ func (s *Server) handleLinkOps(w http.ResponseWriter, r *http.Request) {
 		}
 		rep, err := s.orch.HandleLinkDegradation(from, to, body.CapacityMbps)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			status := http.StatusBadRequest
+			if errors.Is(err, transport.ErrNoLink) {
+				status = http.StatusNotFound
+			}
+			writeErr(w, status, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, rep)
@@ -455,10 +558,10 @@ func (s *Server) handleLinkOps(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleLinkShape answers a POST under /api/v1/links/ whose path is not
+// handleLinkShape answers a POST under /api/v2/links/ whose path is not
 // exactly {from}/{to}/{op} with the shape hint.
 func (s *Server) handleLinkShape(w http.ResponseWriter, r *http.Request) {
-	writeErr(w, http.StatusBadRequest, errors.New("restapi: want /api/v1/links/{from}/{to}/{fail|restore|degrade}"))
+	writeErr(w, http.StatusBadRequest, errors.New("restapi: want /api/v2/links/{from}/{to}/{fail|restore|degrade}"))
 }
 
 func (s *Server) handleENBs(w http.ResponseWriter, r *http.Request) {
@@ -470,14 +573,16 @@ func (s *Server) handleENBs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// dcView is one element of GET /api/v2/datacenters.
+type dcView struct {
+	Name     string  `json:"name"`
+	Kind     string  `json:"kind"`
+	Capacity any     `json:"capacity"`
+	Util     float64 `json:"utilization"`
+}
+
 func (s *Server) handleDCs(w http.ResponseWriter, r *http.Request) {
 	tb := s.orch.Testbed()
-	type dcView struct {
-		Name     string  `json:"name"`
-		Kind     string  `json:"kind"`
-		Capacity any     `json:"capacity"`
-		Util     float64 `json:"utilization"`
-	}
 	var out []dcView
 	for _, dc := range tb.Region.All() {
 		out = append(out, dcView{Name: dc.Name(), Kind: dc.Kind(), Capacity: dc.Capacity(), Util: dc.Utilization()})

@@ -44,19 +44,19 @@ func liveEnv(t *testing.T, clock sim.Scheduler) *Client {
 func TestV2ListFiltersAndPagination(t *testing.T) {
 	c, s := apiEnv(t)
 	for i := 0; i < 3; i++ {
-		if _, err := c.SubmitSlice(validBody()); err != nil {
+		if _, err := c.SubmitSlice(validBody(), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
 	other := validBody()
 	other.Tenant = "zeta"
 	other.MaxLatencyMs = 0.01 // rejected
-	if _, err := c.SubmitSlice(other); err != nil {
+	if _, err := c.SubmitSlice(other, ""); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(15 * time.Second)
 
-	page, err := c.ListSlicesV2(ListQuery{Tenant: "acme"})
+	page, err := c.ListSlices(ListQuery{Tenant: "acme"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestV2ListFiltersAndPagination(t *testing.T) {
 		t.Fatalf("tenant filter: %d slices token %q", len(page.Slices), page.NextPageToken)
 	}
 
-	page, err = c.ListSlicesV2(ListQuery{State: "rejected", RejectCode: slice.RejectLatencyUnmeetable})
+	page, err = c.ListSlices(ListQuery{State: "rejected", RejectCode: slice.RejectLatencyUnmeetable})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,14 @@ func TestV2ListFiltersAndPagination(t *testing.T) {
 	}
 
 	// Two pages of two.
-	page, err = c.ListSlicesV2(ListQuery{Limit: 2})
+	page, err = c.ListSlices(ListQuery{Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(page.Slices) != 2 || page.NextPageToken == "" {
 		t.Fatalf("page 1: %d slices token %q", len(page.Slices), page.NextPageToken)
 	}
-	page2, err := c.ListSlicesV2(ListQuery{Limit: 2, PageToken: page.NextPageToken})
+	page2, err := c.ListSlices(ListQuery{Limit: 2, PageToken: page.NextPageToken})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestV2ListFiltersAndPagination(t *testing.T) {
 
 func TestV2SubmitIdempotency(t *testing.T) {
 	c, _ := apiEnv(t)
-	first, err := c.SubmitSliceV2(validBody(), "key-1")
+	first, err := c.SubmitSlice(validBody(), "key-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestV2SubmitIdempotency(t *testing.T) {
 		t.Fatalf("state %q", first.State)
 	}
 	// Same key replays the same slice; no second admission happens.
-	replay, err := c.SubmitSliceV2(validBody(), "key-1")
+	replay, err := c.SubmitSlice(validBody(), "key-1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,25 +119,25 @@ func TestV2SubmitIdempotency(t *testing.T) {
 		t.Fatalf("replay created a new slice: %s vs %s", replay.ID, first.ID)
 	}
 	// A different key (and no key) create new slices.
-	second, err := c.SubmitSliceV2(validBody(), "key-2")
+	second, err := c.SubmitSlice(validBody(), "key-2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	third, err := c.SubmitSliceV2(validBody(), "")
+	third, err := c.SubmitSlice(validBody(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.ID == first.ID || third.ID == first.ID || third.ID == second.ID {
 		t.Fatalf("ids not unique: %s %s %s", first.ID, second.ID, third.ID)
 	}
-	if ls, _ := c.ListSlices(); len(ls) != 3 {
-		t.Fatalf("%d slices after 4 posts (1 replayed)", len(ls))
+	if page, _ := c.ListSlices(ListQuery{}); len(page.Slices) != 3 {
+		t.Fatalf("%d slices after 4 posts (1 replayed)", len(page.Slices))
 	}
 }
 
 func TestV2SubmitIdempotentReplayHeader(t *testing.T) {
 	c, _ := apiEnv(t)
-	if _, err := c.SubmitSliceV2(validBody(), "key-h"); err != nil {
+	if _, err := c.SubmitSlice(validBody(), "key-h"); err != nil {
 		t.Fatal(err)
 	}
 	req, _ := http.NewRequest(http.MethodPost, c.BaseURL+"/api/v2/slices", jsonBody(t, validBody()))
@@ -177,7 +177,7 @@ func sseCollect(t *testing.T, c *Client, p WatchParams, n int) []core.Event {
 
 func TestSSEStreamDeliversLifecycle(t *testing.T) {
 	c, s := apiEnv(t)
-	snap, err := c.SubmitSlice(validBody())
+	snap, err := c.SubmitSlice(validBody(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestSSEResumeAfterDisconnect(t *testing.T) {
 
 	// Phase 1: generate some events, consume a prefix, then kill the
 	// connection (context cancel closes the TCP stream mid-flight).
-	a, err := c.SubmitSlice(validBody())
+	a, err := c.SubmitSlice(validBody(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestSSEResumeAfterDisconnect(t *testing.T) {
 	}
 
 	// Phase 2: more lifecycle activity while disconnected.
-	b, err := c.SubmitSlice(validBody())
+	b, err := c.SubmitSlice(validBody(), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +261,12 @@ func TestSSEResumeAfterDisconnect(t *testing.T) {
 
 func TestSSEFiltersAndBadSince(t *testing.T) {
 	c, s := apiEnv(t)
-	if _, err := c.SubmitSlice(validBody()); err != nil {
+	if _, err := c.SubmitSlice(validBody(), ""); err != nil {
 		t.Fatal(err)
 	}
 	other := validBody()
 	other.Tenant = "zeta"
-	if _, err := c.SubmitSlice(other); err != nil {
+	if _, err := c.SubmitSlice(other, ""); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(15 * time.Second)
@@ -292,29 +292,6 @@ func TestSSEFiltersAndBadSince(t *testing.T) {
 	}
 }
 
-// TestV2GetDelete drives the v2 per-slice routes.
-func TestV2GetDelete(t *testing.T) {
-	c, s := apiEnv(t)
-	snap, err := c.SubmitSliceV2(validBody(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RunFor(15 * time.Second)
-	got, err := c.GetSliceV2(snap.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.State != "active" {
-		t.Fatalf("state %q", got.State)
-	}
-	if err := c.DeleteSliceV2(snap.ID); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.DeleteSliceV2(snap.ID); err == nil {
-		t.Fatal("double delete accepted")
-	}
-}
-
 // TestLiveClockSSE exercises the stream against a wall-clock orchestrator
 // (no simulator driving delivery), as the daemon runs it.
 func TestLiveClockSSE(t *testing.T) {
@@ -335,11 +312,11 @@ func TestLiveClockSSE(t *testing.T) {
 		})
 	}()
 	time.Sleep(50 * time.Millisecond) // let the subscriber attach
-	snap, err := c.SubmitSliceV2(validBody(), "live-key")
+	snap, err := c.SubmitSlice(validBody(), "live-key")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.DeleteSliceV2(snap.ID); err != nil {
+	if err := c.DeleteSlice(snap.ID); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -363,7 +340,7 @@ func TestV2EpochSnapshot(t *testing.T) {
 		t.Fatal("epoch snapshot served before the first epoch")
 	}
 
-	snap0, err := c.SubmitSlice(validBody())
+	snap0, err := c.SubmitSlice(validBody(), "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,11 +83,7 @@ func (c *Client) StreamEvents(ctx context.Context, p WatchParams, fn func(core.E
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var eb errorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-			eb.Error = resp.Status
-		}
-		return 0, &apiError{Status: resp.StatusCode, Msg: eb.Error}
+		return 0, responseError(resp)
 	}
 
 	var last int64

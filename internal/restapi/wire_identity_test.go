@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/monitor"
 	"repro/internal/slice"
 	"repro/internal/traffic"
 )
@@ -200,25 +201,71 @@ func TestWireIdentityPagesConcatenate(t *testing.T) {
 	}
 }
 
-func TestWireIdentityListV1AndGet(t *testing.T) {
+// TestWireIdentityGet covers the per-slice read of every state, and the list
+// of a registry that holds nothing.
+func TestWireIdentityGet(t *testing.T) {
 	srv, orch := wirePopulation(t)
-	checkWire(t, "v1 list", serve(srv, http.MethodGet, "/api/v1/slices", nil, ""), encodeRef(t, orch.List()))
 	for _, snap := range orch.List() {
-		for _, base := range []string{"/api/v1/slices/", "/api/v2/slices/"} {
-			rec := serve(srv, http.MethodGet, base+string(snap.ID), nil, "")
-			if rec.Code != http.StatusOK {
-				t.Fatalf("get %s: status %d", snap.ID, rec.Code)
-			}
-			checkWire(t, base+string(snap.ID), rec, encodeRef(t, snap))
+		target := "/api/v2/slices/" + string(snap.ID)
+		rec := serve(srv, http.MethodGet, target, nil, "")
+		if rec.Code != http.StatusOK {
+			t.Fatalf("get %s: status %d", snap.ID, rec.Code)
 		}
+		checkWire(t, target, rec, encodeRef(t, snap))
 	}
 
 	empty, fresh, _ := fuzzOrch(t)
-	checkWire(t, "empty v1 list", serve(empty, http.MethodGet, "/api/v1/slices", nil, ""), encodeRef(t, fresh.List()))
+	checkListIdentity(t, fresh, core.ListOptions{}, serve(empty, http.MethodGet, listTarget(core.ListOptions{}), nil, ""))
 }
 
-// TestWireIdentitySubmit covers the submit reply on both surfaces, accepted
-// and rejected, and an Idempotency-Replay refreshed after the slice changed.
+// TestWireIdentityResources covers the substrate and telemetry reads: each
+// answers exactly encoding/json over the value its handler encodes, and the
+// gain report keeps the same bytes under the /api/v1 name still served.
+func TestWireIdentityResources(t *testing.T) {
+	srv, orch := wirePopulation(t)
+	tb := orch.Testbed()
+	series := orch.Store().Series(monitor.DomainMetric("ran", "utilization"))
+	for i := 0; i < 5; i++ {
+		series.Add(time.Unix(int64(i), 0), float64(i)/7)
+	}
+	var enbs []any
+	for _, e := range tb.RAN.All() {
+		enbs = append(enbs, e.Snapshot())
+	}
+	var dcs []dcView
+	for _, dc := range tb.Region.All() {
+		dcs = append(dcs, dcView{Name: dc.Name(), Kind: dc.Kind(), Capacity: dc.Capacity(), Util: dc.Utilization()})
+	}
+	var epcs []any
+	for _, in := range tb.Ctrl.Cloud.EPCs().All() {
+		epcs = append(epcs, in.Snapshot())
+	}
+	gain := encodeRef(t, orch.Gain())
+	for _, tc := range []struct {
+		target string
+		want   []byte
+	}{
+		{"/api/v2/gain", gain},
+		{"/api/v1/gain", gain},
+		{"/api/v2/metrics", encodeRef(t, orch.Store().Snapshot())},
+		{"/api/v2/metrics/" + series.Name() + "?window=3", encodeRef(t, SeriesResponse{Name: series.Name(), Samples: series.Window(3), Stats: series.WindowStats(3)})},
+		{"/api/v2/topology", encodeRef(t, tb.Transport.Snapshot())},
+		{"/api/v2/enbs", encodeRef(t, enbs)},
+		{"/api/v2/datacenters", encodeRef(t, dcs)},
+		{"/api/v2/epcs", encodeRef(t, epcs)},
+	} {
+		rec := serve(srv, http.MethodGet, tc.target, nil, "")
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), tc.want) {
+			t.Errorf("GET %s: %d %s\nwant 200 %s", tc.target, rec.Code, rec.Body, tc.want)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("GET %s: Content-Type %q", tc.target, ct)
+		}
+	}
+}
+
+// TestWireIdentitySubmit covers the submit reply, accepted and rejected, and
+// an Idempotency-Replay refreshed after the slice changed.
 func TestWireIdentitySubmit(t *testing.T) {
 	srv, orch, s := fuzzOrch(t)
 	current := func(rec *httptest.ResponseRecorder) []byte {
@@ -243,18 +290,16 @@ func TestWireIdentitySubmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, path := range []string{"/api/v1/slices", "/api/v2/slices"} {
-		rec := serve(srv, http.MethodPost, path, accepted, "")
-		if rec.Code != http.StatusAccepted {
-			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
-		}
-		checkWire(t, path+" accepted", rec, current(rec))
-		rec = serve(srv, http.MethodPost, path, rejected, "")
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s rejected: status %d: %s", path, rec.Code, rec.Body)
-		}
-		checkWire(t, path+" rejected", rec, current(rec))
+	rec := serve(srv, http.MethodPost, "/api/v2/slices", accepted, "")
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("accepted: status %d: %s", rec.Code, rec.Body)
 	}
+	checkWire(t, "accepted", rec, current(rec))
+	rec = serve(srv, http.MethodPost, "/api/v2/slices", rejected, "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("rejected: status %d: %s", rec.Code, rec.Body)
+	}
+	checkWire(t, "rejected", rec, current(rec))
 
 	first := serve(srv, http.MethodPost, "/api/v2/slices", accepted, "key-1")
 	checkWire(t, "keyed submit", first, current(first))

@@ -121,6 +121,7 @@ var (
 	ErrDuplicatePath  = errors.New("transport: path ID already reserved")
 	ErrLinkExists     = errors.New("transport: link already exists")
 	ErrDelayBudget    = errors.New("transport: delay budget unmeetable")
+	ErrNoLink         = errors.New("transport: no link")
 )
 
 // FlowEntry is one OpenFlow-style rule installed in a switch: traffic of
@@ -317,7 +318,7 @@ func (n *Network) SetLinkUp(from, to string, up bool) error {
 	defer n.mu.Unlock()
 	l, ok := n.links[from+"->"+to]
 	if !ok {
-		return fmt.Errorf("transport: no link %s->%s", from, to)
+		return fmt.Errorf("%w %s->%s", ErrNoLink, from, to)
 	}
 	l.Up = up
 	n.feasVer.Add(1)
@@ -339,7 +340,7 @@ func (n *Network) SetLinkCapacity(from, to string, capacityMbps float64) error {
 	defer n.mu.Unlock()
 	l, ok := n.links[from+"->"+to]
 	if !ok {
-		return fmt.Errorf("transport: no link %s->%s", from, to)
+		return fmt.Errorf("%w %s->%s", ErrNoLink, from, to)
 	}
 	l.CapacityMbps = capacityMbps
 	n.feasVer.Add(1)
