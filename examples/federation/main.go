@@ -1,10 +1,10 @@
 // Federation: three member clusters — each a full orchestrator over its own
 // testbed — behind one federation tier (DESIGN.md §11). A small slice lands
 // on the lowest-latency member that fits it; a big one becomes a
-// cross-cluster span installed through the two-phase engine, one leg per
-// member. Then the edge cluster partitions away: its spans roll back on the
-// reachable members, its legs are orphaned, new demand re-homes elsewhere —
-// and the heal reconciles the orphans exactly once.
+// cross-cluster span, one leg submitted to each member it spans. Then the
+// edge cluster partitions away: its spans roll back on the reachable
+// members, its legs are orphaned, new demand re-homes elsewhere — and the
+// heal reconciles the orphans exactly once.
 //
 // Run with: go run ./examples/federation
 package main

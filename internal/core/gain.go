@@ -239,3 +239,51 @@ func (o *Orchestrator) LastEpoch() (EpochSnapshot, bool) {
 	snap.Gain.RejectReasons = reasons
 	return snap, true
 }
+
+// LedgerLoad returns the capacity ledger's current total — the estimated
+// radio load of every live slice — in Mbps, for reports.
+func (o *Orchestrator) LedgerLoad() float64 { return o.ledger.Load().Mbps() }
+
+// LedgerKbps is the same total in book units. The federation tier reads it
+// at each barrier to refresh the member's advertised headroom, and the
+// federation conservation invariant uses it as ground truth.
+func (o *Orchestrator) LedgerKbps() slice.Kbps { return o.ledger.Load() }
+
+// AggregateGain folds per-cluster gain reports into one federation-wide
+// report: capacities, contracts, allocations, counters and money sum;
+// rejection histograms merge; the ratios are recomputed from the summed
+// totals (a ratio of sums, not a sum of ratios); Epochs reports the furthest
+// member epoch. The fold is order-independent for the integer counters; the
+// reports' Mbps/EUR fields are floats derived at each member's edge, so
+// callers that need bit-identical sums across member orderings must pass the
+// reports in a canonical (name-sorted) order, which is exactly what the
+// federation registry does.
+func AggregateGain(reports []GainReport) GainReport {
+	g := GainReport{RejectReasons: make(map[string]int)}
+	for _, r := range reports {
+		g.CapacityMbps += r.CapacityMbps
+		g.ContractedMbps += r.ContractedMbps
+		g.AllocatedMbps += r.AllocatedMbps
+		g.Admitted += r.Admitted
+		g.Rejected += r.Rejected
+		g.Active += r.Active
+		g.RevenueTotalEUR += r.RevenueTotalEUR
+		g.PenaltyTotalEUR += r.PenaltyTotalEUR
+		g.ViolationEpochs += r.ViolationEpochs
+		g.Reconfigurations += r.Reconfigurations
+		for code, n := range r.RejectReasons {
+			g.RejectReasons[code] += n
+		}
+		if r.Epochs > g.Epochs {
+			g.Epochs = r.Epochs
+		}
+	}
+	if g.CapacityMbps > 0 {
+		g.OverbookingRatio = g.ContractedMbps / g.CapacityMbps
+	}
+	if g.AllocatedMbps > 0 {
+		g.MultiplexingGain = g.ContractedMbps / g.AllocatedMbps
+	}
+	g.NetRevenueEUR = g.RevenueTotalEUR - g.PenaltyTotalEUR
+	return g
+}

@@ -13,15 +13,16 @@
 // every barrier; a member never knows it is federated beyond the "fed:<span>"
 // tenant tag on its legs.
 //
-// Cross-cluster spans reuse the PR 2 two-phase engine unchanged: every
-// member is wrapped as a ctrl.Domain (ctrl.ClusterDomain), and
-// core.InstallSpan drives Reserve/Commit/Abort across the legs with the
-// engine's reverse-order rollback, typed rejection taxonomy and
-// fault-injection hooks. Placement is deterministic: members are kept sorted
-// by name regardless of Join order, member testbed randomness is derived
-// from the member's name (never from shared-RNG consumption order), and leg
-// demand processes are RNG-free — so the same seed yields bit-identical
-// per-cluster outcomes under any join order (TestFederationDeterminism).
+// A cross-cluster span is one member Submit per leg, in plan order: each
+// member runs its own full admission and two-phase install, and the first
+// member rejection deletes the already-submitted legs in reverse order and
+// carries the member's typed cause back. The span record's legs are the
+// only span state; every teardown deletes them in reverse plan order.
+// Placement is deterministic: members are kept sorted by name regardless of
+// Join order, member testbed randomness is derived from the member's name
+// (never from shared-RNG consumption order), and leg demand processes are
+// RNG-free — so the same seed yields bit-identical per-cluster outcomes
+// under any join order (TestFederationDeterminism).
 //
 // Partition semantics (the survivability model): partitioning a member
 // freezes its advertised summary and excludes it from placement; spans with
@@ -44,7 +45,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ctrl"
 	"repro/internal/invariant"
 	"repro/internal/monitor"
 	"repro/internal/sim"
@@ -101,15 +101,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Cluster is one registered member: a full orchestrator plus its testbed,
-// the ctrl.Domain adapter the span engine drives, and the federation-tier
-// books for it. The books (advertised, headroom, reserved) are guarded by
-// the Federation mutex.
+// and the federation-tier books for it. The federation submits and deletes
+// span legs through the orchestrator's public facade (submitLeg, deleteLeg).
+// The books (advertised, headroom, reserved) are guarded by the Federation
+// mutex.
 type Cluster struct {
-	cfg     ClusterConfig
-	orch    *core.Orchestrator
-	tb      *testbed.Testbed
-	domain  *ctrl.ClusterDomain
-	backend *memberBackend
+	cfg  ClusterConfig
+	orch *core.Orchestrator
+	tb   *testbed.Testbed
 
 	// Federation-tier capacity books (guarded by Federation.mu), in the
 	// same exact unit as the members' own ledgers. advertised is the
@@ -137,10 +136,6 @@ func (c *Cluster) Orchestrator() *core.Orchestrator { return c.orch }
 // Testbed returns the member's testbed.
 func (c *Cluster) Testbed() *testbed.Testbed { return c.tb }
 
-// Domain returns the member's ctrl.Domain adapter (chaos timelines arm
-// faults on it through the standard FaultInjector capability).
-func (c *Cluster) Domain() *ctrl.ClusterDomain { return c.domain }
-
 // alive reports whether the federation can currently reach the member.
 func (c *Cluster) alive() bool { return !c.partitioned && !c.failed }
 
@@ -164,8 +159,8 @@ type ClusterInfo struct {
 // Federation is the multi-cluster orchestration tier. All methods are safe
 // for concurrent use; the mutex guards the registry, the span table and the
 // capacity books, and is never held across a member call that can block on
-// member shard locks (the span install itself runs unlocked — the books are
-// reserved first, exactly like the core's two-phase ledger reservation).
+// member shard locks (leg submission and deletion run unlocked — the books
+// are reserved first, exactly like the core's two-phase ledger reservation).
 type Federation struct {
 	cfg   Config
 	clock sim.Scheduler
@@ -180,12 +175,11 @@ type Federation struct {
 	barriers int
 
 	// Federation-tier outcome counters (span placements, not member
-	// admissions) plus the in-flight submissions' mean-demand fractions.
+	// admissions).
 	admitted      int
 	rejected      int
 	crossCluster  int
 	rejectReasons map[string]int
-	pendingFrac   map[slice.ID]float64
 
 	loopMu sync.Mutex
 	loop   *sim.Event
@@ -195,12 +189,11 @@ type Federation struct {
 func New(cfg Config, clock sim.Scheduler) *Federation {
 	cfg = cfg.withDefaults()
 	f := &Federation{
-		cfg:         cfg,
-		clock:       clock,
-		byName:      make(map[string]*Cluster),
-		spans:       make(map[slice.ID]*span),
-		orphans:     make(map[string][]slice.ID),
-		pendingFrac: make(map[slice.ID]float64),
+		cfg:     cfg,
+		clock:   clock,
+		byName:  make(map[string]*Cluster),
+		spans:   make(map[slice.ID]*span),
+		orphans: make(map[string][]slice.ID),
 	}
 	if cfg.Audit {
 		f.audit = invariant.New(invariant.Options{OnViolation: cfg.AuditOnViolation})
@@ -231,8 +224,6 @@ func (f *Federation) Join(cc ClusterConfig) (*Cluster, error) {
 	}
 	orch := core.New(cc.Orchestrator, tb, f.clock, monitor.NewStore(4096))
 	c := &Cluster{cfg: cc, orch: orch, tb: tb}
-	c.backend = newMemberBackend(f, c)
-	c.domain = ctrl.NewClusterDomain(cc.Name, c.backend)
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -476,12 +467,8 @@ func (f *Federation) isolate(name string, fail bool) error {
 	}
 	// Roll back every span touching the member: release the books for all
 	// its legs, remember the unreachable leg as an orphan, and collect the
-	// reachable legs to tear down outside the lock.
-	type victimLeg struct {
-		backend *memberBackend
-		leg     ctrl.ClusterLeg
-	}
-	var teardown []victimLeg
+	// reachable legs to delete outside the lock.
+	var teardown []memberLeg
 	ids := make([]slice.ID, 0, len(f.spans))
 	for id := range f.spans {
 		ids = append(ids, id)
@@ -493,31 +480,16 @@ func (f *Federation) isolate(name string, fail bool) error {
 		for _, leg := range sp.legs {
 			if leg.Cluster == name {
 				touched = true
-				break
-			}
-		}
-		if !touched {
-			continue
-		}
-		f.dropSpanLocked(sp)
-		for _, leg := range sp.legs {
-			if leg.Cluster == name {
 				f.orphans[name] = append(f.orphans[name], leg.Slice)
-				continue
 			}
-			if mc, ok := f.byName[leg.Cluster]; ok {
-				teardown = append(teardown, victimLeg{
-					backend: mc.backend,
-					leg:     ctrl.ClusterLeg{Slice: leg.Slice, Mbps: leg.Mbps},
-				})
-			}
+		}
+		if touched {
+			teardown = append(teardown, f.dropSpanLocked(sp)...)
 		}
 	}
 	orch := c.orch
 	f.mu.Unlock()
-	for _, v := range teardown {
-		v.backend.SpanRelease(v.leg)
-	}
+	deleteLegs(teardown)
 	if fail {
 		orch.Stop()
 	}
@@ -540,13 +512,12 @@ func (f *Federation) Heal(name string) error {
 	c.partitioned = false
 	orphans := f.orphans[name]
 	delete(f.orphans, name)
-	backend := c.backend
 	f.mu.Unlock()
 	// Delete the orphans before re-anchoring the books, so the refreshed
 	// headroom reflects the reclaimed capacity (a leg may have expired on
-	// its own during the partition — release is idempotent).
-	for _, legID := range orphans {
-		backend.releaseLeg(legID)
+	// its own during the partition — deleteLeg is idempotent).
+	for _, id := range orphans {
+		c.deleteLeg(id)
 	}
 	f.mu.Lock()
 	f.refreshLocked(c)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/slice"
 	"repro/internal/testbed"
+	"repro/internal/traffic"
 )
 
 func memberConfig(name, location string, latencyMs float64) federation.ClusterConfig {
@@ -56,7 +57,7 @@ func sla(mbps float64) slice.SLA {
 
 // TestFederatedSpanAcceptance is the PR's acceptance drill: on a 2-cluster
 // federation, a request bigger than any single member's headroom installs as
-// a cross-cluster span through the unmodified two-phase engine — member-local
+// a cross-cluster span, one member submission per leg — member-local
 // leg slices tagged with the owning span live on both members — and the
 // conservation invariant is clean at the barrier. Deleting the span releases
 // every leg.
@@ -369,5 +370,98 @@ func TestFederationExplain(t *testing.T) {
 	}
 	if ex.Placed || ex.RejectCode != slice.RejectRadioCapacity {
 		t.Fatalf("impossible request verdict: %+v", ex)
+	}
+}
+
+// TestSpanInstallRollsBackOnMemberReject drives the install loop's rollback
+// branch: the second member is filled by direct submissions between
+// barriers, so the federation's headroom book for it is stale and the span's
+// later leg is refused by the member's own admission. The earlier leg must
+// be deleted on its member, the books must return to their exact
+// pre-submit values, the rejection must carry the member's cause, and the
+// conservation sweep must stay clean.
+func TestSpanInstallRollsBackOnMemberReject(t *testing.T) {
+	fed, _ := newTestFed(t, 19, []string{"east", "west"})
+	fed.Start()
+	defer fed.Stop()
+
+	infos := fed.ClusterInfos()
+	need := 0.0
+	for _, in := range infos {
+		need += in.HeadroomMbps
+	}
+	need *= 0.9
+	req := federation.Request{Tenant: "acme", SLA: sla(need)}
+	ex, err := fed.Explain(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ex.Placed || len(ex.Legs) != 2 {
+		t.Fatalf("want a 2-leg placement, got %+v", ex)
+	}
+	first, _ := fed.Cluster(ex.Legs[0].Cluster)
+	second, _ := fed.Cluster(ex.Legs[1].Cluster)
+
+	// Fill the later leg's member behind the federation's back until its
+	// own admission refuses; the federation books only re-anchor at the
+	// next barrier.
+	var fillCode slice.RejectCode
+	for i := 0; i < 64 && fillCode == ""; i++ {
+		filler := sla(10)
+		sl, err := second.Orchestrator().Submit(slice.Request{Tenant: "local", SLA: filler},
+			traffic.NewConstant(10, 0, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cause, ok := sl.Cause(); ok && sl.State() == slice.StateRejected {
+			fillCode = cause.Code
+		}
+	}
+	if fillCode == "" {
+		t.Fatal("direct submissions never filled the member")
+	}
+
+	before := fed.ClusterInfos()
+	st, err := fed.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "rejected" {
+		t.Fatalf("span installed over a full member: %+v", st)
+	}
+	if st.RejectCode != fillCode {
+		t.Fatalf("reject code %q, want the member's %q", st.RejectCode, fillCode)
+	}
+	if prefix := "cluster " + second.Name() + ":"; !strings.HasPrefix(st.Reason, prefix) {
+		t.Fatalf("reason %q lacks %q", st.Reason, prefix)
+	}
+
+	tag := "fed:" + string(st.ID)
+	found := false
+	for _, sn := range first.Orchestrator().List() {
+		if sn.Tenant == tag {
+			found = true
+			if sn.State != "terminated" {
+				t.Fatalf("earlier leg %s not rolled back: %s", sn.ID, sn.State)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("earlier leg never reached member %s", first.Name())
+	}
+
+	after := fed.ClusterInfos()
+	for i := range before {
+		if before[i].HeadroomMbps != after[i].HeadroomMbps || before[i].ReservedMbps != after[i].ReservedMbps {
+			t.Fatalf("books not restored on %s: before %+v after %+v", before[i].Name, before[i], after[i])
+		}
+	}
+	if len(fed.Spans()) != 0 {
+		t.Fatalf("rejected span registered: %+v", fed.Spans())
+	}
+
+	fed.RunBarrier()
+	if vs := fed.Auditor().Violations(); len(vs) != 0 {
+		t.Fatalf("conservation violations after rollback: %v", vs)
 	}
 }

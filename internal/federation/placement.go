@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/ctrl"
 	"repro/internal/slice"
 )
 
@@ -49,7 +48,7 @@ type PlacementExplain struct {
 // reasoning exposed. A concurrent Submit may still change the books before
 // a follow-up Submit, exactly like the engine's Feasible contract.
 func (f *Federation) Explain(req Request) (PlacementExplain, error) {
-	if err := req.SLA.Validate(); err != nil {
+	if err := req.validate(); err != nil {
 		return PlacementExplain{}, err
 	}
 	f.mu.Lock()
@@ -179,24 +178,4 @@ func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, 
 		}
 	}
 	return plan, nil
-}
-
-// legFeasible answers a leg's admission dry run from federation-tier state
-// only — the member's reachability and its headroom book, both of which
-// change only under f.mu. The member's real admission runs at Reserve;
-// losing that race rolls back through the engine, which the Feasible
-// contract explicitly allows.
-func (f *Federation) legFeasible(c *Cluster, tx ctrl.Tx) *slice.RejectionCause {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !c.alive() {
-		return slice.Rejectf(slice.RejectClusterUnavailable, c.domain.Domain(),
-			"cluster %s unreachable", c.cfg.Name)
-	}
-	if slice.ToKbps(tx.Mbps) > c.headroom {
-		return slice.Rejectf(slice.RejectRadioCapacity, c.domain.Domain(),
-			"leg %.1f Mbps exceeds cluster %s federated headroom %.1f Mbps",
-			tx.Mbps, c.cfg.Name, c.headroom.Mbps())
-	}
-	return nil
 }

@@ -1,20 +1,19 @@
 package federation
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/ctrl"
 	"repro/internal/sim"
 	"repro/internal/slice"
+	"repro/internal/traffic"
 )
 
 // Request is one federated slice request. The federation places it on one
-// or more member clusters and installs the resulting span through the
-// two-phase engine.
+// or more member clusters and submits one leg to each owning member.
 type Request struct {
 	// Tenant names the requesting business player.
 	Tenant string `json:"tenant"`
@@ -24,9 +23,9 @@ type Request struct {
 	// Cluster optionally pins the whole slice to one named member.
 	Cluster string `json:"cluster,omitempty"`
 	// MeanDemandMbps is the mean offered load the simulation drives through
-	// the span's legs (default 0.6 × ThroughputMbps). Leg demand processes
-	// are RNG-free constants, so outcomes never depend on member iteration
-	// order.
+	// the span's legs, in [0, slice.MaxThroughputMbps] (0 means the default
+	// 0.6 × ThroughputMbps). Leg demand processes are RNG-free constants,
+	// so outcomes never depend on member iteration order.
 	MeanDemandMbps float64 `json:"mean_demand_mbps,omitempty"`
 }
 
@@ -58,8 +57,8 @@ type span struct {
 	id      slice.ID
 	tenant  string
 	sla     slice.SLA
+	seq     int64 // f.spanSeq at Submit, the Spans() order
 	legs    []Leg
-	tx      *core.SpanTx
 	expires time.Time
 	expiry  *sim.Event
 }
@@ -87,22 +86,44 @@ func spanOfTenant(tenant string) (slice.ID, bool) {
 	return "", false
 }
 
-// Submit places the request across the member clusters and installs the
-// resulting span through the unmodified two-phase engine: every leg is
-// reserved in placement order (a member-side rejection aborts the
-// already-reserved legs in reverse order) and then committed. Rejection is
-// an outcome, not an error — the returned status carries the typed cause.
+// ErrBadMeanDemand is wrapped by Submit and Explain when the request's mean
+// demand is not a finite throughput in [0, slice.MaxThroughputMbps]; front
+// ends map it to a 400.
+var ErrBadMeanDemand = errors.New("federation: bad mean demand")
+
+// validate checks what placement reads: the contract and the mean demand
+// that sizes every leg's constant demand process.
+func (r Request) validate() error {
+	if err := r.SLA.Validate(); err != nil {
+		return err
+	}
+	if m := r.MeanDemandMbps; !(m >= 0 && m <= slice.MaxThroughputMbps) { // NaN fails both
+		return fmt.Errorf("%w: %g Mbps outside [0, %g]", ErrBadMeanDemand, m, float64(slice.MaxThroughputMbps))
+	}
+	return nil
+}
+
+// Submit places the request across the member clusters and submits one leg
+// to each owning member in plan order. A member-side rejection deletes the
+// already-submitted legs in reverse order and returns the federation books
+// to their pre-submit values. Rejection is an outcome, not an error — the
+// returned status carries the typed cause.
 func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	if req.Tenant == "" {
 		return SpanStatus{}, fmt.Errorf("federation: request missing tenant")
 	}
-	if err := req.SLA.Validate(); err != nil {
+	if err := req.validate(); err != nil {
 		return SpanStatus{}, err
+	}
+	frac := 0.6
+	if req.MeanDemandMbps > 0 {
+		frac = req.MeanDemandMbps / req.SLA.ThroughputMbps
 	}
 
 	f.mu.Lock()
 	f.spanSeq++
-	id := slice.ID("f-" + strconv.FormatInt(f.spanSeq, 10))
+	seq := f.spanSeq
+	id := slice.ID("f-" + strconv.FormatInt(seq, 10))
 	plan, cause := f.placeLocked(req, nil)
 	if cause != nil {
 		f.rejectLocked(cause)
@@ -110,36 +131,28 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 		return SpanStatus{ID: id, Tenant: req.Tenant, State: "rejected",
 			RejectCode: cause.Code, Reason: cause.Detail}, nil
 	}
-	// Reserve the federation books before installing — the hierarchical
+	// Reserve the federation books before submitting — the hierarchical
 	// ledger's phase one, mirroring the core's admission reservation. Any
-	// install failure releases exactly what was reserved.
-	frac := 0.6
-	if req.MeanDemandMbps > 0 && req.SLA.ThroughputMbps > 0 {
-		frac = req.MeanDemandMbps / req.SLA.ThroughputMbps
-	}
-	f.pendingFrac[id] = frac
+	// member rejection releases exactly what was reserved.
 	for _, lp := range plan {
 		lp.cluster.headroom -= lp.contract
 		lp.cluster.reserved += lp.contract
 	}
 	f.mu.Unlock()
 
-	legs := make([]core.SpanLeg, 0, len(plan))
-	for _, lp := range plan {
-		legs = append(legs, core.SpanLeg{
-			Domain: lp.cluster.domain,
-			Tx: ctrl.Tx{
-				Slice:           id,
-				SLA:             legSLA(req.SLA, lp),
-				Mbps:            lp.contract.Mbps(),
-				LatencyBudgetMs: req.SLA.MaxLatencyMs - lp.cluster.cfg.LatencyMs,
-			},
-		})
+	legs := make([]Leg, len(plan))
+	for i, lp := range plan {
+		legs[i] = Leg{Cluster: lp.cluster.cfg.Name, Mbps: lp.contract.Mbps(), contract: lp.contract}
+		legs[i].Slice, cause = lp.cluster.submitLeg(id, legSLA(req.SLA, lp), frac)
+		if cause != nil {
+			for j := i - 1; j >= 0; j-- {
+				plan[j].cluster.deleteLeg(legs[j].Slice)
+			}
+			break
+		}
 	}
-	spanTx, cause := core.InstallSpan(legs)
 
 	f.mu.Lock()
-	delete(f.pendingFrac, id)
 	if cause != nil {
 		for _, lp := range plan {
 			lp.cluster.headroom += lp.contract
@@ -152,30 +165,23 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	}
 	sp := &span{
 		id:      id,
+		seq:     seq,
 		tenant:  req.Tenant,
 		sla:     req.SLA,
-		tx:      spanTx,
+		legs:    legs,
 		expires: f.clock.Now().Add(req.SLA.Duration),
-	}
-	grants := spanTx.Grants()
-	for i, lp := range plan {
-		leg := Leg{Cluster: lp.cluster.cfg.Name, Mbps: lp.contract.Mbps(), contract: lp.contract}
-		if cg, ok := grants[i].(*ctrl.ClusterGrant); ok {
-			leg.Slice = cg.Leg().Slice
-		}
-		sp.legs = append(sp.legs, leg)
 	}
 	f.spans[id] = sp
 	f.admitted++
 	if len(sp.legs) > 1 {
 		f.crossCluster++
 	}
-	// The federation owns the span lifecycle: its expiry tears the member
-	// legs down through the span transaction. The members also arm their own
-	// leg expiries, but those run from activation — install latency after
-	// admission — so they are only a backstop; relying on them would leave
-	// each leg alive past the span record for the install-latency window,
-	// which the conservation sweep would (rightly) flag as a fed-leak.
+	// The federation owns the span lifecycle: its expiry deletes the member
+	// legs. The members also arm their own leg expiries, but those run from
+	// activation — install latency after admission — so they are only a
+	// backstop; relying on them would leave each leg alive past the span
+	// record for the install-latency window, which the conservation sweep
+	// would (rightly) flag as a fed-leak.
 	sp.expiry = f.clock.After(req.SLA.Duration, "federation/"+string(id)+"/expiry", func() {
 		f.expireSpan(id)
 	})
@@ -183,6 +189,32 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	f.mu.Unlock()
 	return st, nil
 }
+
+// submitLeg submits one span leg to the member as a normal slice request
+// tagged with the owning span's tenant. The member runs its full admission
+// and multi-domain install; a rejection comes back with the member's own
+// taxonomy code under the "cluster/<name>" domain. The leg's demand process
+// is an RNG-free constant at frac of the leg's contract, so member outcomes
+// never depend on federation iteration order.
+func (c *Cluster) submitLeg(spanID slice.ID, sla slice.SLA, frac float64) (slice.ID, *slice.RejectionCause) {
+	dom := "cluster/" + c.cfg.Name
+	sl, err := c.orch.Submit(slice.Request{Tenant: fedTenant(spanID), SLA: sla},
+		traffic.NewConstant(sla.ThroughputMbps*frac, 0, nil))
+	if err != nil {
+		return "", slice.Rejectf(slice.RejectInternal, dom, "cluster %s: %v", c.cfg.Name, err)
+	}
+	if sl.State() == slice.StateRejected {
+		if cause, ok := sl.Cause(); ok {
+			return "", slice.Rejectf(cause.Code, dom, "cluster %s: %s", c.cfg.Name, cause.Detail)
+		}
+		return "", slice.Rejectf(slice.RejectOther, dom, "cluster %s rejected the leg", c.cfg.Name)
+	}
+	return sl.ID(), nil
+}
+
+// deleteLeg deletes the member-local leg slice. Idempotent: the leg may
+// already have expired on the member's own clock.
+func (c *Cluster) deleteLeg(id slice.ID) { _ = c.orch.Delete(id) }
 
 // legSLA derives the member-facing contract for one leg: the throughput
 // share, the latency budget left after the cluster's federation latency, and
@@ -208,18 +240,27 @@ func (f *Federation) rejectLocked(cause *slice.RejectionCause) {
 }
 
 // expireSpan retires a span whose contract duration elapsed: the books are
-// released and the member legs are torn down through the span transaction,
-// in reverse acquisition order. A leg whose member-side expiry already fired
-// is released idempotently.
+// released and the member legs are deleted in reverse plan order.
 func (f *Federation) expireSpan(id slice.ID) {
 	f.mu.Lock()
-	sp, ok := f.spans[id]
-	if ok {
-		f.dropSpanLocked(sp)
+	var teardown []memberLeg
+	if sp, ok := f.spans[id]; ok {
+		teardown = f.dropSpanLocked(sp)
 	}
 	f.mu.Unlock()
-	if ok {
-		sp.tx.Abort()
+	deleteLegs(teardown)
+}
+
+// memberLeg is one leg to delete on its member, collected under f.mu and
+// deleted outside it.
+type memberLeg struct {
+	c  *Cluster
+	id slice.ID
+}
+
+func deleteLegs(legs []memberLeg) {
+	for _, l := range legs {
+		l.c.deleteLeg(l.id)
 	}
 }
 
@@ -228,26 +269,30 @@ func (f *Federation) expireSpan(id slice.ID) {
 // headroom is NOT credited: its leg is orphaned, not released — the member
 // still holds it on the far side of the partition — and its books are frozen
 // until the heal re-anchors them. The reserved book always drops: it mirrors
-// the span registry, and the leg's registration is gone. Caller holds f.mu.
-func (f *Federation) dropSpanLocked(sp *span) {
+// the span registry, and the leg's registration is gone. Returns the legs on
+// reachable members in reverse plan order, for the caller to delete once it
+// releases f.mu. Caller holds f.mu.
+func (f *Federation) dropSpanLocked(sp *span) []memberLeg {
 	delete(f.spans, sp.id)
 	if sp.expiry != nil {
 		sp.expiry.Cancel()
 		sp.expiry = nil
 	}
-	for _, leg := range sp.legs {
-		if c, ok := f.byName[leg.Cluster]; ok {
-			if c.alive() {
-				c.headroom += leg.contract
-			}
-			c.reserved -= leg.contract
-			c.backend.forget(sp.id)
+	var teardown []memberLeg
+	for i := len(sp.legs) - 1; i >= 0; i-- {
+		leg := sp.legs[i]
+		c := f.byName[leg.Cluster]
+		if c.alive() {
+			c.headroom += leg.contract
+			teardown = append(teardown, memberLeg{c: c, id: leg.Slice})
 		}
+		c.reserved -= leg.contract
 	}
+	return teardown
 }
 
-// Delete tears a span down ahead of its expiry: the span transaction aborts
-// in reverse acquisition order, releasing every member leg.
+// Delete tears a span down ahead of its expiry, deleting every member leg in
+// reverse plan order.
 func (f *Federation) Delete(id slice.ID) error {
 	f.mu.Lock()
 	sp, ok := f.spans[id]
@@ -255,9 +300,9 @@ func (f *Federation) Delete(id slice.ID) error {
 		f.mu.Unlock()
 		return fmt.Errorf("federation: unknown span %s", id)
 	}
-	f.dropSpanLocked(sp)
+	teardown := f.dropSpanLocked(sp)
 	f.mu.Unlock()
-	sp.tx.Abort()
+	deleteLegs(teardown)
 	return nil
 }
 
@@ -276,18 +321,14 @@ func (f *Federation) Get(id slice.ID) (SpanStatus, bool) {
 func (f *Federation) Spans() []SpanStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]SpanStatus, 0, len(f.spans))
+	live := make([]*span, 0, len(f.spans))
 	for _, sp := range f.spans {
-		out = append(out, sp.status())
+		live = append(live, sp)
 	}
-	sort.Slice(out, func(i, j int) bool { return spanSeqOf(out[i].ID) < spanSeqOf(out[j].ID) })
+	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+	out := make([]SpanStatus, len(live))
+	for i, sp := range live {
+		out[i] = sp.status()
+	}
 	return out
-}
-
-func spanSeqOf(id slice.ID) int {
-	n := 0
-	for i := 2; i < len(id); i++ {
-		n = n*10 + int(id[i]-'0')
-	}
-	return n
 }

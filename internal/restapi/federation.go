@@ -8,6 +8,7 @@ package restapi
 // aggregated member event stream and the federation-wide gain report.
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -140,7 +141,7 @@ func (s *FederationServer) handleSubmitSpan(w http.ResponseWriter, r *http.Reque
 	idemDo(w, r.Header.Get("Idempotency-Key"), s.idem, idemOp[federation.SpanStatus]{
 		act:       func() (federation.SpanStatus, error) { return s.submit(req) },
 		status:    func(st federation.SpanStatus) int { return submitStatus(st.State) },
-		errStatus: internalError,
+		errStatus: fedSubmitError,
 		refresh: func(st federation.SpanStatus) federation.SpanStatus {
 			if cur, ok := s.fed.Get(st.ID); ok {
 				return cur
@@ -148,6 +149,15 @@ func (s *FederationServer) handleSubmitSpan(w http.ResponseWriter, r *http.Reque
 			return st
 		},
 	})
+}
+
+// fedSubmitError maps a span submission failure: a bad mean demand is the
+// tenant's fault, anything else is internal.
+func fedSubmitError(err error) int {
+	if errors.Is(err, federation.ErrBadMeanDemand) {
+		return http.StatusBadRequest
+	}
+	return http.StatusInternalServerError
 }
 
 // handleGetSpan serves GET /api/v2/federation/slices/{id}.
@@ -161,8 +171,8 @@ func (s *FederationServer) handleGetSpan(w http.ResponseWriter, r *http.Request)
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleDeleteSpan serves DELETE /api/v2/federation/slices/{id}: the span
-// transaction aborts in reverse order, releasing every member leg.
+// handleDeleteSpan serves DELETE /api/v2/federation/slices/{id}: every
+// member leg is deleted in reverse plan order.
 func (s *FederationServer) handleDeleteSpan(w http.ResponseWriter, r *http.Request) {
 	if err := s.fed.Delete(slice.ID(r.PathValue("id"))); err != nil {
 		writeErr(w, http.StatusNotFound, err)

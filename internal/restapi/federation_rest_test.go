@@ -422,3 +422,22 @@ func TestFederationSubmitValidation(t *testing.T) {
 		t.Fatalf("pinned-unknown outcome %+v", st)
 	}
 }
+
+// TestFedBadMeanDemandIs400: a mean demand that is negative or above the
+// throughput bound is the tenant's fault on both the submit and the explain
+// route, never a silent default or an admitted span.
+func TestFedBadMeanDemandIs400(t *testing.T) {
+	c, _, _ := fedEnv(t)
+	for _, path := range []string{"/api/v2/federation/slices", "/api/v2/federation/placement/explain"} {
+		for _, bad := range []float64{-5, 1e300} {
+			body := validFedBody(10)
+			body.MeanDemandMbps = bad
+			if resp := rawFed(t, c, http.MethodPost, path, body, nil); resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s mean_demand_mbps=%g: status %d, want 400", path, bad, resp.StatusCode)
+			}
+		}
+	}
+	if spans, err := c.ListSpans(); err != nil || len(spans) != 0 {
+		t.Fatalf("bad requests left spans %+v (err %v)", spans, err)
+	}
+}
