@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/forecast"
 	"repro/internal/slice"
 	"repro/internal/traffic"
@@ -50,34 +51,32 @@ func (o *Orchestrator) register(m *managedSlice, bind bool) {
 	}
 }
 
-// applyAdmit registers s, which decide left Installing with its grants
-// applied (replay: rehydrated from the record's image), with the record's
-// ledger reservation and install timeline, and adds it to the live totals.
-// Stage stamps are written up front (the stages complete at fixed offsets
-// from submission); only the activation timer is the caller's to arm.
-func (o *Orchestrator) applyAdmit(ar *admitRecord, s *slice.Slice, demand traffic.Demand, bind bool) (*managedSlice, error) {
+// applyAdmit registers m, whose slice decide left Installing with its grants
+// applied and its substrate handles bound (replay: rehydrated from the
+// record's image, with nothing bound yet), with the record's ledger
+// reservation and install timeline, and adds it to the live totals. Stage
+// stamps are written up front (the stages complete at fixed offsets from
+// submission); only the activation timer is the caller's to arm.
+func (o *Orchestrator) applyAdmit(ar *admitRecord, m *managedSlice, demand traffic.Demand, bind bool) error {
+	s := m.s
 	if bind {
 		if err := o.plmns.Impose(s.PLMN(), s.ID()); err != nil {
-			return nil, err
+			return err
 		}
-		if err := o.imposeSubstrate(s, ar.Paths, ar.MECHost, ar.MECCPU); err != nil {
-			return nil, err
+		if err := o.imposeSubstrate(m, ar.Paths, ar.MECHost, ar.MECCPU); err != nil {
+			return err
 		}
 	}
 	tl := newInstallTimeline(ar.SubmittedAt)
-	m := &managedSlice{
-		s:          s,
-		sh:         o.shardFor(s.ID()),
-		demand:     demand,
-		prov:       forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps),
-		ledgerKbps: ar.ReservedKbps,
-		activateAt: ar.ActivateAt,
-		timeline:   &tl,
-	}
+	m.demand = demand
+	m.prov = forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps)
+	m.ledgerKbps = ar.ReservedKbps
+	m.activateAt = ar.ActivateAt
+	m.timeline = &tl
 	o.register(m, bind)
 	sla := s.SLA()
 	m.sh.admit(sla.PriceEUR, sla.ThroughputMbps, s.AllocatedMbps())
-	return m, nil
+	return nil
 }
 
 // applyReject registers a rejected slice (so the dashboard shows it), keys the
@@ -120,13 +119,15 @@ func (o *Orchestrator) applyActivate(m *managedSlice, at time.Time, bind bool) e
 // carrying traffic — leave the live totals. It returns the finished slices
 // evicted from the bounded history, which the caller drops once its locks
 // are released. A slice that is not live refuses the transition and nothing
-// moves. A teardown releases; there is nothing to bind.
+// moves. A teardown releases; there is nothing to bind — and the slice's
+// binding, whose handles the release killed, is dropped.
 func (o *Orchestrator) applyTeardown(m *managedSlice, reason string) ([]slice.ID, error) {
 	id, st, plmn, allocated := m.s.ID(), m.s.State(), m.s.PLMN(), m.s.AllocatedMbps()
 	if err := m.s.Terminate(reason); err != nil {
 		return nil, err
 	}
 	o.releaseAll(id, plmn)
+	m.bind = ctrl.Binding{}
 	o.plmns.Release(plmn)
 	o.ledger.Release(m.ledgerKbps)
 	m.ledgerKbps = 0

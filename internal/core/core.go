@@ -84,6 +84,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/forecast"
 	"repro/internal/invariant"
 	"repro/internal/monitor"
@@ -269,6 +270,12 @@ type managedSlice struct {
 	// registry; nil until then. Dropped from the store when the slice leaves
 	// the history.
 	series *monitor.Rows
+	// bind is the slice's substrate handles, held by value: the radio and
+	// transport controllers write them when install reserves (or recovery
+	// imposes) the slice's resources, and read them on every resize and in
+	// the epoch's scheduling pass — every ctrl.Tx of the slice points here
+	// (sliceTx). Core never reads inside it. applyTeardown drops it.
+	bind ctrl.Binding
 
 	expiry *sim.Event
 	timers []*sim.Event // pending installation stage events
@@ -490,9 +497,15 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 	// multi-domain transaction; any failure releases the ledger reservation
 	// and converts to a typed rejection.
 	cause, reserved, dcName := o.admit(req)
-	var activateAt time.Time
+	var (
+		m          *managedSlice
+		activateAt time.Time
+	)
 	if cause == nil {
-		if activateAt, err = o.install(sh, s, dcName); err != nil {
+		// The slice's record exists from here on, so install binds the
+		// substrate handles straight into it; applyAdmit registers it.
+		m = &managedSlice{s: s, sh: sh}
+		if activateAt, err = o.install(sh, m, dcName); err != nil {
 			o.ledger.Release(reserved)
 			o.auditSliceReleased(id) // rollback must leave nothing behind
 			var rej errReject
@@ -523,7 +536,7 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 	if o.persist != nil {
 		o.appendAdmit(s, ar, subEv, admitEv)
 	}
-	m, _ := o.applyAdmit(&ar, s, demand, false) // nothing to bind: cannot fail
+	_ = o.applyAdmit(&ar, m, demand, false) // nothing to bind: cannot fail
 	m.timers = append(m.timers, o.clock.At(activateAt, string(id)+"/activate", func() { o.activate(id) }))
 	if o.audit != nil {
 		o.auditSliceInstalled(m) // commit must hold what it recorded

@@ -102,6 +102,26 @@ func (o *Orchestrator) latencyBudget(sla slice.SLA) float64 {
 	return sla.MaxLatencyMs - epcProcMs - o.domains.fixedLatencyMs
 }
 
+// sliceTx is the one constructor of a slice's ctrl.Tx: install, the engine
+// resize, the degradation shrink and the re-route all build theirs here, so
+// every one carries the slice's binding — the controllers write its handles
+// there and resize through them. plmn and dc are the caller's (install's are
+// not in the allocation yet); mbps is what the stage sizes for, 0 for a
+// resize, which takes its own. The caller holds m's shard lock, which guards
+// the binding.
+func (o *Orchestrator) sliceTx(m *managedSlice, plmn slice.PLMN, dc string, mbps float64) ctrl.Tx {
+	sla := m.s.SLA()
+	return ctrl.Tx{
+		Slice:           m.s.ID(),
+		PLMN:            plmn,
+		SLA:             sla,
+		DataCenter:      dc,
+		Mbps:            mbps,
+		LatencyBudgetMs: o.latencyBudget(sla),
+		Binding:         &m.bind,
+	}
+}
+
 // domainGrant pairs a grant with its owning domain so rollback never needs
 // to rediscover who granted what.
 type domainGrant struct {

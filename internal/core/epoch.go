@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/ctrl"
 	"repro/internal/monitor"
 	"repro/internal/slice"
 )
@@ -18,8 +19,9 @@ import (
 //	              so this order is part of the fixed-seed determinism
 //	              contract.
 //	P2  schedule  all shard locks: one global RAN.ScheduleDense pass over
-//	              the collected demand (the cell scheduler and its CQI
-//	              draw are genuinely global).
+//	              the collected demand, each slice addressed by its
+//	              binding (the cell scheduler and its CQI draw are
+//	              genuinely global).
 //	P3  analyze   one shard lock at a time: per-slice violation detection
 //	              (RecordEpoch), forecaster update, provisioning target
 //	              (the per-slice pipeline of the companion forecasting
@@ -64,14 +66,15 @@ type epochItem struct {
 
 // epochScratch is the control epoch's working state, kept on the
 // orchestrator and reused every epoch (guarded by epochMu) so a steady-state
-// pass allocates nothing per slice. items, plmns, demand and served are
+// pass allocates nothing per slice. items, binds, demand and served are
 // index-aligned: entry i of each belongs to the i-th measured slice in
 // submission order, and that is the form they travel in through the RAN
-// scheduling pass. events and records feed the epoch's WAL record and are
-// encoded before the next epoch can overwrite them.
+// scheduling pass, which finds each slice's cells through its binding. events
+// and records feed the epoch's WAL record and are encoded before the next
+// epoch can overwrite them.
 type epochScratch struct {
 	items   []epochItem
-	plmns   []slice.PLMN
+	binds   []*ctrl.Binding
 	demand  []float64
 	served  []float64
 	events  []Event
@@ -121,7 +124,8 @@ func (o *Orchestrator) runEpoch() {
 	// the shared RNG, so order is part of determinism).
 	ep := &o.ep
 	clear(ep.items) // release the previous epoch's slice pointers
-	ep.items, ep.plmns, ep.demand = ep.items[:0], ep.plmns[:0], ep.demand[:0]
+	clear(ep.binds)
+	ep.items, ep.binds, ep.demand = ep.items[:0], ep.binds[:0], ep.demand[:0]
 	o.lockAll()
 	walk := o.walkAllLocked()
 	for m := walk.next(); m != nil; m = walk.next() {
@@ -136,7 +140,7 @@ func (o *Orchestrator) runEpoch() {
 			continue
 		}
 		ep.items = append(ep.items, epochItem{m: m})
-		ep.plmns = append(ep.plmns, m.s.PLMN())
+		ep.binds = append(ep.binds, &m.bind)
 		ep.demand = append(ep.demand, m.lastDemand)
 	}
 	items := ep.items
@@ -146,7 +150,7 @@ func (o *Orchestrator) runEpoch() {
 	ep.served = ep.served[:len(items)]
 
 	// P2: the global cell-scheduler pass and its violation inputs.
-	ranUtil := o.tb.Ctrl.RAN.ScheduleDense(ep.plmns, ep.demand, ep.served, o.cfg.ShareUnusedPRBs)
+	ranUtil := o.tb.Ctrl.RAN.ScheduleDense(ep.binds, ep.demand, ep.served, o.cfg.ShareUnusedPRBs)
 	o.unlockAll()
 
 	// P3: monitor/analyze/optimize and charge, one slice at a time under its

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/ctrl"
 	"repro/internal/slice"
 )
 
@@ -46,12 +45,14 @@ func newInstallTimeline(submitted time.Time) InstallTimeline {
 // The caller holds sh.mu (its shard's lock), has already reserved the
 // newcomer's estimate on the capacity ledger (it releases that reservation
 // if install fails) and chose dcName at admission (the placement scan is not
-// repeated here). On success s is Installing with every grant applied to its
-// allocation — the outcome the admit record logs — and install returns the
-// instant its installation stages end; registering s is applyAdmit's. The
-// engine may briefly release and re-acquire sh.mu around the overbooking
-// squeeze — see reserveAll.
-func (o *Orchestrator) install(sh *shard, s *slice.Slice, dcName string) (activateAt time.Time, err error) {
+// repeated here). On success m's slice is Installing with every grant
+// applied to its allocation — the outcome the admit record logs — and its
+// substrate handles in m.bind, and install returns the instant its
+// installation stages end; registering m is applyAdmit's. The engine may
+// briefly release and re-acquire sh.mu around the overbooking squeeze — see
+// reserveAll (m is not registered yet, so nothing else reaches its binding).
+func (o *Orchestrator) install(sh *shard, m *managedSlice, dcName string) (activateAt time.Time, err error) {
+	s := m.s
 	sla := s.SLA()
 	now := o.clock.Now()
 
@@ -63,15 +64,7 @@ func (o *Orchestrator) install(sh *shard, s *slice.Slice, dcName string) (activa
 	}
 
 	// 2. The multi-domain two-phase transaction.
-	tx := ctrl.Tx{
-		Slice:           s.ID(),
-		PLMN:            plmn,
-		SLA:             sla,
-		DataCenter:      dcName,
-		Mbps:            sla.ThroughputMbps,
-		LatencyBudgetMs: o.latencyBudget(sla),
-	}
-	gs, cause := o.reserveAll(sh, tx, o.admissionEstimate(sla))
+	gs, cause := o.reserveAll(sh, o.sliceTx(m, plmn, dcName, sla.ThroughputMbps), o.admissionEstimate(sla))
 	if cause != nil {
 		o.plmns.Release(plmn)
 		return time.Time{}, errReject{cause}
@@ -276,14 +269,7 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, v slice.ReconfigView, targe
 		reconfiguring = true
 	}
 
-	tx := ctrl.Tx{
-		Slice:           m.s.ID(),
-		PLMN:            v.PLMN,
-		SLA:             sla,
-		DataCenter:      v.DataCenter,
-		LatencyBudgetMs: o.latencyBudget(sla),
-	}
-	gs, ok := o.resizeAll(tx, targetMbps, before)
+	gs, ok := o.resizeAll(o.sliceTx(m, v.PLMN, v.DataCenter, 0), targetMbps, before)
 	if !ok {
 		if reconfiguring {
 			m.s.EndReconfigure()

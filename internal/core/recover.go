@@ -224,7 +224,7 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 	switch s.State() {
 	case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
 		m.prov = forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps)
-		if err := o.imposeSubstrate(s, ps.Paths, ps.MECHost, ps.MECCPU); err != nil {
+		if err := o.imposeSubstrate(m, ps.Paths, ps.MECHost, ps.MECCPU); err != nil {
 			return err
 		}
 		switch s.State() {
@@ -240,19 +240,20 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 
 // imposeSubstrate re-creates a live slice's logged substrate outcomes on the
 // rebuilt testbed, each through its domain controller's Impose verb — which
-// registers the handles the next resize and release go through, exactly as
-// Reserve does: per-eNB PRB reservations, transport paths at their recorded
-// hops and bandwidth, the vEPC deployment (deterministic IDs). The MEC app
-// goes on its recorded host through the pool (its controller keeps no
-// per-slice index). The slice's PLMN must already be owned (allocator
-// Restore or Impose).
-func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []transport.Reservation, mecHost string, mecCPU float64) error {
+// writes the handles the next resize and scheduling pass go through into the
+// slice's binding, exactly as Reserve does: per-eNB PRB reservations,
+// transport paths at their recorded hops and bandwidth, the vEPC deployment
+// (deterministic IDs). The MEC app goes on its recorded host through the pool
+// (its controller keeps no per-slice index). The slice's PLMN must already be
+// owned (allocator Restore or Impose).
+func (o *Orchestrator) imposeSubstrate(m *managedSlice, paths []transport.Reservation, mecHost string, mecCPU float64) error {
+	s := m.s
 	alloc := s.Allocation()
 	id := s.ID()
-	if err := o.tb.Ctrl.RAN.ImposeSlice(alloc.PLMN, alloc.PRBs); err != nil {
+	if err := o.tb.Ctrl.RAN.ImposeSlice(&m.bind, alloc.PLMN, alloc.PRBs); err != nil {
 		return err
 	}
-	if err := o.tb.Ctrl.Transport.ImposePaths(id, paths); err != nil {
+	if err := o.tb.Ctrl.Transport.ImposePaths(&m.bind, id, paths); err != nil {
 		return err
 	}
 	if alloc.StackID != "" {
@@ -275,11 +276,11 @@ func (o *Orchestrator) imposeSubstrate(s *slice.Slice, paths []transport.Reserva
 // the recorded values in the slice's allocation.
 func (o *Orchestrator) imposeResize(m *managedSlice, rr *resizeRecord) error {
 	alloc := m.s.Allocation()
-	if err := o.tb.Ctrl.RAN.ImposeResize(alloc.PLMN, rr.PRBs); err != nil {
+	if err := o.tb.Ctrl.RAN.ImposeResize(&m.bind, rr.PRBs); err != nil {
 		return err
 	}
 	if rr.ResizePaths && len(alloc.PathIDs) > 0 {
-		if err := o.tb.Ctrl.Transport.ResizePaths(rr.Slice, rr.Mbps); err != nil {
+		if err := o.tb.Ctrl.Transport.ResizePaths(&m.bind, rr.Mbps); err != nil {
 			return err
 		}
 	}
@@ -299,7 +300,7 @@ func (o *Orchestrator) imposeResize(m *managedSlice, rr *resizeRecord) error {
 // paths replaced by the recorded ones, and the allocation pointed at them.
 func (o *Orchestrator) imposeReroute(m *managedSlice, rr *rerouteRecord) error {
 	o.tb.Ctrl.Transport.ReleasePaths(rr.Slice)
-	if err := o.tb.Ctrl.Transport.ImposePaths(rr.Slice, rr.Paths); err != nil {
+	if err := o.tb.Ctrl.Transport.ImposePaths(&m.bind, rr.Slice, rr.Paths); err != nil {
 		return err
 	}
 	pids := make([]string, len(rr.Paths))
@@ -327,7 +328,8 @@ func (o *Orchestrator) applyRecord(r wal.Record) error {
 	var evicted []slice.ID
 	switch r := rec.(type) {
 	case *admitRecord:
-		_, err = o.applyAdmit(r, slice.Rehydrate(r.Slice), nil, true)
+		s := slice.Rehydrate(r.Slice)
+		err = o.applyAdmit(r, &managedSlice{s: s, sh: o.shardFor(s.ID())}, nil, true)
 	case *rejectRecord:
 		evicted, err = o.applyReject(slice.Rehydrate(r.Slice))
 	case *activateRecord:

@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ctrl"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/slice"
@@ -212,18 +211,17 @@ func allRecordTypesRun(t testing.TB) (records []wal.Record, populated int, diges
 }
 
 // reconfigureAndRelease is the stage a recovered orchestrator (built with
-// Config.Audit) must survive: every live slice is resized and then deleted
+// Config.Audit) must survive: every live slice's binding names exactly its
+// live reservations, and every live slice is resized and then deleted
 // through the normal verbs. Recovery imposed the substrate outcomes through
 // the controllers' Impose verbs; if one of them made a reservation without
-// registering its handle, the resize is refused (no reconfiguration
-// happens), or the release leaves the reservation behind for the audit and
-// the emptiness checks to find.
+// binding its handle, the binding check fails and the resize is refused (no
+// reconfiguration happens), and if the release leaves a reservation behind,
+// its handle in the binding the slice held is still live, and the audit and
+// the emptiness checks find it.
 func reconfigureAndRelease(t *testing.T, o *Orchestrator) {
 	t.Helper()
-	type held struct {
-		id   slice.ID
-		plmn slice.PLMN
-	}
+	checkBindings(t, o, "recovered")
 	var all []*slice.Slice
 	o.lockAll()
 	walk := o.walkAllLocked()
@@ -231,14 +229,14 @@ func reconfigureAndRelease(t *testing.T, o *Orchestrator) {
 		all = append(all, m.s)
 	}
 	o.unlockAll()
-	var live []held
+	var live []slice.ID
 	for _, sl := range all {
 		switch sl.State() {
 		case slice.StateRejected, slice.StateTerminated:
 			continue
 		}
 		id, contract := sl.ID(), sl.SLA().ThroughputMbps
-		live = append(live, held{id, sl.PLMN()})
+		live = append(live, id)
 		// Down to the floor, then up to the contract: unless hysteresis
 		// swallows both (a contract within 5 % of the floor), one must move.
 		down, err := o.Resize(id, o.cfg.FloorMbps)
@@ -256,15 +254,27 @@ func reconfigureAndRelease(t *testing.T, o *Orchestrator) {
 	if len(live) == 0 {
 		t.Fatal("nothing live to reconfigure")
 	}
-	for _, h := range live {
-		if err := o.Delete(h.id); err != nil {
-			t.Fatalf("delete %s: %v", h.id, err)
+	checkBindings(t, o, "resized")
+	// The bindings as the slices hold them before the deletes (the teardown
+	// drops each slice's own): a release must kill every handle in them.
+	held := bindingsOf(o)
+	for _, id := range live {
+		if err := o.Delete(id); err != nil {
+			t.Fatalf("delete %s: %v", id, err)
 		}
-		if _, err := o.tb.Ctrl.RAN.Resize(ctrl.Tx{PLMN: h.plmn}, 1); err == nil {
-			t.Errorf("RAN controller still holds handles for released slice %s", h.id)
+		b := held[id]
+		if len(b.Cells()) == 0 || len(b.Paths()) == 0 {
+			t.Errorf("slice %s was bound to %d cells and %d paths", id, len(b.Cells()), len(b.Paths()))
 		}
-		if err := o.tb.Ctrl.Transport.ResizePaths(h.id, 1); err == nil {
-			t.Errorf("transport controller still holds handles for released slice %s", h.id)
+		for _, h := range b.Cells() {
+			if prbs, live := h.PRBs(); live {
+				t.Errorf("released slice %s still holds %d PRBs on %s", id, prbs, h.Cell().Name())
+			}
+		}
+		for _, r := range b.Paths() {
+			if o.tb.Transport.Holds(r) {
+				t.Errorf("released slice %s still holds path %s", id, r.ID)
+			}
 		}
 	}
 	o.AuditSweep()

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/ctrl"
 	"repro/internal/slice"
 )
 
@@ -174,8 +173,7 @@ func (o *Orchestrator) HandleLinkDegradation(from, to string, newCapacityMbps fl
 		// always fit, so errors are ignored like in the engine's restore
 		// path.
 		before := m.s.AllocatedMbps()
-		tx := ctrl.Tx{Slice: id, PLMN: m.s.PLMN(), SLA: m.s.SLA(), DataCenter: m.s.DataCenter(),
-			LatencyBudgetMs: o.latencyBudget(m.s.SLA())}
+		tx := o.sliceTx(m, m.s.PLMN(), m.s.DataCenter(), 0)
 		g, err := o.domains.chain[0].Resize(tx, target)
 		m.s.UpdateAllocation(func(a *slice.Allocation) {
 			if err == nil && g != nil {
@@ -215,17 +213,9 @@ func (o *Orchestrator) HandleLinkDegradation(from, to string, newCapacityMbps fl
 // the slice's shard lock.
 func (o *Orchestrator) rerouteLocked(m *managedSlice, mbps float64, detail string) bool {
 	plmn := m.s.PLMN()
-	sla := m.s.SLA()
 	d := o.tb.Ctrl.Wrapped(o.tb.Ctrl.Transport)
 	d.Release(m.s.ID(), plmn)
-	g, cause := d.Reserve(ctrl.Tx{
-		Slice:           m.s.ID(),
-		PLMN:            plmn,
-		SLA:             sla,
-		DataCenter:      m.s.DataCenter(),
-		Mbps:            mbps,
-		LatencyBudgetMs: o.latencyBudget(sla),
-	})
+	g, cause := d.Reserve(o.sliceTx(m, plmn, m.s.DataCenter(), mbps))
 	if cause != nil {
 		return false
 	}

@@ -28,8 +28,9 @@
 // The controllers are the only door to their substrates: they resolve a
 // slice's per-cell and per-path handles when the reservation is made — by
 // Reserve on the live path, by the Impose* verbs when crash recovery replays
-// a logged outcome — and every later resize and release goes through those
-// handles (DESIGN.md §10).
+// a logged outcome — and write them into the slice's Binding, which the
+// orchestrator hands back in every Tx of the slice; every later resize and
+// the epoch's scheduling pass go through those handles (DESIGN.md §10).
 package ctrl
 
 import (
@@ -58,9 +59,31 @@ type Controller interface {
 	PushTelemetry(store *monitor.Store, now time.Time)
 }
 
+// Binding is one slice's substrate handles: its per-cell ran.Handle set and
+// its *transport.Reservation path handles, written by the step that makes the
+// reservations — Reserve, or ImposeSlice / ImposePaths when recovery replays
+// a logged outcome — and read by every resize and by the epoch's scheduling
+// pass, so neither names the slice. It reaches the controllers in Tx and is
+// opaque outside this package: the orchestrator keeps one per slice, guarded
+// by the slice's shard lock, and passes it through untouched. A handle in it
+// dies with its reservation; a dead handle resizes and schedules nothing, so
+// a binding that outlives its slice's resources is harmless.
+type Binding struct {
+	cells []ran.Handle
+	paths []*transport.Reservation
+}
+
+// Cells returns the slice's per-cell radio handles. Read-only.
+func (b *Binding) Cells() []ran.Handle { return b.cells }
+
+// Paths returns the slice's transport path handles, in eNB order. Read-only.
+func (b *Binding) Paths() []*transport.Reservation { return b.paths }
+
 // RANController manages the radio domain: PLMN-keyed PRB reservations
 // spread across all eNBs (the slice's UEs camp on both testbed cells).
 // The embedded FaultArm makes it a ctrl.FaultInjector for chaos timelines.
+// It keeps no per-slice index: a slice's cell handles live in its Binding,
+// and a release is name-keyed over the cells.
 type RANController struct {
 	FaultArm
 	net *ran.Network
@@ -68,18 +91,12 @@ type RANController struct {
 	// version, so the hot reserve/resize/schedule paths never rebuild it.
 	cellCache atomic.Pointer[ranCellCache]
 
-	// byPLMN holds each installed slice's per-cell reservation handles, in
-	// cell order: resolved once, by Reserve (or ImposeSlice on recovery), so
-	// a resize names nothing. The list is immutable once stored and the
-	// entry leaves at ReleaseSlice, before the cells release — the handles
-	// die with the reservations, never the other way round.
-	mu     sync.RWMutex
-	byPLMN map[slice.PLMN][]ran.Handle
-
-	// cellDemand is ScheduleDense's per-cell demand share, reused across
-	// epochs under schedMu.
+	// cellDemand (the per-cell demand share) and bound (the bindings' cell
+	// handle lists) are ScheduleDense's working state, reused across epochs
+	// under schedMu.
 	schedMu    sync.Mutex
 	cellDemand []float64
+	bound      [][]ran.Handle
 }
 
 // ranCellCache is one immutable snapshot of the sorted eNB list.
@@ -102,7 +119,7 @@ func (c *RANController) Cells() []*ran.ENB {
 
 // NewRANController wraps the RAN.
 func NewRANController(net *ran.Network) *RANController {
-	return &RANController{net: net, byPLMN: make(map[slice.PLMN][]ran.Handle)}
+	return &RANController{net: net}
 }
 
 // Domain implements Controller.
@@ -130,10 +147,10 @@ func (c *RANController) CapacityMbps() float64 {
 
 // reserveCells reserves PRBs for mbps of aggregate throughput, split evenly
 // across eNBs, into a caller-owned reservation (res.PRBs must be a non-nil
-// empty map, so pooled grants reuse theirs across slices). On any per-eNB
-// failure everything is rolled back, so the radio domain never holds a
-// partial slice.
-func (c *RANController) reserveCells(p slice.PLMN, mbps float64, res *RadioReservation) error {
+// empty map, so pooled grants reuse theirs across slices), and writes the
+// cell handles into b (when non-nil). On any per-eNB failure everything is
+// rolled back, so the radio domain never holds a partial slice.
+func (c *RANController) reserveCells(p slice.PLMN, mbps float64, res *RadioReservation, b *Binding) error {
 	enbs := c.Cells()
 	if len(enbs) == 0 {
 		return errors.New("ctrl: RAN has no eNBs")
@@ -153,17 +170,17 @@ func (c *RANController) reserveCells(p slice.PLMN, mbps float64, res *RadioReser
 		res.PRBs[e.Name()] = prbs
 		res.TotalMbps += granted
 	}
-	c.mu.Lock()
-	c.byPLMN[p] = cells
-	c.mu.Unlock()
+	if b != nil {
+		b.cells = cells
+	}
 	return nil
 }
 
 // ImposeSlice re-creates a slice's logged radio outcome for crash recovery:
 // the recorded PRBs per eNB name, reserved in cell order with no sizing, and
-// the handles registered in the same step — so an imposed slice resizes and
-// releases exactly like one Reserve installed.
-func (c *RANController) ImposeSlice(p slice.PLMN, prbs map[string]int) error {
+// the handles written into b in the same step — so an imposed slice resizes,
+// schedules and releases exactly like one Reserve installed.
+func (c *RANController) ImposeSlice(b *Binding, p slice.PLMN, prbs map[string]int) error {
 	cells := make([]ran.Handle, 0, len(prbs))
 	undo := func() {
 		for _, h := range cells {
@@ -186,20 +203,15 @@ func (c *RANController) ImposeSlice(p slice.PLMN, prbs map[string]int) error {
 		undo()
 		return fmt.Errorf("ctrl: radio impose for %s names an unknown eNB", p)
 	}
-	c.mu.Lock()
-	c.byPLMN[p] = cells
-	c.mu.Unlock()
+	b.cells = cells
 	return nil
 }
 
 // ImposeResize moves a slice's cells to the recorded PRBs per eNB name — a
-// logged resize outcome replayed through the handles, with no sizing.
-func (c *RANController) ImposeResize(p slice.PLMN, prbs map[string]int) error {
-	c.mu.RLock()
-	cells := c.byPLMN[p]
-	c.mu.RUnlock()
+// logged resize outcome replayed through the handles in b, with no sizing.
+func (c *RANController) ImposeResize(b *Binding, prbs map[string]int) error {
 	resized := 0
-	for _, h := range cells {
+	for _, h := range b.cells {
 		n, ok := prbs[h.Cell().Name()]
 		if !ok {
 			continue
@@ -210,22 +222,23 @@ func (c *RANController) ImposeResize(p slice.PLMN, prbs map[string]int) error {
 		resized++
 	}
 	if resized != len(prbs) {
-		return fmt.Errorf("ctrl: radio resize for %s names a cell it holds no reservation on", p)
+		return errors.New("ctrl: radio resize names a cell the slice holds no reservation on")
 	}
 	return nil
 }
 
-// resizeCells adjusts the PLMN's reservations for a new aggregate throughput
-// into a caller-owned reservation (res.PRBs must be a non-nil empty map).
-// Each cell is visited once, through its handle, under one acquisition of its
-// mutex; a failure on one eNB restores the previous sizes everywhere. Those
-// live in a small stack buffer at common cell counts.
-func (c *RANController) resizeCells(p slice.PLMN, mbps float64, res *RadioReservation) error {
-	c.mu.RLock()
-	cells := c.byPLMN[p]
-	c.mu.RUnlock()
+// resizeCells adjusts the reservations bound in b for a new aggregate
+// throughput into a caller-owned reservation (res.PRBs must be a non-nil
+// empty map). Each cell is visited once, through its handle, under one
+// acquisition of its mutex; a failure on one eNB restores the previous sizes
+// everywhere. Those live in a small stack buffer at common cell counts.
+func (c *RANController) resizeCells(b *Binding, mbps float64, res *RadioReservation) error {
+	var cells []ran.Handle
+	if b != nil {
+		cells = b.cells
+	}
 	if len(cells) == 0 {
-		return fmt.Errorf("ctrl: resize: no radio reservation for %s", p)
+		return errors.New("ctrl: resize: no radio reservation bound")
 	}
 	share := mbps / float64(len(cells))
 	var prevBuf [8]int
@@ -246,30 +259,30 @@ func (c *RANController) resizeCells(p slice.PLMN, mbps float64, res *RadioReserv
 	return nil
 }
 
-// ReleaseSlice drops the PLMN from every eNB. Idempotent.
+// ReleaseSlice drops the PLMN from every eNB, which kills the handles a
+// binding holds for it. Idempotent.
 func (c *RANController) ReleaseSlice(p slice.PLMN) {
-	c.mu.Lock()
-	delete(c.byPLMN, p)
-	c.mu.Unlock()
 	for _, e := range c.Cells() {
 		e.Release(p)
 	}
 }
 
 // ScheduleDense distributes per-slice demand evenly over the eNBs, runs each
-// cell's scheduler and writes the summed served throughput of plmns[i] to
-// served[i] (index-aligned with demand; len(served) must equal len(plmns)).
-// It returns the mean cell utilization.
+// cell's scheduler and writes the summed served throughput of the slice bound
+// by binds[i] to served[i] (index-aligned with demand; len(served) must equal
+// len(binds)). Each cell finds its load through the handles naming it, so
+// nothing is looked up by name; a binding whose handles are dead is served
+// nothing. It returns the mean cell utilization.
 //
 // It is the serial heart of the control epoch (core's phase P2): the
 // orchestrator calls it exactly once per epoch with arrays it reuses across
 // epochs, before the per-slice forecast/provision pass that reads served.
 // Every slice's UEs camp on all cells, so the per-cell demand share is
-// computed once and read by every cell. Served throughput is
-// summed per PLMN across cells in cell order and each cell accumulates its
-// PRB sums in reservation order — the summation orders of the map-based pass
-// this replaces, so fixed-seed runs keep their float bits.
-func (c *RANController) ScheduleDense(plmns []slice.PLMN, demand, served []float64, shareUnused bool) float64 {
+// computed once and read by every cell. Served throughput is summed per
+// slice across cells in cell order and each cell accumulates its PRB sums in
+// reservation order — the summation orders of the name-addressed pass
+// (ScheduleEpoch), so fixed-seed runs keep their float bits.
+func (c *RANController) ScheduleDense(binds []*Binding, demand, served []float64, shareUnused bool) float64 {
 	enbs := c.Cells()
 	clear(served)
 	if len(enbs) == 0 {
@@ -281,30 +294,44 @@ func (c *RANController) ScheduleDense(plmns []slice.PLMN, demand, served []float
 	for _, d := range demand {
 		c.cellDemand = append(c.cellDemand, d/float64(len(enbs)))
 	}
+	c.bound = c.bound[:0]
+	for _, b := range binds {
+		c.bound = append(c.bound, b.cells)
+	}
 	utilSum := 0.0
 	for _, e := range enbs {
-		utilSum += e.ScheduleDense(plmns, c.cellDemand, served, shareUnused)
+		utilSum += e.ScheduleBound(c.bound, c.cellDemand, served, shareUnused)
 	}
+	clear(c.bound) // hold no reservation records past the pass
 	return utilSum / float64(len(enbs))
 }
 
-// ScheduleEpoch is the map-typed adapter over ScheduleDense: it returns the
-// summed served throughput of every PLMN in demand (0 for a PLMN no cell
-// holds a reservation for) plus the mean cell utilization.
+// ScheduleEpoch is the map-typed adapter: it returns the summed served
+// throughput of every PLMN in demand (0 for a PLMN no cell holds a
+// reservation for) plus the mean cell utilization. Each cell walks its own
+// reservation list for the PLMNs in demand (ENB.ScheduleIndexed) and runs the
+// same pass as ScheduleDense, with the same summation orders.
 func (c *RANController) ScheduleEpoch(demand map[slice.PLMN]float64, shareUnused bool) (map[slice.PLMN]float64, float64) {
-	plmns := make([]slice.PLMN, 0, len(demand))
+	enbs := c.Cells()
+	index := make(map[slice.PLMN]int, len(demand))
 	offered := make([]float64, 0, len(demand))
 	for p, d := range demand {
-		plmns = append(plmns, p)
-		offered = append(offered, d)
+		index[p] = len(offered)
+		offered = append(offered, d/float64(len(enbs)))
 	}
-	delivered := make([]float64, len(plmns))
-	util := c.ScheduleDense(plmns, offered, delivered, shareUnused)
-	served := make(map[slice.PLMN]float64, len(plmns))
-	for i, p := range plmns {
+	delivered := make([]float64, len(offered))
+	utilSum := 0.0
+	for _, e := range enbs {
+		utilSum += e.ScheduleIndexed(index, offered, delivered, shareUnused)
+	}
+	served := make(map[slice.PLMN]float64, len(index))
+	for p, i := range index {
 		served[p] = delivered[i]
 	}
-	return served, util
+	if len(enbs) == 0 {
+		return served, 0
+	}
+	return served, utilSum / float64(len(enbs))
 }
 
 // Utilization implements Controller (mean reserved-PRB fraction).
@@ -334,12 +361,12 @@ type TransportController struct {
 	FaultArm
 	net *transport.Network
 
-	// bySlice holds each slice's path handles, in eNB order: what resize and
-	// release pass to the network in place of path IDs. A list is immutable
-	// once stored — Reserve and ImposePaths store fresh ones, release and
-	// re-route delete the entry — so it stays valid after the lock drops and
-	// needs no per-call copy.
-	mu      sync.RWMutex
+	// bySlice serves the name-keyed release (Domain.Release, Abort): each
+	// slice's path handles, in eNB order — the very list its Binding holds,
+	// not a copy. A list is immutable once stored (Reserve and ImposePaths
+	// store fresh ones, release deletes the entry). Resizes read the binding
+	// and never this map.
+	mu      sync.Mutex
 	bySlice map[slice.ID][]*transport.Reservation
 
 	// enbCache memoizes the sorted eNB transport-port list keyed by the
@@ -385,8 +412,9 @@ type PathSetup struct {
 // reservePaths reserves one path from every eNB transport port to the chosen
 // data-center gateway, each sized to the eNB's share of the slice
 // throughput, into a caller-owned setup (its PathIDs backing array is
-// reused, so pooled grants recycle it). All-or-nothing.
-func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDelayMs float64, setup *PathSetup) error {
+// reused, so pooled grants recycle it), and writes the path handles into b
+// (when non-nil). All-or-nothing.
+func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDelayMs float64, setup *PathSetup, b *Binding) error {
 	enbs := c.enbNodes()
 	if len(enbs) == 0 {
 		return errors.New("ctrl: transport has no eNB nodes")
@@ -414,17 +442,22 @@ func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDela
 	c.mu.Lock()
 	c.bySlice[id] = paths
 	c.mu.Unlock()
+	if b != nil {
+		b.paths = paths
+	}
 	return nil
 }
 
-// ResizePaths changes every path of the slice to the new aggregate
-// bandwidth. On failure, previously resized paths are restored.
-func (c *TransportController) ResizePaths(id slice.ID, mbps float64) error {
-	c.mu.RLock()
-	paths := c.bySlice[id]
-	c.mu.RUnlock()
+// ResizePaths changes every path bound in b to the new aggregate bandwidth,
+// through the handles and by no name. On failure, previously resized paths
+// are restored.
+func (c *TransportController) ResizePaths(b *Binding, mbps float64) error {
+	var paths []*transport.Reservation
+	if b != nil {
+		paths = b.paths
+	}
 	if len(paths) == 0 {
-		return fmt.Errorf("ctrl: slice %s has no transport paths", id)
+		return errors.New("ctrl: no transport paths bound")
 	}
 	failed, err := c.net.ResizeEach(paths, mbps/float64(len(paths)))
 	switch {
@@ -448,8 +481,8 @@ func (c *TransportController) ReleasePaths(id slice.ID) {
 
 // ImposePaths re-creates a slice's logged transport outcome for crash
 // recovery — the recorded hops at the recorded bandwidth, no path search —
-// and registers the handles in the same step. All-or-nothing.
-func (c *TransportController) ImposePaths(id slice.ID, paths []transport.Reservation) error {
+// and writes the handles into b in the same step. All-or-nothing.
+func (c *TransportController) ImposePaths(b *Binding, id slice.ID, paths []transport.Reservation) error {
 	handles := make([]*transport.Reservation, 0, len(paths))
 	for _, pr := range paths {
 		r, err := c.net.Reserve(pr.ID, pr.Hops, pr.Mbps)
@@ -462,6 +495,7 @@ func (c *TransportController) ImposePaths(id slice.ID, paths []transport.Reserva
 	c.mu.Lock()
 	c.bySlice[id] = handles
 	c.mu.Unlock()
+	b.paths = handles
 	return nil
 }
 

@@ -34,19 +34,19 @@ func newTB(t *testing.T) *testbed.Testbed {
 }
 
 // The helpers below drive the Domain verbs the engine drives — Reserve and
-// Resize with a ctrl.Tx — and read the outcome off Grant.Apply, the way the
-// engine records it in a slice's allocation.
+// Resize with a ctrl.Tx carrying the slice's binding — and read the outcome
+// off Grant.Apply, the way the engine records it in a slice's allocation.
 
-func reserveRadio(c *ctrl.RANController, p slice.PLMN, mbps float64) (ctrl.RadioReservation, error) {
-	g, cause := c.Reserve(ctrl.Tx{PLMN: p, Mbps: mbps})
+func reserveRadio(c *ctrl.RANController, b *ctrl.Binding, p slice.PLMN, mbps float64) (ctrl.RadioReservation, error) {
+	g, cause := c.Reserve(ctrl.Tx{PLMN: p, Mbps: mbps, Binding: b})
 	if cause != nil {
 		return ctrl.RadioReservation{}, cause
 	}
 	return radioOutcome(g), nil
 }
 
-func resizeRadio(c *ctrl.RANController, p slice.PLMN, mbps float64) (ctrl.RadioReservation, error) {
-	g, err := c.Resize(ctrl.Tx{PLMN: p}, mbps)
+func resizeRadio(c *ctrl.RANController, b *ctrl.Binding, mbps float64) (ctrl.RadioReservation, error) {
+	g, err := c.Resize(ctrl.Tx{Binding: b}, mbps)
 	if err != nil {
 		return ctrl.RadioReservation{}, err
 	}
@@ -59,8 +59,8 @@ func radioOutcome(g ctrl.Grant) ctrl.RadioReservation {
 	return ctrl.RadioReservation{PRBs: a.PRBs, TotalMbps: a.AllocatedMbps}
 }
 
-func reservePaths(c *ctrl.TransportController, id slice.ID, dc string, mbps, maxDelayMs float64) (ctrl.PathSetup, error) {
-	g, cause := c.Reserve(ctrl.Tx{Slice: id, DataCenter: dc, Mbps: mbps, LatencyBudgetMs: maxDelayMs})
+func reservePaths(c *ctrl.TransportController, b *ctrl.Binding, id slice.ID, dc string, mbps, maxDelayMs float64) (ctrl.PathSetup, error) {
+	g, cause := c.Reserve(ctrl.Tx{Slice: id, DataCenter: dc, Mbps: mbps, LatencyBudgetMs: maxDelayMs, Binding: b})
 	if cause != nil {
 		return ctrl.PathSetup{}, cause
 	}
@@ -72,7 +72,7 @@ func reservePaths(c *ctrl.TransportController, id slice.ID, dc string, mbps, max
 func TestRANReserveSpreadsAcrossENBs(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	res, err := reserveRadio(c, plmnA, 40)
+	res, err := reserveRadio(c, new(ctrl.Binding), plmnA, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRANReserveRollsBackOnPartialFailure(t *testing.T) {
 	if _, err := e2.Reserve(plmnB, e2.TotalPRBs()); err != nil {
 		t.Fatal(err)
 	}
-	_, err := reserveRadio(tb.Ctrl.RAN, plmnA, 40)
+	_, err := reserveRadio(tb.Ctrl.RAN, new(ctrl.Binding), plmnA, 40)
 	if err == nil {
 		t.Fatal("reserve should fail when one eNB is full")
 	}
@@ -111,7 +111,8 @@ func TestRANReserveRollsBackOnPartialFailure(t *testing.T) {
 func TestRANResizeRestoresOnFailure(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	if _, err := reserveRadio(c, plmnA, 20); err != nil {
+	b := new(ctrl.Binding)
+	if _, err := reserveRadio(c, b, plmnA, 20); err != nil {
 		t.Fatal(err)
 	}
 	// Fill the rest of both cells with another tenant, then attempt to
@@ -122,7 +123,7 @@ func TestRANResizeRestoresOnFailure(t *testing.T) {
 	e2.Reserve(plmnB, e2.FreePRBs())
 	before1, _ := e1.Reservation(plmnA)
 	before2, _ := e2.Reservation(plmnA)
-	if _, err := resizeRadio(c, plmnA, 500); err == nil {
+	if _, err := resizeRadio(c, b, 500); err == nil {
 		t.Fatal("oversize resize succeeded")
 	}
 	after1, _ := e1.Reservation(plmnA)
@@ -138,14 +139,15 @@ func TestRANResizeRestoresOnFailure(t *testing.T) {
 func TestRANResizeRollsBackCellByCell(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	if _, err := reserveRadio(c, plmnA, 20); err != nil {
+	b := new(ctrl.Binding)
+	if _, err := reserveRadio(c, b, plmnA, 20); err != nil {
 		t.Fatal(err)
 	}
 	e1, _ := tb.RAN.Get(testbed.ENBName(0))
 	e2, _ := tb.RAN.Get(testbed.ENBName(1))
 	e2.Reserve(plmnB, e2.FreePRBs())
 	before1, before2 := e1.Snapshot(), e2.Snapshot()
-	if _, err := resizeRadio(c, plmnA, 60); !errors.Is(err, ran.ErrInsufficientPRBs) {
+	if _, err := resizeRadio(c, b, 60); !errors.Is(err, ran.ErrInsufficientPRBs) {
 		t.Fatalf("resize with one full cell: %v", err)
 	}
 	if after1, after2 := e1.Snapshot(), e2.Snapshot(); !reflect.DeepEqual(before1, after1) || !reflect.DeepEqual(before2, after2) {
@@ -157,14 +159,15 @@ func TestRANResizeRollsBackCellByCell(t *testing.T) {
 }
 
 // TestRANStaleHandleNeverResizes: a cell's reservation is released and made
-// again behind the controller's back, so the controller's handle for that
-// cell is stale. The resize must fail with ErrUnknownPLMN and move nothing —
-// not the cells before the stale one, and never the new reservation. A
-// release and a new reservation through the controller heal it.
+// again behind the controller's back, so the binding's handle for that cell
+// is stale. The resize must fail with ErrUnknownPLMN and move nothing — not
+// the cells before the stale one, and never the new reservation. A release
+// and a new reservation through the controller heal it.
 func TestRANStaleHandleNeverResizes(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	if _, err := reserveRadio(c, plmnA, 20); err != nil {
+	b := new(ctrl.Binding)
+	if _, err := reserveRadio(c, b, plmnA, 20); err != nil {
 		t.Fatal(err)
 	}
 	e1, _ := tb.RAN.Get(testbed.ENBName(0))
@@ -174,35 +177,35 @@ func TestRANStaleHandleNeverResizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	before1, before2 := e1.Snapshot(), e2.Snapshot()
-	if _, err := resizeRadio(c, plmnA, 10); !errors.Is(err, ran.ErrUnknownPLMN) {
+	if _, err := resizeRadio(c, b, 10); !errors.Is(err, ran.ErrUnknownPLMN) {
 		t.Fatalf("resize through a stale handle: %v", err)
 	}
 	if after1, after2 := e1.Snapshot(), e2.Snapshot(); !reflect.DeepEqual(before1, after1) || !reflect.DeepEqual(before2, after2) {
 		t.Fatalf("stale handle moved the books:\n %+v -> %+v\n %+v -> %+v", before1, after1, before2, after2)
 	}
 	c.ReleaseSlice(plmnA)
-	if _, err := resizeRadio(c, plmnA, 10); err == nil {
+	if _, err := resizeRadio(c, b, 10); err == nil {
 		t.Fatal("resize of a released slice succeeded")
 	}
-	if _, err := reserveRadio(c, plmnA, 20); err != nil {
+	if _, err := reserveRadio(c, b, plmnA, 20); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := resizeRadio(c, plmnA, 10); err != nil || res.TotalMbps < 10 {
+	if res, err := resizeRadio(c, b, 10); err != nil || res.TotalMbps < 10 {
 		t.Fatalf("resize after re-reserve: %+v, %v", res, err)
 	}
 	// Recovery imposes the recorded per-cell PRBs through the controller,
-	// which registers the handles in the same step.
+	// which writes the handles into the binding in the same step.
 	c.ReleaseSlice(plmnA)
-	if err := c.ImposeSlice(plmnA, map[string]int{e1.Name(): 3, e2.Name(): 4}); err != nil {
+	if err := c.ImposeSlice(b, plmnA, map[string]int{e1.Name(): 3, e2.Name(): 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got1, _ := e1.Reservation(plmnA); got1 != 3 {
 		t.Fatalf("imposed %d PRBs on %s, want 3", got1, e1.Name())
 	}
-	if res, err := resizeRadio(c, plmnA, 10); err != nil || len(res.PRBs) != 2 {
+	if res, err := resizeRadio(c, b, 10); err != nil || len(res.PRBs) != 2 {
 		t.Fatalf("resize after impose: %+v, %v", res, err)
 	}
-	if err := c.ImposeResize(plmnA, map[string]int{e1.Name(): 5, e2.Name(): 6}); err != nil {
+	if err := c.ImposeResize(b, map[string]int{e1.Name(): 5, e2.Name(): 6}); err != nil {
 		t.Fatal(err)
 	}
 	got1, _ := e1.Reservation(plmnA)
@@ -210,26 +213,34 @@ func TestRANStaleHandleNeverResizes(t *testing.T) {
 	if got1 != 5 || got2 != 6 {
 		t.Fatalf("imposed resize left %d/%d PRBs, want 5/6", got1, got2)
 	}
-	// A record naming a cell the RAN does not have imposes nothing.
-	if err := c.ImposeSlice(plmnB, map[string]int{e1.Name(): 1, "enb-ghost": 1}); err == nil {
+	// A record naming a cell the RAN does not have imposes nothing and binds
+	// nothing.
+	bB := new(ctrl.Binding)
+	if err := c.ImposeSlice(bB, plmnB, map[string]int{e1.Name(): 1, "enb-ghost": 1}); err == nil {
 		t.Fatal("impose on an unknown eNB succeeded")
 	}
 	if _, ok := e1.Reservation(plmnB); ok {
 		t.Fatal("failed impose left a reservation behind")
 	}
+	if len(bB.Cells()) != 0 {
+		t.Fatalf("failed impose bound %d cells", len(bB.Cells()))
+	}
 }
 
 func TestRANResizeUnknownPLMN(t *testing.T) {
 	tb := newTB(t)
-	if _, err := resizeRadio(tb.Ctrl.RAN, plmnA, 10); err == nil {
-		t.Fatal("resize of unknown PLMN succeeded")
+	if _, err := resizeRadio(tb.Ctrl.RAN, new(ctrl.Binding), 10); err == nil {
+		t.Fatal("resize of an unbound slice succeeded")
+	}
+	if _, err := resizeRadio(tb.Ctrl.RAN, nil, 10); err == nil {
+		t.Fatal("resize with no binding succeeded")
 	}
 }
 
 func TestRANScheduleEpochAggregates(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.RAN
-	res, err := reserveRadio(c, plmnA, 40)
+	res, err := reserveRadio(c, new(ctrl.Binding), plmnA, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +260,7 @@ func TestRANScheduleEpochAggregates(t *testing.T) {
 
 func TestRANReleaseIdempotent(t *testing.T) {
 	tb := newTB(t)
-	reserveRadio(tb.Ctrl.RAN, plmnA, 20)
+	reserveRadio(tb.Ctrl.RAN, new(ctrl.Binding), plmnA, 20)
 	tb.Ctrl.RAN.ReleaseSlice(plmnA)
 	tb.Ctrl.RAN.ReleaseSlice(plmnA)
 	if tb.Ctrl.RAN.Utilization() != 0 {
@@ -260,7 +271,7 @@ func TestRANReleaseIdempotent(t *testing.T) {
 func TestTransportSetupPathsBothENBs(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	setup, err := reservePaths(c, "s1", testbed.EdgeDC, 100, 5)
+	setup, err := reservePaths(c, nil, "s1", testbed.EdgeDC, 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +293,7 @@ func TestTransportSetupRollsBack(t *testing.T) {
 	if _, err := tb.Transport.Reserve("filler", []string{testbed.ENBName(1), testbed.Switch}, tb.Config.MicroWaveMbps); err != nil {
 		t.Fatal(err)
 	}
-	_, err := reservePaths(tb.Ctrl.Transport, "s1", testbed.CoreDC, 300, 0)
+	_, err := reservePaths(tb.Ctrl.Transport, nil, "s1", testbed.CoreDC, 300, 0)
 	if err == nil {
 		t.Fatal("setup should fail with saturated µWave hop")
 	}
@@ -296,10 +307,10 @@ func TestTransportDelayBudgetForcesEdge(t *testing.T) {
 	tb := newTB(t)
 	// Core is CoreDelayMs (6) + hop away: a 3 ms budget must fail to core
 	// and pass to edge.
-	if _, err := reservePaths(tb.Ctrl.Transport, "s1", testbed.CoreDC, 10, 3); err == nil {
+	if _, err := reservePaths(tb.Ctrl.Transport, nil, "s1", testbed.CoreDC, 10, 3); err == nil {
 		t.Fatal("core within 3ms should be infeasible")
 	}
-	if _, err := reservePaths(tb.Ctrl.Transport, "s2", testbed.EdgeDC, 10, 3); err != nil {
+	if _, err := reservePaths(tb.Ctrl.Transport, nil, "s2", testbed.EdgeDC, 10, 3); err != nil {
 		t.Fatalf("edge within 3ms failed: %v", err)
 	}
 }
@@ -307,11 +318,12 @@ func TestTransportDelayBudgetForcesEdge(t *testing.T) {
 func TestTransportResizeAndRelease(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	setup, err := reservePaths(c, "s1", testbed.EdgeDC, 100, 0)
+	b := new(ctrl.Binding)
+	setup, err := reservePaths(c, b, "s1", testbed.EdgeDC, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ResizePaths("s1", 300); err != nil {
+	if err := c.ResizePaths(b, 300); err != nil {
 		t.Fatal(err)
 	}
 	r, _ := tb.Transport.Reservation(setup.PathIDs[0])
@@ -322,7 +334,7 @@ func TestTransportResizeAndRelease(t *testing.T) {
 	if _, ok := tb.Transport.Reservation(setup.PathIDs[0]); ok {
 		t.Fatal("path survived release")
 	}
-	if err := c.ResizePaths("s1", 100); err == nil {
+	if err := c.ResizePaths(b, 100); err == nil {
 		t.Fatal("resize after release succeeded")
 	}
 	c.ReleasePaths("s1") // idempotent
@@ -331,7 +343,8 @@ func TestTransportResizeAndRelease(t *testing.T) {
 func TestTransportResizeRestoresOnFailure(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	if _, err := reservePaths(c, "s1", testbed.CoreDC, 100, 0); err != nil {
+	b := new(ctrl.Binding)
+	if _, err := reservePaths(c, b, "s1", testbed.CoreDC, 100, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Saturate µWave so growing s1 fails on the enb-2 path.
@@ -339,7 +352,7 @@ func TestTransportResizeRestoresOnFailure(t *testing.T) {
 	if _, err := tb.Transport.Reserve("filler", []string{testbed.ENBName(1), testbed.Switch}, free); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ResizePaths("s1", 700); err == nil {
+	if err := c.ResizePaths(b, 700); err == nil {
 		t.Fatal("oversize resize succeeded")
 	}
 	r, _ := tb.Transport.Reservation("s1/" + testbed.ENBName(0) + "->" + testbed.CoreDC)
@@ -349,13 +362,13 @@ func TestTransportResizeRestoresOnFailure(t *testing.T) {
 }
 
 // TestTransportImposePaths: recovery's verb reserves the recorded hops at the
-// recorded bandwidth and registers the handles, so an imposed slice resizes
-// and releases like an installed one; a record that does not fit imposes
-// nothing.
+// recorded bandwidth and writes the handles into the binding, so an imposed
+// slice resizes and releases like an installed one; a record that does not
+// fit imposes and binds nothing.
 func TestTransportImposePaths(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	setup, err := reservePaths(c, "s1", testbed.EdgeDC, 100, 0)
+	setup, err := reservePaths(c, nil, "s1", testbed.EdgeDC, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,13 +378,14 @@ func TestTransportImposePaths(t *testing.T) {
 		logged = append(logged, r)
 	}
 	c.ReleasePaths("s1")
-	if err := c.ImposePaths("s1", logged); err != nil {
+	b := new(ctrl.Binding)
+	if err := c.ImposePaths(b, "s1", logged); err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.Transport.Reservations(); !reflect.DeepEqual(got, logged) {
 		t.Fatalf("imposed %+v, want %+v", got, logged)
 	}
-	if err := c.ResizePaths("s1", 300); err != nil {
+	if err := c.ResizePaths(b, 300); err != nil {
 		t.Fatalf("resize after impose: %v", err)
 	}
 	c.ReleasePaths("s1")
@@ -379,14 +393,15 @@ func TestTransportImposePaths(t *testing.T) {
 		t.Fatalf("release after impose left %+v", got)
 	}
 	logged[1].Mbps = 1e9
-	if err := c.ImposePaths("s1", logged); err == nil {
+	failed := new(ctrl.Binding)
+	if err := c.ImposePaths(failed, "s1", logged); err == nil {
 		t.Fatal("oversize impose succeeded")
 	}
 	if got := tb.Transport.Reservations(); len(got) != 0 {
 		t.Fatalf("failed impose left %+v", got)
 	}
-	if err := c.ResizePaths("s1", 100); err == nil {
-		t.Fatal("failed impose registered handles")
+	if err := c.ResizePaths(failed, 100); err == nil {
+		t.Fatal("failed impose bound handles")
 	}
 }
 
@@ -473,8 +488,8 @@ func TestCloudMarkRunningUnknown(t *testing.T) {
 func TestSetTelemetryPushesAllDomains(t *testing.T) {
 	tb := newTB(t)
 	store := monitor.NewStore(32)
-	reserveRadio(tb.Ctrl.RAN, plmnA, 40)
-	reservePaths(tb.Ctrl.Transport, "s1", testbed.EdgeDC, 100, 0)
+	reserveRadio(tb.Ctrl.RAN, nil, plmnA, 40)
+	reservePaths(tb.Ctrl.Transport, nil, "s1", testbed.EdgeDC, 100, 0)
 	tb.Ctrl.Cloud.DeployEPC("s1", testbed.EdgeDC, plmnA, 30, slice.ClassEMBB)
 	tb.Ctrl.PushTelemetry(store, t0)
 	snap := store.Snapshot()

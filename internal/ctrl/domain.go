@@ -24,7 +24,8 @@ import (
 
 // Tx is the per-slice transactional context handed to every domain. It is
 // built once per engine operation by the orchestrator and passed by value;
-// domains must not retain it.
+// domains must not retain it (the Binding it points at outlives it, and is
+// the one place a domain keeps what it resolved).
 type Tx struct {
 	// Slice identifies the transaction's slice.
 	Slice slice.ID
@@ -43,6 +44,13 @@ type Tx struct {
 	// domains (SLA.MaxLatencyMs minus fixed shares such as the vEPC
 	// user-plane processing).
 	LatencyBudgetMs float64
+	// Binding is the slice's substrate handles: Reserve writes the handles
+	// it resolves into it and Resize reads them, so no resize names the
+	// slice. The orchestrator keeps one per slice and passes it in every Tx
+	// of that slice; the engine and the Set.Wrap decorators pass it through
+	// untouched. It is guarded by the slice's shard lock, which every caller
+	// holds. Nil when there is nothing to bind (admission's Feasible dry run).
+	Binding *Binding
 }
 
 // Grant is one domain's reservation for a slice — the engine's only handle
@@ -187,7 +195,7 @@ func (c *RANController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 		return nil, cause
 	}
 	g := newRadioGrant(tx.PLMN)
-	if err := c.reserveCells(tx.PLMN, tx.Mbps, &g.res); err != nil {
+	if err := c.reserveCells(tx.PLMN, tx.Mbps, &g.res, tx.Binding); err != nil {
 		RecycleGrant(g)
 		return nil, radioCause(err)
 	}
@@ -213,7 +221,7 @@ func (c *RANController) Resize(tx Tx, mbps float64) (Grant, error) {
 		return nil, err
 	}
 	g := newRadioGrant(tx.PLMN)
-	if err := c.resizeCells(tx.PLMN, mbps, &g.res); err != nil {
+	if err := c.resizeCells(tx.Binding, mbps, &g.res); err != nil {
 		RecycleGrant(g)
 		return nil, err
 	}
@@ -275,7 +283,7 @@ func (c *TransportController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 		return nil, cause
 	}
 	g := newPathGrant(tx.Slice)
-	if err := c.reservePaths(tx.Slice, tx.DataCenter, tx.Mbps, tx.LatencyBudgetMs, &g.setup); err != nil {
+	if err := c.reservePaths(tx.Slice, tx.DataCenter, tx.Mbps, tx.LatencyBudgetMs, &g.setup, tx.Binding); err != nil {
 		RecycleGrant(g)
 		return nil, transportCause(err, "transport: %w", err)
 	}
@@ -299,7 +307,7 @@ func (c *TransportController) Resize(tx Tx, mbps float64) (Grant, error) {
 	if err := c.resizeFault("transport"); err != nil {
 		return nil, err
 	}
-	return nil, c.ResizePaths(tx.Slice, mbps)
+	return nil, c.ResizePaths(tx.Binding, mbps)
 }
 
 // Release implements Domain.

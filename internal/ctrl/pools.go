@@ -48,8 +48,9 @@ var poisonGrants atomic.Bool
 // production paths: poisoning defeats container reuse on purpose.
 func SetGrantPoisoning(on bool) { poisonGrants.Store(on) }
 
-// newRadioGrant returns a pooled radio grant ready for reserveSliceInto: the
-// abort latch is re-armed and the PRB map is present and empty.
+// newRadioGrant returns a pooled radio grant ready for reserveCells or
+// resizeCells: the abort latch is re-armed and the PRB map is present and
+// empty.
 func newRadioGrant(p slice.PLMN) *radioGrant {
 	g := radioGrantPool.Get().(*radioGrant)
 	g.aborted.Store(false)
@@ -61,7 +62,7 @@ func newRadioGrant(p slice.PLMN) *radioGrant {
 	return g
 }
 
-// newPathGrant returns a pooled transport grant; setupPathsInto reuses the
+// newPathGrant returns a pooled transport grant; reservePaths reuses the
 // retained PathIDs backing array.
 func newPathGrant(id slice.ID) *pathGrant {
 	g := pathGrantPool.Get().(*pathGrant)

@@ -193,9 +193,9 @@ type cellRes struct {
 	prev, next *cellRes
 
 	// Scheduler scratch, meaningful only inside one scheduling pass (under
-	// the cell mutex): the PLMN's index in the pass's dense input (-1 when it
-	// offered no load), the PRBs its demand needs (fractional) and those
-	// granted so far.
+	// the cell mutex): the index of the load it offers in the pass's dense
+	// input (-1 when it offered none), the PRBs its demand needs (fractional)
+	// and those granted so far.
 	item    int
 	want    float64
 	granted float64
@@ -283,6 +283,20 @@ type Handle struct {
 
 // Cell returns the eNB holding the reservation.
 func (h Handle) Cell() *ENB { return h.e }
+
+// PRBs returns the reservation's current size, and false once it has been
+// released.
+func (h Handle) PRBs() (int, bool) {
+	if h.e == nil {
+		return 0, false
+	}
+	h.e.mu.Lock()
+	defer h.e.mu.Unlock()
+	if !h.r.live {
+		return 0, false
+	}
+	return h.r.prbs, true
+}
 
 // Reserve dedicates prbs to the PLMN, adding it to the MOCN broadcast list,
 // and returns the reservation's handle.
@@ -520,19 +534,21 @@ type ServedMbps map[slice.PLMN]float64
 // in-scheduler statistical multiplexing of [1]).
 //
 // It returns the delivered throughput for every PLMN on the broadcast list
-// and the overall PRB utilization in [0,1]. It is the map-typed adapter over
-// the dense pass (ScheduleDense), which the control epoch calls directly.
+// and the overall PRB utilization in [0,1]. It is a map-typed adapter: it
+// walks the cell's own reservation list to index the load, then runs the
+// one scheduling pass ScheduleBound runs.
 func (e *ENB) ScheduleEpoch(demand DemandMbps, shareUnused bool) (ServedMbps, float64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	plmns := make([]slice.PLMN, 0, len(e.reserved))
 	offered := make([]float64, 0, len(e.reserved))
 	for r := e.head; r != nil; r = r.next {
+		r.item = len(plmns)
 		plmns = append(plmns, r.plmn)
 		offered = append(offered, demand[r.plmn])
 	}
 	delivered := make([]float64, len(plmns))
-	util := e.scheduleLocked(plmns, offered, delivered, shareUnused)
+	util := e.scheduleLocked(offered, delivered, shareUnused)
 	served := make(ServedMbps, len(plmns))
 	for i, p := range plmns {
 		served[p] = delivered[i]
@@ -540,30 +556,57 @@ func (e *ENB) ScheduleEpoch(demand DemandMbps, shareUnused bool) (ServedMbps, fl
 	return served, util
 }
 
-// ScheduleDense is the scheduler pass on index-aligned inputs: plmns[i]
-// offers demand[i] Mbps on this cell, and the throughput the cell delivers
-// to it is added to served[i] (the caller sums cells into one array). PLMNs
-// without a reservation here are skipped; reserved PLMNs absent from the
-// input offer no load. It returns the cell's PRB utilization in [0,1].
-//
-// The pass runs under the cell mutex on the live reservation list, in
-// reservation order — the same order the idle/used PRB sums have always
-// been accumulated in, so results are bit-identical to ScheduleEpoch's.
-func (e *ENB) ScheduleDense(plmns []slice.PLMN, demand, served []float64, shareUnused bool) float64 {
+// ScheduleIndexed is the name-addressed pass on dense inputs: the
+// reservation of PLMN p offers demand[index[p]] Mbps on this cell, and the
+// throughput the cell delivers to it is added to served[index[p]] (the
+// caller sums cells into one array). Reservations whose PLMN is not in index
+// offer no load. It walks the cell's own list to mark the load, runs the
+// pass ScheduleBound runs, and returns the cell's PRB utilization in [0,1].
+func (e *ENB) ScheduleIndexed(index map[slice.PLMN]int, demand, served []float64, shareUnused bool) float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.scheduleLocked(plmns, demand, served, shareUnused)
-}
-
-func (e *ENB) scheduleLocked(plmns []slice.PLMN, demand, served []float64, shareUnused bool) float64 {
 	for r := e.head; r != nil; r = r.next {
 		r.item = -1
-	}
-	for i, p := range plmns {
-		if r, ok := e.reserved[p]; ok {
+		if i, ok := index[r.plmn]; ok {
 			r.item = i
 		}
 	}
+	return e.scheduleLocked(demand, served, shareUnused)
+}
+
+// ScheduleBound is the handle-addressed pass on dense inputs: the slice whose
+// per-cell handles are bound[i] offers demand[i] Mbps on this cell, and the
+// throughput the cell delivers to it is added to served[i] (the caller sums
+// cells into one array). Only handles naming this cell count, wherever they
+// sit in bound[i]. A released handle schedules nothing, even when its PLMN
+// has been reserved here again: its record is off the reservation list the
+// pass walks, so its mark is never read. Reserved slices no handle names
+// offer no load. It returns the cell's PRB utilization in [0,1].
+//
+// The marks are written under the cell mutex, and the pass runs under it on
+// the live reservation list, in reservation order — the order the idle/used
+// PRB sums have always been accumulated in, so results are bit-identical to
+// ScheduleEpoch's over the same load.
+func (e *ENB) ScheduleBound(bound [][]Handle, demand, served []float64, shareUnused bool) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for r := e.head; r != nil; r = r.next {
+		r.item = -1
+	}
+	for i, hs := range bound {
+		for _, h := range hs {
+			if h.e == e {
+				h.r.item = i
+			}
+		}
+	}
+	return e.scheduleLocked(demand, served, shareUnused)
+}
+
+// scheduleLocked is the scheduling pass over the cell's reservation list,
+// each record's load marked in item by the caller (-1: no load). The caller
+// holds the cell mutex.
+func (e *ENB) scheduleLocked(demand, served []float64, shareUnused bool) float64 {
 	perPRB := PRBThroughputMbps(e.drawCQI())
 	if perPRB <= 0 {
 		return 0

@@ -319,32 +319,52 @@ func TestScheduleEpochSharedUnused(t *testing.T) {
 	}
 }
 
-// TestScheduleDenseAlignsWithInput: the dense pass is the same scheduler on
-// index-aligned arrays — unreserved PLMNs are skipped, reserved PLMNs absent
-// from the input offer nothing, and served accumulates across calls (the
-// controller sums cells into one array).
+// TestScheduleDenseAlignsWithInput: the dense passes, addressed by handle
+// (ScheduleBound) or by name (ScheduleIndexed), are the same scheduler as the
+// map-typed one, on index-aligned arrays — handles on another cell, released
+// handles and unreserved PLMNs are skipped, reservations the input does not
+// name offer nothing, and served accumulates across calls (the controller
+// sums cells into one array).
 func TestScheduleDenseAlignsWithInput(t *testing.T) {
-	e := newTestENB(t)
+	e, other := newTestENB(t), newTestENB(t)
 	p1, p2, idle, ghost := plmn("01"), plmn("02"), plmn("03"), plmn("09")
-	e.Reserve(p1, 50)
+	h1, _ := e.Reserve(p1, 50)
 	e.Reserve(idle, 10) // reserved, offers no load
-	e.Reserve(p2, 40)
+	h2, _ := e.Reserve(p2, 40)
+	hg, _ := other.Reserve(ghost, 5)
 	per := PRBThroughputMbps(12)
 
 	want, wantUtil := e.ScheduleEpoch(DemandMbps{p1: 10 * per, p2: 100 * per}, true)
-	plmns := []slice.PLMN{p2, ghost, p1} // input order is not reservation order
+	bound := [][]Handle{{h2}, {hg}, {hg, h1}} // input order is not reservation order, nor a slice's handle order
 	demand := []float64{100 * per, 5, 10 * per}
 	served := make([]float64, 3)
-	util := e.ScheduleDense(plmns, demand, served, true)
+	util := e.ScheduleBound(bound, demand, served, true)
 	if util != wantUtil || served[0] != want[p2] || served[2] != want[p1] || served[1] != 0 {
 		t.Fatalf("dense served %v util %v, map pass %v util %v", served, util, want, wantUtil)
+	}
+	byName := make([]float64, 3)
+	util = e.ScheduleIndexed(map[slice.PLMN]int{p2: 0, ghost: 1, p1: 2}, demand, byName, true)
+	if util != wantUtil || byName[0] != want[p2] || byName[2] != want[p1] || byName[1] != 0 {
+		t.Fatalf("name-addressed served %v util %v, map pass %v util %v", byName, util, want, wantUtil)
 	}
 	if v, ok := want[idle]; !ok || v != 0 {
 		t.Fatalf("map adapter dropped the idle PLMN: %v", want)
 	}
-	e.ScheduleDense(plmns, demand, served, true)
+	e.ScheduleBound(bound, demand, served, true)
 	if served[0] != 2*want[p2] || served[2] != 2*want[p1] {
 		t.Fatalf("second pass did not accumulate: %v", served)
+	}
+
+	// p1 is released and reserved again: the handle held from before the
+	// release no longer marks anything, so the new record offers no load.
+	e.Release(p1)
+	if _, err := e.Reserve(p1, 50); err != nil {
+		t.Fatal(err)
+	}
+	clear(served)
+	e.ScheduleBound(bound, demand, served, true)
+	if want, _ := e.ScheduleEpoch(DemandMbps{p2: 100 * per}, true); served[0] != want[p2] || served[2] != 0 {
+		t.Fatalf("released handle scheduled: served %v, want %v for p2 and 0 for the released one", served, want[p2])
 	}
 }
 

@@ -619,6 +619,15 @@ func (n *Network) Reservation(pathID string) (Reservation, bool) {
 	return r.detached(), true
 }
 
+// Holds reports whether r is a live handle of this network: the reservation
+// registered under its path ID, not one released before the ID was reserved
+// again.
+func (n *Network) Holds(r *Reservation) bool {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	return r.net == n && n.paths[r.ID] == r
+}
+
 // Reservations returns a copy of every path reservation, sorted by ID —
 // the leak-check enumeration the invariant auditor maps back onto live
 // slices.
