@@ -13,11 +13,15 @@
 // every barrier; a member never knows it is federated beyond the "fed:<span>"
 // tenant tag on its legs.
 //
+// One writer: every verb holds the federation mutex end to end, member
+// calls included (lock order federation → member; no member calls back),
+// and ends in one apply of one transition (apply.go).
+//
 // A cross-cluster span is one member Submit per leg, in plan order: each
 // member runs its own full admission and two-phase install, and the first
 // member rejection deletes the already-submitted legs in reverse order and
-// carries the member's typed cause back. The span record's legs are the
-// only span state; every teardown deletes them in reverse plan order.
+// carries the member's typed cause back. The books are written once, when
+// the span is placed. Every teardown deletes the legs in reverse plan order.
 // Placement is deterministic: members are kept sorted by name regardless of
 // Join order, member testbed randomness is derived from the member's name
 // (never from shared-RNG consumption order), and leg demand processes are
@@ -40,7 +44,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -100,31 +103,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Cluster is one registered member: a full orchestrator plus its testbed,
-// and the federation-tier books for it. The federation submits and deletes
-// span legs through the orchestrator's public facade (submitLeg, deleteLeg).
-// The books (advertised, headroom, reserved) are guarded by the Federation
-// mutex.
-type Cluster struct {
+// member binds a registered member: the federation submits and deletes
+// span legs through its orchestrator's public facade.
+type member struct {
 	cfg  ClusterConfig
 	orch *core.Orchestrator
 	tb   *testbed.Testbed
+}
 
-	// Federation-tier capacity books (guarded by Federation.mu), in the
-	// same exact unit as the members' own ledgers. advertised is the
-	// member's capacity bar (radio capacity times the member's utilization
-	// cap) at the last refresh; headroom is what the federation may still
-	// place on it (advertised minus the member's ledger load at refresh,
-	// minus contracts placed since); reserved is the running sum of live
-	// span-leg contracts on the member.
-	advertised slice.Kbps
-	headroom   slice.Kbps
-	reserved   slice.Kbps
-	ledgerLast slice.Kbps // member ledger load at the last refresh
-	epochLast  int        // member epoch count at the last refresh
+// read takes the member's ground truth for a refresh.
+func (m member) read() reading {
+	return reading{
+		advertised: slice.ToKbps(m.tb.RadioCapacityMbps() * m.orch.Config().UtilizationCap),
+		ledger:     m.orch.LedgerKbps(),
+		epoch:      m.orch.Gain().Epochs,
+	}
+}
 
-	partitioned bool
-	failed      bool
+// Cluster is one registered member and the federation-tier books for it.
+type Cluster struct {
+	member
+	books
+}
+
+// books are the federation-tier books of one member, in the members' exact
+// ledger unit: the last refresh's reading; headroom, what the federation
+// may still place (advertised minus ledger load at refresh, minus contracts
+// placed since); reserved, the sum of live span-leg contracts.
+type books struct {
+	reading
+	headroom, reserved  slice.Kbps
+	partitioned, failed bool
 }
 
 // Name returns the member's name.
@@ -132,9 +141,6 @@ func (c *Cluster) Name() string { return c.cfg.Name }
 
 // Orchestrator returns the member's orchestrator.
 func (c *Cluster) Orchestrator() *core.Orchestrator { return c.orch }
-
-// Testbed returns the member's testbed.
-func (c *Cluster) Testbed() *testbed.Testbed { return c.tb }
 
 // alive reports whether the federation can currently reach the member.
 func (c *Cluster) alive() bool { return !c.partitioned && !c.failed }
@@ -157,14 +163,12 @@ type ClusterInfo struct {
 }
 
 // Federation is the multi-cluster orchestration tier. All methods are safe
-// for concurrent use; the mutex guards the registry, the span table and the
-// capacity books, and is never held across a member call that can block on
-// member shard locks (leg submission and deletion run unlocked — the books
-// are reserved first, exactly like the core's two-phase ledger reservation).
+// for concurrent use; the mutex guards all tier state.
 type Federation struct {
 	cfg   Config
 	clock sim.Scheduler
 	audit *invariant.Auditor
+	fold  *Federation // the oracle tier under Config.Audit: fed only transitions
 
 	mu       sync.Mutex
 	members  []*Cluster // sorted by name, regardless of Join order
@@ -181,8 +185,7 @@ type Federation struct {
 	crossCluster  int
 	rejectReasons map[string]int
 
-	loopMu sync.Mutex
-	loop   *sim.Event
+	loop *sim.Event // the barrier timer
 }
 
 // New returns an empty federation on the shared clock.
@@ -194,9 +197,12 @@ func New(cfg Config, clock sim.Scheduler) *Federation {
 		byName:  make(map[string]*Cluster),
 		spans:   make(map[slice.ID]*span),
 		orphans: make(map[string][]slice.ID),
+
+		rejectReasons: make(map[string]int),
 	}
 	if cfg.Audit {
 		f.audit = invariant.New(invariant.Options{OnViolation: cfg.AuditOnViolation})
+		f.fold = New(Config{}, clock)
 	}
 	return f
 }
@@ -217,26 +223,19 @@ func (f *Federation) Join(cc ClusterConfig) (*Cluster, error) {
 	if cc.Name == "" {
 		return nil, fmt.Errorf("federation: cluster name required")
 	}
-	rng := rand.New(rand.NewSource(memberSeed(f.cfg.Seed, cc.Name)))
-	tb, err := testbed.New(cc.Testbed, rng)
-	if err != nil {
-		return nil, fmt.Errorf("federation: cluster %s: %w", cc.Name, err)
-	}
-	orch := core.New(cc.Orchestrator, tb, f.clock, monitor.NewStore(4096))
-	c := &Cluster{cfg: cc, orch: orch, tb: tb}
-
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if _, dup := f.byName[cc.Name]; dup {
 		return nil, fmt.Errorf("federation: duplicate cluster name %q", cc.Name)
 	}
-	f.byName[cc.Name] = c
-	f.members = append(f.members, c)
-	sort.Slice(f.members, func(i, j int) bool {
-		return f.members[i].cfg.Name < f.members[j].cfg.Name
-	})
-	f.refreshLocked(c)
-	return c, nil
+	rng := rand.New(rand.NewSource(memberSeed(f.cfg.Seed, cc.Name)))
+	tb, err := testbed.New(cc.Testbed, rng)
+	if err != nil {
+		return nil, fmt.Errorf("federation: cluster %s: %w", cc.Name, err)
+	}
+	m := member{cfg: cc, orch: core.New(cc.Orchestrator, tb, f.clock, monitor.NewStore(4096)), tb: tb}
+	f.apply(memberJoined{member: m, read: m.read()})
+	return f.byName[cc.Name], nil
 }
 
 // Cluster returns the member by name.
@@ -274,8 +273,8 @@ func (f *Federation) ClusterInfos() []ClusterInfo {
 			AdvertisedMbps: c.advertised.Mbps(),
 			HeadroomMbps:   c.headroom.Mbps(),
 			ReservedMbps:   c.reserved.Mbps(),
-			LedgerMbps:     c.ledgerLast.Mbps(),
-			Epoch:          c.epochLast,
+			LedgerMbps:     c.ledger.Mbps(),
+			Epoch:          c.epoch,
 			ActiveSlices:   c.orch.ActiveCount(),
 		})
 	}
@@ -286,101 +285,67 @@ func (f *Federation) ClusterInfos() []ClusterInfo {
 // Config.Audit).
 func (f *Federation) Auditor() *invariant.Auditor { return f.audit }
 
-// Barriers returns how many federation barriers have run.
-func (f *Federation) Barriers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.barriers
-}
-
 // Start starts every member's control loop (in sorted order, so the shared
 // clock sees a deterministic schedule) and the federation barrier. The
 // first barrier fires one Epoch plus BarrierOffset from now — offset past
 // the member epoch instants so barrier events never tie with member epochs.
 func (f *Federation) Start() {
 	f.mu.Lock()
-	members := append([]*Cluster(nil), f.members...)
-	f.mu.Unlock()
-	for _, c := range members {
+	defer f.mu.Unlock()
+	for _, c := range f.members {
 		c.orch.Start()
 	}
-	f.loopMu.Lock()
-	defer f.loopMu.Unlock()
 	if f.loop != nil {
 		return
 	}
 	var tick func()
 	tick = func() {
 		f.RunBarrier()
-		f.loopMu.Lock()
+		f.mu.Lock()
 		if f.loop != nil {
 			f.loop = f.clock.After(f.cfg.Epoch, "federation/barrier", tick)
 		}
-		f.loopMu.Unlock()
+		f.mu.Unlock()
 	}
 	f.loop = f.clock.After(f.cfg.Epoch+f.cfg.BarrierOffset, "federation/barrier", tick)
 }
 
 // Stop cancels the barrier and stops every member's control loop.
 func (f *Federation) Stop() {
-	f.loopMu.Lock()
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.loop != nil {
 		f.loop.Cancel()
 		f.loop = nil
 	}
-	f.loopMu.Unlock()
-	f.mu.Lock()
-	members := append([]*Cluster(nil), f.members...)
-	f.mu.Unlock()
-	for _, c := range members {
+	for _, c := range f.members {
 		c.orch.Stop()
 	}
 }
 
-// refreshLocked re-anchors one reachable member's books to ground truth:
-// advertised is the member's current capacity bar and headroom snaps to
-// advertised minus the member's ledger load. Caller holds f.mu.
-func (f *Federation) refreshLocked(c *Cluster) {
-	if !c.alive() {
-		return
-	}
-	mcfg := c.orch.Config()
-	c.advertised = slice.ToKbps(c.tb.RadioCapacityMbps() * mcfg.UtilizationCap)
-	c.ledgerLast = c.orch.LedgerKbps()
-	// A fade can drop the bar below what the member already carries.
-	c.headroom = max(c.advertised-c.ledgerLast, 0)
-	c.epochLast = c.orch.Gain().Epochs
-}
-
-// RunBarrier runs one federation barrier: refresh every reachable member's
-// advertised summary from its latest books, then audit the federation
-// conservation invariant over the refreshed cut. The epoch pipeline of each
-// member runs independently; the barrier only reads their public facades.
+// RunBarrier runs one federation barrier: re-anchor every reachable
+// member's books to a fresh reading, then audit the federation conservation
+// invariant over the same cut. The epoch pipeline of each member runs
+// independently; the barrier only reads their public facades.
 func (f *Federation) RunBarrier() {
 	f.mu.Lock()
-	f.barriers++
+	defer f.mu.Unlock()
+	reads := make(map[string]reading, len(f.members))
 	for _, c := range f.members {
-		f.refreshLocked(c)
+		if c.alive() {
+			reads[c.cfg.Name] = c.read()
+		}
 	}
-	var in invariant.FedSweepInput
+	f.apply(booksReanchored(reads))
 	if f.audit != nil {
-		in = f.fedSweepInputLocked()
-	}
-	f.mu.Unlock()
-	if f.audit != nil {
-		f.audit.FedSweep(in)
+		f.audit.FedSweep(f.fedSweepInputLocked())
 	}
 }
 
 // fedSweepInputLocked builds the conservation auditor's neutral view of the
 // books and the span registry. Caller holds f.mu.
 func (f *Federation) fedSweepInputLocked() invariant.FedSweepInput {
-	in := invariant.FedSweepInput{
-		Orphans: make(map[string][]slice.ID, len(f.orphans)),
-	}
-	for name, legs := range f.orphans {
-		in.Orphans[name] = append([]slice.ID(nil), legs...)
-	}
+	in := invariant.FedSweepInput{Orphans: f.orphans}
 	for _, c := range f.members {
 		mv := invariant.FedMemberView{
 			Name:       c.cfg.Name,
@@ -403,14 +368,8 @@ func (f *Federation) fedSweepInputLocked() invariant.FedSweepInput {
 		}
 		in.Members = append(in.Members, mv)
 	}
-	ids := make([]slice.ID, 0, len(f.spans))
-	for id := range f.spans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		sp := f.spans[id]
-		sv := invariant.FedSpanView{ID: id}
+	for _, sp := range f.liveSpansLocked() {
+		sv := invariant.FedSpanView{ID: sp.id}
 		for _, leg := range sp.legs {
 			sv.Legs = append(sv.Legs, invariant.FedLegView{
 				Member: leg.Cluster, Leg: leg.Slice, Contract: leg.contract,
@@ -452,75 +411,54 @@ func (f *Federation) Fail(name string) error {
 
 func (f *Federation) isolate(name string, fail bool) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	c, ok := f.byName[name]
 	if !ok {
-		f.mu.Unlock()
 		return fmt.Errorf("federation: unknown cluster %q", name)
 	}
-	if fail {
-		c.failed = true
-	} else if c.failed {
-		f.mu.Unlock()
+	if !fail && c.failed {
 		return fmt.Errorf("federation: cluster %q already failed", name)
-	} else {
-		c.partitioned = true
 	}
-	// Roll back every span touching the member: release the books for all
-	// its legs, remember the unreachable leg as an orphan, and collect the
-	// reachable legs to delete outside the lock.
-	var teardown []memberLeg
-	ids := make([]slice.ID, 0, len(f.spans))
-	for id := range f.spans {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		sp := f.spans[id]
-		touched := false
+	// Roll back every span touching the member, in submission order: its
+	// legs on the reachable members are deleted, its leg on the member
+	// itself is orphaned by the apply.
+	var dropped legsDropped
+	for _, sp := range f.liveSpansLocked() {
 		for _, leg := range sp.legs {
 			if leg.Cluster == name {
-				touched = true
-				f.orphans[name] = append(f.orphans[name], leg.Slice)
+				f.teardown(sp, name)
+				dropped.ids = append(dropped.ids, sp.id)
+				break
 			}
 		}
-		if touched {
-			teardown = append(teardown, f.dropSpanLocked(sp)...)
-		}
 	}
-	orch := c.orch
-	f.mu.Unlock()
-	deleteLegs(teardown)
-	if fail {
-		orch.Stop()
+	if !fail {
+		f.apply(memberPartitioned{dropped, name})
+		return nil
 	}
+	c.orch.Stop()
+	f.apply(memberFailed{dropped, name})
 	return nil
 }
 
 // Heal ends the member's partition: the orphaned legs are deleted exactly
-// once, the summary refreshes, and the member rejoins placement.
+// once, the books re-anchor, and the member rejoins placement.
 func (f *Federation) Heal(name string) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	c, ok := f.byName[name]
 	if !ok {
-		f.mu.Unlock()
 		return fmt.Errorf("federation: unknown cluster %q", name)
 	}
 	if c.failed {
-		f.mu.Unlock()
 		return fmt.Errorf("federation: cluster %q failed permanently", name)
 	}
-	c.partitioned = false
-	orphans := f.orphans[name]
-	delete(f.orphans, name)
-	f.mu.Unlock()
-	// Delete the orphans before re-anchoring the books, so the refreshed
+	// Delete the orphans before reading the books, so the re-anchored
 	// headroom reflects the reclaimed capacity (a leg may have expired on
 	// its own during the partition — deleteLeg is idempotent).
-	for _, id := range orphans {
+	for _, id := range f.orphans[name] {
 		c.deleteLeg(id)
 	}
-	f.mu.Lock()
-	f.refreshLocked(c)
-	f.mu.Unlock()
+	f.apply(memberHealed{name: name, reading: c.read()})
 	return nil
 }

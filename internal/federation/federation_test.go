@@ -35,6 +35,13 @@ func newTestFed(t *testing.T, seed int64, names []string) (*federation.Federatio
 	t.Helper()
 	s := sim.NewSimulator(seed)
 	fed := federation.New(federation.Config{Seed: seed, Audit: true}, s)
+	// Every test runs audited: besides the barrier sweeps, each transition
+	// is folded into a fresh tier that must stay equal to the live one.
+	t.Cleanup(func() {
+		for _, v := range fed.Auditor().Violations() {
+			t.Errorf("invariant violated: %s", v)
+		}
+	})
 	latency := map[string]float64{"east": 2, "west": 3, "north": 5}
 	for _, n := range names {
 		if _, err := fed.Join(memberConfig(n, "eu-"+n, latency[n])); err != nil {
@@ -463,5 +470,47 @@ func TestSpanInstallRollsBackOnMemberReject(t *testing.T) {
 	fed.RunBarrier()
 	if vs := fed.Auditor().Violations(); len(vs) != 0 {
 		t.Fatalf("conservation violations after rollback: %v", vs)
+	}
+}
+
+// TestBarrierDuringSpanOpsIsClean runs audited barriers back to back beside
+// a stream of span submissions and deletions. Every federation verb holds
+// the federation lock end to end, member calls included, so no barrier can
+// see a span whose books are written but whose legs are not registered (or
+// the reverse): the conservation sweep must stay clean at every cut.
+func TestBarrierDuringSpanOpsIsClean(t *testing.T) {
+	fed, _ := newTestFed(t, 3, []string{"east", "west"})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			st, err := fed.Submit(federation.Request{Tenant: "churn", SLA: sla(5)})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if st.State != "installed" {
+				t.Errorf("span %d not installed: %+v", i, st)
+				return
+			}
+			if err := fed.Delete(st.ID); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		fed.RunBarrier()
+	}
+	if vs := fed.Auditor().Violations(); len(vs) != 0 {
+		t.Fatalf("%d violations over %d barriers, first: %v", len(vs), fed.Stats().Barriers, vs[0])
+	}
+	if st := fed.Stats(); st.SpansInstalled != 200 || st.SpansLive != 0 {
+		t.Fatalf("stats %+v, want 200 installed and none live", st)
 	}
 }

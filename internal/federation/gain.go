@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"maps"
 	"sort"
 
 	"repro/internal/core"
@@ -30,10 +31,7 @@ func (f *Federation) Stats() Stats {
 		Barriers:          f.barriers,
 	}
 	if len(f.rejectReasons) > 0 {
-		s.RejectReasons = make(map[string]int, len(f.rejectReasons))
-		for code, n := range f.rejectReasons {
-			s.RejectReasons[code] = n
-		}
+		s.RejectReasons = maps.Clone(f.rejectReasons)
 	}
 	return s
 }
@@ -49,10 +47,9 @@ type ClusterGain struct {
 // member orderings.
 func (f *Federation) ClusterGains() []ClusterGain {
 	f.mu.Lock()
-	members := append([]*Cluster(nil), f.members...)
-	f.mu.Unlock()
-	out := make([]ClusterGain, 0, len(members))
-	for _, c := range members {
+	defer f.mu.Unlock()
+	out := make([]ClusterGain, 0, len(f.members))
+	for _, c := range f.members {
 		out = append(out, ClusterGain{Cluster: c.cfg.Name, Gain: c.orch.Gain()})
 	}
 	return out
@@ -80,14 +77,13 @@ type ClusterEvent struct {
 // member-local sequence number, keeping the most recent n overall.
 func (f *Federation) RecentEvents(n int) []ClusterEvent {
 	f.mu.Lock()
-	members := append([]*Cluster(nil), f.members...)
-	f.mu.Unlock()
 	var all []ClusterEvent
-	for _, c := range members {
+	for _, c := range f.members {
 		for _, ev := range c.orch.Events().Recent(n) {
 			all = append(all, ClusterEvent{Cluster: c.cfg.Name, Event: ev})
 		}
 	}
+	f.mu.Unlock()
 	sort.SliceStable(all, func(i, j int) bool {
 		if !all[i].Time.Equal(all[j].Time) {
 			return all[i].Time.Before(all[j].Time)

@@ -64,15 +64,12 @@ func (f *Federation) Explain(req Request) (PlacementExplain, error) {
 // name); otherwise split greedily across eligible clusters by descending
 // headroom (ties by name) — a cross-cluster span. Deterministic: members are
 // iterated in name order and every tie-break is by name. Caller holds f.mu;
-// when ex is non-nil the full per-candidate trace is recorded.
+// the full per-candidate trace is recorded in ex.
 func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, *slice.RejectionCause) {
 	need := slice.ToKbps(req.SLA.ThroughputMbps)
 
 	reject := func(cause *slice.RejectionCause) ([]legPlan, *slice.RejectionCause) {
-		if ex != nil {
-			ex.RejectCode = cause.Code
-			ex.Reason = cause.Detail
-		}
+		ex.RejectCode, ex.Reason = cause.Code, cause.Detail
 		return nil, cause
 	}
 
@@ -107,9 +104,7 @@ func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, 
 			cand.Eligible = true
 			eligible = append(eligible, c)
 		}
-		if ex != nil {
-			ex.Candidates = append(ex.Candidates, cand)
-		}
+		ex.Candidates = append(ex.Candidates, cand)
 	}
 
 	if len(eligible) == 0 {
@@ -136,12 +131,7 @@ func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, 
 		}
 	}
 	if best != nil {
-		plan := []legPlan{{cluster: best, contract: need}}
-		if ex != nil {
-			ex.Placed = true
-			ex.Legs = []ExplainLeg{{Cluster: best.cfg.Name, Mbps: need.Mbps()}}
-		}
-		return plan, nil
+		return ex.placed([]legPlan{{cluster: best, contract: need}}), nil
 	}
 
 	// Split pass: a cross-cluster span, greedy by descending headroom so the
@@ -171,11 +161,14 @@ func (f *Federation) placeLocked(req Request, ex *PlacementExplain) ([]legPlan, 
 			"%.1f Mbps requested, %.1f Mbps federated headroom across %d eligible clusters",
 			need.Mbps(), total.Mbps(), len(eligible)))
 	}
-	if ex != nil {
-		ex.Placed = true
-		for _, lp := range plan {
-			ex.Legs = append(ex.Legs, ExplainLeg{Cluster: lp.cluster.cfg.Name, Mbps: lp.contract.Mbps()})
-		}
+	return ex.placed(plan), nil
+}
+
+// placed records the chosen legs in the trace and returns the plan.
+func (ex *PlacementExplain) placed(plan []legPlan) []legPlan {
+	ex.Placed = true
+	for _, lp := range plan {
+		ex.Legs = append(ex.Legs, ExplainLeg{Cluster: lp.cluster.cfg.Name, Mbps: lp.contract.Mbps()})
 	}
-	return plan, nil
+	return plan
 }

@@ -52,7 +52,8 @@ type SpanStatus struct {
 	Expires    time.Time        `json:"expires,omitempty"`
 }
 
-// span is the federation's bookkeeping for one live span (guarded by f.mu).
+// span is the federation's bookkeeping for one live span (guarded by f.mu;
+// immutable once placed).
 type span struct {
 	id      slice.ID
 	tenant  string
@@ -105,9 +106,9 @@ func (r Request) validate() error {
 
 // Submit places the request across the member clusters and submits one leg
 // to each owning member in plan order. A member-side rejection deletes the
-// already-submitted legs in reverse order and returns the federation books
-// to their pre-submit values. Rejection is an outcome, not an error — the
-// returned status carries the typed cause.
+// already-submitted legs in reverse order; the books are written only when
+// the span is placed. Rejection is an outcome, not an error — the returned
+// status carries the typed cause.
 func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	if req.Tenant == "" {
 		return SpanStatus{}, fmt.Errorf("federation: request missing tenant")
@@ -121,60 +122,23 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	}
 
 	f.mu.Lock()
-	f.spanSeq++
-	seq := f.spanSeq
+	defer f.mu.Unlock()
+	seq := f.spanSeq + 1
 	id := slice.ID("f-" + strconv.FormatInt(seq, 10))
-	plan, cause := f.placeLocked(req, nil)
-	if cause != nil {
-		f.rejectLocked(cause)
-		f.mu.Unlock()
-		return SpanStatus{ID: id, Tenant: req.Tenant, State: "rejected",
-			RejectCode: cause.Code, Reason: cause.Detail}, nil
-	}
-	// Reserve the federation books before submitting — the hierarchical
-	// ledger's phase one, mirroring the core's admission reservation. Any
-	// member rejection releases exactly what was reserved.
+	plan, cause := f.placeLocked(req, new(PlacementExplain))
+	legs := make([]Leg, 0, len(plan))
 	for _, lp := range plan {
-		lp.cluster.headroom -= lp.contract
-		lp.cluster.reserved += lp.contract
-	}
-	f.mu.Unlock()
-
-	legs := make([]Leg, len(plan))
-	for i, lp := range plan {
-		legs[i] = Leg{Cluster: lp.cluster.cfg.Name, Mbps: lp.contract.Mbps(), contract: lp.contract}
-		legs[i].Slice, cause = lp.cluster.submitLeg(id, legSLA(req.SLA, lp), frac)
-		if cause != nil {
-			for j := i - 1; j >= 0; j-- {
-				plan[j].cluster.deleteLeg(legs[j].Slice)
-			}
+		leg := Leg{Cluster: lp.cluster.cfg.Name, Mbps: lp.contract.Mbps(), contract: lp.contract}
+		if leg.Slice, cause = lp.cluster.submitLeg(id, legSLA(req.SLA, lp), frac); cause != nil {
+			f.teardown(&span{legs: legs}, "")
 			break
 		}
+		legs = append(legs, leg)
 	}
-
-	f.mu.Lock()
 	if cause != nil {
-		for _, lp := range plan {
-			lp.cluster.headroom += lp.contract
-			lp.cluster.reserved -= lp.contract
-		}
-		f.rejectLocked(cause)
-		f.mu.Unlock()
+		f.apply(spanRejected{code: cause.Code})
 		return SpanStatus{ID: id, Tenant: req.Tenant, State: "rejected",
 			RejectCode: cause.Code, Reason: cause.Detail}, nil
-	}
-	sp := &span{
-		id:      id,
-		seq:     seq,
-		tenant:  req.Tenant,
-		sla:     req.SLA,
-		legs:    legs,
-		expires: f.clock.Now().Add(req.SLA.Duration),
-	}
-	f.spans[id] = sp
-	f.admitted++
-	if len(sp.legs) > 1 {
-		f.crossCluster++
 	}
 	// The federation owns the span lifecycle: its expiry deletes the member
 	// legs. The members also arm their own leg expiries, but those run from
@@ -182,12 +146,19 @@ func (f *Federation) Submit(req Request) (SpanStatus, error) {
 	// backstop; relying on them would leave each leg alive past the span
 	// record for the install-latency window, which the conservation sweep
 	// would (rightly) flag as a fed-leak.
-	sp.expiry = f.clock.After(req.SLA.Duration, "federation/"+string(id)+"/expiry", func() {
-		f.expireSpan(id)
-	})
-	st := sp.status()
-	f.mu.Unlock()
-	return st, nil
+	sp := span{
+		id:      id,
+		seq:     seq,
+		tenant:  req.Tenant,
+		sla:     req.SLA,
+		legs:    legs,
+		expires: f.clock.Now().Add(req.SLA.Duration),
+		expiry: f.clock.After(req.SLA.Duration, "federation/"+string(id)+"/expiry", func() {
+			_ = f.Delete(id)
+		}),
+	}
+	f.apply(spanPlaced{span: sp})
+	return sp.status(), nil
 }
 
 // submitLeg submits one span leg to the member as a normal slice request
@@ -230,79 +201,31 @@ func legSLA(sla slice.SLA, lp legPlan) slice.SLA {
 	return leg
 }
 
-// rejectLocked buckets a federation-level rejection. Caller holds f.mu.
-func (f *Federation) rejectLocked(cause *slice.RejectionCause) {
-	f.rejected++
-	if f.rejectReasons == nil {
-		f.rejectReasons = make(map[string]int)
-	}
-	f.rejectReasons[string(cause.Code)]++
-}
-
-// expireSpan retires a span whose contract duration elapsed: the books are
-// released and the member legs are deleted in reverse plan order.
-func (f *Federation) expireSpan(id slice.ID) {
-	f.mu.Lock()
-	var teardown []memberLeg
-	if sp, ok := f.spans[id]; ok {
-		teardown = f.dropSpanLocked(sp)
-	}
-	f.mu.Unlock()
-	deleteLegs(teardown)
-}
-
-// memberLeg is one leg to delete on its member, collected under f.mu and
-// deleted outside it.
-type memberLeg struct {
-	c  *Cluster
-	id slice.ID
-}
-
-func deleteLegs(legs []memberLeg) {
-	for _, l := range legs {
-		l.c.deleteLeg(l.id)
-	}
-}
-
-// dropSpanLocked removes the span from the registry, cancels its expiry and
-// returns its leg contracts to the federation books. An unreachable member's
-// headroom is NOT credited: its leg is orphaned, not released — the member
-// still holds it on the far side of the partition — and its books are frozen
-// until the heal re-anchors them. The reserved book always drops: it mirrors
-// the span registry, and the leg's registration is gone. Returns the legs on
-// reachable members in reverse plan order, for the caller to delete once it
-// releases f.mu. Caller holds f.mu.
-func (f *Federation) dropSpanLocked(sp *span) []memberLeg {
-	delete(f.spans, sp.id)
+// teardown deletes a span's legs on their reachable members in reverse plan
+// order and cancels its expiry: the member side of every rollback. The
+// member named cut (being isolated) keeps its leg, which the apply orphans.
+func (f *Federation) teardown(sp *span, cut string) {
 	if sp.expiry != nil {
 		sp.expiry.Cancel()
-		sp.expiry = nil
 	}
-	var teardown []memberLeg
 	for i := len(sp.legs) - 1; i >= 0; i-- {
-		leg := sp.legs[i]
-		c := f.byName[leg.Cluster]
-		if c.alive() {
-			c.headroom += leg.contract
-			teardown = append(teardown, memberLeg{c: c, id: leg.Slice})
+		if c := f.byName[sp.legs[i].Cluster]; c.alive() && c.cfg.Name != cut {
+			c.deleteLeg(sp.legs[i].Slice)
 		}
-		c.reserved -= leg.contract
 	}
-	return teardown
 }
 
-// Delete tears a span down ahead of its expiry, deleting every member leg in
-// reverse plan order.
+// Delete tears a span down ahead of its expiry (the expiry itself ends
+// here too), deleting every member leg in reverse plan order.
 func (f *Federation) Delete(id slice.ID) error {
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	sp, ok := f.spans[id]
 	if !ok {
-		f.mu.Unlock()
 		return fmt.Errorf("federation: unknown span %s", id)
 	}
-	teardown := f.dropSpanLocked(sp)
-	f.mu.Unlock()
-	deleteLegs(teardown)
+	f.teardown(sp, "")
+	f.apply(legsDropped{ids: []slice.ID{id}})
 	return nil
 }
 
@@ -321,14 +244,20 @@ func (f *Federation) Get(id slice.ID) (SpanStatus, bool) {
 func (f *Federation) Spans() []SpanStatus {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	live := make([]*span, 0, len(f.spans))
-	for _, sp := range f.spans {
-		live = append(live, sp)
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+	live := f.liveSpansLocked()
 	out := make([]SpanStatus, len(live))
 	for i, sp := range live {
 		out[i] = sp.status()
 	}
 	return out
+}
+
+// liveSpansLocked returns the live spans in submission order.
+func (f *Federation) liveSpansLocked() []*span {
+	live := make([]*span, 0, len(f.spans))
+	for _, sp := range f.spans {
+		live = append(live, sp)
+	}
+	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
+	return live
 }

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/invariant"
 	"repro/internal/slice"
 )
 
@@ -217,12 +218,17 @@ func DefaultGuardrails() []Guardrail {
 	}
 }
 
-// Store is the versioned template registry. Safe for concurrent use.
+// Store is the versioned template registry and, for the Manager built on
+// it, the intent tier's state under its one lock. Safe for concurrent use.
 type Store struct {
 	mu         sync.Mutex
 	byName     map[string][]Template // versions of a name; Version = index+1
-	names      []string              // insertion order for deterministic listing
 	guardrails []Guardrail
+	fleets     []*Fleet   // creation order: fleets[i].ID is fl-<i+1>
+	rollouts   []*Rollout // creation order: rollouts[i].ID is ro-<i+1>
+
+	audit *invariant.Auditor
+	fold  *Store // fed only transitions; must equal this store (apply.go)
 }
 
 // NewStore builds a registry enforcing the given guardrails at publish time
@@ -234,11 +240,6 @@ func NewStore(guardrails []Guardrail) *Store {
 	return &Store{byName: make(map[string][]Template), guardrails: guardrails}
 }
 
-// Guardrails returns the publish-time policy chain in evaluation order.
-func (s *Store) Guardrails() []Guardrail {
-	return append([]Guardrail(nil), s.guardrails...)
-}
-
 // CreateDraft registers t as the next draft version of its name and returns
 // it with Version/State/CreatedAt assigned.
 func (s *Store) CreateDraft(t Template, now time.Time) (Template, error) {
@@ -248,9 +249,6 @@ func (s *Store) CreateDraft(t Template, now time.Time) (Template, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.byName[t.Name]; !ok {
-		s.names = append(s.names, t.Name)
-	}
 	t.Version = len(s.byName[t.Name]) + 1
 	t.State = TemplateDraft
 	t.CreatedAt = now
@@ -289,11 +287,10 @@ func (s *Store) UpdateDraft(t Template) (Template, error) {
 func (s *Store) Publish(name string, version int, now time.Time) (Template, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	vs := s.byName[name]
-	if version < 1 || version > len(vs) {
+	t, ok := s.get(name, version)
+	if !ok {
 		return Template{}, fmt.Errorf("intent: template %s version %d %w", name, version, ErrNotFound)
 	}
-	t := vs[version-1]
 	if t.State == TemplatePublished {
 		return t, nil
 	}
@@ -302,9 +299,8 @@ func (s *Store) Publish(name string, version int, now time.Time) (Template, erro
 			return Template{}, fmt.Errorf("intent: %w %s: template %s v%d: %w", ErrGuardrail, g.Name, name, version, err)
 		}
 	}
-	t.State = TemplatePublished
-	t.PublishedAt = now
-	vs[version-1] = t
+	s.apply(templatePublished{Template: t, at: now})
+	t, _ = s.get(name, version)
 	return t, nil
 }
 
@@ -312,6 +308,10 @@ func (s *Store) Publish(name string, version int, now time.Time) (Template, erro
 func (s *Store) Get(name string, version int) (Template, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.get(name, version)
+}
+
+func (s *Store) get(name string, version int) (Template, bool) {
 	vs := s.byName[name]
 	if version < 1 || version > len(vs) {
 		return Template{}, false
@@ -337,7 +337,10 @@ func (s *Store) LatestPublished(name string) (Template, bool) {
 func (s *Store) List() []Template {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := append([]string(nil), s.names...)
+	names := make([]string, 0, len(s.byName))
+	for n := range s.byName {
+		names = append(names, n)
+	}
 	sort.Strings(names)
 	var out []Template
 	for _, n := range names {

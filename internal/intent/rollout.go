@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"log"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -12,9 +11,6 @@ import (
 	"repro/internal/slice"
 	"repro/internal/traffic"
 )
-
-// logf is swappable for tests.
-var logf = log.Printf
 
 // Intent-plane lifecycle events, published on the core bus alongside the
 // slice lifecycle so SSE consumers can follow fleets and rollouts with the
@@ -75,14 +71,16 @@ type Rollout struct {
 	Phase       RolloutPhase `json:"phase"`
 	Canary      []slice.ID   `json:"canary"`
 	Rest        []slice.ID   `json:"rest"`
-	// SinceSeq is the bus sequence at canary start; only violations after it
-	// count against the canary.
+	// SinceSeq is the bus sequence at canary start; Violations counts the
+	// SLA-violation epochs charged to the canary since then.
 	SinceSeq   int64     `json:"since_seq"`
 	Violations int       `json:"violations"`
 	Window     string    `json:"window"`
 	StartedAt  time.Time `json:"started_at"`
 	DecidedAt  time.Time `json:"decided_at,omitzero"`
 	Reason     string    `json:"reason,omitempty"`
+
+	baseline []int // each canary's ViolationEpochs at the start
 }
 
 // RolloutConfig parameterizes StartRollout.
@@ -119,35 +117,25 @@ type Config struct {
 // Manager is the intent-plane control head: it owns the template store and
 // the fleet/rollout metadata, and drives the orchestrator through its
 // public read (DryRun) and reconfiguration (SubmitBatch, SetProvisionCap)
-// surface. One mutex serializes all intent operations — the plane is a
-// low-rate control path, and serial decisions keep rollouts deterministic
-// under the sim clock.
+// surface. The store's lock is the tier's one lock: it serializes every
+// intent verb end to end — the plane is a low-rate control path, and serial
+// decisions keep rollouts deterministic under the sim clock.
 type Manager struct {
-	orch  *core.Orchestrator
-	clock sim.Scheduler
-	store *Store
-
-	mu           sync.Mutex
-	quotas       Quotas
-	fleets       map[string]*Fleet
-	fleetOrder   []string
-	rollouts     map[string]*Rollout
-	rolloutOrder []string
-	fleetSeq     int
-	rolloutSeq   int
+	orch   *core.Orchestrator
+	clock  sim.Scheduler
+	store  *Store
+	quotas Quotas
 }
 
 // NewManager builds the intent plane over an orchestrator and a clock (the
-// sim scheduler in scenarios, a realtime clock in the daemon).
+// sim scheduler in scenarios, a realtime clock in the daemon). An audited
+// orchestrator also audits the intent tier's transitions (apply.go).
 func NewManager(orch *core.Orchestrator, clock sim.Scheduler, cfg Config) *Manager {
-	return &Manager{
-		orch:     orch,
-		clock:    clock,
-		store:    NewStore(cfg.Guardrails),
-		quotas:   cfg.Quotas,
-		fleets:   make(map[string]*Fleet),
-		rollouts: make(map[string]*Rollout),
+	m := &Manager{orch: orch, clock: clock, store: NewStore(cfg.Guardrails), quotas: cfg.Quotas}
+	if a := orch.Auditor(); a != nil {
+		m.store.audit, m.store.fold = a, NewStore(nil)
 	}
+	return m
 }
 
 // Store returns the template registry.
@@ -175,7 +163,9 @@ type DemandFactory func(tenant string, region Region, t Template) traffic.Demand
 // provisioning cap installed; rejected cells stay in the fleet record with
 // their typed rejection for the operator to read.
 func (m *Manager) Instantiate(name string, version int, tenants []string, regions []Region, policy core.BatchPolicy, demand DemandFactory) (Fleet, error) {
-	t, ok := m.store.Get(name, version)
+	m.store.mu.Lock()
+	defer m.store.mu.Unlock()
+	t, ok := m.store.get(name, version)
 	if !ok {
 		return Fleet{}, fmt.Errorf("intent: template %s version %d %w", name, version, ErrNotFound)
 	}
@@ -185,18 +175,14 @@ func (m *Manager) Instantiate(name string, version int, tenants []string, region
 	if len(tenants) == 0 || len(regions) == 0 {
 		return Fleet{}, fmt.Errorf("intent: instantiation needs at least one tenant and one region")
 	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
 	if err := m.checkQuotasLocked(tenants, regions); err != nil {
 		return Fleet{}, err
 	}
 
 	// Tenant-major cell order: the submission order, the member order, and
 	// therefore the canary-selection order — all deterministic.
+	f := Fleet{ID: fmt.Sprintf("fl-%d", len(m.store.fleets)+1), Template: name, Version: version}
 	items := make([]core.BatchItem, 0, len(tenants)*len(regions))
-	cells := make([]Member, 0, len(tenants)*len(regions))
 	for _, tenant := range tenants {
 		for _, region := range regions {
 			it := core.BatchItem{Request: t.Request(tenant, region)}
@@ -204,7 +190,7 @@ func (m *Manager) Instantiate(name string, version int, tenants []string, region
 				it.Demand = demand(tenant, region, t)
 			}
 			items = append(items, it)
-			cells = append(cells, Member{Tenant: tenant, Region: region})
+			f.Members = append(f.Members, Member{Tenant: tenant, Region: region})
 		}
 	}
 	slices, err := m.orch.SubmitBatch(items, policy)
@@ -212,16 +198,10 @@ func (m *Manager) Instantiate(name string, version int, tenants []string, region
 		return Fleet{}, err
 	}
 
-	m.fleetSeq++
-	f := &Fleet{
-		ID:        fmt.Sprintf("fl-%d", m.fleetSeq),
-		Template:  name,
-		Version:   version,
-		CreatedAt: m.clock.Now(),
-	}
+	f.CreatedAt = m.clock.Now()
 	cap := t.TargetMbps()
 	for i, sl := range slices {
-		mem := cells[i]
+		mem := &f.Members[i]
 		mem.Slice = sl.ID()
 		if sl.State() == slice.StateRejected {
 			if c, ok := sl.Cause(); ok {
@@ -235,12 +215,10 @@ func (m *Manager) Instantiate(name string, version int, tenants []string, region
 				return Fleet{}, fmt.Errorf("intent: cap %s: %w", sl.ID(), err)
 			}
 		}
-		f.Members = append(f.Members, mem)
 	}
-	m.fleets[f.ID] = f
-	m.fleetOrder = append(m.fleetOrder, f.ID)
 	m.publishLocked(EventFleet, fmt.Sprintf("%s: %s v%d instantiated, %d admitted / %d rejected", f.ID, name, version, f.Admitted, f.Rejected))
-	return *f, nil
+	m.store.apply(fleetInstantiated{f})
+	return f, nil
 }
 
 // checkQuotasLocked enforces tenant/region caps over live members of
@@ -251,8 +229,8 @@ func (m *Manager) checkQuotasLocked(tenants []string, regions []Region) error {
 	}
 	perTenant := make(map[string]int)
 	perRegion := make(map[Region]int)
-	for _, id := range m.fleetOrder {
-		for _, mem := range m.fleets[id].Members {
+	for _, f := range m.store.fleets {
+		for _, mem := range f.Members {
 			if !mem.Admitted || !m.liveLocked(mem.Slice) {
 				continue
 			}
@@ -290,47 +268,46 @@ func (m *Manager) liveLocked(id slice.ID) bool {
 
 // GetFleet returns one fleet by ID.
 func (m *Manager) GetFleet(id string) (Fleet, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.fleets[id]
-	if !ok {
-		return Fleet{}, false
+	m.store.mu.Lock()
+	defer m.store.mu.Unlock()
+	if f := m.store.fleet(id); f != nil {
+		return *f, true
 	}
-	return *f, true
+	return Fleet{}, false
 }
 
 // Fleets lists fleets in creation order.
 func (m *Manager) Fleets() []Fleet {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Fleet, 0, len(m.fleetOrder))
-	for _, id := range m.fleetOrder {
-		out = append(out, *m.fleets[id])
+	m.store.mu.Lock()
+	defer m.store.mu.Unlock()
+	out := make([]Fleet, 0, len(m.store.fleets))
+	for _, f := range m.store.fleets {
+		out = append(out, *f)
 	}
 	return out
 }
 
 // StartRollout resizes a canary fraction of the fleet to the target
-// template version, then observes SLA-violation events on the canary
-// members for the window. At the window edge the decision is automatic:
+// template version, then observes the SLA-violation epochs charged to the
+// canary members for the window. At the window edge the decision is automatic:
 // a clean canary promotes the whole fleet; more than MaxViolations rolls
 // every canary member back to the prior version. The decision runs on the
 // manager's clock, so under the sim scheduler the whole state machine is
 // deterministic.
 func (m *Manager) StartRollout(cfg RolloutConfig) (Rollout, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.store.mu.Lock()
+	defer m.store.mu.Unlock()
 
-	f, ok := m.fleets[cfg.Fleet]
-	if !ok {
+	f := m.store.fleet(cfg.Fleet)
+	if f == nil {
 		return Rollout{}, fmt.Errorf("intent: fleet %s %w", cfg.Fleet, ErrNotFound)
 	}
-	for _, id := range m.rolloutOrder {
-		if r := m.rollouts[id]; r.Fleet == cfg.Fleet && r.Phase == RolloutCanary {
+	for _, r := range m.store.rollouts {
+		if r.Fleet == cfg.Fleet && r.Phase == RolloutCanary {
 			return Rollout{}, fmt.Errorf("intent: fleet %s already has rollout %s in flight", cfg.Fleet, r.ID)
 		}
 	}
-	to, ok := m.store.Get(f.Template, cfg.ToVersion)
+	to, ok := m.store.get(f.Template, cfg.ToVersion)
 	if !ok {
 		return Rollout{}, fmt.Errorf("intent: template %s version %d %w", f.Template, cfg.ToVersion, ErrNotFound)
 	}
@@ -358,14 +335,10 @@ func (m *Manager) StartRollout(cfg RolloutConfig) (Rollout, error) {
 	if len(live) == 0 {
 		return Rollout{}, fmt.Errorf("intent: fleet %s has no live members to roll out", f.ID)
 	}
-	n := int(math.Ceil(frac * float64(len(live))))
-	if n < 1 {
-		n = 1
-	}
+	n := int(math.Ceil(frac * float64(len(live)))) // ≥ 1: frac > 0, live non-empty
 
-	m.rolloutSeq++
-	r := &Rollout{
-		ID:          fmt.Sprintf("ro-%d", m.rolloutSeq),
+	r := Rollout{
+		ID:          fmt.Sprintf("ro-%d", len(m.store.rollouts)+1),
 		Fleet:       f.ID,
 		FromVersion: f.Version,
 		ToVersion:   cfg.ToVersion,
@@ -375,92 +348,79 @@ func (m *Manager) StartRollout(cfg RolloutConfig) (Rollout, error) {
 		SinceSeq:    m.orch.Events().LastSeq(),
 		Window:      window.String(),
 		StartedAt:   m.clock.Now(),
+		baseline:    make([]int, n),
 	}
-	maxViol := cfg.MaxViolations
-
 	cap := to.TargetMbps()
-	for _, id := range r.Canary {
+	for i, id := range r.Canary {
+		if sl, ok := m.orch.Get(id); ok {
+			r.baseline[i] = sl.Accounting().ViolationEpochs
+		}
 		if _, err := m.orch.SetProvisionCap(id, cap); err != nil {
 			return Rollout{}, fmt.Errorf("intent: canary %s: %w", id, err)
 		}
 	}
-	m.rollouts[r.ID] = r
-	m.rolloutOrder = append(m.rolloutOrder, r.ID)
 	m.publishLocked(EventRollout, fmt.Sprintf("%s: fleet %s canary v%d->v%d (%d/%d slices, window %s)", r.ID, f.ID, r.FromVersion, r.ToVersion, n, len(live), window))
-
-	id := r.ID
-	m.clock.After(window, "intent/"+id+"/decide", func() { m.decide(id, maxViol) })
-	return *r, nil
+	m.clock.After(window, "intent/"+r.ID+"/decide", func() { m.decide(r.ID, cfg.MaxViolations) })
+	m.store.apply(rolloutStarted{r})
+	return r, nil
 }
 
-// decide closes a rollout's observation window: count the canary's
-// violation events since the rollout started and promote or roll back.
+// decide closes a rollout's observation window and promotes or rolls back.
+// The canary's violations are read from the canary slices themselves, so no
+// unrelated bus traffic can hide them. A canary evicted from the bounded
+// finished history (core.Config.HistoryLimit) before the decision
+// contributes nothing: its count left with its record.
 func (m *Manager) decide(id string, maxViolations int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.rollouts[id]
-	if !ok || r.Phase != RolloutCanary {
+	m.store.mu.Lock()
+	defer m.store.mu.Unlock()
+	r := m.store.rollout(id)
+	if r == nil || r.Phase != RolloutCanary {
 		return
 	}
-	f := m.fleets[r.Fleet]
-	canary := make(map[slice.ID]bool, len(r.Canary))
-	for _, s := range r.Canary {
-		canary[s] = true
-	}
-	for _, ev := range m.orch.Events().Recent(0) {
-		if ev.Seq > r.SinceSeq && ev.Type == core.EventViolation && canary[ev.Slice] {
-			r.Violations++
+	d := rolloutDecided{id: id, phase: RolloutPromoted, at: m.clock.Now()}
+	for i, s := range r.Canary {
+		if sl, ok := m.orch.Get(s); ok {
+			d.violations += sl.Accounting().ViolationEpochs - r.baseline[i]
 		}
 	}
-	r.DecidedAt = m.clock.Now()
+	d.reason = fmt.Sprintf("%d canary violations in window (max %d)", d.violations, maxViolations)
 
-	if r.Violations > maxViolations {
-		// SLA regression on the canary: put every canary member back on the
-		// prior version's cap. The rest of the fleet never moved.
-		from, _ := m.store.Get(f.Template, r.FromVersion)
-		cap := from.TargetMbps()
-		for _, s := range r.Canary {
-			if _, err := m.orch.SetProvisionCap(s, cap); err != nil {
-				logf("intent: rollback %s: %v", s, err)
-			}
-		}
-		r.Phase = RolloutRolledBack
-		r.Reason = fmt.Sprintf("%d canary violations in window (max %d)", r.Violations, maxViolations)
-		m.publishLocked(EventRollout, fmt.Sprintf("%s: fleet %s rolled back to v%d: %s", r.ID, f.ID, r.FromVersion, r.Reason))
-		return
+	// A clean canary promotes the rest of the fleet to the target version's
+	// cap. An SLA regression puts every canary member back on the prior
+	// version's cap; the rest of the fleet never moved.
+	resize, version, verb := r.Rest, r.ToVersion, "promote"
+	detail := fmt.Sprintf("%s: fleet %s promoted to v%d (%d violations)", r.ID, r.Fleet, r.ToVersion, d.violations)
+	if d.violations > maxViolations {
+		d.phase, resize, version, verb = RolloutRolledBack, r.Canary, r.FromVersion, "rollback"
+		detail = fmt.Sprintf("%s: fleet %s rolled back to v%d: %s", r.ID, r.Fleet, r.FromVersion, d.reason)
 	}
-
-	to, _ := m.store.Get(f.Template, r.ToVersion)
-	cap := to.TargetMbps()
-	for _, s := range r.Rest {
-		if _, err := m.orch.SetProvisionCap(s, cap); err != nil {
-			logf("intent: promote %s: %v", s, err)
+	t, _ := m.store.get(m.store.fleet(r.Fleet).Template, version)
+	for _, s := range resize {
+		if _, err := m.orch.SetProvisionCap(s, t.TargetMbps()); err != nil {
+			log.Printf("intent: %s %s: %v", verb, s, err)
 		}
 	}
-	f.Version = r.ToVersion
-	r.Phase = RolloutPromoted
-	r.Reason = fmt.Sprintf("%d canary violations in window (max %d)", r.Violations, maxViolations)
-	m.publishLocked(EventRollout, fmt.Sprintf("%s: fleet %s promoted to v%d (%d violations)", r.ID, f.ID, r.ToVersion, r.Violations))
+	m.publishLocked(EventRollout, detail)
+	m.store.apply(d)
 }
 
 // GetRollout returns one rollout by ID.
 func (m *Manager) GetRollout(id string) (Rollout, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.rollouts[id]
-	if !ok {
-		return Rollout{}, false
+	m.store.mu.Lock()
+	defer m.store.mu.Unlock()
+	if r := m.store.rollout(id); r != nil {
+		return *r, true
 	}
-	return *r, true
+	return Rollout{}, false
 }
 
 // Rollouts lists rollouts in creation order.
 func (m *Manager) Rollouts() []Rollout {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Rollout, 0, len(m.rolloutOrder))
-	for _, id := range m.rolloutOrder {
-		out = append(out, *m.rollouts[id])
+	m.store.mu.Lock()
+	defer m.store.mu.Unlock()
+	out := make([]Rollout, 0, len(m.store.rollouts))
+	for _, r := range m.store.rollouts {
+		out = append(out, *r)
 	}
 	return out
 }

@@ -34,6 +34,7 @@
 package invariant
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"sync"
@@ -46,7 +47,8 @@ import (
 // Violation is one detected invariant breach.
 type Violation struct {
 	// Check names the invariant family ("ledger", "conservation", "leak",
-	// "event-gap", "state-machine", "epoch-monotonic").
+	// "event-gap", "state-machine", "epoch-monotonic", the federation's
+	// "fed-ledger" and "fed-leak", and the tiers' "fold").
 	Check string `json:"check"`
 	// Detail is the human-readable discrepancy.
 	Detail string `json:"detail"`
@@ -548,5 +550,16 @@ func (a *Auditor) CheckSliceInstalled(tb *testbed.Testbed, v SliceView) {
 		if _, ok := tb.MEC.App(v.MECAppID); !ok {
 			a.record("leak", "post-commit: slice %s mec app %q not placed", v.ID, v.MECAppID)
 		}
+	}
+}
+
+// Fold checks a tier's one-writer contract after one transition: live is
+// the tier's digest, folded the digest of a fresh tier bound to the same
+// members that applied nothing but the transition stream. Any difference is
+// state written outside the transitions, recorded as a "fold" violation.
+func (a *Auditor) Fold(tier, transition string, live, folded []byte) {
+	if !bytes.Equal(live, folded) {
+		a.record("fold", "%s after %s: live tier differs from the fold of its transitions:\n%s---\n%s",
+			tier, transition, live, folded)
 	}
 }

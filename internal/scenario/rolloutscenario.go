@@ -64,10 +64,6 @@ func RolloutChaosScenario(seed int64, shards int) (RolloutChaosResult, error) {
 			PLMNLimit: 64,
 			Audit:     true,
 			Shards:    shards,
-			// The rollout decision scans the replay ring for canary
-			// violations since the rollout started; keep the ring deep
-			// enough that a 30m window under churn is never lapped.
-			EventBuffer: 16384,
 		},
 		Testbed: testbed.Config{MaxPLMNs: 64, RedundantTransport: true, MECHosts: 2, MECHostCPUs: 12},
 	}
