@@ -162,7 +162,10 @@ type Config struct {
 	// enable it; the cost is O(registry) per epoch.
 	Audit bool
 	// AuditOnViolation, when set with Audit, is called synchronously for
-	// every detected violation (tests fail fast through it).
+	// every detected violation (tests fail fast through it), with the
+	// reporter's locks held — an intent plane over this orchestrator
+	// reports its fold violations under its own lock — so it must not call
+	// back into either.
 	AuditOnViolation func(invariant.Violation)
 	// Persist, when set, write-ahead logs every state transition to the
 	// sink before the operation's durability boundary (commit = fsync) and

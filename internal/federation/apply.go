@@ -102,7 +102,10 @@ func (f *Federation) apply(tr any) {
 	}
 }
 
-// drop retires the spans of one legsDropped.
+// drop retires the spans of one legsDropped. An unreachable member's
+// headroom is not credited: the member still holds the leg on the far side
+// of the partition, and its books stay frozen until the heal re-anchors
+// them. The reserved book always drops: it mirrors the span registry.
 func (f *Federation) drop(t legsDropped) {
 	for _, id := range t.ids {
 		for _, leg := range f.spans[id].legs {

@@ -86,10 +86,13 @@ type Config struct {
 	// shared clock.
 	BarrierOffset time.Duration
 	// Audit attaches the federation conservation auditor: every barrier
-	// runs invariant.FedSweep over the books and the span registry.
+	// runs invariant.FedSweep over the books and the span registry, and
+	// every transition is folded into a fresh tier that must stay equal to
+	// the live one.
 	Audit bool
 	// AuditOnViolation, when set with Audit, is called synchronously for
-	// every detected violation.
+	// every detected violation, with the federation mutex held: it must not
+	// call back into the federation.
 	AuditOnViolation func(invariant.Violation)
 }
 
