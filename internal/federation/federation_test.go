@@ -483,7 +483,7 @@ func TestBarrierDuringSpanOpsIsClean(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 400; i++ {
 			st, err := fed.Submit(federation.Request{Tenant: "churn", SLA: sla(5)})
 			if err != nil {
 				t.Error(err)
@@ -510,7 +510,7 @@ func TestBarrierDuringSpanOpsIsClean(t *testing.T) {
 	if vs := fed.Auditor().Violations(); len(vs) != 0 {
 		t.Fatalf("%d violations over %d barriers, first: %v", len(vs), fed.Stats().Barriers, vs[0])
 	}
-	if st := fed.Stats(); st.SpansInstalled != 200 || st.SpansLive != 0 {
-		t.Fatalf("stats %+v, want 200 installed and none live", st)
+	if st := fed.Stats(); st.SpansInstalled != 400 || st.SpansLive != 0 {
+		t.Fatalf("stats %+v, want 400 installed and none live", st)
 	}
 }
