@@ -5,20 +5,18 @@
 // VMs is instantiated in the data center chosen by the embedding logic.
 //
 // The model covers what the orchestration control loop actually exercises:
-// host capacity accounting (vCPU/RAM/disk), flavors, VM placement policies,
+// host capacity accounting (vCPU/RAM/disk), flavors, first-fit VM placement
+// shared by the admission dry run (CanFit) and the install (CreateStack),
 // atomic stack create/delete, and utilization telemetry. It does not speak
 // the OpenStack wire protocol (non-goal, see DESIGN.md).
 package cloud
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // Flavor is a VM size, mirroring Nova flavors.
@@ -71,10 +69,15 @@ func (h *Host) fits(f Flavor) bool {
 		h.DiskGB-h.usedDiskGB >= f.DiskGB
 }
 
+// charge takes the flavor out of the host's free capacity.
+func (h *Host) charge(f Flavor) {
+	h.usedVCPUs += f.VCPUs
+	h.usedRAMMB += f.RAMMB
+	h.usedDiskGB += f.DiskGB
+}
+
 func (h *Host) place(vm *VM) {
-	h.usedVCPUs += vm.Flavor.VCPUs
-	h.usedRAMMB += vm.Flavor.RAMMB
-	h.usedDiskGB += vm.Flavor.DiskGB
+	h.charge(vm.Flavor)
 	h.vms[vm.ID] = vm
 }
 
@@ -105,37 +108,6 @@ type VM struct {
 	Stack  string `json:"stack"`
 }
 
-// PlacementPolicy selects a host for a flavor.
-type PlacementPolicy int
-
-// Placement policies for the embedding ablation.
-const (
-	// FirstFit scans hosts in name order and takes the first that fits —
-	// fast, fragments capacity.
-	FirstFit PlacementPolicy = iota
-	// BestFit picks the fitting host with the least free vCPU, packing
-	// tightly (default; matches Nova's ram-weigher behaviour closely
-	// enough for control-plane purposes).
-	BestFit
-	// WorstFit picks the fitting host with the most free vCPU, spreading
-	// load.
-	WorstFit
-)
-
-// String returns the policy name.
-func (p PlacementPolicy) String() string {
-	switch p {
-	case FirstFit:
-		return "first-fit"
-	case BestFit:
-		return "best-fit"
-	case WorstFit:
-		return "worst-fit"
-	default:
-		return fmt.Sprintf("PlacementPolicy(%d)", int(p))
-	}
-}
-
 // Errors surfaced as admission-rejection reasons.
 var (
 	ErrNoCapacity     = errors.New("cloud: no host fits the flavor")
@@ -145,9 +117,8 @@ var (
 
 // DataCenter is one OpenStack deployment.
 type DataCenter struct {
-	name   string
-	kind   string // "edge" or "core", informational
-	policy PlacementPolicy
+	name string
+	kind string // "edge" or "core", informational
 
 	mu     sync.Mutex
 	hosts  map[string]*Host
@@ -155,26 +126,18 @@ type DataCenter struct {
 	stacks map[string]*Stack
 	vmSeq  int
 
-	// orderScratch/fitScratch are per-DC working arrays reused across
-	// hostOrder and CanFit calls (both run under mu), so the admission
-	// dry-run and placement loops allocate nothing in steady state.
-	orderScratch []*Host
-	fitScratch   []hostFree
+	// free and at are firstFit's working arrays, reused across CanFit and
+	// CreateStack calls (both run under mu), so neither the admission dry
+	// run nor the install allocates for placement in steady state.
+	free []Host
+	at   []int
 }
 
-// hostFree is the dry-run copy of one host's free capacity.
-type hostFree struct {
-	vcpus float64
-	ram   int
-	disk  int
-}
-
-// NewDataCenter returns a data center with the given placement policy.
-func NewDataCenter(name, kind string, policy PlacementPolicy) *DataCenter {
+// NewDataCenter returns an empty data center.
+func NewDataCenter(name, kind string) *DataCenter {
 	return &DataCenter{
 		name:   name,
 		kind:   kind,
-		policy: policy,
 		hosts:  make(map[string]*Host),
 		stacks: make(map[string]*Stack),
 	}
@@ -203,26 +166,6 @@ func (dc *DataCenter) AddHost(name string, vcpus float64, ramMB, diskGB int) err
 	copy(dc.byName[i+1:], dc.byName[i:])
 	dc.byName[i] = h
 	return nil
-}
-
-// hostOrder returns hosts in scheduling order for the policy: name order as
-// the stable base, then a stable free-vCPU sort for Best/WorstFit. The
-// returned slice is dc.orderScratch (valid under dc.mu until the next call).
-func (dc *DataCenter) hostOrder(f Flavor) []*Host {
-	hosts := append(dc.orderScratch[:0], dc.byName...)
-	dc.orderScratch = hosts
-	switch dc.policy {
-	case BestFit:
-		slices.SortStableFunc(hosts, func(a, b *Host) int {
-			return cmp.Compare(a.VCPUs-a.usedVCPUs, b.VCPUs-b.usedVCPUs)
-		})
-	case WorstFit:
-		slices.SortStableFunc(hosts, func(a, b *Host) int {
-			return cmp.Compare(b.VCPUs-b.usedVCPUs, a.VCPUs-a.usedVCPUs)
-		})
-	}
-	_ = f
-	return hosts
 }
 
 // TemplateResource is one VM in a stack template.
@@ -276,6 +219,33 @@ type Stack struct {
 	VMs []*VM  `json:"vms"`
 }
 
+// firstFit is the data center's one placement algorithm, run by both CanFit
+// and CreateStack: each resource of the template goes to the first host in
+// name order that fits it once the resources before it are placed. It
+// places on copies of the hosts, so the books do not move, and returns the
+// index into byName of each placed resource's host, stopping at the first
+// resource that fits nowhere: the template fits when every resource got a
+// host. The result is dc.at, valid under dc.mu until the next call.
+func (dc *DataCenter) firstFit(tmpl Template) []int {
+	dc.free = dc.free[:0]
+	for _, h := range dc.byName {
+		dc.free = append(dc.free, *h)
+	}
+	dc.at = dc.at[:0]
+	for _, res := range tmpl.Resources {
+		i := 0
+		for i < len(dc.free) && !dc.free[i].fits(res.Flavor) {
+			i++
+		}
+		if i == len(dc.free) {
+			break
+		}
+		dc.free[i].charge(res.Flavor)
+		dc.at = append(dc.at, i)
+	}
+	return dc.at
+}
+
 // CreateStack atomically places every VM of the template or none of them
 // (Heat's create-rollback semantics).
 func (dc *DataCenter) CreateStack(id string, tmpl Template) (*Stack, error) {
@@ -287,21 +257,14 @@ func (dc *DataCenter) CreateStack(id string, tmpl Template) (*Stack, error) {
 	if _, ok := dc.stacks[id]; ok {
 		return nil, fmt.Errorf("%w: %s in %s", ErrDuplicateStack, id, dc.name)
 	}
+	at := dc.firstFit(tmpl)
+	if len(at) < len(tmpl.Resources) {
+		res := tmpl.Resources[len(at)]
+		return nil, fmt.Errorf("%w: %s (%.1f vCPU) in %s", ErrNoCapacity, res.Flavor.Name, res.Flavor.VCPUs, dc.name)
+	}
 	stack := &Stack{ID: id, VMs: make([]*VM, 0, len(tmpl.Resources))}
-	for _, res := range tmpl.Resources {
-		var target *Host
-		for _, h := range dc.hostOrder(res.Flavor) {
-			if h.fits(res.Flavor) {
-				target = h
-				break
-			}
-		}
-		if target == nil {
-			for _, vm := range stack.VMs { // Heat create-rollback: all or none
-				dc.hosts[vm.Host].evict(vm)
-			}
-			return nil, fmt.Errorf("%w: %s (%.1f vCPU) in %s", ErrNoCapacity, res.Flavor.Name, res.Flavor.VCPUs, dc.name)
-		}
+	for r, res := range tmpl.Resources {
+		target := dc.byName[at[r]]
 		dc.vmSeq++
 		vm := &VM{
 			ID:     dc.name + "/vm-" + strconv.Itoa(dc.vmSeq),
@@ -423,41 +386,15 @@ func (dc *DataCenter) AuditConservation() []string {
 	return out
 }
 
-// CanFit reports whether the template could be placed right now (a dry-run
-// used by admission control before committing).
+// CanFit reports whether the template could be placed right now: admission
+// control's dry run, the very placement CreateStack would make.
 func (dc *DataCenter) CanFit(tmpl Template) bool {
 	if tmpl.Validate() != nil {
 		return false
 	}
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
-	// Dry-run against copies of the free capacities, scanning hosts in name
-	// order exactly as before — but over the maintained sorted host slice
-	// and a pooled scratch array instead of a fresh map + sort per call.
-	if cap(dc.fitScratch) < len(dc.byName) {
-		dc.fitScratch = make([]hostFree, len(dc.byName))
-	}
-	frees := dc.fitScratch[:len(dc.byName)]
-	for i, h := range dc.byName {
-		frees[i] = hostFree{vcpus: h.VCPUs - h.usedVCPUs, ram: h.RAMMB - h.usedRAMMB, disk: h.DiskGB - h.usedDiskGB}
-	}
-	for _, res := range tmpl.Resources {
-		placed := false
-		for i := range frees {
-			f := &frees[i]
-			if f.vcpus >= res.Flavor.VCPUs-1e-9 && f.ram >= res.Flavor.RAMMB && f.disk >= res.Flavor.DiskGB {
-				f.vcpus -= res.Flavor.VCPUs
-				f.ram -= res.Flavor.RAMMB
-				f.disk -= res.Flavor.DiskGB
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return false
-		}
-	}
-	return true
+	return len(dc.firstFit(tmpl)) == len(tmpl.Resources)
 }
 
 // Capacity summarises total and used resources.
@@ -503,7 +440,6 @@ func (dc *DataCenter) Utilization() float64 {
 type Region struct {
 	mu  sync.RWMutex
 	dcs map[string]*DataCenter
-	ver atomic.Uint64 // bumped when the DC set changes
 }
 
 // NewRegion returns an empty region.
@@ -517,13 +453,8 @@ func (r *Region) Add(dc *DataCenter) error {
 		return fmt.Errorf("cloud: duplicate data center %q", dc.Name())
 	}
 	r.dcs[dc.Name()] = dc
-	r.ver.Add(1)
 	return nil
 }
-
-// Version returns a counter bumped when the data-center set changes;
-// callers may cache the DC list keyed by it.
-func (r *Region) Version() uint64 { return r.ver.Load() }
 
 // Get returns the named data center.
 func (r *Region) Get(name string) (*DataCenter, bool) {

@@ -8,9 +8,9 @@ import (
 	"testing/quick"
 )
 
-func dcWith(t *testing.T, policy PlacementPolicy, hosts ...float64) *DataCenter {
+func dcWith(t *testing.T, hosts ...float64) *DataCenter {
 	t.Helper()
-	dc := NewDataCenter("edge", "edge", policy)
+	dc := NewDataCenter("edge", "edge")
 	for i, v := range hosts {
 		if err := dc.AddHost(fmt.Sprintf("h%d", i+1), v, int(v)*4096, int(v)*100); err != nil {
 			t.Fatal(err)
@@ -61,7 +61,7 @@ func TestTemplateValidate(t *testing.T) {
 }
 
 func TestAddHostValidation(t *testing.T) {
-	dc := NewDataCenter("d", "core", FirstFit)
+	dc := NewDataCenter("d", "core")
 	if err := dc.AddHost("", 4, 1, 1); err == nil {
 		t.Fatal("empty host name accepted")
 	}
@@ -77,7 +77,7 @@ func TestAddHostValidation(t *testing.T) {
 }
 
 func TestCreateStackPlacesAllVMs(t *testing.T) {
-	dc := dcWith(t, FirstFit, 8, 8)
+	dc := dcWith(t, 8, 8)
 	st, err := dc.CreateStack("s1", tmplOf(FlavorMedium, FlavorMedium, FlavorSmall))
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestCreateStackPlacesAllVMs(t *testing.T) {
 }
 
 func TestCreateStackRollsBackOnFailure(t *testing.T) {
-	dc := dcWith(t, FirstFit, 3) // 3 vCPUs total
+	dc := dcWith(t, 3) // 3 vCPUs total
 	_, err := dc.CreateStack("s1", tmplOf(FlavorMedium, FlavorMedium))
 	if !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("expected capacity error, got %v", err)
@@ -106,7 +106,7 @@ func TestCreateStackRollsBackOnFailure(t *testing.T) {
 }
 
 func TestCreateStackDuplicateID(t *testing.T) {
-	dc := dcWith(t, FirstFit, 8)
+	dc := dcWith(t, 8)
 	if _, err := dc.CreateStack("s1", tmplOf(FlavorSmall)); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestCreateStackDuplicateID(t *testing.T) {
 }
 
 func TestDeleteStackFreesCapacity(t *testing.T) {
-	dc := dcWith(t, BestFit, 8)
+	dc := dcWith(t, 8)
 	dc.CreateStack("s1", tmplOf(FlavorLarge))
 	dc.DeleteStack("s1")
 	if c := dc.Capacity(); c.UsedVCPUs != 0 || c.Stacks != 0 {
@@ -126,38 +126,15 @@ func TestDeleteStackFreesCapacity(t *testing.T) {
 }
 
 func TestRAMConstraintBinds(t *testing.T) {
-	dc := NewDataCenter("d", "edge", FirstFit)
+	dc := NewDataCenter("d", "edge")
 	dc.AddHost("h1", 16, 2048, 100) // lots of CPU, little RAM
 	if _, err := dc.CreateStack("s", tmplOf(FlavorMedium)); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("RAM-bound placement: %v", err)
 	}
 }
 
-func TestBestFitPacksTightly(t *testing.T) {
-	dc := dcWith(t, BestFit, 8, 4)
-	// Best-fit should put a small VM on the smaller host (least free CPU).
-	st, err := dc.CreateStack("s", tmplOf(FlavorSmall))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.VMs[0].Host != "h2" {
-		t.Fatalf("best-fit chose %s, want h2", st.VMs[0].Host)
-	}
-}
-
-func TestWorstFitSpreads(t *testing.T) {
-	dc := dcWith(t, WorstFit, 8, 4)
-	st, err := dc.CreateStack("s", tmplOf(FlavorSmall))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.VMs[0].Host != "h1" {
-		t.Fatalf("worst-fit chose %s, want h1", st.VMs[0].Host)
-	}
-}
-
 func TestFirstFitNameOrder(t *testing.T) {
-	dc := dcWith(t, FirstFit, 4, 8)
+	dc := dcWith(t, 4, 8)
 	st, _ := dc.CreateStack("s", tmplOf(FlavorSmall))
 	if st.VMs[0].Host != "h1" {
 		t.Fatalf("first-fit chose %s", st.VMs[0].Host)
@@ -165,7 +142,7 @@ func TestFirstFitNameOrder(t *testing.T) {
 }
 
 func TestCanFitDryRun(t *testing.T) {
-	dc := dcWith(t, FirstFit, 4)
+	dc := dcWith(t, 4)
 	if !dc.CanFit(tmplOf(FlavorLarge)) {
 		t.Fatal("4-vCPU template should fit 4-vCPU host")
 	}
@@ -184,7 +161,7 @@ func TestCanFitDryRun(t *testing.T) {
 func TestCanFitFragmentation(t *testing.T) {
 	// Two hosts with 2 vCPUs each cannot host one 4-vCPU VM even though
 	// total capacity suffices.
-	dc := dcWith(t, FirstFit, 2, 2)
+	dc := dcWith(t, 2, 2)
 	if dc.CanFit(tmplOf(FlavorLarge)) {
 		t.Fatal("fragmented capacity accepted a large VM")
 	}
@@ -194,7 +171,7 @@ func TestCanFitFragmentation(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	dc := dcWith(t, FirstFit, 8)
+	dc := dcWith(t, 8)
 	if dc.Utilization() != 0 {
 		t.Fatal("fresh DC utilised")
 	}
@@ -206,8 +183,8 @@ func TestUtilization(t *testing.T) {
 
 func TestRegionRegistry(t *testing.T) {
 	r := NewRegion()
-	edge := NewDataCenter("edge", "edge", BestFit)
-	core := NewDataCenter("core", "core", BestFit)
+	edge := NewDataCenter("edge", "edge")
+	core := NewDataCenter("core", "core")
 	if err := r.Add(edge); err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +212,7 @@ func TestPropertyCapacityConservation(t *testing.T) {
 		Delete bool
 		Size   uint8
 	}) bool {
-		dc := dcWith(t, BestFit, 16, 16)
+		dc := dcWith(t, 16, 16)
 		type liveStack struct {
 			id    string
 			vcpus float64

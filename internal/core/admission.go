@@ -154,9 +154,9 @@ func (o *Orchestrator) ledgerEstimate(sla slice.SLA) slice.Kbps {
 }
 
 // admissionCap is the load the capacity ledger may reach: the radio capacity
-// times Config.UtilizationCap.
+// times UtilizationCap.
 func (o *Orchestrator) admissionCap() slice.Kbps {
-	return slice.ToKbps(o.tb.Ctrl.RAN.CapacityMbps() * o.cfg.UtilizationCap)
+	return slice.ToKbps(o.tb.Ctrl.RAN.CapacityMbps() * UtilizationCap)
 }
 
 // chooseDataCenter picks the data center for the slice: the one with

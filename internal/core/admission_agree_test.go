@@ -40,7 +40,7 @@ func TestAdmissionCallersAgree(t *testing.T) {
 		}}
 		if saturate {
 			// One slice sized to the whole admission cap leaves no headroom.
-			load.SLA.ThroughputMbps = tb.RadioCapacityMbps() * o.cfg.UtilizationCap / o.admissionEstimate(slice.SLA{ThroughputMbps: 1})
+			load.SLA.ThroughputMbps = tb.RadioCapacityMbps() * UtilizationCap / o.admissionEstimate(slice.SLA{ThroughputMbps: 1})
 			preload = 1
 		}
 		for i := 0; i < preload; i++ {
@@ -95,9 +95,9 @@ func TestAdmissionCallersAgree(t *testing.T) {
 		probe, live := replica(cfg, maxPLMNs, preload, saturate, fade), replica(cfg, maxPLMNs, preload, saturate, fade)
 		capacity := probe.tb.RadioCapacityMbps()
 		if g := probe.Gain().CapacityMbps; math.Float64bits(g) != math.Float64bits(capacity) ||
-			probe.admissionCap() != slice.ToKbps(capacity*probe.cfg.UtilizationCap) {
+			probe.admissionCap() != slice.ToKbps(capacity*UtilizationCap) {
 			t.Fatalf("%s: capacity read three ways: gain %v, testbed %v, admission cap %v at utilization cap %v",
-				desc, g, capacity, probe.admissionCap(), probe.cfg.UtilizationCap)
+				desc, g, capacity, probe.admissionCap(), UtilizationCap)
 		}
 		rep, err := probe.DryRun(req)
 		if err != nil {

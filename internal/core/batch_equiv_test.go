@@ -49,7 +49,7 @@ func walRecords(t *testing.T, dir string) []wal.Record {
 // slice outcomes, event sequences, ledger state, WAL record streams and
 // crash-recovery digests — only the number of fsyncs differs.
 func TestBatchedVsSequentialEquivalence(t *testing.T) {
-	cfg := Config{Overbook: true, AdmissionLoadFactor: 1.0, UtilizationCap: 0.95}
+	cfg := Config{Overbook: true, AdmissionLoadFactor: 1.0}
 	items := make([]BatchItem, 4)
 	for i := range items {
 		items[i] = BatchItem{Request: slice.Request{

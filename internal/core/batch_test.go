@@ -30,7 +30,7 @@ func suboptimalBatch() []BatchItem {
 
 func TestSubmitBatchOptimalBeatsFCFS(t *testing.T) {
 	revenueOf := func(policy BatchPolicy) float64 {
-		_, o := env(t, Config{Overbook: true, AdmissionLoadFactor: 1.0, UtilizationCap: 0.95})
+		_, o := env(t, Config{Overbook: true, AdmissionLoadFactor: 1.0})
 		slices, err := o.SubmitBatch(suboptimalBatch(), policy)
 		if err != nil {
 			t.Fatal(err)

@@ -94,6 +94,10 @@ import (
 	"repro/internal/traffic"
 )
 
+// UtilizationCap bounds the estimated radio load admission may reach, as a
+// fraction of radio capacity.
+const UtilizationCap = 0.95
+
 // Config tunes the orchestrator. Zero values select the defaults noted on
 // each field.
 type Config struct {
@@ -109,9 +113,6 @@ type Config struct {
 	// AdmissionLoadFactor estimates mean/peak demand of a not-yet-observed
 	// slice for the admission capacity check when overbooking (default 0.6).
 	AdmissionLoadFactor float64
-	// UtilizationCap bounds the estimated radio load admission may reach,
-	// as a fraction of capacity (default 0.95).
-	UtilizationCap float64
 	// MinRevenueDensity rejects requests paying less than this many EUR
 	// per Mbps·hour (default 0 — everything that fits is admitted).
 	MinRevenueDensity float64
@@ -187,9 +188,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AdmissionLoadFactor <= 0 {
 		c.AdmissionLoadFactor = 0.6
-	}
-	if c.UtilizationCap <= 0 {
-		c.UtilizationCap = 0.95
 	}
 	if c.FloorMbps <= 0 {
 		c.FloorMbps = 1

@@ -38,7 +38,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cloud"
@@ -86,10 +85,9 @@ func (b *Binding) Paths() []*transport.Reservation { return b.paths }
 // and a release is name-keyed over the cells.
 type RANController struct {
 	FaultArm
-	net *ran.Network
-	// cellCache memoizes the sorted eNB list keyed by the RAN topology
-	// version, so the hot reserve/resize/schedule paths never rebuild it.
-	cellCache atomic.Pointer[ranCellCache]
+	// cells is the RAN's eNB list sorted by name, taken once: the cell set
+	// is complete before the controller is built and never changes after.
+	cells []*ran.ENB
 
 	// cellDemand (the per-cell demand share) and bound (the bindings' cell
 	// handle lists) are ScheduleDense's working state, reused across epochs
@@ -99,27 +97,13 @@ type RANController struct {
 	bound      [][]ran.Handle
 }
 
-// ranCellCache is one immutable snapshot of the sorted eNB list.
-type ranCellCache struct {
-	ver  uint64
-	enbs []*ran.ENB
-}
+// Cells returns the eNBs sorted by name. The returned slice is shared and
+// must be treated as read-only.
+func (c *RANController) Cells() []*ran.ENB { return c.cells }
 
-// Cells returns the sorted eNB list, cached until the eNB set changes. The
-// returned slice is shared and must be treated as read-only.
-func (c *RANController) Cells() []*ran.ENB {
-	ver := c.net.Version()
-	if e := c.cellCache.Load(); e != nil && e.ver == ver {
-		return e.enbs
-	}
-	enbs := c.net.All()
-	c.cellCache.Store(&ranCellCache{ver: ver, enbs: enbs})
-	return enbs
-}
-
-// NewRANController wraps the RAN.
+// NewRANController wraps the RAN, whose cells must all be added already.
 func NewRANController(net *ran.Network) *RANController {
-	return &RANController{net: net}
+	return &RANController{cells: net.All()}
 }
 
 // Domain implements Controller.
@@ -369,33 +353,16 @@ type TransportController struct {
 	mu      sync.Mutex
 	bySlice map[slice.ID][]*transport.Reservation
 
-	// enbCache memoizes the sorted eNB transport-port list keyed by the
-	// topology version, so path setup and feasibility checks never rebuild
-	// it per request.
-	enbCache atomic.Pointer[nodeListCache]
+	// enbs is the sorted eNB transport-port list, taken once: the topology
+	// is complete before the controller is built and never changes after.
+	enbs []string
 }
 
-// nodeListCache is one immutable snapshot of a sorted node-name list.
-type nodeListCache struct {
-	ver   uint64
-	names []string
-}
-
-// enbNodes returns the sorted eNB node names, cached until the topology
-// changes. The returned slice is shared and must be treated as read-only.
-func (c *TransportController) enbNodes() []string {
-	ver := c.net.TopoVersion()
-	if e := c.enbCache.Load(); e != nil && e.ver == ver {
-		return e.names
-	}
-	names := c.net.NodesOfKind(transport.KindENB)
-	c.enbCache.Store(&nodeListCache{ver: ver, names: names})
-	return names
-}
-
-// NewTransportController wraps the transport network.
+// NewTransportController wraps the transport network, whose nodes must all
+// be added already.
 func NewTransportController(net *transport.Network) *TransportController {
-	return &TransportController{net: net, bySlice: make(map[slice.ID][]*transport.Reservation)}
+	return &TransportController{net: net, bySlice: make(map[slice.ID][]*transport.Reservation),
+		enbs: net.NodesOfKind(transport.KindENB)}
 }
 
 // Domain implements Controller.
@@ -415,15 +382,14 @@ type PathSetup struct {
 // reused, so pooled grants recycle it), and writes the path handles into b
 // (when non-nil). All-or-nothing.
 func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDelayMs float64, setup *PathSetup, b *Binding) error {
-	enbs := c.enbNodes()
-	if len(enbs) == 0 {
+	if len(c.enbs) == 0 {
 		return errors.New("ctrl: transport has no eNB nodes")
 	}
-	share := mbps / float64(len(enbs))
+	share := mbps / float64(len(c.enbs))
 	setup.PathIDs = setup.PathIDs[:0]
 	setup.WorstDelayMs = 0
-	paths := make([]*transport.Reservation, 0, len(enbs))
-	for _, enb := range enbs {
+	paths := make([]*transport.Reservation, 0, len(c.enbs))
+	for _, enb := range c.enbs {
 		pid := string(id) + "/" + enb + "->" + dc
 		r, err := c.net.ReservePath(pid, transport.PathRequest{
 			From: enb, To: dc, MinMbps: share, MaxDelayMs: maxDelayMs,
@@ -504,13 +470,12 @@ func (c *TransportController) ImposePaths(b *Binding, id slice.ID, paths []trans
 // It uses the delay-only path computation, so a feasibility probe never
 // materialises hop lists.
 func (c *TransportController) FeasibleDelay(dc string, mbps float64) (float64, error) {
-	enbs := c.enbNodes()
-	if len(enbs) == 0 {
+	if len(c.enbs) == 0 {
 		return 0, errors.New("ctrl: transport has no eNB nodes")
 	}
-	share := mbps / float64(len(enbs))
+	share := mbps / float64(len(c.enbs))
 	worst := 0.0
-	for _, enb := range enbs {
+	for _, enb := range c.enbs {
 		d, err := c.net.PathDelay(transport.PathRequest{From: enb, To: dc, MinMbps: share})
 		if err != nil {
 			return 0, err
@@ -545,31 +510,17 @@ type CloudController struct {
 	mu      sync.RWMutex
 	bySlice map[slice.ID]Deployment // live deployments per slice
 
-	// dcCache memoizes the sorted DC list keyed by the region version.
-	dcCache atomic.Pointer[dcListCache]
-}
-
-// dcListCache is one immutable snapshot of the sorted DC list.
-type dcListCache struct {
-	ver uint64
+	// dcs is the region's data centers sorted by name, taken once: the DC
+	// set is complete before the controller is built and never changes
+	// after.
 	dcs []*cloud.DataCenter
 }
 
-// dcs returns the sorted data-center list, cached until the region's DC set
-// changes. The returned slice is shared and must be treated as read-only.
-func (c *CloudController) dcs() []*cloud.DataCenter {
-	ver := c.region.Version()
-	if e := c.dcCache.Load(); e != nil && e.ver == ver {
-		return e.dcs
-	}
-	dcs := c.region.All()
-	c.dcCache.Store(&dcListCache{ver: ver, dcs: dcs})
-	return dcs
-}
-
-// NewCloudController wraps the region with a fresh EPC registry.
+// NewCloudController wraps the region, whose data centers must all be added
+// already, with a fresh EPC registry.
 func NewCloudController(region *cloud.Region) *CloudController {
-	return &CloudController{region: region, epcs: epc.NewRegistry(), bySlice: make(map[slice.ID]Deployment)}
+	return &CloudController{region: region, epcs: epc.NewRegistry(), bySlice: make(map[slice.ID]Deployment),
+		dcs: region.All()}
 }
 
 // Domain implements Controller.
@@ -658,21 +609,20 @@ func (c *CloudController) Teardown(dcName, stackID, epcID string) {
 
 // Utilization implements Controller (mean DC vCPU utilization).
 func (c *CloudController) Utilization() float64 {
-	dcs := c.dcs()
-	if len(dcs) == 0 {
+	if len(c.dcs) == 0 {
 		return 0
 	}
 	sum := 0.0
-	for _, dc := range dcs {
+	for _, dc := range c.dcs {
 		sum += dc.Utilization()
 	}
-	return sum / float64(len(dcs))
+	return sum / float64(len(c.dcs))
 }
 
 // PushTelemetry implements Controller.
 func (c *CloudController) PushTelemetry(store *monitor.Store, now time.Time) {
 	store.Record(monitor.DomainMetric("cloud", "utilization"), now, c.Utilization())
-	for _, dc := range c.dcs() {
+	for _, dc := range c.dcs {
 		cap := dc.Capacity()
 		store.Record(monitor.DomainMetric("cloud", dc.Name()+"/used_vcpus"), now, cap.UsedVCPUs)
 		store.Record(monitor.DomainMetric("cloud", dc.Name()+"/stacks"), now, float64(cap.Stacks))

@@ -2,8 +2,11 @@ package ctrl_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -281,9 +284,12 @@ func TestTransportSetupPathsBothENBs(t *testing.T) {
 	if setup.WorstDelayMs <= 0 || setup.WorstDelayMs > 5 {
 		t.Fatalf("worst delay %.2f", setup.WorstDelayMs)
 	}
-	// Flow entries installed in the switch.
-	if got := len(tb.Transport.FlowTable(testbed.Switch)); got != 2 {
-		t.Fatalf("switch flow entries %d", got)
+	// Both eNBs' paths run through the programmable switch.
+	for _, pid := range setup.PathIDs {
+		r, ok := tb.Transport.Reservation(pid)
+		if !ok || !slices.Contains(r.Hops, testbed.Switch) {
+			t.Fatalf("path %s hops %v miss %s", pid, r.Hops, testbed.Switch)
+		}
 	}
 }
 
@@ -478,6 +484,55 @@ func TestCloudDeployNoCapacity(t *testing.T) {
 	}
 }
 
+// TestCloudFeasibleAgreesWithReserve: on the default testbed, filled by a
+// random history of stack creates and deletes in both data centers, the
+// cloud domain's admission dry run passes exactly when its Reserve installs
+// the vEPC, for every vEPC size.
+func TestCloudFeasibleAgreesWithReserve(t *testing.T) {
+	flavors := []cloud.Flavor{cloud.FlavorSmall, cloud.FlavorMedium, cloud.FlavorLarge}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := testbed.MustNew(testbed.Default(), nil)
+		c := tb.Ctrl.Cloud
+		type stack struct {
+			dc *cloud.DataCenter
+			id string
+		}
+		var live []stack
+		for step := 0; step < 150; step++ {
+			for _, dc := range []string{testbed.EdgeDC, testbed.CoreDC} {
+				for _, mbps := range []float64{10, 80, 200} {
+					tx := ctrl.Tx{Slice: "probe", PLMN: plmnA, SLA: slice.SLA{ThroughputMbps: mbps}, DataCenter: dc}
+					feasible := c.Feasible(tx) == nil
+					g, cause := c.Reserve(tx)
+					if feasible != (cause == nil) {
+						t.Fatalf("seed %d step %d, %s at %.0f Mbps: Feasible %v, Reserve %v", seed, step, dc, mbps, feasible, cause)
+					}
+					if g != nil {
+						c.Abort(g)
+					}
+				}
+			}
+			if len(live) > 0 && rng.Intn(3) == 0 {
+				k := rng.Intn(len(live))
+				live[k].dc.DeleteStack(live[k].id)
+				live = append(live[:k], live[k+1:]...)
+				continue
+			}
+			dc := tb.Region.All()[rng.Intn(2)]
+			var tmpl cloud.Template
+			vms := 1 + rng.Intn(3)
+			for r := 0; r < vms; r++ {
+				tmpl.Resources = append(tmpl.Resources, cloud.TemplateResource{Name: fmt.Sprintf("r%d", r), Flavor: flavors[rng.Intn(len(flavors))]})
+			}
+			id := fmt.Sprintf("fill-%d", step)
+			if _, err := dc.CreateStack(id, tmpl); err == nil {
+				live = append(live, stack{dc, id})
+			}
+		}
+	}
+}
+
 func TestCloudMarkRunningUnknown(t *testing.T) {
 	tb := newTB(t)
 	if err := tb.Ctrl.Cloud.MarkEPCRunning("ghost", t0); err == nil {
@@ -569,14 +624,5 @@ func TestTestbedScalesENBs(t *testing.T) {
 	}
 	if got := len(tb.Transport.NodesOfKind(transport.KindENB)); got != 4 {
 		t.Fatalf("transport eNB nodes %d", got)
-	}
-}
-
-func TestCanFitHonoursPolicy(t *testing.T) {
-	for _, pol := range []cloud.PlacementPolicy{cloud.FirstFit, cloud.BestFit, cloud.WorstFit} {
-		tb := testbed.MustNew(testbed.Config{Placement: pol}, nil)
-		if !tb.Ctrl.Cloud.CanFit(testbed.CoreDC, 120) {
-			t.Fatalf("policy %v: core cannot fit a large vEPC", pol)
-		}
 	}
 }

@@ -71,6 +71,10 @@ type ClusterConfig struct {
 	Testbed testbed.Config `json:"-"`
 }
 
+// barrierOffset delays the first barrier past the member epoch instant, so a
+// barrier never ties with member epoch events on the shared clock.
+const barrierOffset = time.Second
+
 // Config tunes the federation tier.
 type Config struct {
 	// Seed drives the per-member testbed randomness. Each member's RNG is
@@ -81,10 +85,6 @@ type Config struct {
 	// conservation invariant sweeps every Epoch (default 1m, matching the
 	// member epoch default).
 	Epoch time.Duration
-	// BarrierOffset delays the first barrier past the member epoch instant
-	// (default 1s), so a barrier never ties with member epoch events on the
-	// shared clock.
-	BarrierOffset time.Duration
 	// Audit attaches the federation conservation auditor: every barrier
 	// runs invariant.FedSweep over the books and the span registry, and
 	// every transition is folded into a fresh tier that must stay equal to
@@ -100,9 +100,6 @@ func (c Config) withDefaults() Config {
 	if c.Epoch <= 0 {
 		c.Epoch = time.Minute
 	}
-	if c.BarrierOffset <= 0 {
-		c.BarrierOffset = time.Second
-	}
 	return c
 }
 
@@ -117,7 +114,7 @@ type member struct {
 // read takes the member's ground truth for a refresh.
 func (m member) read() reading {
 	return reading{
-		advertised: slice.ToKbps(m.tb.RadioCapacityMbps() * m.orch.Config().UtilizationCap),
+		advertised: slice.ToKbps(m.tb.RadioCapacityMbps() * core.UtilizationCap),
 		ledger:     m.orch.LedgerKbps(),
 		epoch:      m.orch.Gain().Epochs,
 	}
@@ -290,7 +287,7 @@ func (f *Federation) Auditor() *invariant.Auditor { return f.audit }
 
 // Start starts every member's control loop (in sorted order, so the shared
 // clock sees a deterministic schedule) and the federation barrier. The
-// first barrier fires one Epoch plus BarrierOffset from now — offset past
+// first barrier fires one Epoch plus barrierOffset from now — offset past
 // the member epoch instants so barrier events never tie with member epochs.
 func (f *Federation) Start() {
 	f.mu.Lock()
@@ -310,7 +307,7 @@ func (f *Federation) Start() {
 		}
 		f.mu.Unlock()
 	}
-	f.loop = f.clock.After(f.cfg.Epoch+f.cfg.BarrierOffset, "federation/barrier", tick)
+	f.loop = f.clock.After(f.cfg.Epoch+barrierOffset, "federation/barrier", tick)
 }
 
 // Stop cancels the barrier and stops every member's control loop.

@@ -110,8 +110,6 @@ type Quotas struct {
 // Config parameterizes NewManager.
 type Config struct {
 	Quotas Quotas
-	// Guardrails override the publish-time chain (nil = DefaultGuardrails).
-	Guardrails []Guardrail
 }
 
 // Manager is the intent-plane control head: it owns the template store and
@@ -131,7 +129,7 @@ type Manager struct {
 // sim scheduler in scenarios, a realtime clock in the daemon). An audited
 // orchestrator also audits the intent tier's transitions (apply.go).
 func NewManager(orch *core.Orchestrator, clock sim.Scheduler, cfg Config) *Manager {
-	m := &Manager{orch: orch, clock: clock, store: NewStore(cfg.Guardrails), quotas: cfg.Quotas}
+	m := &Manager{orch: orch, clock: clock, store: NewStore(nil), quotas: cfg.Quotas}
 	if a := orch.Auditor(); a != nil {
 		m.store.audit, m.store.fold = a, NewStore(nil)
 	}

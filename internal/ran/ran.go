@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/slice"
 )
@@ -722,12 +721,7 @@ func (e *ENB) Snapshot() Snapshot {
 type Network struct {
 	mu   sync.RWMutex
 	enbs map[string]*ENB
-	ver  atomic.Uint64 // bumped when the eNB set changes
 }
-
-// Version returns a counter bumped when the eNB set changes; callers may
-// cache the cell list keyed by it.
-func (n *Network) Version() uint64 { return n.ver.Load() }
 
 // NewNetwork returns an empty RAN domain.
 func NewNetwork() *Network { return &Network{enbs: make(map[string]*ENB)} }
@@ -740,7 +734,6 @@ func (n *Network) Add(e *ENB) error {
 		return fmt.Errorf("ran: duplicate eNB %q", e.Name())
 	}
 	n.enbs[e.Name()] = e
-	n.ver.Add(1)
 	return nil
 }
 

@@ -2,7 +2,13 @@
 // Fig. 2: two MOCN-sharing eNBs, a transport network of mmWave/µWave
 // wireless hops around programmable switches, and two OpenStack-style data
 // centers (mobile edge and cloud core), all wired to the three domain
-// controllers the orchestrator sits on.
+// controllers the orchestrator sits on. Both data centers place VMs first
+// fit in host-name order, the one placement their admission dry run and
+// their install share.
+//
+// New builds the controllers last, once the topology is complete, and they
+// take its cell, eNB-port and data-center lists then: nothing may add a
+// cell, node, link or data center to a built testbed.
 //
 // Every experiment, example and benchmark starts from this builder so that
 // numbers are comparable across the repository.
@@ -47,8 +53,6 @@ type Config struct {
 	// CoreDelayMs is the extra wired delay to the core DC, the quantity
 	// that forces latency-critical slices to the edge.
 	CoreDelayMs float64
-	// Placement selects the Nova-like scheduler policy.
-	Placement cloud.PlacementPolicy
 	// RedundantTransport adds a backup switch (sw2) with higher-delay
 	// µWave links from every eNB and wired links to both DCs — the
 	// "different transport network topology configurations" the demo's
@@ -84,7 +88,6 @@ func Default() Config {
 		MicroWaveMbps: 400,
 		WiredMbps:     10000,
 		CoreDelayMs:   6.0,
-		Placement:     cloud.BestFit,
 	}
 }
 
@@ -238,13 +241,13 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 
 	// Cloud domain: edge (small) + core (large) data centers.
 	region := cloud.NewRegion()
-	edge := cloud.NewDataCenter(EdgeDC, "edge", cfg.Placement)
+	edge := cloud.NewDataCenter(EdgeDC, "edge")
 	for i := 0; i < cfg.EdgeHosts; i++ {
 		if err := edge.AddHost(fmt.Sprintf("edge-h%d", i+1), cfg.EdgeHostVCPUs, int(cfg.EdgeHostVCPUs)*4096, 500); err != nil {
 			return nil, err
 		}
 	}
-	core := cloud.NewDataCenter(CoreDC, "core", cfg.Placement)
+	core := cloud.NewDataCenter(CoreDC, "core")
 	for i := 0; i < cfg.CoreHosts; i++ {
 		if err := core.AddHost(fmt.Sprintf("core-h%d", i+1), cfg.CoreHostVCPUs, int(cfg.CoreHostVCPUs)*4096, 2000); err != nil {
 			return nil, err

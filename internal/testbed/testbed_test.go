@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/cloud"
 	"repro/internal/ran"
 	"repro/internal/transport"
 )
@@ -136,25 +135,6 @@ func TestScaledTestbed(t *testing.T) {
 	edge, _ := tb.Region.Get(EdgeDC)
 	if edge.Capacity().Hosts != 3 {
 		t.Fatalf("edge hosts %d", edge.Capacity().Hosts)
-	}
-}
-
-func TestPlacementPolicyPropagates(t *testing.T) {
-	cfg := Default()
-	cfg.Placement = cloud.WorstFit
-	tb := MustNew(cfg, nil)
-	core, _ := tb.Region.Get(CoreDC)
-	// Two stacks with worst-fit spread across hosts.
-	s1, err := core.CreateStack("a", cloud.Template{Resources: []cloud.TemplateResource{{Name: "r", Flavor: cloud.FlavorSmall}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := core.CreateStack("b", cloud.Template{Resources: []cloud.TemplateResource{{Name: "r", Flavor: cloud.FlavorSmall}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.VMs[0].Host == s2.VMs[0].Host {
-		t.Fatalf("worst-fit stacked on %s", s1.VMs[0].Host)
 	}
 }
 

@@ -5,10 +5,11 @@
 // capacity and delay characteristics.
 //
 // The transport controller's job in the demo is to select dedicated paths
-// that guarantee the delay and capacity each slice requires, installing
-// flow entries in the switches. This package provides the graph, per-link
-// bandwidth accounting, flow tables, and the delay-constrained path
-// computation the controller runs.
+// that guarantee the delay and capacity each slice requires. This package
+// provides the graph, per-link bandwidth accounting and the delay-constrained
+// path computation the controller runs. Switch flow rules are data-plane
+// state and are not modelled: a reservation is its hops and its bandwidth on
+// each link.
 package transport
 
 import (
@@ -124,19 +125,11 @@ var (
 	ErrNoLink         = errors.New("transport: no link")
 )
 
-// FlowEntry is one OpenFlow-style rule installed in a switch: traffic of
-// a path arriving from prev is forwarded to next.
-type FlowEntry struct {
-	PathID  string `json:"path_id"`
-	InPort  string `json:"in_port"`  // previous hop node (ingress for "")
-	OutPort string `json:"out_port"` // next hop node
-}
-
-// Network is the transport topology with per-link reservations and per-node
-// flow tables. All methods are safe for concurrent use; read-only queries
-// (path computation, utilization, snapshots) take a shared read lock, so
-// concurrent slice installations only serialize on the short reserve/release
-// critical sections.
+// Network is the transport topology with per-link reservations. All methods
+// are safe for concurrent use; read-only queries (path computation,
+// utilization, snapshots) take a shared read lock, so concurrent slice
+// installations only serialize on the short reserve/release critical
+// sections.
 type Network struct {
 	mu    sync.RWMutex
 	nodes map[string]NodeKind
@@ -145,26 +138,22 @@ type Network struct {
 	links map[string]*Link        // key: "a->b"
 	adjx  [][]*Link               // outgoing links per dense node index
 	paths map[string]*Reservation // by path ID
-	flows map[string]*flowTable   // per-switch flow table, created on first entry
 
-	// topoVer counts node/link-set changes (AddNode, AddLink) and guards
-	// cached node-kind lists held by callers. feasVer counts every state
-	// change that can flip a feasibility answer — topology changes plus
-	// SetLinkUp, SetLinkCapacity, Reserve, Release, and Resize. Both only
-	// ever increase.
+	// feasVer counts every state change that can flip a feasibility answer —
+	// AddNode, AddLink, SetLinkUp, SetLinkCapacity, Reserve, Release, and
+	// Resize. It only ever increases.
 	//
 	// Kept: feasVer has no reader left but ctrl.TransportController.FeasVersion,
 	// which bench/bench_test.go asserts; it goes with ctrl.FeasVersioner
 	// (ROADMAP item 6d).
-	topoVer atomic.Uint64
 	feasVer atomic.Uint64
 }
 
 // Reservation records one reserved path. The pointer Reserve returns is the
 // path's handle: ResizeEach and ReleaseEach take it in place of the path ID
-// and reach the links and flow entries through it, resolving nothing. The
-// exported fields of a live handle are read under the network's lock only;
-// Reservation and Reservations hand out detached copies.
+// and reach the links through it, resolving nothing. The exported fields of
+// a live handle are read under the network's lock only; Reservation and
+// Reservations hand out detached copies.
 type Reservation struct {
 	ID      string   `json:"id"`
 	Hops    []string `json:"hops"` // node sequence, src..dst
@@ -179,56 +168,16 @@ type Reservation struct {
 	// network and AddLink refuses duplicates, so the resolution cannot go out
 	// of date.
 	links []*Link
-	// flows are the entries this path installed, one per switch it crosses,
-	// each linked into its switch's table.
-	flows []flowNode
-	// linkBuf and flowBuf back links and flows for paths of the usual
-	// length (the testbed's are eNB, one or two switches, DC), so that a
-	// reservation is one allocation. The slices point into the struct, which
-	// is therefore never copied (see detached).
+	// linkBuf backs links for paths of the usual length (the testbed's are
+	// eNB, one or two switches, DC), so that a reservation is one
+	// allocation. The slice points into the struct, which is therefore never
+	// copied (see detached).
 	linkBuf [3]*Link
-	flowBuf [2]flowNode
 }
 
 // detached returns a copy safe to hand out: its own hop list, no handle state.
 func (r *Reservation) detached() Reservation {
 	return Reservation{ID: r.ID, Hops: append([]string(nil), r.Hops...), Mbps: r.Mbps, DelayMs: r.DelayMs}
-}
-
-// flowTable is one switch's flow entries as a doubly linked list in install
-// order. The nodes belong to the reservations that installed them, so a
-// release unlinks its own entries without searching the table.
-type flowTable struct{ head, tail *flowNode }
-
-type flowNode struct {
-	FlowEntry
-	table      *flowTable
-	prev, next *flowNode
-}
-
-func (t *flowTable) pushBack(f *flowNode) {
-	f.table, f.prev, f.next = t, t.tail, nil
-	if t.tail != nil {
-		t.tail.next = f
-	} else {
-		t.head = f
-	}
-	t.tail = f
-}
-
-func (f *flowNode) unlink() {
-	t := f.table
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else {
-		t.head = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else {
-		t.tail = f.prev
-	}
-	f.table, f.prev, f.next = nil, nil, nil
 }
 
 // NewNetwork returns an empty topology.
@@ -238,7 +187,6 @@ func NewNetwork() *Network {
 		idx:   make(map[string]int32),
 		links: make(map[string]*Link),
 		paths: make(map[string]*Reservation),
-		flows: make(map[string]*flowTable),
 	}
 }
 
@@ -246,10 +194,6 @@ func NewNetwork() *Network {
 // change that can alter the outcome of a feasibility or path query; equal
 // versions guarantee equal answers.
 func (n *Network) Version() uint64 { return n.feasVer.Load() }
-
-// TopoVersion returns the topology version: a counter bumped only when the
-// node or link set changes. Callers may cache node-kind lists keyed by it.
-func (n *Network) TopoVersion() uint64 { return n.topoVer.Load() }
 
 // AddNode registers a node; re-adding with the same kind is a no-op.
 func (n *Network) AddNode(name string, kind NodeKind) error {
@@ -268,7 +212,6 @@ func (n *Network) AddNode(name string, kind NodeKind) error {
 	n.idx[name] = int32(len(n.names))
 	n.names = append(n.names, name)
 	n.adjx = append(n.adjx, nil)
-	n.topoVer.Add(1)
 	n.feasVer.Add(1)
 	return nil
 }
@@ -296,7 +239,6 @@ func (n *Network) AddLink(from, to string, lt LinkType, capacityMbps, delayMs fl
 	}
 	n.links[l.key()] = l
 	n.adjx[l.fromIdx] = append(n.adjx[l.fromIdx], l)
-	n.topoVer.Add(1)
 	n.feasVer.Add(1)
 	return nil
 }
@@ -436,9 +378,8 @@ func (n *Network) appendPathLinks(dst []*Link, hops []string) ([]*Link, error) {
 	return dst, nil
 }
 
-// Reserve atomically reserves mbps along hops under pathID, installing flow
-// entries in every intermediate switch. Either all links are reserved or
-// none. The returned reservation is the path's handle.
+// Reserve atomically reserves mbps along hops under pathID. Either all links
+// are reserved or none. The returned reservation is the path's handle.
 func (n *Network) Reserve(pathID string, hops []string, mbps float64) (*Reservation, error) {
 	if mbps <= 0 {
 		return nil, fmt.Errorf("transport: reservation of %.2f Mbps must be positive", mbps)
@@ -468,50 +409,12 @@ func (n *Network) Reserve(pathID string, hops []string, mbps float64) (*Reservat
 		l.byPath[pathID] = r
 	}
 	n.paths[pathID] = r
-	n.installFlowsLocked(r)
 	n.feasVer.Add(1)
 	return r, nil
 }
 
-// installFlowsLocked writes OpenFlow entries for the path into each switch
-// node it traverses.
-func (n *Network) installFlowsLocked(r *Reservation) {
-	switches := 0
-	for _, hop := range r.Hops {
-		if n.nodes[hop] == KindSwitch {
-			switches++
-		}
-	}
-	// Sized once and never grown: the tables point into it.
-	r.flows = r.flowBuf[:0]
-	if switches > len(r.flowBuf) {
-		r.flows = make([]flowNode, 0, switches)
-	}
-	for i, hop := range r.Hops {
-		if n.nodes[hop] != KindSwitch {
-			continue
-		}
-		in := ""
-		if i > 0 {
-			in = r.Hops[i-1]
-		}
-		out := ""
-		if i+1 < len(r.Hops) {
-			out = r.Hops[i+1]
-		}
-		t := n.flows[hop]
-		if t == nil {
-			t = new(flowTable)
-			n.flows[hop] = t
-		}
-		r.flows = append(r.flows, flowNode{FlowEntry: FlowEntry{PathID: r.ID, InPort: in, OutPort: out}})
-		t.pushBack(&r.flows[len(r.flows)-1])
-	}
-}
-
-// ReleaseEach frees every listed path's bandwidth and flow entries under one
-// lock acquisition. Handles already released are skipped (idempotent
-// teardown).
+// ReleaseEach frees every listed path's bandwidth under one lock
+// acquisition. Handles already released are skipped (idempotent teardown).
 func (n *Network) ReleaseEach(rs []*Reservation) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -522,9 +425,9 @@ func (n *Network) ReleaseEach(rs []*Reservation) {
 	}
 }
 
-// releaseLocked takes a live reservation off its links, its switches and the
-// registry, and kills the handle. Its cost does not depend on how many other
-// paths the network holds. The caller holds n.mu exclusively.
+// releaseLocked takes a live reservation off its links and the registry,
+// and kills the handle. Its cost does not depend on how many other paths the
+// network holds. The caller holds n.mu exclusively.
 func (n *Network) releaseLocked(r *Reservation) {
 	for _, l := range r.links {
 		l.reservedMbps -= r.Mbps
@@ -533,11 +436,8 @@ func (n *Network) releaseLocked(r *Reservation) {
 		}
 		delete(l.byPath, r.ID)
 	}
-	for i := range r.flows {
-		r.flows[i].unlink()
-	}
 	delete(n.paths, r.ID)
-	r.net, r.links, r.flows = nil, nil, nil
+	r.net, r.links = nil, nil
 	n.feasVer.Add(1)
 }
 
@@ -699,19 +599,6 @@ func (n *Network) AuditConservation() []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// FlowTable returns a copy of the switch's flow entries, in install order.
-func (n *Network) FlowTable(node string) []FlowEntry {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	var out []FlowEntry
-	if t := n.flows[node]; t != nil {
-		for f := t.head; f != nil; f = f.next {
-			out = append(out, f.FlowEntry)
-		}
-	}
 	return out
 }
 

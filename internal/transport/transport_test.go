@@ -279,22 +279,6 @@ func booksOf(n *Network) []float64 {
 	return out
 }
 
-func TestFlowTableInstallRemove(t *testing.T) {
-	n := testNet(t)
-	p1, _ := n.Reserve("p1", []string{"enb1", "sw1", "edge"}, 10)
-	ft := n.FlowTable("sw1")
-	if len(ft) != 1 || ft[0].InPort != "enb1" || ft[0].OutPort != "edge" {
-		t.Fatalf("flow table %+v", ft)
-	}
-	if len(n.FlowTable("enb1")) != 0 {
-		t.Fatal("flow entry on non-switch node")
-	}
-	n.ReleaseEach([]*Reservation{p1})
-	if len(n.FlowTable("sw1")) != 0 {
-		t.Fatal("flow entry survived release")
-	}
-}
-
 func TestLinkFailureReroutesAndLists(t *testing.T) {
 	n := testNet(t)
 	n.Reserve("p1", []string{"enb1", "sw1", "sw2", "core"}, 10)
