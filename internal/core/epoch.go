@@ -31,9 +31,10 @@ import (
 //	              violation and billing it.
 //	P3c commit    one shard lock at a time: apply resizes through the
 //	              transaction engine, roll the capacity ledger forward and
-//	              append the slice's telemetry row. Resizes contend on the
-//	              shared pools, so their order decides marginal outcomes;
-//	              every violation is announced before the first resize.
+//	              collect the slice's telemetry row; then one AddEach writes
+//	              every collected row. Resizes contend on the shared pools,
+//	              so their order decides marginal outcomes; every violation
+//	              is announced before the first resize.
 //	P4  publish   telemetry barrier: push domain telemetry, fold the gain
 //	              report and atomically publish the EpochSnapshot the read
 //	              plane serves from.
@@ -71,14 +72,20 @@ type epochItem struct {
 // submission order, and that is the form they travel in through the RAN
 // scheduling pass, which finds each slice's cells through its binding. events
 // and records feed the epoch's WAL record and are encoded before the next
-// epoch can overwrite them.
+// epoch can overwrite them. rows and the three columns after it are the
+// telemetry rows P3c collects, one per slice that gets one, written in one
+// monitor.AddEach before P4.
 type epochScratch struct {
-	items   []epochItem
-	binds   []*ctrl.Binding
-	demand  []float64
-	served  []float64
-	events  []Event
-	records []epochItemRecord
+	items     []epochItem
+	binds     []*ctrl.Binding
+	demand    []float64
+	served    []float64
+	events    []Event
+	records   []epochItemRecord
+	rows      []*monitor.Rows
+	rowDemand []float64
+	rowServed []float64
+	rowAlloc  []float64
 }
 
 // RunEpoch executes one pass of the Fig. 1 closed loop:
@@ -125,7 +132,9 @@ func (o *Orchestrator) runEpoch() {
 	ep := &o.ep
 	clear(ep.items) // release the previous epoch's slice pointers
 	clear(ep.binds)
+	clear(ep.rows)
 	ep.items, ep.binds, ep.demand = ep.items[:0], ep.binds[:0], ep.demand[:0]
+	ep.rows, ep.rowDemand, ep.rowServed, ep.rowAlloc = ep.rows[:0], ep.rowDemand[:0], ep.rowServed[:0], ep.rowAlloc[:0]
 	o.lockAll()
 	walk := o.walkAllLocked()
 	for m := walk.next(); m != nil; m = walk.next() {
@@ -211,14 +220,20 @@ func (o *Orchestrator) runEpoch() {
 			// delivered and what it holds after this epoch's reconfiguration.
 			// A slice torn down since P3 gets no row — its ring leaves the
 			// store with it.
-			m.series.Add(nanos, ep.demand[i], ep.served[i], allocated)
+			ep.rows = append(ep.rows, m.series)
+			ep.rowDemand = append(ep.rowDemand, ep.demand[i])
+			ep.rowServed = append(ep.rowServed, ep.served[i])
+			ep.rowAlloc = append(ep.rowAlloc, allocated)
 		}
 		m.sh.mu.Unlock()
 	}
+	// Every row of the epoch in one append: the rings share the store's
+	// slab, so this takes its lock once.
+	monitor.AddEach(nanos, ep.rows, ep.rowDemand, ep.rowServed, ep.rowAlloc)
 
 	// P4: telemetry barrier — push domain telemetry, fold the gain report
-	// and publish the epoch snapshot (the per-slice rows went straight to
-	// their rings in P3c). The fold runs under a momentary lockAll:
+	// and publish the epoch snapshot (the per-slice rows were written just
+	// above). The fold runs under a momentary lockAll:
 	// every counter update happens while holding a shard lock, so quiescing
 	// the shards makes the snapshot one mutually consistent cut
 	// (the lock-free Gain() alone guarantees only per-field exactness) —

@@ -3,14 +3,17 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/forecast"
 	"repro/internal/monitor"
+	"repro/internal/sim"
 	"repro/internal/slice"
 	"repro/internal/testbed"
+	"repro/internal/traffic"
 )
 
 // image renders every copy-returning view of the slice as canonical JSON —
@@ -119,6 +122,84 @@ func sliceSeriesNames(o *Orchestrator, id slice.ID) []string {
 		}
 	}
 	return out
+}
+
+// TestEpochTelemetryReadsBack: on a fixed-seed loaded system, after k
+// epochs every slice active throughout holds k rows in each of its three
+// series, stamped with the k epoch instants, and its allocated column is the
+// AllocatedMbps() read after each epoch — whatever batch the rows were
+// written in, each lands in its own slice's ring.
+func TestEpochTelemetryReadsBack(t *testing.T) {
+	const k = 12
+	s := sim.NewSimulator(7)
+	tbCfg := testbed.Default()
+	tbCfg.MaxPLMNs, tbCfg.ENBCarriers = 32, 2
+	tb, err := testbed.New(tbCfg, s.Rand())
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := New(Config{Overbook: true, Risk: 0.9, Shards: 4, PLMNLimit: 32}, tb, s, monitor.NewStore(512))
+	var sls []*slice.Slice
+	for i := 0; i < 24; i++ {
+		sl, err := o.Submit(req(fmt.Sprintf("rb-%d", i), 2+float64(i%4), 50, 6*time.Hour, 10),
+			traffic.NewBursty(1, 4, 0.2, 0.5, 0.3, s.Rand()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sl.State() != slice.StateRejected {
+			sls = append(sls, sl)
+		}
+	}
+	o.Start()
+	if err := s.RunFor(30 * time.Second); err != nil { // install + vEPC boot, before the first epoch
+		t.Fatal(err)
+	}
+	if _, ok := o.LastEpoch(); ok {
+		t.Fatal("an epoch ran before the slices were active")
+	}
+	var at []time.Time
+	alloc := map[slice.ID][]float64{}
+	for e := 1; e <= k; e++ {
+		if err := s.RunFor(time.Minute); err != nil {
+			t.Fatal(err)
+		}
+		snap, ok := o.LastEpoch()
+		if !ok || snap.Epoch != e {
+			t.Fatalf("after %d minutes the last epoch is %d", e, snap.Epoch)
+		}
+		at = append(at, snap.At)
+		for _, sl := range sls {
+			alloc[sl.ID()] = append(alloc[sl.ID()], sl.AllocatedMbps())
+		}
+	}
+	active := 0
+	for _, sl := range sls {
+		if sl.State() != slice.StateActive {
+			continue
+		}
+		active++
+		for _, metric := range []string{"demand_mbps", "served_mbps", "allocated_mbps"} {
+			w := o.Store().Series(monitor.SliceMetric(string(sl.ID()), metric)).Window(0)
+			if len(w) != k {
+				t.Fatalf("%s %s holds %d rows after %d epochs", sl.ID(), metric, len(w), k)
+			}
+			for e, smp := range w {
+				if !smp.At.Equal(at[e]) {
+					t.Fatalf("%s %s row %d stamped %v, epoch ran at %v", sl.ID(), metric, e, smp.At, at[e])
+				}
+				if metric == "allocated_mbps" && smp.Value != alloc[sl.ID()][e] {
+					t.Fatalf("%s allocated row %d = %v, AllocatedMbps() read %v after that epoch", sl.ID(), e, smp.Value, alloc[sl.ID()][e])
+				}
+			}
+		}
+	}
+	if active < 8 {
+		t.Fatalf("only %d slices active throughout; the test needs a loaded system", active)
+	}
+	if o.Gain().Reconfigurations == 0 {
+		t.Fatal("no slice was resized; allocated never moved")
+	}
+	t.Logf("%d slices read back over %d epochs, %d reconfigurations", active, k, o.Gain().Reconfigurations)
 }
 
 // TestEvictedSliceTelemetryDropped is the regression test for the per-slice

@@ -8,6 +8,13 @@
 // bounded history (forecast warm-up plus dashboard window), and rings keep
 // the memory of a long-running daemon flat.
 //
+// The per-slice rings a Store hands out (Store.Rows) share one slab per
+// ring shape, laid out position-major: position p of 16 neighbouring rings
+// is adjacent memory, and a new ring starts at the head of the slab's latest
+// append. The control epoch writes every slice's row in one AddEach call
+// under one lock, and the rows land side by side. A series made on its own
+// (NewSeries, Store.Series) has a private slab sized exactly to its ring.
+//
 // Store and Series are safe for concurrent use — domain controllers and
 // the sharded orchestrator write from parallel goroutines while the REST
 // API and dashboard read. Reads (lookups, windows, stats, snapshots) take
@@ -19,6 +26,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -29,57 +37,180 @@ type Sample struct {
 }
 
 // Rows is a fixed-capacity ring of rows: one timestamp column and one value
-// column per metric, all behind one lock. Metrics that are always sampled
+// column per metric, written as one row. Metrics that are always sampled
 // together — a slice's demand, served and allocated throughput — share one
-// Rows and are written as one row; each column reads back as a Series. Safe
-// for concurrent use.
+// Rows; each column reads back as a Series. Safe for concurrent use.
 //
-// Internally the ring stores unix-nanosecond timestamps and float values
-// rather than Sample structs: time.Time carries a *Location pointer, and a
-// store with tens of thousands of per-slice rings would otherwise hand the
-// garbage collector millions of pointer slots to scan on every cycle.
-// Timestamps round-trip exactly (nanosecond precision, reported in UTC).
+// A ring's cells live in a slab (below), which holds the lock. The rings a
+// store hands out share the store's slab for their shape; NewSeries,
+// Store.Series and Store.SeriesSized make a ring over a private one-ring
+// slab. A shared ring moves to a private slab when its store lets go of it
+// (Drop, or Rows replacing its name), so an outstanding handle keeps its
+// samples and stays writable; every access re-checks the ring's slab after
+// locking it.
 type Rows struct {
-	mu   sync.RWMutex
-	at   []int64   // UnixNano per row
-	val  []float64 // row-major: row i's columns are val[i*cols : (i+1)*cols]
+	sl   atomic.Pointer[slab]
+	slot int // rewritten only when the ring moves, under the old slab's lock
 	cols []*Series
-	head int // next write position
-	n    int // valid rows
 }
 
-// newRows returns an empty ring of capacity rows (minimum 1) with one column
-// per name.
-func newRows(capacity int, names ...string) *Rows {
-	if capacity < 1 {
-		capacity = 1
-	}
-	r := &Rows{at: make([]int64, capacity), val: make([]float64, capacity*len(names)), cols: make([]*Series, len(names))}
+// chunkShift sets how many rings of one shape share a chunk of a store's
+// slab: 1<<chunkShift = 16. Position p of those 16 rings is adjacent memory,
+// so an epoch that appends one row to every ring writes whole cache lines
+// (16 timestamps are two lines, their three-column values six).
+const chunkShift = 4
+
+// slab holds the cells of rings of one shape — capacity rows of cols values —
+// position-major. Ring slot s keeps position p in chunk s>>shift at cell
+// p<<shift + s&(1<<shift-1): its timestamp at at[chunk][cell], its values at
+// val[chunk][cell*cols:(cell+1)*cols]. Timestamps are unix nanoseconds and
+// values plain floats rather than Sample structs: time.Time carries a
+// *Location pointer, and a store with tens of thousands of per-slice rings
+// would otherwise hand the garbage collector millions of pointer slots to
+// scan on every cycle. Timestamps round-trip exactly (nanosecond precision,
+// reported in UTC).
+type slab struct {
+	mu       sync.RWMutex
+	capacity int
+	cols     int
+	shift    uint // chunkShift when shared, 0 for a private one-ring slab
+	at       [][]int64
+	val      [][]float64
+	head, n  []int // per slot: next write position, valid rows
+	free     []int // released slots, reused before the slab grows
+	next     int   // head after the latest append, where a new ring starts
+}
+
+// newRows claims a slot in sl for a ring with one column per name.
+func newRows(sl *slab, names ...string) *Rows {
+	r := &Rows{cols: make([]*Series, len(names))}
 	for i, name := range names {
 		r.cols[i] = &Series{name: name, rows: r, col: i}
 	}
+	sl.mu.Lock()
+	r.slot = sl.claimLocked()
+	sl.mu.Unlock()
+	r.sl.Store(sl)
 	return r
+}
+
+// claimLocked returns a free slot, growing the slab by a chunk when none is
+// left. The new ring starts empty at the head of the slab's latest append, so
+// rings written once per epoch stay in lockstep (only locality depends on
+// that). The caller holds sl.mu exclusively.
+func (sl *slab) claimLocked() int {
+	var slot int
+	if k := len(sl.free); k > 0 {
+		slot, sl.free = sl.free[k-1], sl.free[:k-1]
+	} else {
+		slot = len(sl.head)
+		if slot>>sl.shift == len(sl.at) {
+			cells := sl.capacity << sl.shift
+			sl.at = append(sl.at, make([]int64, cells))
+			sl.val = append(sl.val, make([]float64, cells*sl.cols))
+		}
+		sl.head, sl.n = append(sl.head, 0), append(sl.n, 0)
+	}
+	sl.head[slot], sl.n[slot] = sl.next, 0
+	return slot
+}
+
+// cell returns the chunk of slot and the index of its position pos there.
+func (sl *slab) cell(slot, pos int) (chunk, i int) {
+	return slot >> sl.shift, pos<<sl.shift + slot&(1<<sl.shift-1)
+}
+
+// pushLocked claims slot's next row, stamped atNanos and zeroed, evicting
+// the oldest when full, and returns its values. The caller holds sl.mu
+// exclusively.
+func (sl *slab) pushLocked(slot int, atNanos int64) []float64 {
+	pos := sl.head[slot]
+	c, i := sl.cell(slot, pos)
+	sl.at[c][i] = atNanos
+	row := sl.val[c][i*sl.cols : (i+1)*sl.cols]
+	clear(row)
+	if pos++; pos == sl.capacity {
+		pos = 0
+	}
+	sl.head[slot], sl.next = pos, pos
+	if sl.n[slot] < sl.capacity {
+		sl.n[slot]++
+	}
+	return row
+}
+
+// lock write-locks the ring's current slab and returns it with the ring's
+// slot there.
+func (r *Rows) lock() (*slab, int) {
+	for {
+		sl := r.sl.Load()
+		sl.mu.Lock()
+		if r.sl.Load() == sl {
+			return sl, r.slot
+		}
+		sl.mu.Unlock()
+	}
+}
+
+// rlock is lock for readers.
+func (r *Rows) rlock() (*slab, int) {
+	for {
+		sl := r.sl.Load()
+		sl.mu.RLock()
+		if r.sl.Load() == sl {
+			return sl, r.slot
+		}
+		sl.mu.RUnlock()
+	}
+}
+
+// privatize moves a ring out of a shared slab into a private one-ring slab
+// of its capacity, samples and head included, and frees its slot. Only the
+// ring's store calls it, under its registry lock, so no two moves race.
+func (r *Rows) privatize() {
+	sl := r.sl.Load()
+	if sl.shift == 0 {
+		return
+	}
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	p := &slab{capacity: sl.capacity, cols: sl.cols}
+	p.claimLocked()
+	for pos := 0; pos < sl.capacity; pos++ {
+		c, i := sl.cell(r.slot, pos)
+		p.at[0][pos] = sl.at[c][i]
+		copy(p.val[0][pos*sl.cols:(pos+1)*sl.cols], sl.val[c][i*sl.cols:(i+1)*sl.cols])
+	}
+	p.head[0], p.n[0] = sl.head[r.slot], sl.n[r.slot]
+	sl.free = append(sl.free, r.slot)
+	r.slot = 0
+	r.sl.Store(p)
 }
 
 // Add appends one row, evicting the oldest when full: vals[i] goes to column
 // i, columns past len(vals) read zero.
 func (r *Rows) Add(atNanos int64, vals ...float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	copy(r.pushLocked(atNanos), vals)
+	sl, slot := r.lock()
+	defer sl.mu.Unlock()
+	copy(sl.pushLocked(slot, atNanos), vals)
 }
 
-// pushLocked claims the next row, stamped atNanos and zeroed, evicting the
-// oldest when full. The caller holds r.mu exclusively.
-func (r *Rows) pushLocked(atNanos int64) []float64 {
-	r.at[r.head] = atNanos
-	row := r.val[r.head*len(r.cols) : (r.head+1)*len(r.cols)]
-	clear(row)
-	r.head = (r.head + 1) % len(r.at)
-	if r.n < len(r.at) {
-		r.n++
+// AddEach appends one row stamped atNanos to every ring in rows: row i goes
+// to rows[i], its column c read from cols[c][i] (columns past len(cols) read
+// zero). It takes one lock per run of consecutive rings that share a slab —
+// the control epoch writes every slice's telemetry row in one call, under
+// one lock.
+func AddEach(atNanos int64, rows []*Rows, cols ...[]float64) {
+	for i := 0; i < len(rows); {
+		sl, _ := rows[i].lock()
+		for ; i < len(rows) && rows[i].sl.Load() == sl; i++ {
+			row := sl.pushLocked(rows[i].slot, atNanos)
+			for c := range min(len(row), len(cols)) {
+				row[c] = cols[c][i]
+			}
+		}
+		sl.mu.Unlock()
 	}
-	return row
 }
 
 // Names returns the column names in column order.
@@ -103,7 +234,7 @@ type Series struct {
 
 // NewSeries returns an empty series with the given capacity (minimum 1).
 func NewSeries(name string, capacity int) *Series {
-	return newRows(capacity, name).cols[0]
+	return newRows(&slab{capacity: max(capacity, 1), cols: 1}, name).cols[0]
 }
 
 // Name returns the series name.
@@ -111,73 +242,74 @@ func (s *Series) Name() string { return s.name }
 
 // Add appends a sample, evicting the oldest when full. On a column of a
 // shared ring it appends a row that reads zero in the sibling columns; the
-// ring's owner writes whole rows with Rows.Add instead.
+// ring's owner writes whole rows with Rows.Add or AddEach instead.
 func (s *Series) Add(at time.Time, v float64) { s.AddNanos(at.UnixNano(), v) }
 
 // AddNanos is Add for a caller that already holds the timestamp as Unix
 // nanoseconds.
 func (s *Series) AddNanos(atNanos int64, v float64) {
-	s.rows.mu.Lock()
-	defer s.rows.mu.Unlock()
-	s.rows.pushLocked(atNanos)[s.col] = v
+	sl, slot := s.rows.lock()
+	defer sl.mu.Unlock()
+	sl.pushLocked(slot, atNanos)[s.col] = v
 }
 
 // Len returns the number of stored samples.
 func (s *Series) Len() int {
-	s.rows.mu.RLock()
-	defer s.rows.mu.RUnlock()
-	return s.rows.n
+	sl, slot := s.rows.rlock()
+	defer sl.mu.RUnlock()
+	return sl.n[slot]
 }
 
 // Capacity returns the ring size.
-func (s *Series) Capacity() int { return len(s.rows.at) }
+func (s *Series) Capacity() int { return s.rows.sl.Load().capacity }
 
 // Last returns the most recent sample, if any.
 func (s *Series) Last() (Sample, bool) {
-	r := s.rows
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.n == 0 {
+	sl, slot := s.rows.rlock()
+	defer sl.mu.RUnlock()
+	if sl.n[slot] == 0 {
 		return Sample{}, false
 	}
-	return s.sampleLocked((r.head - 1 + len(r.at)) % len(r.at)), true
+	return s.sampleLocked(sl, slot, (sl.head[slot]-1+sl.capacity)%sl.capacity), true
 }
 
-// sampleLocked reads the series' sample in ring slot j.
-func (s *Series) sampleLocked(j int) Sample {
-	r := s.rows
-	return Sample{At: time.Unix(0, r.at[j]).UTC(), Value: r.val[j*len(r.cols)+s.col]}
+// sampleLocked reads the series' sample at position pos of its ring.
+func (s *Series) sampleLocked(sl *slab, slot, pos int) Sample {
+	c, i := sl.cell(slot, pos)
+	return Sample{At: time.Unix(0, sl.at[c][i]).UTC(), Value: sl.val[c][i*sl.cols+s.col]}
+}
+
+// windowLocked returns the ring position of the oldest of the n most recent
+// samples (n <= 0: all) and the clamped n.
+func windowLocked(sl *slab, slot, n int) (start, count int) {
+	if n <= 0 || n > sl.n[slot] {
+		n = sl.n[slot]
+	}
+	return (sl.head[slot] - n + sl.capacity) % sl.capacity, n
 }
 
 // Window returns up to n most recent samples in chronological order.
 // n <= 0 returns everything stored.
 func (s *Series) Window(n int) []Sample {
-	r := s.rows
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if n <= 0 || n > r.n {
-		n = r.n
-	}
+	sl, slot := s.rows.rlock()
+	defer sl.mu.RUnlock()
+	start, n := windowLocked(sl, slot, n)
 	out := make([]Sample, n)
-	start := (r.head - n + len(r.at)) % len(r.at)
 	for i := range out {
-		out[i] = s.sampleLocked((start + i) % len(r.at))
+		out[i] = s.sampleLocked(sl, slot, (start+i)%sl.capacity)
 	}
 	return out
 }
 
 // Values returns just the values of Window(n).
 func (s *Series) Values(n int) []float64 {
-	r := s.rows
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if n <= 0 || n > r.n {
-		n = r.n
-	}
+	sl, slot := s.rows.rlock()
+	defer sl.mu.RUnlock()
+	start, n := windowLocked(sl, slot, n)
 	out := make([]float64, n)
-	start := (r.head - n + len(r.at)) % len(r.at)
 	for i := range out {
-		out[i] = r.val[(start+i)%len(r.at)*len(r.cols)+s.col]
+		c, j := sl.cell(slot, (start+i)%sl.capacity)
+		out[i] = sl.val[c][j*sl.cols+s.col]
 	}
 	return out
 }
@@ -263,19 +395,24 @@ func Percentile(sorted []float64, p float64) float64 {
 }
 
 // Store is a concurrent registry of named series — the monitoring database
-// the REST API and dashboard read from.
+// the REST API and dashboard read from. The rings it hands out through Rows
+// share one slab per shape (capacity, column count).
 type Store struct {
 	mu       sync.RWMutex
 	series   map[string]*Series
+	slabs    map[shape]*slab
 	capacity int
 }
+
+// shape keys a store's shared slabs.
+type shape struct{ capacity, cols int }
 
 // NewStore returns a store whose auto-created series hold capacity samples.
 func NewStore(capacity int) *Store {
 	if capacity < 1 {
 		capacity = 1024
 	}
-	return &Store{series: make(map[string]*Series), capacity: capacity}
+	return &Store{series: make(map[string]*Series), slabs: make(map[shape]*slab), capacity: capacity}
 }
 
 // Series returns the named series, creating it on first use.
@@ -307,17 +444,30 @@ func (st *Store) SeriesSized(name string, capacity int) *Series {
 	return s
 }
 
-// Rows creates one ring of capacity rows with a column per name and
-// registers every column as the series of its name (replacing a series
-// already registered under it), so Series(name) reads the column back. The
-// caller keeps the returned handle and writes whole rows through it. The
-// orchestrator holds one per slice, sized well below the store default: with
-// tens of thousands of slices, default-sized rings would dominate the
-// daemon's memory.
+// Rows creates one ring of capacity rows with a column per name, in the
+// store's slab for that shape, and registers every column as the series of
+// its name (replacing a series already registered under it), so
+// Series(name) reads the column back. The caller keeps the returned handle
+// and writes whole rows through it (Rows.Add, AddEach). The orchestrator
+// holds one per slice, sized well below the store default: with tens of
+// thousands of slices, default-sized rings would dominate the daemon's
+// memory.
 func (st *Store) Rows(capacity int, names ...string) *Rows {
-	r := newRows(capacity, names...)
+	capacity = max(capacity, 1)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	for _, name := range names {
+		if s, ok := st.series[name]; ok {
+			s.rows.privatize()
+		}
+	}
+	k := shape{capacity, len(names)}
+	sl := st.slabs[k]
+	if sl == nil {
+		sl = &slab{capacity: capacity, cols: len(names), shift: chunkShift}
+		st.slabs[k] = sl
+	}
+	r := newRows(sl, names...)
 	for _, s := range r.cols {
 		st.series[s.name] = s
 	}
@@ -330,15 +480,19 @@ func (st *Store) Record(name string, at time.Time, v float64) {
 }
 
 // Drop removes the named series from the registry; unknown names are
-// ignored. Handles obtained earlier stay usable but are no longer reachable
-// through the store. The orchestrator calls it when a finished slice leaves
+// ignored. Handles obtained earlier stay usable, samples included, but are no
+// longer reachable through the store (a ring in the store's slab moves to a
+// private one first). The orchestrator calls it when a finished slice leaves
 // the retained history, so per-slice rings do not accumulate for the life of
 // the daemon.
 func (st *Store) Drop(names ...string) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	for _, name := range names {
-		delete(st.series, name)
+		if s, ok := st.series[name]; ok {
+			s.rows.privatize()
+			delete(st.series, name)
+		}
 	}
 }
 

@@ -2,11 +2,13 @@ package restapi
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,6 +284,51 @@ func TestMetricSeriesEscapedName(t *testing.T) {
 		}
 		if got.Name != name || len(got.Samples) != 1 || got.Samples[0].Value != float64(i+1) {
 			t.Fatalf("%q read back as %q with %+v", name, got.Name, got.Samples)
+		}
+	}
+}
+
+// TestMetricSeriesStatsMatchSamples: GET /api/v2/metrics/{name} reads its
+// window once. With a writer appending increasing values beside the reads,
+// every answer's stats summarise exactly the samples in the same answer —
+// when the handler read the window twice, an append between the reads gave
+// the stats a later window than the samples.
+func TestMetricSeriesStatsMatchSamples(t *testing.T) {
+	srv, orch, _ := fuzzOrch(t)
+	series := orch.Store().SeriesSized("race/rising", 16)
+	series.AddNanos(0, 0)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := int64(1); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				series.AddNanos(i, float64(i))
+			}
+		}
+	}()
+	defer func() { close(stop); wg.Wait() }()
+	for i := 0; i < 2000; i++ {
+		target := "/api/v2/metrics/race/rising"
+		if i%2 == 1 {
+			target += "?window=8"
+		}
+		rec := serve(srv, http.MethodGet, target, nil, "")
+		var got SeriesResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("GET %s: %d %v", target, rec.Code, err)
+		}
+		sum := 0.0
+		for _, smp := range got.Samples {
+			sum += smp.Value
+		}
+		if got.Stats.N != len(got.Samples) || got.Stats.Mean != sum/float64(len(got.Samples)) {
+			t.Fatalf("GET %s answered %d samples with mean %v, stats n=%d mean=%v",
+				target, len(got.Samples), sum/float64(len(got.Samples)), got.Stats.N, got.Stats.Mean)
 		}
 	}
 }

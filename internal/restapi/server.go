@@ -502,11 +502,14 @@ func (s *Server) handleMetricSeries(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("restapi: unknown metric %q", name))
 		return
 	}
-	writeJSON(w, http.StatusOK, SeriesResponse{
-		Name:    name,
-		Samples: series.Window(window),
-		Stats:   series.WindowStats(window),
-	})
+	// One read: the stats summarise exactly the samples returned, even when
+	// an epoch appends between here and the encoder.
+	samples := series.Window(window)
+	vals := make([]float64, len(samples))
+	for i, smp := range samples {
+		vals[i] = smp.Value
+	}
+	writeJSON(w, http.StatusOK, SeriesResponse{Name: name, Samples: samples, Stats: monitor.Compute(vals)})
 }
 
 func (s *Server) handleTopology(w http.ResponseWriter, r *http.Request) {
