@@ -19,6 +19,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/invariant"
 	"repro/internal/scenario"
 )
 
@@ -123,19 +124,7 @@ func expFedChaos(name string, seed int64) {
 	}
 	fmt.Fprintf(w, "audit sweeps / events checked\t%d / %d\n", res.AuditStats.Sweeps, res.AuditStats.Events)
 	w.Flush()
-	if len(res.Violations) == 0 {
-		fmt.Println("invariants: CLEAN (federation conservation + every member's cross-domain auditor)")
-		return
-	}
-	fmt.Printf("invariants: %d VIOLATION(S)\n", len(res.Violations))
-	for i, v := range res.Violations {
-		if i == 10 {
-			fmt.Printf("  ... and %d more\n", len(res.Violations)-i)
-			break
-		}
-		fmt.Printf("  %s\n", v)
-	}
-	os.Exit(1)
+	verdict(res.Violations, "federation conservation + every member's cross-domain auditor")
 }
 
 // expChaos runs one canned chaos scenario (c1..c6) with the invariant
@@ -153,26 +142,14 @@ func expChaos(name string, seed int64) {
 	fmt.Fprintf(w, "net revenue\t%.0f EUR\n", g.NetRevenueEUR)
 	fmt.Fprintf(w, "audit sweeps / events checked\t%d / %d\n", res.AuditStats.Sweeps, res.AuditStats.Events)
 	w.Flush()
-	if len(res.Violations) == 0 {
-		fmt.Println("invariants: CLEAN (ledger conservation, leak-freedom, event order, epoch monotonicity)")
-		return
-	}
-	fmt.Printf("invariants: %d VIOLATION(S)\n", len(res.Violations))
-	for i, v := range res.Violations {
-		if i == 10 {
-			fmt.Printf("  ... and %d more\n", len(res.Violations)-i)
-			break
-		}
-		fmt.Printf("  %s\n", v)
-	}
-	os.Exit(1)
+	verdict(res.Violations, auditedBooks)
 }
 
 // expC9 runs the intent-plane canary-rollout drill (DESIGN.md §13): a
 // fleet instantiated from a published template rides a benign rollout to
 // promotion and an SLA-regressing one to automatic rollback, with the
 // invariant auditor attached throughout. C9 always runs at its canonical
-// seed — the timeline is calibrated so the fleet wins admission against
+// seed — the program is calibrated so the fleet wins admission against
 // the background churn; under other seeds the churn can starve the fleet
 // out before the first rollout fires, which is a different (and already
 // covered) failure drill.
@@ -192,14 +169,23 @@ func expC9(int64) {
 	fmt.Fprintf(w, "net revenue\t%.0f EUR\n", g.NetRevenueEUR)
 	fmt.Fprintf(w, "audit sweeps / events checked\t%d / %d\n", res.AuditStats.Sweeps, res.AuditStats.Events)
 	w.Flush()
-	if len(res.Violations) == 0 {
-		fmt.Println("invariants: CLEAN (ledger conservation, leak-freedom, event order, epoch monotonicity)")
+	verdict(res.Violations, auditedBooks)
+}
+
+// auditedBooks names what the single-cluster auditor checks.
+const auditedBooks = "ledger conservation, leak-freedom, event order, epoch monotonicity"
+
+// verdict prints a chaos run's invariant verdict — CLEAN with what was
+// checked, or the first ten violations — and exits 1 on any violation.
+func verdict(vs []invariant.Violation, checked string) {
+	if len(vs) == 0 {
+		fmt.Printf("invariants: CLEAN (%s)\n", checked)
 		return
 	}
-	fmt.Printf("invariants: %d VIOLATION(S)\n", len(res.Violations))
-	for i, v := range res.Violations {
+	fmt.Printf("invariants: %d VIOLATION(S)\n", len(vs))
+	for i, v := range vs {
 		if i == 10 {
-			fmt.Printf("  ... and %d more\n", len(res.Violations)-i)
+			fmt.Printf("  ... and %d more\n", len(vs)-i)
 			break
 		}
 		fmt.Printf("  %s\n", v)

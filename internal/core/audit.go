@@ -140,7 +140,7 @@ func (o *Orchestrator) AuditSweep() {
 }
 
 // WrapDemand atomically replaces the slice's simulated demand process with
-// wrap(current). Chaos timelines use it to overlay flash crowds or other
+// wrap(current). Chaos programs use it to overlay flash crowds or other
 // adversarial load shapes on a running slice; the wrapped process is
 // sampled from the next epoch on. The current process may be nil (live-mode
 // slices fed via RecordDemand); wrap may return nil to detach the process

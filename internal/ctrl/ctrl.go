@@ -80,7 +80,7 @@ func (b *Binding) Paths() []*transport.Reservation { return b.paths }
 
 // RANController manages the radio domain: PLMN-keyed PRB reservations
 // spread across all eNBs (the slice's UEs camp on both testbed cells).
-// The embedded FaultArm makes it a ctrl.FaultInjector for chaos timelines.
+// The embedded FaultArm makes it a ctrl.FaultInjector for chaos programs.
 // It keeps no per-slice index: a slice's cell handles live in its Binding,
 // and a release is name-keyed over the cells.
 type RANController struct {

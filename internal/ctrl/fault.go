@@ -61,7 +61,7 @@ type Fault struct {
 	Detail string
 }
 
-// FaultInjector is the optional controller capability chaos timelines drive:
+// FaultInjector is the optional controller capability chaos programs drive:
 // a domain that can be armed, at runtime, to fail its transactional verbs.
 // All four built-in controllers implement it (via FaultArm). Discover it
 // with a type assertion on a Domain — a capability query, exactly like

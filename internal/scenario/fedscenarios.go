@@ -10,7 +10,7 @@ package scenario
 // permanently and placement re-homes all new demand onto the survivors.
 // They live in their own registry (FedChaosNames) rather than chaosSpecs
 // because the single-cluster harnesses — the crash-recovery reference runs
-// in particular — assume one orchestrator per scenario.
+// in particular — assume one orchestrator per scenario; Drive runs both.
 
 import (
 	"fmt"
@@ -135,7 +135,7 @@ type FedChaosResult struct {
 	ClusterGains []federation.ClusterGain `json:"cluster_gains"`
 	// Clusters is the final registry view.
 	Clusters []federation.ClusterInfo `json:"clusters"`
-	// Steps lists the timeline steps that fired, in execution order.
+	// Steps lists the program's ops that fired, in execution order.
 	Steps []chaos.FiredStep `json:"steps"`
 	// AuditStats merges the federation auditor with every member auditor.
 	AuditStats invariant.Stats `json:"audit_stats"`
@@ -143,17 +143,18 @@ type FedChaosResult struct {
 	Violations []invariant.Violation `json:"violations"`
 }
 
-// fedChaosSpec couples a federated scenario's options with its timeline.
+// fedChaosSpec couples a federated scenario's options (Seed is set per
+// run) with its program.
 type fedChaosSpec struct {
-	title    string
-	opts     func(seed int64) FedOptions
-	timeline func(seed int64) *chaos.Timeline
+	title string
+	opts  FedOptions
+	prog  []chaos.Op
 }
 
 // fedChaosBaseOptions is the shared chassis: three members at distinct
 // federation latencies, overbooking and both audit tiers on, requests scaled
 // 2x so single members saturate and spans split across clusters.
-func fedChaosBaseOptions(seed int64, dur, ia time.Duration) FedOptions {
+func fedChaosBaseOptions(dur, ia time.Duration) FedOptions {
 	member := func(name, location string, latencyMs float64) federation.ClusterConfig {
 		return federation.ClusterConfig{
 			Name:      name,
@@ -169,7 +170,6 @@ func fedChaosBaseOptions(seed int64, dur, ia time.Duration) FedOptions {
 		}
 	}
 	return FedOptions{
-		Seed:             seed,
 		Duration:         dur,
 		MeanInterarrival: ia,
 		RequestScale:     2,
@@ -186,32 +186,25 @@ func fedChaosBaseOptions(seed int64, dur, ia time.Duration) FedOptions {
 var fedChaosSpecs = map[string]fedChaosSpec{
 	"c7": {
 		title: "cluster-partition: a member splits from the federation, spans roll back, the heal reconverges",
-		opts: func(seed int64) FedOptions {
-			return fedChaosBaseOptions(seed, 4*time.Hour, 5*time.Minute)
-		},
-		timeline: func(seed int64) *chaos.Timeline {
-			return chaos.NewTimeline(seed).
-				At(45*time.Minute, "preload-burst", chaos.BurstSubmit(8)).
-				At(60*time.Minute, "partition-west", chaos.PartitionCluster("west")).
-				At(70*time.Minute, "burst-during-partition", chaos.BurstSubmit(6)).
-				At(100*time.Minute, "heal-west", chaos.HealCluster("west")).
-				At(110*time.Minute, "burst-after-heal", chaos.BurstSubmit(6)).
-				At(150*time.Minute, "partition-east", chaos.PartitionCluster("east")).
-				At(170*time.Minute, "heal-east", chaos.HealCluster("east")).
-				At(180*time.Minute, "final-burst", chaos.BurstSubmit(6))
+		opts:  fedChaosBaseOptions(4*time.Hour, 5*time.Minute),
+		prog: []chaos.Op{
+			{At: 45 * time.Minute, Name: "preload-burst", Kind: chaos.BurstSubmit, N: 8},
+			{At: 60 * time.Minute, Name: "partition-west", Kind: chaos.PartitionCluster, Target: "west"},
+			{At: 70 * time.Minute, Name: "burst-during-partition", Kind: chaos.BurstSubmit, N: 6},
+			{At: 100 * time.Minute, Name: "heal-west", Kind: chaos.HealCluster, Target: "west"},
+			{At: 110 * time.Minute, Name: "burst-after-heal", Kind: chaos.BurstSubmit, N: 6},
+			{At: 150 * time.Minute, Name: "partition-east", Kind: chaos.PartitionCluster, Target: "east"},
+			{At: 170 * time.Minute, Name: "heal-east", Kind: chaos.HealCluster, Target: "east"},
+			{At: 180 * time.Minute, Name: "final-burst", Kind: chaos.BurstSubmit, N: 6},
 		},
 	},
 	"c8": {
 		title: "cluster-fail-over: a member dies permanently and placement re-homes all new demand",
-		opts: func(seed int64) FedOptions {
-			return fedChaosBaseOptions(seed, 4*time.Hour, 5*time.Minute)
-		},
-		timeline: func(seed int64) *chaos.Timeline {
-			return chaos.NewTimeline(seed).
-				At(45*time.Minute, "preload-burst", chaos.BurstSubmit(8)).
-				At(90*time.Minute, "fail-north", chaos.FailCluster("north")).
-				Every(100*time.Minute, 25*time.Minute, 5, "re-home-burst", chaos.BurstSubmit(5))
-		},
+		opts:  fedChaosBaseOptions(4*time.Hour, 5*time.Minute),
+		prog: append([]chaos.Op{
+			{At: 45 * time.Minute, Name: "preload-burst", Kind: chaos.BurstSubmit, N: 8},
+			{At: 90 * time.Minute, Name: "fail-north", Kind: chaos.FailCluster, Target: "north"},
+		}, chaos.Every(100*time.Minute, 25*time.Minute, 5, chaos.Op{Name: "re-home-burst", Kind: chaos.BurstSubmit, N: 5})...),
 	},
 }
 
@@ -236,7 +229,8 @@ func FedChaosScenario(name string, seed int64) (FedChaosResult, error) {
 	if !ok {
 		return FedChaosResult{}, fmt.Errorf("scenario: unknown federated chaos scenario %q (have %v)", name, FedChaosNames())
 	}
-	opts := spec.opts(seed)
+	opts := spec.opts
+	opts.Seed = seed
 	r, err := NewFedRunner(opts)
 	if err != nil {
 		return FedChaosResult{}, err
@@ -246,9 +240,7 @@ func FedChaosScenario(name string, seed int64) (FedChaosResult, error) {
 		Fed:    r.Fed,
 		Submit: func() { _, _ = r.SubmitNow() },
 	}
-	spec.timeline(opts.Seed).Install(env)
-	r.StartArrivals()
-	if err := r.Sim.RunFor(opts.withDefaults().Duration); err != nil {
+	if err := Drive(env, seed, spec.prog, r.StartArrivals, r.opts.Duration); err != nil {
 		return FedChaosResult{}, err
 	}
 	res := FedChaosResult{
@@ -261,16 +253,13 @@ func FedChaosScenario(name string, seed int64) (FedChaosResult, error) {
 		Clusters:     r.Fed.ClusterInfos(),
 		Steps:        env.Log(),
 	}
-	if a := r.Fed.Auditor(); a != nil {
-		st := a.Stats()
-		res.AuditStats.Sweeps += st.Sweeps
-		res.AuditStats.Events += st.Events
-		res.AuditStats.Violations += st.Violations
-		res.Violations = append(res.Violations, a.Violations()...)
-	}
+	auditors := []*invariant.Auditor{r.Fed.Auditor()}
 	for _, name := range r.Fed.Clusters() {
 		c, _ := r.Fed.Cluster(name)
-		if a := c.Orchestrator().Auditor(); a != nil {
+		auditors = append(auditors, c.Orchestrator().Auditor())
+	}
+	for _, a := range auditors {
+		if a != nil {
 			st := a.Stats()
 			res.AuditStats.Sweeps += st.Sweeps
 			res.AuditStats.Events += st.Events

@@ -1,10 +1,11 @@
 // Package crashtest proves the deterministic crash-recovery contract
-// (DESIGN.md §9) by brute force: it runs the canned chaos scenarios C1–C6
-// with an in-memory persistence sink that remembers every WAL record, every
-// commit (fsync) boundary with a state digest taken at that instant, and
-// every checkpoint snapshot — then simulates a crash after every record
-// prefix, recovers an orchestrator from the captured image onto a fresh
-// testbed, and checks the outcome:
+// (DESIGN.md §9) by brute force: it runs a chaos program — one of the
+// canned single-cluster scenarios C1–C6 and C9 — with an in-memory
+// persistence sink that remembers every WAL record, every commit (fsync)
+// boundary with a state digest taken at that instant, and every checkpoint
+// snapshot — then simulates a crash after every record prefix, recovers an
+// orchestrator from the captured image onto a fresh testbed, and checks the
+// outcome:
 //
 //   - at a commit boundary the recovered state digest (gain report, slice
 //     registry, epoch snapshot, capacity ledger, event sequence) must be
@@ -21,8 +22,10 @@ package crashtest
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/scenario"
@@ -111,11 +114,9 @@ func (s *Sink) Snapshot(seq uint64, blob []byte) error {
 	return nil
 }
 
-// Reference is one uncrashed chaos-scenario run with its full persistence
+// Reference is one uncrashed chaos-program run with its full persistence
 // capture.
 type Reference struct {
-	Name   string
-	Shards int
 	Opts   scenario.Options
 	Sink   *Sink
 	Result scenario.ChaosResult
@@ -127,23 +128,31 @@ type Reference struct {
 // empty log.
 const snapshotEvery = 8
 
-// RunReference executes one chaos scenario at the given shard count with the
-// capturing sink attached.
+// RunReference runs the canned single-cluster chaos scenario name (c1..c6,
+// c9) at the given shard count as a reference run.
 func RunReference(name string, seed int64, shards int) (*Reference, error) {
-	ref := &Reference{Name: name, Shards: shards, Sink: &Sink{}}
-	res, err := scenario.ChaosScenarioCustom(name, seed, shards,
-		func(o *scenario.Options) {
-			o.Orchestrator.Persist = ref.Sink
-			o.Orchestrator.SnapshotEvery = snapshotEvery
-			ref.Opts = *o
-		},
-		func(r *scenario.Runner) {
-			ref.Sink.Digest = r.Orch.StateDigest
-		})
+	opts, prog, err := scenario.ChaosProgram(name, seed, shards)
 	if err != nil {
 		return nil, err
 	}
-	ref.Result = res
+	return RunProgram(opts, prog)
+}
+
+// RunProgram runs prog under opts with the capturing sink and the harness's
+// checkpoint cadence attached; the sink's digest probe is bound to the
+// orchestrator before the program is installed.
+func RunProgram(opts scenario.Options, prog []chaos.Op) (*Reference, error) {
+	ref := &Reference{Opts: opts, Sink: &Sink{}}
+	ref.Opts.Orchestrator.Persist = ref.Sink
+	ref.Opts.Orchestrator.SnapshotEvery = snapshotEvery
+	r, err := scenario.NewRunner(ref.Opts)
+	if err != nil {
+		return nil, err
+	}
+	ref.Sink.Digest = r.Orch.StateDigest
+	if ref.Result, err = r.RunChaos(r.Env(), prog); err != nil {
+		return nil, err
+	}
 	return ref, nil
 }
 
@@ -197,7 +206,12 @@ func (ref *Reference) CrashPoints(maxBoundaries, maxMidOp int) (points []int, bo
 		b := &ref.Sink.Boundaries[i]
 		boundary[b.Records] = b
 	}
-	points = stride(keys(boundary), maxBoundaries)
+	bounds := make([]int, 0, len(boundary))
+	for n := range boundary {
+		bounds = append(bounds, n)
+	}
+	sort.Ints(bounds)
+	points = stride(bounds, maxBoundaries)
 
 	// Mid-operation points: prefixes that are not commit boundaries. Every
 	// record index is a candidate; sample evenly.
@@ -225,23 +239,8 @@ func (ref *Reference) CrashPoints(maxBoundaries, maxMidOp int) (points []int, bo
 	return points, boundary
 }
 
-// keys returns the map's keys in ascending order.
-func keys(m map[int]*Boundary) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortInts(out)
-	return out
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
+// sortInts orders crash points ascending.
+var sortInts = sort.Ints
 
 // stride picks at most max elements of a evenly, always keeping the first
 // and last.
