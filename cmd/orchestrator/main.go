@@ -42,10 +42,8 @@ import (
 
 	overbook "repro"
 	"repro/internal/dashboard"
-	"repro/internal/intent"
 	"repro/internal/invariant"
 	"repro/internal/restapi"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -137,7 +135,7 @@ func main() {
 	sys.Orchestrator.Start()
 
 	api := restapi.NewServer(sys.Orchestrator)
-	api.AttachIntent(intent.NewManager(sys.Orchestrator, sim.NewRealtimeClock(), intent.Config{}))
+	api.AttachIntent(overbook.NewIntentManager(sys, overbook.IntentConfig{}))
 	mux := http.NewServeMux()
 	mux.Handle("/api/v1/", api) // the one older name still served: GET /api/v1/gain
 	mux.Handle("/api/v2/", api)

@@ -65,11 +65,12 @@ func (o *Orchestrator) buildCheckpointLocked() []byte {
 //
 // Group-commit interaction: the checkpoint first takes commit leadership —
 // waiting out any in-flight group flush — because Snapshot both syncs the
-// log and may compact it (swapping the writer's file handle), which must
-// never overlap a staged write still holding the old handle. For a
-// StagedSink the snapshot's own sync advances the durable frontier (anchor
-// == walSeq at the cut, at or past every queued commit target), so queued
-// operations are released durable without another fsync. For probing sinks
+// log and rotates it (sealing wal.log and swapping the writer's file handle
+// to a fresh one), which must never overlap a staged write still holding
+// the old handle. For a StagedSink the snapshot's own sync advances the
+// durable frontier (anchor == walSeq at the cut, at or past every queued
+// commit target), so queued operations are released durable without
+// another fsync. For probing sinks
 // (§9.2 crashtest) the frontier is deliberately NOT advanced: those sinks
 // observe every operation boundary through Committed, and swallowing the
 // boundary that follows a checkpoint would shift their captured commit

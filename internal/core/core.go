@@ -278,8 +278,8 @@ type managedSlice struct {
 	// (sliceTx). Core never reads inside it. applyTeardown drops it.
 	bind ctrl.Binding
 
-	expiry *sim.Event
-	timers []*sim.Event // pending installation stage events
+	expiry     *sim.Event
+	activation *sim.Event // pending end of installation
 }
 
 // Orchestrator is the end-to-end slice orchestrator. It is safe for
@@ -538,7 +538,7 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 		o.appendAdmit(s, ar, subEv, admitEv)
 	}
 	_ = o.applyAdmit(&ar, m, demand, false) // nothing to bind: cannot fail
-	m.timers = append(m.timers, o.clock.At(activateAt, string(id)+"/activate", func() { o.activate(id) }))
+	m.activation = o.clock.At(activateAt, string(id)+"/activate", func() { o.activate(id) })
 	if o.audit != nil {
 		o.auditSliceInstalled(m) // commit must hold what it recorded
 	}

@@ -185,10 +185,10 @@ func (o *Orchestrator) armExpiry(m *managedSlice) {
 // recovery. Appending first pins the WAL order: any reuse is logged strictly
 // after the release that made it possible.
 func (o *Orchestrator) teardownLocked(m *managedSlice, reason string, typ EventType) []slice.ID {
-	for _, t := range m.timers {
-		t.Cancel()
+	if m.activation != nil {
+		m.activation.Cancel()
+		m.activation = nil
 	}
-	m.timers = nil
 	if m.expiry != nil {
 		m.expiry.Cancel()
 		m.expiry = nil

@@ -468,14 +468,33 @@ func TestRecordCodecLiveStream(t *testing.T) {
 	if !bytes.Equal(encodeRecord(&st), rec.Snapshot) {
 		t.Error("the checkpoint blob is not the encoding of what it decodes to")
 	}
-	raw, err := os.ReadFile(filepath.Join(dir, "wal.log")) // the whole log, not just the tail past the anchor
+	// The whole log, not just the tail past the anchor: every sealed
+	// segment oldest first, then wal.log.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, torn, err := wal.DecodeStream(raw)
-	if err != nil || torn {
-		t.Fatalf("log: torn %v, %v", torn, err)
+	last := func(name string) (n uint64) {
+		fmt.Sscanf(filepath.Base(name), "wal-%d.log", &n)
+		return n
 	}
+	sort.Slice(segs, func(i, j int) bool { return last(segs[i]) < last(segs[j]) })
+	var all []wal.Record
+	for _, name := range append(segs, filepath.Join(dir, "wal.log")) {
+		raw, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, torn, err := wal.DecodeStream(raw)
+		if err != nil || torn {
+			t.Fatalf("%s: torn %v, %v", filepath.Base(name), torn, err)
+		}
+		if len(all) > 0 && len(recs) > 0 && recs[0].Seq != all[len(all)-1].Seq+1 {
+			t.Fatalf("%s starts at %d after %d", filepath.Base(name), recs[0].Seq, all[len(all)-1].Seq)
+		}
+		all = append(all, recs...)
+	}
+	t.Logf("%d segments, %d records", len(segs), len(all))
 	types := map[string]bool{}
 	for _, r := range all {
 		types[r.Type] = true

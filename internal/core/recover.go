@@ -402,8 +402,7 @@ func (o *Orchestrator) rearmTimers() {
 		switch m.s.State() {
 		case slice.StateInstalling:
 			id := m.s.ID()
-			m.timers = append(m.timers,
-				o.clock.At(m.activateAt, string(id)+"/activate", func() { o.activate(id) }))
+			m.activation = o.clock.At(m.activateAt, string(id)+"/activate", func() { o.activate(id) })
 		case slice.StateActive, slice.StateReconfiguring:
 			o.armExpiry(m)
 		}

@@ -37,21 +37,21 @@ import (
 	"repro/internal/slice"
 )
 
+// refreshSeconds is the fallback reload interval used when the event
+// stream is unavailable.
+const refreshSeconds = 5
+
 // Handler serves the dashboard over an orchestrator.
 type Handler struct {
 	orch *core.Orchestrator
 	tpl  *template.Template
-	// RefreshSeconds sets the fallback reload interval used when the
-	// event stream is unavailable (default 5).
-	RefreshSeconds int
 }
 
 // New builds the dashboard handler.
 func New(orch *core.Orchestrator) *Handler {
 	return &Handler{
-		orch:           orch,
-		tpl:            template.Must(template.New("dash").Parse(pageTemplate)),
-		RefreshSeconds: 5,
+		orch: orch,
+		tpl:  template.Must(template.New("dash").Parse(pageTemplate)),
 	}
 }
 
@@ -99,7 +99,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v := view{
-		Refresh: h.RefreshSeconds,
+		Refresh: refreshSeconds,
 		Now:     time.Now().UTC().Format(time.RFC3339),
 		// LastSeq is read before any state below: an event published while
 		// the page gathers Gain/List lands after this sequence, so the
@@ -143,24 +143,20 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleForm accepts the slice-request form post and redirects back.
+// handleForm accepts the slice-request form post and redirects back. An
+// unknown class or a malformed number is a 400 and submits nothing.
 func (h *Handler) handleForm(w http.ResponseWriter, r *http.Request) {
 	if err := r.ParseForm(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	class, err := slice.ParseClass(r.PostFormValue("class"))
 	f := func(name string) float64 {
-		x, _ := strconv.ParseFloat(r.PostFormValue(name), 64)
+		x, perr := strconv.ParseFloat(r.PostFormValue(name), 64)
+		if perr != nil && err == nil {
+			err = fmt.Errorf("%s: %w", name, perr)
+		}
 		return x
-	}
-	class := slice.ClassEMBB
-	switch strings.ToLower(r.PostFormValue("class")) {
-	case "automotive":
-		class = slice.ClassAutomotive
-	case "e-health":
-		class = slice.ClassEHealth
-	case "mmtc":
-		class = slice.ClassMMTC
 	}
 	req := slice.Request{
 		Tenant: r.PostFormValue("tenant"),
@@ -172,6 +168,10 @@ func (h *Handler) handleForm(w http.ResponseWriter, r *http.Request) {
 			PenaltyEUR:     f("penalty"),
 			Class:          class,
 		},
+	}
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	if _, err := h.orch.Submit(req, nil); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)

@@ -146,6 +146,50 @@ func TestFormSubmission(t *testing.T) {
 	}
 }
 
+// TestFormParsesLikeREST: the form takes every class spelling the REST
+// body does, and answers 400 — submitting nothing — on an unknown class or
+// a malformed number instead of reading it as eMBB or 0.
+func TestFormParsesLikeREST(t *testing.T) {
+	for _, tc := range []struct {
+		field, value string
+		status       int
+		class        string
+	}{
+		{"class", "ehealth", http.StatusSeeOther, "e-health"},
+		{"class", "MMTC", http.StatusSeeOther, "mMTC"},
+		{"class", "bogus", http.StatusBadRequest, ""},
+		{"price", "8O", http.StatusBadRequest, ""},
+		{"latency", "", http.StatusBadRequest, ""},
+	} {
+		h, orch, _ := dashEnv(t)
+		srv := httptest.NewServer(h)
+		form := url.Values{
+			"tenant": {"t"}, "throughput": {"25"}, "latency": {"30"},
+			"duration_min": {"60"}, "price": {"80"}, "penalty": {"1"},
+		}
+		form.Set(tc.field, tc.value)
+		client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+			return http.ErrUseLastResponse
+		}}
+		resp, err := client.PostForm(srv.URL, form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		srv.Close()
+		ls := orch.List()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s=%q: status %d, want %d", tc.field, tc.value, resp.StatusCode, tc.status)
+		}
+		if tc.class == "" && len(ls) != 0 {
+			t.Errorf("%s=%q: submitted %+v", tc.field, tc.value, ls)
+		}
+		if tc.class != "" && (len(ls) != 1 || ls[0].Class != tc.class || ls[0].State == slice.StateRejected.String()) {
+			t.Errorf("%s=%q: slices %+v, want one admitted %s slice", tc.field, tc.value, ls, tc.class)
+		}
+	}
+}
+
 func TestFormInvalidRejected(t *testing.T) {
 	h, _, _ := dashEnv(t)
 	srv := httptest.NewServer(h)

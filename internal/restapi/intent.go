@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/intent"
+	"repro/internal/slice"
 )
 
 // TemplateBody is the JSON payload of POST /api/v2/templates — the template
@@ -32,7 +33,7 @@ type TemplateBody struct {
 
 // Template converts the body into the internal template type.
 func (b TemplateBody) Template() (intent.Template, error) {
-	class, err := classFromString(b.Class)
+	class, err := slice.ParseClass(b.Class)
 	if err != nil {
 		return intent.Template{}, err
 	}

@@ -418,12 +418,15 @@ func TestSLABeyondBookBoundsRejected(t *testing.T) {
 }
 
 func TestClassParsing(t *testing.T) {
-	for _, s := range []string{"", "eMBB", "automotive", "e-health", "ehealth", "mMTC"} {
-		if _, err := classFromString(s); err != nil {
-			t.Fatalf("class %q rejected: %v", s, err)
+	for s, want := range map[string]slice.ServiceClass{
+		"": slice.ClassEMBB, "eMBB": slice.ClassEMBB, "automotive": slice.ClassAutomotive,
+		"e-health": slice.ClassEHealth, "ehealth": slice.ClassEHealth, "MMTC": slice.ClassMMTC,
+	} {
+		if req, err := (SliceRequestBody{Class: s}).Request(); err != nil || req.SLA.Class != want {
+			t.Fatalf("class %q: %v, %v; want %v", s, req.SLA.Class, err, want)
 		}
 	}
-	if _, err := classFromString("warp"); err == nil {
+	if _, err := (SliceRequestBody{Class: "warp"}).Request(); err == nil {
 		t.Fatal("bad class accepted")
 	}
 }

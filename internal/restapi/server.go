@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -54,25 +53,9 @@ type SliceRequestBody struct {
 	EdgeCompute bool `json:"edge_compute,omitempty"`
 }
 
-// classFromString parses the service-class name (default eMBB).
-func classFromString(s string) (slice.ServiceClass, error) {
-	switch strings.ToLower(s) {
-	case "", "embb":
-		return slice.ClassEMBB, nil
-	case "automotive":
-		return slice.ClassAutomotive, nil
-	case "e-health", "ehealth":
-		return slice.ClassEHealth, nil
-	case "mmtc":
-		return slice.ClassMMTC, nil
-	default:
-		return 0, fmt.Errorf("unknown service class %q", s)
-	}
-}
-
 // Request converts the body into the internal request type.
 func (b SliceRequestBody) Request() (slice.Request, error) {
-	class, err := classFromString(b.Class)
+	class, err := slice.ParseClass(b.Class)
 	if err != nil {
 		return slice.Request{}, err
 	}

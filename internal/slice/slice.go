@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"time"
 )
@@ -41,6 +42,23 @@ var classNames = map[ServiceClass]string{
 	ClassAutomotive: "automotive",
 	ClassEHealth:    "e-health",
 	ClassMMTC:       "mMTC",
+}
+
+// ParseClass parses a service-class name, case-insensitively: one of the
+// names String returns, "ehealth" for e-health, or "" for eMBB.
+func ParseClass(s string) (ServiceClass, error) {
+	switch {
+	case s == "":
+		return ClassEMBB, nil
+	case strings.EqualFold(s, "ehealth"):
+		return ClassEHealth, nil
+	}
+	for c, name := range classNames {
+		if strings.EqualFold(s, name) {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown service class %q", s)
 }
 
 // String returns the class name.

@@ -68,10 +68,11 @@ type Config struct {
 	MECHosts int
 	// MECHostCPUs sizes each MEC host (default 8 when MECHosts > 0).
 	MECHostCPUs float64
-	// MECProcDelayMs is the per-app processing-latency contribution
-	// charged against the slice budget (default 0.2 ms).
-	MECProcDelayMs float64
 }
+
+// mecProcDelayMs is the per-app processing-latency contribution a MEC
+// deployment charges against the slice's latency budget.
+const mecProcDelayMs = 0.2
 
 // Default returns the demo-scale testbed configuration.
 func Default() Config {
@@ -127,13 +128,8 @@ func (c Config) normalize() Config {
 	if c.CoreDelayMs <= 0 {
 		c.CoreDelayMs = d.CoreDelayMs
 	}
-	if c.MECHosts > 0 {
-		if c.MECHostCPUs <= 0 {
-			c.MECHostCPUs = 8
-		}
-		if c.MECProcDelayMs <= 0 {
-			c.MECProcDelayMs = 0.2
-		}
+	if c.MECHosts > 0 && c.MECHostCPUs <= 0 {
+		c.MECHostCPUs = 8
 	}
 	return c
 }
@@ -276,7 +272,7 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 	// the same generic Domain surface — the orchestrator core picks it up
 	// from the Set without any MEC-specific wiring.
 	if cfg.MECHosts > 0 {
-		pool := mec.NewPool(cfg.MECProcDelayMs)
+		pool := mec.NewPool(mecProcDelayMs)
 		for i := 0; i < cfg.MECHosts; i++ {
 			if err := pool.AddHost(fmt.Sprintf("mec-h%d", i+1), cfg.MECHostCPUs); err != nil {
 				return nil, err

@@ -10,7 +10,9 @@
 //
 // On-disk layout inside a data directory:
 //
-//	wal.log              append-only record stream
+//	wal.log              the live record stream, appended to
+//	wal-<last>.log       a sealed segment: the records before a checkpoint,
+//	                     <last> being the sequence of its final record
 //	snapshot-<seq>.snap  checkpoint anchored at record sequence <seq>
 //
 // A record envelope is
@@ -29,11 +31,12 @@
 // CRC is ErrCorrupt and rejected outright, even at the tail: the length
 // prefix was durable, so the damage is not a torn write.
 //
-// Snapshot files carry their own magic, sequence anchor and CRC. They, and
-// the compacted log, are published by writeFileAtomic — temporary name,
-// fsync, rename, fsync of the directory — so a crash never yields a
-// half-written file under a final name, nor a rename that is lost after
-// something was discarded on the strength of it.
+// Snapshot files carry their own magic, sequence anchor and CRC. They are
+// published by writeFileAtomic — temporary name, fsync, rename, fsync of
+// the directory — so a crash never yields a half-written file under a final
+// name, nor a rename that is lost after something was discarded on the
+// strength of it. A checkpoint seals wal.log under its segment name and
+// starts an empty one; no file is ever rewritten.
 package wal
 
 import (
@@ -67,6 +70,8 @@ var (
 
 const (
 	logName     = "wal.log"
+	segPrefix   = "wal-"
+	segSuffix   = ".log"
 	snapSuffix  = ".snap"
 	snapPrefix  = "snapshot-"
 	headerBytes = 8 // u32 length + u32 crc
@@ -354,14 +359,14 @@ func (w *Writer) StageSync() func() error {
 // Pending records are synced first so the snapshot never anchors ahead of
 // the durable log.
 //
-// After the checkpoint is durable the directory is compacted, keeping one
-// fallback generation: snapshots older than the previous checkpoint are
-// deleted and the log is rewritten without the records folded into that
-// previous checkpoint. If the newest snapshot file is later found damaged,
-// Load still recovers from the previous one plus the retained tail; until a
-// second checkpoint exists the full log is kept as the fallback. Disk usage
-// is therefore bounded by roughly two checkpoint intervals instead of the
-// full history.
+// The checkpoint then rotates the log: wal.log is sealed as wal-<last>.log
+// and appends continue in a fresh wal.log, the rename and the create made
+// durable by one directory fsync. Only after that is the directory pruned
+// to one fallback generation: with prev the newest older checkpoint,
+// snapshots below prev and segments ending at or below it are deleted, so
+// a damaged newest snapshot still recovers from prev plus the segments
+// after it. Disk usage is bounded by roughly two checkpoint intervals
+// instead of the full history, and no file is ever read back or rewritten.
 func (w *Writer) Snapshot(seq uint64, payload []byte) error {
 	if err := w.Sync(); err != nil {
 		return err
@@ -370,15 +375,54 @@ func (w *Writer) Snapshot(seq uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(w.dir, fmt.Sprintf("%s%d%s", snapPrefix, seq, snapSuffix), framed); err != nil {
+	if err := writeFileAtomic(w.dir, seqName(snapPrefix, seq, snapSuffix), framed); err != nil {
 		return fmt.Errorf("wal: publish snapshot: %w", err)
 	}
-	return w.compact(seq)
+	// An empty wal.log holds no record since the last rotation: sealing it
+	// would name a second segment after the same last record.
+	if st, err := w.f.Stat(); err != nil {
+		return fmt.Errorf("wal: stat log: %w", err)
+	} else if st.Size() > 0 {
+		path := filepath.Join(w.dir, logName)
+		if err := os.Rename(path, filepath.Join(w.dir, seqName(segPrefix, w.seq, segSuffix))); err != nil {
+			return fmt.Errorf("wal: seal log: %w", err)
+		}
+		nf, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return fmt.Errorf("wal: open log: %w", err)
+		}
+		w.f.Close()
+		w.f = nf
+		if err := syncDir(w.dir); err != nil {
+			return fmt.Errorf("wal: fsync dir: %w", err)
+		}
+	}
+	// Prune to one fallback generation, prev; before a second checkpoint
+	// prev is 0 and every segment is kept.
+	var prev uint64
+	for _, n := range seqFiles(w.dir, snapPrefix, snapSuffix) {
+		if n < seq && prev == 0 {
+			prev = n
+		} else if n < prev {
+			os.Remove(filepath.Join(w.dir, seqName(snapPrefix, n, snapSuffix)))
+		}
+	}
+	for _, n := range seqFiles(w.dir, segPrefix, segSuffix) {
+		if n <= prev {
+			os.Remove(filepath.Join(w.dir, seqName(segPrefix, n, segSuffix)))
+		}
+	}
+	return nil
 }
 
-// snapshotSeqs lists the anchors of the snapshot files present in dir,
-// newest first.
-func snapshotSeqs(dir string) []uint64 {
+// seqName names a snapshot or segment file after its sequence number.
+func seqName(prefix string, n uint64, suffix string) string {
+	return prefix + strconv.FormatUint(n, 10) + suffix
+}
+
+// seqFiles lists the sequence numbers of the files in dir named
+// prefix<seq>suffix, newest first.
+func seqFiles(dir, prefix, suffix string) []uint64 {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
@@ -386,10 +430,10 @@ func snapshotSeqs(dir string) []uint64 {
 	var seqs []uint64
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix), 10, 64)
+		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
 		if err != nil {
 			continue
 		}
@@ -397,69 +441,6 @@ func snapshotSeqs(dir string) []uint64 {
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
 	return seqs
-}
-
-// compact garbage-collects the directory after a successful checkpoint at
-// anchor newest: every snapshot older than the previous checkpoint is
-// deleted, and the log is atomically rewritten without the records the
-// previous checkpoint folded in (they can never be replayed again — even
-// the fallback path starts at the previous anchor). The rewrite goes through
-// writeFileAtomic; a crash at any point leaves either the old or the new
-// log, both valid. Compaction is an optimization, so a dirty log (torn
-// tail, decode anomaly) skips it rather than failing the checkpoint; only
-// losing the writer's own file handle after the rename is a hard error.
-func (w *Writer) compact(newest uint64) error {
-	var prev uint64
-	for _, n := range snapshotSeqs(w.dir) {
-		if n < newest && n > prev {
-			prev = n
-		}
-	}
-	if prev == 0 {
-		return nil // first checkpoint: the full log is the only fallback
-	}
-	for _, n := range snapshotSeqs(w.dir) {
-		if n < prev {
-			os.Remove(filepath.Join(w.dir, fmt.Sprintf("%s%d%s", snapPrefix, n, snapSuffix)))
-		}
-	}
-
-	path := filepath.Join(w.dir, logName)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	recs, torn, err := DecodeStream(raw)
-	if err != nil || torn {
-		return nil
-	}
-	var out []byte
-	dropped := false
-	for _, rec := range recs {
-		if rec.Seq <= prev {
-			dropped = true
-			continue
-		}
-		if out, err = AppendRecord(out, rec); err != nil {
-			return nil
-		}
-	}
-	if !dropped {
-		return nil
-	}
-	// A failure before the rename leaves the old log under the name and one
-	// after it (the directory fsync) the new one — both valid, the previous
-	// checkpoint being durable since its own Snapshot call. Reopening by name
-	// lands appends in whichever it is: after a rename the writer's handle
-	// still points at the replaced inode.
-	_ = writeFileAtomic(w.dir, logName, out)
-	nf, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: reopen compacted log: %w", err)
-	}
-	w.f.Close()
-	w.f = nf
-	return nil
 }
 
 // Close syncs pending records and closes the log file.
@@ -483,17 +464,19 @@ type Recovered struct {
 	// LastSeq is the last durable record sequence (snapshot anchor when
 	// the tail is empty).
 	LastSeq uint64
-	// TornTail reports that the log ended in a partially written record,
+	// TornTail reports that wal.log ended in a partially written record,
 	// which was discarded.
 	TornTail bool
-	// LogBytes is the byte length of the log's valid prefix (the whole
-	// file unless TornTail). Repair truncates to it before re-appending.
+	// LogBytes is the byte length of wal.log's valid prefix (the whole
+	// file unless TornTail); sealed segments do not count. Repair
+	// truncates to it before re-appending.
 	LogBytes int64
 }
 
 // Repair truncates wal.log in dir to validBytes, discarding a torn tail so
-// a new Writer's appends continue the valid record stream. Call it with
-// Recovered.LogBytes when Recovered.TornTail is set, before Create.
+// a new Writer's appends continue the valid record stream. Sealed segments
+// never need it. Call it with Recovered.LogBytes when Recovered.TornTail is
+// set, before Create.
 func Repair(dir string, validBytes int64) error {
 	if err := os.Truncate(filepath.Join(dir, logName), validBytes); err != nil {
 		return fmt.Errorf("wal: repair log: %w", err)
@@ -501,11 +484,14 @@ func Repair(dir string, validBytes int64) error {
 	return nil
 }
 
-// Load reads the latest usable snapshot plus the log tail from dir. A
-// missing directory or empty log yields an empty Recovered, not an error.
-// The newest snapshot wins; if its file is damaged, older snapshots are
-// tried before falling back to full-log replay. Log damage other than a
-// torn tail is a hard error.
+// Load reads the latest usable snapshot plus the log tail from dir: the
+// sealed segments oldest first, then wal.log. A missing directory or empty
+// log yields an empty Recovered, not an error, and so does a missing
+// wal.log (a crash between sealing it and creating its successor). The
+// newest snapshot wins; if its file is damaged, older snapshots are tried
+// before falling back to full-log replay. Log damage other than a torn
+// tail of wal.log is a hard error: a segment was fsynced whole before it
+// was sealed, so one that ends mid-record is ErrCorrupt.
 func Load(dir string) (*Recovered, error) {
 	out := &Recovered{}
 
@@ -515,8 +501,8 @@ func Load(dir string) (*Recovered, error) {
 		return nil, fmt.Errorf("wal: read dir: %w", err)
 	}
 
-	for _, n := range snapshotSeqs(dir) {
-		raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%s%d%s", snapPrefix, n, snapSuffix)))
+	for _, n := range seqFiles(dir, snapPrefix, snapSuffix) {
+		raw, err := os.ReadFile(filepath.Join(dir, seqName(snapPrefix, n, snapSuffix)))
 		if err != nil {
 			continue
 		}
@@ -529,34 +515,43 @@ func Load(dir string) (*Recovered, error) {
 		break
 	}
 
-	raw, err := os.ReadFile(filepath.Join(dir, logName))
-	if errors.Is(err, os.ErrNotExist) {
-		out.LastSeq = out.SnapshotSeq
-		return out, nil
+	var recs []Record
+	segs := seqFiles(dir, segPrefix, segSuffix)
+	for i := len(segs) - 1; i >= 0; i-- {
+		if segs[i] <= out.SnapshotSeq {
+			continue // folded into the snapshot whole
+		}
+		name := seqName(segPrefix, segs[i], segSuffix)
+		raw, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			return nil, fmt.Errorf("wal: read segment: %w", err)
+		}
+		seg, torn, err := DecodeStream(raw)
+		if err == nil && torn {
+			err = fmt.Errorf("%w: sealed segment %s ends mid-record", ErrCorrupt, name)
+		}
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, seg...)
 	}
-	if err != nil {
+
+	raw, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("wal: read log: %w", err)
 	}
-	recs, torn, err := DecodeStream(raw)
+	tail, torn, err := DecodeStream(raw)
 	if err != nil {
 		return nil, err
 	}
+	recs = append(recs, tail...)
+	// The valid prefix is the decoded records' framing: a new Writer must
+	// not append after a torn fragment (Repair truncates to here).
 	out.TornTail = torn
-	out.LogBytes = int64(len(raw))
-	if torn {
-		// Re-walk to find where the valid prefix ends: a new Writer must
-		// not append after the torn fragment (Repair truncates to here).
-		valid := 0
-		for b := raw; len(b) > 0; {
-			_, n, err := DecodeRecord(b)
-			if err != nil {
-				break
-			}
-			valid += n
-			b = b[n:]
-		}
-		out.LogBytes = int64(valid)
+	for _, rec := range tail {
+		out.LogBytes += int64(headerBytes + 8 + 1 + len(rec.Type) + len(rec.Payload))
 	}
+	// Continuity is checked across files as well as within one.
 	out.LastSeq = out.SnapshotSeq
 	for _, rec := range recs {
 		if rec.Seq <= out.SnapshotSeq {

@@ -314,12 +314,26 @@ func snapFiles(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestSnapshotCompactsLog proves checkpointing bounds the directory: each
-// snapshot after the first garbage-collects snapshots older than the
-// previous generation and rewrites the log without the records that
-// previous generation folded in, while the retained generation still
-// backstops a damaged newest snapshot.
-func TestSnapshotCompactsLog(t *testing.T) {
+// segFiles lists the sealed segment names present in dir, sorted.
+func segFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	out, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		out[i] = filepath.Base(out[i])
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSnapshotRotatesLog proves checkpointing bounds the directory: each
+// snapshot seals wal.log as a segment, and each one after the first
+// garbage-collects snapshots older than the previous generation and the
+// segments that previous generation folded in, while the retained
+// generation still backstops a damaged newest snapshot.
+func TestSnapshotRotatesLog(t *testing.T) {
 	dir := t.TempDir()
 	w, err := Create(dir, 0)
 	if err != nil {
@@ -331,13 +345,9 @@ func TestSnapshotCompactsLog(t *testing.T) {
 	if err := w.Snapshot(4, []byte("gen1")); err != nil {
 		t.Fatal(err)
 	}
-	// First checkpoint: the full log is the only fallback, nothing dropped.
-	raw, err := os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs, _, err := DecodeStream(raw); err != nil || len(recs) != 4 {
-		t.Fatalf("after first snapshot: %d records, err %v (want full log)", len(recs), err)
+	// First checkpoint: the full log is sealed and kept as the fallback.
+	if got := segFiles(t, dir); len(got) != 1 || got[0] != "wal-4.log" {
+		t.Fatalf("segments after first snapshot: %v, want [wal-4.log]", got)
 	}
 
 	for seq := uint64(5); seq <= 8; seq++ {
@@ -346,13 +356,9 @@ func TestSnapshotCompactsLog(t *testing.T) {
 	if err := w.Snapshot(8, []byte("gen2")); err != nil {
 		t.Fatal(err)
 	}
-	// Second checkpoint: records folded into gen1 are dropped from the log.
-	raw, err = os.ReadFile(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs, _, err := DecodeStream(raw); err != nil || len(recs) != 4 || recs[0].Seq != 5 {
-		t.Fatalf("after second snapshot: %d records starting %d, err %v (want 4 from seq 5)", len(recs), recs[0].Seq, err)
+	// Second checkpoint: the segment folded into gen1 is dropped.
+	if got := segFiles(t, dir); len(got) != 1 || got[0] != "wal-8.log" {
+		t.Fatalf("segments after second snapshot: %v, want [wal-8.log]", got)
 	}
 
 	for seq := uint64(9); seq <= 10; seq++ {
@@ -366,8 +372,8 @@ func TestSnapshotCompactsLog(t *testing.T) {
 		t.Fatalf("snapshots after GC: %v, want [snapshot-10.snap snapshot-8.snap]", got)
 	}
 
-	// The writer's handle follows the rewritten file: post-compaction
-	// appends must be visible to the next Load.
+	// The writer's handle follows the rotation: appends after it must be
+	// visible to the next Load.
 	mustAppend(t, w, 11, "op", "tail")
 	mustAppend(t, w, 12, "op", "tail")
 	if err := w.Close(); err != nil {
@@ -385,9 +391,9 @@ func TestSnapshotCompactsLog(t *testing.T) {
 	}
 
 	// Damage the newest snapshot: the retained previous generation plus the
-	// compacted log still recover the full tail.
+	// segment after it still recover the full tail.
 	path := filepath.Join(dir, "snapshot-10.snap")
-	raw, err = os.ReadFile(path)
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
