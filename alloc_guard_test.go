@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/ctrl"
 	"repro/internal/slice"
 )
 
@@ -38,7 +39,7 @@ func TestFastRejectZeroAllocs(t *testing.T) {
 
 // TestAdmitAllocCeiling pins the allocation budget of the full pooled
 // admit → install → delete cycle. The PR 6 baseline spent 435 allocs per
-// cycle; the pooled engine runs it in 62. The ceiling leaves slack for
+// cycle; the pooled engine runs it in 60. The ceiling leaves slack for
 // map-growth jitter but fails loudly if pooling regresses — revisit the
 // number only alongside a deliberate hot-path change.
 func TestAdmitAllocCeiling(t *testing.T) {
@@ -115,7 +116,7 @@ func TestEpochAllocCeiling(t *testing.T) {
 	if got := sys.Orchestrator.ActiveCount(); got != slices {
 		t.Fatalf("loaded %d active slices, want %d", got, slices)
 	}
-	// Warm: per-slice series resolved, epoch scratch sized, grant pools full.
+	// Warm: per-slice series resolved, epoch scratch sized, grant-list pool full.
 	for i := 0; i < 8; i++ {
 		sys.Orchestrator.RunEpoch()
 	}
@@ -134,32 +135,44 @@ func TestEpochAllocCeiling(t *testing.T) {
 // TestResizeZeroAllocs pins what one reconfiguration that goes through — the
 // unit of the epoch's commit phase — allocates on a warm system with no WAL:
 // nothing. The radio and transport resizes run through handles resolved at
-// install, the grants and the grant list come from and return to their
-// pools, the PRB map is swapped with the one it replaces, the slice is read
-// once and written once, and the resize event is published by value. (The
-// epoch ceiling above cannot see a single allocation per resize come back;
-// this can.)
+// install, each grant is a view of the slice's binding, the grant list comes
+// from and returns to its pool, the radio grant writes the PRBs into the
+// allocation's own map, the slice is read once and written once, and the
+// resize event is published by value. (The epoch ceiling above cannot see a
+// single allocation per resize come back; this can.) It runs plain and with
+// an identity ctrl.Set.Wrap installed: a decorated system allocates no more
+// than the shipped one.
 func TestResizeZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
 	}
-	sys := epochLoadedSystem(t, 8, 16)
-	o := sys.Orchestrator
-	id := o.List()[0].ID
-	targets := [2]float64{0.6, 1.8} // far enough apart to clear the hysteresis both ways
-	resize := func(i int) {
-		changed, err := o.Resize(id, targets[i%2])
-		if err != nil || !changed {
-			t.Fatalf("resize to %.1f Mbps: changed=%v err=%v", targets[i%2], changed, err)
-		}
-	}
-	for i := 0; i < 8; i++ { // warm the pools and both PRB maps
-		resize(i)
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(200, func() { resize(i); i++ })
-	if allocs != 0 {
-		t.Fatalf("a resize that goes through allocates %.1f allocs/op, want 0", allocs)
+	for _, tc := range []struct {
+		name string
+		wrap func(ctrl.Domain) ctrl.Domain
+	}{
+		{"plain", nil},
+		{"wrapped", func(d ctrl.Domain) ctrl.Domain { return d }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := epochLoadedSystemWrapped(t, 8, 16, tc.wrap)
+			o := sys.Orchestrator
+			id := o.List()[0].ID
+			targets := [2]float64{0.6, 1.8} // far enough apart to clear the hysteresis both ways
+			resize := func(i int) {
+				changed, err := o.Resize(id, targets[i%2])
+				if err != nil || !changed {
+					t.Fatalf("resize to %.1f Mbps: changed=%v err=%v", targets[i%2], changed, err)
+				}
+			}
+			for i := 0; i < 8; i++ { // warm the grant-list pool
+				resize(i)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(200, func() { resize(i); i++ })
+			if allocs != 0 {
+				t.Fatalf("a resize that goes through allocates %.1f allocs/op, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -19,9 +19,13 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/ctrl"
 	"repro/internal/intent"
+	"repro/internal/monitor"
 	"repro/internal/restapi"
+	"repro/internal/sim"
 	"repro/internal/slice"
+	"repro/internal/testbed"
 	"repro/internal/traffic"
 )
 
@@ -199,6 +203,13 @@ func BenchmarkWatchFanout(b *testing.B) {
 // fat transport links) so the radio grid, not the model limits, is what
 // binds; every slice is genuinely installed through the multi-domain engine.
 func epochLoadedSystem(b testing.TB, n, shards int) *System {
+	return epochLoadedSystemWrapped(b, n, shards, nil)
+}
+
+// epochLoadedSystemWrapped is epochLoadedSystem with wrap installed as the
+// controllers' ctrl.Set.Wrap decoration (nil for none) before the
+// orchestrator is built — NewSimulated's assembly with that one step added.
+func epochLoadedSystemWrapped(b testing.TB, n, shards int, wrap func(ctrl.Domain) ctrl.Domain) *System {
 	b.Helper()
 	cfg := core.Config{
 		Overbook:            true,
@@ -208,24 +219,23 @@ func epochLoadedSystem(b testing.TB, n, shards int) *System {
 		HistoryLimit:        64,
 		Shards:              shards,
 	}
-	sys, err := NewSimulated(Options{
-		Seed:         1,
-		Orchestrator: &cfg,
-		Testbed: TestbedConfig{
-			ENBs:          2,
-			ENBCarriers:   n/50 + 2,
-			MaxPLMNs:      n + 8,
-			CoreHosts:     n/16 + 8,
-			CoreHostVCPUs: 64,
-			EdgeHosts:     4,
-			MmWaveMbps:    1 << 20,
-			MicroWaveMbps: 1 << 20,
-			WiredMbps:     1 << 22,
-		},
-	})
+	s := sim.NewSimulator(1)
+	tb, err := testbed.New(TestbedConfig{
+		ENBs:          2,
+		ENBCarriers:   n/50 + 2,
+		MaxPLMNs:      n + 8,
+		CoreHosts:     n/16 + 8,
+		CoreHostVCPUs: 64,
+		EdgeHosts:     4,
+		MmWaveMbps:    1 << 20,
+		MicroWaveMbps: 1 << 20,
+		WiredMbps:     1 << 22,
+	}, s.Rand())
 	if err != nil {
 		b.Fatal(err)
 	}
+	tb.Ctrl.Wrap = wrap
+	sys := &System{Sim: s, Clock: s, Testbed: tb, Orchestrator: core.New(cfg, tb, s, monitor.NewStore(8192))}
 	rng := sys.Sim.Rand()
 	for i := 0; i < n; i++ {
 		sl, err := sys.Orchestrator.Submit(slice.Request{

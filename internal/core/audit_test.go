@@ -256,7 +256,8 @@ func TestAbortIsSingleShot(t *testing.T) {
 	}
 	p := slice.PLMN{MCC: "001", MNC: "01"}
 	tx := ctrl.Tx{Slice: "s-1", PLMN: p, Mbps: 20,
-		SLA: slice.SLA{ThroughputMbps: 20, MaxLatencyMs: 50, Duration: time.Hour, Class: slice.ClassEMBB}}
+		SLA:     slice.SLA{ThroughputMbps: 20, MaxLatencyMs: 50, Duration: time.Hour, Class: slice.ClassEMBB},
+		Binding: new(ctrl.Binding)}
 	g, cause := tb.Ctrl.RAN.Reserve(tx)
 	if cause != nil {
 		t.Fatal(cause)
@@ -265,6 +266,7 @@ func TestAbortIsSingleShot(t *testing.T) {
 	// The PLMN slot is recycled by a second slice.
 	tx2 := tx
 	tx2.Slice = "s-2"
+	tx2.Binding = new(ctrl.Binding) // each slice has its own, as in production
 	g2, cause := tb.Ctrl.RAN.Reserve(tx2)
 	if cause != nil {
 		t.Fatal(cause)

@@ -53,10 +53,9 @@ func safeAbort(d ctrl.Domain, g ctrl.Grant) {
 //     sized to the previous grant's effective throughput, so transport
 //     paths always match what the radio actually granted.
 //   - The *concurrent group* (cloud vEPC, MEC apps, any Extra domain) is
-//     independent of the chain, so it reserves in parallel with it — the
-//     per-request domain parallelism of the original hand-rolled install —
-//     and joins in registration order, keeping rejection precedence
-//     deterministic regardless of goroutine scheduling.
+//     independent of the chain. It reserves first, inline and in
+//     registration order, and its results are folded in after the chain,
+//     so a chain failure still outranks a group failure.
 //
 // Rollback is reverse acquisition order, automatic, on any failure: a
 // reserve or commit failure aborts every grant taken so far (concurrent
@@ -73,12 +72,6 @@ type txEngine struct {
 	// not an identity branch); the engine deducts it from every latency
 	// budget it hands out.
 	fixedLatencyMs float64
-	// recycle enables returning grants to the ctrl pools at the engine's
-	// exclusive-ownership points. It is off when a Wrap decoration is
-	// installed: a decorator (chaos, tracing) may legitimately retain grant
-	// references past abort/commit, and recycling a retained grant would let
-	// its single-shot abort latch fire against an unrelated slice.
-	recycle bool
 }
 
 func newTxEngine(set ctrl.Set) txEngine {
@@ -86,7 +79,7 @@ func newTxEngine(set ctrl.Set) txEngine {
 	all := make([]ctrl.Domain, 0, len(chain)+len(async))
 	all = append(all, chain...)
 	all = append(all, async...)
-	e := txEngine{chain: chain, async: async, all: all, recycle: set.Wrap == nil}
+	e := txEngine{chain: chain, async: async, all: all}
 	for _, d := range all {
 		if lc, ok := d.(ctrl.LatencyContributor); ok {
 			e.fixedLatencyMs += lc.ProcessingLatencyMs()
@@ -129,7 +122,7 @@ type domainGrant struct {
 	g ctrl.Grant
 }
 
-// grantsPool recycles the per-transaction grant list (install and resize
+// grantsPool reuses the per-transaction grant list (install and resize
 // both build one per request on the hot path). The pool stores slice
 // pointers so a Put never re-allocates the header.
 var grantsPool = sync.Pool{New: func() any {
@@ -139,30 +132,13 @@ var grantsPool = sync.Pool{New: func() any {
 
 func getGrants() *[]domainGrant { return grantsPool.Get().(*[]domainGrant) }
 
-// putGrants clears and returns the grant list to the pool. The caller must
-// have recycled or abandoned the grants themselves first.
+// putGrants clears and returns the grant list to the pool.
 func putGrants(gs *[]domainGrant) {
 	for i := range *gs {
 		(*gs)[i] = domainGrant{}
 	}
 	*gs = (*gs)[:0]
 	grantsPool.Put(gs)
-}
-
-// recycleGrants hands every grant back to the ctrl pools — callable only at
-// points where the engine provably holds the last reference (after a full
-// commit+apply, or after a reverse-order abort) and only when no Wrap
-// decoration could have retained a grant (txEngine.recycle).
-func (o *Orchestrator) recycleGrants(gs []domainGrant) {
-	if !o.domains.recycle {
-		return
-	}
-	for i := range gs {
-		if gs[i].g != nil {
-			ctrl.RecycleGrant(gs[i].g)
-			gs[i].g = nil
-		}
-	}
 }
 
 // abortGrants rolls back in reverse acquisition order. Each abort is
@@ -253,7 +229,6 @@ func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (
 	}
 	if failure != nil {
 		abortGrants(*gs)
-		o.recycleGrants(*gs)
 		putGrants(gs)
 		return nil, failure
 	}
@@ -295,10 +270,7 @@ func (o *Orchestrator) resizeAll(tx ctrl.Tx, target, prev float64) (*[]domainGra
 		g, err := d.Resize(tx, carried)
 		if err != nil {
 			for j := i - 1; j >= 0; j-- {
-				rg, rerr := o.domains.all[j].Resize(tx, prev)
-				if rerr == nil && rg != nil && o.domains.recycle {
-					ctrl.RecycleGrant(rg) // restoration grants are never applied
-				}
+				o.domains.all[j].Resize(tx, prev) // restoration grants are never applied
 			}
 			putGrants(gs)
 			return nil, false

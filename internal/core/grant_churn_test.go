@@ -6,26 +6,19 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/ctrl"
 	"repro/internal/monitor"
 	"repro/internal/sim"
 	"repro/internal/slice"
 	"repro/internal/testbed"
 )
 
-// TestPooledGrantChurnPoisoned is the use-after-release tripwire for the
-// grant pools: with poisoning on, RecycleGrant overwrites every container a
-// recycled grant still references with sentinel garbage before the pool
-// hands the object out again. Any engine or controller path that retained
-// an allocation map, a path list or a PLMN past its recycle point would
-// either install poisoned values — tripping the invariant auditor's
-// conservation sweep and the per-slice substrate checks — or race the
-// overwrite and trip the race detector. The churn mixes concurrent admits,
-// deletes and certain rejections (the abort→recycle path) across shards.
-func TestPooledGrantChurnPoisoned(t *testing.T) {
-	ctrl.SetGrantPoisoning(true)
-	t.Cleanup(func() { ctrl.SetGrantPoisoning(false) })
-
+// TestGrantChurnAudited churns concurrent admits, deletes and certain
+// rejections (the abort path on every domain that granted before the
+// transport said no) across shards, then sweeps the substrate books and the
+// per-slice checks: a grant that reached another slice's binding, or an
+// abort that released what it did not hold, surfaces here as a conservation
+// violation or a data race.
+func TestGrantChurnAudited(t *testing.T) {
 	s := sim.NewSimulator(11)
 	tb, err := testbed.New(testbed.Config{
 		ENBs: 4, MaxPLMNs: 2048, CoreHosts: 16, EdgeHosts: 8,
@@ -61,7 +54,7 @@ func TestPooledGrantChurnPoisoned(t *testing.T) {
 						},
 					}
 				}
-				// Admissible request: exercises reserve→commit→apply→recycle.
+				// Admissible request: exercises reserve→commit→apply.
 				sl, err := o.Submit(mk(2, 50), nil)
 				if err != nil {
 					t.Error(err)
@@ -73,9 +66,8 @@ func TestPooledGrantChurnPoisoned(t *testing.T) {
 						return
 					}
 				}
-				// Unmeetable latency: exercises the abort→recycle path on
-				// every domain that granted before the transport dry run
-				// said no.
+				// Unmeetable latency: exercises the abort path on every
+				// domain that granted before the transport dry run said no.
 				if sl, err = o.Submit(mk(2, 0.01), nil); err != nil {
 					t.Error(err)
 					return
@@ -90,10 +82,10 @@ func TestPooledGrantChurnPoisoned(t *testing.T) {
 	wg.Wait()
 
 	// One full conservation/leak sweep over the substrate books plus the
-	// per-slice checks: poisoned values installed anywhere surface here.
+	// per-slice checks.
 	o.AuditSweep()
 	if vs := o.Auditor().Violations(); len(vs) != 0 {
-		t.Fatalf("invariant violations after poisoned churn: %v", vs)
+		t.Fatalf("invariant violations after churn: %v", vs)
 	}
 	if n := o.ActiveCount(); n != 0 {
 		t.Fatalf("%d slices still active after churn", n)

@@ -36,11 +36,11 @@ func newInstallTimeline(submitted time.Time) InstallTimeline {
 
 // install is admission's decide step past the ledger: it reserves resources
 // across the registered domain chain for an admitted request. The heavy
-// lifting is the generic two-phase transaction engine (engine.go):
-// concurrent-group domains (cloud vEPC, MEC apps, ...) reserve in parallel
-// with the sequential radio → transport chain, join in deterministic order,
-// and any failure rolls everything back in reverse order automatically and
-// converts to a typed rejection.
+// lifting is the generic two-phase transaction engine (engine.go): the
+// concurrent-group domains (cloud vEPC, MEC apps, ...) reserve inline, then
+// the sequential radio → transport chain, their results fold in
+// deterministic order, and any failure rolls everything back in reverse
+// order automatically and converts to a typed rejection.
 //
 // The caller holds sh.mu (its shard's lock), has already reserved the
 // newcomer's estimate on the capacity ledger (it releases that reservation
@@ -71,7 +71,6 @@ func (o *Orchestrator) install(sh *shard, m *managedSlice, dcName string) (activ
 	}
 	grants := *gs
 	if cause := commitGrants(grants); cause != nil {
-		o.recycleGrants(grants) // aborted by commitGrants; engine holds the last reference
 		putGrants(gs)
 		o.plmns.Release(plmn)
 		return time.Time{}, errReject{cause}
@@ -79,7 +78,6 @@ func (o *Orchestrator) install(sh *shard, m *managedSlice, dcName string) (activ
 
 	if err := s.Admit(); err != nil {
 		abortGrants(grants)
-		o.recycleGrants(grants)
 		putGrants(gs)
 		o.plmns.Release(plmn)
 		return time.Time{}, err
@@ -94,9 +92,6 @@ func (o *Orchestrator) install(sh *shard, m *managedSlice, dcName string) (activ
 			}
 		}
 	})
-	// Applied grants surrendered their containers to the allocation; the
-	// engine holds the last reference and can hand them back to the pools.
-	o.recycleGrants(grants)
 	putGrants(gs)
 
 	// Installation stage timeline (Fig. 2 workflow). Resources are already
@@ -241,8 +236,8 @@ func (o *Orchestrator) squeezeAll() {
 // through: the hysteresis test needs one float of v and runs first, so a
 // resize it swallows — a good share of the slices, every epoch — costs
 // nothing else. A resize that goes through applies its grants to the live
-// allocation under the slice lock — the grants hand over their containers
-// (ctrl pool contract), so no copy of the allocation is made on the way in
+// allocation under the slice lock — the radio grant writes the PRBs into the
+// allocation's own map, so no copy of the allocation is made on the way in
 // or out — and the same critical section ends the Reconfiguring state and
 // cuts what the event reports. That is the decide step; resizedLocked logs
 // and applies its outcome.
@@ -285,7 +280,6 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, v slice.ReconfigView, targe
 			}
 		}
 	})
-	o.recycleGrants(*gs) // applied; the engine holds the last reference
 	putGrants(gs)
 	ev := o.publishView(EventResized, m.s, after, "")
 	// The engine threads the radio-quantized throughput into transport and

@@ -15,15 +15,15 @@
 // touching the core.
 //
 // All controller methods are safe for concurrent use: the sharded
-// orchestrator core installs independent slices in parallel (and runs the
-// cloud deployment concurrently with the radio/transport chain within one
-// request), so every reserve/resize/release primitive synchronizes on its
-// substrate's internal locks, and hot read paths (path feasibility, slice
-// path lookups, utilization) take shared read locks. Multi-step verbs (the
-// radio Reserve across eNBs, the transport Reserve across paths) are
-// all-or-nothing per call but not atomic against concurrent callers — the
-// orchestrator's capacity ledger and shard serialization provide
-// admission-level consistency above them.
+// orchestrator core installs independent slices in parallel (within one
+// request it reserves the cloud deployment first, then the radio/transport
+// chain, one domain at a time), so every reserve/resize/release primitive
+// synchronizes on its substrate's internal locks, and hot read paths (path
+// feasibility, slice path lookups, utilization) take shared read locks.
+// Multi-step verbs (the radio Reserve across eNBs, the transport Reserve
+// across paths) are all-or-nothing per call but not atomic against
+// concurrent callers — the orchestrator's capacity ledger and shard
+// serialization provide admission-level consistency above them.
 //
 // The controllers are the only door to their substrates: they resolve a
 // slice's per-cell and per-path handles when the reservation is made — by
@@ -42,6 +42,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/epc"
+	"repro/internal/mec"
 	"repro/internal/monitor"
 	"repro/internal/ran"
 	"repro/internal/slice"
@@ -58,18 +59,30 @@ type Controller interface {
 	PushTelemetry(store *monitor.Store, now time.Time)
 }
 
-// Binding is one slice's substrate handles: its per-cell ran.Handle set and
-// its *transport.Reservation path handles, written by the step that makes the
-// reservations — Reserve, or ImposeSlice / ImposePaths when recovery replays
-// a logged outcome — and read by every resize and by the epoch's scheduling
-// pass, so neither names the slice. It reaches the controllers in Tx and is
-// opaque outside this package: the orchestrator keeps one per slice, guarded
-// by the slice's shard lock, and passes it through untouched. A handle in it
-// dies with its reservation; a dead handle resizes and schedules nothing, so
-// a binding that outlives its slice's resources is harmless.
+// Binding is one slice's substrate handles — its per-cell ran.Handle set and
+// its *transport.Reservation path handles — and what each domain's last
+// Reserve or Resize granted. The step that makes the reservations writes it
+// — Reserve, or ImposeSlice / ImposePaths when recovery replays a logged
+// outcome — and every resize, abort and the epoch's scheduling pass read it,
+// so none names the slice. Each domain's Grant is a view of it (domain.go).
+// It reaches the controllers in Tx and is opaque outside this package: the
+// orchestrator keeps one per slice, guarded by the slice's shard lock, and
+// passes it through untouched. A handle in it dies with its reservation; a
+// dead handle resizes, schedules and releases nothing, so a binding that
+// outlives its slice's resources is harmless.
 type Binding struct {
+	id    slice.ID
 	cells []ran.Handle
-	paths []*transport.Reservation
+	// prbs is the PRBs held per cell, index-aligned with cells, and
+	// radioMbps the throughput they sustain at the mean CQI.
+	prbs      []int
+	radioMbps float64
+	paths     []*transport.Reservation
+	// worstDelayMs is the largest path delay — the number checked against
+	// the slice's latency budget.
+	worstDelayMs float64
+	dep          Deployment
+	app          mec.App
 }
 
 // Cells returns the slice's per-cell radio handles. Read-only.
@@ -109,14 +122,6 @@ func NewRANController(net *ran.Network) *RANController {
 // Domain implements Controller.
 func (c *RANController) Domain() string { return "ran" }
 
-// RadioReservation reports the result of a slice's radio installation.
-type RadioReservation struct {
-	// PRBs per eNB name.
-	PRBs map[string]int
-	// TotalMbps is the throughput the reserved PRBs sustain at mean CQI.
-	TotalMbps float64
-}
-
 // CapacityMbps is the total mean-CQI radio capacity: every cell's capacity
 // summed in cell order. It is the one place the sum is taken — admission's
 // cap, the gain report and the testbed's figure all call it, so they agree
@@ -130,45 +135,44 @@ func (c *RANController) CapacityMbps() float64 {
 }
 
 // reserveCells reserves PRBs for mbps of aggregate throughput, split evenly
-// across eNBs, into a caller-owned reservation (res.PRBs must be a non-nil
-// empty map, so pooled grants reuse theirs across slices), and writes the
-// cell handles into b (when non-nil). On any per-eNB failure everything is
-// rolled back, so the radio domain never holds a partial slice.
-func (c *RANController) reserveCells(p slice.PLMN, mbps float64, res *RadioReservation, b *Binding) error {
+// across eNBs, and writes the cell handles, the PRBs and the throughput they
+// sustain into b. On any per-eNB failure everything is rolled back and b is
+// left as it was, so the radio domain never holds a partial slice.
+func (c *RANController) reserveCells(p slice.PLMN, mbps float64, b *Binding) error {
 	enbs := c.Cells()
 	if len(enbs) == 0 {
 		return errors.New("ctrl: RAN has no eNBs")
 	}
 	share := mbps / float64(len(enbs))
-	res.TotalMbps = 0
+	total := 0.0
 	cells := make([]ran.Handle, 0, len(enbs))
-	for i, e := range enbs {
-		h, prbs, granted, err := e.ReserveThroughput(p, share)
+	prbs := make([]int, 0, len(enbs))
+	for _, e := range enbs {
+		h, n, granted, err := e.ReserveThroughput(p, share)
 		if err != nil {
-			for j := 0; j < i; j++ {
-				enbs[j].Release(p)
+			for _, h := range cells {
+				h.Release()
 			}
 			return fmt.Errorf("ctrl: radio reserve on %s: %w", e.Name(), err)
 		}
 		cells = append(cells, h)
-		res.PRBs[e.Name()] = prbs
-		res.TotalMbps += granted
+		prbs = append(prbs, n)
+		total += granted
 	}
-	if b != nil {
-		b.cells = cells
-	}
+	b.cells, b.prbs, b.radioMbps = cells, prbs, total
 	return nil
 }
 
 // ImposeSlice re-creates a slice's logged radio outcome for crash recovery:
 // the recorded PRBs per eNB name, reserved in cell order with no sizing, and
-// the handles written into b in the same step — so an imposed slice resizes,
-// schedules and releases exactly like one Reserve installed.
+// the handles and PRBs written into b in the same step — so an imposed slice
+// resizes, schedules and releases exactly like one Reserve installed.
 func (c *RANController) ImposeSlice(b *Binding, p slice.PLMN, prbs map[string]int) error {
 	cells := make([]ran.Handle, 0, len(prbs))
+	sizes := make([]int, 0, len(prbs))
 	undo := func() {
 		for _, h := range cells {
-			h.Cell().Release(p)
+			h.Release()
 		}
 	}
 	for _, e := range c.Cells() {
@@ -182,12 +186,13 @@ func (c *RANController) ImposeSlice(b *Binding, p slice.PLMN, prbs map[string]in
 			return fmt.Errorf("ctrl: radio impose on %s: %w", e.Name(), err)
 		}
 		cells = append(cells, h)
+		sizes = append(sizes, n)
 	}
 	if len(cells) != len(prbs) {
 		undo()
 		return fmt.Errorf("ctrl: radio impose for %s names an unknown eNB", p)
 	}
-	b.cells = cells
+	b.cells, b.prbs = cells, sizes
 	return nil
 }
 
@@ -195,7 +200,7 @@ func (c *RANController) ImposeSlice(b *Binding, p slice.PLMN, prbs map[string]in
 // logged resize outcome replayed through the handles in b, with no sizing.
 func (c *RANController) ImposeResize(b *Binding, prbs map[string]int) error {
 	resized := 0
-	for _, h := range b.cells {
+	for i, h := range b.cells {
 		n, ok := prbs[h.Cell().Name()]
 		if !ok {
 			continue
@@ -203,6 +208,7 @@ func (c *RANController) ImposeResize(b *Binding, prbs map[string]int) error {
 		if err := h.Resize(n); err != nil {
 			return fmt.Errorf("ctrl: radio resize on %s: %w", h.Cell().Name(), err)
 		}
+		b.prbs[i] = n
 		resized++
 	}
 	if resized != len(prbs) {
@@ -212,34 +218,33 @@ func (c *RANController) ImposeResize(b *Binding, prbs map[string]int) error {
 }
 
 // resizeCells adjusts the reservations bound in b for a new aggregate
-// throughput into a caller-owned reservation (res.PRBs must be a non-nil
-// empty map). Each cell is visited once, through its handle, under one
-// acquisition of its mutex; a failure on one eNB restores the previous sizes
-// everywhere. Those live in a small stack buffer at common cell counts.
-func (c *RANController) resizeCells(b *Binding, mbps float64, res *RadioReservation) error {
-	var cells []ran.Handle
-	if b != nil {
-		cells = b.cells
-	}
-	if len(cells) == 0 {
+// throughput and writes the new PRBs and the throughput they sustain into b.
+// Each cell is visited once, through its handle, under one acquisition of its
+// mutex; a failure on one eNB restores the previous sizes everywhere, in the
+// cells and in b. Those live in a small stack buffer at common cell counts.
+func (c *RANController) resizeCells(b *Binding, mbps float64) error {
+	if b == nil || len(b.cells) == 0 {
 		return errors.New("ctrl: resize: no radio reservation bound")
 	}
+	cells := b.cells
 	share := mbps / float64(len(cells))
 	var prevBuf [8]int
 	prev := prevBuf[:0]
-	res.TotalMbps = 0
+	total := 0.0
 	for i, h := range cells {
 		was, prbs, granted, err := h.ResizeThroughput(share)
 		if err != nil {
 			for j := 0; j < i; j++ {
 				cells[j].Resize(prev[j])
+				b.prbs[j] = prev[j]
 			}
 			return fmt.Errorf("ctrl: radio resize on %s: %w", h.Cell().Name(), err)
 		}
 		prev = append(prev, was)
-		res.PRBs[h.Cell().Name()] = prbs
-		res.TotalMbps += granted
+		b.prbs[i] = prbs
+		total += granted
 	}
+	b.radioMbps = total
 	return nil
 }
 
@@ -368,26 +373,17 @@ func NewTransportController(net *transport.Network) *TransportController {
 // Domain implements Controller.
 func (c *TransportController) Domain() string { return "transport" }
 
-// PathSetup reports the result of a slice's transport installation.
-type PathSetup struct {
-	PathIDs []string
-	// WorstDelayMs is the largest per-path delay — the number checked
-	// against the slice latency budget.
-	WorstDelayMs float64
-}
-
 // reservePaths reserves one path from every eNB transport port to the chosen
 // data-center gateway, each sized to the eNB's share of the slice
-// throughput, into a caller-owned setup (its PathIDs backing array is
-// reused, so pooled grants recycle it), and writes the path handles into b
-// (when non-nil). All-or-nothing.
-func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDelayMs float64, setup *PathSetup, b *Binding) error {
+// throughput, and writes the slice, the path handles and the worst path
+// delay into b.
+// All-or-nothing: on failure b is left as it was.
+func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDelayMs float64, b *Binding) error {
 	if len(c.enbs) == 0 {
 		return errors.New("ctrl: transport has no eNB nodes")
 	}
 	share := mbps / float64(len(c.enbs))
-	setup.PathIDs = setup.PathIDs[:0]
-	setup.WorstDelayMs = 0
+	worst := 0.0
 	paths := make([]*transport.Reservation, 0, len(c.enbs))
 	for _, enb := range c.enbs {
 		pid := string(id) + "/" + enb + "->" + dc
@@ -396,21 +392,15 @@ func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDela
 		})
 		if err != nil {
 			c.net.ReleaseEach(paths) // roll back: all paths or none
-			setup.PathIDs = setup.PathIDs[:0]
 			return fmt.Errorf("ctrl: path %s->%s: %w", enb, dc, err)
 		}
 		paths = append(paths, r)
-		setup.PathIDs = append(setup.PathIDs, pid)
-		if r.DelayMs > setup.WorstDelayMs {
-			setup.WorstDelayMs = r.DelayMs
-		}
+		worst = max(worst, r.DelayMs)
 	}
 	c.mu.Lock()
 	c.bySlice[id] = paths
 	c.mu.Unlock()
-	if b != nil {
-		b.paths = paths
-	}
+	b.id, b.paths, b.worstDelayMs = id, paths, worst
 	return nil
 }
 
@@ -418,14 +408,10 @@ func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDela
 // through the handles and by no name. On failure, previously resized paths
 // are restored.
 func (c *TransportController) ResizePaths(b *Binding, mbps float64) error {
-	var paths []*transport.Reservation
-	if b != nil {
-		paths = b.paths
-	}
-	if len(paths) == 0 {
+	if b == nil || len(b.paths) == 0 {
 		return errors.New("ctrl: no transport paths bound")
 	}
-	failed, err := c.net.ResizeEach(paths, mbps/float64(len(paths)))
+	failed, err := c.net.ResizeEach(b.paths, mbps/float64(len(b.paths)))
 	switch {
 	case err == nil:
 		return nil
@@ -637,8 +623,8 @@ type Set struct {
 	Cloud     *CloudController
 	// Extra holds additional pluggable domains (e.g. the MEC compute
 	// controller) the testbed registered. They join the engine's
-	// concurrent group after the cloud domain, in registration order —
-	// the core never learns their identity.
+	// chain-independent group after the cloud domain, in registration
+	// order — the core never learns their identity.
 	Extra []Domain
 	// Wrap, when non-nil, decorates every domain handed to the engine —
 	// the hook fault-injection tests and tracing use. It must be set
@@ -664,8 +650,8 @@ func (s Set) Chain() []Domain {
 }
 
 // Async returns the domains independent of the chain: the engine reserves
-// them concurrently with the chain and joins them in this (deterministic)
-// order, so rejection precedence never depends on goroutine scheduling.
+// them one after another in this order before the chain, and ranks their
+// failures after any chain failure, in this order.
 func (s Set) Async() []Domain {
 	out := []Domain{s.Wrapped(s.Cloud)}
 	for _, d := range s.Extra {

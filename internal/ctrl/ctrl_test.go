@@ -40,36 +40,48 @@ func newTB(t *testing.T) *testbed.Testbed {
 // Resize with a ctrl.Tx carrying the slice's binding — and read the outcome
 // off Grant.Apply, the way the engine records it in a slice's allocation.
 
-func reserveRadio(c *ctrl.RANController, b *ctrl.Binding, p slice.PLMN, mbps float64) (ctrl.RadioReservation, error) {
+// radioReservation is a radio grant's outcome as Apply records it.
+type radioReservation struct {
+	PRBs      map[string]int // per eNB name
+	TotalMbps float64
+}
+
+// pathSetup is a transport grant's outcome as Apply records it.
+type pathSetup struct {
+	PathIDs      []string
+	WorstDelayMs float64
+}
+
+func reserveRadio(c *ctrl.RANController, b *ctrl.Binding, p slice.PLMN, mbps float64) (radioReservation, error) {
 	g, cause := c.Reserve(ctrl.Tx{PLMN: p, Mbps: mbps, Binding: b})
 	if cause != nil {
-		return ctrl.RadioReservation{}, cause
+		return radioReservation{}, cause
 	}
 	return radioOutcome(g), nil
 }
 
-func resizeRadio(c *ctrl.RANController, b *ctrl.Binding, mbps float64) (ctrl.RadioReservation, error) {
+func resizeRadio(c *ctrl.RANController, b *ctrl.Binding, mbps float64) (radioReservation, error) {
 	g, err := c.Resize(ctrl.Tx{Binding: b}, mbps)
 	if err != nil {
-		return ctrl.RadioReservation{}, err
+		return radioReservation{}, err
 	}
 	return radioOutcome(g), nil
 }
 
-func radioOutcome(g ctrl.Grant) ctrl.RadioReservation {
+func radioOutcome(g ctrl.Grant) radioReservation {
 	var a slice.Allocation
 	g.Apply(&a)
-	return ctrl.RadioReservation{PRBs: a.PRBs, TotalMbps: a.AllocatedMbps}
+	return radioReservation{PRBs: a.PRBs, TotalMbps: a.AllocatedMbps}
 }
 
-func reservePaths(c *ctrl.TransportController, b *ctrl.Binding, id slice.ID, dc string, mbps, maxDelayMs float64) (ctrl.PathSetup, error) {
+func reservePaths(c *ctrl.TransportController, b *ctrl.Binding, id slice.ID, dc string, mbps, maxDelayMs float64) (pathSetup, error) {
 	g, cause := c.Reserve(ctrl.Tx{Slice: id, DataCenter: dc, Mbps: mbps, LatencyBudgetMs: maxDelayMs, Binding: b})
 	if cause != nil {
-		return ctrl.PathSetup{}, cause
+		return pathSetup{}, cause
 	}
 	var a slice.Allocation
 	g.Apply(&a)
-	return ctrl.PathSetup{PathIDs: a.PathIDs, WorstDelayMs: a.PathLatencyMs}, nil
+	return pathSetup{PathIDs: a.PathIDs, WorstDelayMs: a.PathLatencyMs}, nil
 }
 
 func TestRANReserveSpreadsAcrossENBs(t *testing.T) {
@@ -274,7 +286,7 @@ func TestRANReleaseIdempotent(t *testing.T) {
 func TestTransportSetupPathsBothENBs(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	setup, err := reservePaths(c, nil, "s1", testbed.EdgeDC, 100, 5)
+	setup, err := reservePaths(c, new(ctrl.Binding), "s1", testbed.EdgeDC, 100, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +311,7 @@ func TestTransportSetupRollsBack(t *testing.T) {
 	if _, err := tb.Transport.Reserve("filler", []string{testbed.ENBName(1), testbed.Switch}, tb.Config.MicroWaveMbps); err != nil {
 		t.Fatal(err)
 	}
-	_, err := reservePaths(tb.Ctrl.Transport, nil, "s1", testbed.CoreDC, 300, 0)
+	_, err := reservePaths(tb.Ctrl.Transport, new(ctrl.Binding), "s1", testbed.CoreDC, 300, 0)
 	if err == nil {
 		t.Fatal("setup should fail with saturated µWave hop")
 	}
@@ -313,10 +325,10 @@ func TestTransportDelayBudgetForcesEdge(t *testing.T) {
 	tb := newTB(t)
 	// Core is CoreDelayMs (6) + hop away: a 3 ms budget must fail to core
 	// and pass to edge.
-	if _, err := reservePaths(tb.Ctrl.Transport, nil, "s1", testbed.CoreDC, 10, 3); err == nil {
+	if _, err := reservePaths(tb.Ctrl.Transport, new(ctrl.Binding), "s1", testbed.CoreDC, 10, 3); err == nil {
 		t.Fatal("core within 3ms should be infeasible")
 	}
-	if _, err := reservePaths(tb.Ctrl.Transport, nil, "s2", testbed.EdgeDC, 10, 3); err != nil {
+	if _, err := reservePaths(tb.Ctrl.Transport, new(ctrl.Binding), "s2", testbed.EdgeDC, 10, 3); err != nil {
 		t.Fatalf("edge within 3ms failed: %v", err)
 	}
 }
@@ -374,7 +386,7 @@ func TestTransportResizeRestoresOnFailure(t *testing.T) {
 func TestTransportImposePaths(t *testing.T) {
 	tb := newTB(t)
 	c := tb.Ctrl.Transport
-	setup, err := reservePaths(c, nil, "s1", testbed.EdgeDC, 100, 0)
+	setup, err := reservePaths(c, new(ctrl.Binding), "s1", testbed.EdgeDC, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +514,7 @@ func TestCloudFeasibleAgreesWithReserve(t *testing.T) {
 		for step := 0; step < 150; step++ {
 			for _, dc := range []string{testbed.EdgeDC, testbed.CoreDC} {
 				for _, mbps := range []float64{10, 80, 200} {
-					tx := ctrl.Tx{Slice: "probe", PLMN: plmnA, SLA: slice.SLA{ThroughputMbps: mbps}, DataCenter: dc}
+					tx := ctrl.Tx{Slice: "probe", PLMN: plmnA, SLA: slice.SLA{ThroughputMbps: mbps}, DataCenter: dc, Binding: new(ctrl.Binding)}
 					feasible := c.Feasible(tx) == nil
 					g, cause := c.Reserve(tx)
 					if feasible != (cause == nil) {
@@ -533,6 +545,86 @@ func TestCloudFeasibleAgreesWithReserve(t *testing.T) {
 	}
 }
 
+// TestAbortTwiceFreesOnlyItsOwn: a slice reserved on all four domains and
+// aborted twice, grant by grant, leaves every substrate's books conserved and
+// empty; a second slice reserved afterwards on the same PLMN, with its own
+// binding, keeps all of its reservations through a third, stale round of the
+// first slice's aborts.
+func TestAbortTwiceFreesOnlyItsOwn(t *testing.T) {
+	tb := testbed.MustNew(testbed.Config{MECHosts: 1, MECHostCPUs: 8}, nil)
+	domains := []ctrl.Domain{tb.Ctrl.RAN, tb.Ctrl.Transport, tb.Ctrl.Cloud, tb.Ctrl.Extra[0]}
+	reserve := func(id slice.ID) ([]ctrl.Grant, slice.Allocation) {
+		tx := ctrl.Tx{Slice: id, PLMN: plmnA, DataCenter: testbed.CoreDC, Mbps: 20, LatencyBudgetMs: 40,
+			SLA:     slice.SLA{ThroughputMbps: 20, MaxLatencyMs: 50, Duration: time.Hour, Class: slice.ClassEMBB},
+			Binding: new(ctrl.Binding)}
+		var gs []ctrl.Grant
+		var a slice.Allocation
+		for _, d := range domains {
+			g, cause := d.Reserve(tx)
+			if cause != nil {
+				t.Fatalf("%s reserve for %s: %v", d.Domain(), id, cause)
+			}
+			g.Apply(&a)
+			gs = append(gs, g)
+		}
+		return gs, a
+	}
+	abortAll := func(gs []ctrl.Grant) {
+		for i := len(gs) - 1; i >= 0; i-- {
+			domains[i].Abort(gs[i])
+		}
+	}
+	audit := func() {
+		t.Helper()
+		var vs []string
+		for _, e := range tb.RAN.All() {
+			vs = append(vs, e.AuditConservation()...)
+		}
+		vs = append(vs, tb.Transport.AuditConservation()...)
+		for _, dc := range tb.Region.All() {
+			vs = append(vs, dc.AuditConservation()...)
+		}
+		vs = append(vs, tb.MEC.AuditConservation()...)
+		if len(vs) != 0 {
+			t.Fatalf("conservation: %v", vs)
+		}
+	}
+
+	first, _ := reserve("s-1")
+	abortAll(first)
+	abortAll(first)
+	audit()
+	if tb.Ctrl.RAN.Utilization() != 0 || len(tb.Transport.Reservations()) != 0 ||
+		tb.Ctrl.Cloud.Utilization() != 0 || len(tb.MEC.Apps()) != 0 {
+		t.Fatal("aborted slice left resources behind")
+	}
+
+	_, a := reserve("s-2")
+	abortAll(first)
+	audit()
+	for name, prbs := range a.PRBs {
+		e, _ := tb.RAN.Get(name)
+		if got, ok := e.Reservation(plmnA); !ok || got != prbs {
+			t.Fatalf("s-2 holds %d PRBs on %s (ok %v), want %d", got, name, ok, prbs)
+		}
+	}
+	for _, pid := range a.PathIDs {
+		if _, ok := tb.Transport.Reservation(pid); !ok {
+			t.Fatalf("s-2 lost path %s", pid)
+		}
+	}
+	dc, _ := tb.Region.Get(a.DataCenter)
+	if _, ok := dc.Stack(a.StackID); !ok {
+		t.Fatalf("s-2 lost stack %s", a.StackID)
+	}
+	if _, ok := tb.Ctrl.Cloud.EPCs().Get(a.EPCID); !ok {
+		t.Fatalf("s-2 lost vEPC %s", a.EPCID)
+	}
+	if _, ok := tb.MEC.App(a.MECAppID); !ok {
+		t.Fatalf("s-2 lost MEC app %s", a.MECAppID)
+	}
+}
+
 func TestCloudMarkRunningUnknown(t *testing.T) {
 	tb := newTB(t)
 	if err := tb.Ctrl.Cloud.MarkEPCRunning("ghost", t0); err == nil {
@@ -543,8 +635,8 @@ func TestCloudMarkRunningUnknown(t *testing.T) {
 func TestSetTelemetryPushesAllDomains(t *testing.T) {
 	tb := newTB(t)
 	store := monitor.NewStore(32)
-	reserveRadio(tb.Ctrl.RAN, nil, plmnA, 40)
-	reservePaths(tb.Ctrl.Transport, nil, "s1", testbed.EdgeDC, 100, 0)
+	reserveRadio(tb.Ctrl.RAN, new(ctrl.Binding), plmnA, 40)
+	reservePaths(tb.Ctrl.Transport, new(ctrl.Binding), "s1", testbed.EdgeDC, 100, 0)
 	tb.Ctrl.Cloud.DeployEPC("s1", testbed.EdgeDC, plmnA, 30, slice.ClassEMBB)
 	tb.Ctrl.PushTelemetry(store, t0)
 	snap := store.Snapshot()

@@ -11,7 +11,6 @@ package ctrl
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/epc"
@@ -44,18 +43,22 @@ type Tx struct {
 	// domains (SLA.MaxLatencyMs minus fixed shares such as the vEPC
 	// user-plane processing).
 	LatencyBudgetMs float64
-	// Binding is the slice's substrate handles: Reserve writes the handles
-	// it resolves into it and Resize reads them, so no resize names the
-	// slice. The orchestrator keeps one per slice and passes it in every Tx
-	// of that slice; the engine and the Set.Wrap decorators pass it through
-	// untouched. It is guarded by the slice's shard lock, which every caller
-	// holds. Nil when there is nothing to bind (admission's Feasible dry run).
+	// Binding is the slice's substrate handles and grants: Reserve writes
+	// the handles it resolves and what it granted into it, Resize reads the
+	// handles and writes the new grant, so no resize names the slice, and
+	// the returned Grant is a view of it. The orchestrator keeps one per
+	// slice and passes it in every Tx of that slice; the engine and the
+	// Set.Wrap decorators pass it through untouched. It is guarded by the
+	// slice's shard lock, which every caller holds. Reserve and Resize
+	// require it; it is nil only for admission's Feasible dry run.
 	Binding *Binding
 }
 
 // Grant is one domain's reservation for a slice — the engine's only handle
 // on what a domain allocated. Grants are applied to the slice's allocation
-// record on commit and handed back to their domain on rollback.
+// record on commit and handed back to their domain on rollback. Each domain's
+// grant is a view of the slice's Binding: it reads what the domain's last
+// Reserve or Resize wrote there, so it allocates nothing and owns nothing.
 type Grant interface {
 	// Domain names the granting domain.
 	Domain() string
@@ -89,8 +92,8 @@ type Grant interface {
 // Release must be idempotent.
 //
 // All methods must be safe for concurrent use: the sharded core installs
-// independent slices in parallel and runs chain-independent domains
-// concurrently within one request.
+// independent slices in parallel. Within one request the engine calls a
+// slice's domains one at a time, the chain-independent group first.
 type Domain interface {
 	Controller
 
@@ -151,27 +154,24 @@ func (c *MECController) FeasVersion() uint64 { return c.pool.Version() }
 // ---------------------------------------------------------------------------
 // Radio domain.
 
-// radioGrant is the RAN domain's reservation. aborted makes Abort
-// single-shot: PLMNs are recycled, so a second Abort of the same grant after
-// the slot was re-allocated would release the new owner's PRBs.
-type radioGrant struct {
-	plmn    slice.PLMN
-	res     RadioReservation
-	aborted atomic.Bool
-}
+// radioGrant is the RAN domain's reservation: a view of the binding's cells,
+// their PRBs and the throughput those sustain.
+type radioGrant Binding
 
 func (g *radioGrant) Domain() string                 { return "ran" }
-func (g *radioGrant) EffectiveMbps() float64         { return g.res.TotalMbps }
+func (g *radioGrant) EffectiveMbps() float64         { return g.radioMbps }
 func (g *radioGrant) ActivationDelay() time.Duration { return 0 }
+
+// Apply writes the PRBs per eNB name into the allocation's own map, in place,
+// so a resize allocates nothing.
 func (g *radioGrant) Apply(a *slice.Allocation) {
-	a.AllocatedMbps = g.res.TotalMbps
-	// Ownership of the PRB map moves to the allocation, and the map it
-	// replaces (nil at install, the previous sizes at a resize) moves to the
-	// grant: RecycleGrant clears it for the next reservation, so a steady
-	// stream of resizes cycles two maps instead of allocating one each. The
-	// grant never keeps a reference to the live map, so a later RecycleGrant
-	// can never alias slice state.
-	a.PRBs, g.res.PRBs = g.res.PRBs, a.PRBs
+	a.AllocatedMbps = g.radioMbps
+	if a.PRBs == nil {
+		a.PRBs = make(map[string]int, len(g.cells))
+	}
+	for i, h := range g.cells {
+		a.PRBs[h.Cell().Name()] = g.prbs[i]
+	}
 }
 
 // radioCause classifies a RAN substrate error: a full MOCN broadcast list is
@@ -194,24 +194,24 @@ func (c *RANController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	if cause := c.reserveFault("ran"); cause != nil {
 		return nil, cause
 	}
-	g := newRadioGrant(tx.PLMN)
-	if err := c.reserveCells(tx.PLMN, tx.Mbps, &g.res, tx.Binding); err != nil {
-		RecycleGrant(g)
+	if err := c.reserveCells(tx.PLMN, tx.Mbps, tx.Binding); err != nil {
 		return nil, radioCause(err)
 	}
-	return g, nil
+	return (*radioGrant)(tx.Binding), nil
 }
 
 // Commit implements Domain (PRB reservations are live at Reserve; only an
 // armed fault can fail it).
 func (c *RANController) Commit(g Grant) error { return c.commitFault("ran") }
 
-// Abort implements Domain. Idempotent per grant: the PLMN is released at
-// most once, so an engine retry or a chaos double-abort can never free a
-// recycled slot now owned by another slice.
+// Abort implements Domain. It releases the binding's cells through their
+// handles, which die with their reservations, so a second Abort frees
+// nothing — not even after the PLMN was reserved again for another slice.
 func (c *RANController) Abort(g Grant) {
-	if rg, ok := g.(*radioGrant); ok && rg.aborted.CompareAndSwap(false, true) {
-		c.ReleaseSlice(rg.plmn)
+	if rg, ok := g.(*radioGrant); ok {
+		for _, h := range rg.cells {
+			h.Release()
+		}
 	}
 }
 
@@ -220,12 +220,10 @@ func (c *RANController) Resize(tx Tx, mbps float64) (Grant, error) {
 	if err := c.resizeFault("ran"); err != nil {
 		return nil, err
 	}
-	g := newRadioGrant(tx.PLMN)
-	if err := c.resizeCells(tx.Binding, mbps, &g.res); err != nil {
-		RecycleGrant(g)
+	if err := c.resizeCells(tx.Binding, mbps); err != nil {
 		return nil, err
 	}
-	return g, nil
+	return (*radioGrant)(tx.Binding), nil
 }
 
 // Release implements Domain.
@@ -234,22 +232,22 @@ func (c *RANController) Release(id slice.ID, p slice.PLMN) { c.ReleaseSlice(p) }
 // ---------------------------------------------------------------------------
 // Transport domain.
 
-// pathGrant is the transport domain's reservation.
-type pathGrant struct {
-	id      slice.ID
-	setup   PathSetup
-	aborted atomic.Bool
-}
+// pathGrant is the transport domain's reservation: a view of the binding's
+// path handles and their worst delay.
+type pathGrant Binding
 
 func (g *pathGrant) Domain() string                 { return "transport" }
 func (g *pathGrant) EffectiveMbps() float64         { return 0 }
 func (g *pathGrant) ActivationDelay() time.Duration { return 0 }
+
+// Apply hands the allocation a fresh path-ID list.
 func (g *pathGrant) Apply(a *slice.Allocation) {
-	a.PathIDs = g.setup.PathIDs
-	a.PathLatencyMs = g.setup.WorstDelayMs
-	// Ownership of the path-ID slice moves to the allocation; drop it so a
-	// later RecycleGrant can never alias live slice state.
-	g.setup.PathIDs = nil
+	ids := make([]string, len(g.paths))
+	for i, r := range g.paths {
+		ids[i] = r.ID
+	}
+	a.PathIDs = ids
+	a.PathLatencyMs = g.worstDelayMs
 }
 
 // transportCause classifies a transport substrate error: a missed delay
@@ -282,21 +280,20 @@ func (c *TransportController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	if cause := c.reserveFault("transport"); cause != nil {
 		return nil, cause
 	}
-	g := newPathGrant(tx.Slice)
-	if err := c.reservePaths(tx.Slice, tx.DataCenter, tx.Mbps, tx.LatencyBudgetMs, &g.setup, tx.Binding); err != nil {
-		RecycleGrant(g)
+	if err := c.reservePaths(tx.Slice, tx.DataCenter, tx.Mbps, tx.LatencyBudgetMs, tx.Binding); err != nil {
 		return nil, transportCause(err, "transport: %w", err)
 	}
-	return g, nil
+	return (*pathGrant)(tx.Binding), nil
 }
 
 // Commit implements Domain (flows are installed at Reserve; only an armed
 // fault can fail it).
 func (c *TransportController) Commit(g Grant) error { return c.commitFault("transport") }
 
-// Abort implements Domain. Idempotent per grant.
+// Abort implements Domain: it releases the binding's slice's paths.
+// Idempotent.
 func (c *TransportController) Abort(g Grant) {
-	if pg, ok := g.(*pathGrant); ok && pg.aborted.CompareAndSwap(false, true) {
+	if pg, ok := g.(*pathGrant); ok {
 		c.ReleasePaths(pg.id)
 	}
 }
@@ -316,12 +313,9 @@ func (c *TransportController) Release(id slice.ID, p slice.PLMN) { c.ReleasePath
 // ---------------------------------------------------------------------------
 // Cloud domain.
 
-// cloudGrant is the cloud domain's reservation.
-type cloudGrant struct {
-	id      slice.ID
-	dep     Deployment
-	aborted atomic.Bool
-}
+// cloudGrant is the cloud domain's reservation: a view of the binding's
+// deployment.
+type cloudGrant Binding
 
 func (g *cloudGrant) Domain() string                 { return "cloud" }
 func (g *cloudGrant) EffectiveMbps() float64         { return 0 }
@@ -351,9 +345,8 @@ func (c *CloudController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	if err != nil {
 		return nil, slice.Rejectf(slice.RejectCloudCapacity, "cloud", "cloud: %w", err)
 	}
-	g := newCloudGrant(tx.Slice)
-	g.dep = dep
-	return g, nil
+	tx.Binding.id, tx.Binding.dep = tx.Slice, dep
+	return (*cloudGrant)(tx.Binding), nil
 }
 
 // Commit implements Domain (the stack and vEPC registration are live at
@@ -361,13 +354,11 @@ func (c *CloudController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 // armed fault can fail it).
 func (c *CloudController) Commit(g Grant) error { return c.commitFault("cloud") }
 
-// Abort implements Domain. Idempotent per grant.
+// Abort implements Domain: it releases the binding's slice's deployment.
+// Idempotent.
 func (c *CloudController) Abort(g Grant) {
-	if cg, ok := g.(*cloudGrant); ok && cg.aborted.CompareAndSwap(false, true) {
-		c.mu.Lock()
-		delete(c.bySlice, cg.id)
-		c.mu.Unlock()
-		c.Teardown(cg.dep.DataCenter, cg.dep.StackID, cg.dep.EPCID)
+	if cg, ok := g.(*cloudGrant); ok {
+		c.Release(cg.id, slice.PLMN{})
 	}
 }
 
@@ -412,11 +403,8 @@ func (c *MECController) Pool() *mec.Pool { return c.pool }
 // appID derives the slice's edge-app identifier.
 func appID(id slice.ID) string { return string(id) + "/app" }
 
-// mecGrant is the MEC domain's reservation.
-type mecGrant struct {
-	app     mec.App
-	aborted atomic.Bool
-}
+// mecGrant is the MEC domain's reservation: a view of the binding's app.
+type mecGrant Binding
 
 func (g *mecGrant) Domain() string                 { return "mec" }
 func (g *mecGrant) EffectiveMbps() float64         { return 0 }
@@ -452,17 +440,16 @@ func (c *MECController) Reserve(tx Tx) (Grant, *slice.RejectionCause) {
 	if err != nil {
 		return nil, slice.Rejectf(slice.RejectMECCapacity, "mec", "mec: %w", err)
 	}
-	g := newMECGrant()
-	g.app = app
-	return g, nil
+	tx.Binding.id, tx.Binding.app = tx.Slice, app
+	return (*mecGrant)(tx.Binding), nil
 }
 
 // Commit implements Domain (only an armed fault can fail it).
 func (c *MECController) Commit(g Grant) error { return c.commitFault("mec") }
 
-// Abort implements Domain. Idempotent per grant.
+// Abort implements Domain: it removes the binding's app. Idempotent.
 func (c *MECController) Abort(g Grant) {
-	if mg, ok := g.(*mecGrant); ok && mg.aborted.CompareAndSwap(false, true) {
+	if mg, ok := g.(*mecGrant); ok {
 		c.pool.Remove(mg.app.ID)
 	}
 }

@@ -163,7 +163,7 @@ func (h *Handler) handleForm(w http.ResponseWriter, r *http.Request) {
 		SLA: slice.SLA{
 			ThroughputMbps: f("throughput"),
 			MaxLatencyMs:   f("latency"),
-			Duration:       time.Duration(f("duration_min")) * time.Minute,
+			Duration:       time.Duration(f("duration_min") * float64(time.Minute)),
 			PriceEUR:       f("price"),
 			PenaltyEUR:     f("penalty"),
 			Class:          class,

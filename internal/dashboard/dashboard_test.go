@@ -147,19 +147,23 @@ func TestFormSubmission(t *testing.T) {
 }
 
 // TestFormParsesLikeREST: the form takes every class spelling the REST
-// body does, and answers 400 — submitting nothing — on an unknown class or
-// a malformed number instead of reading it as eMBB or 0.
+// body does, keeps a fractional duration in minutes whole as REST keeps
+// fractional seconds, and answers 400 — submitting nothing — on an unknown
+// class or a malformed number instead of reading it as eMBB or 0.
 func TestFormParsesLikeREST(t *testing.T) {
 	for _, tc := range []struct {
 		field, value string
 		status       int
 		class        string
+		duration     time.Duration
 	}{
-		{"class", "ehealth", http.StatusSeeOther, "e-health"},
-		{"class", "MMTC", http.StatusSeeOther, "mMTC"},
-		{"class", "bogus", http.StatusBadRequest, ""},
-		{"price", "8O", http.StatusBadRequest, ""},
-		{"latency", "", http.StatusBadRequest, ""},
+		{"class", "ehealth", http.StatusSeeOther, "e-health", time.Hour},
+		{"class", "MMTC", http.StatusSeeOther, "mMTC", time.Hour},
+		{"class", "bogus", http.StatusBadRequest, "", 0},
+		{"price", "8O", http.StatusBadRequest, "", 0},
+		{"latency", "", http.StatusBadRequest, "", 0},
+		{"duration_min", "1.5", http.StatusSeeOther, "eMBB", 90 * time.Second},
+		{"duration_min", "0.5", http.StatusSeeOther, "eMBB", 30 * time.Second},
 	} {
 		h, orch, _ := dashEnv(t)
 		srv := httptest.NewServer(h)
@@ -186,6 +190,9 @@ func TestFormParsesLikeREST(t *testing.T) {
 		}
 		if tc.class != "" && (len(ls) != 1 || ls[0].Class != tc.class || ls[0].State == slice.StateRejected.String()) {
 			t.Errorf("%s=%q: slices %+v, want one admitted %s slice", tc.field, tc.value, ls, tc.class)
+		}
+		if tc.class != "" && len(ls) == 1 && ls[0].SLA.Duration != tc.duration {
+			t.Errorf("%s=%q: duration %v, want %v", tc.field, tc.value, ls[0].SLA.Duration, tc.duration)
 		}
 	}
 }

@@ -24,7 +24,8 @@ func testEnv(t *testing.T) *testbed.Testbed {
 func reserveSlice(t *testing.T, tb *testbed.Testbed, id slice.ID, plmn slice.PLMN, mbps float64) SliceView {
 	t.Helper()
 	tx := ctrl.Tx{Slice: id, PLMN: plmn, SLA: slice.SLA{ThroughputMbps: mbps, MaxLatencyMs: 50,
-		Duration: time.Hour, Class: slice.ClassEMBB}, DataCenter: testbed.CoreDC, Mbps: mbps, LatencyBudgetMs: 40}
+		Duration: time.Hour, Class: slice.ClassEMBB}, DataCenter: testbed.CoreDC, Mbps: mbps, LatencyBudgetMs: 40,
+		Binding: new(ctrl.Binding)}
 	v := SliceView{ID: id, State: "active", PLMN: plmn, LedgerKbps: slice.ToKbps(mbps), DC: testbed.CoreDC}
 	rg, cause := tb.Ctrl.RAN.Reserve(tx)
 	if cause != nil {

@@ -400,11 +400,29 @@ func (e *ENB) resizeLocked(r *cellRes, prbs int) error {
 func (e *ENB) Release(p slice.PLMN) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	r, ok := e.reserved[p]
-	if !ok {
+	if r, ok := e.reserved[p]; ok {
+		e.unlinkLocked(r)
+	}
+}
+
+// Release frees the reservation the handle addresses. A handle whose
+// reservation is already gone frees nothing, even after its PLMN was
+// reserved on the cell again, so a second release is harmless.
+func (h Handle) Release() {
+	if h.e == nil {
 		return
 	}
-	delete(e.reserved, p)
+	h.e.mu.Lock()
+	defer h.e.mu.Unlock()
+	if h.r.live {
+		h.e.unlinkLocked(h.r)
+	}
+}
+
+// unlinkLocked drops a live reservation from the index, the PRB total and
+// the broadcast list, and marks it dead.
+func (e *ENB) unlinkLocked(r *cellRes) {
+	delete(e.reserved, r.plmn)
 	e.used -= r.prbs
 	if r.prev != nil {
 		r.prev.next = r.next
