@@ -213,7 +213,7 @@ func (o *Orchestrator) applyEpoch(er *epochRecord) error {
 			if m.prov == nil {
 				return fmt.Errorf("epoch %d measured slice %s, which was never admitted", er.Epoch, it.Slice)
 			}
-			m.s.RecordEpoch(it.Demand, it.Served)
+			m.s.RecordEpoch(it.Demand, it.Served, false)
 			m.prov.Observe(it.Demand)
 		}
 		if it.Charged {

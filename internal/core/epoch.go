@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ctrl"
+	"repro/internal/forecast"
 	"repro/internal/monitor"
 	"repro/internal/slice"
 )
@@ -23,18 +24,24 @@ import (
 //	              binding (the cell scheduler and its CQI draw are
 //	              genuinely global).
 //	P3  analyze   one shard lock at a time: per-slice violation detection
-//	              (RecordEpoch), forecaster update, provisioning target
-//	              (the per-slice pipeline of the companion forecasting
-//	              paper [4]) and, for a violation, the charge and its
-//	              EventViolation — all in the slice's one critical
-//	              section, so a teardown cannot land between counting a
-//	              violation and billing it.
-//	P3c commit    one shard lock at a time: apply resizes through the
-//	              transaction engine, roll the capacity ledger forward and
-//	              collect the slice's telemetry row; then one AddEach writes
-//	              every collected row. Resizes contend on the shared pools,
-//	              so their order decides marginal outcomes; every violation
-//	              is announced before the first resize.
+//	              (RecordEpoch), forecaster update and, for a violation, the
+//	              charge and its EventViolation — all in the slice's one
+//	              critical section, so a teardown cannot land between
+//	              counting a violation and billing it. Each live slice's
+//	              provisioner and contract join the epoch's batch.
+//	P3b provision no shard lock, epochMu only: one forecast.ProvisionEach
+//	              fills every live slice's target, forecast + risk margin
+//	              (the per-slice pipeline of the companion forecasting paper
+//	              [4]), the margins four windows at a time. Only the epoch,
+//	              squeezeAll and single-threaded replay touch forecasters,
+//	              and epochMu serializes all three.
+//	P3c commit    one shard lock at a time: cap the target at the slice's
+//	              rollout cap, apply resizes through the transaction engine,
+//	              roll the capacity ledger forward and collect the slice's
+//	              telemetry row; then one AddEach writes every collected
+//	              row. Resizes contend on the shared pools, so their order
+//	              decides marginal outcomes; every violation is announced
+//	              before the first resize.
 //	P4  publish   telemetry barrier: push domain telemetry, fold the gain
 //	              report and atomically publish the EpochSnapshot the read
 //	              plane serves from.
@@ -53,11 +60,11 @@ const sliceSeriesCapacity = 512
 
 // epochItem carries one active slice through the epoch pipeline. P1 and P2
 // fill the slice's entries in the index-aligned demand/served arrays
-// (epochScratch); P3 fills live, target and charged.
+// (epochScratch); P3 fills live and charged, P3c target.
 type epochItem struct {
 	m      *managedSlice
-	live   bool // still Active when P3 reached it
-	target float64
+	live   bool    // still Active when P3 reached it
+	target float64 // P3b's target, capped in P3c; the ledger rolls to it
 	// WAL capture (records.go): whether P3 charged a violation and P3c
 	// rolled the ledger, and to what value.
 	charged       bool
@@ -70,22 +77,40 @@ type epochItem struct {
 // pass allocates nothing per slice. items, binds, demand and served are
 // index-aligned: entry i of each belongs to the i-th measured slice in
 // submission order, and that is the form they travel in through the RAN
-// scheduling pass, which finds each slice's cells through its binding. events
-// and records feed the epoch's WAL record and are encoded before the next
-// epoch can overwrite them. rows and the three columns after it are the
-// telemetry rows P3c collects, one per slice that gets one, written in one
-// monitor.AddEach before P4.
+// scheduling pass, which finds each slice's cells through its binding.
+// provs, contracts and targets are P3b's batch, index-aligned with the live
+// items in order. events and records feed the epoch's WAL record and are
+// encoded before the next epoch can overwrite them. rows and the three
+// columns after it are the telemetry rows P3c collects, one per slice that
+// gets one, written in one monitor.AddEach before P4. series are the
+// orchestrator's own epoch series (epochSeriesNames), resolved on the first
+// epoch.
 type epochScratch struct {
 	items     []epochItem
 	binds     []*ctrl.Binding
 	demand    []float64
 	served    []float64
+	provs     []*forecast.Provisioner
+	contracts []float64
+	targets   []float64
 	events    []Event
 	records   []epochItemRecord
 	rows      []*monitor.Rows
 	rowDemand []float64
 	rowServed []float64
 	rowAlloc  []float64
+	series    []*monitor.Series
+}
+
+// epochSeriesNames are the orchestrator-level series each epoch appends one
+// sample to, in the order runEpoch writes them.
+var epochSeriesNames = [...]string{
+	"orchestrator/ran_epoch_utilization",
+	"orchestrator/overbooking_ratio",
+	"orchestrator/multiplexing_gain",
+	"orchestrator/penalties_eur",
+	"orchestrator/net_revenue_eur",
+	"orchestrator/active_slices",
 }
 
 // RunEpoch executes one pass of the Fig. 1 closed loop:
@@ -107,11 +132,12 @@ type epochScratch struct {
 //
 // Steps 1–2 are the head (phases P1/P2, under every shard lock in index
 // order — the only remaining stop-the-world window, and it is O(n) cheap).
-// Steps 3–4 and the violation charges run in one pass, one shard lock at a
-// time (P3); step 5 commits in a second such pass (P3c). Both walk the
-// slices in submission order on the caller's goroutine, so a fixed-seed run
-// is bit-identical at any shard count. See the file comment for the full
-// phase/locking contract.
+// Step 3 and the violation charges run in one pass, one shard lock at a
+// time (P3); step 4 is one batch over every live slice with no shard lock
+// held (P3b); step 5 commits in a second per-slice pass (P3c). All of them
+// walk the slices in submission order on the caller's goroutine, so a
+// fixed-seed run is bit-identical at any shard count. See the file comment
+// for the full phase/locking contract.
 func (o *Orchestrator) RunEpoch() {
 	o.runEpoch()
 	// The durability boundary: fsync the epoch's records with no lock held
@@ -133,6 +159,7 @@ func (o *Orchestrator) runEpoch() {
 	clear(ep.items) // release the previous epoch's slice pointers
 	clear(ep.binds)
 	clear(ep.rows)
+	clear(ep.provs)
 	ep.items, ep.binds, ep.demand = ep.items[:0], ep.binds[:0], ep.demand[:0]
 	ep.rows, ep.rowDemand, ep.rowServed, ep.rowAlloc = ep.rows[:0], ep.rowDemand[:0], ep.rowServed[:0], ep.rowAlloc[:0]
 	o.lockAll()
@@ -162,19 +189,20 @@ func (o *Orchestrator) runEpoch() {
 	ranUtil := o.tb.Ctrl.RAN.ScheduleDense(ep.binds, ep.demand, ep.served, o.cfg.ShareUnusedPRBs)
 	o.unlockAll()
 
-	// P3: monitor/analyze/optimize and charge, one slice at a time under its
-	// shard lock. A teardown may have won the race since P2 released the
-	// locks (live mode); a dead slice is dropped from the epoch, never
-	// billed or announced after its EventDeleted.
+	// P3: monitor/analyze and charge, one slice at a time under its shard
+	// lock. A teardown may have won the race since P2 released the locks
+	// (live mode); RecordEpoch counts only an Active slice, so a dead one is
+	// dropped from the epoch, never billed or announced after its
+	// EventDeleted.
 	ep.events = ep.events[:0]
+	ep.provs, ep.contracts = ep.provs[:0], ep.contracts[:0]
 	for i := range items {
 		it := &items[i]
 		m := it.m
 		m.sh.mu.Lock()
-		if m.s.State() == slice.StateActive {
-			demand, served := ep.demand[i], ep.served[i]
+		demand, served := ep.demand[i], ep.served[i]
+		if counted, violated := m.s.RecordEpoch(demand, served, true); counted {
 			it.live = true
-			violated := m.s.RecordEpoch(demand, served)
 			if m.series == nil {
 				id := string(m.s.ID())
 				m.series = o.store.Rows(sliceSeriesCapacity,
@@ -183,12 +211,8 @@ func (o *Orchestrator) runEpoch() {
 					monitor.SliceMetric(id, "allocated_mbps"))
 			}
 			m.prov.Observe(demand)
-			it.target = m.prov.Provision(m.s.SLA().ThroughputMbps)
-			// The intent plane's rollout cap bounds the target (the canary
-			// knob); resizeLocked still clamps to [floor, contract].
-			if m.provCapMbps > 0 && it.target > m.provCapMbps {
-				it.target = m.provCapMbps
-			}
+			ep.provs = append(ep.provs, m.prov)
+			ep.contracts = append(ep.contracts, m.s.SLA().ThroughputMbps)
 			if violated {
 				o.applyCharge(m)
 				ev := o.publish(EventViolation, m.s,
@@ -200,11 +224,20 @@ func (o *Orchestrator) runEpoch() {
 		m.sh.mu.Unlock()
 	}
 
+	// P3b: every live slice's provisioning target in one batch, holding only
+	// epochMu (see the file comment for why that is enough).
+	if cap(ep.targets) < len(ep.provs) {
+		ep.targets = make([]float64, len(ep.provs), cap(ep.provs))
+	}
+	ep.targets = ep.targets[:len(ep.provs)]
+	forecast.ProvisionEach(ep.provs, ep.contracts, ep.targets)
+
 	// P3c: apply reconfigurations and roll the ledger forward, in submission
 	// order: resizes contend on the shared PRB/link/CPU pools, so their order
 	// decides marginal grow/shrink outcomes — pinning it here keeps
 	// fixed-seed runs identical at any shard count.
 	nanos := now.UnixNano()
+	targets := ep.targets
 	for i := range items {
 		it := &items[i]
 		if !it.live {
@@ -212,14 +245,19 @@ func (o *Orchestrator) runEpoch() {
 		}
 		m := it.m
 		m.sh.mu.Lock()
-		if v := m.s.ReconfigView(); v.State == slice.StateActive {
-			allocated, _ := o.resizeLocked(m, v, it.target)
+		// The intent plane's rollout cap bounds the target (the canary
+		// knob); resizeLocked still clamps to [floor, contract].
+		it.target, targets = targets[0], targets[1:]
+		if m.provCapMbps > 0 && it.target > m.provCapMbps {
+			it.target = m.provCapMbps
+		}
+		// A slice torn down since P3 is not live here: no resize, no ledger
+		// roll and no row — its ring leaves the store with it.
+		if allocated, live, _ := o.resizeLocked(m, it.target); live {
 			it.ledgerUpdated, it.ledgerTo = true, slice.ToKbps(it.target)
 			o.applyLedgerRoll(m, it.ledgerTo)
 			// The slice's telemetry row: what it asked for, what the cells
 			// delivered and what it holds after this epoch's reconfiguration.
-			// A slice torn down since P3 gets no row — its ring leaves the
-			// store with it.
 			ep.rows = append(ep.rows, m.series)
 			ep.rowDemand = append(ep.rowDemand, ep.demand[i])
 			ep.rowServed = append(ep.rowServed, ep.served[i])
@@ -242,12 +280,16 @@ func (o *Orchestrator) runEpoch() {
 	o.lockAll()
 	g := o.Gain()
 	o.unlockAll()
-	o.store.Record("orchestrator/ran_epoch_utilization", now, ranUtil)
-	o.store.Record("orchestrator/overbooking_ratio", now, g.OverbookingRatio)
-	o.store.Record("orchestrator/multiplexing_gain", now, g.MultiplexingGain)
-	o.store.Record("orchestrator/penalties_eur", now, g.PenaltyTotalEUR)
-	o.store.Record("orchestrator/net_revenue_eur", now, g.NetRevenueEUR)
-	o.store.Record("orchestrator/active_slices", now, float64(len(items)))
+	if ep.series == nil {
+		for _, name := range epochSeriesNames {
+			ep.series = append(ep.series, o.store.Series(name))
+		}
+	}
+	for k, v := range [len(epochSeriesNames)]float64{
+		ranUtil, g.OverbookingRatio, g.MultiplexingGain, g.PenaltyTotalEUR, g.NetRevenueEUR, float64(len(items)),
+	} {
+		ep.series[k].AddNanos(nanos, v)
+	}
 	snap := EpochSnapshot{
 		Epoch:          int(o.epochs.Load()),
 		At:             now,

@@ -212,64 +212,43 @@ func (o *Orchestrator) squeezeAll() {
 	defer o.unlockAll()
 	walk := o.walkAllLocked()
 	for m := walk.next(); m != nil; m = walk.next() {
-		v := m.s.ReconfigView()
-		switch v.State {
-		case slice.StateAdmitted, slice.StateInstalling, slice.StateActive:
-		default:
-			continue
-		}
 		target := o.admissionEstimate(m.s.SLA())
 		if m.prov != nil && m.prov.Observed() {
 			target = m.prov.Provision(m.s.SLA().ThroughputMbps)
 		}
-		o.resizeLocked(m, v, target)
+		o.resizeLocked(m, target) // skips a slice that holds nothing
 	}
 }
 
 // resizeLocked applies a new multi-domain allocation to the slice if it
-// differs enough from the current one (hysteresis). It returns the slice's
-// radio reservation afterwards and whether a reconfiguration happened. The
-// caller holds the slice's shard lock and passes the view v it just cut of
-// the slice (every caller reads the state first, to skip finished slices).
+// holds one and the target differs enough from it (hysteresis). It returns
+// the slice's radio reservation afterwards, whether the slice was live
+// (admitted, installing or active — a finished slice is left alone) and
+// whether a reconfiguration happened. The caller holds the slice's shard
+// lock.
 //
-// The slice is read once, for v, and written once, when the resize went
-// through: the hysteresis test needs one float of v and runs first, so a
-// resize it swallows — a good share of the slices, every epoch — costs
-// nothing else. A resize that goes through applies its grants to the live
+// The slice is read once and written once: BeginResize cuts its view, clamps
+// the target to [floor, contract] and runs the hysteresis test in one
+// critical section — a resize it swallows, a good share of the slices every
+// epoch, costs nothing else — and enters Reconfiguring when the resize goes
+// ahead. A resize that goes through applies its grants to the live
 // allocation under the slice lock — the radio grant writes the PRBs into the
 // allocation's own map, so no copy of the allocation is made on the way in
 // or out — and the same critical section ends the Reconfiguring state and
 // cuts what the event reports. That is the decide step; resizedLocked logs
 // and applies its outcome.
-func (o *Orchestrator) resizeLocked(m *managedSlice, v slice.ReconfigView, targetMbps float64) (allocatedMbps float64, changed bool) {
-	sla := m.s.SLA()
+func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) (allocatedMbps float64, live, changed bool) {
+	v, live, resize := m.s.BeginResize(targetMbps, o.cfg.FloorMbps, o.cfg.ReconfigThreshold)
 	before := v.AllocatedMbps
-	if targetMbps < o.cfg.FloorMbps {
-		targetMbps = o.cfg.FloorMbps
+	if !resize {
+		return before, live, false
 	}
-	if targetMbps > sla.ThroughputMbps {
-		targetMbps = sla.ThroughputMbps
-	}
-	if diff := targetMbps - before; diff > -sla.ThroughputMbps*o.cfg.ReconfigThreshold &&
-		diff < sla.ThroughputMbps*o.cfg.ReconfigThreshold {
-		return before, false
-	}
-	// Active slices go through the Reconfiguring state; slices still being
-	// installed are resized in place (their data plane is not live yet).
-	reconfiguring := false
-	if v.State == slice.StateActive {
-		if err := m.s.BeginReconfigure(); err != nil {
-			return before, false
-		}
-		reconfiguring = true
-	}
-
-	gs, ok := o.resizeAll(o.sliceTx(m, v.PLMN, v.DataCenter, 0), targetMbps, before)
+	gs, ok := o.resizeAll(o.sliceTx(m, v.PLMN, v.DataCenter, 0), v.TargetMbps, before)
 	if !ok {
-		if reconfiguring {
+		if v.State == slice.StateActive {
 			m.s.EndReconfigure()
 		}
-		return before, false
+		return before, true, false
 	}
 	// The event is published after the Reconfiguring -> Active transition, so
 	// it carries the post-transition state.
@@ -290,7 +269,7 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, v slice.ReconfigView, targe
 		MECMbps:     after.AllocatedMbps,
 		ResizePaths: true,
 	}, before, ev)
-	return after.AllocatedMbps, true
+	return after.AllocatedMbps, true, true
 }
 
 // resizedLocked logs and applies a reallocation decide has made — an engine

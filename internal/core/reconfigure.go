@@ -20,8 +20,8 @@ import (
 // rejected or terminated are skipped without error — a fleet operation must
 // tolerate members expiring under it; only an unknown ID is an error.
 func (o *Orchestrator) Resize(id slice.ID, targetMbps float64) (bool, error) {
-	return o.resizeWith(id, func(m *managedSlice, v slice.ReconfigView) bool {
-		_, changed := o.resizeLocked(m, v, targetMbps)
+	return o.resizeWith(id, func(m *managedSlice) bool {
+		_, _, changed := o.resizeLocked(m, targetMbps)
 		return changed
 	})
 }
@@ -36,24 +36,26 @@ func (o *Orchestrator) Resize(id slice.ID, targetMbps float64) (bool, error) {
 // The cap is volatile state — not written to the WAL — because recovery
 // imposes logged epoch outcomes rather than re-deciding them; the intent
 // plane re-establishes caps after a restart. Returns whether an immediate
-// reconfiguration happened.
+// reconfiguration happened. On a finished slice the cap is recorded but
+// never read, and nothing is resized.
 func (o *Orchestrator) SetProvisionCap(id slice.ID, capMbps float64) (bool, error) {
 	if capMbps < 0 {
 		return false, fmt.Errorf("core: negative provision cap %.1f", capMbps)
 	}
-	return o.resizeWith(id, func(m *managedSlice, v slice.ReconfigView) bool {
+	return o.resizeWith(id, func(m *managedSlice) bool {
 		m.provCapMbps = capMbps
 		if capMbps > 0 {
-			_, changed := o.resizeLocked(m, v, capMbps)
+			_, _, changed := o.resizeLocked(m, capMbps)
 			return changed
 		}
 		return false
 	})
 }
 
-// resizeWith runs fn on the slice under its shard lock, skipping terminal
-// states, then commits any WAL records the reconfiguration appended.
-func (o *Orchestrator) resizeWith(id slice.ID, fn func(*managedSlice, slice.ReconfigView) bool) (bool, error) {
+// resizeWith runs fn on the slice under its shard lock, then commits any
+// WAL records the reconfiguration appended. resizeLocked skips a finished
+// slice.
+func (o *Orchestrator) resizeWith(id slice.ID, fn func(*managedSlice) bool) (bool, error) {
 	sh := o.shardFor(id)
 	sh.mu.Lock()
 	m, ok := sh.slices[id]
@@ -61,13 +63,7 @@ func (o *Orchestrator) resizeWith(id slice.ID, fn func(*managedSlice, slice.Reco
 		sh.mu.Unlock()
 		return false, fmt.Errorf("core: unknown slice %s", id)
 	}
-	v := m.s.ReconfigView()
-	switch v.State {
-	case slice.StateRejected, slice.StateTerminated:
-		sh.mu.Unlock()
-		return false, nil
-	}
-	changed := fn(m, v)
+	changed := fn(m)
 	sh.mu.Unlock()
 	if changed {
 		o.commitPersist()

@@ -59,6 +59,33 @@ type Controller interface {
 	PushTelemetry(store *monitor.Store, now time.Time)
 }
 
+// telemetry is a controller's domain series, resolved once per store. A
+// controller's series names are fixed once it is built (it takes its cell
+// and data-center lists in its constructor), so only its first push into a
+// store builds them; every later push appends through the handles and
+// allocates nothing.
+type telemetry struct {
+	mu     sync.Mutex
+	store  *monitor.Store
+	series []*monitor.Series
+}
+
+// in returns store's series for the names names() builds, index-aligned
+// with them, resolving them on the first push into store.
+func (t *telemetry) in(store *monitor.Store, names func() []string) []*monitor.Series {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.store != store {
+		ns := names()
+		ss := make([]*monitor.Series, len(ns))
+		for i, n := range ns {
+			ss[i] = store.Series(n)
+		}
+		t.store, t.series = store, ss
+	}
+	return t.series
+}
+
 // Binding is one slice's substrate handles — its per-cell ran.Handle set and
 // its *transport.Reservation path handles — and what each domain's last
 // Reserve or Resize granted. The step that makes the reservations writes it
@@ -108,6 +135,8 @@ type RANController struct {
 	schedMu    sync.Mutex
 	cellDemand []float64
 	bound      [][]ran.Handle
+
+	tel telemetry
 }
 
 // Cells returns the eNBs sorted by name. The returned slice is shared and
@@ -338,9 +367,16 @@ func (c *RANController) Utilization() float64 {
 
 // PushTelemetry implements Controller.
 func (c *RANController) PushTelemetry(store *monitor.Store, now time.Time) {
-	store.Record(monitor.DomainMetric("ran", "utilization"), now, c.Utilization())
-	for _, e := range c.Cells() {
-		store.Record(monitor.DomainMetric("ran", e.Name()+"/free_prbs"), now, float64(e.FreePRBs()))
+	ss := c.tel.in(store, func() []string {
+		names := []string{monitor.DomainMetric("ran", "utilization")}
+		for _, e := range c.cells {
+			names = append(names, monitor.DomainMetric("ran", e.Name()+"/free_prbs"))
+		}
+		return names
+	})
+	ss[0].Add(now, c.Utilization())
+	for i, e := range c.cells {
+		ss[1+i].Add(now, float64(e.FreePRBs()))
 	}
 }
 
@@ -361,6 +397,8 @@ type TransportController struct {
 	// enbs is the sorted eNB transport-port list, taken once: the topology
 	// is complete before the controller is built and never changes after.
 	enbs []string
+
+	tel telemetry
 }
 
 // NewTransportController wraps the transport network, whose nodes must all
@@ -481,9 +519,12 @@ func (c *TransportController) Utilization() float64 {
 
 // PushTelemetry implements Controller.
 func (c *TransportController) PushTelemetry(store *monitor.Store, now time.Time) {
+	ss := c.tel.in(store, func() []string {
+		return []string{monitor.DomainMetric("transport", "utilization"), monitor.DomainMetric("transport", "max_link_utilization")}
+	})
 	mean, max := c.net.Utilization()
-	store.Record(monitor.DomainMetric("transport", "utilization"), now, mean)
-	store.Record(monitor.DomainMetric("transport", "max_link_utilization"), now, max)
+	ss[0].Add(now, mean)
+	ss[1].Add(now, max)
 }
 
 // CloudController manages the two data centers and the vEPC instances
@@ -500,6 +541,8 @@ type CloudController struct {
 	// set is complete before the controller is built and never changes
 	// after.
 	dcs []*cloud.DataCenter
+
+	tel telemetry
 }
 
 // NewCloudController wraps the region, whose data centers must all be added
@@ -607,11 +650,18 @@ func (c *CloudController) Utilization() float64 {
 
 // PushTelemetry implements Controller.
 func (c *CloudController) PushTelemetry(store *monitor.Store, now time.Time) {
-	store.Record(monitor.DomainMetric("cloud", "utilization"), now, c.Utilization())
-	for _, dc := range c.dcs {
+	ss := c.tel.in(store, func() []string {
+		names := []string{monitor.DomainMetric("cloud", "utilization")}
+		for _, dc := range c.dcs {
+			names = append(names, monitor.DomainMetric("cloud", dc.Name()+"/used_vcpus"), monitor.DomainMetric("cloud", dc.Name()+"/stacks"))
+		}
+		return names
+	})
+	ss[0].Add(now, c.Utilization())
+	for i, dc := range c.dcs {
 		cap := dc.Capacity()
-		store.Record(monitor.DomainMetric("cloud", dc.Name()+"/used_vcpus"), now, cap.UsedVCPUs)
-		store.Record(monitor.DomainMetric("cloud", dc.Name()+"/stacks"), now, float64(cap.Stacks))
+		ss[1+2*i].Add(now, cap.UsedVCPUs)
+		ss[2+2*i].Add(now, float64(cap.Stacks))
 	}
 }
 
@@ -671,9 +721,13 @@ func (s Set) All() []Controller {
 	return out
 }
 
-// PushTelemetry pushes all three domains' metrics.
+// PushTelemetry pushes every domain's metrics. Each controller writes only
+// its own series, so the order is immaterial and no controller list is built.
 func (s Set) PushTelemetry(store *monitor.Store, now time.Time) {
-	for _, c := range s.All() {
-		c.PushTelemetry(store, now)
+	s.Cloud.PushTelemetry(store, now)
+	s.RAN.PushTelemetry(store, now)
+	s.Transport.PushTelemetry(store, now)
+	for _, d := range s.Extra {
+		d.PushTelemetry(store, now)
 	}
 }

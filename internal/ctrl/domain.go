@@ -389,6 +389,7 @@ func (c *CloudController) Release(id slice.ID, p slice.PLMN) {
 type MECController struct {
 	FaultArm
 	pool *mec.Pool
+	tel  telemetry
 }
 
 // NewMECController wraps the pool.
@@ -471,8 +472,11 @@ func (c *MECController) Utilization() float64 { return c.pool.Utilization() }
 
 // PushTelemetry implements Controller.
 func (c *MECController) PushTelemetry(store *monitor.Store, now time.Time) {
+	ss := c.tel.in(store, func() []string {
+		return []string{monitor.DomainMetric("mec", "utilization"), monitor.DomainMetric("mec", "apps"), monitor.DomainMetric("mec", "used_cpus")}
+	})
 	cap := c.pool.Capacity()
-	store.Record(monitor.DomainMetric("mec", "utilization"), now, c.pool.Utilization())
-	store.Record(monitor.DomainMetric("mec", "apps"), now, float64(cap.Apps))
-	store.Record(monitor.DomainMetric("mec", "used_cpus"), now, cap.UsedCPUs)
+	ss[0].Add(now, c.pool.Utilization())
+	ss[1].Add(now, float64(cap.Apps))
+	ss[2].Add(now, cap.UsedCPUs)
 }

@@ -13,12 +13,13 @@
 // accuracy metrics for the ablation experiment (D3).
 //
 // Forecasters and Provisioners are deliberately unsynchronized: each one
-// belongs to exactly one slice, and every Observe/Provision call happens
-// while the caller holds that slice's shard lock (the control epoch's
-// analysis pass, or the squeeze/restore passes, which the orchestrator
-// serializes against the epoch; see DESIGN.md §7), so a single forecaster
-// only ever sees one goroutine at a time. Do not share one instance across
-// slices or goroutines.
+// belongs to exactly one slice, and only three callers touch them — the
+// control epoch (Observe under the slice's shard lock in its analysis pass,
+// then one ProvisionEach over every live slice holding no shard lock), the
+// squeeze pass and single-threaded WAL replay. The orchestrator's epochMu
+// serializes all three (DESIGN.md §7), so a single forecaster only ever sees
+// one goroutine at a time. Do not share one instance across slices or
+// goroutines.
 package forecast
 
 import (
@@ -366,11 +367,13 @@ func ZScore(p float64) float64 {
 type Provisioner struct {
 	F Forecaster
 	// Risk is the one-sided confidence that provisioned >= actual demand.
-	// 1.0 (or anything >= 0.9995) disables overbooking entirely.
+	// 1.0 (or anything >= 0.9995) disables overbooking entirely. It is read
+	// only: NewProvisioner takes the margin's z-score from it once.
 	Risk float64
 	// FloorMbps is the minimum reservation (keeps control traffic alive).
 	FloorMbps float64
 
+	z     float64 // ZScore(Risk)
 	resid *Residuals
 	last  float64 // last forecast, to compute residual on next observe
 	seen  bool
@@ -378,7 +381,7 @@ type Provisioner struct {
 
 // NewProvisioner wraps f with a residual-tracking quantile margin.
 func NewProvisioner(f Forecaster, risk, floorMbps float64) *Provisioner {
-	return &Provisioner{F: f, Risk: risk, FloorMbps: floorMbps, resid: NewResiduals(64)}
+	return &Provisioner{F: f, Risk: risk, FloorMbps: floorMbps, z: ZScore(risk), resid: NewResiduals(64)}
 }
 
 // Observe feeds the measured demand and updates the residual distribution.
@@ -393,12 +396,61 @@ func (p *Provisioner) Observe(demand float64) {
 
 // Provision returns the Mbps to reserve for the next epoch under contract
 // contractMbps. PeakProvisioning (risk >= 0.9995) always returns the
-// contract.
+// contract. It is ProvisionEach over one provisioner.
 func (p *Provisioner) Provision(contractMbps float64) float64 {
-	if p.Risk >= 0.9995 || !p.seen {
+	var out [1]float64
+	ProvisionEach([]*Provisioner{p}, []float64{contractMbps}, out[:])
+	return out[0]
+}
+
+// ProvisionEach sets out[i] to the Mbps ps[i] reserves under contract
+// contracts[i] (the three are index-aligned). It computes σ four windows at
+// a time: four independent accumulator chains, so the adds of four slices
+// overlap instead of each waiting on the one before it, while each window is
+// still summed in index order exactly as StdDev sums it. A group of four
+// whose margins are not all due, or whose windows hold different sample
+// counts, and the tail of the batch take StdDev one window at a time, so
+// every result equals Provision's bit for bit (FuzzProvisionEach).
+func ProvisionEach(ps []*Provisioner, contracts, out []float64) {
+	contracts, out = contracts[:len(ps)], out[:len(ps)]
+	i := 0
+	for ; i+4 <= len(ps); i += 4 {
+		p0, p1, p2, p3 := ps[i], ps[i+1], ps[i+2], ps[i+3]
+		n := p0.resid.n()
+		if n < 2 || !p0.margined() || !p1.margined() || !p2.margined() || !p3.margined() ||
+			p1.resid.n() != n || p2.resid.n() != n || p3.resid.n() != n {
+			for k := i; k < i+4; k++ {
+				out[k] = ps[k].provision(contracts[k])
+			}
+			continue
+		}
+		s0, s1, s2, s3 := stdDev4(n, p0.resid.buf, p1.resid.buf, p2.resid.buf, p3.resid.buf)
+		out[i] = p0.reserve(contracts[i], s0)
+		out[i+1] = p1.reserve(contracts[i+1], s1)
+		out[i+2] = p2.reserve(contracts[i+2], s2)
+		out[i+3] = p3.reserve(contracts[i+3], s3)
+	}
+	for ; i < len(ps); i++ {
+		out[i] = ps[i].provision(contracts[i])
+	}
+}
+
+// margined reports whether the provisioner reserves forecast plus margin
+// rather than its contract: it overbooks and has seen demand. It negates the
+// peak test rather than inverting it, so a NaN risk takes the margin path.
+func (p *Provisioner) margined() bool { return !(p.Risk >= 0.9995 || !p.seen) }
+
+// provision is one provisioner's reservation, its σ taken alone.
+func (p *Provisioner) provision(contractMbps float64) float64 {
+	if !p.margined() {
 		return contractMbps
 	}
-	v := p.F.Forecast() + ZScore(p.Risk)*p.resid.StdDev()
+	return p.reserve(contractMbps, p.resid.StdDev())
+}
+
+// reserve is forecast + z·sigma, clipped to [floor, contract].
+func (p *Provisioner) reserve(contractMbps, sigma float64) float64 {
+	v := p.F.Forecast() + p.z*sigma
 	if v < p.FloorMbps {
 		v = p.FloorMbps
 	}
@@ -454,15 +506,50 @@ func (r *Residuals) StdDev() float64 {
 	if n < 2 {
 		return 0
 	}
+	buf := r.buf[:n]
 	mean := 0.0
-	for i := 0; i < n; i++ {
-		mean += r.buf[i]
+	for _, e := range buf {
+		mean += e
 	}
 	mean /= float64(n)
 	ss := 0.0
-	for i := 0; i < n; i++ {
-		d := r.buf[i] - mean
+	for _, e := range buf {
+		d := e - mean
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
+}
+
+// stdDev4 is StdDev over the first n samples of four windows (n >= 2), as
+// four independent accumulator chains. Each window's mean pass and Σd² pass
+// add its samples in index order, as StdDev does, so each result is that
+// window's StdDev bit for bit.
+func stdDev4(n int, a, b, c, d []float64) (float64, float64, float64, float64) {
+	a = a[:n]
+	b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+	ma, mb, mc, md := 0.0, 0.0, 0.0, 0.0
+	for i := range a {
+		ma += a[i]
+		mb += b[i]
+		mc += c[i]
+		md += d[i]
+	}
+	fn := float64(n)
+	ma /= fn
+	mb /= fn
+	mc /= fn
+	md /= fn
+	sa, sb, sc, sd := 0.0, 0.0, 0.0, 0.0
+	for i := range a {
+		da := a[i] - ma
+		sa += da * da
+		db := b[i] - mb
+		sb += db * db
+		dc := c[i] - mc
+		sc += dc * dc
+		dd := d[i] - md
+		sd += dd * dd
+	}
+	fd := float64(n - 1)
+	return math.Sqrt(sa / fd), math.Sqrt(sb / fd), math.Sqrt(sc / fd), math.Sqrt(sd / fd)
 }

@@ -412,21 +412,50 @@ func (s *Slice) EPCID() string {
 	return s.alloc.EPCID
 }
 
-// ReconfigView is what a reconfiguration decides on and addresses the domains
-// with — the slice's state, its current radio reservation and where it is
-// installed — cut in one critical section.
-type ReconfigView struct {
+// ResizeView is what a reconfiguration decides on and addresses the domains
+// with, cut in the critical section that decides it: the slice's state
+// before the decision, its radio reservation, the target clamped to
+// [floor, contract], and where it is installed.
+type ResizeView struct {
 	State         State
 	AllocatedMbps float64
+	TargetMbps    float64
 	PLMN          PLMN
 	DataCenter    string
 }
 
-// ReconfigView returns the slice's reconfiguration view.
-func (s *Slice) ReconfigView() ReconfigView {
+// BeginResize decides a reconfiguration toward targetMbps in one critical
+// section. It cuts the view and clamps the target to [floorMbps, contract].
+// live reports whether the slice holds a reservation to resize (admitted,
+// installing or active); resize whether the clamped target also leaves the
+// hysteresis band of ±threshold·contract around the current reservation.
+// When resize is true an Active slice has entered Reconfiguring (one still
+// installing is resized in place, its data plane not live yet); the caller
+// ends it with CommitReconfigure, or EndReconfigure if a domain refuses.
+func (s *Slice) BeginResize(targetMbps, floorMbps, threshold float64) (v ResizeView, live, resize bool) {
+	contract := s.req.SLA.ThroughputMbps
+	if targetMbps < floorMbps {
+		targetMbps = floorMbps
+	}
+	if targetMbps > contract {
+		targetMbps = contract
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return ReconfigView{State: s.state, AllocatedMbps: s.alloc.AllocatedMbps, PLMN: s.alloc.PLMN, DataCenter: s.alloc.DataCenter}
+	v = ResizeView{State: s.state, AllocatedMbps: s.alloc.AllocatedMbps, TargetMbps: targetMbps, PLMN: s.alloc.PLMN, DataCenter: s.alloc.DataCenter}
+	switch s.state {
+	case StateAdmitted, StateInstalling, StateActive:
+	default:
+		return v, false, false
+	}
+	if diff := targetMbps - v.AllocatedMbps; diff > -contract*threshold && diff < contract*threshold {
+		return v, true, false
+	}
+	if s.state == StateActive {
+		s.version++
+		s.state = StateReconfiguring
+	}
+	return v, true, true
 }
 
 // EventView is what a lifecycle event reports about the slice, cut in one
@@ -536,9 +565,6 @@ func (s *Slice) Activate(now time.Time) error {
 	return nil
 }
 
-// BeginReconfigure moves Active -> Reconfiguring.
-func (s *Slice) BeginReconfigure() error { return s.transition(StateReconfiguring, "") }
-
 // EndReconfigure moves Reconfiguring -> Active.
 func (s *Slice) EndReconfigure() error { return s.transition(StateActive, "") }
 
@@ -549,11 +575,18 @@ func (s *Slice) Terminate(reason string) error { return s.transition(StateTermin
 // throughput actually delivered. A violation is charged when the slice
 // demanded no more than its contract yet received measurably less than it
 // demanded — i.e. the operator squeezed an overbooked slice too hard.
-// It reports whether the epoch was a violation.
-func (s *Slice) RecordEpoch(demandMbps, servedMbps float64) bool {
+// With activeOnly it accounts only an Active slice (the live epoch, which
+// drops a slice torn down since it was measured); replay passes false, to
+// account an epoch the log says was counted whatever happened to the slice
+// after it. It reports whether the epoch was counted and whether it was a
+// violation.
+func (s *Slice) RecordEpoch(demandMbps, servedMbps float64, activeOnly bool) (counted, violated bool) {
 	const tolerance = 1e-6
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if activeOnly && s.state != StateActive {
+		return false, false
+	}
 	s.version++
 	s.servedEpochs++
 	s.demandMbps = demandMbps
@@ -566,9 +599,9 @@ func (s *Slice) RecordEpoch(demandMbps, servedMbps float64) bool {
 	if servedMbps+tolerance < entitled {
 		s.violationEpochs++
 		s.penaltyEUR += s.req.SLA.PenaltyEUR
-		return true
+		return true, true
 	}
-	return false
+	return true, false
 }
 
 // Accounting summarises the money side of the slice.

@@ -2,6 +2,7 @@ package slice
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -115,7 +116,7 @@ func TestLifecycleHappyPath(t *testing.T) {
 		{"admit", s.Admit, StateAdmitted},
 		{"install", s.BeginInstall, StateInstalling},
 		{"activate", func() error { return s.Activate(time.Unix(1000, 0)) }, StateActive},
-		{"reconf", s.BeginReconfigure, StateReconfiguring},
+		{"reconf", func() error { return beginReconfigure(s) }, StateReconfiguring},
 		{"reconf-done", s.EndReconfigure, StateActive},
 		{"terminate", func() error { return s.Terminate("expired") }, StateTerminated},
 	}
@@ -161,10 +162,107 @@ func TestTerminatedIsTerminal(t *testing.T) {
 	s, _ := New("s1", validReq())
 	s.Admit()
 	s.Terminate("op")
-	for _, fn := range []func() error{s.Admit, s.BeginInstall, s.BeginReconfigure} {
+	for _, fn := range []func() error{s.Admit, s.BeginInstall, func() error { return beginReconfigure(s) }} {
 		if err := fn(); !errors.Is(err, ErrBadTransition) {
 			t.Fatalf("transition out of terminated allowed: %v", err)
 		}
+	}
+}
+
+// beginReconfigure enters Reconfiguring the way a resize that goes through
+// does: a zero hysteresis band lets any target through a live slice.
+func beginReconfigure(s *Slice) error {
+	if _, _, resize := s.BeginResize(0, 0, 0); !resize {
+		return fmt.Errorf("%w: no resize out of %s", ErrBadTransition, s.State())
+	}
+	return nil
+}
+
+// recordEpoch accounts an epoch whatever the slice's state, as replay does,
+// and reports whether it was a violation.
+func recordEpoch(s *Slice, demandMbps, servedMbps float64) bool {
+	_, violated := s.RecordEpoch(demandMbps, servedMbps, false)
+	return violated
+}
+
+// TestRecordEpochActiveOnly: the live epoch's RecordEpoch accounts only an
+// Active slice and leaves any other untouched; replay's accounts it anyway.
+func TestRecordEpochActiveOnly(t *testing.T) {
+	s, _ := New("s1", validReq())
+	s.Admit()
+	if counted, violated := s.RecordEpoch(30, 20, true); counted || violated {
+		t.Fatalf("admitted slice counted by the live epoch: counted=%v violated=%v", counted, violated)
+	}
+	if a := s.Accounting(); a.ServedEpochs != 0 || a.PenaltyEUR != 0 {
+		t.Fatalf("uncounted epoch moved the books: %+v", a)
+	}
+	if counted, violated := s.RecordEpoch(30, 20, false); !counted || !violated {
+		t.Fatalf("replayed epoch: counted=%v violated=%v, want both", counted, violated)
+	}
+	s.BeginInstall()
+	s.Activate(time.Unix(1000, 0))
+	if counted, violated := s.RecordEpoch(30, 30, true); !counted || violated {
+		t.Fatalf("active slice: counted=%v violated=%v, want counted only", counted, violated)
+	}
+	s.Terminate("deleted")
+	if counted, _ := s.RecordEpoch(30, 20, true); counted {
+		t.Fatal("terminated slice counted by the live epoch")
+	}
+	if a := s.Accounting(); a.ServedEpochs != 2 || a.ViolationEpochs != 1 {
+		t.Fatalf("books %+v, want 2 served epochs and 1 violation", a)
+	}
+}
+
+// TestBeginResize pins the one-critical-section resize decision: the clamp
+// to [floor, contract], the hysteresis band around the current reservation,
+// which states hold something to resize, and Active -> Reconfiguring only
+// when the resize goes ahead.
+func TestBeginResize(t *testing.T) {
+	const floor, threshold = 1, 0.05 // contract 50: the band is ±2.5 Mbps
+	s, _ := New("s1", validReq())
+	if _, live, resize := s.BeginResize(10, floor, threshold); live || resize {
+		t.Fatalf("pending slice: live=%v resize=%v", live, resize)
+	}
+	s.Admit()
+	s.BeginInstall()
+	s.UpdateAllocation(func(a *Allocation) { a.AllocatedMbps = 20 })
+	// Installing: resized in place, state kept.
+	v, live, resize := s.BeginResize(99, floor, threshold)
+	if !live || !resize || v.TargetMbps != 50 || v.AllocatedMbps != 20 || v.State != StateInstalling {
+		t.Fatalf("installing grow: %+v live=%v resize=%v", v, live, resize)
+	}
+	if got := s.State(); got != StateInstalling {
+		t.Fatalf("installing slice moved to %s", got)
+	}
+	s.Activate(time.Unix(1000, 0))
+	for _, tc := range []struct {
+		target, want float64
+		resize       bool
+	}{
+		{21, 21, false},     // inside the band
+		{17.6, 17.6, false}, // just inside it
+		{17.4, 17.4, true},  // just outside it
+		{0.2, floor, true},  // clamped up to the floor
+		{80, 50, true},      // clamped down to the contract
+	} {
+		v, live, resize := s.BeginResize(tc.target, floor, threshold)
+		if !live || resize != tc.resize || v.TargetMbps != tc.want || v.State != StateActive {
+			t.Fatalf("target %v: %+v live=%v resize=%v, want target %v resize %v", tc.target, v, live, resize, tc.want, tc.resize)
+		}
+		want := StateActive
+		if tc.resize {
+			want = StateReconfiguring
+		}
+		if got := s.State(); got != want {
+			t.Fatalf("target %v: state %s, want %s", tc.target, got, want)
+		}
+		if tc.resize {
+			s.EndReconfigure()
+		}
+	}
+	s.Terminate("deleted")
+	if _, live, resize := s.BeginResize(0, floor, threshold); live || resize || s.State() != StateTerminated {
+		t.Fatalf("terminated slice: live=%v resize=%v state %s", live, resize, s.State())
 	}
 }
 
@@ -173,19 +271,19 @@ func TestRecordEpochViolationAccounting(t *testing.T) {
 	s.Admit()
 
 	// Demand below contract, fully served: no violation.
-	if s.RecordEpoch(30, 30) {
+	if recordEpoch(s, 30, 30) {
 		t.Fatal("fully served epoch counted as violation")
 	}
 	// Demand below contract, under-served: violation.
-	if !s.RecordEpoch(30, 20) {
+	if !recordEpoch(s, 30, 20) {
 		t.Fatal("under-served epoch not counted")
 	}
 	// Demand above contract, served at contract: tenant exceeded SLA, no violation.
-	if s.RecordEpoch(80, 50) {
+	if recordEpoch(s, 80, 50) {
 		t.Fatal("over-demand epoch wrongly penalised")
 	}
 	// Demand above contract, served below contract: violation (entitled = contract).
-	if !s.RecordEpoch(80, 40) {
+	if !recordEpoch(s, 80, 40) {
 		t.Fatal("under-contract service not penalised")
 	}
 
@@ -291,7 +389,7 @@ func TestPropertyPenaltyAccounting(t *testing.T) {
 		violations := 0
 		for _, e := range epochs {
 			d, srv := float64(e.D), float64(e.S)
-			if s.RecordEpoch(d, srv) {
+			if recordEpoch(s, d, srv) {
 				violations++
 			}
 		}

@@ -89,7 +89,7 @@ func TestSnapshotNeverTorn(t *testing.T) {
 		}
 		activate(t, s)
 		for e := 0; e < 4; e++ {
-			s.RecordEpoch(40, float64(10*e)) // 40 demanded of 50 contracted: violations until served catches up
+			s.RecordEpoch(40, float64(10*e), true) // 40 demanded of 50 contracted: violations until served catches up
 		}
 		if err := s.Terminate("expired"); err != nil {
 			t.Fatal(err)

@@ -55,7 +55,7 @@ var mutators = []struct {
 	}},
 	{"begin-install", func(_ *rand.Rand, s *Slice) { s.BeginInstall() }},
 	{"activate", func(rng *rand.Rand, s *Slice) { s.Activate(time.Unix(1_700_000_000+rng.Int63n(1e6), 0).UTC()) }},
-	{"begin-reconfigure", func(_ *rand.Rand, s *Slice) { s.BeginReconfigure() }},
+	{"begin-resize", func(rng *rand.Rand, s *Slice) { s.BeginResize(rng.Float64()*60, 1, 0.05) }},
 	{"end-reconfigure", func(_ *rand.Rand, s *Slice) { s.EndReconfigure() }},
 	{"terminate", func(rng *rand.Rand, s *Slice) { s.Terminate([]string{"", "expired", "deleted by tenant"}[rng.Intn(3)]) }},
 	{"record-epoch", func(rng *rand.Rand, s *Slice) {
@@ -64,7 +64,7 @@ var mutators = []struct {
 		if rng.Intn(2) == 0 {
 			served = demand / 2 // a violation whenever demand is within the contract
 		}
-		s.RecordEpoch(demand, served)
+		s.RecordEpoch(demand, served, rng.Intn(2) == 0)
 	}},
 	{"update-allocation", func(rng *rand.Rand, s *Slice) {
 		s.UpdateAllocation(func(a *Allocation) {
@@ -139,7 +139,7 @@ func TestSnapshotJSONInvalidation(t *testing.T) {
 			}
 		}
 		for _, want := range []string{
-			"reject/rejected", "activate/active", "begin-reconfigure/reconfiguring", "end-reconfigure/active",
+			"reject/rejected", "activate/active", "begin-resize/reconfiguring", "end-reconfigure/active",
 			"terminate/terminated", "record-epoch/active", "update-allocation/active",
 			"update-allocation-in-place/active", "update-allocated-mbps/active", "rehydrate/active", "rehydrate/rejected",
 		} {
@@ -229,11 +229,11 @@ func TestSnapshotJSONConcurrent(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		switch i % 4 {
 		case 0, 1:
-			s.RecordEpoch(40, 40-float64(i%2)*20)
+			s.RecordEpoch(40, 40-float64(i%2)*20, true)
 		case 2:
 			s.UpdateAllocation(func(a *Allocation) { a.PRBs = map[string]int{"enb-0": rng.Intn(100)} })
 		case 3:
-			if err := s.BeginReconfigure(); err != nil {
+			if err := beginReconfigure(s); err != nil {
 				t.Fatal(err)
 			}
 			s.UpdateAllocation(func(a *Allocation) { a.AllocatedMbps = rng.Float64() * 50 })

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -133,11 +134,15 @@ var (
 type Network struct {
 	mu    sync.RWMutex
 	nodes map[string]NodeKind
-	names []string                // dense index -> node name, insertion order
-	idx   map[string]int32        // node name -> dense index
-	links map[string]*Link        // key: "a->b"
-	adjx  [][]*Link               // outgoing links per dense node index
-	paths map[string]*Reservation // by path ID
+	names []string         // dense index -> node name, insertion order
+	idx   map[string]int32 // node name -> dense index
+	links map[string]*Link // key: "a->b"
+	// sorted is every link in key order, kept by AddLink (links are never
+	// removed): the order the whole-network passes sum in, so a float sum
+	// they report reproduces bit for bit.
+	sorted []*Link
+	adjx   [][]*Link               // outgoing links per dense node index
+	paths  map[string]*Reservation // by path ID
 
 	// feasVer counts every state change that can flip a feasibility answer —
 	// AddNode, AddLink, SetLinkUp, SetLinkCapacity, Reserve, Release, and
@@ -238,6 +243,8 @@ func (n *Network) AddLink(from, to string, lt LinkType, capacityMbps, delayMs fl
 		return fmt.Errorf("%w: %s", ErrLinkExists, l.key())
 	}
 	n.links[l.key()] = l
+	at, _ := slices.BinarySearchFunc(n.sorted, l.key(), func(x *Link, k string) int { return strings.Compare(x.key(), k) })
+	n.sorted = slices.Insert(n.sorted, at, l)
 	n.adjx[l.fromIdx] = append(n.adjx[l.fromIdx], l)
 	n.feasVer.Add(1)
 	return nil
@@ -556,13 +563,8 @@ func (n *Network) AuditConservation() []string {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	var out []string
-	keys := make([]string, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		l := n.links[k]
+	for _, l := range n.sorted {
+		k := l.key()
 		sum := 0.0
 		for id, r := range l.byPath {
 			if n.paths[id] != r {
@@ -626,14 +628,8 @@ func (n *Network) Utilization() (mean, max float64) {
 	// Sum in sorted link order: float addition is not associative, and this
 	// mean is recorded as epoch telemetry, which fixed-seed runs must
 	// reproduce bit-for-bit — map iteration order would leak into the bits.
-	keys := make([]string, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	cnt := 0
-	for _, k := range keys {
-		l := n.links[k]
+	for _, l := range n.sorted {
 		if !l.Up {
 			continue
 		}
@@ -665,14 +661,8 @@ type LinkSnapshot struct {
 func (n *Network) Snapshot() []LinkSnapshot {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	keys := make([]string, 0, len(n.links))
-	for k := range n.links {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]LinkSnapshot, 0, len(keys))
-	for _, k := range keys {
-		l := n.links[k]
+	out := make([]LinkSnapshot, 0, len(n.sorted))
+	for _, l := range n.sorted {
 		out = append(out, LinkSnapshot{
 			From: l.From, To: l.To, Type: l.Type.String(),
 			CapacityMbps: l.CapacityMbps, ReservedMbps: l.reservedMbps,
