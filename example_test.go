@@ -12,7 +12,7 @@ import (
 // installation stages elapse on the virtual clock, and read the
 // gains-vs-penalties report.
 func ExampleNewSimulated() {
-	sys, err := overbook.NewSimulated(overbook.Options{Seed: 1, Overbook: true})
+	sys, err := overbook.NewSimulated(overbook.Options{Seed: 1, Orchestrator: &overbook.OrchestratorConfig{Overbook: true}})
 	if err != nil {
 		panic(err)
 	}

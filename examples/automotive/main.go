@@ -19,7 +19,7 @@ import (
 )
 
 func main() {
-	sys, err := overbook.NewSimulated(overbook.Options{Seed: 7, Overbook: true})
+	sys, err := overbook.NewSimulated(overbook.Options{Seed: 7, Orchestrator: &overbook.OrchestratorConfig{Overbook: true}})
 	if err != nil {
 		panic(err)
 	}

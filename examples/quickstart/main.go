@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	sys, err := overbook.NewSimulated(overbook.Options{Seed: 1, Overbook: true})
+	sys, err := overbook.NewSimulated(overbook.Options{Seed: 1, Orchestrator: &overbook.OrchestratorConfig{Overbook: true}})
 	if err != nil {
 		panic(err)
 	}

@@ -18,7 +18,7 @@ import (
 
 func main() {
 	cfg := overbook.TestbedConfig{RedundantTransport: true}
-	sys, err := overbook.NewSimulated(overbook.Options{Seed: 3, Overbook: true, Testbed: cfg})
+	sys, err := overbook.NewSimulated(overbook.Options{Seed: 3, Orchestrator: &overbook.OrchestratorConfig{Overbook: true}, Testbed: cfg})
 	if err != nil {
 		panic(err)
 	}

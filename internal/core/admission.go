@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/ctrl"
 	"repro/internal/slice"
@@ -22,8 +24,6 @@ type policyRule struct {
 }
 
 var (
-	ruleDensity = &policyRule{slice.RejectRevenuePolicy, "", "revenue density %.3f EUR/(Mbps·h) below policy %.3f",
-		"fast-reject: revenue density below the configured policy floor", 2}
 	rulePenalty = &policyRule{slice.RejectRevenuePolicy, "", "revenue: expected penalty %.2f EUR >= price %.2f EUR at risk %.2f",
 		"fast-reject: expected SLA penalties at the configured risk reach the price", 3}
 	rulePLMN = &policyRule{slice.RejectPLMNExhausted, "", "PLMN broadcast list full",
@@ -63,14 +63,7 @@ type policyVerdict struct {
 // order that decides which rejection surfaces first. admit, DryRun and
 // SubmitFast all run it, so a policy is added or changed here only.
 func (o *Orchestrator) admissionPolicy(sla slice.SLA) policyVerdict {
-	// Revenue policy: EUR per Mbps·hour must clear the configured bar.
-	if floor := o.cfg.MinRevenueDensity; floor > 0 {
-		density := sla.PriceEUR / (sla.ThroughputMbps * sla.Duration.Hours())
-		if density < floor {
-			return policyVerdict{ruleDensity, [3]float64{density, floor}}
-		}
-	}
-	// Penalty-aware revenue check: when overbooking at risk r, each epoch
+	// Revenue policy, penalty-aware: when overbooking at risk r, each epoch
 	// independently exceeds the provisioned quantile with probability
 	// ~(1-r), costing PenaltyEUR. A slice whose expected penalties eat the
 	// price is a losing trade and is rejected up front.
@@ -306,7 +299,7 @@ func DensityOrderedSubset(reqs []KnapsackRequest, capacityMbps float64) ([]int, 
 		return reqs[i].Req.SLA.PriceEUR / reqs[i].LoadMbps
 	}
 	// Stable sort keeps arrival order among equal densities.
-	sortStableBy(idx, func(a, b int) bool { return density(a) > density(b) })
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(density(b), density(a)) })
 	var chosen []int
 	rev, used := 0.0, 0.0
 	for _, i := range idx {
@@ -316,15 +309,6 @@ func DensityOrderedSubset(reqs []KnapsackRequest, capacityMbps float64) ([]int, 
 			chosen = append(chosen, i)
 		}
 	}
-	sortStableBy(chosen, func(a, b int) bool { return a < b })
+	slices.Sort(chosen)
 	return chosen, rev
-}
-
-func sortStableBy(xs []int, less func(a, b int) bool) {
-	// Insertion sort: the slices here are small (pending request batches).
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && less(xs[j], xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

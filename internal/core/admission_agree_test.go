@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -58,14 +57,13 @@ func TestAdmissionCallersAgree(t *testing.T) {
 		return o
 	}
 
-	seen := make(map[string]int) // by reject code; revenue-policy split by its two policies
+	seen := make(map[string]int) // by reject code
 	fastRejects := 0
 	for i := 0; i < 400; i++ {
 		cfg := Config{
 			Overbook:            rng.Intn(4) > 0,
 			Risk:                pick(0.5, 0.9, 0.99),
 			AdmissionLoadFactor: 0.5,
-			MinRevenueDensity:   pick(0, 0, 0.5),
 			PenaltyAware:        rng.Intn(2) == 0,
 			Shards:              4,
 		}
@@ -109,14 +107,7 @@ func TestAdmissionCallersAgree(t *testing.T) {
 			t.Fatalf("%s: submit: %v", desc, err)
 		}
 		cause, rejected := sl.Cause()
-		outcome := string(cause.Code)
-		if cause.Code == slice.RejectRevenuePolicy {
-			outcome = "penalty-aware"
-			if strings.HasPrefix(cause.Detail, "revenue density") {
-				outcome = "density floor"
-			}
-		}
-		seen[outcome]++
+		seen[string(cause.Code)]++
 
 		if rep.Feasible == rejected {
 			t.Fatalf("%s: dry-run feasible=%v, submit rejected=%v (%s)", desc, rep.Feasible, rejected, cause.Detail)
@@ -134,7 +125,7 @@ func TestAdmissionCallersAgree(t *testing.T) {
 	}
 	// The property must not hold vacuously: every prelude exit, the ledger,
 	// a per-domain cause and plain admission all have to occur.
-	for _, outcome := range []string{"", "density floor", "penalty-aware", string(slice.RejectPLMNExhausted),
+	for _, outcome := range []string{"", string(slice.RejectRevenuePolicy), string(slice.RejectPLMNExhausted),
 		string(slice.RejectRadioCapacity), string(slice.RejectLatencyUnmeetable)} {
 		if seen[outcome] == 0 {
 			t.Errorf("no case ended in %q: %v", outcome, seen)

@@ -144,9 +144,9 @@ func TestRejectionCauseTaxonomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := New(Config{MinRevenueDensity: 1000}, tb, s, monitor.NewStore(64))
+	o := New(Config{Overbook: true, PenaltyAware: true}, tb, s, monitor.NewStore(64))
 
-	// Revenue policy.
+	// Revenue policy: the expected penalties at the default risk eat the price.
 	sl, err := o.Submit(req("cheap", 20, 50, time.Hour, 0.01), nil)
 	if err != nil {
 		t.Fatal(err)

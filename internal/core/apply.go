@@ -69,7 +69,7 @@ func (o *Orchestrator) applyAdmit(ar *admitRecord, m *managedSlice, demand traff
 	}
 	tl := newInstallTimeline(ar.SubmittedAt)
 	m.demand = demand
-	m.prov = forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps)
+	m.prov = forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), floorMbps)
 	m.ledgerKbps = ar.ReservedKbps
 	m.activateAt = ar.ActivateAt
 	m.timeline = &tl

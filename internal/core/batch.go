@@ -75,10 +75,15 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 		budget = 0
 	}
 
+	// Every item arrives now, winner or loser.
+	now := o.clock.Now()
 	reqs := make([]KnapsackRequest, len(items))
 	for i, it := range items {
 		if err := it.Request.Validate(); err != nil {
 			return nil, fmt.Errorf("core: batch item %d: %w", i, err)
+		}
+		if it.Request.Arrival.IsZero() {
+			it.Request.Arrival = now
 		}
 		reqs[i] = KnapsackRequest{Req: it.Request, LoadMbps: o.admissionEstimate(it.Request.SLA)}
 	}
@@ -133,7 +138,7 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 			// racing the loop must not strand half the winners installed with
 			// the caller never receiving their handles. syncPersist is off:
 			// the batch-edge fsync covers the winner's records.
-			sl, err := o.submitCtx(context.Background(), it.Request, it.Demand, false)
+			sl, err := o.submitCtx(context.Background(), reqs[i].Req, it.Demand, false)
 			if err != nil {
 				return nil, err
 			}
@@ -142,7 +147,7 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 		}
 		// Register the loser as a rejected slice so the dashboard shows it.
 		id := o.nextID()
-		sl, err := slice.New(id, it.Request)
+		sl, err := slice.New(id, reqs[i].Req)
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -80,6 +81,58 @@ func TestSubmitBatchLosersRejectedWithReason(t *testing.T) {
 	// Positional alignment preserved.
 	if len(slices) != 4 {
 		t.Fatal("alignment broken")
+	}
+}
+
+// TestSubmitBatchLosersCreatedAtSubmission: a batch loser arrives when the
+// batch does, like every other submission — in its durable image and in its
+// logged reject record.
+func TestSubmitBatchLosersCreatedAtSubmission(t *testing.T) {
+	sink := &memSink{}
+	s, o := env(t, Config{Overbook: true, AdmissionLoadFactor: 1.0, Persist: sink})
+	s.RunFor(time.Minute)
+	now := s.Now()
+	slices, err := o.SubmitBatch(suboptimalBatch(), BatchOptimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := map[slice.ID]time.Time{}
+	for _, r := range sink.records {
+		if r.Type != recReject {
+			continue
+		}
+		js, err := RecordJSON(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec struct {
+			Record struct {
+				Slice struct {
+					ID      slice.ID  `json:"id"`
+					Created time.Time `json:"created"`
+				} `json:"slice"`
+			} `json:"record"`
+		}
+		if err := json.Unmarshal(js, &rec); err != nil {
+			t.Fatal(err)
+		}
+		created[rec.Record.Slice.ID] = rec.Record.Slice.Created
+	}
+	losers := 0
+	for _, sl := range slices {
+		if sl.State() != slice.StateRejected {
+			continue
+		}
+		losers++
+		if got := sl.Persist().Created; !got.Equal(now) {
+			t.Errorf("%s: Persist().Created %v, want the submission instant %v", sl.ID(), got, now)
+		}
+		if got, ok := created[sl.ID()]; !ok || !got.Equal(now) {
+			t.Errorf("%s: reject record created %v (logged %v), want %v", sl.ID(), got, ok, now)
+		}
+	}
+	if losers == 0 {
+		t.Fatal("no batch losers at tight capacity")
 	}
 }
 

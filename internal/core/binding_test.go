@@ -133,7 +133,7 @@ func TestBindingTracksSubstrate(t *testing.T) {
 					t.Errorf("%s's path handle %s from before the re-route is still live", id, r.ID)
 				}
 			}
-			if changed, err := o.Resize(id, o.cfg.FloorMbps); err != nil || !changed {
+			if changed, err := o.Resize(id, floorMbps); err != nil || !changed {
 				t.Errorf("resize of re-routed %s: changed %v, %v", id, changed, err)
 			}
 		}

@@ -98,6 +98,16 @@ import (
 // fraction of radio capacity.
 const UtilizationCap = 0.95
 
+const (
+	// floorMbps is the minimum per-slice reservation: it keeps a slice's
+	// control traffic alive however low its forecast falls.
+	floorMbps = 1.0
+	// eventBuffer bounds the lifecycle event replay ring: Watch subscribers
+	// can resume from any sequence still within the last eventBuffer
+	// events. Older positions resync (see EventResync).
+	eventBuffer = 1024
+)
+
 // Config tunes the orchestrator. Zero values select the defaults noted on
 // each field.
 type Config struct {
@@ -113,15 +123,10 @@ type Config struct {
 	// AdmissionLoadFactor estimates mean/peak demand of a not-yet-observed
 	// slice for the admission capacity check when overbooking (default 0.6).
 	AdmissionLoadFactor float64
-	// MinRevenueDensity rejects requests paying less than this many EUR
-	// per Mbps·hour (default 0 — everything that fits is admitted).
-	MinRevenueDensity float64
 	// PenaltyAware rejects slices whose expected SLA penalties at the
 	// configured risk exceed their price — the penalty-conscious variant
 	// of the revenue-maximization policy (ablation A4).
 	PenaltyAware bool
-	// FloorMbps is the minimum per-slice reservation (default 1).
-	FloorMbps float64
 	// ReconfigThreshold is the hysteresis: reservations are resized only
 	// when the target differs from the current allocation by more than
 	// this fraction of the contract (default 0.05).
@@ -149,10 +154,6 @@ type Config struct {
 	// contention — so deterministic simulations are identical at any
 	// setting.
 	Shards int
-	// EventBuffer bounds the lifecycle event replay ring: Watch subscribers
-	// can resume from any sequence still within the last EventBuffer events
-	// (default 1024). Older positions resync (see EventResync).
-	EventBuffer int
 	// Audit attaches the cross-domain invariant auditor
 	// (internal/invariant): every epoch barrier and restoration pass runs a
 	// full conservation/leak sweep, every install rollback and teardown a
@@ -189,9 +190,6 @@ func (c Config) withDefaults() Config {
 	if c.AdmissionLoadFactor <= 0 {
 		c.AdmissionLoadFactor = 0.6
 	}
-	if c.FloorMbps <= 0 {
-		c.FloorMbps = 1
-	}
 	if c.ReconfigThreshold <= 0 {
 		c.ReconfigThreshold = 0.05
 	}
@@ -208,9 +206,6 @@ func (c Config) withDefaults() Config {
 		c.Shards = 8
 	}
 	c.Shards = ceilPow2(c.Shards)
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 1024
-	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 16
 	}
@@ -363,7 +358,7 @@ func New(cfg Config, tb *testbed.Testbed, clock sim.Scheduler, store *monitor.St
 		shards:    make([]*shard, cfg.Shards),
 		shardMask: uint32(cfg.Shards - 1),
 		history:   finishedHistory{limit: cfg.HistoryLimit},
-		bus:       NewEventBus(cfg.EventBuffer),
+		bus:       NewEventBus(eventBuffer),
 		persist:   cfg.Persist,
 	}
 	o.commit.cond.L = &o.commit.mu

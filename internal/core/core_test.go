@@ -150,19 +150,6 @@ func TestPLMNExhaustionRejects(t *testing.T) {
 	}
 }
 
-func TestRevenuePolicyRejects(t *testing.T) {
-	_, o := env(t, Config{MinRevenueDensity: 1.0})
-	// 10 EUR for 10 Mbps * 1h = 1.0 exactly meets; 5 EUR fails.
-	ok, _ := o.Submit(req("rich", 10, 50, time.Hour, 10), nil)
-	if ok.State() == slice.StateRejected {
-		t.Fatalf("at-threshold rejected: %s", ok.Reason())
-	}
-	bad, _ := o.Submit(req("poor", 10, 50, time.Hour, 5), nil)
-	if bad.State() != slice.StateRejected || !strings.Contains(bad.Reason(), "revenue") {
-		t.Fatalf("state %v reason %q", bad.State(), bad.Reason())
-	}
-}
-
 func TestEdgeComputeForcedPlacement(t *testing.T) {
 	s, o := env(t, Config{})
 	r := req("edge-tenant", 20, 50, time.Hour, 50)

@@ -52,11 +52,11 @@ func TestAllocationGrowsBackWithDemand(t *testing.T) {
 }
 
 func TestFloorEnforcedAtZeroDemand(t *testing.T) {
-	s, o := env(t, Config{Overbook: true, Risk: 0.5, FloorMbps: 2})
+	s, o := env(t, Config{Overbook: true, Risk: 0.5})
 	o.Start()
 	sl, _ := o.Submit(req("idle", 40, 50, 3*time.Hour, 100), traffic.NewConstant(0, 0, nil))
 	s.RunFor(time.Hour)
-	if got := sl.Allocation().AllocatedMbps; got < 2 {
+	if got := sl.Allocation().AllocatedMbps; got < floorMbps {
 		t.Fatalf("allocation %.2f below floor", got)
 	}
 }

@@ -238,7 +238,7 @@ func (o *Orchestrator) squeezeAll() {
 // cuts what the event reports. That is the decide step; resizedLocked logs
 // and applies its outcome.
 func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) (allocatedMbps float64, live, changed bool) {
-	v, live, resize := m.s.BeginResize(targetMbps, o.cfg.FloorMbps, o.cfg.ReconfigThreshold)
+	v, live, resize := m.s.BeginResize(targetMbps, floorMbps, o.cfg.ReconfigThreshold)
 	before := v.AllocatedMbps
 	if !resize {
 		return before, live, false

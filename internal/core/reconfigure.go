@@ -13,7 +13,7 @@ import (
 
 // Resize applies a new provisioning target to the slice through the same
 // multi-domain reconfiguration path the control epoch uses: hysteresis,
-// clamping to [FloorMbps, contract], the Active→Reconfiguring→Active state
+// clamping to [floorMbps, contract], the Active→Reconfiguring→Active state
 // walk, reverse-order abort on any domain failure, EventResized and the WAL
 // resize record. Returns whether a reconfiguration actually happened (false
 // when hysteresis swallowed it or a domain refused). Slices already

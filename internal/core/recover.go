@@ -223,7 +223,7 @@ func (o *Orchestrator) restoreSlice(ps *persistedSlice) error {
 	}
 	switch s.State() {
 	case slice.StateAdmitted, slice.StateInstalling, slice.StateActive, slice.StateReconfiguring:
-		m.prov = forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), o.cfg.FloorMbps)
+		m.prov = forecast.NewProvisioner(o.cfg.NewForecaster(), o.cfg.effectiveRisk(), floorMbps)
 		if err := o.imposeSubstrate(m, ps.Paths, ps.MECHost, ps.MECCPU); err != nil {
 			return err
 		}

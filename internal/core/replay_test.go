@@ -239,7 +239,7 @@ func reconfigureAndRelease(t *testing.T, o *Orchestrator) {
 		live = append(live, id)
 		// Down to the floor, then up to the contract: unless hysteresis
 		// swallows both (a contract within 5 % of the floor), one must move.
-		down, err := o.Resize(id, o.cfg.FloorMbps)
+		down, err := o.Resize(id, floorMbps)
 		if err != nil {
 			t.Fatalf("resize %s down: %v", id, err)
 		}
@@ -247,7 +247,7 @@ func reconfigureAndRelease(t *testing.T, o *Orchestrator) {
 		if err != nil {
 			t.Fatalf("resize %s up: %v", id, err)
 		}
-		if !down && !up && contract-o.cfg.FloorMbps >= contract*o.cfg.ReconfigThreshold {
+		if !down && !up && contract-floorMbps >= contract*o.cfg.ReconfigThreshold {
 			t.Errorf("recovered slice %s (%s, %.2f of %.2f Mbps) cannot be resized", id, sl.State(), sl.AllocatedMbps(), contract)
 		}
 	}

@@ -161,7 +161,7 @@ func (o *Orchestrator) HandleLinkDegradation(from, to string, newCapacityMbps fl
 			continue
 		}
 		target := share
-		if target < o.cfg.FloorMbps || !o.rerouteLocked(m, target, "") {
+		if target < floorMbps || !o.rerouteLocked(m, target, "") {
 			evicted = append(evicted, o.teardownLocked(m, fmt.Sprintf("transport link %s degraded below slice floor", rep.Link), EventDeleted)...)
 			rep.Dropped = append(rep.Dropped, id)
 			continue

@@ -323,8 +323,8 @@ func TestTransportSetupRollsBack(t *testing.T) {
 
 func TestTransportDelayBudgetForcesEdge(t *testing.T) {
 	tb := newTB(t)
-	// Core is CoreDelayMs (6) + hop away: a 3 ms budget must fail to core
-	// and pass to edge.
+	// Core sits the testbed's 6 ms core delay + a hop away: a 3 ms budget
+	// must fail to core and pass to edge.
 	if _, err := reservePaths(tb.Ctrl.Transport, new(ctrl.Binding), "s1", testbed.CoreDC, 10, 3); err == nil {
 		t.Fatal("core within 3ms should be infeasible")
 	}
@@ -486,13 +486,22 @@ func TestCloudDeployUnknownDC(t *testing.T) {
 }
 
 func TestCloudDeployNoCapacity(t *testing.T) {
-	tb := testbed.MustNew(testbed.Config{EdgeHosts: 1, EdgeHostVCPUs: 2}, nil)
-	// A small vEPC needs 4+ vCPUs; the edge has 2.
-	if tb.Ctrl.Cloud.CanFit(testbed.EdgeDC, 10) {
-		t.Fatal("tiny edge fits vEPC")
+	tb := testbed.MustNew(testbed.Config{EdgeHosts: 1}, nil)
+	// A one-host edge takes a few small vEPCs and then no more.
+	n := 0
+	for ; tb.Ctrl.Cloud.CanFit(testbed.EdgeDC, 10); n++ {
+		if n == 16 {
+			t.Fatal("a one-host edge fits 16 vEPCs")
+		}
+		if _, err := tb.Ctrl.Cloud.DeployEPC(slice.ID(fmt.Sprintf("s%d", n)), testbed.EdgeDC, plmnA, 10, slice.ClassEMBB); err != nil {
+			t.Fatalf("deploy %d that CanFit passed: %v", n, err)
+		}
 	}
-	if _, err := tb.Ctrl.Cloud.DeployEPC("s1", testbed.EdgeDC, plmnA, 10, slice.ClassEMBB); err == nil {
-		t.Fatal("deploy into tiny edge succeeded")
+	if n == 0 {
+		t.Fatal("an empty edge host fits no vEPC")
+	}
+	if _, err := tb.Ctrl.Cloud.DeployEPC("full", testbed.EdgeDC, plmnA, 10, slice.ClassEMBB); err == nil {
+		t.Fatal("deploy into full edge succeeded")
 	}
 }
 

@@ -22,10 +22,13 @@ import (
 	"repro/internal/testbed"
 )
 
-// resumeEnv builds a server over an orchestrator with a tiny replay ring
-// (8 events) so a test can lap it with a handful of publishes. Events are
-// published straight onto the bus — the lifecycle machinery is not
-// involved; the resume contract is purely the bus's.
+// replayRing is the orchestrator's event replay ring: a resume token more
+// than this many events behind the head is lapped.
+const replayRing = 1024
+
+// resumeEnv builds a server over an orchestrator. Events are published
+// straight onto the bus — the lifecycle machinery is not involved; the
+// resume contract is purely the bus's.
 func resumeEnv(t *testing.T) (*Client, *core.EventBus) {
 	t.Helper()
 	s := sim.NewSimulator(1)
@@ -33,7 +36,7 @@ func resumeEnv(t *testing.T) (*Client, *core.EventBus) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orch := core.New(core.Config{EventBuffer: 8}, tb, s, monitor.NewStore(16))
+	orch := core.New(core.Config{}, tb, s, monitor.NewStore(16))
 	orch.Start()
 	srv := httptest.NewServer(NewServer(orch))
 	t.Cleanup(srv.Close)
@@ -50,6 +53,15 @@ func publishN(bus *core.EventBus, n int) {
 type resumeFrame struct {
 	seq    int64
 	resync bool
+}
+
+// eventFrames are the plain frames of seqs from..to, inclusive.
+func eventFrames(from, to int64) []resumeFrame {
+	var fs []resumeFrame
+	for seq := from; seq <= to; seq++ {
+		fs = append(fs, resumeFrame{seq: seq})
+	}
+	return fs
 }
 
 func TestSSEResumeEdgeCases(t *testing.T) {
@@ -86,20 +98,15 @@ func TestSSEResumeEdgeCases(t *testing.T) {
 			want:        []resumeFrame{{0, true}, {1, false}},
 		},
 		{
-			// Token far past the replay ring (ring=8, head=20, oldest
+			// Token far past the replay ring (head=ring+12, oldest
 			// retained=13): one resync at oldest-1 acknowledging the loss,
-			// then every retained event in order — no gaps, no duplicates,
-			// no silent empty stream.
+			// then every retained event in order and the live publish — no
+			// gaps, no duplicates, no silent empty stream.
 			name:        "since-lapped-past-ring",
-			prepublish:  20,
+			prepublish:  replayRing + 12,
 			since:       2,
 			livePublish: true,
-			want: []resumeFrame{
-				{12, true},
-				{13, false}, {14, false}, {15, false}, {16, false},
-				{17, false}, {18, false}, {19, false}, {20, false},
-				{21, false}, // the live publish
-			},
+			want:        append([]resumeFrame{{12, true}}, eventFrames(13, replayRing+13)...),
 		},
 		{
 			// Normal resume: token within the ring replays the tail

@@ -80,16 +80,15 @@ func TestUEsAttachDuringScenario(t *testing.T) {
 		Duration:         3 * time.Hour,
 		MeanInterarrival: 20 * time.Minute,
 		Orchestrator:     core.Config{Overbook: true, PLMNLimit: 32},
-		UEsPerSlice:      2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AttachedUEs < 2 {
+	if res.AttachedUEs < uesPerSlice {
 		t.Fatalf("attached UEs %d", res.AttachedUEs)
 	}
-	if res.AttachedUEs > res.Gain.Admitted*2 {
-		t.Fatalf("attached %d exceeds 2 per admitted slice (%d)", res.AttachedUEs, res.Gain.Admitted)
+	if res.AttachedUEs > res.Gain.Admitted*uesPerSlice {
+		t.Fatalf("attached %d exceeds %d per admitted slice (%d)", res.AttachedUEs, uesPerSlice, res.Gain.Admitted)
 	}
 }
 

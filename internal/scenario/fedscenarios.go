@@ -26,101 +26,6 @@ import (
 	"repro/internal/traffic"
 )
 
-// FedOptions parameterizes one federated simulation run.
-type FedOptions struct {
-	// Seed drives arrivals and the per-member testbed channels (each member
-	// derives its own RNG from Seed and its name inside federation.Join).
-	Seed int64
-	// Duration is the simulated span (default 4h).
-	Duration time.Duration
-	// MeanInterarrival is the mean gap between federated requests
-	// (default 5m).
-	MeanInterarrival time.Duration
-	// RequestScale multiplies each generated request's throughput contract
-	// (price and penalty scale with it), pushing requests past single-member
-	// headroom so cross-cluster spans actually occur (default 1).
-	RequestScale float64
-	// Clusters are the members to join (required).
-	Clusters []federation.ClusterConfig
-	// Federation tunes the federation tier (Seed is overridden by Seed).
-	Federation federation.Config
-	// Profiles are the tenant archetypes (default traffic.DefaultProfiles).
-	Profiles []traffic.Profile
-}
-
-func (o FedOptions) withDefaults() FedOptions {
-	if o.Duration <= 0 {
-		o.Duration = 4 * time.Hour
-	}
-	if o.MeanInterarrival <= 0 {
-		o.MeanInterarrival = 5 * time.Minute
-	}
-	if o.RequestScale <= 0 {
-		o.RequestScale = 1
-	}
-	if o.Profiles == nil {
-		o.Profiles = traffic.DefaultProfiles()
-	}
-	return o
-}
-
-// FedRunner couples a simulator, a federation of member clusters and the
-// federated request workload.
-type FedRunner struct {
-	Sim   *sim.Simulator
-	Fed   *federation.Federation
-	Gen   *traffic.RequestGenerator
-	opts  FedOptions
-	count int
-}
-
-// NewFedRunner builds the federated environment (without starting arrivals).
-func NewFedRunner(opts FedOptions) (*FedRunner, error) {
-	opts = opts.withDefaults()
-	if len(opts.Clusters) == 0 {
-		return nil, fmt.Errorf("scenario: federated run needs at least one cluster")
-	}
-	s := sim.NewSimulator(opts.Seed)
-	fcfg := opts.Federation
-	fcfg.Seed = opts.Seed
-	fed := federation.New(fcfg, s)
-	for _, cc := range opts.Clusters {
-		if _, err := fed.Join(cc); err != nil {
-			return nil, err
-		}
-	}
-	gen := traffic.NewRequestGenerator(opts.Profiles, opts.MeanInterarrival, s.Rand())
-	return &FedRunner{Sim: s, Fed: fed, Gen: gen, opts: opts}, nil
-}
-
-// SubmitNow injects one generated federated request immediately.
-func (r *FedRunner) SubmitNow() (federation.SpanStatus, error) {
-	g := r.Gen.Next(r.Sim.Now())
-	r.count++
-	sla := g.Request.SLA
-	sla.ThroughputMbps *= r.opts.RequestScale
-	sla.PriceEUR *= r.opts.RequestScale
-	sla.PenaltyEUR *= r.opts.RequestScale
-	return r.Fed.Submit(federation.Request{Tenant: g.Request.Tenant, SLA: sla})
-}
-
-// StartArrivals starts the members, the federation barrier and the Poisson
-// request process.
-func (r *FedRunner) StartArrivals() {
-	r.Fed.Start()
-	var schedule func()
-	schedule = func() {
-		r.Sim.After(r.Gen.NextInterarrival(), "arrival", func() {
-			_, _ = r.SubmitNow()
-			schedule()
-		})
-	}
-	schedule()
-}
-
-// Offered returns the number of federated requests generated so far.
-func (r *FedRunner) Offered() int { return r.count }
-
 // FedChaosResult condenses one federated chaos run.
 type FedChaosResult struct {
 	Name  string `json:"name"`
@@ -143,18 +48,24 @@ type FedChaosResult struct {
 	Violations []invariant.Violation `json:"violations"`
 }
 
-// fedChaosSpec couples a federated scenario's options (Seed is set per
-// run) with its program.
+// fedChaosSpec couples a federated scenario's title with its program.
 type fedChaosSpec struct {
 	title string
-	opts  FedOptions
 	prog  []chaos.Op
 }
 
-// fedChaosBaseOptions is the shared chassis: three members at distinct
-// federation latencies, overbooking and both audit tiers on, requests scaled
-// 2x so single members saturate and spans split across clusters.
-func fedChaosBaseOptions(dur, ia time.Duration) FedOptions {
+// The federated chassis C7 and C8 share: three members at distinct
+// federation latencies, overbooking and both audit tiers on, requests
+// arriving every 5 minutes on average for 4 hours and scaled 2x so single
+// members saturate and spans split across clusters.
+const (
+	fedChaosDuration     = 4 * time.Hour
+	fedChaosInterarrival = 5 * time.Minute
+	fedChaosRequestScale = 2
+)
+
+// fedChaosMembers are the chassis's member clusters, in join order.
+func fedChaosMembers() []federation.ClusterConfig {
 	member := func(name, location string, latencyMs float64) federation.ClusterConfig {
 		return federation.ClusterConfig{
 			Name:      name,
@@ -169,16 +80,10 @@ func fedChaosBaseOptions(dur, ia time.Duration) FedOptions {
 			Testbed: testbed.Config{MaxPLMNs: 64, RedundantTransport: true},
 		}
 	}
-	return FedOptions{
-		Duration:         dur,
-		MeanInterarrival: ia,
-		RequestScale:     2,
-		Clusters: []federation.ClusterConfig{
-			member("east", "eu-east", 2),
-			member("west", "eu-west", 3),
-			member("north", "eu-north", 5),
-		},
-		Federation: federation.Config{Audit: true},
+	return []federation.ClusterConfig{
+		member("east", "eu-east", 2),
+		member("west", "eu-west", 3),
+		member("north", "eu-north", 5),
 	}
 }
 
@@ -186,7 +91,6 @@ func fedChaosBaseOptions(dur, ia time.Duration) FedOptions {
 var fedChaosSpecs = map[string]fedChaosSpec{
 	"c7": {
 		title: "cluster-partition: a member splits from the federation, spans roll back, the heal reconverges",
-		opts:  fedChaosBaseOptions(4*time.Hour, 5*time.Minute),
 		prog: []chaos.Op{
 			{At: 45 * time.Minute, Name: "preload-burst", Kind: chaos.BurstSubmit, N: 8},
 			{At: 60 * time.Minute, Name: "partition-west", Kind: chaos.PartitionCluster, Target: "west"},
@@ -200,7 +104,6 @@ var fedChaosSpecs = map[string]fedChaosSpec{
 	},
 	"c8": {
 		title: "cluster-fail-over: a member dies permanently and placement re-homes all new demand",
-		opts:  fedChaosBaseOptions(4*time.Hour, 5*time.Minute),
 		prog: append([]chaos.Op{
 			{At: 45 * time.Minute, Name: "preload-burst", Kind: chaos.BurstSubmit, N: 8},
 			{At: 90 * time.Minute, Name: "fail-north", Kind: chaos.FailCluster, Target: "north"},
@@ -229,33 +132,52 @@ func FedChaosScenario(name string, seed int64) (FedChaosResult, error) {
 	if !ok {
 		return FedChaosResult{}, fmt.Errorf("scenario: unknown federated chaos scenario %q (have %v)", name, FedChaosNames())
 	}
-	opts := spec.opts
-	opts.Seed = seed
-	r, err := NewFedRunner(opts)
-	if err != nil {
-		return FedChaosResult{}, err
+	s := sim.NewSimulator(seed)
+	fed := federation.New(federation.Config{Seed: seed, Audit: true}, s)
+	for _, cc := range fedChaosMembers() {
+		if _, err := fed.Join(cc); err != nil {
+			return FedChaosResult{}, err
+		}
 	}
-	env := &chaos.Env{
-		Sim:    r.Sim,
-		Fed:    r.Fed,
-		Submit: func() { _, _ = r.SubmitNow() },
+	gen := traffic.NewRequestGenerator(traffic.DefaultProfiles(), fedChaosInterarrival, s.Rand())
+	offered := 0
+	submit := func() {
+		g := gen.Next(s.Now())
+		offered++
+		sla := g.Request.SLA
+		sla.ThroughputMbps *= fedChaosRequestScale
+		sla.PriceEUR *= fedChaosRequestScale
+		sla.PenaltyEUR *= fedChaosRequestScale
+		_, _ = fed.Submit(federation.Request{Tenant: g.Request.Tenant, SLA: sla})
 	}
-	if err := Drive(env, seed, spec.prog, r.StartArrivals, r.opts.Duration); err != nil {
+	startArrivals := func() {
+		fed.Start()
+		var schedule func()
+		schedule = func() {
+			s.After(gen.NextInterarrival(), "arrival", func() {
+				submit()
+				schedule()
+			})
+		}
+		schedule()
+	}
+	env := &chaos.Env{Sim: s, Fed: fed, Submit: submit}
+	if err := Drive(env, seed, spec.prog, startArrivals, fedChaosDuration); err != nil {
 		return FedChaosResult{}, err
 	}
 	res := FedChaosResult{
 		Name:         name,
 		Title:        spec.title,
-		Offered:      r.count,
-		Stats:        r.Fed.Stats(),
-		Gain:         r.Fed.Gain(),
-		ClusterGains: r.Fed.ClusterGains(),
-		Clusters:     r.Fed.ClusterInfos(),
+		Offered:      offered,
+		Stats:        fed.Stats(),
+		Gain:         fed.Gain(),
+		ClusterGains: fed.ClusterGains(),
+		Clusters:     fed.ClusterInfos(),
 		Steps:        env.Log(),
 	}
-	auditors := []*invariant.Auditor{r.Fed.Auditor()}
-	for _, name := range r.Fed.Clusters() {
-		c, _ := r.Fed.Cluster(name)
+	auditors := []*invariant.Auditor{fed.Auditor()}
+	for _, name := range fed.Clusters() {
+		c, _ := fed.Cluster(name)
 		auditors = append(auditors, c.Orchestrator().Auditor())
 	}
 	for _, a := range auditors {

@@ -25,8 +25,6 @@ type Options struct {
 	Seed int64
 	// Duration is the simulated time span (default 6h).
 	Duration time.Duration
-	// WarmupRequests pre-submits this many requests at t=0 (default 0).
-	WarmupRequests int
 	// MeanInterarrival is the mean gap between slice requests
 	// (default 15m). Smaller = higher offered load.
 	MeanInterarrival time.Duration
@@ -34,13 +32,12 @@ type Options struct {
 	Orchestrator core.Config
 	// Testbed scales the environment (zero = demo default).
 	Testbed testbed.Config
-	// Profiles are the tenant archetypes (default traffic.DefaultProfiles).
-	Profiles []traffic.Profile
-	// UEsPerSlice attaches this many user devices to each slice once its
-	// vEPC is serving (default 3 — "user devices associated with the
-	// PLMN-id of the new slices are allowed to connect").
-	UEsPerSlice int
 }
+
+// uesPerSlice user devices attach to each slice once its vEPC is serving
+// ("user devices associated with the PLMN-id of the new slices are allowed
+// to connect").
+const uesPerSlice = 3
 
 func (o Options) withDefaults() Options {
 	if o.Duration <= 0 {
@@ -48,12 +45,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MeanInterarrival <= 0 {
 		o.MeanInterarrival = 15 * time.Minute
-	}
-	if o.Profiles == nil {
-		o.Profiles = traffic.DefaultProfiles()
-	}
-	if o.UEsPerSlice <= 0 {
-		o.UEsPerSlice = 3
 	}
 	return o
 }
@@ -111,7 +102,7 @@ func NewRunner(opts Options) (*Runner, error) {
 		return nil, err
 	}
 	o := core.New(opts.Orchestrator, tb, s, monitor.NewStore(8192))
-	gen := traffic.NewRequestGenerator(opts.Profiles, opts.MeanInterarrival, s.Rand())
+	gen := traffic.NewRequestGenerator(traffic.DefaultProfiles(), opts.MeanInterarrival, s.Rand())
 	return &Runner{Sim: s, TB: tb, Orch: o, Gen: gen, opts: opts}, nil
 }
 
@@ -143,17 +134,16 @@ func (r *Runner) SubmitNow() (*slice.Slice, error) {
 	return sl, err
 }
 
-// scheduleUEAttach attaches the configured UE population once the slice's
-// vEPC is serving (the demo's "after few seconds, user devices ... are
-// allowed to connect").
+// scheduleUEAttach attaches uesPerSlice user devices once the slice's vEPC
+// is serving (the demo's "after few seconds, user devices ... are allowed
+// to connect").
 func (r *Runner) scheduleUEAttach(sl *slice.Slice) {
-	n := r.opts.withDefaults().UEsPerSlice
 	r.Sim.After(30*time.Second, string(sl.ID())+"/ue-attach", func() {
 		if sl.State() != slice.StateActive {
 			return
 		}
 		plmn := sl.PLMN()
-		for i := 0; i < n; i++ {
+		for i := 0; i < uesPerSlice; i++ {
 			r.ueSeq++
 			ue := epc.UE{IMSI: fmt.Sprintf("%s%s%010d", plmn.MCC, plmn.MNC, r.ueSeq), PLMN: plmn}
 			if _, err := r.TB.Ctrl.Cloud.EPCs().Attach(ue, r.Sim.Now()); err == nil {
@@ -204,17 +194,12 @@ func meanOf(store *monitor.Store, name string) float64 {
 	return store.Series(name).WindowStats(0).Mean
 }
 
-// Run executes a full scenario: warm-up submissions, Poisson arrivals, the
-// control loop, and collection after opts.Duration of simulated time.
+// Run executes a full scenario: Poisson arrivals, the control loop, and
+// collection after opts.Duration of simulated time.
 func Run(opts Options) (Result, error) {
 	r, err := NewRunner(opts)
 	if err != nil {
 		return Result{}, err
-	}
-	for i := 0; i < opts.WarmupRequests; i++ {
-		if _, err := r.SubmitNow(); err != nil {
-			return Result{}, err
-		}
 	}
 	r.StartArrivals()
 	if err := r.Sim.RunFor(opts.withDefaults().Duration); err != nil {

@@ -29,30 +29,22 @@ import (
 type Config struct {
 	// ENBs is the number of radio cells (the demo had 2).
 	ENBs int
-	// ENBBandwidth sets each cell's PRB grid.
-	ENBBandwidth ran.Bandwidth
-	// ENBCarriers aggregates this many component carriers of ENBBandwidth
-	// per cell (default 1). Scale-out experiments and the epoch benchmarks
-	// raise it — together with MaxPLMNs and the link capacities — so
-	// thousands of concurrent slices fit the radio grid.
+	// ENBCarriers aggregates this many 20 MHz component carriers per cell
+	// (default 1). Scale-out experiments and the epoch benchmarks raise
+	// it — together with MaxPLMNs and the link capacities — so thousands
+	// of concurrent slices fit the radio grid.
 	ENBCarriers int
 	// MaxPLMNs lifts each cell's MOCN broadcast-list bound (default 6, the
 	// 3GPP SIB1 limit). Scale-out experiments and the concurrent-admission
 	// benchmarks raise it together with core.Config.PLMNLimit so the radio
 	// capacity, not the broadcast list, is what binds.
 	MaxPLMNs int
-	// MeanCQI / CQIStdDev set the radio channel model.
-	MeanCQI   float64
-	CQIStdDev float64
 	// EdgeHosts / CoreHosts are compute nodes per DC.
 	EdgeHosts, CoreHosts int
-	// EdgeHostVCPUs / CoreHostVCPUs size each host.
-	EdgeHostVCPUs, CoreHostVCPUs float64
+	// CoreHostVCPUs sizes each core host.
+	CoreHostVCPUs float64
 	// MmWaveMbps / MicroWaveMbps / WiredMbps are link capacities.
 	MmWaveMbps, MicroWaveMbps, WiredMbps float64
-	// CoreDelayMs is the extra wired delay to the core DC, the quantity
-	// that forces latency-critical slices to the edge.
-	CoreDelayMs float64
 	// RedundantTransport adds a backup switch (sw2) with higher-delay
 	// µWave links from every eNB and wired links to both DCs — the
 	// "different transport network topology configurations" the demo's
@@ -70,6 +62,19 @@ type Config struct {
 	MECHostCPUs float64
 }
 
+const (
+	// enbBandwidth is each cell's PRB grid per carrier.
+	enbBandwidth = ran.BW20MHz
+	// meanCQI is the cells' channel quality; with no CQI spread every
+	// epoch schedules at exactly it.
+	meanCQI = 12
+	// edgeHostVCPUs sizes each edge host.
+	edgeHostVCPUs = 16
+	// coreDelayMs is the extra wired delay to the core DC, the quantity
+	// that forces latency-critical slices to the edge.
+	coreDelayMs = 6.0
+)
+
 // mecProcDelayMs is the per-app processing-latency contribution a MEC
 // deployment charges against the slice's latency budget.
 const mecProcDelayMs = 0.2
@@ -78,17 +83,12 @@ const mecProcDelayMs = 0.2
 func Default() Config {
 	return Config{
 		ENBs:          2,
-		ENBBandwidth:  ran.BW20MHz,
-		MeanCQI:       12,
-		CQIStdDev:     0,
 		EdgeHosts:     2,
 		CoreHosts:     4,
-		EdgeHostVCPUs: 16,
 		CoreHostVCPUs: 32,
 		MmWaveMbps:    1000,
 		MicroWaveMbps: 400,
 		WiredMbps:     10000,
-		CoreDelayMs:   6.0,
 	}
 }
 
@@ -98,20 +98,11 @@ func (c Config) normalize() Config {
 	if c.ENBs <= 0 {
 		c.ENBs = d.ENBs
 	}
-	if c.ENBBandwidth.PRBs() == 0 {
-		c.ENBBandwidth = d.ENBBandwidth
-	}
-	if c.MeanCQI <= 0 {
-		c.MeanCQI = d.MeanCQI
-	}
 	if c.EdgeHosts <= 0 {
 		c.EdgeHosts = d.EdgeHosts
 	}
 	if c.CoreHosts <= 0 {
 		c.CoreHosts = d.CoreHosts
-	}
-	if c.EdgeHostVCPUs <= 0 {
-		c.EdgeHostVCPUs = d.EdgeHostVCPUs
 	}
 	if c.CoreHostVCPUs <= 0 {
 		c.CoreHostVCPUs = d.CoreHostVCPUs
@@ -124,9 +115,6 @@ func (c Config) normalize() Config {
 	}
 	if c.WiredMbps <= 0 {
 		c.WiredMbps = d.WiredMbps
-	}
-	if c.CoreDelayMs <= 0 {
-		c.CoreDelayMs = d.CoreDelayMs
 	}
 	if c.MECHosts > 0 && c.MECHostCPUs <= 0 {
 		c.MECHostCPUs = 8
@@ -157,8 +145,9 @@ type Testbed struct {
 // ENBName returns the i-th eNB name (0-based).
 func ENBName(i int) string { return fmt.Sprintf("enb-%d", i+1) }
 
-// New builds the testbed. rng seeds the radio channel model; nil gives a
-// deterministic mean-CQI channel.
+// New builds the testbed. rng is handed to the cells' channel model, which
+// draws from it only under a CQI spread; the testbed's cells have none, so
+// their channel is the deterministic mean CQI whatever rng is.
 func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 	cfg = cfg.normalize()
 
@@ -167,11 +156,10 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 	for i := 0; i < cfg.ENBs; i++ {
 		e, err := ran.NewENB(ran.Config{
 			Name:      ENBName(i),
-			Bandwidth: cfg.ENBBandwidth,
+			Bandwidth: enbBandwidth,
 			Carriers:  cfg.ENBCarriers,
 			MaxPLMNs:  cfg.MaxPLMNs,
-			MeanCQI:   cfg.MeanCQI,
-			CQIStdDev: cfg.CQIStdDev,
+			MeanCQI:   meanCQI,
 		}, rng)
 		if err != nil {
 			return nil, err
@@ -213,7 +201,7 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 	if err := tn.AddBiLink(Switch, EdgeDC, transport.Wired, cfg.WiredMbps, 0.3); err != nil {
 		return nil, err
 	}
-	if err := tn.AddBiLink(Switch, CoreDC, transport.Wired, cfg.WiredMbps, cfg.CoreDelayMs); err != nil {
+	if err := tn.AddBiLink(Switch, CoreDC, transport.Wired, cfg.WiredMbps, coreDelayMs); err != nil {
 		return nil, err
 	}
 	if cfg.RedundantTransport {
@@ -230,7 +218,7 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 		if err := tn.AddBiLink(BackupSwitch, EdgeDC, transport.Wired, cfg.WiredMbps, 1.0); err != nil {
 			return nil, err
 		}
-		if err := tn.AddBiLink(BackupSwitch, CoreDC, transport.Wired, cfg.WiredMbps, cfg.CoreDelayMs+1); err != nil {
+		if err := tn.AddBiLink(BackupSwitch, CoreDC, transport.Wired, cfg.WiredMbps, coreDelayMs+1); err != nil {
 			return nil, err
 		}
 	}
@@ -239,7 +227,7 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 	region := cloud.NewRegion()
 	edge := cloud.NewDataCenter(EdgeDC, "edge")
 	for i := 0; i < cfg.EdgeHosts; i++ {
-		if err := edge.AddHost(fmt.Sprintf("edge-h%d", i+1), cfg.EdgeHostVCPUs, int(cfg.EdgeHostVCPUs)*4096, 500); err != nil {
+		if err := edge.AddHost(fmt.Sprintf("edge-h%d", i+1), edgeHostVCPUs, edgeHostVCPUs*4096, 500); err != nil {
 			return nil, err
 		}
 	}

@@ -11,7 +11,8 @@
 //
 // Quick start:
 //
-//	sys, _ := overbook.NewSimulated(overbook.Options{Seed: 1, Overbook: true})
+//	sys, _ := overbook.NewSimulated(overbook.Options{Seed: 1,
+//		Orchestrator: &overbook.OrchestratorConfig{Overbook: true}})
 //	sys.Orchestrator.Start()
 //	sl, _ := sys.Orchestrator.Submit(overbook.Request{
 //		Tenant: "acme",
@@ -161,12 +162,9 @@ const (
 type Options struct {
 	// Seed drives all randomness of a simulated system.
 	Seed int64
-	// Overbook enables forecast-based provisioning (the paper's headline
-	// feature). Risk tunes how aggressively (default 0.95).
-	Overbook bool
-	Risk     float64
-	// Orchestrator overrides the full orchestrator config; when set,
-	// Overbook/Risk above are ignored.
+	// Orchestrator configures admission and overbooking; nil is the zero
+	// config, peak provisioning. Overbook in it enables forecast-based
+	// provisioning (the paper's headline feature).
 	Orchestrator *OrchestratorConfig
 	// Testbed overrides the infrastructure scale.
 	Testbed TestbedConfig
@@ -221,7 +219,7 @@ func (o Options) orchConfig() core.Config {
 	if o.Orchestrator != nil {
 		return *o.Orchestrator
 	}
-	return core.Config{Overbook: o.Overbook, Risk: o.Risk}
+	return core.Config{}
 }
 
 // NewSimulated builds a deterministic simulated System: experiments run in

@@ -8,7 +8,7 @@ import (
 )
 
 func TestNewSimulatedQuickstart(t *testing.T) {
-	sys, err := NewSimulated(Options{Seed: 1, Overbook: true})
+	sys, err := NewSimulated(Options{Seed: 1, Orchestrator: &OrchestratorConfig{Overbook: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
