@@ -91,14 +91,6 @@ func (h *Host) evict(vm *VM) {
 	delete(h.vms, vm.ID)
 }
 
-// cpuUtil returns the host's vCPU utilization in [0,1].
-func (h *Host) cpuUtil() float64 {
-	if h.VCPUs <= 0 {
-		return 0
-	}
-	return h.usedVCPUs / h.VCPUs
-}
-
 // VM is one placed instance.
 type VM struct {
 	ID     string `json:"id"`

@@ -128,6 +128,9 @@ func (o *Orchestrator) Auditor() *invariant.Auditor { return o.audit }
 // AuditSweep runs one full conservation/leak sweep immediately, outside the
 // epoch barrier. The crash-recovery harness calls it right after Recover to
 // prove the rebuilt state keeps the books exact. No-op without Config.Audit.
+//
+// Kept: the crash-recovery suites in internal/wal/crashtest sweep every
+// recovered image with it.
 func (o *Orchestrator) AuditSweep() {
 	if o.audit == nil {
 		return

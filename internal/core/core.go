@@ -412,9 +412,6 @@ type InstallTimeline struct {
 	Active    time.Time
 }
 
-// Total returns submission-to-active duration.
-func (tl InstallTimeline) Total() time.Duration { return tl.Active.Sub(tl.Submitted) }
-
 // Timeline returns the installation timeline of a slice, if recorded.
 func (o *Orchestrator) Timeline(id slice.ID) (InstallTimeline, bool) {
 	sh := o.shardFor(id)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -397,6 +399,18 @@ func TestListFiltered(t *testing.T) {
 	for i := 1; i < len(seen); i++ {
 		if seqOf(seen[i]) <= seqOf(seen[i-1]) {
 			t.Fatalf("pagination out of order: %v", seen)
+		}
+	}
+
+	// A token past the newest slice is an empty last page, the largest
+	// one included.
+	for _, tok := range []string{"1000000", strconv.Itoa(math.MaxInt)} {
+		page, err := orch.ListFiltered(ListOptions{PageToken: tok})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(page.Slices) != 0 || page.NextPageToken != "" {
+			t.Fatalf("token %s: %d slices, next %q", tok, len(page.Slices), page.NextPageToken)
 		}
 	}
 

@@ -108,9 +108,12 @@ func (o *Orchestrator) selectPage(opts ListOptions) (pageSelection, error) {
 	for _, sh := range o.shards {
 		run = run[:0]
 		sh.mu.Lock()
-		i, _ := slices.BinarySearchFunc(sh.ordered, after+1, func(e orderedEntry, seq int) int {
+		i, found := slices.BinarySearchFunc(sh.ordered, after, func(e orderedEntry, seq int) int {
 			return cmp.Compare(e.seq, seq)
 		})
+		if found {
+			i++
+		}
 		for _, e := range sh.ordered[i:] {
 			if full(run) || full(best) && e.seq > best[want-1].seq {
 				break

@@ -19,6 +19,8 @@ import (
 // when hysteresis swallowed it or a domain refused). Slices already
 // rejected or terminated are skipped without error — a fleet operation must
 // tolerate members expiring under it; only an unknown ID is an error.
+//
+// Kept: the root TestResizeZeroAllocs measures one resize through it.
 func (o *Orchestrator) Resize(id slice.ID, targetMbps float64) (bool, error) {
 	return o.resizeWith(id, func(m *managedSlice) bool {
 		_, _, changed := o.resizeLocked(m, targetMbps)

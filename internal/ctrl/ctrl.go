@@ -113,9 +113,13 @@ type Binding struct {
 }
 
 // Cells returns the slice's per-cell radio handles. Read-only.
+//
+// Kept: core's TestBindingTracksSubstrate compares it with the substrate.
 func (b *Binding) Cells() []ran.Handle { return b.cells }
 
 // Paths returns the slice's transport path handles, in eNB order. Read-only.
+//
+// Kept: core's TestBindingTracksSubstrate compares it with the substrate.
 func (b *Binding) Paths() []*transport.Reservation { return b.paths }
 
 // RANController manages the radio domain: PLMN-keyed PRB reservations
@@ -554,9 +558,6 @@ func NewCloudController(region *cloud.Region) *CloudController {
 
 // Domain implements Controller.
 func (c *CloudController) Domain() string { return "cloud" }
-
-// Region exposes the underlying data centers.
-func (c *CloudController) Region() *cloud.Region { return c.region }
 
 // EPCs exposes the vEPC registry (UE attach entry point).
 func (c *CloudController) EPCs() *epc.Registry { return c.epcs }

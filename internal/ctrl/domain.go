@@ -398,9 +398,6 @@ func NewMECController(pool *mec.Pool) *MECController { return &MECController{poo
 // Domain implements Controller.
 func (c *MECController) Domain() string { return "mec" }
 
-// Pool exposes the underlying substrate (telemetry, tests).
-func (c *MECController) Pool() *mec.Pool { return c.pool }
-
 // appID derives the slice's edge-app identifier.
 func appID(id slice.ID) string { return string(id) + "/app" }
 

@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/monitor"
 	"repro/internal/slice"
 )
 
@@ -217,11 +216,6 @@ func (h *Handler) gainChartSVG(width, height int) string {
 	fmt.Fprintf(&b, `<text x="140" y="16" fill="#e5484d" font-size="12">penalties (EUR)</text>`)
 	b.WriteString(`</svg>`)
 	return b.String()
-}
-
-// Stats exposes chart-source statistics for tests.
-func (h *Handler) Stats() monitor.Stats {
-	return h.orch.Store().Series("orchestrator/multiplexing_gain").WindowStats(0)
 }
 
 const pageTemplate = `<!DOCTYPE html>

@@ -220,7 +220,7 @@ func TestChartContainsSeriesAfterEpochs(t *testing.T) {
 	if !strings.Contains(svg, "polyline") {
 		t.Fatal("chart has no polylines")
 	}
-	if h.Stats().N == 0 {
+	if orch.Store().Series("orchestrator/multiplexing_gain").WindowStats(0).N == 0 {
 		t.Fatal("no gain samples recorded")
 	}
 }

@@ -177,12 +177,6 @@ func (in *Instance) ID() string { return in.id }
 // PLMN returns the PLMN the instance serves.
 func (in *Instance) PLMN() slice.PLMN { return in.plmn }
 
-// DataCenter returns where the instance runs.
-func (in *Instance) DataCenter() string { return in.dc }
-
-// StackID returns the backing Heat stack.
-func (in *Instance) StackID() string { return in.stack }
-
 // State returns the lifecycle state.
 func (in *Instance) State() State {
 	in.mu.Lock()
@@ -230,30 +224,11 @@ func (in *Instance) Attach(ue UE, now time.Time) (*Bearer, error) {
 	return b, nil
 }
 
-// Detach removes the UE's bearer; unknown IMSIs are a no-op.
-func (in *Instance) Detach(imsi string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	delete(in.bearers, imsi)
-}
-
 // Attached returns the number of attached UEs.
 func (in *Instance) Attached() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return len(in.bearers)
-}
-
-// Bearers returns the bearers sorted by IMSI.
-func (in *Instance) Bearers() []Bearer {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	out := make([]Bearer, 0, len(in.bearers))
-	for _, b := range in.bearers {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].UE.IMSI < out[j].UE.IMSI })
-	return out
 }
 
 // Snapshot is the API view of an instance.
@@ -348,15 +323,6 @@ func (r *Registry) All() []*Instance {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	return out
-}
-
-// TotalAttached sums attached UEs over all instances.
-func (r *Registry) TotalAttached() int {
-	n := 0
-	for _, in := range r.All() {
-		n += in.Attached()
-	}
-	return n
 }
 
 // SizeSteps reports how many flavor steps the user-plane gateways of a

@@ -128,14 +128,6 @@ func (c *Cluster) anchor(r reading) {
 	c.headroom = max(r.advertised-r.ledger, 0)
 }
 
-// Digest renders the tier's transition-written state canonically: two
-// federations that applied the same transitions have equal digests.
-func (f *Federation) Digest() []byte {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.digestLocked()
-}
-
 func (f *Federation) digestLocked() []byte {
 	b := fmt.Appendf(nil, "%d %d %d %d %d %v %v\n",
 		f.spanSeq, f.barriers, f.admitted, f.rejected, f.crossCluster, f.rejectReasons, f.orphans)

@@ -136,9 +136,6 @@ type books struct {
 	partitioned, failed bool
 }
 
-// Name returns the member's name.
-func (c *Cluster) Name() string { return c.cfg.Name }
-
 // Orchestrator returns the member's orchestrator.
 func (c *Cluster) Orchestrator() *core.Orchestrator { return c.orch }
 

@@ -439,7 +439,7 @@ func TestSpanInstallRollsBackOnMemberReject(t *testing.T) {
 	if st.RejectCode != fillCode {
 		t.Fatalf("reject code %q, want the member's %q", st.RejectCode, fillCode)
 	}
-	if prefix := "cluster " + second.Name() + ":"; !strings.HasPrefix(st.Reason, prefix) {
+	if prefix := "cluster " + ex.Legs[1].Cluster + ":"; !strings.HasPrefix(st.Reason, prefix) {
 		t.Fatalf("reason %q lacks %q", st.Reason, prefix)
 	}
 
@@ -454,7 +454,7 @@ func TestSpanInstallRollsBackOnMemberReject(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("earlier leg never reached member %s", first.Name())
+		t.Fatalf("earlier leg never reached member %s", ex.Legs[0].Cluster)
 	}
 
 	after := fed.ClusterInfos()

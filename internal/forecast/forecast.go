@@ -282,43 +282,8 @@ func (hw *HoltWinters) Name() string {
 	return fmt.Sprintf("holt-winters(%.2f,%.2f,%.2f,p=%d)", hw.alpha, hw.beta, hw.gamma, hw.period)
 }
 
-// Ready reports whether the seasonal components are initialised.
-func (hw *HoltWinters) Ready() bool { return hw.ready }
-
 // Reset implements Forecaster.
 func (hw *HoltWinters) Reset() { *hw = *NewHoltWinters(hw.alpha, hw.beta, hw.gamma, hw.period) }
-
-// Clamp wraps a forecaster and clips its output into [lo, hi]. Demands are
-// physical quantities, so negative forecasts (possible with trends) must
-// never reach the provisioning logic.
-type Clamp struct {
-	F      Forecaster
-	Lo, Hi float64
-}
-
-// NewClamp wraps f to output within [lo, hi]; hi <= 0 means unbounded above.
-func NewClamp(f Forecaster, lo, hi float64) *Clamp { return &Clamp{F: f, Lo: lo, Hi: hi} }
-
-// Observe implements Forecaster.
-func (c *Clamp) Observe(v float64) { c.F.Observe(v) }
-
-// Forecast implements Forecaster.
-func (c *Clamp) Forecast() float64 {
-	v := c.F.Forecast()
-	if v < c.Lo {
-		return c.Lo
-	}
-	if c.Hi > 0 && v > c.Hi {
-		return c.Hi
-	}
-	return v
-}
-
-// Name implements Forecaster.
-func (c *Clamp) Name() string { return c.F.Name() + "+clamp" }
-
-// Reset implements Forecaster.
-func (c *Clamp) Reset() { c.F.Reset() }
 
 // zTable holds inverse-normal quantiles for the risk percentiles the
 // overbooking sweep uses. Keys are the one-sided confidence levels.

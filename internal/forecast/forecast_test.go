@@ -91,7 +91,7 @@ func TestHoltWintersLearnsSeasonality(t *testing.T) {
 	for i := 0; i < 10*period; i++ {
 		hw.Observe(season(i))
 	}
-	if !hw.Ready() {
+	if !hw.ready {
 		t.Fatal("Holt-Winters not initialised after 10 periods")
 	}
 	// One-step forecasts over the next period should track the seasonal shape.
@@ -127,24 +127,6 @@ func TestHoltWintersPanicsOnBadPeriod(t *testing.T) {
 		}
 	}()
 	NewHoltWinters(0.3, 0.1, 0.1, 1)
-}
-
-func TestClampBounds(t *testing.T) {
-	h := NewHolt(0.9, 0.9)
-	// Strong downward trend drives raw forecast negative.
-	for v := 100.0; v > 0; v -= 20 {
-		h.Observe(v)
-	}
-	c := NewClamp(h, 0, 50)
-	if got := c.Forecast(); got < 0 {
-		t.Fatalf("clamped forecast %v < 0", got)
-	}
-	e := NewEWMA(1.0)
-	e.Observe(500)
-	c2 := NewClamp(e, 0, 50)
-	if got := c2.Forecast(); got != 50 {
-		t.Fatalf("upper clamp = %v", got)
-	}
 }
 
 func TestZScoreMonotoneAndAnchored(t *testing.T) {
@@ -234,8 +216,8 @@ func TestAccuracyMetrics(t *testing.T) {
 	a.Record(10, 8)  // err +2
 	a.Record(6, 10)  // err -4
 	a.Record(10, 10) // err 0
-	if a.N() != 3 {
-		t.Fatalf("n=%d", a.N())
+	if a.n != 3 {
+		t.Fatalf("n=%d", a.n)
 	}
 	if got := a.MAE(); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("MAE %v", got)

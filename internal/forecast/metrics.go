@@ -35,9 +35,6 @@ func (a *Accuracy) Record(predicted, actual float64) {
 	}
 }
 
-// N returns the number of recorded pairs.
-func (a *Accuracy) N() int { return a.n }
-
 // MAE returns the mean absolute error.
 func (a *Accuracy) MAE() float64 {
 	if a.n == 0 {

@@ -80,14 +80,6 @@ func (s *Store) rollout(id string) *Rollout {
 	return nil
 }
 
-// Digest renders the intent tier's transition-written state canonically:
-// two tiers that applied the same transitions have equal digests.
-func (m *Manager) Digest() []byte {
-	m.store.mu.Lock()
-	defer m.store.mu.Unlock()
-	return m.store.digest()
-}
-
 func (s *Store) digest() []byte {
 	published := make(map[string][]Template)
 	for name, vs := range s.byName {

@@ -319,19 +319,6 @@ func (s *Store) get(name string, version int) (Template, bool) {
 	return vs[version-1], true
 }
 
-// LatestPublished returns the newest published version of the name.
-func (s *Store) LatestPublished(name string) (Template, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	vs := s.byName[name]
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].State == TemplatePublished {
-			return vs[i], true
-		}
-	}
-	return Template{}, false
-}
-
 // List returns every version of every template, names in lexical order,
 // versions ascending — a deterministic catalogue for the API.
 func (s *Store) List() []Template {

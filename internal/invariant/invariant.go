@@ -128,6 +128,8 @@ func (a *Auditor) Violations() []Violation {
 
 // Err returns nil when no invariant was ever breached, or an error
 // summarising the first few violations (and how many more followed).
+//
+// Kept: the chaos and core suites fail on it.
 func (a *Auditor) Err() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()

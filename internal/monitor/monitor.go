@@ -187,14 +187,6 @@ func (r *Rows) privatize() {
 	r.sl.Store(p)
 }
 
-// Add appends one row, evicting the oldest when full: vals[i] goes to column
-// i, columns past len(vals) read zero.
-func (r *Rows) Add(atNanos int64, vals ...float64) {
-	sl, slot := r.lock()
-	defer sl.mu.Unlock()
-	copy(sl.pushLocked(slot, atNanos), vals)
-}
-
 // AddEach appends one row stamped atNanos to every ring in rows: row i goes
 // to rows[i], its column c read from cols[c][i] (columns past len(cols) read
 // zero). It takes one lock per run of consecutive rings that share a slab —
@@ -238,6 +230,8 @@ func NewSeries(name string, capacity int) *Series {
 }
 
 // Name returns the series name.
+//
+// Kept: restapi's TestWireIdentity names each series it compares.
 func (s *Series) Name() string { return s.name }
 
 // Add appends a sample, evicting the oldest when full. On a column of a
@@ -254,14 +248,13 @@ func (s *Series) AddNanos(atNanos int64, v float64) {
 }
 
 // Len returns the number of stored samples.
+//
+// Kept: the core and restapi suites count telemetry rows with it.
 func (s *Series) Len() int {
 	sl, slot := s.rows.rlock()
 	defer sl.mu.RUnlock()
 	return sl.n[slot]
 }
-
-// Capacity returns the ring size.
-func (s *Series) Capacity() int { return s.rows.sl.Load().capacity }
 
 // Last returns the most recent sample, if any.
 func (s *Series) Last() (Sample, bool) {
@@ -312,13 +305,6 @@ func (s *Series) Values(n int) []float64 {
 		out[i] = sl.val[c][j*sl.cols+s.col]
 	}
 	return out
-}
-
-// Since returns all stored samples at or after t, chronological.
-func (s *Series) Since(t time.Time) []Sample {
-	all := s.Window(0)
-	i := sort.Search(len(all), func(i int) bool { return !all[i].At.Before(t) })
-	return all[i:]
 }
 
 // Stats summarises a window of samples.
@@ -474,11 +460,6 @@ func (st *Store) Rows(capacity int, names ...string) *Rows {
 	return r
 }
 
-// Record appends to the named series, creating it if needed.
-func (st *Store) Record(name string, at time.Time, v float64) {
-	st.Series(name).Add(at, v)
-}
-
 // Drop removes the named series from the registry; unknown names are
 // ignored. Handles obtained earlier stay usable, samples included, but are no
 // longer reachable through the store (a ring in the store's slab moves to a
@@ -497,6 +478,8 @@ func (st *Store) Drop(names ...string) {
 }
 
 // Names returns all series names, sorted.
+//
+// Kept: the core, restapi and scenario suites walk the store with it.
 func (st *Store) Names() []string {
 	st.mu.RLock()
 	defer st.mu.RUnlock()

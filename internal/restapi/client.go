@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strings"
 
 	"repro/internal/core"
 	"repro/internal/intent"
@@ -104,6 +103,8 @@ func idemHeader(key string) http.Header {
 }
 
 // Health checks /healthz.
+//
+// Kept: the integration live smoke waits for the daemon with it.
 func (c *Client) Health() error {
 	return c.do(http.MethodGet, "/healthz", nil, nil)
 }
@@ -152,39 +153,6 @@ func (c *Client) Gain() (core.GainReport, error) {
 	var g core.GainReport
 	err := c.do(http.MethodGet, "/api/v2/gain", nil, &g)
 	return g, err
-}
-
-// LastEpoch fetches the snapshot published by the most recent control epoch
-// (GET /api/v2/epoch). Errors with a 404 envelope until the first epoch
-// completes.
-func (c *Client) LastEpoch() (core.EpochSnapshot, error) {
-	var snap core.EpochSnapshot
-	err := c.do(http.MethodGet, "/api/v2/epoch", nil, &snap)
-	return snap, err
-}
-
-// Metrics fetches the latest value of every series.
-func (c *Client) Metrics() (map[string]float64, error) {
-	var out map[string]float64
-	err := c.do(http.MethodGet, "/api/v2/metrics", nil, &out)
-	return out, err
-}
-
-// MetricSeries fetches one series (window = number of most recent samples,
-// 0 for all stored). Each "/"-separated segment of the name is escaped, so a
-// name holding '?', '#', '%' or a space reaches the server intact.
-func (c *Client) MetricSeries(name string, window int) (SeriesResponse, error) {
-	segs := strings.Split(name, "/")
-	for i, seg := range segs {
-		segs[i] = url.PathEscape(seg)
-	}
-	path := "/api/v2/metrics/" + strings.Join(segs, "/")
-	if window > 0 {
-		path += fmt.Sprintf("?window=%d", window)
-	}
-	var out SeriesResponse
-	err := c.do(http.MethodGet, path, nil, &out)
-	return out, err
 }
 
 // Topology fetches the transport link table.
@@ -296,13 +264,6 @@ func (c *Client) PublishTemplate(name string, version int) (intent.Template, err
 func (c *Client) DryRunTemplate(name string, version int, tenant, region string) (core.DryRunReport, error) {
 	var rep core.DryRunReport
 	err := c.do(http.MethodPost, templatePath(name, version, "/dryrun"), DryRunBody{Tenant: tenant, Region: region}, &rep)
-	return rep, err
-}
-
-// DryRunSlice runs the feasibility chain for a raw slice request.
-func (c *Client) DryRunSlice(body SliceRequestBody) (core.DryRunReport, error) {
-	var rep core.DryRunReport
-	err := c.do(http.MethodPost, "/api/v2/dryrun", body, &rep)
 	return rep, err
 }
 

@@ -6,7 +6,6 @@ package restapi
 import (
 	"net/http"
 	"net/url"
-	"strconv"
 
 	"repro/internal/federation"
 	"repro/internal/slice"
@@ -55,29 +54,10 @@ func (c *Client) ExplainPlacement(body FedSliceRequestBody) (federation.Placemen
 	return ex, err
 }
 
-// FedEvents fetches the merged cluster-tagged lifecycle stream (the most
-// recent limit events overall; 0 uses the server default).
-func (c *Client) FedEvents(limit int) ([]federation.ClusterEvent, error) {
-	path := "/api/v2/federation/events"
-	if limit > 0 {
-		path += "?limit=" + strconv.Itoa(limit)
-	}
-	var out []federation.ClusterEvent
-	err := c.do(http.MethodGet, path, nil, &out)
-	return out, err
-}
-
 // FedGain fetches the federation-wide aggregated gain report plus the
 // per-member reports.
 func (c *Client) FedGain() (FedGainResponse, error) {
 	var out FedGainResponse
 	err := c.do(http.MethodGet, "/api/v2/federation/gain", nil, &out)
-	return out, err
-}
-
-// FedStats fetches the federation-tier placement counters.
-func (c *Client) FedStats() (federation.Stats, error) {
-	var out federation.Stats
-	err := c.do(http.MethodGet, "/api/v2/federation/stats", nil, &out)
 	return out, err
 }

@@ -2,6 +2,7 @@ package restapi
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -37,6 +38,8 @@ func fuzzOrch(tb testing.TB) (*Server, *core.Orchestrator, *sim.Simulator) {
 // with a well-formed JSON body, and a 200 page must respect the limit and
 // equal, byte for byte, encoding/json over ListFiltered with the same options
 // (the handler assembles it from cached fragments, see wire_identity_test.go).
+// Independently of ListFiltered, every slice on a page resumed from a numeric
+// token was submitted after it: its ID's sequence exceeds the token.
 func FuzzV2ListQuery(f *testing.F) {
 	srv, orch, s := fuzzOrch(f)
 	for i := 0; i < 8; i++ {
@@ -58,6 +61,7 @@ func FuzzV2ListQuery(f *testing.F) {
 	f.Add("installing", "", "", "99999999999999999999", "99999999999999999999")
 	f.Add("", "", "", "1e3", "-1")
 	f.Add("terminated", "tenant-0", "plmn-exhausted", "", "\x00\xff")
+	f.Add("", "", "", "", strconv.Itoa(math.MaxInt))
 
 	f.Fuzz(func(t *testing.T, state, tenant, rejectCode, limit, pageToken string) {
 		q := url.Values{}
@@ -80,6 +84,14 @@ func FuzzV2ListQuery(f *testing.F) {
 			n, _ := strconv.Atoi(limit) // a 200 means it parsed, or was absent
 			if n > 0 && len(page.Slices) > n {
 				t.Fatalf("limit %d ignored: %d slices returned", n, len(page.Slices))
+			}
+			if after, err := strconv.Atoi(pageToken); err == nil {
+				for _, sn := range page.Slices {
+					seq, err := strconv.Atoi(strings.TrimPrefix(string(sn.ID), "s-"))
+					if err != nil || seq <= after {
+						t.Fatalf("page after token %d holds %s", after, sn.ID)
+					}
+				}
 			}
 			checkListIdentity(t, orch, core.ListOptions{
 				State: state, Tenant: tenant, RejectCode: slice.RejectCode(rejectCode), Limit: n, PageToken: pageToken,

@@ -277,7 +277,7 @@ func TestMetricSeriesEscapedName(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL)
 	for i, name := range []string{"odd/a b", "odd/what?x=1", "odd/c#d", "odd/100%", "odd/%41/sub dir/z"} {
-		orch.Store().Record(name, time.Unix(int64(i), 0), float64(i+1))
+		orch.Store().Series(name).Add(time.Unix(int64(i), 0), float64(i+1))
 		got, err := c.MetricSeries(name, 0)
 		if err != nil {
 			t.Fatalf("%q: %v", name, err)

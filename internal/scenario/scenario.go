@@ -153,12 +153,6 @@ func (r *Runner) scheduleUEAttach(sl *slice.Slice) {
 	})
 }
 
-// AttachedUEs reports how many user devices successfully attached so far.
-func (r *Runner) AttachedUEs() int { return r.attached }
-
-// Offered returns the number of requests generated so far.
-func (r *Runner) Offered() int { return r.count }
-
 // Collect summarises the run so far.
 func (r *Runner) Collect() Result {
 	g := r.Orch.Gain()

@@ -10,8 +10,8 @@
 //
 // Scheduling (Now, At, After, Every, Event.Cancel) is safe for concurrent
 // use on both clocks, so the concurrent orchestrator core can install
-// timers from parallel admissions. Advancing a Simulator (Step, RunUntil,
-// RunFor, Drain) and drawing from Rand remain single-goroutine operations:
+// timers from parallel admissions. Advancing a Simulator (RunUntil,
+// RunFor) and drawing from Rand remain single-goroutine operations:
 // one driver advances virtual time, which is what keeps experiments
 // deterministic.
 package sim
@@ -59,12 +59,6 @@ type Event struct {
 	index    int    // heap index, -1 when not queued
 }
 
-// When returns the time the event is due to fire next.
-func (e *Event) When() time.Time { return e.when }
-
-// Name returns the diagnostic label the event was scheduled with.
-func (e *Event) Name() string { return e.name }
-
 // Cancel prevents the event from firing again. Cancelling an already-fired
 // one-shot event is a no-op. Cancel is safe to call from inside the event's
 // own callback (this is how periodic tasks stop themselves) and from any
@@ -109,8 +103,8 @@ func (q *eventQueue) Pop() any {
 
 // Simulator is a deterministic discrete-event engine. Scheduling and Now
 // are safe for concurrent use (the concurrent orchestrator installs timers
-// from parallel goroutines); advancing time (Step, RunUntil, RunFor, Drain)
-// and Rand are driven by a single goroutine, which is what removes every
+// from parallel goroutines); advancing time (RunUntil, RunFor) and Rand
+// are driven by a single goroutine, which is what removes every
 // race from the experiments.
 type Simulator struct {
 	mu    sync.Mutex
@@ -144,13 +138,6 @@ func (s *Simulator) Now() time.Time {
 // never from the global rand, so a seed fully determines a run. It is not
 // synchronized: only the driving goroutine may draw from it.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
-
-// Pending reports how many events are queued.
-func (s *Simulator) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}
 
 // At implements Scheduler.
 func (s *Simulator) At(t time.Time, name string, fn func()) *Event {
@@ -191,13 +178,6 @@ func (s *Simulator) Every(d time.Duration, name string, fn func()) *Event {
 // ErrDeadlock is returned by RunUntil when the queue drains before the
 // target time is reached and no progress can be made.
 var ErrDeadlock = errors.New("sim: event queue empty before target time")
-
-// Step executes the single earliest event, advancing the clock to its due
-// time. It reports whether an event was executed. The callback runs without
-// the scheduler lock held, so it may schedule or cancel events freely.
-func (s *Simulator) Step() bool {
-	return s.step(time.Time{}, false)
-}
 
 // step pops and executes the earliest live event. When bounded, events due
 // after limit stay queued and step reports false — this keeps RunUntil from
@@ -249,20 +229,6 @@ func (s *Simulator) RunUntil(t time.Time) error {
 // RunFor advances the clock by d, executing everything due in the window.
 func (s *Simulator) RunFor(d time.Duration) error {
 	return s.RunUntil(s.Now().Add(d))
-}
-
-// Drain runs until the queue is empty or maxEvents callbacks have fired.
-// It returns the number of events executed. maxEvents <= 0 means unbounded —
-// only safe when no periodic events are registered.
-func (s *Simulator) Drain(maxEvents int) int {
-	n := 0
-	for s.Step() {
-		n++
-		if maxEvents > 0 && n >= maxEvents {
-			break
-		}
-	}
-	return n
 }
 
 // RealtimeClock adapts wall-clock time to the Scheduler interface so the

@@ -325,9 +325,6 @@ func New(id ID, req Request) (*Slice, error) {
 // ID returns the slice identifier.
 func (s *Slice) ID() ID { return s.id }
 
-// Request returns the originating request.
-func (s *Slice) Request() Request { return s.req }
-
 // SLA returns the contract.
 func (s *Slice) SLA() SLA { return s.req.SLA }
 

@@ -274,6 +274,8 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 
 // MustNew is New panicking on error, for tests and examples where the
 // default config is known-good.
+//
+// Kept: the ctrl and integration suites build their testbeds with it.
 func MustNew(cfg Config, rng *rand.Rand) *Testbed {
 	tb, err := New(cfg, rng)
 	if err != nil {

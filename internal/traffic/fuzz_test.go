@@ -32,7 +32,6 @@ func FuzzDemandModels(f *testing.F) {
 			NewConstant(rate, jitter, rng),
 			NewDiurnal(base, swing, peak, noise, rng),
 			NewBursty(quiet, burst, pBurst, pCalm, noise, rng),
-			NewTrace("fuzz", []float64{rate, base, swing, quiet}, time.Minute, origin),
 			&FlashCrowd{
 				Base:      NewConstant(rate, jitter, rng),
 				Start:     origin.Add(30 * time.Minute),

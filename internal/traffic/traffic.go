@@ -177,48 +177,6 @@ func (f *FlashCrowd) Mean() float64 { return f.Base.Mean() }
 // Name implements Demand.
 func (f *FlashCrowd) Name() string { return f.Base.Name() + "+flashcrowd" }
 
-// Trace replays a fixed series, one value per epoch, cycling at the end —
-// the hook for feeding recorded testbed traces through the same pipeline.
-type Trace struct {
-	Values []float64
-	Epoch  time.Duration
-	Origin time.Time
-	label  string
-}
-
-// NewTrace returns a demand process replaying values with the given epoch,
-// anchored at origin.
-func NewTrace(label string, values []float64, epoch time.Duration, origin time.Time) *Trace {
-	if len(values) == 0 {
-		values = []float64{0}
-	}
-	if epoch <= 0 {
-		epoch = time.Minute
-	}
-	return &Trace{Values: values, Epoch: epoch, Origin: origin, label: label}
-}
-
-// Sample implements Demand.
-func (tr *Trace) Sample(t time.Time) float64 {
-	idx := int(t.Sub(tr.Origin)/tr.Epoch) % len(tr.Values)
-	if idx < 0 {
-		idx += len(tr.Values)
-	}
-	return clampNonNeg(tr.Values[idx])
-}
-
-// Mean implements Demand.
-func (tr *Trace) Mean() float64 {
-	s := 0.0
-	for _, v := range tr.Values {
-		s += v
-	}
-	return s / float64(len(tr.Values))
-}
-
-// Name implements Demand.
-func (tr *Trace) Name() string { return "trace(" + tr.label + ")" }
-
 // clampNonNeg sanitizes a demand sample: negative rates clamp to zero, and
 // non-finite values (NaN from hostile parameters, ±Inf from overflowed
 // arithmetic) collapse to zero outright — a single NaN sample would

@@ -109,42 +109,6 @@ func TestFlashCrowdWindow(t *testing.T) {
 	}
 }
 
-func TestTraceReplayAndCycle(t *testing.T) {
-	tr := NewTrace("t", []float64{1, 2, 3}, time.Minute, t0)
-	cases := []struct {
-		at   time.Time
-		want float64
-	}{
-		{t0, 1},
-		{t0.Add(time.Minute), 2},
-		{t0.Add(2 * time.Minute), 3},
-		{t0.Add(3 * time.Minute), 1}, // cycles
-		{t0.Add(90 * time.Second), 2},
-	}
-	for _, c := range cases {
-		if got := tr.Sample(c.at); got != c.want {
-			t.Fatalf("trace at %v = %v, want %v", c.at, got, c.want)
-		}
-	}
-	if tr.Mean() != 2 {
-		t.Fatalf("trace mean %v", tr.Mean())
-	}
-}
-
-func TestTraceBeforeOriginWraps(t *testing.T) {
-	tr := NewTrace("t", []float64{1, 2, 3}, time.Minute, t0)
-	if got := tr.Sample(t0.Add(-time.Minute)); got != 3 {
-		t.Fatalf("pre-origin sample %v", got)
-	}
-}
-
-func TestTraceEmptyDefaults(t *testing.T) {
-	tr := NewTrace("e", nil, 0, t0)
-	if got := tr.Sample(t0); got != 0 {
-		t.Fatalf("empty trace sample %v", got)
-	}
-}
-
 func TestDefaultProfilesCoverAllClasses(t *testing.T) {
 	ps := DefaultProfiles()
 	seen := map[slice.ServiceClass]bool{}

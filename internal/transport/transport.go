@@ -104,6 +104,8 @@ func (l *Link) key() string { return l.From + "->" + l.To }
 func (l *Link) ResidualMbps() float64 { return l.CapacityMbps - l.reservedMbps }
 
 // ReservedMbps returns currently reserved bandwidth.
+//
+// Kept: the ctrl and core restoration suites check the books with it.
 func (l *Link) ReservedMbps() float64 { return l.reservedMbps }
 
 // Utilization returns reserved/capacity in [0,1].
@@ -331,18 +333,6 @@ func (n *Network) Link(from, to string) (Link, bool) {
 	return cp, true
 }
 
-// Nodes returns node names sorted.
-func (n *Network) Nodes() []string {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // NodesOfKind returns the sorted names of nodes with the given kind.
 func (n *Network) NodesOfKind(kind NodeKind) []string {
 	n.mu.RLock()
@@ -529,6 +519,8 @@ func (n *Network) Reservation(pathID string) (Reservation, bool) {
 // Holds reports whether r is a live handle of this network: the reservation
 // registered under its path ID, not one released before the ID was reserved
 // again.
+//
+// Kept: core's TestBindingTracksSubstrate checks every held path with it.
 func (n *Network) Holds(r *Reservation) bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()

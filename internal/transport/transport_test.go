@@ -333,9 +333,6 @@ func TestNodesOfKind(t *testing.T) {
 	if got := len(n.NodesOfKind(KindSwitch)); got != 2 {
 		t.Fatalf("switches %d", got)
 	}
-	if got := len(n.Nodes()); got != 6 {
-		t.Fatalf("nodes %d", got)
-	}
 }
 
 func TestSnapshotSortedComplete(t *testing.T) {

@@ -130,6 +130,10 @@ const snapshotEvery = 8
 
 // RunReference runs the canned single-cluster chaos scenario name (c1..c6,
 // c9) at the given shard count as a reference run.
+//
+// Kept: the package is the crash-recovery suites' harness;
+// TestCrashRecoveryEquivalence and TestCrashRecoveryC9 run their reference
+// through it.
 func RunReference(name string, seed int64, shards int) (*Reference, error) {
 	opts, prog, err := scenario.ChaosProgram(name, seed, shards)
 	if err != nil {
@@ -176,6 +180,9 @@ func (ref *Reference) Image(n int) *wal.Recovered {
 // Recover rebuilds an orchestrator from the crash image after n records,
 // onto a fresh default-environment testbed with the auditor attached, and
 // returns it.
+//
+// Kept: TestCrashRecoveryC9 and TestResizeTeardownCrashWindows recover each
+// crash image through it.
 func (ref *Reference) Recover(n int) (*core.Orchestrator, *core.RecoveryReport, error) {
 	return recoverImage(ref, ref.Image(n))
 }
@@ -200,6 +207,9 @@ func recoverImage(ref *Reference, img *wal.Recovered) (*core.Orchestrator, *core
 // an evenly strided subset (always keeping the first and the final
 // boundary) otherwise. Returned values are record counts; IsBoundary tells
 // digest-comparable points apart from mid-operation ones.
+//
+// Kept: TestCrashRecoveryEquivalence and TestCrashRecoveryC9 pick their crash
+// points with it.
 func (ref *Reference) CrashPoints(maxBoundaries, maxMidOp int) (points []int, boundary map[int]*Boundary) {
 	boundary = make(map[int]*Boundary)
 	for i := range ref.Sink.Boundaries {

@@ -293,6 +293,8 @@ func writeFileAtomic(dir, name string, data []byte) error {
 }
 
 // LastSeq returns the sequence of the most recently appended record.
+//
+// Kept: core's TestRecoverResumesAppending reads the log head with it.
 func (w *Writer) LastSeq() uint64 { return w.seq }
 
 // Append buffers one record. The sequence must be exactly LastSeq()+1.

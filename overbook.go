@@ -186,21 +186,6 @@ type System struct {
 	walWriter *wal.Writer
 }
 
-// Shutdown stops the control loop, publishes the terminal EventShutdown on
-// the event bus — so draining Watch/SSE subscribers observe a clean end of
-// stream instead of a silent cut — flushes the write-ahead log and closes
-// it. The returned event is the published terminal marker. Safe on systems
-// without persistence; the System stays readable afterwards.
-//
-// A daemon that is still draining an HTTP server should not use this
-// one-shot form: call Orchestrator.Shutdown first, drain the server while
-// the log is still open (late mutations that are acknowledged stay
-// durable), then CloseWAL — see cmd/orchestrator.
-func (s *System) Shutdown() (Event, error) {
-	ev := s.Orchestrator.Shutdown()
-	return ev, s.CloseWAL()
-}
-
 // CloseWAL detaches the persistence sink and closes the write-ahead log.
 // The close is serialized against in-flight appends by the orchestrator's
 // persistence mutex; mutations arriving afterwards proceed without
@@ -252,8 +237,8 @@ func NewLive(opts Options) (*System, error) {
 // orchestrator is rebuilt by deterministic crash recovery — checkpoint plus
 // log-tail replay — before serving; an empty directory starts fresh with
 // durability on. Orchestrator.PersistStatus reports the recovery outcome
-// (also served at GET /api/v2/recovery). Call System.Shutdown to flush and
-// close the log on exit.
+// (also served at GET /api/v2/recovery). On exit call
+// Orchestrator.Shutdown, then CloseWAL to flush and close the log.
 func NewLiveDurable(opts Options, dataDir string) (*System, error) {
 	clock := sim.NewRealtimeClock()
 	tb, err := testbed.New(opts.Testbed, rand.New(rand.NewSource(opts.Seed)))
