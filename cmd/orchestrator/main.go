@@ -115,10 +115,6 @@ func main() {
 		err error
 	)
 	if *dataDir != "" {
-		if err := os.MkdirAll(*dataDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "orchestrator:", err)
-			os.Exit(1)
-		}
 		sys, err = overbook.NewLiveDurable(opts, *dataDir)
 	} else {
 		sys, err = overbook.NewLive(opts)

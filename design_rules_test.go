@@ -59,6 +59,7 @@ var designRules = []struct {
 	{"Margins in one batch", ruleMarginsInOneBatch},
 	{"Scenarios are data", ruleScenariosAreData},
 	{"WAL rotates, never rewrites", ruleWALRotates},
+	{"One door to the disk", ruleOneDoorToTheDisk},
 	{"Options have shipped callers", ruleOptionsHaveShippedSetters},
 	{"Functions have callers", ruleFunctionsHaveCallers},
 }
@@ -294,7 +295,11 @@ func (c *designCode) lookup(t *testing.T, pkg, name string, member ...string) ty
 		t.Fatalf("%s.%s not declared", pkg, name)
 	}
 	for _, m := range member {
-		o, _, _ := types.LookupFieldOrMethod(types.NewPointer(obj.Type()), true, p, m)
+		typ := obj.Type()
+		if !types.IsInterface(typ) {
+			typ = types.NewPointer(typ) // a pointer's method set holds every method
+		}
+		o, _, _ := types.LookupFieldOrMethod(typ, true, p, m)
 		if o == nil {
 			t.Fatalf("%s.%s has no member %s", pkg, name, m)
 		}
@@ -1146,18 +1151,20 @@ func ruleScenariosAreData(t *testing.T, c *designCode) {
 // WAL rotates, never rewrites: a checkpoint seals wal.log as a
 // wal-<last>.log segment and starts an empty one (DESIGN.md §9.1): no log
 // file is read back or rewritten while the daemon runs. Publishing wal.log
-// through writeFileAtomic, or reading a file or decoding a record stream
-// anywhere in the package's shipped code but Load, is log compaction
-// coming back.
+// through writeFileAtomic, or reading a file through the file-system seam
+// or decoding a record stream anywhere in the package's shipped code but
+// load (Load's body), is log compaction coming back.
 func ruleWALRotates(t *testing.T, c *designCode) {
 	const wal = "repro/internal/wal"
 	atomicWrite := c.lookup(t, wal, "writeFileAtomic")
 	logName := c.lookup(t, wal, "logName")
 	decode := c.lookup(t, wal, "DecodeStream")
+	readFile := c.lookup(t, wal, "fileSystem", "ReadFile")
+	osReadFile := c.lookup(t, wal, "osFS", "ReadFile")
 	files := c.shipped(`^` + wal + `$`)
 	c.eachUse(files, func(fd *ast.FuncDecl, id *ast.Ident, obj types.Object) {
-		if (obj == decode || isObj(obj, "os", "ReadFile")) && (fd == nil || fd.Recv != nil || fd.Name.Name != "Load") {
-			t.Errorf("%s: %s outside Load", c.at(id.Pos()), obj.Name())
+		if (obj == decode || obj == readFile || obj == osReadFile) && (fd == nil || fd.Recv != nil || fd.Name.Name != "load") {
+			t.Errorf("%s: %s outside load", c.at(id.Pos()), obj.Name())
 		}
 	})
 	for _, f := range files {
@@ -1171,6 +1178,25 @@ func ruleWALRotates(t *testing.T, c *designCode) {
 			return true
 		})
 	}
+}
+
+// One door to the disk: internal/wal reaches the file system only through
+// its fileSystem seam (DESIGN.md §9.1), whose one shipped implementation is
+// osFS, so a test can log or fail every operation the log performs. Outside
+// osFS's methods the package's shipped code uses no function of package os
+// and no *os.File method, however it reaches them.
+func ruleOneDoorToTheDisk(t *testing.T, c *designCode) {
+	const wal = "repro/internal/wal"
+	c.eachUse(c.shipped(`^`+wal+`$`), func(fd *ast.FuncDecl, id *ast.Ident, obj types.Object) {
+		fn, ok := obj.(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "os" {
+			return
+		}
+		if fd != nil && isMethodOf(c.info.Defs[fd.Name], "osFS") {
+			return
+		}
+		t.Errorf("%s: %s outside osFS", c.at(id.Pos()), fn.FullName())
+	})
 }
 
 // Options have shipped callers: the structs a caller fills to assemble a

@@ -67,14 +67,9 @@ func (o *Orchestrator) buildCheckpointLocked() []byte {
 // waiting out any in-flight group flush — because Snapshot both syncs the
 // log and rotates it (sealing wal.log and swapping the writer's file handle
 // to a fresh one), which must never overlap a staged write still holding
-// the old handle. For a StagedSink the snapshot's own sync advances the
-// durable frontier (anchor == walSeq at the cut, at or past every queued
-// commit target), so queued operations are released durable without
-// another fsync. For probing sinks
-// (§9.2 crashtest) the frontier is deliberately NOT advanced: those sinks
-// observe every operation boundary through Committed, and swallowing the
-// boundary that follows a checkpoint would shift their captured commit
-// stream relative to the pre-group-commit contract.
+// the old handle. The snapshot's own sync advances the durable frontier
+// (anchor == walSeq at the cut, at or past every queued commit target), so
+// queued operations are released durable without another fsync.
 func (o *Orchestrator) checkpoint() {
 	if o.persist == nil {
 		return
@@ -106,12 +101,11 @@ func (o *Orchestrator) checkpoint() {
 	}
 	o.persistMu.Unlock()
 
-	_, staged := o.persist.(StagedSink)
 	g.mu.Lock()
 	g.flushing = false
 	if ran && err == nil {
 		g.fsyncs++
-		if staged && anchor > g.durable {
+		if anchor > g.durable {
 			g.durable = anchor
 		}
 		// The snapshot's sync may already cover every member of the

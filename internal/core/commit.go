@@ -18,7 +18,8 @@ var errPersistClosed = errors.New("core: persistence closed")
 // commitGroup is the group-commit state machine (DESIGN.md §12). Its mutex
 // is independent of persistMu and never held while acquiring it: the
 // per-operation path goes persistMu → release → commit.mu, and the leader's
-// flush goes commit.mu → release → persistMu → flush.
+// flush goes commit.mu → release → persistMu (capture) → release → the
+// sink's durability step.
 type commitGroup struct {
 	mu   sync.Mutex
 	cond sync.Cond
@@ -157,11 +158,12 @@ func (o *Orchestrator) commitPersist() {
 }
 
 // flushCommit performs one durability barrier covering every record
-// appended so far, returning the covered sequence. For a StagedSink the
-// capture happens under persistMu but the write+fsync runs outside it, so
-// concurrent operations keep appending records while the disk works; the
-// caller's leadership (commitGroup.flushing) guarantees staged steps are
-// serialized in capture order. Failures latch persistErr.
+// appended so far, returning the covered sequence. The capture happens
+// under persistMu; the durability step — StageCommit's for a StagedSink,
+// the sink's Committed otherwise — runs outside it, so concurrent
+// operations keep appending records while the disk works. The caller's
+// leadership (commitGroup.flushing) serializes the steps in capture order.
+// Failures latch persistErr.
 func (o *Orchestrator) flushCommit() (uint64, error) {
 	o.persistMu.Lock()
 	if o.persistErr != nil || o.persistClosed {
@@ -173,24 +175,19 @@ func (o *Orchestrator) flushCommit() (uint64, error) {
 		return 0, err
 	}
 	covered := o.walSeq
+	step := o.persist.Committed
 	if ss, ok := o.persist.(StagedSink); ok {
-		step := ss.StageCommit()
-		o.persistMu.Unlock()
-		err := step()
-		if err != nil {
-			o.persistMu.Lock()
-			if o.persistErr == nil {
-				o.persistErr = err
-			}
-			o.persistMu.Unlock()
-		}
-		return covered, err
-	}
-	err := o.persist.Committed()
-	if err != nil {
-		o.persistErr = err
+		step = ss.StageCommit()
 	}
 	o.persistMu.Unlock()
+	err := step()
+	if err != nil {
+		o.persistMu.Lock()
+		if o.persistErr == nil {
+			o.persistErr = err
+		}
+		o.persistMu.Unlock()
+	}
 	return covered, err
 }
 

@@ -30,41 +30,42 @@ import (
 // record. The durability contract is unchanged — commitPersist still does
 // not return while the operation's records are only buffered — but the
 // fsync cost is amortized across however many operations were in flight,
-// and because the file write + fsync run outside persistMu (StagedSink),
-// appends keep flowing while the disk works. A lone committer degenerates
-// to the old synchronous per-op fsync, so single-driver simulations and the
-// §9.2 crashtest harness see byte- and boundary-identical behaviour.
+// and because every sink's durability step runs outside persistMu, appends
+// keep flowing while the disk works. A lone committer degenerates to the
+// old synchronous per-op fsync.
 
 // Sink receives the orchestrator's write-ahead records. The production
 // implementation wraps *wal.Writer (see WALSink); crash-point tests
 // substitute an in-memory sink that snapshots digests at commit boundaries.
 //
-// Append may be called under shard locks and epochMu (it must only buffer).
-// Committed and Snapshot are only ever invoked with no orchestrator lock
-// held except the persistence mutex, so a Sink whose Committed reads back
-// orchestrator state (List, Gain, StateDigest) is safe under a
-// single-driver clock; such read-back sinks are for deterministic tests
-// only, not for live concurrent deployments.
+// One lock contract holds for every sink. Append and Snapshot run under the
+// persistence mutex, Append possibly under shard locks and epochMu as well,
+// so it must only buffer. Committed runs outside the mutex with no
+// orchestrator lock held; commit leadership serializes it with every other
+// durability step, Snapshot and the close hook. Other operations may append
+// while it runs. A Sink whose Committed reads orchestrator state back (List,
+// Gain, StateDigest) is therefore safe only under a single-driver clock: a
+// deterministic test, never a live deployment.
 type Sink interface {
 	// Append buffers one record. Sequence numbers are contiguous from 1.
 	Append(rec wal.Record) error
-	// Committed marks the operation boundary: everything appended so far
-	// must become durable (fsync for the file-backed sink).
+	// Committed marks the operation boundary: everything appended before
+	// it was called must become durable (fsync for the file-backed sink).
 	Committed() error
 	// Snapshot durably checkpoints a full-state blob anchored at record
 	// sequence seq; records up to and including seq are folded into it.
+	// A completed Snapshot is a durability barrier: operations whose
+	// records it covers are released without a Committed call.
 	Snapshot(seq uint64, blob []byte) error
 }
 
-// StagedSink is the optional fast path a Sink can provide for group commit:
-// StageCommit is called under the persistence mutex and must capture
-// everything appended so far, returning a step that makes the capture
-// durable. The step runs outside the persistence mutex — concurrent
-// operations keep appending while the disk works — and the commit-group
-// leadership protocol guarantees at most one staged step is in flight at a
-// time, issued in capture order, with Snapshot/Close quiesced around it.
-// Sinks without StageCommit (the crashtest digest probes) are committed
-// under the persistence mutex exactly as before group commit.
+// StagedSink is a Sink whose commit splits in two for group commit:
+// StageCommit runs under the persistence mutex and captures everything
+// appended so far; the step it returns makes the capture durable and runs
+// outside the mutex, in place of Committed. Commit leadership keeps at
+// most one step in flight, issues them in capture order, and never lets
+// one overlap Snapshot or the close hook — the WAL writer's Snapshot and
+// Close replace the file handle a step captured.
 type StagedSink interface {
 	Sink
 	StageCommit() func() error

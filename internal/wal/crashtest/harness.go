@@ -52,9 +52,12 @@ type Snap struct {
 	Blob    []byte
 }
 
-// Sink is the in-memory core.Sink of the reference run. Committed reads the
-// orchestrator's state digest back through the Digest probe — legal only
-// under a single-driver simulated clock (see core.Sink docs).
+// Sink is the in-memory core.Sink of the reference run. It commits like the
+// daemon's WAL sink: core calls Committed outside its persistence mutex,
+// and a completed Snapshot is a durability barrier that stands in for the
+// commit after it. Both record a boundary and read the orchestrator's
+// state digest back through the Digest probe — legal only under a
+// single-driver simulated clock (see core.Sink docs).
 type Sink struct {
 	mu sync.Mutex
 	// Digest is bound to the orchestrator's StateDigest after construction
@@ -102,16 +105,21 @@ func (s *Sink) Committed() error {
 	return nil
 }
 
-// Snapshot captures a checkpoint blob.
+// Snapshot captures a checkpoint blob and marks the boundary it makes
+// durable: core releases the operations the checkpoint covers without a
+// Committed call. Snapshot runs under core's persistence mutex, so the
+// probe takes the shard locks inside it — the reverse of core's lock
+// order, harmless only because nothing else runs in a single-driver
+// reference run.
 func (s *Sink) Snapshot(seq uint64, blob []byte) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.Snapshots = append(s.Snapshots, Snap{
 		Records: len(s.Records),
 		Seq:     seq,
 		Blob:    append([]byte(nil), blob...),
 	})
-	return nil
+	s.mu.Unlock()
+	return s.Committed()
 }
 
 // Reference is one uncrashed chaos-program run with its full persistence

@@ -81,7 +81,7 @@ func TestRotationCrashStates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFileAtomic(dir, "snapshot-8.snap", framed); err != nil {
+		if err := writeFileAtomic(osFS{}, dir, "snapshot-8.snap", framed); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,7 +36,8 @@
 // the directory — so a crash never yields a half-written file under a final
 // name, nor a rename that is lost after something was discarded on the
 // strength of it. A checkpoint seals wal.log under its segment name and
-// starts an empty one; no file is ever rewritten.
+// starts an empty one; no file is ever rewritten. Every one of these
+// operations reaches the disk through the fileSystem seam (fs.go).
 package wal
 
 import (
@@ -218,8 +219,9 @@ func DecodeSnapshot(b []byte) (seq uint64, payload []byte, err error) {
 // fsync: Append buffers in memory, Sync writes the batch and fsyncs. It is
 // not safe for concurrent use; internal/core serializes access.
 type Writer struct {
+	fs   fileSystem
 	dir  string
-	f    *os.File
+	f    file
 	pend []byte
 	seq  uint64
 	// free is a single-slot recycling rack for pending buffers detached by
@@ -234,33 +236,55 @@ type Writer struct {
 // Create opens (creating if needed) the write-ahead log in dir for
 // appending. lastSeq is the sequence of the last record already present —
 // 0 for a fresh directory, or Recovered.LastSeq when resuming after
-// recovery.
+// recovery. A directory it creates is fsynced into its parent before Create
+// returns.
 func Create(dir string, lastSeq uint64) (*Writer, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	return create(osFS{}, dir, lastSeq)
+}
+
+func create(fsys fileSystem, dir string, lastSeq uint64) (*Writer, error) {
+	// The directories whose entries must be durable before any fsynced
+	// record in dir can be: dir itself, for the wal.log Create may make, and
+	// the parent of each directory MkdirAll is about to make.
+	syncs := []string{dir}
+	for p := dir; ; p = filepath.Dir(p) {
+		_, err := fsys.Stat(p)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("wal: create dir: %w", err)
+		}
+		syncs = append(syncs, filepath.Dir(p))
+	}
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: create dir: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := fsys.OpenFile(filepath.Join(dir, logName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open log: %w", err)
 	}
-	// The log may have just been made: its directory entry must be durable
-	// before any fsynced record in it can be.
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: fsync dir: %w", err)
+	for _, d := range syncs {
+		if err := syncDir(fsys, d); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("wal: fsync dir: %w", err)
+		}
 	}
-	return &Writer{dir: dir, f: f, seq: lastSeq}, nil
+	return &Writer{fs: fsys, dir: dir, f: f, seq: lastSeq}, nil
 }
 
 // syncDir fsyncs a directory, making the creations and renames inside it
 // durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
+func syncDir(fsys fileSystem, dir string) error {
+	d, err := fsys.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
-	defer d.Close()
-	return d.Sync()
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // writeFileAtomic publishes data under dir/name so that a crash at any point
@@ -268,10 +292,10 @@ func syncDir(dir string) error {
 // temporary name, fsync, rename over the final name, fsync the directory —
 // without the last step the rename itself can be lost, and with it whatever
 // the caller went on to discard on the strength of it.
-func writeFileAtomic(dir, name string, data []byte) error {
+func writeFileAtomic(fsys fileSystem, dir, name string, data []byte) error {
 	final := filepath.Join(dir, name)
 	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
@@ -283,13 +307,13 @@ func writeFileAtomic(dir, name string, data []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, final)
+		err = fsys.Rename(tmp, final)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		fsys.Remove(tmp)
 		return err
 	}
-	return syncDir(dir)
+	return syncDir(fsys, dir)
 }
 
 // LastSeq returns the sequence of the most recently appended record.
@@ -377,41 +401,48 @@ func (w *Writer) Snapshot(seq uint64, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(w.dir, seqName(snapPrefix, seq, snapSuffix), framed); err != nil {
+	if err := writeFileAtomic(w.fs, w.dir, seqName(snapPrefix, seq, snapSuffix), framed); err != nil {
 		return fmt.Errorf("wal: publish snapshot: %w", err)
 	}
 	// An empty wal.log holds no record since the last rotation: sealing it
 	// would name a second segment after the same last record.
-	if st, err := w.f.Stat(); err != nil {
+	path := filepath.Join(w.dir, logName)
+	if st, err := w.fs.Stat(path); err != nil {
 		return fmt.Errorf("wal: stat log: %w", err)
 	} else if st.Size() > 0 {
-		path := filepath.Join(w.dir, logName)
-		if err := os.Rename(path, filepath.Join(w.dir, seqName(segPrefix, w.seq, segSuffix))); err != nil {
+		if err := w.fs.Rename(path, filepath.Join(w.dir, seqName(segPrefix, w.seq, segSuffix))); err != nil {
 			return fmt.Errorf("wal: seal log: %w", err)
 		}
-		nf, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		nf, err := w.fs.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: open log: %w", err)
 		}
-		w.f.Close()
+		sealed := w.f
 		w.f = nf
-		if err := syncDir(w.dir); err != nil {
+		if err := sealed.Close(); err != nil {
+			return fmt.Errorf("wal: close sealed log: %w", err)
+		}
+		if err := syncDir(w.fs, w.dir); err != nil {
 			return fmt.Errorf("wal: fsync dir: %w", err)
 		}
 	}
 	// Prune to one fallback generation, prev; before a second checkpoint
-	// prev is 0 and every segment is kept.
+	// prev is 0 and every segment is kept. Pruning only saves space, so a
+	// directory it cannot list or a file it cannot remove is left for the
+	// next checkpoint: their errors are dropped.
 	var prev uint64
-	for _, n := range seqFiles(w.dir, snapPrefix, snapSuffix) {
+	snaps, _ := seqFiles(w.fs, w.dir, snapPrefix, snapSuffix)
+	for _, n := range snaps {
 		if n < seq && prev == 0 {
 			prev = n
 		} else if n < prev {
-			os.Remove(filepath.Join(w.dir, seqName(snapPrefix, n, snapSuffix)))
+			w.fs.Remove(filepath.Join(w.dir, seqName(snapPrefix, n, snapSuffix)))
 		}
 	}
-	for _, n := range seqFiles(w.dir, segPrefix, segSuffix) {
+	segs, _ := seqFiles(w.fs, w.dir, segPrefix, segSuffix)
+	for _, n := range segs {
 		if n <= prev {
-			os.Remove(filepath.Join(w.dir, seqName(segPrefix, n, segSuffix)))
+			w.fs.Remove(filepath.Join(w.dir, seqName(segPrefix, n, segSuffix)))
 		}
 	}
 	return nil
@@ -424,10 +455,10 @@ func seqName(prefix string, n uint64, suffix string) string {
 
 // seqFiles lists the sequence numbers of the files in dir named
 // prefix<seq>suffix, newest first.
-func seqFiles(dir, prefix, suffix string) []uint64 {
-	entries, err := os.ReadDir(dir)
+func seqFiles(fsys fileSystem, dir, prefix, suffix string) ([]uint64, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil
+		return nil, err
 	}
 	var seqs []uint64
 	for _, e := range entries {
@@ -442,7 +473,7 @@ func seqFiles(dir, prefix, suffix string) []uint64 {
 		seqs = append(seqs, n)
 	}
 	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	return seqs
+	return seqs, nil
 }
 
 // Close syncs pending records and closes the log file.
@@ -480,7 +511,11 @@ type Recovered struct {
 // never need it. Call it with Recovered.LogBytes when Recovered.TornTail is
 // set, before Create.
 func Repair(dir string, validBytes int64) error {
-	if err := os.Truncate(filepath.Join(dir, logName), validBytes); err != nil {
+	return repair(osFS{}, dir, validBytes)
+}
+
+func repair(fsys fileSystem, dir string, validBytes int64) error {
+	if err := fsys.Truncate(filepath.Join(dir, logName), validBytes); err != nil {
 		return fmt.Errorf("wal: repair log: %w", err)
 	}
 	return nil
@@ -495,16 +530,24 @@ func Repair(dir string, validBytes int64) error {
 // tail of wal.log is a hard error: a segment was fsynced whole before it
 // was sealed, so one that ends mid-record is ErrCorrupt.
 func Load(dir string) (*Recovered, error) {
+	return load(osFS{}, dir)
+}
+
+func load(fsys fileSystem, dir string) (*Recovered, error) {
 	out := &Recovered{}
 
-	if _, err := os.Stat(dir); errors.Is(err, os.ErrNotExist) {
+	if _, err := fsys.Stat(dir); errors.Is(err, os.ErrNotExist) {
 		return out, nil
 	} else if err != nil {
 		return nil, fmt.Errorf("wal: read dir: %w", err)
 	}
 
-	for _, n := range seqFiles(dir, snapPrefix, snapSuffix) {
-		raw, err := os.ReadFile(filepath.Join(dir, seqName(snapPrefix, n, snapSuffix)))
+	snaps, err := seqFiles(fsys, dir, snapPrefix, snapSuffix)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read dir: %w", err)
+	}
+	for _, n := range snaps {
+		raw, err := fsys.ReadFile(filepath.Join(dir, seqName(snapPrefix, n, snapSuffix)))
 		if err != nil {
 			continue
 		}
@@ -518,13 +561,16 @@ func Load(dir string) (*Recovered, error) {
 	}
 
 	var recs []Record
-	segs := seqFiles(dir, segPrefix, segSuffix)
+	segs, err := seqFiles(fsys, dir, segPrefix, segSuffix)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read dir: %w", err)
+	}
 	for i := len(segs) - 1; i >= 0; i-- {
 		if segs[i] <= out.SnapshotSeq {
 			continue // folded into the snapshot whole
 		}
 		name := seqName(segPrefix, segs[i], segSuffix)
-		raw, err := os.ReadFile(filepath.Join(dir, name))
+		raw, err := fsys.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("wal: read segment: %w", err)
 		}
@@ -538,7 +584,7 @@ func Load(dir string) (*Recovered, error) {
 		recs = append(recs, seg...)
 	}
 
-	raw, err := os.ReadFile(filepath.Join(dir, logName))
+	raw, err := fsys.ReadFile(filepath.Join(dir, logName))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("wal: read log: %w", err)
 	}
