@@ -106,9 +106,8 @@ func TestAdmitAllocCeiling(t *testing.T) {
 // maps, telemetry batches). Since the domain controllers and the
 // orchestrator resolve their telemetry series once, it spends a budget that
 // does not grow with the slice count: a base of the gain fold's
-// reject-reason map, with slack for a GC emptying the resize grant-list pool
-// mid-run, and three per violation for its event's detail string (the
-// string and its two boxed floats).
+// reject-reason map, with slack, and three per violation for its event's
+// detail string (the string and its two boxed floats).
 func TestEpochAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -141,17 +140,15 @@ func TestEpochAllocCeiling(t *testing.T) {
 // TestResizeZeroAllocs pins what one reconfiguration that goes through — the
 // unit of the epoch's commit phase — allocates on a warm system with no WAL:
 // nothing. The radio and transport resizes run through handles resolved at
-// install, each grant is a view of the slice's binding, the grant list comes
-// from and returns to its pool, the radio grant writes the PRBs into the
+// install, each grant is a view of the slice's binding, the grant list is an
+// array on the caller's stack, the radio grant writes the PRBs into the
 // allocation's own map, the slice is read once and written once, and the
 // resize event is published by value. (The epoch ceiling above cannot see a
-// single allocation per resize come back; this can.) It runs plain and with
-// an identity ctrl.Set.Wrap installed: a decorated system allocates no more
+// single allocation per resize come back; this can.) No sync.Pool is on the
+// path, so it holds under the race detector too. It runs plain and with an
+// identity ctrl.Set.Wrap installed: a decorated system allocates no more
 // than the shipped one.
 func TestResizeZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
-	}
 	for _, tc := range []struct {
 		name string
 		wrap func(ctrl.Domain) ctrl.Domain
@@ -170,7 +167,7 @@ func TestResizeZeroAllocs(t *testing.T) {
 					t.Fatalf("resize to %.1f Mbps: changed=%v err=%v", targets[i%2], changed, err)
 				}
 			}
-			for i := 0; i < 8; i++ { // warm the grant-list pool
+			for i := 0; i < 8; i++ { // warm up before counting
 				resize(i)
 			}
 			i := 0

@@ -49,7 +49,8 @@ func runFederation(addr string, n int, seed int64, epoch time.Duration, audit bo
 
 	log.Printf("federated slicing orchestrator listening on %s (clusters=%d epoch=%v audit=%v)",
 		addr, n, epoch, audit)
-	log.Printf("registry: http://localhost%s/api/v2/federation/clusters  spans: http://localhost%s/api/v2/federation/slices", addr, addr)
+	base := baseURL(addr)
+	log.Printf("registry: %s/api/v2/federation/clusters  spans: %s/api/v2/federation/slices", base, base)
 
 	srv := &http.Server{Addr: addr, Handler: mux}
 	errCh := make(chan error, 1)

@@ -32,6 +32,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // profiler endpoints on the -pprof listener's DefaultServeMux
 	"os"
@@ -140,7 +141,8 @@ func main() {
 
 	log.Printf("end-to-end slicing orchestrator listening on %s (overbook=%v risk=%.2f epoch=%v durable=%v)",
 		*addr, *doOver, *risk, *epoch, *dataDir != "")
-	log.Printf("dashboard: http://localhost%s/  API: http://localhost%s/api/v2/slices  events: http://localhost%s/api/v2/events", *addr, *addr, *addr)
+	base := baseURL(*addr)
+	log.Printf("dashboard: %s/  API: %s/api/v2/slices  events: %s/api/v2/events", base, base, base)
 
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	errCh := make(chan error, 1)
@@ -170,4 +172,18 @@ func main() {
 	if err := sys.CloseWAL(); err != nil {
 		log.Printf("shutdown: wal close: %v", err)
 	}
+}
+
+// baseURL is the URL of the server listening on addr, for the log: the
+// address's host, or localhost when it names none (":8080" listens on every
+// interface).
+func baseURL(addr string) string {
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return "http://" + addr
+	}
+	if host == "" {
+		host = "localhost"
+	}
+	return "http://" + net.JoinHostPort(host, port)
 }

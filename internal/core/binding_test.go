@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -152,6 +153,37 @@ func TestBindingTracksSubstrate(t *testing.T) {
 		}
 		checkBindings(t, o, "degradation shrink")
 		audited(t, o)
+	})
+
+	// A fade between two resizes to the same target. Once the slice sits at
+	// the target, a second resize there moves no cell — one PRB on each cell
+	// is more than the 10 Mbps slice's hysteresis band, so a shrink that
+	// clears the band rounds back to the PRBs it holds — and after cell 0
+	// fades, the same resize sizes the throughput onto its extra PRBs. After
+	// each resize the allocation's PRB map names what the cells hold.
+	t.Run("fade", func(t *testing.T) {
+		o := installed(t, cfg)
+		sl, ok := o.Get("s-3")
+		if !ok || sl.SLA().ThroughputMbps != 10 {
+			t.Fatalf("s-3 is %v, want the 10 Mbps slice", sl)
+		}
+		const target = 3.5 // 0.62 Mbps under its 4-PRB grant, band 0.5
+		resize := func(step string) map[string]int {
+			t.Helper()
+			if changed, err := o.Resize(sl.ID(), target); err != nil || !changed {
+				t.Fatalf("%s: changed %v, %v", step, changed, err)
+			}
+			checkBindings(t, o, step)
+			return sl.Allocation().PRBs
+		}
+		held := resize("resize to the target")
+		if got := resize("resize before the fade"); !reflect.DeepEqual(got, held) {
+			t.Fatalf("the resize before the fade moved %v to %v; the step needs one that moves no cell", held, got)
+		}
+		o.tb.RAN.All()[0].SetMeanCQI(4)
+		if got := resize("resize in the fade"); reflect.DeepEqual(got, held) {
+			t.Fatalf("the resize in the fade left %v; the step proves nothing", got)
+		}
 	})
 
 	t.Run("install abort", func(t *testing.T) {

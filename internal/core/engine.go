@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/ctrl"
 	"repro/internal/slice"
 )
@@ -122,24 +120,11 @@ type domainGrant struct {
 	g ctrl.Grant
 }
 
-// grantsPool reuses the per-transaction grant list (install and resize
-// both build one per request on the hot path). The pool stores slice
-// pointers so a Put never re-allocates the header.
-var grantsPool = sync.Pool{New: func() any {
-	s := make([]domainGrant, 0, 8)
-	return &s
-}}
-
-func getGrants() *[]domainGrant { return grantsPool.Get().(*[]domainGrant) }
-
-// putGrants clears and returns the grant list to the pool.
-func putGrants(gs *[]domainGrant) {
-	for i := range *gs {
-		(*gs)[i] = domainGrant{}
-	}
-	*gs = (*gs)[:0]
-	grantsPool.Put(gs)
-}
+// grantList is the stack array a caller of reserveAll or resizeAll passes
+// the engine to append its grant list into: one entry per registered domain,
+// with room for the testbed's four, so neither the install nor the resize
+// allocates one.
+type grantList [8]domainGrant
 
 // abortGrants rolls back in reverse acquisition order. Each abort is
 // panic-contained (safeAbort): one misbehaving domain must not strand the
@@ -151,9 +136,9 @@ func abortGrants(grants []domainGrant) {
 }
 
 // reserveAll runs phase one of the install transaction across the chain and
-// the concurrent group. On success the returned (pooled) grant list is in
-// logical acquisition order (chain, then concurrent group in registration
-// order) and the caller must hand it back via putGrants; on failure
+// the concurrent group, appending the grants to gs (the caller's array, see
+// grantList). On success the returned grant list is in logical acquisition
+// order (chain, then concurrent group in registration order); on failure
 // everything already granted has been aborted in reverse order and the first
 // failure (chain before concurrent group, both in registration order) is
 // returned.
@@ -167,7 +152,7 @@ func abortGrants(grants []domainGrant) {
 // requests" (Section 3). The squeeze locks every shard, so the caller's
 // shard lock is released around it (the newcomer is unpublished; nothing
 // observes the gap) and re-acquired before retrying.
-func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (*[]domainGrant, *slice.RejectionCause) {
+func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64, gs []domainGrant) ([]domainGrant, *slice.RejectionCause) {
 	// The concurrent group reserves inline at its dispatch point. It used to
 	// run on per-request goroutines overlapping the chain; the group's
 	// substrates (cloud compute, MEC pool) are disjoint from the chain's
@@ -189,7 +174,6 @@ func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (
 		joined = append(joined, asyncResult{g, cause})
 	}
 
-	gs := getGrants()
 	var failure *slice.RejectionCause
 	for i, d := range o.domains.chain {
 		g, cause := safeReserve(d, tx)
@@ -210,7 +194,7 @@ func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (
 			failure = cause
 			break
 		}
-		*gs = append(*gs, domainGrant{d: d, g: g})
+		gs = append(gs, domainGrant{d: d, g: g})
 		if m := g.EffectiveMbps(); m > 0 {
 			tx.Mbps = m
 		}
@@ -222,14 +206,13 @@ func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64) (
 	for i, res := range joined {
 		switch {
 		case res.cause == nil:
-			*gs = append(*gs, domainGrant{d: o.domains.async[i], g: res.g})
+			gs = append(gs, domainGrant{d: o.domains.async[i], g: res.g})
 		case failure == nil:
 			failure = res.cause
 		}
 	}
 	if failure != nil {
-		abortGrants(*gs)
-		putGrants(gs)
+		abortGrants(gs)
 		return nil, failure
 	}
 	return gs, nil
@@ -260,11 +243,10 @@ func (o *Orchestrator) releaseAll(id slice.ID, p slice.PLMN) {
 // order, threading each grant's effective throughput into the next stage
 // exactly like installation does. On any failure the already-resized
 // domains are restored to prev in reverse order and false is returned; on
-// success the returned (pooled) grant list (entries may hold nil grants)
-// records the allocation changes for the caller to apply and then return
-// via putGrants.
-func (o *Orchestrator) resizeAll(tx ctrl.Tx, target, prev float64) (*[]domainGrant, bool) {
-	gs := getGrants()
+// success the grant list appended to gs (the caller's array, see grantList;
+// entries may hold nil grants) records the allocation changes for the
+// caller to apply.
+func (o *Orchestrator) resizeAll(tx ctrl.Tx, target, prev float64, gs []domainGrant) ([]domainGrant, bool) {
 	carried := target
 	for i, d := range o.domains.all {
 		g, err := d.Resize(tx, carried)
@@ -272,10 +254,9 @@ func (o *Orchestrator) resizeAll(tx ctrl.Tx, target, prev float64) (*[]domainGra
 			for j := i - 1; j >= 0; j-- {
 				o.domains.all[j].Resize(tx, prev) // restoration grants are never applied
 			}
-			putGrants(gs)
 			return nil, false
 		}
-		*gs = append(*gs, domainGrant{d: d, g: g})
+		gs = append(gs, domainGrant{d: d, g: g})
 		if g != nil {
 			if m := g.EffectiveMbps(); m > 0 {
 				carried = m

@@ -64,21 +64,19 @@ func (o *Orchestrator) install(sh *shard, m *managedSlice, dcName string) (activ
 	}
 
 	// 2. The multi-domain two-phase transaction.
-	gs, cause := o.reserveAll(sh, o.sliceTx(m, plmn, dcName, sla.ThroughputMbps), o.admissionEstimate(sla))
+	var buf grantList
+	grants, cause := o.reserveAll(sh, o.sliceTx(m, plmn, dcName, sla.ThroughputMbps), o.admissionEstimate(sla), buf[:0])
 	if cause != nil {
 		o.plmns.Release(plmn)
 		return time.Time{}, errReject{cause}
 	}
-	grants := *gs
 	if cause := commitGrants(grants); cause != nil {
-		putGrants(gs)
 		o.plmns.Release(plmn)
 		return time.Time{}, errReject{cause}
 	}
 
 	if err := s.Admit(); err != nil {
 		abortGrants(grants)
-		putGrants(gs)
 		o.plmns.Release(plmn)
 		return time.Time{}, err
 	}
@@ -92,7 +90,6 @@ func (o *Orchestrator) install(sh *shard, m *managedSlice, dcName string) (activ
 			}
 		}
 	})
-	putGrants(gs)
 
 	// Installation stage timeline (Fig. 2 workflow). Resources are already
 	// committed; the stages model configuration latency, so they end at
@@ -243,7 +240,8 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) (alloca
 	if !resize {
 		return before, live, false
 	}
-	gs, ok := o.resizeAll(o.sliceTx(m, v.PLMN, v.DataCenter, 0), v.TargetMbps, before)
+	var buf grantList
+	gs, ok := o.resizeAll(o.sliceTx(m, v.PLMN, v.DataCenter, 0), v.TargetMbps, before, buf[:0])
 	if !ok {
 		if v.State == slice.StateActive {
 			m.s.EndReconfigure()
@@ -253,13 +251,12 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) (alloca
 	// The event is published after the Reconfiguring -> Active transition, so
 	// it carries the post-transition state.
 	after := m.s.CommitReconfigure(func(a *slice.Allocation) {
-		for _, dg := range *gs {
+		for _, dg := range gs {
 			if dg.g != nil {
 				dg.g.Apply(a)
 			}
 		}
 	})
-	putGrants(gs)
 	ev := o.publishView(EventResized, m.s, after, "")
 	// The engine threads the radio-quantized throughput into transport and
 	// MEC, so the post-apply allocation is what every domain saw.

@@ -3,6 +3,7 @@ package ctrl_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -239,6 +240,50 @@ func TestRANStaleHandleNeverResizes(t *testing.T) {
 	}
 	if len(bB.Cells()) != 0 {
 		t.Fatalf("failed impose bound %d cells", len(bB.Cells()))
+	}
+}
+
+// TestRANApplyWritesOnlyMovedPRBs: the radio grant of a resize that moves no
+// cell writes the throughput but no PRB map entry; one that moves a cell
+// writes every cell's PRBs again.
+func TestRANApplyWritesOnlyMovedPRBs(t *testing.T) {
+	tb := newTB(t)
+	c := tb.Ctrl.RAN
+	b := new(ctrl.Binding)
+	g, cause := c.Reserve(ctrl.Tx{PLMN: plmnA, Mbps: 20, Binding: b})
+	if cause != nil {
+		t.Fatal(cause)
+	}
+	var a slice.Allocation
+	g.Apply(&a)
+	held := maps.Clone(a.PRBs)
+	for name := range a.PRBs {
+		a.PRBs[name] = -1 // only a map write overwrites it
+	}
+	a.AllocatedMbps = 0
+	resize := func(mbps float64) {
+		t.Helper()
+		g, err := c.Resize(ctrl.Tx{Binding: b}, mbps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Apply(&a)
+		if a.AllocatedMbps != g.EffectiveMbps() {
+			t.Fatalf("resize to %v: allocation at %v Mbps, grant %v", mbps, a.AllocatedMbps, g.EffectiveMbps())
+		}
+	}
+	resize(20)
+	for name, n := range a.PRBs {
+		if n != -1 {
+			t.Fatalf("a resize that moved no cell wrote %s = %d", name, n)
+		}
+	}
+	resize(40)
+	for name, n := range a.PRBs {
+		e, _ := tb.RAN.Get(name)
+		if got, ok := e.Reservation(plmnA); !ok || n != got || n <= held[name] {
+			t.Fatalf("after a growing resize the allocation holds %s = %d, the cell %d (was %d)", name, n, got, held[name])
+		}
 	}
 }
 

@@ -150,19 +150,26 @@ func TestLoadFailsOnUnlistableDir(t *testing.T) {
 		t.Fatalf("clean load: last %d snapshot %d, want 5 and 5", rec.LastSeq, rec.SnapshotSeq)
 	}
 
-	// Load lists the directory twice, for snapshots and for segments; fail
+	// Load lists the directory once, for snapshots and segments alike; fail
 	// each listing in turn.
-	for nth := 1; nth <= 2; nth++ {
-		listings := 0
+	listings := func(failNth int) (int, *Recovered, error) {
+		n := 0
 		fsys := &faultFS{root: dir, fail: func(_ int, op string) bool {
 			if strings.HasPrefix(op, "readdir ") {
-				listings++
-				return listings == nth
+				n++
+				return n == failNth
 			}
 			return false
 		}}
 		rec, err := load(fsys, dir)
-		if !errors.Is(err, errInjected) {
+		return n, rec, err
+	}
+	clean, _, err := listings(0)
+	if err != nil || clean != 1 {
+		t.Fatalf("a clean load listed the directory %d times (%v), want once", clean, err)
+	}
+	for nth := 1; nth <= clean; nth++ {
+		if _, rec, err := listings(nth); !errors.Is(err, errInjected) {
 			t.Errorf("load failing listing %d returned %+v, %v; want the ReadDir error", nth, rec, err)
 		}
 	}

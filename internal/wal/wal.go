@@ -431,7 +431,7 @@ func (w *Writer) Snapshot(seq uint64, payload []byte) error {
 	// directory it cannot list or a file it cannot remove is left for the
 	// next checkpoint: their errors are dropped.
 	var prev uint64
-	snaps, _ := seqFiles(w.fs, w.dir, snapPrefix, snapSuffix)
+	snaps, segs, _ := seqFiles(w.fs, w.dir)
 	for _, n := range snaps {
 		if n < seq && prev == 0 {
 			prev = n
@@ -439,7 +439,6 @@ func (w *Writer) Snapshot(seq uint64, payload []byte) error {
 			w.fs.Remove(filepath.Join(w.dir, seqName(snapPrefix, n, snapSuffix)))
 		}
 	}
-	segs, _ := seqFiles(w.fs, w.dir, segPrefix, segSuffix)
 	for _, n := range segs {
 		if n <= prev {
 			w.fs.Remove(filepath.Join(w.dir, seqName(segPrefix, n, segSuffix)))
@@ -453,27 +452,35 @@ func seqName(prefix string, n uint64, suffix string) string {
 	return prefix + strconv.FormatUint(n, 10) + suffix
 }
 
-// seqFiles lists the sequence numbers of the files in dir named
-// prefix<seq>suffix, newest first.
-func seqFiles(fsys fileSystem, dir, prefix, suffix string) ([]uint64, error) {
+// seqFiles lists dir once and returns the sequence numbers of its snapshots
+// (snapPrefix<seq>snapSuffix) and sealed segments (segPrefix<seq>segSuffix),
+// each newest first.
+func seqFiles(fsys fileSystem, dir string) (snaps, segs []uint64, err error) {
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var seqs []uint64
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
-			continue
+		if n, ok := seqOf(name, snapPrefix, snapSuffix); ok {
+			snaps = append(snaps, n)
+		} else if n, ok := seqOf(name, segPrefix, segSuffix); ok {
+			segs = append(segs, n)
 		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
-		if err != nil {
-			continue
-		}
-		seqs = append(seqs, n)
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	return seqs, nil
+	for _, seqs := range [][]uint64{snaps, segs} {
+		sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
+	}
+	return snaps, segs, nil
+}
+
+// seqOf parses the sequence number of a file named prefix<seq>suffix.
+func seqOf(name, prefix, suffix string) (uint64, bool) {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		return 0, false
+	}
+	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
+	return n, err == nil
 }
 
 // Close syncs pending records and closes the log file.
@@ -542,7 +549,7 @@ func load(fsys fileSystem, dir string) (*Recovered, error) {
 		return nil, fmt.Errorf("wal: read dir: %w", err)
 	}
 
-	snaps, err := seqFiles(fsys, dir, snapPrefix, snapSuffix)
+	snaps, segs, err := seqFiles(fsys, dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: read dir: %w", err)
 	}
@@ -561,10 +568,6 @@ func load(fsys fileSystem, dir string) (*Recovered, error) {
 	}
 
 	var recs []Record
-	segs, err := seqFiles(fsys, dir, segPrefix, segSuffix)
-	if err != nil {
-		return nil, fmt.Errorf("wal: read dir: %w", err)
-	}
 	for i := len(segs) - 1; i >= 0; i-- {
 		if segs[i] <= out.SnapshotSeq {
 			continue // folded into the snapshot whole
