@@ -1,5 +1,5 @@
 // Command experiments regenerates every figure and demonstration claim of
-// the paper (see DESIGN.md §4 and EXPERIMENTS.md): the Fig.-2 installation
+// the paper (see DESIGN.md §4 and docs/design/04-experiments-and-benchmarks.md): the Fig.-2 installation
 // timeline, admission vs. load with and without overbooking, the dashboard
 // gain/penalty series, forecaster accuracy, the overbooking risk trade-off,
 // per-domain utilization, and latency-driven placement with the rejection

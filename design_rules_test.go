@@ -1200,22 +1200,31 @@ func ruleOneDoorToTheDisk(t *testing.T, c *designCode) {
 }
 
 // Options have shipped callers: the structs a caller fills to assemble a
-// system (overbook.Options, core.Config, testbed.Config, scenario.Options)
-// keep a field only while shipped code — every non-test file outside
-// examples/ — sets it by a keyed literal or an assignment. A value no
+// system or a tier (overbook.Options and FederationOptions, core.Config,
+// testbed.Config, ran.Config, invariant.Options, intent.Config,
+// federation.Config and ClusterConfig, scenario.Options) keep a field only
+// while shipped code — every non-test file outside examples/ — sets it by a
+// keyed literal or an assignment. A value no
 // shipped caller varies is a constant, not another configuration for the
 // tests to cover; scenario.FedOptions, folded into FedChaosScenario, stays
-// deleted. The struct's own defaulting — its methods and a parameterless
-// function returning it, such as testbed.Default — only fills zeros and is
-// not a setter.
+// deleted. The struct's own defaulting — its methods, a function of its
+// package taking it, such as ran.NewENB, and a parameterless function
+// returning it, such as testbed.Default — only fills zeros and is not a
+// setter.
 func ruleOptionsHaveShippedSetters(t *testing.T, c *designCode) {
 	optionStructs := []struct {
 		pkg, name string
 		folded    bool
 	}{
 		{"repro", "Options", false},
+		{"repro", "FederationOptions", false},
 		{"repro/internal/core", "Config", false},
 		{"repro/internal/testbed", "Config", false},
+		{"repro/internal/ran", "Config", false},
+		{"repro/internal/invariant", "Options", false},
+		{"repro/internal/intent", "Config", false},
+		{"repro/internal/federation", "Config", false},
+		{"repro/internal/federation", "ClusterConfig", false},
 		{"repro/internal/scenario", "Options", false},
 		{"repro/internal/scenario", "FedOptions", true},
 	}
@@ -1314,8 +1323,9 @@ func markSelector(lhs ast.Expr, info *types.Info, target func(types.Type) *types
 }
 
 // defaultedBy returns the option struct decl fills defaults for: decl is a
-// method of it, or a function of its package that takes nothing and
-// returns it.
+// method of it, a function of its package that takes it (a constructor
+// filling zeros, such as ran.NewENB), or a function of its package that
+// takes nothing and returns it.
 func defaultedBy(decl ast.Decl, info *types.Info, target func(types.Type) *types.TypeName) *types.TypeName {
 	fd, ok := decl.(*ast.FuncDecl)
 	if !ok {
@@ -1324,6 +1334,11 @@ func defaultedBy(decl ast.Decl, info *types.Info, target func(types.Type) *types
 	sig := info.Defs[fd.Name].(*types.Func).Type().(*types.Signature)
 	if sig.Recv() != nil {
 		return target(sig.Recv().Type())
+	}
+	for i := 0; i < sig.Params().Len(); i++ {
+		if tn := target(sig.Params().At(i).Type()); tn != nil && tn.Pkg() == info.Defs[fd.Name].Pkg() {
+			return tn
+		}
 	}
 	if sig.Params().Len() == 0 && sig.Results().Len() == 1 {
 		if tn := target(sig.Results().At(0).Type()); tn != nil && tn.Pkg() == info.Defs[fd.Name].Pkg() {

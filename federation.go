@@ -40,13 +40,13 @@ const RejectClusterUnavailable = slice.RejectClusterUnavailable
 
 // FederationOptions assembles a FederationSystem.
 type FederationOptions struct {
-	// Seed drives the per-member testbed randomness (derived per member
-	// name, so outcomes are independent of cluster declaration order).
+	// Seed drives the simulated clock's randomness (NewSimulatedFederation;
+	// a live federation draws none). Member testbeds draw no randomness, so
+	// outcomes are independent of cluster declaration order.
 	Seed int64
 	// Clusters are the member clusters to join (at least one).
 	Clusters []ClusterConfig
-	// Federation tunes the barrier period and the conservation auditor;
-	// its Seed field is overridden by Seed above.
+	// Federation tunes the barrier period and the conservation auditor.
 	Federation FederationConfig
 }
 
@@ -61,9 +61,7 @@ type FederationSystem struct {
 }
 
 func assembleFederation(clock sim.Scheduler, opts FederationOptions) (*Federation, error) {
-	cfg := opts.Federation
-	cfg.Seed = opts.Seed
-	fed := federation.New(cfg, clock)
+	fed := federation.New(opts.Federation, clock)
 	for _, cc := range opts.Clusters {
 		if _, err := fed.Join(cc); err != nil {
 			return nil, err

@@ -173,7 +173,7 @@ func TestFlashCrowdRaisesDemand(t *testing.T) {
 // Apply, and are no-ops on an environment without one.
 func TestClusterOps(t *testing.T) {
 	s := sim.NewSimulator(5)
-	fed := federation.New(federation.Config{Seed: 5, Audit: true}, s)
+	fed := federation.New(federation.Config{Audit: true}, s)
 	for _, name := range []string{"east", "west"} {
 		if _, err := fed.Join(federation.ClusterConfig{Name: name, Orchestrator: core.Config{Audit: true}}); err != nil {
 			t.Fatal(err)

@@ -353,7 +353,7 @@ func New(cfg Config, tb *testbed.Testbed, clock sim.Scheduler, store *monitor.St
 		clock:     clock,
 		tb:        tb,
 		store:     store,
-		plmns:     slice.NewPLMNAllocator("001", cfg.PLMNLimit),
+		plmns:     slice.NewPLMNAllocator(cfg.PLMNLimit),
 		domains:   newTxEngine(tb.Ctrl),
 		shards:    make([]*shard, cfg.Shards),
 		shardMask: uint32(cfg.Shards - 1),

@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
+	"repro/internal/ctrl"
 	"repro/internal/slice"
 )
 
@@ -50,7 +50,7 @@ func (o *Orchestrator) HandleLinkFailure(from, to string) (RestorationReport, er
 		return rep, err
 	}
 
-	// Path IDs are "<sliceID>/<enb>-><dc>"; recover the victim slices.
+	// Recover the victim slices from their path IDs.
 	var evicted []slice.ID
 	for _, id := range victimSliceIDs(victims) {
 		m, ok := o.shardFor(id).slices[id]
@@ -85,17 +85,13 @@ func (o *Orchestrator) transitionLink(lr *linkRecord, typ EventType, detail stri
 	return o.applyLink(lr)
 }
 
-// victimSliceIDs maps path IDs ("<sliceID>/<enb>-><dc>") onto their unique
-// slice IDs, in submission order.
+// victimSliceIDs maps path IDs onto their unique owning slice IDs, in
+// submission order.
 func victimSliceIDs(pathIDs []string) []slice.ID {
 	seen := map[slice.ID]bool{}
 	var ids []slice.ID
 	for _, pid := range pathIDs {
-		idx := strings.IndexByte(pid, '/')
-		if idx < 0 {
-			continue
-		}
-		id := slice.ID(pid[:idx])
+		id := ctrl.OwnerOf(pid)
 		if !seen[id] {
 			seen[id] = true
 			ids = append(ids, id)

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -341,11 +340,15 @@ func TestTransportSetupPathsBothENBs(t *testing.T) {
 	if setup.WorstDelayMs <= 0 || setup.WorstDelayMs > 5 {
 		t.Fatalf("worst delay %.2f", setup.WorstDelayMs)
 	}
-	// Both eNBs' paths run through the programmable switch.
+	// Both eNBs' paths run through the programmable switch, and each names
+	// its slice.
 	for _, pid := range setup.PathIDs {
 		r, ok := tb.Transport.Reservation(pid)
 		if !ok || !slices.Contains(r.Hops, testbed.Switch) {
 			t.Fatalf("path %s hops %v miss %s", pid, r.Hops, testbed.Switch)
+		}
+		if owner := ctrl.OwnerOf(pid); owner != "s1" {
+			t.Fatalf("path %s is owned by %q, want s1", pid, owner)
 		}
 	}
 }
@@ -496,7 +499,7 @@ func TestCloudDeployAndTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dep.DataCenter != testbed.EdgeDC || !strings.Contains(dep.StackID, "s1") {
+	if dep.DataCenter != testbed.EdgeDC || ctrl.OwnerOf(dep.StackID) != "s1" || ctrl.OwnerOf(dep.EPCID) != "s1" {
 		t.Fatalf("deployment %+v", dep)
 	}
 	if dep.BootDelay < 2*time.Second {

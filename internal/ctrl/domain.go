@@ -11,6 +11,7 @@ package ctrl
 
 import (
 	"errors"
+	"strings"
 	"time"
 
 	"repro/internal/epc"
@@ -407,6 +408,17 @@ func (c *MECController) Domain() string { return "mec" }
 
 // appID derives the slice's edge-app identifier.
 func appID(id slice.ID) string { return string(id) + "/app" }
+
+// OwnerOf returns the slice that owns a resource ID the controllers build —
+// a transport path "<slice>/<enb>-><dc>", a Heat stack "<slice>/vepc", a
+// vEPC "<slice>/epc" or an edge app "<slice>/app": the text before the first
+// "/", or the whole ID when it has none.
+func OwnerOf(resourceID string) slice.ID {
+	if i := strings.IndexByte(resourceID, '/'); i >= 0 {
+		return slice.ID(resourceID[:i])
+	}
+	return slice.ID(resourceID)
+}
 
 // mecGrant is the MEC domain's reservation: a view of the binding's app.
 type mecGrant Binding

@@ -11,16 +11,17 @@ import (
 	"repro/internal/slice"
 )
 
-// schedWorld is one RAN of three cells with random per-epoch CQI draws.
-func schedWorld(t *testing.T, seed int64) *ctrl.RANController {
+// schedWorld is one RAN of three cells, each faded to its own channel
+// quality.
+func schedWorld(t *testing.T) *ctrl.RANController {
 	t.Helper()
 	net := ran.NewNetwork()
 	for i := 0; i < 3; i++ {
-		e, err := ran.NewENB(ran.Config{Name: fmt.Sprintf("enb-%d", i+1), Bandwidth: ran.BW10MHz, MaxPLMNs: 16,
-			MeanCQI: 10, CQIStdDev: 2}, rand.New(rand.NewSource(seed*10+int64(i))))
+		e, err := ran.NewENB(ran.Config{Name: fmt.Sprintf("enb-%d", i+1), MaxPLMNs: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.SetMeanCQI(float64(9 + i))
 		if err := net.Add(e); err != nil {
 			t.Fatal(err)
 		}
@@ -29,10 +30,10 @@ func schedWorld(t *testing.T, seed int64) *ctrl.RANController {
 }
 
 // TestScheduleByHandleMatchesByName runs random reserve / resize / release /
-// re-reserve sequences on two identical RANs with identically seeded channels
-// and, after every step, schedules the same load on both: by handle
-// (ScheduleDense over the slices' bindings, the control epoch's pass) on one,
-// by name (the map-typed ScheduleEpoch) on the other. Served throughput and
+// re-reserve sequences on two identical RANs and, after every step, schedules
+// the same load on both: by handle (ScheduleDense over the slices' bindings,
+// the control epoch's pass) on one, by name (the map-typed ScheduleEpoch) on
+// the other. Served throughput and
 // utilization must agree to the bit. PLMNs are recycled, so released slices'
 // bindings — which the handle pass is given load for too — share their PLMN
 // with a live reservation; they must be served nothing and take nothing from
@@ -45,7 +46,7 @@ func TestScheduleByHandleMatchesByName(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		h, n := schedWorld(t, seed), schedWorld(t, seed)
+		h, n := schedWorld(t), schedWorld(t)
 		pool := make([]slice.PLMN, 6) // fewer PLMNs than slots: recycled
 		for i := range pool {
 			pool[i] = slice.PLMN{MCC: "001", MNC: fmt.Sprintf("%02d", i+1)}

@@ -23,9 +23,8 @@
 // carries the member's typed cause back. The books are written once, when
 // the span is placed. Every teardown deletes the legs in reverse plan order.
 // Placement is deterministic: members are kept sorted by name regardless of
-// Join order, member testbed randomness is derived from the member's name
-// (never from shared-RNG consumption order), and leg demand processes are
-// RNG-free — so the same seed yields bit-identical per-cluster outcomes
+// Join order, member testbeds draw no randomness, and leg demand processes
+// are RNG-free — so the same seed yields bit-identical per-cluster outcomes
 // under any join order (TestFederationDeterminism).
 //
 // Partition semantics (the survivability model): partitioning a member
@@ -42,8 +41,6 @@ package federation
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -77,10 +74,6 @@ const barrierOffset = time.Second
 
 // Config tunes the federation tier.
 type Config struct {
-	// Seed drives the per-member testbed randomness. Each member's RNG is
-	// derived from Seed and the member's name, so outcomes are independent
-	// of join order and of any shared-RNG consumption interleaving.
-	Seed int64
 	// Epoch is the federation barrier period: summaries refresh and the
 	// conservation invariant sweeps every Epoch (default 1m, matching the
 	// member epoch default).
@@ -204,15 +197,6 @@ func New(cfg Config, clock sim.Scheduler) *Federation {
 	return f
 }
 
-// memberSeed derives the member's testbed RNG seed from the federation seed
-// and the member's name — never from shared-RNG consumption order, so the
-// channel realizations of a member are identical under any join order.
-func memberSeed(seed int64, name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return seed ^ int64(h.Sum64())
-}
-
 // Join registers a member cluster: builds its testbed and orchestrator on
 // the shared clock and inserts it into the name-sorted registry. The books
 // are primed immediately, so placement works before the first barrier.
@@ -225,8 +209,7 @@ func (f *Federation) Join(cc ClusterConfig) (*Cluster, error) {
 	if _, dup := f.byName[cc.Name]; dup {
 		return nil, fmt.Errorf("federation: duplicate cluster name %q", cc.Name)
 	}
-	rng := rand.New(rand.NewSource(memberSeed(f.cfg.Seed, cc.Name)))
-	tb, err := testbed.New(cc.Testbed, rng)
+	tb, err := testbed.New(cc.Testbed, nil)
 	if err != nil {
 		return nil, fmt.Errorf("federation: cluster %s: %w", cc.Name, err)
 	}

@@ -34,7 +34,7 @@ func memberConfig(name, location string, latencyMs float64) federation.ClusterCo
 func newTestFed(t *testing.T, seed int64, names []string) (*federation.Federation, *sim.Simulator) {
 	t.Helper()
 	s := sim.NewSimulator(seed)
-	fed := federation.New(federation.Config{Seed: seed, Audit: true}, s)
+	fed := federation.New(federation.Config{Audit: true}, s)
 	// Every test runs audited: besides the barrier sweeps, each transition
 	// is folded into a fresh tier that must stay equal to the live one.
 	t.Cleanup(func() {

@@ -8,9 +8,10 @@
 // The lifecycle follows the package-orchestration model of kpt (cited in
 // ROADMAP): a template version is born Draft (mutable, not instantiable),
 // and Publish promotes it to Published (immutable, instantiable) only after
-// every guardrail passes. Guardrails run in registration order and the
-// first failure aborts the publish — the evaluation order is part of the
-// API contract so operators can reason about which error surfaces first.
+// its two guardrails pass: sla-bounds, then provision-bounds. The first
+// failure aborts the publish and is named in the error — the order is part
+// of the API contract so operators can reason about which error surfaces
+// first.
 //
 // Nothing in this package owns resources: templates and fleets are control
 // metadata, and every resource decision is delegated to the core
@@ -159,86 +160,50 @@ func (t Template) Request(tenant string, region Region) slice.Request {
 	}
 }
 
-// Guardrail is one named publish-time policy check. Guardrails run in
-// registration order; the first failure aborts the publish.
-type Guardrail struct {
-	Name  string
-	Check func(t Template) error
-}
+// The guardrails' bounds: the contract a template may promise and how hard
+// it may overbook.
+const (
+	maxTemplateMbps      = 1000.0
+	minTemplateLatencyMs = 1.0 // the physics floor of the testbed
+	maxTemplateDuration  = 30 * 24 * time.Hour
+	// A template provisioning (say) 10% of its contract is a penalty
+	// machine, caught before it ships.
+	minProvisionFraction = 0.1
+)
 
-// SLABounds bounds the contract a template may promise: throughput at most
-// maxMbps, latency at least minLatencyMs (the physics floor of the
-// testbed), duration at most maxDuration.
-func SLABounds(maxMbps, minLatencyMs float64, maxDuration time.Duration) Guardrail {
-	return Guardrail{Name: "sla-bounds", Check: func(t Template) error {
-		if t.ThroughputMbps > maxMbps {
-			return fmt.Errorf("throughput %.1f Mbps exceeds bound %.1f", t.ThroughputMbps, maxMbps)
-		}
-		if t.MaxLatencyMs < minLatencyMs {
-			return fmt.Errorf("latency bound %.1f ms below the %.1f ms floor", t.MaxLatencyMs, minLatencyMs)
-		}
-		if t.Duration > maxDuration {
-			return fmt.Errorf("duration %v exceeds bound %v", t.Duration, maxDuration)
-		}
-		return nil
-	}}
-}
-
-// PriceFloor requires the template to pay at least minDensity EUR per
-// Mbps·hour — the same revenue-density bar the admission policy can
-// enforce, surfaced at publish time instead of per-instance.
-func PriceFloor(minDensity float64) Guardrail {
-	return Guardrail{Name: "price-floor", Check: func(t Template) error {
-		density := t.PriceEUR / (t.ThroughputMbps * t.Duration.Hours())
-		if density < minDensity {
-			return fmt.Errorf("revenue density %.3f EUR/(Mbps·h) below floor %.3f", density, minDensity)
-		}
-		return nil
-	}}
-}
-
-// ProvisionBounds keeps the overbooking posture sane: the provision
-// fraction must stay at or above min — a template provisioning (say) 10%
-// of its contract is a penalty machine, caught before it ships.
-func ProvisionBounds(min float64) Guardrail {
-	return Guardrail{Name: "provision-bounds", Check: func(t Template) error {
-		if f := t.withDefaults().ProvisionFraction; f < min {
-			return fmt.Errorf("provision fraction %.2f below bound %.2f", f, min)
-		}
-		return nil
-	}}
-}
-
-// DefaultGuardrails is the stock policy chain, in evaluation order.
-func DefaultGuardrails() []Guardrail {
-	return []Guardrail{
-		SLABounds(1000, 1, 30*24*time.Hour),
-		PriceFloor(0),
-		ProvisionBounds(0.1),
+// guardrail runs the publish-time policy checks in their fixed order and
+// returns the name of the first one t fails and why; a nil error passes.
+// There is no price check: Validate already holds every draft to a
+// non-negative price over a positive throughput and duration.
+func guardrail(t Template) (string, error) {
+	switch {
+	case t.ThroughputMbps > maxTemplateMbps:
+		return "sla-bounds", fmt.Errorf("throughput %.1f Mbps exceeds bound %.1f", t.ThroughputMbps, maxTemplateMbps)
+	case t.MaxLatencyMs < minTemplateLatencyMs:
+		return "sla-bounds", fmt.Errorf("latency bound %.1f ms below the %.1f ms floor", t.MaxLatencyMs, minTemplateLatencyMs)
+	case t.Duration > maxTemplateDuration:
+		return "sla-bounds", fmt.Errorf("duration %v exceeds bound %v", t.Duration, maxTemplateDuration)
 	}
+	if f := t.withDefaults().ProvisionFraction; f < minProvisionFraction {
+		return "provision-bounds", fmt.Errorf("provision fraction %.2f below bound %.2f", f, minProvisionFraction)
+	}
+	return "", nil
 }
 
 // Store is the versioned template registry and, for the Manager built on
 // it, the intent tier's state under its one lock. Safe for concurrent use.
 type Store struct {
-	mu         sync.Mutex
-	byName     map[string][]Template // versions of a name; Version = index+1
-	guardrails []Guardrail
-	fleets     []*Fleet   // creation order: fleets[i].ID is fl-<i+1>
-	rollouts   []*Rollout // creation order: rollouts[i].ID is ro-<i+1>
+	mu       sync.Mutex
+	byName   map[string][]Template // versions of a name; Version = index+1
+	fleets   []*Fleet              // creation order: fleets[i].ID is fl-<i+1>
+	rollouts []*Rollout            // creation order: rollouts[i].ID is ro-<i+1>
 
 	audit *invariant.Auditor
 	fold  *Store // fed only transitions; must equal this store (apply.go)
 }
 
-// NewStore builds a registry enforcing the given guardrails at publish time
-// (nil = DefaultGuardrails).
-func NewStore(guardrails []Guardrail) *Store {
-	if guardrails == nil {
-		guardrails = DefaultGuardrails()
-	}
-	return &Store{byName: make(map[string][]Template), guardrails: guardrails}
-}
+// NewStore builds an empty registry.
+func NewStore() *Store { return &Store{byName: make(map[string][]Template)} }
 
 // CreateDraft registers t as the next draft version of its name and returns
 // it with Version/State/CreatedAt assigned.
@@ -281,9 +246,9 @@ func (s *Store) UpdateDraft(t Template) (Template, error) {
 	return t, nil
 }
 
-// Publish promotes a draft to Published after running every guardrail in
-// registration order; the first failure aborts with the guardrail's name in
-// the error. Publishing a published version is a no-op (idempotent).
+// Publish promotes a draft to Published after its guardrails pass; the first
+// failure aborts with the guardrail's name in the error. Publishing a
+// published version is a no-op (idempotent).
 func (s *Store) Publish(name string, version int, now time.Time) (Template, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,10 +259,8 @@ func (s *Store) Publish(name string, version int, now time.Time) (Template, erro
 	if t.State == TemplatePublished {
 		return t, nil
 	}
-	for _, g := range s.guardrails {
-		if err := g.Check(t); err != nil {
-			return Template{}, fmt.Errorf("intent: %w %s: template %s v%d: %w", ErrGuardrail, g.Name, name, version, err)
-		}
+	if check, err := guardrail(t); err != nil {
+		return Template{}, fmt.Errorf("intent: %w %s: template %s v%d: %w", ErrGuardrail, check, name, version, err)
 	}
 	s.apply(templatePublished{Template: t, at: now})
 	t, _ = s.get(name, version)

@@ -1,8 +1,8 @@
 package intent
 
 // Unit tests for the template store: the draft→published lifecycle,
-// guardrail evaluation at publish time (registration order, first failure
-// aborts), version allocation, and published immutability.
+// guardrail evaluation at publish time (sla-bounds before provision-bounds,
+// first failure aborts), version allocation, and published immutability.
 
 import (
 	"errors"
@@ -23,7 +23,7 @@ func goldTemplate() Template {
 }
 
 func TestStoreLifecycle(t *testing.T) {
-	st := NewStore(DefaultGuardrails())
+	st := NewStore()
 	now := time.Unix(1000, 0)
 
 	d1, err := st.CreateDraft(goldTemplate(), now)
@@ -80,39 +80,37 @@ func TestStoreLifecycle(t *testing.T) {
 }
 
 func TestGuardrailsEvaluatedInOrderFirstFailureAborts(t *testing.T) {
-	var fired []string
-	mark := func(name string, fail bool) Guardrail {
-		return Guardrail{Name: name, Check: func(Template) error {
-			fired = append(fired, name)
-			if fail {
-				return errors.New("boom")
-			}
-			return nil
-		}}
-	}
-	st := NewStore([]Guardrail{mark("first", false), mark("second", true), mark("third", false)})
+	st := NewStore()
 	now := time.Unix(1000, 0)
-	if _, err := st.CreateDraft(goldTemplate(), now); err != nil {
+	tpl := goldTemplate()
+	tpl.ThroughputMbps = 5000    // over the SLA bound
+	tpl.ProvisionFraction = 0.01 // and under the provision bound
+	d, err := st.CreateDraft(tpl, now)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err := st.Publish("gold", 1, now)
-	if err == nil {
-		t.Fatal("publish passed a failing guardrail")
-	}
-	if !strings.Contains(err.Error(), "second") {
-		t.Errorf("error %q does not name the failing guardrail", err)
-	}
-	if len(fired) != 2 || fired[0] != "first" || fired[1] != "second" {
-		t.Errorf("guardrails fired %v, want [first second] (registration order, abort on failure)", fired)
+	_, err = st.Publish("gold", 1, now)
+	if !errors.Is(err, ErrGuardrail) || !strings.Contains(err.Error(), "guardrail sla-bounds:") || strings.Contains(err.Error(), "provision-bounds") {
+		t.Fatalf("publish of a template failing both guardrails: %v, want sla-bounds alone", err)
 	}
 	// The failed publish leaves the version a draft.
 	if got, _ := st.Get("gold", 1); got.State != TemplateDraft {
 		t.Errorf("failed publish left state %s, want draft", got.State)
 	}
+	// Once the contract is in bounds, the provision fraction is what fails.
+	d.ThroughputMbps = 40
+	if _, err := st.UpdateDraft(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Publish("gold", 1, now); !errors.Is(err, ErrGuardrail) || !strings.Contains(err.Error(), "guardrail provision-bounds:") {
+		t.Fatalf("publish with only the provision fraction out of bounds: %v, want provision-bounds", err)
+	}
 }
 
+// TestDefaultGuardrails: the fixed publish check (sla-bounds, then
+// provision-bounds) passes the gold template and rejects each bound it holds.
 func TestDefaultGuardrails(t *testing.T) {
-	st := NewStore(DefaultGuardrails())
+	st := NewStore()
 	now := time.Unix(1000, 0)
 	cases := []struct {
 		name   string

@@ -129,9 +129,9 @@ type Manager struct {
 // sim scheduler in scenarios, a realtime clock in the daemon). An audited
 // orchestrator also audits the intent tier's transitions (apply.go).
 func NewManager(orch *core.Orchestrator, clock sim.Scheduler, cfg Config) *Manager {
-	m := &Manager{orch: orch, clock: clock, store: NewStore(nil), quotas: cfg.Quotas}
+	m := &Manager{orch: orch, clock: clock, store: NewStore(), quotas: cfg.Quotas}
 	if a := orch.Auditor(); a != nil {
-		m.store.audit, m.store.fold = a, NewStore(nil)
+		m.store.audit, m.store.fold = a, NewStore()
 	}
 	return m
 }

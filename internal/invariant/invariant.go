@@ -40,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ctrl"
 	"repro/internal/slice"
 	"repro/internal/testbed"
 )
@@ -56,12 +57,13 @@ type Violation struct {
 
 func (v Violation) String() string { return v.Check + ": " + v.Detail }
 
+// violationLimit bounds how many violations are retained; further breaches
+// only bump the dropped counter. A broken invariant tends to cascade, and the
+// first violations are the diagnostic ones.
+const violationLimit = 256
+
 // Options tunes the auditor.
 type Options struct {
-	// Limit bounds how many violations are retained (default 256); further
-	// breaches only bump the dropped counter. A broken invariant tends to
-	// cascade, and the first violations are the diagnostic ones.
-	Limit int
 	// OnViolation, when non-nil, is called synchronously for every breach
 	// (tests install t.Errorf-style hooks to fail fast with context).
 	OnViolation func(Violation)
@@ -77,7 +79,6 @@ type Auditor struct {
 	mu         sync.Mutex
 	violations []Violation
 	dropped    int
-	limit      int
 
 	// Event-stream state.
 	lastSeq   int64
@@ -93,12 +94,8 @@ type Auditor struct {
 
 // New returns an auditor.
 func New(opts Options) *Auditor {
-	if opts.Limit <= 0 {
-		opts.Limit = 256
-	}
 	return &Auditor{
 		onViolation: opts.OnViolation,
-		limit:       opts.Limit,
 		lastState:   make(map[slice.ID]string),
 	}
 }
@@ -107,7 +104,7 @@ func New(opts Options) *Auditor {
 func (a *Auditor) record(check, format string, args ...any) {
 	v := Violation{Check: check, Detail: fmt.Sprintf(format, args...)}
 	a.mu.Lock()
-	if len(a.violations) < a.limit {
+	if len(a.violations) < violationLimit {
 		a.violations = append(a.violations, v)
 	} else {
 		a.dropped++
@@ -405,7 +402,7 @@ func (a *Auditor) sweepTransport(in SweepInput, live map[slice.ID]SliceView) {
 	held := make(map[string]bool)
 	for _, r := range in.TB.Transport.Reservations() {
 		held[r.ID] = true
-		owner := sliceOfPath(r.ID)
+		owner := ctrl.OwnerOf(r.ID)
 		if in.Pending[owner] {
 			continue
 		}
@@ -425,19 +422,6 @@ func (a *Auditor) sweepTransport(in SweepInput, live map[slice.ID]SliceView) {
 	}
 }
 
-// sliceOfPath recovers the owning slice from a path ID
-// ("<sliceID>/<enb>-><dc>").
-func sliceOfPath(pathID string) slice.ID {
-	if i := strings.IndexByte(pathID, '/'); i >= 0 {
-		return slice.ID(pathID[:i])
-	}
-	return slice.ID(pathID)
-}
-
-// sliceOfStack recovers the owning slice from a stack/EPC/app ID of the form
-// "<sliceID>/<suffix>".
-func sliceOfStack(id string) slice.ID { return sliceOfPath(id) }
-
 // sweepCloud checks DC conservation plus stack <-> slice leak-freedom.
 func (a *Auditor) sweepCloud(in SweepInput, live map[slice.ID]SliceView) {
 	for _, dc := range in.TB.Region.All() {
@@ -445,7 +429,7 @@ func (a *Auditor) sweepCloud(in SweepInput, live map[slice.ID]SliceView) {
 			a.record("conservation", "%s", msg)
 		}
 		for _, stackID := range dc.StackIDs() {
-			owner := sliceOfStack(stackID)
+			owner := ctrl.OwnerOf(stackID)
 			if in.Pending[owner] {
 				continue
 			}
@@ -503,22 +487,23 @@ func (a *Auditor) sweepMEC(in SweepInput, live map[slice.ID]SliceView) {
 // stacks, MEC apps) — PLMNs are recycled, so their absence can only be
 // checked by the quiescent Sweep.
 func (a *Auditor) CheckSliceReleased(tb *testbed.Testbed, id slice.ID) {
-	prefix := string(id) + "/"
 	for _, r := range tb.Transport.Reservations() {
-		if strings.HasPrefix(r.ID, prefix) {
+		if ctrl.OwnerOf(r.ID) == id {
 			a.record("leak", "rollback/teardown of %s left transport path %q reserved", id, r.ID)
 		}
 	}
 	for _, dc := range tb.Region.All() {
 		for _, stackID := range dc.StackIDs() {
-			if strings.HasPrefix(stackID, prefix) {
+			if ctrl.OwnerOf(stackID) == id {
 				a.record("leak", "rollback/teardown of %s left cloud stack %q in %s", id, stackID, dc.Name())
 			}
 		}
 	}
 	if tb.MEC != nil {
-		if _, ok := tb.MEC.App(prefix + "app"); ok {
-			a.record("leak", "rollback/teardown of %s left mec app placed", id)
+		for _, app := range tb.MEC.Apps() {
+			if ctrl.OwnerOf(app.ID) == id {
+				a.record("leak", "rollback/teardown of %s left mec app placed", id)
+			}
 		}
 	}
 }

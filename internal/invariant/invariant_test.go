@@ -256,18 +256,18 @@ func TestCheckSliceReleased(t *testing.T) {
 // fires for every breach.
 func TestViolationLimitAndCallback(t *testing.T) {
 	calls := 0
-	a := New(Options{Limit: 2, OnViolation: func(Violation) { calls++ }})
-	for i := 0; i < 5; i++ {
-		a.ObserveEpoch(10+2*i, time.Unix(int64(1000+i), 0)) // every call jumps
+	a := New(Options{OnViolation: func(Violation) { calls++ }})
+	for i := 0; i <= violationLimit+1; i++ {
+		a.ObserveEpoch(10+2*i, time.Unix(int64(1000+i), 0)) // every call after the first jumps
 	}
-	if got := len(a.Violations()); got != 2 {
-		t.Fatalf("retained %d, want 2", got)
+	if got := len(a.Violations()); got != violationLimit {
+		t.Fatalf("retained %d, want %d", got, violationLimit)
 	}
-	if st := a.Stats(); st.Violations != 4 {
-		t.Fatalf("stats %+v, want 4 total violations", st)
+	if st := a.Stats(); st.Violations != violationLimit+1 {
+		t.Fatalf("stats %+v, want %d total violations", st, violationLimit+1)
 	}
-	if calls != 4 {
-		t.Fatalf("callback fired %d times, want 4", calls)
+	if calls != violationLimit+1 {
+		t.Fatalf("callback fired %d times, want %d", calls, violationLimit+1)
 	}
 }
 

@@ -64,8 +64,6 @@ type Pool struct {
 	hosts []*host // sorted by name (first-fit order)
 	apps  map[string]*App
 
-	procDelayMs float64
-
 	// ver counts every state change that can flip a CanFit answer.
 	//
 	// Kept: it has no reader left but ctrl.MECController.FeasVersion, which
@@ -78,18 +76,15 @@ type Pool struct {
 // equal versions guarantee equal CanFit answers.
 func (p *Pool) Version() uint64 { return p.ver.Load() }
 
-// NewPool returns an empty pool whose apps contribute procDelayMs of
-// user-plane processing latency each.
-func NewPool(procDelayMs float64) *Pool {
-	if procDelayMs < 0 {
-		procDelayMs = 0
-	}
-	return &Pool{apps: make(map[string]*App), procDelayMs: procDelayMs}
-}
+// procDelayMs is the user-plane processing latency each app contributes.
+const procDelayMs = 0.2
+
+// NewPool returns an empty pool.
+func NewPool() *Pool { return &Pool{apps: make(map[string]*App)} }
 
 // ProcessingDelayMs is the per-app latency contribution, charged against the
 // slice's end-to-end budget by the MEC controller's feasibility check.
-func (p *Pool) ProcessingDelayMs() float64 { return p.procDelayMs }
+func (p *Pool) ProcessingDelayMs() float64 { return procDelayMs }
 
 // AddHost registers an edge compute node.
 func (p *Pool) AddHost(name string, cpus float64) error {

@@ -7,7 +7,7 @@ import (
 
 func pool(t *testing.T) *Pool {
 	t.Helper()
-	p := NewPool(0.2)
+	p := NewPool()
 	if err := p.AddHost("mec-h1", 4); err != nil {
 		t.Fatal(err)
 	}

@@ -42,12 +42,11 @@ type Sample struct {
 // Rows; each column reads back as a Series. Safe for concurrent use.
 //
 // A ring's cells live in a slab (below), which holds the lock. The rings a
-// store hands out share the store's slab for their shape; NewSeries,
-// Store.Series and Store.SeriesSized make a ring over a private one-ring
-// slab. A shared ring moves to a private slab when its store lets go of it
-// (Drop, or Rows replacing its name), so an outstanding handle keeps its
-// samples and stays writable; every access re-checks the ring's slab after
-// locking it.
+// store hands out share the store's slab for their shape; NewSeries and
+// Store.Series make a ring over a private one-ring slab. A shared ring moves
+// to a private slab when its store lets go of it (Drop, or Rows replacing its
+// name), so an outstanding handle keeps its samples and stays writable; every
+// access re-checks the ring's slab after locking it.
 type Rows struct {
 	sl   atomic.Pointer[slab]
 	slot int // rewritten only when the ring moves, under the old slab's lock
@@ -215,9 +214,8 @@ func (r *Rows) Names() []string {
 }
 
 // Series is one named metric: a column of a Rows ring (Store.Rows registers
-// every column under its name). A series made by NewSeries, Store.Series or
-// Store.SeriesSized owns a single-column ring. Safe for concurrent
-// use.
+// every column under its name). A series made by NewSeries or Store.Series
+// owns a single-column ring. Safe for concurrent use.
 type Series struct {
 	name string
 	rows *Rows
@@ -401,22 +399,9 @@ func NewStore(capacity int) *Store {
 	return &Store{series: make(map[string]*Series), slabs: make(map[shape]*slab), capacity: capacity}
 }
 
-// Series returns the named series, creating it on first use.
-func (st *Store) Series(name string) *Series { return st.SeriesSized(name, st.capacity) }
-
-// Lookup returns the named series without creating it — the read for names
-// that arrive from outside the program, which must not grow the registry.
-func (st *Store) Lookup(name string) (*Series, bool) {
-	st.mu.RLock()
-	s, ok := st.series[name]
-	st.mu.RUnlock()
-	return s, ok
-}
-
-// SeriesSized returns the named series, creating it on first use with the
-// given ring capacity instead of the store default. An existing series keeps
-// its original capacity.
-func (st *Store) SeriesSized(name string, capacity int) *Series {
+// Series returns the named series, creating it on first use with the store's
+// ring capacity.
+func (st *Store) Series(name string) *Series {
 	if s, ok := st.Lookup(name); ok {
 		return s
 	}
@@ -425,9 +410,18 @@ func (st *Store) SeriesSized(name string, capacity int) *Series {
 	if s, ok := st.series[name]; ok {
 		return s
 	}
-	s := NewSeries(name, capacity)
+	s := NewSeries(name, st.capacity)
 	st.series[name] = s
 	return s
+}
+
+// Lookup returns the named series without creating it — the read for names
+// that arrive from outside the program, which must not grow the registry.
+func (st *Store) Lookup(name string) (*Series, bool) {
+	st.mu.RLock()
+	s, ok := st.series[name]
+	st.mu.RUnlock()
+	return s, ok
 }
 
 // Rows creates one ring of capacity rows with a column per name, in the

@@ -84,16 +84,13 @@ func TestEmptyAndDegenerateSeries(t *testing.T) {
 	}
 }
 
-// TestSizedSeriesAddNanosOverflow: appends through a SeriesSized handle —
-// the control epoch's telemetry path — land like the equivalent Record
-// sequence: more samples than the sized ring holds retain the tail, and an
-// existing series keeps its original capacity on later sized lookups.
+// TestSizedSeriesAddNanosOverflow: appends through a Store.Series handle — the
+// control epoch's telemetry path — land like the equivalent Record sequence:
+// more samples than the ring holds retain the tail, and a later lookup
+// returns the same ring.
 func TestSizedSeriesAddNanosOverflow(t *testing.T) {
-	st := NewStore(1024)
-	s := st.SeriesSized("over", 4)
-	if s.Capacity() != 4 {
-		t.Fatalf("capacity %d, want the sized 4", s.Capacity())
-	}
+	st := NewStore(4)
+	s := st.Series("over")
 	for i := 0; i < 8; i++ { // twice the ring
 		s.AddNanos(at(1).UnixNano(), float64(i))
 	}
@@ -111,13 +108,9 @@ func TestSizedSeriesAddNanosOverflow(t *testing.T) {
 		t.Fatalf("AddNanos stamped %v, want %v", last.At, at(1))
 	}
 
-	// The handle and the registry are the same ring, and a later sized
-	// lookup neither replaces nor resizes it.
-	if again := st.SeriesSized("over", 9); again != s || again.Capacity() != 4 {
-		t.Fatalf("existing ring replaced or resized to %d", again.Capacity())
-	}
-	if c := st.SeriesSized("fresh", 9).Capacity(); c != 9 {
-		t.Fatalf("new ring capacity %d, want 9", c)
+	// The handle and the registry are the same ring.
+	if again := st.Series("over"); again != s {
+		t.Fatal("existing ring replaced")
 	}
 }
 
@@ -147,8 +140,8 @@ func TestStoreDrop(t *testing.T) {
 // window reads, snapshots and registry drops; the race detector owns the
 // verdict, the final length check the bookkeeping.
 func TestAddNanosConcurrentWithReadsAndDrop(t *testing.T) {
-	st := NewStore(64)
-	shared := st.SeriesSized("shared", 32)
+	st := NewStore(32)
+	shared := st.Series("shared")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -168,7 +161,7 @@ func TestAddNanosConcurrentWithReadsAndDrop(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				_ = shared.Window(0)
 				_ = st.Snapshot()
-				st.SeriesSized("churn", 4).AddNanos(int64(i), 1)
+				st.Series("churn").AddNanos(int64(i), 1)
 				st.Drop("churn")
 			}
 		}()

@@ -339,7 +339,6 @@ func TestPrivateRingHoldsExactlyCapacity(t *testing.T) {
 	st := NewStore(100)
 	exact("NewSeries", NewSeries("a", 37), 37, 1)
 	exact("Store.Series", st.Series("b"), 100, 1)
-	exact("Store.SeriesSized", st.SeriesSized("c", 9), 9, 1)
 
 	r := st.Rows(512, "d", "s", "a")
 	sl := r.sl.Load()

@@ -3,7 +3,7 @@ package ran
 import "repro/internal/slice"
 
 // ScheduleEpoch runs the MOCN scheduler for one monitoring epoch: each PLMN
-// is served up to its reserved PRB budget at the epoch's CQI; if
+// is served up to its reserved PRB budget at the cell's mean CQI; if
 // shareUnused is true, PRBs left idle by under-demanding slices are
 // redistributed to saturated ones (work-conserving proportional reuse, the
 // in-scheduler statistical multiplexing of [1]).

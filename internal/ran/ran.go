@@ -7,76 +7,27 @@
 // controller never touches symbols or HARQ; it reserves PRB budgets per
 // PLMN, resizes them when the overbooking engine reconfigures, and reads
 // back utilization. This package therefore models exactly that control
-// surface plus a per-TTI-abstracted scheduler that converts PRB budgets and
-// a CQI distribution into served throughput.
+// surface plus a per-TTI-abstracted scheduler that converts PRB budgets at
+// the cell's mean CQI into served throughput.
 package ran
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 
 	"repro/internal/slice"
 )
 
-// Bandwidth is an LTE channel bandwidth.
-type Bandwidth int
+// prbsPerCarrier is the PRB grid of one 20 MHz component carrier (3GPP TS
+// 36.101 Table 5.6-1), the channel of the demo's MB4420 small cells.
+const prbsPerCarrier = 100
 
-// Standard E-UTRA channel bandwidths. The zero value is invalid so that an
-// unset configuration cannot silently select the smallest grid.
-const (
-	bwInvalid Bandwidth = iota
-	BW1_4MHz
-	BW3MHz
-	BW5MHz
-	BW10MHz
-	BW15MHz
-	BW20MHz
-)
-
-// PRBs returns the number of physical resource blocks for the bandwidth
-// (3GPP TS 36.101 Table 5.6-1).
-func (b Bandwidth) PRBs() int {
-	switch b {
-	case BW1_4MHz:
-		return 6
-	case BW3MHz:
-		return 15
-	case BW5MHz:
-		return 25
-	case BW10MHz:
-		return 50
-	case BW15MHz:
-		return 75
-	case BW20MHz:
-		return 100
-	default:
-		return 0
-	}
-}
-
-// String returns the bandwidth label.
-func (b Bandwidth) String() string {
-	switch b {
-	case BW1_4MHz:
-		return "1.4MHz"
-	case BW3MHz:
-		return "3MHz"
-	case BW5MHz:
-		return "5MHz"
-	case BW10MHz:
-		return "10MHz"
-	case BW15MHz:
-		return "15MHz"
-	case BW20MHz:
-		return "20MHz"
-	default:
-		return fmt.Sprintf("Bandwidth(%d)", int(b))
-	}
-}
+// defaultMeanCQI is the channel quality a cell starts at; only a chaos fade
+// (SetMeanCQI) moves it.
+const defaultMeanCQI = 12
 
 // cqiEfficiency maps CQI 1..15 to spectral efficiency in bits/symbol
 // (3GPP TS 36.213 Table 7.2.3-1). Index 0 is out-of-range (no service).
@@ -137,30 +88,19 @@ var (
 type Config struct {
 	// Name identifies the eNB ("enb-1", "enb-2" in the testbed).
 	Name string
-	// Bandwidth sets the PRB grid size.
-	Bandwidth Bandwidth
-	// Carriers aggregates this many component carriers of Bandwidth into
-	// one logical cell (default 1, the demo's single-carrier MB4420).
+	// Carriers aggregates this many 20 MHz component carriers into one
+	// logical cell (default 1, the demo's single-carrier MB4420).
 	// Scale-out simulations raise it so thousands of slices fit one cell's
 	// PRB grid; the control surface (reserve/resize/release per PLMN) is
 	// unchanged.
 	Carriers int
 	// MaxPLMNs bounds the MOCN broadcast list (SIB1 allows 6).
 	MaxPLMNs int
-	// MeanCQI is the average channel quality of the attached UE
-	// population; per-slice CQI draws centre here.
-	MeanCQI float64
-	// CQIStdDev spreads the per-epoch CQI draws (0 = deterministic).
-	CQIStdDev float64
-	// ControlPRBs are always kept aside for common channels and cannot
-	// be reserved by slices.
-	ControlPRBs int
 }
 
 // ENB is one MOCN-sharing eNode-B. All methods are safe for concurrent use.
 type ENB struct {
 	cfg Config
-	rng *rand.Rand
 
 	mu       sync.Mutex
 	reserved map[slice.PLMN]*cellRes // reservation per PLMN
@@ -175,7 +115,8 @@ type ENB struct {
 	// over all PLMNs (the control epoch resizes every slice every period).
 
 	// perPRB is the throughput one PRB sustains at the mean CQI, the sizing
-	// constant of every reserve and resize; recomputed only by SetMeanCQI.
+	// constant of every reserve and resize and the rate of every scheduling
+	// pass; recomputed only by SetMeanCQI.
 	perPRB float64
 }
 
@@ -200,28 +141,19 @@ type cellRes struct {
 	granted float64
 }
 
-// NewENB validates cfg and returns the eNB. rng may be nil for a
-// deterministic (mean-CQI) channel.
-func NewENB(cfg Config, rng *rand.Rand) (*ENB, error) {
+// NewENB validates cfg and returns the eNB, its channel at the default
+// mean CQI.
+func NewENB(cfg Config) (*ENB, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("ran: eNB needs a name")
-	}
-	if cfg.Bandwidth.PRBs() == 0 {
-		return nil, fmt.Errorf("ran: invalid bandwidth %v", cfg.Bandwidth)
 	}
 	if cfg.MaxPLMNs <= 0 {
 		cfg.MaxPLMNs = slice.DefaultPLMNLimit
 	}
-	if cfg.MeanCQI <= 0 {
-		cfg.MeanCQI = 12
-	}
 	if cfg.Carriers <= 0 {
 		cfg.Carriers = 1
 	}
-	if cfg.ControlPRBs < 0 || cfg.ControlPRBs >= cfg.Bandwidth.PRBs()*cfg.Carriers {
-		return nil, fmt.Errorf("ran: control PRBs %d out of range for %v x%d", cfg.ControlPRBs, cfg.Bandwidth, cfg.Carriers)
-	}
-	return &ENB{cfg: cfg, rng: rng, reserved: make(map[slice.PLMN]*cellRes), perPRB: perPRBAt(cfg.MeanCQI)}, nil
+	return &ENB{cfg: cfg, reserved: make(map[slice.PLMN]*cellRes), perPRB: perPRBAt(defaultMeanCQI)}, nil
 }
 
 // perPRBAt is the per-PRB throughput at a mean channel quality.
@@ -230,9 +162,9 @@ func perPRBAt(meanCQI float64) float64 { return PRBThroughputMbps(int(math.Round
 // Name returns the eNB name.
 func (e *ENB) Name() string { return e.cfg.Name }
 
-// TotalPRBs returns the schedulable PRBs (grid across all aggregated
-// carriers, minus control overhead).
-func (e *ENB) TotalPRBs() int { return e.cfg.Bandwidth.PRBs()*e.cfg.Carriers - e.cfg.ControlPRBs }
+// TotalPRBs returns the schedulable PRBs, the grid across all aggregated
+// carriers.
+func (e *ENB) TotalPRBs() int { return prbsPerCarrier * e.cfg.Carriers }
 
 // FreePRBs returns unreserved schedulable PRBs.
 func (e *ENB) FreePRBs() int {
@@ -453,7 +385,6 @@ func (e *ENB) SetMeanCQI(cqi float64) {
 		cqi = 15
 	}
 	e.mu.Lock()
-	e.cfg.MeanCQI = cqi
 	e.perPRB = perPRBAt(cqi)
 	e.mu.Unlock()
 }
@@ -523,23 +454,6 @@ func (e *ENB) BroadcastList() []slice.PLMN {
 	return out
 }
 
-// drawCQI samples the epoch CQI for the cell's UE population. The
-// caller holds the cell mutex (which also serializes the rng).
-func (e *ENB) drawCQI() int {
-	cqi := e.cfg.MeanCQI
-	if e.rng != nil && e.cfg.CQIStdDev > 0 {
-		cqi += e.rng.NormFloat64() * e.cfg.CQIStdDev
-	}
-	v := int(math.Round(cqi))
-	if v < 1 {
-		v = 1
-	}
-	if v > 15 {
-		v = 15
-	}
-	return v
-}
-
 // DemandMbps is the per-PLMN offered load for one scheduling epoch.
 type DemandMbps map[slice.PLMN]float64
 
@@ -597,11 +511,7 @@ func (e *ENB) ScheduleBound(bound [][]Handle, demand, served []float64, shareUnu
 // each record's load marked in item by the caller (-1: no load). The caller
 // holds the cell mutex.
 func (e *ENB) scheduleLocked(demand, served []float64, shareUnused bool) float64 {
-	perPRB := PRBThroughputMbps(e.drawCQI())
-	if perPRB <= 0 {
-		return 0
-	}
-
+	perPRB := e.perPRB // positive: the mean CQI is at least 1
 	idle := 0.0
 	usedPRBs := 0.0
 	for r := e.head; r != nil; r = r.next {
@@ -673,7 +583,8 @@ func (e *ENB) Utilization() float64 {
 
 // Snapshot summarises the eNB state for telemetry.
 type Snapshot struct {
-	Name        string            `json:"name"`
+	Name string `json:"name"`
+	// Bandwidth is each carrier's channel, always "20MHz".
 	Bandwidth   string            `json:"bandwidth"`
 	TotalPRBs   int               `json:"total_prbs"`
 	FreePRBs    int               `json:"free_prbs"`
@@ -693,7 +604,7 @@ func (e *ENB) Snapshot() Snapshot {
 	defer e.mu.Unlock()
 	s := Snapshot{
 		Name:      e.cfg.Name,
-		Bandwidth: e.cfg.Bandwidth.String(),
+		Bandwidth: "20MHz",
 		TotalPRBs: e.TotalPRBs(),
 		FreePRBs:  e.freeLocked(),
 	}

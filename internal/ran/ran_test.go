@@ -3,7 +3,6 @@ package ran
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,24 +14,28 @@ func plmn(mnc string) slice.PLMN { return slice.PLMN{MCC: "001", MNC: mnc} }
 
 func newTestENB(t *testing.T) *ENB {
 	t.Helper()
-	e, err := NewENB(Config{Name: "enb-1", Bandwidth: BW20MHz, MeanCQI: 12}, nil)
+	e, err := NewENB(Config{Name: "enb-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return e
 }
 
+// TestBandwidthPRBTable: every carrier is the 100-PRB grid of a 20 MHz
+// channel, aggregated carriers add whole grids, and the snapshot names the
+// channel "20MHz".
 func TestBandwidthPRBTable(t *testing.T) {
-	cases := map[Bandwidth]int{
-		BW1_4MHz: 6, BW3MHz: 15, BW5MHz: 25, BW10MHz: 50, BW15MHz: 75, BW20MHz: 100,
-	}
-	for bw, want := range cases {
-		if got := bw.PRBs(); got != want {
-			t.Fatalf("%v PRBs = %d, want %d", bw, got, want)
+	for carriers, want := range map[int]int{0: 100, 1: 100, 2: 200, 3: 300} {
+		e, err := NewENB(Config{Name: "e", Carriers: carriers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if Bandwidth(99).PRBs() != 0 {
-		t.Fatal("invalid bandwidth has PRBs")
+		if got := e.TotalPRBs(); got != want {
+			t.Fatalf("%d carriers: %d PRBs, want %d", carriers, got, want)
+		}
+		if s := e.Snapshot(); s.Bandwidth != "20MHz" || s.TotalPRBs != want {
+			t.Fatalf("%d carriers: snapshot %q with %d PRBs", carriers, s.Bandwidth, s.TotalPRBs)
+		}
 	}
 }
 
@@ -64,14 +67,12 @@ func TestPRBThroughputScale(t *testing.T) {
 }
 
 func TestNewENBValidation(t *testing.T) {
-	if _, err := NewENB(Config{Bandwidth: BW10MHz}, nil); err == nil {
+	if _, err := NewENB(Config{}); err == nil {
 		t.Fatal("nameless eNB accepted")
 	}
-	if _, err := NewENB(Config{Name: "x", Bandwidth: Bandwidth(99)}, nil); err == nil {
-		t.Fatal("invalid bandwidth accepted")
-	}
-	if _, err := NewENB(Config{Name: "x", Bandwidth: BW1_4MHz, ControlPRBs: 6}, nil); err == nil {
-		t.Fatal("all-control grid accepted")
+	e, err := NewENB(Config{Name: "x", Carriers: 3})
+	if err != nil || e.TotalPRBs() != 300 {
+		t.Fatalf("three-carrier cell: %v PRBs, %v", e.TotalPRBs(), err)
 	}
 }
 
@@ -194,7 +195,7 @@ func TestReleaseKeepsReservationOrder(t *testing.T) {
 }
 
 // TestSetMeanCQIInvalidatesSizing: the cached per-PRB throughput follows the
-// mean CQI, so sizing after a fade equals sizing on a cell built at that CQI.
+// mean CQI, so sizing and scheduling after a fade run at the faded rate.
 func TestSetMeanCQIInvalidatesSizing(t *testing.T) {
 	e := newTestENB(t)
 	h, _, _, err := e.ReserveThroughput(plmn("01"), 10)
@@ -202,16 +203,17 @@ func TestSetMeanCQIInvalidatesSizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.SetMeanCQI(5)
-	faded, err := NewENB(Config{Name: "faded", Bandwidth: BW20MHz, MeanCQI: 5}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.CapacityMbps() != faded.CapacityMbps() || e.PRBsForThroughput(10) != faded.PRBsForThroughput(10) {
+	per := PRBThroughputMbps(5)
+	want := int(math.Ceil(10 / per))
+	if e.CapacityMbps() != 100*per || e.PRBsForThroughput(10) != want {
 		t.Fatalf("after the fade: capacity %.3f vs %.3f, sizing %d vs %d",
-			e.CapacityMbps(), faded.CapacityMbps(), e.PRBsForThroughput(10), faded.PRBsForThroughput(10))
+			e.CapacityMbps(), 100*per, e.PRBsForThroughput(10), want)
 	}
-	if _, prbs, granted, err := h.ResizeThroughput(10); err != nil || prbs != faded.PRBsForThroughput(10) || granted != faded.ThroughputForPRBs(prbs) {
+	if _, prbs, granted, err := h.ResizeThroughput(10); err != nil || prbs != want || granted != float64(want)*per {
 		t.Fatalf("resize after the fade: %d PRBs, %.3f Mbps, %v", prbs, granted, err)
+	}
+	if served, _ := e.ScheduleEpoch(DemandMbps{plmn("01"): 1e6}, false); served[plmn("01")] != float64(want)*per {
+		t.Fatalf("scheduled after the fade: %.3f Mbps, want %.3f", served[plmn("01")], float64(want)*per)
 	}
 }
 
@@ -243,7 +245,7 @@ func TestReserveErrors(t *testing.T) {
 }
 
 func TestMOCNListLimit(t *testing.T) {
-	e, _ := NewENB(Config{Name: "e", Bandwidth: BW20MHz, MaxPLMNs: 2, MeanCQI: 12}, nil)
+	e, _ := NewENB(Config{Name: "e", MaxPLMNs: 2})
 	e.Reserve(plmn("01"), 10)
 	e.Reserve(plmn("02"), 10)
 	if _, err := e.Reserve(plmn("03"), 10); !errors.Is(err, ErrPLMNListFull) {
@@ -252,16 +254,6 @@ func TestMOCNListLimit(t *testing.T) {
 	bl := e.BroadcastList()
 	if len(bl) != 2 || bl[0] != plmn("01") || bl[1] != plmn("02") {
 		t.Fatalf("broadcast list %v", bl)
-	}
-}
-
-func TestControlPRBsExcluded(t *testing.T) {
-	e, _ := NewENB(Config{Name: "e", Bandwidth: BW10MHz, ControlPRBs: 10, MeanCQI: 12}, nil)
-	if e.TotalPRBs() != 40 {
-		t.Fatalf("schedulable %d", e.TotalPRBs())
-	}
-	if _, err := e.Reserve(plmn("01"), 41); !errors.Is(err, ErrInsufficientPRBs) {
-		t.Fatal("reservation ate control PRBs")
 	}
 }
 
@@ -402,8 +394,8 @@ func TestSnapshot(t *testing.T) {
 
 func TestNetworkRegistry(t *testing.T) {
 	n := NewNetwork()
-	e1, _ := NewENB(Config{Name: "enb-1", Bandwidth: BW10MHz, MeanCQI: 12}, nil)
-	e2, _ := NewENB(Config{Name: "enb-2", Bandwidth: BW20MHz, MeanCQI: 12}, nil)
+	e1, _ := NewENB(Config{Name: "enb-1"})
+	e2, _ := NewENB(Config{Name: "enb-2"})
 	if err := n.Add(e1); err != nil {
 		t.Fatal(err)
 	}
@@ -424,12 +416,15 @@ func TestNetworkRegistry(t *testing.T) {
 	}
 }
 
+// TestCQIDrawBounded: the channel quality the scheduler runs at stays in
+// 1..15 whatever a fade asks for, so a PRB never sustains zero throughput.
 func TestCQIDrawBounded(t *testing.T) {
-	e, _ := NewENB(Config{Name: "e", Bandwidth: BW10MHz, MeanCQI: 2, CQIStdDev: 6}, rand.New(rand.NewSource(4)))
-	for i := 0; i < 500; i++ {
-		cqi := e.drawCQI()
-		if cqi < 1 || cqi > 15 {
-			t.Fatalf("CQI draw %d out of range", cqi)
+	e := newTestENB(t)
+	for _, tc := range []struct{ ask, want float64 }{{-3, 1}, {0, 1}, {40, 15}, {7.4, 7}} {
+		e.SetMeanCQI(tc.ask)
+		per := PRBThroughputMbps(int(tc.want))
+		if per <= 0 || e.ThroughputForPRBs(1) != per {
+			t.Fatalf("CQI %v: %.4f Mbps per PRB, want %.4f (CQI %v)", tc.ask, e.ThroughputForPRBs(1), per, tc.want)
 		}
 	}
 }
@@ -440,7 +435,7 @@ func TestCQIDrawBounded(t *testing.T) {
 func TestPropertySchedulerConservation(t *testing.T) {
 	per := PRBThroughputMbps(12)
 	f := func(resRaw [3]uint8, demRaw [3]uint16, share bool) bool {
-		e, _ := NewENB(Config{Name: "p", Bandwidth: BW20MHz, MeanCQI: 12}, nil)
+		e, _ := NewENB(Config{Name: "p"})
 		plmns := []slice.PLMN{plmn("01"), plmn("02"), plmn("03")}
 		res := map[slice.PLMN]int{}
 		free := 100

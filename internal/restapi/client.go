@@ -252,7 +252,7 @@ func (c *Client) UpdateTemplate(name string, version int, body TemplateBody) (in
 	return t, err
 }
 
-// PublishTemplate promotes a draft through the guardrail chain.
+// PublishTemplate promotes a draft through the publish guardrails.
 func (c *Client) PublishTemplate(name string, version int) (intent.Template, error) {
 	var t intent.Template
 	err := c.do(http.MethodPost, templatePath(name, version, "/publish"), nil, &t)

@@ -24,7 +24,7 @@ import (
 func fedEnv(t *testing.T) (*Client, *FederationServer, *sim.Simulator) {
 	t.Helper()
 	s := sim.NewSimulator(1)
-	fed := federation.New(federation.Config{Seed: 1, Audit: true}, s)
+	fed := federation.New(federation.Config{Audit: true}, s)
 	latency := map[string]float64{"east": 2, "west": 3, "north": 5}
 	for _, name := range []string{"east", "west", "north"} {
 		_, err := fed.Join(federation.ClusterConfig{

@@ -5,6 +5,7 @@ package restapi
 // contract on fleet and rollout creation.
 
 import (
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -290,4 +291,62 @@ func asAPIError(t *testing.T, err error) *apiError {
 		t.Fatalf("error %v is not an apiError", err)
 	}
 	return ae
+}
+
+// TestUnsetTimesOmittedOnTheWire: a draft carries no published_at and a
+// running rollout no decided_at — the fields are tagged omitzero, which the
+// encoder honours from Go 1.24 on, and older encoders print the zero time
+// "0001-01-01T00:00:00Z" instead.
+func TestUnsetTimesOmittedOnTheWire(t *testing.T) {
+	c, _, base := intentEnv(t)
+	fields := func(path string) map[string]json.RawMessage {
+		t.Helper()
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m map[string]json.RawMessage
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, err)
+		}
+		return m
+	}
+
+	if _, err := c.CreateTemplate(validTemplateBody()); err != nil {
+		t.Fatal(err)
+	}
+	if raw, ok := fields("/api/v2/templates/gold/1")["published_at"]; ok {
+		t.Errorf("draft carries published_at %s", raw)
+	}
+	if _, err := c.PublishTemplate("gold", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields("/api/v2/templates/gold/1")["published_at"]; !ok {
+		t.Error("published template carries no published_at")
+	}
+
+	fleet, err := c.Instantiate(InstantiateBody{Template: "gold", Version: 1, Tenants: []string{"a", "b"}, Regions: []string{"core"}}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2 := validTemplateBody()
+	b2.ProvisionFraction = 0.8
+	if _, err := c.CreateTemplate(b2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.PublishTemplate("gold", 2); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := c.StartRollout(RolloutBody{Fleet: fleet.ID, ToVersion: 2, WindowSeconds: 600}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := fields("/api/v2/rollouts/" + ro.ID)
+	if string(m["phase"]) != `"`+string(intent.RolloutCanary)+`"` {
+		t.Fatalf("rollout phase %s, want a running canary", m["phase"])
+	}
+	if raw, ok := m["decided_at"]; ok {
+		t.Errorf("running rollout carries decided_at %s", raw)
+	}
 }

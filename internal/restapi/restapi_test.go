@@ -295,7 +295,7 @@ func TestMetricSeriesEscapedName(t *testing.T) {
 // the stats a later window than the samples.
 func TestMetricSeriesStatsMatchSamples(t *testing.T) {
 	srv, orch, _ := fuzzOrch(t)
-	series := orch.Store().SeriesSized("race/rising", 16)
+	series := orch.Store().Series("race/rising")
 	series.AddNanos(0, 0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -133,7 +133,7 @@ func FedChaosScenario(name string, seed int64) (FedChaosResult, error) {
 		return FedChaosResult{}, fmt.Errorf("scenario: unknown federated chaos scenario %q (have %v)", name, FedChaosNames())
 	}
 	s := sim.NewSimulator(seed)
-	fed := federation.New(federation.Config{Seed: seed, Audit: true}, s)
+	fed := federation.New(federation.Config{Audit: true}, s)
 	for _, cc := range fedChaosMembers() {
 		if _, err := fed.Join(cc); err != nil {
 			return FedChaosResult{}, err

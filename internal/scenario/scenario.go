@@ -2,8 +2,9 @@
 // orchestrator: slice requests arrive as a Poisson process over tenant
 // profiles, admitted slices offer stochastic demand, the control loop
 // overbooks, and the run's outcome is condensed into the metrics the demo
-// dashboard displays. Every experiment in EXPERIMENTS.md is a thin
-// parameterization of this runner.
+// dashboard displays. Every experiment of
+// docs/design/04-experiments-and-benchmarks.md is a thin parameterization of
+// this runner.
 package scenario
 
 import (

@@ -134,7 +134,7 @@ func (s *Simulator) Now() time.Time {
 }
 
 // Rand exposes the simulator's deterministic random source. All stochastic
-// models (traffic noise, CQI draws, arrival processes) must draw from this,
+// models (traffic noise, arrival processes) must draw from this,
 // never from the global rand, so a seed fully determines a run. It is not
 // synchronized: only the driving goroutine may draw from it.
 func (s *Simulator) Rand() *rand.Rand { return s.rng }

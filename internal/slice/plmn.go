@@ -28,28 +28,26 @@ func (p PLMN) IsZero() bool { return p.MCC == "" && p.MNC == "" }
 // a real admission-rejection cause the orchestrator must surface.
 type PLMNAllocator struct {
 	mu    sync.Mutex
-	mcc   string
 	limit int
 	inUse map[PLMN]ID
 	free  []PLMN
 	next  int
 }
 
+// mcc is the test-range mobile country code every allocated PLMN carries.
+const mcc = "001"
+
 // DefaultPLMNLimit matches the SIB1 limit of 6 PLMN identities per cell
 // broadcast; the demo's two eNBs broadcast a shared MOCN list.
 const DefaultPLMNLimit = 6
 
-// NewPLMNAllocator returns an allocator over mcc with at most limit
-// simultaneously assigned PLMNs. limit <= 0 selects DefaultPLMNLimit.
-func NewPLMNAllocator(mcc string, limit int) *PLMNAllocator {
-	if mcc == "" {
-		mcc = "001"
-	}
+// NewPLMNAllocator returns an allocator with at most limit simultaneously
+// assigned PLMNs. limit <= 0 selects DefaultPLMNLimit.
+func NewPLMNAllocator(limit int) *PLMNAllocator {
 	if limit <= 0 {
 		limit = DefaultPLMNLimit
 	}
 	return &PLMNAllocator{
-		mcc:   mcc,
 		limit: limit,
 		inUse: make(map[PLMN]ID),
 	}
@@ -71,7 +69,7 @@ func (a *PLMNAllocator) Allocate(owner ID) (PLMN, error) {
 		a.free = a.free[:n-1]
 	} else {
 		a.next++
-		p = PLMN{MCC: a.mcc, MNC: fmt.Sprintf("%02d", a.next)}
+		p = PLMN{MCC: mcc, MNC: fmt.Sprintf("%02d", a.next)}
 	}
 	a.inUse[p] = owner
 	return p, nil

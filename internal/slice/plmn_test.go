@@ -7,7 +7,7 @@ import (
 )
 
 func TestPLMNAllocateReleaseCycle(t *testing.T) {
-	a := NewPLMNAllocator("001", 3)
+	a := NewPLMNAllocator(3)
 	p1, err := a.Allocate("s1")
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestPLMNAllocateReleaseCycle(t *testing.T) {
 }
 
 func TestPLMNOwner(t *testing.T) {
-	a := NewPLMNAllocator("", 0)
+	a := NewPLMNAllocator(0)
 	p, _ := a.Allocate("sliceX")
 	owner, ok := a.Owner(p)
 	if !ok || owner != "sliceX" {
@@ -45,7 +45,7 @@ func TestPLMNOwner(t *testing.T) {
 }
 
 func TestPLMNReleaseUnknownIsNoop(t *testing.T) {
-	a := NewPLMNAllocator("001", 2)
+	a := NewPLMNAllocator(2)
 	a.Release(PLMN{MCC: "001", MNC: "55"})
 	if a.Available() != 2 {
 		t.Fatal("release of unknown PLMN changed availability")
@@ -53,7 +53,7 @@ func TestPLMNReleaseUnknownIsNoop(t *testing.T) {
 }
 
 func TestPLMNDoubleReleaseDoesNotDuplicate(t *testing.T) {
-	a := NewPLMNAllocator("001", 2)
+	a := NewPLMNAllocator(2)
 	p, _ := a.Allocate("s1")
 	a.Release(p)
 	a.Release(p)
@@ -72,7 +72,7 @@ func TestPLMNDoubleReleaseDoesNotDuplicate(t *testing.T) {
 }
 
 func TestPLMNInUseSorted(t *testing.T) {
-	a := NewPLMNAllocator("001", 6)
+	a := NewPLMNAllocator(6)
 	for i := 0; i < 5; i++ {
 		a.Allocate(ID(rune('a' + i)))
 	}
@@ -88,7 +88,7 @@ func TestPLMNInUseSorted(t *testing.T) {
 }
 
 func TestPLMNDefaultLimit(t *testing.T) {
-	a := NewPLMNAllocator("001", 0)
+	a := NewPLMNAllocator(0)
 	if a.Available() != DefaultPLMNLimit {
 		t.Fatalf("default limit %d", a.Available())
 	}
@@ -99,7 +99,7 @@ func TestPLMNDefaultLimit(t *testing.T) {
 func TestPropertyPLMNConservation(t *testing.T) {
 	f := func(ops []bool) bool {
 		const limit = 6
-		a := NewPLMNAllocator("001", limit)
+		a := NewPLMNAllocator(limit)
 		var held []PLMN
 		for i, alloc := range ops {
 			if alloc {

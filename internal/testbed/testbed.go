@@ -63,21 +63,12 @@ type Config struct {
 }
 
 const (
-	// enbBandwidth is each cell's PRB grid per carrier.
-	enbBandwidth = ran.BW20MHz
-	// meanCQI is the cells' channel quality; with no CQI spread every
-	// epoch schedules at exactly it.
-	meanCQI = 12
 	// edgeHostVCPUs sizes each edge host.
 	edgeHostVCPUs = 16
 	// coreDelayMs is the extra wired delay to the core DC, the quantity
 	// that forces latency-critical slices to the edge.
 	coreDelayMs = 6.0
 )
-
-// mecProcDelayMs is the per-app processing-latency contribution a MEC
-// deployment charges against the slice's latency budget.
-const mecProcDelayMs = 0.2
 
 // Default returns the demo-scale testbed configuration.
 func Default() Config {
@@ -145,9 +136,8 @@ type Testbed struct {
 // ENBName returns the i-th eNB name (0-based).
 func ENBName(i int) string { return fmt.Sprintf("enb-%d", i+1) }
 
-// New builds the testbed. rng is handed to the cells' channel model, which
-// draws from it only under a CQI spread; the testbed's cells have none, so
-// their channel is the deterministic mean CQI whatever rng is.
+// New builds the testbed. Its cells' channel is the deterministic mean CQI,
+// so nothing draws from rng; it may be nil.
 func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 	cfg = cfg.normalize()
 
@@ -155,12 +145,10 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 	ranNet := ran.NewNetwork()
 	for i := 0; i < cfg.ENBs; i++ {
 		e, err := ran.NewENB(ran.Config{
-			Name:      ENBName(i),
-			Bandwidth: enbBandwidth,
-			Carriers:  cfg.ENBCarriers,
-			MaxPLMNs:  cfg.MaxPLMNs,
-			MeanCQI:   meanCQI,
-		}, rng)
+			Name:     ENBName(i),
+			Carriers: cfg.ENBCarriers,
+			MaxPLMNs: cfg.MaxPLMNs,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -260,7 +248,7 @@ func New(cfg Config, rng *rand.Rand) (*Testbed, error) {
 	// the same generic Domain surface — the orchestrator core picks it up
 	// from the Set without any MEC-specific wiring.
 	if cfg.MECHosts > 0 {
-		pool := mec.NewPool(mecProcDelayMs)
+		pool := mec.NewPool()
 		for i := 0; i < cfg.MECHosts; i++ {
 			if err := pool.AddHost(fmt.Sprintf("mec-h%d", i+1), cfg.MECHostCPUs); err != nil {
 				return nil, err

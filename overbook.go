@@ -46,8 +46,6 @@
 package overbook
 
 import (
-	"math/rand"
-
 	"repro/internal/core"
 	"repro/internal/intent"
 	"repro/internal/monitor"
@@ -224,7 +222,7 @@ func NewSimulated(opts Options) (*System, error) {
 // the REST API.
 func NewLive(opts Options) (*System, error) {
 	clock := sim.NewRealtimeClock()
-	tb, err := testbed.New(opts.Testbed, rand.New(rand.NewSource(opts.Seed)))
+	tb, err := testbed.New(opts.Testbed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -241,7 +239,7 @@ func NewLive(opts Options) (*System, error) {
 // Orchestrator.Shutdown, then CloseWAL to flush and close the log.
 func NewLiveDurable(opts Options, dataDir string) (*System, error) {
 	clock := sim.NewRealtimeClock()
-	tb, err := testbed.New(opts.Testbed, rand.New(rand.NewSource(opts.Seed)))
+	tb, err := testbed.New(opts.Testbed, nil)
 	if err != nil {
 		return nil, err
 	}
