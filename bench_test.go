@@ -366,7 +366,6 @@ func BenchmarkFederatedAdmission(b *testing.B) {
 		b.Run(fmt.Sprintf("clusters=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			sys, err := NewSimulatedFederation(FederationOptions{
-				Seed:     1,
 				Clusters: DefaultFederationClusters(n),
 			})
 			if err != nil {

@@ -21,7 +21,7 @@ import (
 	"repro/internal/restapi"
 )
 
-func runFederation(addr string, n int, seed int64, epoch time.Duration, audit bool) {
+func runFederation(addr string, n int, epoch time.Duration, audit bool) {
 	fcfg := overbook.FederationConfig{
 		Epoch: epoch,
 		Audit: audit,
@@ -32,7 +32,6 @@ func runFederation(addr string, n int, seed int64, epoch time.Duration, audit bo
 		}
 	}
 	sys, err := overbook.NewLiveFederation(overbook.FederationOptions{
-		Seed:       seed,
 		Clusters:   overbook.DefaultFederationClusters(n),
 		Federation: fcfg,
 	})

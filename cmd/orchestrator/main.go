@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	orchestrator [-addr :8080] [-overbook] [-risk 0.95] [-epoch 10s] [-seed 42] [-data-dir /var/lib/orch]
+//	orchestrator [-addr :8080] [-overbook] [-risk 0.95] [-epoch 10s] [-data-dir /var/lib/orch]
 //
 // With -data-dir the daemon keeps a write-ahead log: every admission,
 // resize, teardown and control epoch is durable, and a restart rebuilds the
@@ -53,7 +53,6 @@ func main() {
 		doOver  = flag.Bool("overbook", true, "enable forecast-based overbooking")
 		risk    = flag.Float64("risk", 0.95, "provisioning confidence (1.0 = peak provisioning)")
 		epoch   = flag.Duration("epoch", 10*time.Second, "control loop period")
-		seed    = flag.Int64("seed", 42, "testbed random seed")
 		enbs    = flag.Int("enbs", 2, "number of eNBs in the testbed")
 		plmnMax = flag.Int("plmn-limit", 6, "MOCN broadcast list size (max simultaneous slices)")
 		mec     = flag.Int("mec-hosts", 0, "enable the edge MEC compute domain with this many hosts (0 = off)")
@@ -88,7 +87,7 @@ func main() {
 	}
 
 	if *fedN > 0 {
-		runFederation(*addr, *fedN, *seed, *epoch, *audit)
+		runFederation(*addr, *fedN, *epoch, *audit)
 		return
 	}
 
@@ -105,7 +104,6 @@ func main() {
 		}
 	}
 	opts := overbook.Options{
-		Seed:         *seed,
 		Orchestrator: &cfg,
 		// MaxPLMNs follows the allocator limit so raising -plmn-limit
 		// actually lifts the per-cell MOCN broadcast bound too.

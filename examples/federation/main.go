@@ -18,7 +18,6 @@ import (
 
 func main() {
 	sys, err := overbook.NewSimulatedFederation(overbook.FederationOptions{
-		Seed: 7,
 		Clusters: []overbook.ClusterConfig{
 			{Name: "edge-muc", Location: "munich-edge", LatencyMs: 1,
 				Orchestrator: overbook.OrchestratorConfig{Overbook: true, Risk: 0.9, PLMNLimit: 64},

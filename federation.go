@@ -40,10 +40,6 @@ const RejectClusterUnavailable = slice.RejectClusterUnavailable
 
 // FederationOptions assembles a FederationSystem.
 type FederationOptions struct {
-	// Seed drives the simulated clock's randomness (NewSimulatedFederation;
-	// a live federation draws none). Member testbeds draw no randomness, so
-	// outcomes are independent of cluster declaration order.
-	Seed int64
 	// Clusters are the member clusters to join (at least one).
 	Clusters []ClusterConfig
 	// Federation tunes the barrier period and the conservation auditor.
@@ -71,11 +67,13 @@ func assembleFederation(clock sim.Scheduler, opts FederationOptions) (*Federatio
 }
 
 // NewSimulatedFederation builds a deterministic simulated multi-cluster
-// deployment: experiments run in virtual time via sys.Sim.RunFor, and the
-// same seed yields bit-identical per-cluster outcomes under any cluster
-// declaration order.
+// deployment: experiments run in virtual time via sys.Sim.RunFor, with
+// bit-identical per-cluster outcomes under any cluster declaration order.
+// Neither the federation nor its members' testbeds draw randomness, so the
+// clock's generator has a fixed seed: sys.Sim.Rand is reproducible for a
+// caller that draws demand from it.
 func NewSimulatedFederation(opts FederationOptions) (*FederationSystem, error) {
-	s := sim.NewSimulator(opts.Seed)
+	s := sim.NewSimulator(1)
 	fed, err := assembleFederation(s, opts)
 	if err != nil {
 		return nil, err

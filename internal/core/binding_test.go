@@ -22,8 +22,7 @@ func checkBindings(t *testing.T, o *Orchestrator, step string) {
 	o.lockAll()
 	defer o.unlockAll()
 	n := 0
-	walk := o.walkAllLocked()
-	for m := walk.next(); m != nil; m = walk.next() {
+	for _, m := range o.rosterAllLocked() {
 		switch m.s.State() {
 		case slice.StateRejected, slice.StateTerminated:
 			continue
@@ -67,8 +66,7 @@ func bindingsOf(o *Orchestrator) map[slice.ID]ctrl.Binding {
 	o.lockAll()
 	defer o.unlockAll()
 	out := map[slice.ID]ctrl.Binding{}
-	walk := o.walkAllLocked()
-	for m := walk.next(); m != nil; m = walk.next() {
+	for _, m := range o.rosterAllLocked() {
 		out[m.s.ID()] = m.bind
 	}
 	return out

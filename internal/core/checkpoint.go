@@ -24,8 +24,7 @@ func (o *Orchestrator) buildCheckpointLocked() []byte {
 	for _, ls := range o.tb.Transport.Snapshot() {
 		st.Links = append(st.Links, linkState{From: ls.From, To: ls.To, Up: ls.Up, CapacityMbps: ls.CapacityMbps})
 	}
-	walk := o.walkAllLocked()
-	for m := walk.next(); m != nil; m = walk.next() {
+	for _, m := range o.rosterAllLocked() {
 		ps := persistedSlice{
 			Slice:      m.s.Persist(),
 			LedgerKbps: m.ledgerKbps,

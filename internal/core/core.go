@@ -309,11 +309,11 @@ type Orchestrator struct {
 	// so no two of them interleave their multi-phase work. It is always
 	// acquired before any shard lock (never while holding one).
 	epochMu sync.Mutex
-	// walk is the registry walker's cursor heap and ep the control epoch's
-	// dense working state (epoch.go); both are reused across passes and
-	// guarded by epochMu.
-	walk orderedWalk
-	ep   epochScratch
+	// roster is the registry in submission order (shard.go), guarded by
+	// every shard lock; ep is the control epoch's dense working state
+	// (epoch.go), guarded by epochMu. Both are reused across passes.
+	roster roster
+	ep     epochScratch
 
 	seq    atomic.Int64 // slice ID sequence
 	epochs atomic.Int64 // control-loop passes

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/ctrl"
 	"repro/internal/forecast"
@@ -113,6 +113,17 @@ var epochSeriesNames = [...]string{
 	"orchestrator/active_slices",
 }
 
+// violationDetail is an EventViolation's detail, "served %.1f of %.1f Mbps
+// demanded" built without fmt's reflection.
+func violationDetail(served, demand float64) string {
+	var buf [64]byte
+	b := append(buf[:0], "served "...)
+	b = strconv.AppendFloat(b, served, 'f', 1, 64)
+	b = append(b, " of "...)
+	b = strconv.AppendFloat(b, demand, 'f', 1, 64)
+	return string(append(b, " Mbps demanded"...))
+}
+
 // RunEpoch executes one pass of the Fig. 1 closed loop:
 //
 //  1. collect information about network utilization — sample every active
@@ -154,7 +165,8 @@ func (o *Orchestrator) runEpoch() {
 	o.epochs.Add(1)
 
 	// P1: demand collection, in submission order (the sampling draws from
-	// the shared RNG, so order is part of determinism).
+	// the shared RNG, so order is part of determinism) — the roster's, as
+	// it stands unless a shard inserted or evicted since the last pass.
 	ep := &o.ep
 	clear(ep.items) // release the previous epoch's slice pointers
 	clear(ep.binds)
@@ -163,8 +175,7 @@ func (o *Orchestrator) runEpoch() {
 	ep.items, ep.binds, ep.demand = ep.items[:0], ep.binds[:0], ep.demand[:0]
 	ep.rows, ep.rowDemand, ep.rowServed, ep.rowAlloc = ep.rows[:0], ep.rowDemand[:0], ep.rowServed[:0], ep.rowAlloc[:0]
 	o.lockAll()
-	walk := o.walkAllLocked()
-	for m := walk.next(); m != nil; m = walk.next() {
+	for _, m := range o.rosterAllLocked() {
 		if m.s.State() != slice.StateActive {
 			continue
 		}
@@ -215,10 +226,10 @@ func (o *Orchestrator) runEpoch() {
 			ep.contracts = append(ep.contracts, m.s.SLA().ThroughputMbps)
 			if violated {
 				o.applyCharge(m)
-				ev := o.publish(EventViolation, m.s,
-					fmt.Sprintf("served %.1f of %.1f Mbps demanded", served, demand))
+				ep.events = append(ep.events, Event{})
+				o.publishView(&ep.events[len(ep.events)-1], EventViolation, m.s, m.s.EventView(),
+					violationDetail(served, demand))
 				it.charged = true
-				ep.events = append(ep.events, ev)
 			}
 		}
 		m.sh.mu.Unlock()

@@ -167,19 +167,25 @@ func NewEventBus(capacity int) *EventBus {
 // publisher — so it is safe to call from the admission hot path under shard
 // locks. Returns the assigned sequence number.
 func (b *EventBus) Publish(ev Event) int64 {
+	b.publish(&ev)
+	return ev.Seq
+}
+
+// publish is Publish for a caller that owns *ev: the sequence number is
+// assigned in place, and the ring's slot is the one copy made.
+func (b *EventBus) publish(ev *Event) {
 	b.mu.Lock()
 	ev.Seq = b.next
 	b.next++
-	b.ring[(ev.Seq-1)%int64(len(b.ring))] = ev
+	b.ring[(ev.Seq-1)%int64(len(b.ring))] = *ev
 	if b.tap != nil {
-		b.tap(ev)
+		b.tap(*ev)
 	}
 	b.mu.Unlock()
 	// Waiters register with the cond before releasing their read lock, and
 	// the write above excludes read lock holders, so broadcasting after
 	// unlock cannot miss a waiter.
 	b.cond.Broadcast()
-	return ev.Seq
 }
 
 // Restore advances the bus's next sequence number to at least next. It is
@@ -357,25 +363,28 @@ func (o *Orchestrator) Watch(ctx context.Context, opts WatchOptions) <-chan Even
 // The published event (with its assigned sequence number) is returned so
 // mutation paths can embed it in their write-ahead records.
 func (o *Orchestrator) publish(typ EventType, s *slice.Slice, detail string) Event {
-	return o.publishView(typ, s, s.EventView(), detail)
+	var ev Event
+	o.publishView(&ev, typ, s, s.EventView(), detail)
+	return ev
 }
 
 // publishView is publish for a caller that already holds the slice's event
 // view (the resize path cuts it in the critical section that ends the
-// reconfiguration).
-func (o *Orchestrator) publishView(typ EventType, s *slice.Slice, v slice.EventView, detail string) Event {
-	ev := Event{
-		Time:       o.clock.Now(),
-		Type:       typ,
-		Slice:      s.ID(),
-		Tenant:     s.Tenant(),
-		State:      v.State.String(),
-		RejectCode: v.RejectCode,
-		Mbps:       v.AllocatedMbps,
-		Detail:     detail,
-	}
-	ev.Seq = o.bus.Publish(ev)
-	return ev
+// reconfiguration). It fills *ev and publishes it in place: ev is the
+// numbered event, and the bus's ring takes the only copy. Every field but
+// Seq, which the bus assigns, is written one by one — a composite literal
+// would be built aside and copied in.
+func (o *Orchestrator) publishView(ev *Event, typ EventType, s *slice.Slice, v slice.EventView, detail string) {
+	ev.Time = o.clock.Now()
+	ev.Type = typ
+	ev.Slice = s.ID()
+	ev.Tenant = s.Tenant()
+	ev.State = v.State.String()
+	ev.RejectCode = v.RejectCode
+	ev.Mbps = v.AllocatedMbps
+	ev.Link = ""
+	ev.Detail = detail
+	o.bus.publish(ev)
 }
 
 // publishLink emits a transport-link event and returns it with its

@@ -63,7 +63,9 @@ func (c *counters) release(contractedMbps, allocatedMbps float64) {
 // reconfiguration. Both ends are converted, not their difference, so the
 // slice's contributions telescope to its current allocation.
 func (c *counters) reallocate(beforeMbps, afterMbps float64) {
-	c.allocated.Add(int64(slice.ToKbps(afterMbps) - slice.ToKbps(beforeMbps)))
+	if d := slice.ToKbps(afterMbps) - slice.ToKbps(beforeMbps); d != 0 {
+		c.allocated.Add(int64(d))
+	}
 }
 
 // charge bills one SLA-violation epoch.

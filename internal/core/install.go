@@ -123,7 +123,8 @@ func (o *Orchestrator) activate(id slice.ID) {
 	// The event reports the state the applier moves the slice to.
 	v := m.s.EventView()
 	v.State = slice.StateActive
-	instEv := o.publishView(EventInstalled, m.s, v, "")
+	var instEv Event
+	o.publishView(&instEv, EventInstalled, m.s, v, "")
 	if o.persist != nil {
 		o.appendRecord(recActivate, &activateRecord{Slice: id, At: now}, instEv)
 	}
@@ -187,7 +188,8 @@ func (o *Orchestrator) teardownLocked(m *managedSlice, reason string, typ EventT
 	}
 	v := m.s.EventView()
 	v.State = slice.StateTerminated
-	ev := o.publishView(typ, m.s, v, reason)
+	var ev Event
+	o.publishView(&ev, typ, m.s, v, reason)
 	if o.persist != nil {
 		o.appendRecord(recTeardown, &teardownRecord{Slice: m.s.ID(), Reason: reason}, ev)
 	}
@@ -207,8 +209,7 @@ func (o *Orchestrator) squeezeAll() {
 	defer o.epochMu.Unlock()
 	o.lockAll()
 	defer o.unlockAll()
-	walk := o.walkAllLocked()
-	for m := walk.next(); m != nil; m = walk.next() {
+	for _, m := range o.rosterAllLocked() {
 		target := o.admissionEstimate(m.s.SLA())
 		if m.prov != nil && m.prov.Observed() {
 			target = m.prov.Provision(m.s.SLA().ThroughputMbps)
@@ -257,7 +258,8 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) (alloca
 			}
 		}
 	})
-	ev := o.publishView(EventResized, m.s, after, "")
+	var ev Event
+	o.publishView(&ev, EventResized, m.s, after, "")
 	// The engine threads the radio-quantized throughput into transport and
 	// MEC, so the post-apply allocation is what every domain saw.
 	o.resizedLocked(m, resizeRecord{
@@ -265,19 +267,19 @@ func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) (alloca
 		Mbps:        after.AllocatedMbps,
 		MECMbps:     after.AllocatedMbps,
 		ResizePaths: true,
-	}, before, ev)
+	}, before, &ev)
 	return after.AllocatedMbps, true, true
 }
 
 // resizedLocked logs and applies a reallocation decide has made — an engine
 // resize or a degradation shrink, the two producers of a resize record. The
-// caller holds the slice's shard lock.
-func (o *Orchestrator) resizedLocked(m *managedSlice, rr resizeRecord, beforeMbps float64, ev Event) {
+// caller holds the slice's shard lock; ev is the published resize event.
+func (o *Orchestrator) resizedLocked(m *managedSlice, rr resizeRecord, beforeMbps float64, ev *Event) {
 	if o.persist != nil {
 		// PRBs capture the radio's final state, copied under the shard lock.
 		logged := rr
 		logged.PRBs = m.s.Allocation().PRBs
-		o.appendRecord(recResize, &logged, ev)
+		o.appendRecord(recResize, &logged, *ev)
 	}
 	_ = o.applyResize(m, &rr, beforeMbps, false) // nothing to bind: cannot fail
 }

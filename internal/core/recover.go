@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/forecast"
 	"repro/internal/invariant"
@@ -391,12 +392,8 @@ func (o *Orchestrator) rearmTimers() {
 	// Collected first and armed with no lock held: on a wall clock an
 	// overdue timer may fire at once on its own goroutine and take the
 	// slice's shard lock.
-	var ordered []*managedSlice
 	o.lockAll()
-	walk := o.walkAllLocked()
-	for m := walk.next(); m != nil; m = walk.next() {
-		ordered = append(ordered, m)
-	}
+	ordered := slices.Clone(o.rosterAllLocked())
 	o.unlockAll()
 	for _, m := range ordered {
 		switch m.s.State() {

@@ -14,7 +14,7 @@ import (
 
 // collectAndSortAllLocked is the registry ordering the maintained per-shard
 // lists replaced: collect every map entry and sort by the sequence parsed
-// from the ID. Kept as the reference the merged walk must reproduce. Caller
+// from the ID. Kept as the reference the roster must reproduce. Caller
 // holds all shard locks.
 func collectAndSortAllLocked(o *Orchestrator) []*managedSlice {
 	var out []*managedSlice
@@ -28,7 +28,7 @@ func collectAndSortAllLocked(o *Orchestrator) []*managedSlice {
 }
 
 // checkOrderedRegistry quiesces the registry like a whole-registry pass does
-// (epochMu, then every shard lock), then requires the merged walk to equal
+// (epochMu, then every shard lock), then requires the roster to equal
 // the collect-and-sort reference element for element and every shard to
 // satisfy the ordered-list invariant.
 func checkOrderedRegistry(t *testing.T, o *Orchestrator, when string) {
@@ -59,19 +59,17 @@ func checkOrderedRegistry(t *testing.T, o *Orchestrator, when string) {
 		}
 	}
 	want := collectAndSortAllLocked(o)
-	walk := o.walkAllLocked()
-	i := 0
-	for m := walk.next(); m != nil; m = walk.next() {
+	got := o.rosterAllLocked()
+	for i, m := range got {
 		if i >= len(want) || want[i] != m {
 			// Errorf, not Fatalf: the concurrent part calls this off the
 			// test goroutine.
-			t.Errorf("%s: walk element %d is %s, reference disagrees (reference has %d)", when, i, m.s.ID(), len(want))
+			t.Errorf("%s: roster element %d is %s, reference disagrees (reference has %d)", when, i, m.s.ID(), len(want))
 			return
 		}
-		i++
 	}
-	if i != len(want) {
-		t.Errorf("%s: walk yielded %d slices, reference %d", when, i, len(want))
+	if len(got) != len(want) {
+		t.Errorf("%s: roster holds %d slices, reference %d", when, len(got), len(want))
 	}
 }
 

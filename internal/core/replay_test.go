@@ -224,8 +224,7 @@ func reconfigureAndRelease(t *testing.T, o *Orchestrator) {
 	checkBindings(t, o, "recovered")
 	var all []*slice.Slice
 	o.lockAll()
-	walk := o.walkAllLocked()
-	for m := walk.next(); m != nil; m = walk.next() {
+	for _, m := range o.rosterAllLocked() {
 		all = append(all, m.s)
 	}
 	o.unlockAll()

@@ -188,7 +188,7 @@ func (o *Orchestrator) HandleLinkDegradation(from, to string, newCapacityMbps fl
 		// the MEC app the raw share rather than the radio-quantized value;
 		// PRBs capture the radio's final state even when its resize failed
 		// and only AllocatedMbps moved.
-		o.resizedLocked(m, resizeRecord{Slice: id, Mbps: m.s.AllocatedMbps(), MECMbps: target}, before, ev)
+		o.resizedLocked(m, resizeRecord{Slice: id, Mbps: m.s.AllocatedMbps(), MECMbps: target}, before, &ev)
 	}
 	o.dropFinishedAllLocked(evicted)
 	o.auditSweepAllLocked()

@@ -36,13 +36,16 @@ type shard struct {
 	slices map[slice.ID]*managedSlice
 
 	// ordered lists the shard's registry entries by ascending submission
-	// sequence — the per-shard run the whole-registry walks merge (see
-	// orderedWalk), maintained on insert and eviction instead of being
-	// collected and sorted every pass. Invariant, under mu: every slices
-	// entry has exactly one live element here, elements are strictly
-	// ascending in seq, and the evicted ones (m == nil) number dead.
+	// sequence — the per-shard run the roster merges (see roster),
+	// maintained on insert and eviction instead of being collected and
+	// sorted every pass. Invariant, under mu: every slices entry has
+	// exactly one live element here, elements are strictly ascending in
+	// seq, and the evicted ones (m == nil) number dead.
 	ordered []orderedEntry
 	dead    int
+	// changes counts the inserts and evictions that changed ordered, under
+	// mu: the roster is stale exactly when the shards' sum of it moved.
+	changes uint64
 
 	counters
 }
@@ -105,6 +108,7 @@ func (sh *shard) insert(m *managedSlice) {
 		i--
 	}
 	sh.ordered[i] = orderedEntry{seq: m.seq, m: m}
+	sh.changes++
 }
 
 // evict removes a finished slice from the shard and returns its bookkeeping
@@ -119,6 +123,7 @@ func (sh *shard) evict(id slice.ID) *managedSlice {
 		return nil
 	}
 	delete(sh.slices, id)
+	sh.changes++
 	i, found := slices.BinarySearchFunc(sh.ordered, m.seq, func(e orderedEntry, seq int) int {
 		return cmp.Compare(e.seq, seq)
 	})
@@ -140,18 +145,62 @@ func (sh *shard) evict(id slice.ID) *managedSlice {
 	return m
 }
 
-// orderedWalk is a k-way merge over the shards' submission-ordered lists:
-// next yields every registered slice in global submission order without
-// collecting or sorting the registry. Every loop that samples randomness or
-// resizes reservations must use this order so that runs are bit-reproducible
-// under a fixed seed (map and shard iteration order are not). The walker's
-// cursor heap is reused between walks; one walk runs at a time (the caller
-// holds epochMu, or is the single-threaded recovery pass) under every shard
-// lock, and the registry must not change while it is in progress.
-type orderedWalk struct {
-	// heap holds the unvisited tail of each shard's list (element 0 live),
-	// as a min-heap on that element's seq.
+// roster is the whole registry in global submission order, merged from
+// the shards' ordered lists and kept between whole-registry passes. Every
+// loop that samples randomness or resizes reservations must use this order
+// so that runs are bit-reproducible under a fixed seed (map and shard
+// iteration order are not). It is guarded by holding every shard lock, and
+// rebuilt only when a shard inserted or evicted since the last build: the
+// steady-state epoch reads it as it stands.
+type roster struct {
+	slices  []*managedSlice
+	changes uint64 // the shards' summed changes counters at the last build
+	// heap is the rebuild's k-way merge: the unvisited tail of each shard's
+	// list (element 0 live), as a min-heap on that element's seq.
 	heap [][]orderedEntry
+}
+
+// rosterAllLocked returns every registered slice in submission order. The
+// caller holds every shard lock for as long as it reads the result, and
+// inserts or evicts nothing meanwhile; the next call may reuse the array.
+func (o *Orchestrator) rosterAllLocked() []*managedSlice {
+	r := &o.roster
+	var changes uint64
+	for _, sh := range o.shards {
+		changes += sh.changes
+	}
+	if changes != r.changes {
+		r.rebuild(o.shards)
+		r.changes = changes
+	}
+	return r.slices
+}
+
+// rebuild merges the shards' lists into r.slices.
+func (r *roster) rebuild(shards []*shard) {
+	clear(r.slices) // drop evicted slices' pointers
+	r.slices = r.slices[:0]
+	r.heap = r.heap[:0]
+	for _, sh := range shards {
+		if rest := skipDead(sh.ordered); len(rest) > 0 {
+			r.heap = append(r.heap, rest)
+		}
+	}
+	for i := len(r.heap)/2 - 1; i >= 0; i-- {
+		r.siftDown(i)
+	}
+	for len(r.heap) > 0 {
+		r.slices = append(r.slices, r.heap[0][0].m)
+		if rest := skipDead(r.heap[0][1:]); len(rest) > 0 {
+			r.heap[0] = rest
+		} else {
+			last := len(r.heap) - 1
+			r.heap[0] = r.heap[last]
+			r.heap[last] = nil
+			r.heap = r.heap[:last]
+		}
+		r.siftDown(0)
+	}
 }
 
 // skipDead drops leading tombstones.
@@ -162,42 +211,8 @@ func skipDead(rest []orderedEntry) []orderedEntry {
 	return rest
 }
 
-// walkAllLocked starts a walk over the whole registry. Caller must hold all
-// shard locks for the duration of the walk.
-func (o *Orchestrator) walkAllLocked() *orderedWalk {
-	w := &o.walk
-	w.heap = w.heap[:0]
-	for _, sh := range o.shards {
-		if rest := skipDead(sh.ordered); len(rest) > 0 {
-			w.heap = append(w.heap, rest)
-		}
-	}
-	for i := len(w.heap)/2 - 1; i >= 0; i-- {
-		w.siftDown(i)
-	}
-	return w
-}
-
-// next returns the next slice in submission order, nil when the walk is done.
-func (w *orderedWalk) next() *managedSlice {
-	if len(w.heap) == 0 {
-		return nil
-	}
-	m := w.heap[0][0].m
-	if rest := skipDead(w.heap[0][1:]); len(rest) > 0 {
-		w.heap[0] = rest
-	} else {
-		last := len(w.heap) - 1
-		w.heap[0] = w.heap[last]
-		w.heap[last] = nil
-		w.heap = w.heap[:last]
-	}
-	w.siftDown(0)
-	return m
-}
-
-func (w *orderedWalk) siftDown(i int) {
-	h := w.heap
+func (r *roster) siftDown(i int) {
+	h := r.heap
 	for {
 		least := i
 		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
@@ -244,8 +259,13 @@ func (l *capacityLedger) TryReserve(k, limit slice.Kbps) (bool, slice.Kbps) {
 // Release subtracts a previously reserved load.
 func (l *capacityLedger) Release(k slice.Kbps) { l.load.Add(-int64(k)) }
 
-// Update replaces a slice's ledger entry (epoch reprovisioning).
-func (l *capacityLedger) Update(old, new slice.Kbps) { l.load.Add(int64(new - old)) }
+// Update replaces a slice's ledger entry (epoch reprovisioning); an
+// unchanged entry costs no atomic add.
+func (l *capacityLedger) Update(old, new slice.Kbps) {
+	if new != old {
+		l.load.Add(int64(new - old))
+	}
+}
 
 // finishedHistory bounds how many finished (terminated/rejected) slices the
 // registry retains, globally across shards, so a long-running daemon stays

@@ -305,12 +305,14 @@ func (h Handle) ResizeThroughput(mbps float64) (prev, prbs int, granted float64,
 	}
 	e := h.e
 	e.mu.Lock()
-	defer e.mu.Unlock()
 	prev, prbs = h.r.prbs, max(e.sizeLocked(mbps), 1)
 	if err := e.resizeLocked(h.r, prbs); err != nil {
+		e.mu.Unlock()
 		return 0, 0, 0, err
 	}
-	return prev, prbs, float64(prbs) * e.perPRB, nil
+	granted = float64(prbs) * e.perPRB
+	e.mu.Unlock()
+	return prev, prbs, granted, nil
 }
 
 func (e *ENB) resizeLocked(r *cellRes, prbs int) error {

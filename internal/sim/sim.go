@@ -112,6 +112,11 @@ type Simulator struct {
 	queue eventQueue
 	seq   uint64
 	rng   *rand.Rand
+	// nowNanos mirrors now as Unix nanoseconds so Now reads the clock
+	// without the mutex. setNowLocked is the one writer of both, and it
+	// keeps now in UTC (Epoch's zone), so time.Unix(0, nowNanos).UTC() is
+	// == to now.
+	nowNanos atomic.Int64
 }
 
 // Epoch is the default simulation start time. A fixed epoch (rather than
@@ -120,17 +125,22 @@ var Epoch = time.Date(2018, time.August, 20, 0, 0, 0, 0, time.UTC)
 
 // NewSimulator returns a Simulator starting at Epoch with a seeded RNG.
 func NewSimulator(seed int64) *Simulator {
-	return &Simulator{
-		now: Epoch,
-		rng: rand.New(rand.NewSource(seed)),
-	}
+	s := &Simulator{rng: rand.New(rand.NewSource(seed))}
+	s.setNowLocked(Epoch)
+	return s
 }
 
-// Now implements Clock.
+// Now implements Clock. It takes no lock: it reads the clock's atomic
+// mirror, which is as current as the last step that moved the clock.
 func (s *Simulator) Now() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
+	return time.Unix(0, s.nowNanos.Load()).UTC()
+}
+
+// setNowLocked moves the clock to t, read in UTC, and its lock-free mirror
+// with it. Caller holds s.mu (or owns s exclusively).
+func (s *Simulator) setNowLocked(t time.Time) {
+	s.now = t.UTC()
+	s.nowNanos.Store(t.UnixNano())
 }
 
 // Rand exposes the simulator's deterministic random source. All stochastic
@@ -197,7 +207,7 @@ func (s *Simulator) step(limit time.Time, bounded bool) bool {
 	// enqueued this event (clamped against a pre-jump now) just before a
 	// RunUntil empty-queue jump.
 	if e.when.After(s.now) {
-		s.now = e.when
+		s.setNowLocked(e.when)
 	}
 	s.mu.Unlock()
 	e.fn()
@@ -220,7 +230,7 @@ func (s *Simulator) RunUntil(t time.Time) error {
 	}
 	s.mu.Lock()
 	if t.After(s.now) {
-		s.now = t
+		s.setNowLocked(t)
 	}
 	s.mu.Unlock()
 	return nil

@@ -14,6 +14,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -210,7 +211,7 @@ const (
 	StateTerminated
 )
 
-var stateNames = map[State]string{
+var stateNames = [...]string{
 	StatePending:       "pending",
 	StateRejected:      "rejected",
 	StateAdmitted:      "admitted",
@@ -222,8 +223,8 @@ var stateNames = map[State]string{
 
 // String returns the lowercase state name used in the API and dashboard.
 func (s State) String() string {
-	if n, ok := stateNames[s]; ok {
-		return n
+	if s >= 0 && int(s) < len(stateNames) {
+		return stateNames[s]
 	}
 	return fmt.Sprintf("State(%d)", int(s))
 }
@@ -291,6 +292,12 @@ type Slice struct {
 	starts  time.Time
 	expires time.Time
 
+	// stateMirror is state for State's lock-free read; setStateLocked is
+	// the one writer of both. A reader that sees a new state and wants what
+	// its transition stamped (cause, expiry) takes mu, which orders it after
+	// the whole critical section.
+	stateMirror atomic.Int32
+
 	alloc Allocation
 
 	// Accounting (Section 3: "gains vs. penalties").
@@ -314,12 +321,9 @@ func New(id ID, req Request) (*Slice, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	return &Slice{
-		id:      id,
-		req:     req,
-		state:   StatePending,
-		created: req.Arrival,
-	}, nil
+	s := &Slice{id: id, req: req, created: req.Arrival}
+	s.setStateLocked(StatePending)
+	return s, nil
 }
 
 // ID returns the slice identifier.
@@ -331,11 +335,18 @@ func (s *Slice) SLA() SLA { return s.req.SLA }
 // Tenant returns the owning tenant.
 func (s *Slice) Tenant() string { return s.req.Tenant }
 
-// State returns the current lifecycle state.
-func (s *Slice) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
+// State returns the current lifecycle state. It takes no lock: it reads
+// the state's atomic mirror, so a caller that needs the state together
+// with other fields cuts them in one critical section instead (Snapshot,
+// EventView, BeginResize).
+func (s *Slice) State() State { return State(s.stateMirror.Load()) }
+
+// setStateLocked moves the slice to st and its lock-free mirror with it.
+// Caller holds s.mu (or owns s exclusively) and calls it after the
+// transition's other writes.
+func (s *Slice) setStateLocked(st State) {
+	s.state = st
+	s.stateMirror.Store(int32(st))
 }
 
 // Reason returns the rejection/termination reason if any.
@@ -450,7 +461,7 @@ func (s *Slice) BeginResize(targetMbps, floorMbps, threshold float64) (v ResizeV
 	}
 	if s.state == StateActive {
 		s.version++
-		s.state = StateReconfiguring
+		s.setStateLocked(StateReconfiguring)
 	}
 	return v, true, true
 }
@@ -490,7 +501,7 @@ func (s *Slice) CommitReconfigure(fn func(*Allocation)) EventView {
 	s.version++
 	fn(&s.alloc)
 	if s.state == StateReconfiguring {
-		s.state = StateActive
+		s.setStateLocked(StateActive)
 	}
 	return s.eventViewLocked()
 }
@@ -508,10 +519,10 @@ func (s *Slice) transitionLocked(to State, reason string) error {
 	for _, ok := range validTransitions[s.state] {
 		if ok == to {
 			s.version++
-			s.state = to
 			if reason != "" {
 				s.reason = reason
 			}
+			s.setStateLocked(to)
 			return nil
 		}
 	}
@@ -693,7 +704,6 @@ func Rehydrate(p Persisted) *Slice {
 	s := &Slice{
 		id:              p.ID,
 		req:             p.Request,
-		state:           p.State,
 		reason:          p.Reason,
 		created:         p.Created,
 		starts:          p.Starts,
@@ -709,6 +719,7 @@ func Rehydrate(p Persisted) *Slice {
 		c := *p.Cause
 		s.cause = &c
 	}
+	s.setStateLocked(p.State)
 	return s
 }
 
@@ -823,7 +834,7 @@ func NewFilter(tenant, state string, code RejectCode) Filter {
 		f.byState, f.state = true, State(-1)
 		for st, name := range stateNames {
 			if name == state {
-				f.state = st
+				f.state = State(st)
 			}
 		}
 	}
