@@ -49,6 +49,7 @@ var designRules = []struct {
 	{"One door", ruleOneDoor},
 	{"One applier", ruleOneApplier},
 	{"One epoch pass", ruleOneEpochPass},
+	{"Passes quiesce installs", rulePassesQuiesceInstalls},
 	{"Bind once", ruleBindOnce},
 	{"Grants are views", ruleGrantsAreViews},
 	{"One REST surface", ruleOneRESTSurface},
@@ -616,6 +617,73 @@ func ruleOneEpochPass(t *testing.T, c *designCode) {
 			return true
 		})
 	}
+}
+
+// Passes quiesce installs: passMu is the orchestrator's one lock for
+// whole-registry passes (the lock order, docs/design/07-control-epoch.md
+// §7.7). A submission holds its shared side while in flight — only
+// submitCtx and SubmitBatchCtx take it, a batch once for all its items,
+// since a second read lock deadlocks behind a waiting writer — and only the
+// passes take the exclusive side: the epoch, a checkpoint, the two link
+// handlers and the audit sweep. So no pass, checkpoint or audit sweep sees a
+// half-installed slice, and the sweep needs no in-flight exemption.
+// squeezeAll takes only the shard locks, so its one caller is reserveAll,
+// inside an install. The in-flight set, its auditor exemption, the old
+// epoch lock and the batch's carried shard lock stay deleted.
+func rulePassesQuiesceInstalls(t *testing.T, c *designCode) {
+	const core = "repro/internal/core"
+	passMu := c.lookup(t, core, "Orchestrator", "passMu")
+	squeeze := c.lookup(t, core, "Orchestrator", "squeezeAll")
+	takers := map[string]map[string]bool{
+		"RLock": {"submitCtx": false, "SubmitBatchCtx": false},
+		"Lock":  {"runEpoch": false, "checkpoint": false, "HandleLinkFailure": false, "HandleLinkDegradation": false, "AuditSweep": false},
+	}
+	for _, p := range sortedKeys(c.files) {
+		for _, f := range c.files[p] {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fd, func(n ast.Node) bool {
+					sel, ok := n.(*ast.SelectorExpr)
+					if !ok {
+						return true
+					}
+					if c.info.Uses[sel.Sel] == squeeze && fd.Name.Name != "reserveAll" {
+						t.Errorf("%s: %s calls squeezeAll; only reserveAll may", c.at(sel.Pos()), fd.Name.Name)
+					}
+					field, ok := sel.X.(*ast.SelectorExpr)
+					if !ok || origin(c.info.Uses[field.Sel]) != passMu {
+						return true
+					}
+					switch side := sel.Sel.Name; side {
+					case "Unlock", "RUnlock":
+					case "Lock", "RLock":
+						if _, ok := takers[side][fd.Name.Name]; !ok {
+							t.Errorf("%s: %s takes passMu.%s", c.at(sel.Pos()), fd.Name.Name, side)
+						}
+						takers[side][fd.Name.Name] = true
+					default:
+						t.Errorf("%s: %s calls passMu.%s", c.at(sel.Pos()), fd.Name.Name, side)
+					}
+					return true
+				})
+			}
+		}
+	}
+	for side, fns := range takers {
+		for fn, took := range fns {
+			if !took {
+				t.Errorf("%s no longer takes passMu.%s: update this rule and the lock order", fn, side)
+			}
+		}
+	}
+	in := c.lookup(t, "repro/internal/invariant", "SweepInput").Type()
+	if o, _, _ := types.LookupFieldOrMethod(in, false, nil, "Pending"); o != nil {
+		t.Errorf("%s: invariant.SweepInput has a Pending field again", c.at(o.Pos()))
+	}
+	forbidNames(t, c, c.shipped(`^`+core+`$`), `\b(epochMu|pendingTx|auditPendingBegin|curSh)\b`)
 }
 
 // isMethodOf reports whether obj is a method of the named type recv.

@@ -10,6 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	overbook "repro"
@@ -19,9 +22,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing what it shows to w.
+func run(w io.Writer) error {
 	sys, err := overbook.NewSimulated(overbook.Options{Seed: 7, Orchestrator: &overbook.OrchestratorConfig{Overbook: true}})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	orch := sys.Orchestrator
 	orch.Start()
@@ -30,16 +40,16 @@ func main() {
 	for _, dc := range []string{testbed.EdgeDC, testbed.CoreDC} {
 		d, err := sys.Testbed.Ctrl.Transport.FeasibleDelay(dc, 20)
 		if err != nil {
-			panic(err)
+			return err
 		}
-		fmt.Printf("best eNB->%-4s transport delay: %.2f ms\n", dc, d)
+		fmt.Fprintf(w, "best eNB->%-4s transport delay: %.2f ms\n", dc, d)
 	}
 
 	// The V2X profile: bursty telemetry with event spikes.
 	rng := sys.Sim.Rand()
 	demand := traffic.NewBursty(4, 18, 0.05, 0.25, 0.5, rng)
 
-	fmt.Println("\nrequesting automotive slice: 20 Mbps, <= 5 ms")
+	fmt.Fprintln(w, "\nrequesting automotive slice: 20 Mbps, <= 5 ms")
 	sl, err := orch.Submit(overbook.Request{
 		Tenant: "acme-automotive",
 		SLA: overbook.SLA{
@@ -52,33 +62,33 @@ func main() {
 		},
 	}, demand)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	sys.Sim.RunFor(15 * time.Second)
 	alloc := sl.Allocation()
-	fmt.Printf("placed in %q (path %.2f ms within the 5 ms budget)\n", alloc.DataCenter, alloc.PathLatencyMs)
+	fmt.Fprintf(w, "placed in %q (path %.2f ms within the 5 ms budget)\n", alloc.DataCenter, alloc.PathLatencyMs)
 
 	// Attach a fleet of vehicles to the slice's PLMN.
 	for i := 0; i < 5; i++ {
 		imsi := fmt.Sprintf("00101000000%04d", i)
 		if _, err := sys.Testbed.Ctrl.Cloud.EPCs().Attach(epc.UE{IMSI: imsi, PLMN: alloc.PLMN}, sys.Sim.Now()); err != nil {
-			panic(err)
+			return err
 		}
 	}
 	inst, _ := sys.Testbed.Ctrl.Cloud.EPCs().Get(alloc.EPCID)
-	fmt.Printf("%d vehicles attached to PLMN %s via %s\n", inst.Attached(), alloc.PLMN, alloc.EPCID)
+	fmt.Fprintf(w, "%d vehicles attached to PLMN %s via %s\n", inst.Attached(), alloc.PLMN, alloc.EPCID)
 
 	// Run an hour: overbooking shrinks the reservation toward the bursty
 	// mean while the scheduler's shared-PRB mode absorbs spikes.
 	sys.Sim.RunFor(time.Hour)
 	acct := sl.Accounting()
-	fmt.Printf("\nafter 1h: allocated %.1f / contracted %.0f Mbps, %d/%d violation epochs, net %.2f EUR\n",
+	fmt.Fprintf(w, "\nafter 1h: allocated %.1f / contracted %.0f Mbps, %d/%d violation epochs, net %.2f EUR\n",
 		sl.Allocation().AllocatedMbps, sl.SLA().ThroughputMbps,
 		acct.ViolationEpochs, acct.ServedEpochs, acct.NetEUR)
 
 	// An impossible request: 0.5 ms end-to-end cannot be met even at the
 	// edge — the dashboard shows the rejection.
-	fmt.Println("\nrequesting impossible slice: 20 Mbps, <= 0.5 ms")
+	fmt.Fprintln(w, "\nrequesting impossible slice: 20 Mbps, <= 0.5 ms")
 	bad, err := orch.Submit(overbook.Request{
 		Tenant: "acme-automotive-hard",
 		SLA: overbook.SLA{
@@ -88,7 +98,8 @@ func main() {
 		},
 	}, nil)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("outcome: %s — %s\n", bad.State(), bad.Reason())
+	fmt.Fprintf(w, "outcome: %s — %s\n", bad.State(), bad.Reason())
+	return nil
 }

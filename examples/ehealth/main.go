@@ -8,6 +8,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	overbook "repro"
@@ -16,6 +19,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing what it shows to w.
+func run(w io.Writer) error {
 	cfg := overbook.OrchestratorConfig{
 		Overbook: true,
 		Risk:     0.95,
@@ -23,7 +33,7 @@ func main() {
 	}
 	sys, err := overbook.NewSimulated(overbook.Options{Seed: 11, Orchestrator: &cfg})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	orch := sys.Orchestrator
 	orch.Start()
@@ -42,12 +52,12 @@ func main() {
 		},
 	}, demand)
 	if err != nil {
-		panic(err)
+		return err
 	}
 	sys.Sim.RunFor(15 * time.Second)
-	fmt.Printf("e-health slice %s active in %q\n\n", sl.ID(), sl.Allocation().DataCenter)
+	fmt.Fprintf(w, "e-health slice %s active in %q\n\n", sl.ID(), sl.Allocation().DataCenter)
 
-	fmt.Println("HOUR   DEMAND   ALLOCATED   CONTRACT   (overbooking tracks the diurnal curve)")
+	fmt.Fprintln(w, "HOUR   DEMAND   ALLOCATED   CONTRACT   (overbooking tracks the diurnal curve)")
 	id := string(sl.ID())
 	for h := 0; h < 24; h++ {
 		sys.Sim.RunFor(time.Hour)
@@ -58,14 +68,15 @@ func main() {
 		for i := 0; i < int(al); i++ {
 			bar += "#"
 		}
-		fmt.Printf("%02d:00  %5.1f    %5.1f       %.0f   %s\n", (h+1)%24, dm, al, sl.SLA().ThroughputMbps, bar)
+		fmt.Fprintf(w, "%02d:00  %5.1f    %5.1f       %.0f   %s\n", (h+1)%24, dm, al, sl.SLA().ThroughputMbps, bar)
 	}
 
 	acct := sl.Accounting()
 	g := orch.Gain()
-	fmt.Printf("\n24h summary: %d violation epochs of %d served (%.1f%%)\n",
+	fmt.Fprintf(w, "\n24h summary: %d violation epochs of %d served (%.1f%%)\n",
 		acct.ViolationEpochs, acct.ServedEpochs, acct.ViolationRate*100)
-	fmt.Printf("net revenue %.2f EUR; mean multiplexing gain over the day %.2fx\n",
+	fmt.Fprintf(w, "net revenue %.2f EUR; mean multiplexing gain over the day %.2fx\n",
 		acct.NetEUR, orch.Store().Series("orchestrator/multiplexing_gain").WindowStats(0).Mean)
-	fmt.Printf("reconfigurations applied by the control loop: %d\n", g.Reconfigurations)
+	fmt.Fprintf(w, "reconfigurations applied by the control loop: %d\n", g.Reconfigurations)
+	return nil
 }

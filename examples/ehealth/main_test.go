@@ -1,0 +1,11 @@
+package main
+
+import (
+	"testing"
+
+	"repro/examples/internal/golden"
+)
+
+// TestRun pins what the example prints (testdata/ehealth.golden; -update
+// rewrites it).
+func TestRun(t *testing.T) { golden.Check(t, "ehealth", run) }

@@ -9,6 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	overbook "repro"
@@ -17,10 +20,17 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing what it shows to w.
+func run(w io.Writer) error {
 	cfg := overbook.TestbedConfig{RedundantTransport: true}
 	sys, err := overbook.NewSimulated(overbook.Options{Seed: 3, Orchestrator: &overbook.OrchestratorConfig{Overbook: true}, Testbed: cfg})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	orch := sys.Orchestrator
 	orch.Start()
@@ -36,46 +46,47 @@ func main() {
 			},
 		}, traffic.NewConstant(8, 0.5, sys.Sim.Rand()))
 		if err != nil {
-			panic(err)
+			return err
 		}
 		sys.Sim.RunFor(15 * time.Second)
 		ids = append(ids, sl.Snapshot())
 	}
-	fmt.Printf("%d slices active; primary paths use the mmWave hop %s->%s\n\n",
+	fmt.Fprintf(w, "%d slices active; primary paths use the mmWave hop %s->%s\n\n",
 		orch.ActiveCount(), testbed.ENBName(0), testbed.Switch)
 
 	show := func() {
 		for _, snap := range orch.List() {
 			if snap.State == "active" {
-				fmt.Printf("  %-5s %-10s allocated %5.1f Mbps  path %.2f ms\n",
+				fmt.Fprintf(w, "  %-5s %-10s allocated %5.1f Mbps  path %.2f ms\n",
 					snap.ID, snap.Tenant, snap.Allocation.AllocatedMbps, snap.Allocation.PathLatencyMs)
 			} else {
-				fmt.Printf("  %-5s %-10s %s (%s)\n", snap.ID, snap.Tenant, snap.State, snap.Reason)
+				fmt.Fprintf(w, "  %-5s %-10s %s (%s)\n", snap.ID, snap.Tenant, snap.State, snap.Reason)
 			}
 		}
 	}
 
-	fmt.Println("== rain fade: mmWave hop drops from 1000 to 25 Mbps ==")
+	fmt.Fprintln(w, "== rain fade: mmWave hop drops from 1000 to 25 Mbps ==")
 	rep, err := orch.HandleLinkDegradation(testbed.ENBName(0), testbed.Switch, 25)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("restored %d, dropped %d\n", len(rep.Restored), len(rep.Dropped))
+	fmt.Fprintf(w, "restored %d, dropped %d\n", len(rep.Restored), len(rep.Dropped))
 	show()
 
 	sys.Sim.RunFor(10 * time.Minute)
 
-	fmt.Println("\n== hard failure: the degraded hop goes down entirely ==")
+	fmt.Fprintln(w, "\n== hard failure: the degraded hop goes down entirely ==")
 	rep, err = orch.HandleLinkFailure(testbed.ENBName(0), testbed.Switch)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	fmt.Printf("restored %d via backup switch, dropped %d\n", len(rep.Restored), len(rep.Dropped))
+	fmt.Fprintf(w, "restored %d via backup switch, dropped %d\n", len(rep.Restored), len(rep.Dropped))
 	show()
 
 	sys.Sim.RunFor(30 * time.Minute)
 	g := orch.Gain()
-	fmt.Printf("\nafter the incident: %d slices still active, %d violation epochs total, net %.2f EUR\n",
+	fmt.Fprintf(w, "\nafter the incident: %d slices still active, %d violation epochs total, net %.2f EUR\n",
 		g.Active, g.ViolationEpochs, g.NetRevenueEUR)
 	_ = ids
+	return nil
 }

@@ -11,6 +11,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
+	"log"
+	"os"
 	"time"
 
 	overbook "repro"
@@ -18,9 +21,16 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the example, writing what it shows to w.
+func run(w io.Writer) error {
 	sys, err := overbook.NewSimulated(overbook.Options{Seed: 7, Orchestrator: &overbook.OrchestratorConfig{Overbook: true}})
 	if err != nil {
-		panic(err)
+		return err
 	}
 	orch := sys.Orchestrator
 	orch.Start()
@@ -33,7 +43,7 @@ func main() {
 	defer cancel()
 	events := orch.Watch(ctx, overbook.WatchOptions{Buffer: 4096})
 
-	submit := func(tenant string, mbps float64, d time.Duration) {
+	submit := func(tenant string, mbps float64, d time.Duration) error {
 		_, err := orch.Submit(overbook.Request{
 			Tenant: tenant,
 			SLA: overbook.SLA{
@@ -41,35 +51,39 @@ func main() {
 				PriceEUR: 80, PenaltyEUR: 2,
 			},
 		}, traffic.NewConstant(mbps*0.6, mbps*0.1, sys.Sim.Rand()))
+		return err
+	}
+	for _, err := range []error{
+		submit("video-cdn", 40, 45*time.Minute),
+		submit("factory", 25, 30*time.Minute),
+		submit("impossible", 500, time.Hour), // rejected: exceeds radio capacity
+	} {
 		if err != nil {
-			panic(err)
+			return err
 		}
 	}
-	submit("video-cdn", 40, 45*time.Minute)
-	submit("factory", 25, 30*time.Minute)
-	submit("impossible", 500, time.Hour) // rejected: exceeds radio capacity
 
 	// One simulated hour: installs complete, the control loop squeezes the
 	// overbooked reservations, the short slices expire.
 	sys.Sim.RunFor(time.Hour)
 
-	fmt.Println("== the ordered lifecycle stream ==")
+	fmt.Fprintln(w, "== the ordered lifecycle stream ==")
 	for {
 		select {
 		case ev := <-events:
-			fmt.Printf("#%-3d %-10s %-4s %-10s %s", ev.Seq, ev.Type, ev.Slice, ev.Tenant, ev.State)
+			fmt.Fprintf(w, "#%-3d %-10s %-4s %-10s %s", ev.Seq, ev.Type, ev.Slice, ev.Tenant, ev.State)
 			if ev.Mbps > 0 {
-				fmt.Printf(" %.1f Mbps", ev.Mbps)
+				fmt.Fprintf(w, " %.1f Mbps", ev.Mbps)
 			}
 			if ev.RejectCode != "" {
-				fmt.Printf(" [%s]", ev.RejectCode)
+				fmt.Fprintf(w, " [%s]", ev.RejectCode)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		case <-time.After(200 * time.Millisecond):
 			// The subscriber goroutine has drained everything published.
-			fmt.Printf("\nlast sequence: %d — resume any time with WatchOptions{Since: n}\n",
+			fmt.Fprintf(w, "\nlast sequence: %d — resume any time with WatchOptions{Since: n}\n",
 				orch.Events().LastSeq())
-			return
+			return nil
 		}
 	}
 }

@@ -24,27 +24,15 @@ import (
 //     substrate books vs ground truth, capacity ledger vs the sum of live
 //     entries, substrate holdings vs live slices.
 //
-// Install transactions that release their shard lock around the overbooking
-// squeeze hold resources while being registered nowhere; the pending-ID set
-// below exempts exactly those from leak checks, so auditing stays exact
-// under full concurrency (see DESIGN.md §8 for the determinism argument).
+// Every sweep runs inside a whole-registry pass, which holds passMu
+// exclusively: no install is in flight, so every resource a substrate holds
+// belongs to a registered slice and the sweep is exact with no exemption
+// (see DESIGN.md §8 for the determinism argument).
 
 // auditObserveEvent is the synchronous bus tap (called under the bus mutex,
 // in sequence order).
 func (o *Orchestrator) auditObserveEvent(ev Event) {
 	o.audit.ObserveEvent(ev.Seq, ev.Slice, string(ev.Type), ev.State)
-}
-
-// auditPendingBegin marks the slice's install transaction in flight. The
-// returned func clears the mark; callers defer it around the whole
-// submission so the squeeze window (shard lock released mid-install) never
-// reads as a leak.
-func (o *Orchestrator) auditPendingBegin(id slice.ID) func() {
-	if o.audit == nil {
-		return func() {}
-	}
-	o.pendingTx.Store(id, struct{}{})
-	return func() { o.pendingTx.Delete(id) }
 }
 
 // auditSliceReleased runs the scoped rollback/teardown leak check. Safe to
@@ -76,9 +64,9 @@ func (o *Orchestrator) auditSliceInstalled(m *managedSlice) {
 }
 
 // auditSweepAllLocked runs the full conservation/leak sweep. The caller
-// holds every shard lock (epoch barrier, restoration passes), so the
-// registry cut is consistent and no install transaction is mid-flight
-// except those in the pending set.
+// holds passMu exclusively and every shard lock (epoch barrier, restoration
+// passes, AuditSweep), so the registry cut is consistent and no install
+// transaction is in flight.
 func (o *Orchestrator) auditSweepAllLocked() {
 	if o.audit == nil {
 		return
@@ -106,17 +94,11 @@ func (o *Orchestrator) auditSweepAllLocked() {
 			owners[p] = id
 		}
 	}
-	pending := make(map[slice.ID]bool)
-	o.pendingTx.Range(func(k, _ any) bool {
-		pending[k.(slice.ID)] = true
-		return true
-	})
 	o.audit.Sweep(invariant.SweepInput{
 		TB:         o.tb,
 		Slices:     views,
 		LedgerLoad: o.ledger.Load(),
 		PLMNOwners: owners,
-		Pending:    pending,
 	})
 }
 
@@ -135,8 +117,8 @@ func (o *Orchestrator) AuditSweep() {
 	if o.audit == nil {
 		return
 	}
-	o.epochMu.Lock()
-	defer o.epochMu.Unlock()
+	o.passMu.Lock()
+	defer o.passMu.Unlock()
 	o.lockAll()
 	defer o.unlockAll()
 	o.auditSweepAllLocked()

@@ -68,13 +68,6 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Budget: remaining estimated radio capacity — one ledger read and one
-	// capacity read decide the whole batch's feasibility sweep.
-	budget := (o.admissionCap() - o.ledger.Load()).Mbps()
-	if budget < 0 {
-		budget = 0
-	}
-
 	// Every item arrives now, winner or loser.
 	now := o.clock.Now()
 	reqs := make([]KnapsackRequest, len(items))
@@ -88,6 +81,24 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 		reqs[i] = KnapsackRequest{Req: it.Request, LoadMbps: o.admissionEstimate(it.Request.SLA)}
 	}
 
+	// The batch is one in-flight unit: it holds the shared side of passMu
+	// from its budget read to its last registration — its winners install
+	// through submitCtx, which takes no second read lock — and a single
+	// commitPersist at the end, once passMu is released, makes the whole
+	// batch durable with one fsync. Per-item streams and states are those
+	// of one Submit each; only the durability boundary moves to the edge.
+	o.passMu.RLock()
+	defer func() {
+		o.passMu.RUnlock()
+		o.commitPersist()
+	}()
+
+	// Budget: remaining estimated radio capacity — one ledger read and one
+	// capacity read decide the whole batch's feasibility sweep.
+	budget := (o.admissionCap() - o.ledger.Load()).Mbps()
+	if budget < 0 {
+		budget = 0
+	}
 	var chosen []int
 	switch policy {
 	case BatchDensity:
@@ -102,42 +113,16 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 		take[i] = true
 	}
 
-	// Apply the decision in strict submission order. WAL records buffer as
-	// each item lands and a single commitPersist at the end makes the whole
-	// batch durable with one fsync — per-item streams and states are
-	// unchanged, only the durability boundary moves to the batch edge.
-	//
-	// Consecutive losers on the same shard keep that shard's lock across
-	// items (curSh); the lock is dropped before any winner installs (the
-	// install path takes shard locks itself) and before the deferred fsync.
-	var (
-		curSh   *shard
-		evicted []slice.ID
-	)
-	flush := func() {
-		if curSh != nil {
-			curSh.mu.Unlock()
-			curSh = nil
-		}
-		if len(evicted) > 0 {
-			o.dropFinished(evicted)
-			evicted = evicted[:0]
-		}
-	}
-	defer func() {
-		flush()
-		o.commitPersist()
-	}()
-
+	// Apply the decision in strict submission order.
 	out := make([]*slice.Slice, len(items))
 	for i, it := range items {
 		if take[i] {
-			flush()
 			// Deliberately not threading ctx further: the batch was decided
 			// jointly, so once committed it installs to completion — a cancel
 			// racing the loop must not strand half the winners installed with
-			// the caller never receiving their handles. syncPersist is off:
-			// the batch-edge fsync covers the winner's records.
+			// the caller never receiving their handles. Not standalone: the
+			// batch holds passMu's shared side, and the batch-edge fsync
+			// covers the winner's records.
 			sl, err := o.submitCtx(context.Background(), reqs[i].Req, it.Demand, false)
 			if err != nil {
 				return nil, err
@@ -152,13 +137,12 @@ func (o *Orchestrator) SubmitBatchCtx(ctx context.Context, items []BatchItem, po
 			return nil, err
 		}
 		subEv := o.publish(EventSubmitted, sl, "")
-		if sh := o.shardFor(id); sh != curSh {
-			flush()
-			sh.mu.Lock()
-			curSh = sh
-		}
-		evicted = append(evicted, o.rejectLocked(sl, slice.Rejectf(slice.RejectRevenuePolicy, "",
-			"revenue policy: not selected by %s batch admission", policy), subEv)...)
+		sh := o.shardFor(id)
+		sh.mu.Lock()
+		evicted := o.rejectLocked(sl, slice.Rejectf(slice.RejectRevenuePolicy, "",
+			"revenue policy: not selected by %s batch admission", policy), subEv)
+		sh.mu.Unlock()
+		o.dropFinished(evicted)
 		out[i] = sl
 	}
 	return out, nil

@@ -6,9 +6,13 @@ import "repro/internal/slice"
 // under an all-shard quiesce and handing it to the sink anchored at the WAL
 // sequence current at the cut. The blob's schema (checkpointState) lives with
 // the record schema in records.go; restoreSnapshot in recover.go reads it back.
+// The locks a checkpoint takes, and their order, are the checkpoint row of
+// the lock order in docs/design/07-control-epoch.md.
 
 // buildCheckpointLocked assembles the checkpoint blob. The caller holds
-// epochMu and every shard lock, so the cut is consistent.
+// passMu exclusively and every shard lock, so the cut is consistent and no
+// install is in flight: every PLMN the allocator exports belongs to a slice
+// the blob holds.
 func (o *Orchestrator) buildCheckpointLocked() []byte {
 	st := checkpointState{
 		EventNext:  o.bus.LastSeq() + 1,
@@ -49,18 +53,20 @@ func (o *Orchestrator) buildCheckpointLocked() []byte {
 }
 
 // checkpoint writes a full-state snapshot anchored at the WAL sequence
-// current while the shards are quiesced. Called from the epoch tail with
-// epochMu held and no shard lock; it quiesces the shards itself for the
-// consistent cut.
+// current while the shards are quiesced. It is a whole-registry pass: it
+// holds passMu exclusively, so no submission is in flight — an install
+// holds grants and a PLMN that no record names yet, and a cut inside one
+// would save a PLMN that replay then cannot impose for the admit record
+// that follows. RunEpoch calls it after the epoch, holding nothing; it
+// quiesces the shards itself for the consistent cut.
 //
 // The anchor must be captured inside the lockAll window: the moment the
-// shard locks drop, a concurrent operation (SubmitCtx, an activation timer,
-// Delete) can append records and advance walSeq, and a snapshot anchored
-// past records whose effects are not in the blob would make recovery skip
-// them — silently losing the operations. persistMu nests inside shard locks
-// everywhere (appendRecord), so acquiring it here preserves lock order, and
-// holding it through Snapshot pins anchor == last appended record at the
-// checkpoint's fsync.
+// shard locks drop, a concurrent operation (an activation timer, Delete)
+// can append records and advance walSeq, and a snapshot anchored past
+// records whose effects are not in the blob would make recovery skip them —
+// silently losing the operations. persistMu comes after the shard locks in
+// the lock order, and holding it through Snapshot pins anchor == last
+// appended record at the checkpoint's fsync.
 //
 // Group-commit interaction: the checkpoint first takes commit leadership —
 // waiting out any in-flight group flush — because Snapshot both syncs the
@@ -73,6 +79,8 @@ func (o *Orchestrator) checkpoint() {
 	if o.persist == nil {
 		return
 	}
+	o.passMu.Lock()
+	defer o.passMu.Unlock()
 	g := &o.commit
 	g.mu.Lock()
 	g.barrier++

@@ -71,8 +71,9 @@ type commitTicket struct {
 // record appended by the operation is covered by a completed fsync (or
 // persistence has failed/closed, which latches and disables durability
 // rather than crashing the control plane). It must be called with no shard
-// lock and no epochMu held — test sinks read the orchestrator's state
-// digest from inside Committed.
+// lock and no passMu held — test sinks read the orchestrator's state
+// digest from inside Committed, and commit.mu is last in the lock order
+// (docs/design/07-control-epoch.md).
 //
 // Group commit: the first operation to reach the boundary while no group is
 // gathering opens a ticket and leads it — it waits out any in-flight flush

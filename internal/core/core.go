@@ -23,12 +23,14 @@
 //
 // The Orchestrator is safe for concurrent use. Slice state is partitioned
 // into Config.Shards independent shards (hash of slice ID), each with its
-// own lock, so admissions, installs, teardowns and demand recording for
-// slices on different shards proceed in parallel; requests that hash to the
-// same shard queue up on its lock in arrival order. The shared radio
-// overbooking budget is a capacity ledger with a two-phase reservation
-// (reserve at admission, release on failure or teardown), so the admission
-// capacity check is one compare-and-swap rather than a registry scan.
+// own lock; teardowns, activations and demand recording for slices on
+// different shards proceed in parallel. A submission decides and installs
+// holding no shard lock — its slice is registered nowhere until it is done —
+// and takes its shard's lock once, to publish, log and register the outcome.
+// The shared radio overbooking budget is a capacity ledger with a two-phase
+// reservation (reserve at admission, release on failure or teardown), so the
+// admission capacity check is one compare-and-swap rather than a registry
+// scan.
 //
 // Every book — the ledger, each slice's entry in it, the money and live
 // capacity totals — is an int64 in slice.Kbps or slice.MicroEUR. Floats are
@@ -55,10 +57,12 @@
 // reads. The control epoch itself is a phase pipeline (epoch.go): a brief
 // serial collection pass holds every shard lock in index order, then the
 // per-slice analysis and the reconfigurations each walk the slices in
-// submission order on the epoch's goroutine, one shard lock at a time. Epoch,
-// squeeze and restoration passes serialize on epochMu; everything else
-// holds at most one shard lock, which keeps the locking deadlock-free by
-// construction (see DESIGN.md §3.4 and §7).
+// submission order on the epoch's goroutine, one shard lock at a time.
+// Whole-registry passes — the epoch, a checkpoint, restoration and the
+// audit sweep — hold passMu exclusively, and a submission holds its shared
+// side while in flight, so no pass ever sees a half-installed slice. Which
+// verb takes which lock, and in what order, is one table: the lock order in
+// docs/design/07-control-epoch.md.
 //
 // # Durability
 //
@@ -146,11 +150,10 @@ type Config struct {
 	// are retained for the dashboard; the oldest beyond the limit are
 	// pruned so a long-running daemon stays flat (default 512).
 	HistoryLimit int
-	// Shards is the number of independent admission shards the slice
-	// registry is partitioned into (rounded up to a power of two,
-	// default 8). Requests for slices on different shards are admitted,
-	// installed and torn down in parallel; a single shard serializes its
-	// slices in arrival order. Shard count never changes outcomes — only
+	// Shards is the number of independent shards the slice registry is
+	// partitioned into (rounded up to a power of two, default 8). Slices
+	// on different shards register, reconfigure and tear down under
+	// different locks. Shard count never changes outcomes — only
 	// contention — so deterministic simulations are identical at any
 	// setting.
 	Shards int
@@ -293,25 +296,24 @@ type Orchestrator struct {
 	history   finishedHistory
 	bus       *EventBus
 
-	// audit is the invariant auditor (nil unless Config.Audit); pendingTx
-	// tracks slice IDs whose install transaction is in flight so the sweep
-	// never mistakes the squeeze window's unregistered grants for leaks
-	// (audit.go).
-	audit     *invariant.Auditor
-	pendingTx sync.Map // slice.ID -> struct{}
+	// audit is the invariant auditor (nil unless Config.Audit; audit.go).
+	audit *invariant.Auditor
 
 	// lastEpoch is the snapshot the telemetry barrier (phase P4) publishes
 	// each epoch (gain.go).
 	lastEpoch atomic.Pointer[EpochSnapshot]
 
-	// epochMu serializes the whole-registry passes — the control epoch's
-	// phase pipeline, the squeeze, link restoration — against each other,
-	// so no two of them interleave their multi-phase work. It is always
-	// acquired before any shard lock (never while holding one).
-	epochMu sync.Mutex
+	// passMu is the lock for whole-registry passes. The control epoch, a
+	// checkpoint, link restoration and the audit sweep take its exclusive
+	// side, so no two of them interleave; a submission holds its shared
+	// side from its submission event to its registration, so no pass runs
+	// while an install is in flight. It is first in the lock order
+	// (docs/design/07-control-epoch.md), never taken while holding a shard
+	// lock, and never taken twice by one goroutine.
+	passMu sync.RWMutex
 	// roster is the registry in submission order (shard.go), guarded by
 	// every shard lock; ep is the control epoch's dense working state
-	// (epoch.go), guarded by epochMu. Both are reused across passes.
+	// (epoch.go), guarded by passMu. Both are reused across passes.
 	roster roster
 	ep     epochScratch
 
@@ -320,7 +322,7 @@ type Orchestrator struct {
 
 	// Durability plane (persist.go): persistMu is a leaf mutex guarding the
 	// WAL sequence counter, the latched error and the closed flag, so
-	// records can be appended from under shard locks and epochMu. The sink
+	// records can be appended from under shard locks and passMu. The sink
 	// pointer itself is immutable once operations run (set by New or
 	// AttachSink before anything concurrent starts) — the unguarded
 	// `o.persist != nil` fast paths rely on that; detachment is the guarded
@@ -331,11 +333,10 @@ type Orchestrator struct {
 	persistErr    error
 	persistClosed bool
 	recovery      *RecoveryReport
-	// commit is the group-commit state machine (persist.go): operations
+	// commit is the group-commit state machine (commit.go): operations
 	// reaching their durability boundary elect one leader to fsync for the
-	// whole group instead of fsyncing individually. Its mutex is ordered
-	// after persistMu (commitPersist takes persistMu first, then commit.mu;
-	// never the reverse while holding commit.mu).
+	// whole group instead of fsyncing individually. Its mutex is last in
+	// the lock order (docs/design/07-control-epoch.md).
 	commit commitGroup
 
 	loopMu sync.Mutex
@@ -439,9 +440,9 @@ func (e errReject) Unwrap() error { return e.cause }
 // The optional demand process makes the simulation feed the slice's
 // offered load every epoch (live deployments call RecordDemand instead).
 //
-// Submit is safe for concurrent use: requests serialize per shard, so
-// independent tenants are admitted and installed in parallel. It is a thin
-// wrapper over SubmitCtx with a background context.
+// Submit is safe for concurrent use: independent tenants are admitted and
+// installed in parallel. It is a thin wrapper over SubmitCtx with a
+// background context.
 func (o *Orchestrator) Submit(req slice.Request, demand traffic.Demand) (*slice.Slice, error) {
 	return o.SubmitCtx(context.Background(), req, demand)
 }
@@ -459,12 +460,18 @@ func (o *Orchestrator) SubmitCtx(ctx context.Context, req slice.Request, demand 
 	return o.submitCtx(ctx, req, demand, true)
 }
 
-// submitCtx is the shared submission body. syncPersist selects the
-// durability boundary: the online path commits (fsyncs) the WAL records it
-// appended before returning; the batch path passes false and commits once
-// for the whole batch — same record stream, one fsync instead of one per
-// item.
-func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand traffic.Demand, syncPersist bool) (*slice.Slice, error) {
+// submitCtx is the shared submission body. From its submission event to its
+// registration the submission is in flight, and holds the shared side of
+// passMu for that span, so no whole-registry pass — no epoch, checkpoint,
+// restoration or audit sweep — can see a half-installed slice. A standalone
+// submission takes that read lock itself and commits (fsyncs) the WAL
+// records it appended before returning; the batch path passes false, as it
+// holds the read lock for the whole batch and commits once for it — same
+// record stream, one fsync instead of one per item. Admission and the whole install run with no shard
+// lock: the slice is registered nowhere until the end, so nothing else
+// reaches it. The shard lock is taken once, to publish, log and register
+// the outcome.
+func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand traffic.Demand, standalone bool) (*slice.Slice, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -476,14 +483,14 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 	if err != nil {
 		return nil, err
 	}
-	// Mark the install transaction in flight for the invariant auditor: the
-	// engine may release the shard lock around the squeeze while holding
-	// grants that are registered nowhere yet.
-	auditDone := o.auditPendingBegin(id)
-	defer auditDone()
+	if standalone {
+		// Deferred in this order, the commit runs once passMu is released.
+		defer o.commitPersist()
+		o.passMu.RLock()
+		defer o.passMu.RUnlock()
+	}
 	subEv := o.publish(EventSubmitted, s, "")
 	sh := o.shardFor(id)
-	sh.mu.Lock()
 
 	// Phase one: admission checks plus the atomic capacity-ledger
 	// reservation for the newcomer's estimated radio load. Phase two: the
@@ -498,30 +505,24 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 		// The slice's record exists from here on, so install binds the
 		// substrate handles straight into it; applyAdmit registers it.
 		m = &managedSlice{s: s, sh: sh}
-		if activateAt, err = o.install(sh, m, dcName); err != nil {
+		if activateAt, err = o.install(m, dcName); err != nil {
 			o.ledger.Release(reserved)
 			o.auditSliceReleased(id) // rollback must leave nothing behind
 			var rej errReject
 			if !errors.As(err, &rej) {
-				sh.mu.Unlock()
 				// The squeeze may have appended resize records before the
-				// failure; they are real committed outcomes and must become
-				// durable.
-				if syncPersist {
-					o.commitPersist()
-				}
+				// failure; they are real committed outcomes and become
+				// durable at the commit above.
 				return nil, err
 			}
 			cause = rej.cause
 		}
 	}
+	sh.mu.Lock()
 	if cause != nil {
 		evicted := o.rejectLocked(s, cause, subEv)
 		sh.mu.Unlock()
 		o.dropFinished(evicted)
-		if syncPersist {
-			o.commitPersist()
-		}
 		return s, nil
 	}
 	ar := admitRecord{ReservedKbps: reserved, SubmittedAt: subEv.Time, ActivateAt: activateAt}
@@ -535,9 +536,6 @@ func (o *Orchestrator) submitCtx(ctx context.Context, req slice.Request, demand 
 		o.auditSliceInstalled(m) // commit must hold what it recorded
 	}
 	sh.mu.Unlock()
-	if syncPersist {
-		o.commitPersist()
-	}
 	return s, nil
 }
 

@@ -99,7 +99,7 @@ func (o *Orchestrator) latencyBudget(sla slice.SLA) float64 {
 // there and resize through them. plmn and dc are the caller's (install's are
 // not in the allocation yet); mbps is what the stage sizes for, 0 for a
 // resize, which takes its own. The caller holds m's shard lock, which guards
-// the binding.
+// the binding, or is m's install, which owns it until registration.
 func (o *Orchestrator) sliceTx(m *managedSlice, plmn slice.PLMN, dc string, mbps float64) ctrl.Tx {
 	sla := m.s.SLA()
 	return ctrl.Tx{
@@ -143,16 +143,15 @@ func abortGrants(grants []domainGrant) {
 // failure (chain before concurrent group, both in registration order) is
 // returned.
 //
-// The caller holds sh.mu. When the head of the chain — the bottleneck
-// domain the overbooking budget governs — cannot fit the request at face
-// value and overbooking is on, running slices are first squeezed down to
-// their forecast-provisioned sizes and the stage retried, then retried once
-// more at the admission estimate (fallbackMbps): "allocated network slices
-// might be dynamically re-configured (overbooked) to accommodate new slice
-// requests" (Section 3). The squeeze locks every shard, so the caller's
-// shard lock is released around it (the newcomer is unpublished; nothing
-// observes the gap) and re-acquired before retrying.
-func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64, gs []domainGrant) ([]domainGrant, *slice.RejectionCause) {
+// The caller is an in-flight install: it holds the shared side of passMu
+// and no shard lock. When the head of the chain — the bottleneck domain the
+// overbooking budget governs — cannot fit the request at face value and
+// overbooking is on, running slices are first squeezed down to their
+// forecast-provisioned sizes and the stage retried, then retried once more
+// at the admission estimate (fallbackMbps): "allocated network slices might
+// be dynamically re-configured (overbooked) to accommodate new slice
+// requests" (Section 3).
+func (o *Orchestrator) reserveAll(tx ctrl.Tx, fallbackMbps float64, gs []domainGrant) ([]domainGrant, *slice.RejectionCause) {
 	// The concurrent group reserves inline at its dispatch point. It used to
 	// run on per-request goroutines overlapping the chain; the group's
 	// substrates (cloud compute, MEC pool) are disjoint from the chain's
@@ -178,9 +177,7 @@ func (o *Orchestrator) reserveAll(sh *shard, tx ctrl.Tx, fallbackMbps float64, g
 	for i, d := range o.domains.chain {
 		g, cause := safeReserve(d, tx)
 		if cause != nil && i == 0 && o.cfg.effectiveRisk() < 0.9995 {
-			sh.mu.Unlock()
 			o.squeezeAll()
-			sh.mu.Lock()
 			g, cause = safeReserve(d, tx)
 			if cause != nil && fallbackMbps < tx.Mbps {
 				// Last resort: install at the admission estimate; the

@@ -11,9 +11,10 @@ import (
 
 // This file is the phase-pipelined control epoch — the Fig. 1 closed loop
 // (monitor → analyze → optimize → reconfigure) restructured so its cost no
-// longer means freezing the whole sharded engine (DESIGN.md §7). Every
-// phase runs on the caller's goroutine, and P1–P3c walk the slices in
-// submission order:
+// longer means freezing the whole sharded engine (DESIGN.md §7). The whole
+// pass holds passMu exclusively; every phase runs on the caller's
+// goroutine, and P1–P3c walk the slices in submission order (the locks each
+// phase adds are rows of the lock order in docs/design/07-control-epoch.md):
 //
 //	P1  collect   all shard locks: sample every active slice's offered
 //	              load. The sampling draws from the shared simulation RNG,
@@ -29,12 +30,13 @@ import (
 //	              critical section, so a teardown cannot land between
 //	              counting a violation and billing it. Each live slice's
 //	              provisioner and contract join the epoch's batch.
-//	P3b provision no shard lock, epochMu only: one forecast.ProvisionEach
+//	P3b provision no shard lock, passMu only: one forecast.ProvisionEach
 //	              fills every live slice's target, forecast + risk margin
 //	              (the per-slice pipeline of the companion forecasting paper
 //	              [4]), the margins four windows at a time. Only the epoch,
-//	              squeezeAll and single-threaded replay touch forecasters,
-//	              and epochMu serializes all three.
+//	              squeezeAll and single-threaded replay touch forecasters;
+//	              the epoch holds passMu exclusively and a squeeze runs
+//	              inside an install that holds its shared side.
 //	P3c commit    one shard lock at a time: cap the target at the slice's
 //	              rollout cap, apply resizes through the transaction engine,
 //	              roll the capacity ledger forward and collect the slice's
@@ -47,10 +49,10 @@ import (
 //	              plane serves from.
 //
 // Between P2's unlock and each per-slice step, per-slice operations on
-// other shards (admissions, teardowns, watches) proceed concurrently; the
+// other shards (teardowns, activations, watches) proceed concurrently; the
 // epoch re-checks slice liveness under the shard lock before touching it.
-// Whole-registry passes (squeeze, restoration) cannot interleave: RunEpoch
-// holds epochMu for the duration.
+// Submissions, squeezes and the other whole-registry passes cannot
+// interleave: runEpoch holds passMu exclusively for the duration.
 
 // sliceSeriesCapacity bounds the per-slice telemetry rings. Orchestrator-
 // level and domain series keep the store's default capacity; per-slice
@@ -73,7 +75,7 @@ type epochItem struct {
 }
 
 // epochScratch is the control epoch's working state, kept on the
-// orchestrator and reused every epoch (guarded by epochMu) so a steady-state
+// orchestrator and reused every epoch (guarded by passMu) so a steady-state
 // pass allocates nothing per slice. items, binds, demand and served are
 // index-aligned: entry i of each belongs to the i-th measured slice in
 // submission order, and that is the form they travel in through the RAN
@@ -150,17 +152,22 @@ func violationDetail(served, demand float64) string {
 // fixed-seed run is bit-identical at any shard count. See the file comment
 // for the full phase/locking contract.
 func (o *Orchestrator) RunEpoch() {
-	o.runEpoch()
+	// Checkpoint cadence: fold the log into a full-state snapshot every
+	// SnapshotEvery epochs. The checkpoint is a pass of its own.
+	if o.runEpoch() {
+		o.checkpoint()
+	}
 	// The durability boundary: fsync the epoch's records with no lock held
 	// (test sinks read the state digest from inside Committed).
 	o.commitPersist()
 }
 
-// runEpoch is RunEpoch's body; it holds epochMu for the duration and leaves
-// the WAL commit to the caller.
-func (o *Orchestrator) runEpoch() {
-	o.epochMu.Lock()
-	defer o.epochMu.Unlock()
+// runEpoch is RunEpoch's body; it holds passMu exclusively for the duration
+// and leaves the checkpoint and the WAL commit to the caller. It reports
+// whether the checkpoint cadence is due.
+func (o *Orchestrator) runEpoch() (checkpointDue bool) {
+	o.passMu.Lock()
+	defer o.passMu.Unlock()
 	now := o.clock.Now()
 	o.epochs.Add(1)
 
@@ -236,7 +243,7 @@ func (o *Orchestrator) runEpoch() {
 	}
 
 	// P3b: every live slice's provisioning target in one batch, holding only
-	// epochMu (see the file comment for why that is enough).
+	// passMu (see the file comment for why that is enough).
 	if cap(ep.targets) < len(ep.provs) {
 		ep.targets = make([]float64, len(ep.provs), cap(ep.provs))
 	}
@@ -349,9 +356,5 @@ func (o *Orchestrator) runEpoch() {
 		o.unlockAll()
 	}
 
-	// Checkpoint cadence: fold the log into a full-state snapshot every
-	// SnapshotEvery epochs, anchored at the epoch record's sequence.
-	if o.persist != nil && o.epochs.Load()%int64(o.cfg.SnapshotEvery) == 0 {
-		o.checkpoint()
-	}
+	return o.epochs.Load()%int64(o.cfg.SnapshotEvery) == 0
 }

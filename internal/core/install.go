@@ -42,16 +42,16 @@ func newInstallTimeline(submitted time.Time) InstallTimeline {
 // deterministic order, and any failure rolls everything back in reverse
 // order automatically and converts to a typed rejection.
 //
-// The caller holds sh.mu (its shard's lock), has already reserved the
-// newcomer's estimate on the capacity ledger (it releases that reservation
-// if install fails) and chose dcName at admission (the placement scan is not
-// repeated here). On success m's slice is Installing with every grant
-// applied to its allocation — the outcome the admit record logs — and its
-// substrate handles in m.bind, and install returns the instant its
-// installation stages end; registering m is applyAdmit's. The engine may
-// briefly release and re-acquire sh.mu around the overbooking squeeze — see
-// reserveAll (m is not registered yet, so nothing else reaches its binding).
-func (o *Orchestrator) install(sh *shard, m *managedSlice, dcName string) (activateAt time.Time, err error) {
+// The caller is an in-flight submission (submitCtx): it holds the shared
+// side of passMu and no shard lock — m is not registered yet, so nothing
+// else reaches its binding. It has already reserved the newcomer's estimate
+// on the capacity ledger (it releases that reservation if install fails)
+// and chose dcName at admission (the placement scan is not repeated here).
+// On success m's slice is Installing with every grant applied to its
+// allocation — the outcome the admit record logs — and its substrate
+// handles in m.bind, and install returns the instant its installation
+// stages end; registering m is applyAdmit's.
+func (o *Orchestrator) install(m *managedSlice, dcName string) (activateAt time.Time, err error) {
 	s := m.s
 	sla := s.SLA()
 	now := o.clock.Now()
@@ -65,7 +65,7 @@ func (o *Orchestrator) install(sh *shard, m *managedSlice, dcName string) (activ
 
 	// 2. The multi-domain two-phase transaction.
 	var buf grantList
-	grants, cause := o.reserveAll(sh, o.sliceTx(m, plmn, dcName, sla.ThroughputMbps), o.admissionEstimate(sla), buf[:0])
+	grants, cause := o.reserveAll(o.sliceTx(m, plmn, dcName, sla.ThroughputMbps), o.admissionEstimate(sla), buf[:0])
 	if cause != nil {
 		o.plmns.Release(plmn)
 		return time.Time{}, errReject{cause}
@@ -199,14 +199,12 @@ func (o *Orchestrator) teardownLocked(m *managedSlice, reason string, typ EventT
 
 // squeezeAll shrinks every live slice's domain reservations to its
 // forecast-provisioned target (or the a-priori estimate for slices without
-// history), freeing capacity for a newcomer. It is a whole-registry pass:
-// callers must hold no shard lock (reserveAll releases its own around the
-// call); squeezeAll serializes on epochMu — so it never interleaves with
-// the epoch's phase pipeline — and then takes every shard lock in index
-// order.
+// history), freeing capacity for a newcomer. Its one caller is an in-flight
+// install (reserveAll), which holds the shared side of passMu and no shard
+// lock: that already shuts out the epoch and every other pass that touches
+// forecasters, so squeezeAll only takes every shard lock in index order,
+// which also keeps two concurrent squeezes in order.
 func (o *Orchestrator) squeezeAll() {
-	o.epochMu.Lock()
-	defer o.epochMu.Unlock()
 	o.lockAll()
 	defer o.unlockAll()
 	for _, m := range o.rosterAllLocked() {

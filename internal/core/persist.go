@@ -15,11 +15,12 @@ import (
 // commitPersist in commit.go, checkpointing in checkpoint.go.
 //
 // Hook discipline: records are appended inside the mutating operation's
-// critical section (appendRecord takes only the leaf persistMu, so it is
-// safe under shard locks and epochMu), after the operation decided and
-// before its applier (apply.go) makes the effect visible; each top-level
-// operation ends with one commitPersist() — the durability boundary — called
-// with no shard lock and no epochMu held. A crash between an append and its
+// critical section (appendRecord takes only persistMu, which comes after
+// passMu and the shard locks in the lock order of
+// docs/design/07-control-epoch.md), after the operation decided and before
+// its applier (apply.go) makes the effect visible; each top-level operation
+// ends with one commitPersist() — the durability boundary — called with no
+// shard lock and no passMu held. A crash between an append and its
 // commit may lose that operation entirely, but can never surface a torn
 // prefix of it as recovered state.
 //
@@ -39,7 +40,7 @@ import (
 // substitute an in-memory sink that snapshots digests at commit boundaries.
 //
 // One lock contract holds for every sink. Append and Snapshot run under the
-// persistence mutex, Append possibly under shard locks and epochMu as well,
+// persistence mutex, Append possibly under shard locks and passMu as well,
 // so it must only buffer. Committed runs outside the mutex with no
 // orchestrator lock held; commit leadership serializes it with every other
 // durability step, Snapshot and the close hook. Other operations may append
@@ -86,7 +87,7 @@ func WALSink(w *wal.Writer) Sink { return walSink{w} }
 
 // appendRecord encodes rec and the events its operation published and
 // buffers them on the sink under the next WAL sequence. It takes only the
-// leaf persistMu, so callers may hold shard locks and epochMu. The first sink
+// persistMu, so callers may hold shard locks and passMu. The first sink
 // error latches: persistence is disabled from that point (surfaced via
 // PersistStatus) rather than crashing the control plane mid-operation.
 func (o *Orchestrator) appendRecord(typ string, rec record, events ...Event) {

@@ -468,9 +468,9 @@ func wireLink(c *wal.Codec, ls *linkState) {
 // durable image plus the orchestrator-level bookkeeping and substrate
 // outcomes that live outside the slice. The capacity ledger has no field of
 // its own: it is exactly the sum of the LedgerKbps entries, and restore
-// rebuilds it from them — so a reservation an in-flight install holds at the
-// cut (engine.go's squeeze window: registered nowhere, nothing logged yet)
-// is not double-counted when its admit record replays.
+// rebuilds it from them. A checkpoint is cut with no install in flight
+// (checkpoint.go), so every reservation and PLMN at the cut belongs to an
+// entry here.
 type persistedSlice struct {
 	Slice      slice.Persisted
 	LedgerKbps slice.Kbps

@@ -28,13 +28,13 @@ func collectAndSortAllLocked(o *Orchestrator) []*managedSlice {
 }
 
 // checkOrderedRegistry quiesces the registry like a whole-registry pass does
-// (epochMu, then every shard lock), then requires the roster to equal
+// (passMu, then every shard lock), then requires the roster to equal
 // the collect-and-sort reference element for element and every shard to
 // satisfy the ordered-list invariant.
 func checkOrderedRegistry(t *testing.T, o *Orchestrator, when string) {
 	t.Helper()
-	o.epochMu.Lock()
-	defer o.epochMu.Unlock()
+	o.passMu.Lock()
+	defer o.passMu.Unlock()
 	o.lockAll()
 	defer o.unlockAll()
 	for k, sh := range o.shards {

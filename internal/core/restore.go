@@ -17,10 +17,10 @@ import (
 // and surface the SLA failure.
 //
 // A failed link's victims can live on any shard, so both handlers are
-// whole-registry passes: they serialize on epochMu (so a restoration never
-// interleaves with the control epoch's phase pipeline or the squeeze) and
-// then take every shard lock (index order) for the duration, serializing
-// against in-flight admissions.
+// whole-registry passes: they hold passMu exclusively (so a restoration
+// never interleaves with another pass, and no install is in flight) and
+// then every shard lock (index order) for the duration — the lock order in
+// docs/design/07-control-epoch.md.
 
 // RestorationReport summarises one link-failure handling pass.
 type RestorationReport struct {
@@ -39,8 +39,8 @@ type RestorationReport struct {
 // outright — shown on the dashboard). Safe for concurrent use.
 func (o *Orchestrator) HandleLinkFailure(from, to string) (RestorationReport, error) {
 	defer o.commitPersist() // deferred first, so it runs once every lock is released
-	o.epochMu.Lock()
-	defer o.epochMu.Unlock()
+	o.passMu.Lock()
+	defer o.passMu.Unlock()
 	o.lockAll()
 	defer o.unlockAll()
 
@@ -122,8 +122,8 @@ func (o *Orchestrator) RestoreLink(from, to string) error {
 // dropped. Safe for concurrent use.
 func (o *Orchestrator) HandleLinkDegradation(from, to string, newCapacityMbps float64) (RestorationReport, error) {
 	defer o.commitPersist() // deferred first, so it runs once every lock is released
-	o.epochMu.Lock()
-	defer o.epochMu.Unlock()
+	o.passMu.Lock()
+	defer o.passMu.Unlock()
 	o.lockAll()
 	defer o.unlockAll()
 

@@ -13,14 +13,13 @@ import (
 // This file implements the partitioning layer of the concurrent admission
 // engine (DESIGN.md §3.4): the slice registry is split into a power-of-two
 // number of shards, keyed by an FNV-1a hash of the slice ID, so independent
-// tenants' admissions, installs and teardowns serialize only against their
-// own shard. Whole-registry passes — the serial head of the control epoch,
-// restoration after link failures, the squeeze that shrinks running slices
-// for a newcomer — first take the orchestrator's epochMu (serializing those
-// passes against each other and against the epoch's phase pipeline) and
-// then acquire every shard lock in index order (lockAll), which is
-// deadlock-free because single-shard paths never hold more than one shard
-// lock at a time. See DESIGN.md §7 for the full phase/locking contract.
+// tenants' registrations and teardowns serialize only against their own
+// shard. Whole-registry passes — the serial head of the control epoch, a
+// checkpoint, restoration after link failures, the audit sweep — and the
+// squeeze that shrinks running slices for a newcomer acquire every shard
+// lock in index order (lockAll), which is deadlock-free because single-shard
+// paths never hold more than one shard lock at a time. Who takes which lock,
+// in what order, is the lock-order table (docs/design/07-control-epoch.md).
 //
 // The global overbooking budget lives outside the shards in a capacity
 // ledger: admission performs a two-phase reservation (reserve the estimated
@@ -67,10 +66,11 @@ func (o *Orchestrator) shardFor(id slice.ID) *shard {
 }
 
 // lockAll acquires every shard lock in index order. Paired with unlockAll.
-// Only whole-registry passes use it — the epoch's serial collection phase,
-// the squeeze, restoration — and all of them hold epochMu first; per-slice
+// Only whole-registry passes use it — the epoch's serial phases, a
+// checkpoint, restoration, the audit sweep — and the squeeze, all of them
+// holding passMu (exclusively, or as the squeezing install); per-slice
 // paths lock exactly one shard, so the index order makes deadlock
-// impossible. The read plane (Gain, ActiveCount, List) no longer uses it.
+// impossible. The read plane (Gain, ActiveCount, List) does not use it.
 func (o *Orchestrator) lockAll() {
 	for _, sh := range o.shards {
 		sh.mu.Lock()

@@ -93,10 +93,11 @@ func (t *telemetry) in(store *monitor.Store, names func() []string) []*monitor.S
 // outcome — and every resize, abort and the epoch's scheduling pass read it,
 // so none names the slice. Each domain's Grant is a view of it (domain.go).
 // It reaches the controllers in Tx and is opaque outside this package: the
-// orchestrator keeps one per slice, guarded by the slice's shard lock, and
-// passes it through untouched. A handle in it dies with its reservation; a
-// dead handle resizes, schedules and releases nothing, so a binding that
-// outlives its slice's resources is harmless.
+// orchestrator keeps one per slice, guarded by the slice's shard lock or
+// owned by its install before registration, and passes it through
+// untouched. A handle in it dies with its reservation; a dead handle
+// resizes, schedules and releases nothing, so a binding that outlives its
+// slice's resources is harmless.
 type Binding struct {
 	id    slice.ID
 	cells []ran.Handle

@@ -50,8 +50,10 @@ type Tx struct {
 	// the returned Grant is a view of it. The orchestrator keeps one per
 	// slice and passes it in every Tx of that slice; the engine and the
 	// Set.Wrap decorators pass it through untouched. It is guarded by the
-	// slice's shard lock, which every caller holds. Reserve and Resize
-	// require it; it is nil only for admission's Feasible dry run.
+	// slice's shard lock, which every caller holds, or owned by its
+	// install before registration (no other caller can reach it then).
+	// Reserve and Resize require it; it is nil only for admission's
+	// Feasible dry run.
 	Binding *Binding
 }
 

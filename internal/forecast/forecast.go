@@ -16,9 +16,11 @@
 // belongs to exactly one slice, and only three callers touch them — the
 // control epoch (Observe under the slice's shard lock in its analysis pass,
 // then one ProvisionEach over every live slice holding no shard lock), the
-// squeeze pass and single-threaded WAL replay. The orchestrator's epochMu
-// serializes all three (DESIGN.md §7), so a single forecaster only ever sees
-// one goroutine at a time. Do not share one instance across slices or
+// squeeze pass and single-threaded WAL replay. The orchestrator's pass lock
+// keeps them apart — the epoch holds it exclusively, a squeeze runs inside
+// an install that holds its shared side and every shard lock (the lock
+// order in DESIGN.md §7.7) — so a single forecaster only ever sees one
+// goroutine at a time. Do not share one instance across slices or
 // goroutines.
 package forecast
 

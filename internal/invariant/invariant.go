@@ -286,8 +286,8 @@ func (v SliceView) live() bool {
 }
 
 // SweepInput is everything one conservation/leak sweep needs. The core
-// builds it while holding every shard lock (so no install transaction is
-// mid-flight except those listed in Pending).
+// builds it inside a whole-registry pass, holding every shard lock, so no
+// install transaction is in flight.
 type SweepInput struct {
 	TB     *testbed.Testbed
 	Slices []SliceView
@@ -295,11 +295,6 @@ type SweepInput struct {
 	LedgerLoad slice.Kbps
 	// PLMNOwners maps every allocator-held PLMN to its owning slice.
 	PLMNOwners map[slice.PLMN]slice.ID
-	// Pending lists slice IDs whose install transaction is in flight (the
-	// squeeze window releases the shard lock mid-install); their resources
-	// are exempt from leak checks and their ledger reservations excuse an
-	// over-full ledger.
-	Pending map[slice.ID]bool
 }
 
 // Sweep runs the full cross-domain conservation and leak audit. The caller
@@ -324,14 +319,10 @@ func (a *Auditor) Sweep(in SweepInput) {
 	}
 
 	// Radio capacity ledger: the shared overbooking budget must be exactly
-	// the sum of live entries. In-flight installs (Pending) have reserved
-	// their admission estimate but not yet recorded it on a managed slice,
-	// so equality can only be checked on a quiet registry.
-	if len(in.Pending) == 0 {
-		if in.LedgerLoad != ledgerSum {
-			a.record("ledger", "capacity ledger %d kbps != Σ live slice entries %d (Δ %d over %d slices)",
-				in.LedgerLoad, ledgerSum, in.LedgerLoad-ledgerSum, len(live))
-		}
+	// the sum of live entries.
+	if in.LedgerLoad != ledgerSum {
+		a.record("ledger", "capacity ledger %d kbps != Σ live slice entries %d (Δ %d over %d slices)",
+			in.LedgerLoad, ledgerSum, in.LedgerLoad-ledgerSum, len(live))
 	}
 	if in.LedgerLoad < 0 {
 		a.record("ledger", "capacity ledger negative: %d kbps", in.LedgerLoad)
@@ -345,12 +336,9 @@ func (a *Auditor) Sweep(in SweepInput) {
 
 // sweepRadio checks eNB conservation plus PLMN <-> slice leak-freedom.
 func (a *Auditor) sweepRadio(in SweepInput, live map[slice.ID]SliceView) {
-	// Allocator view: every held PLMN belongs to a live or pending slice,
-	// and every live slice's PLMN is held.
+	// Allocator view: every held PLMN belongs to a live slice, and every
+	// live slice's PLMN is held.
 	for p, owner := range in.PLMNOwners {
-		if in.Pending[owner] {
-			continue
-		}
 		if _, ok := live[owner]; !ok {
 			a.record("leak", "PLMN %s still allocated to non-live slice %s", p, owner)
 		}
@@ -375,16 +363,13 @@ func (a *Auditor) sweepRadio(in SweepInput, live map[slice.ID]SliceView) {
 				a.record("leak", "%s broadcasts PLMN %s that no slice owns", e.Name(), p)
 				continue
 			}
-			if in.Pending[owner] {
-				continue
-			}
 			if _, ok := plmnOf[p]; !ok {
 				a.record("leak", "%s holds PRBs for PLMN %s of non-live slice %s", e.Name(), p, owner)
 			}
 		}
 		// Every live slice past installation must hold PRBs on every cell.
 		for id, v := range live {
-			if v.PLMN.IsZero() || in.Pending[id] {
+			if v.PLMN.IsZero() {
 				continue
 			}
 			if _, ok := e.Reservation(v.PLMN); !ok {
@@ -403,17 +388,11 @@ func (a *Auditor) sweepTransport(in SweepInput, live map[slice.ID]SliceView) {
 	for _, r := range in.TB.Transport.Reservations() {
 		held[r.ID] = true
 		owner := ctrl.OwnerOf(r.ID)
-		if in.Pending[owner] {
-			continue
-		}
 		if _, ok := live[owner]; !ok {
 			a.record("leak", "transport path %q survives its slice %s", r.ID, owner)
 		}
 	}
 	for id, v := range live {
-		if in.Pending[id] {
-			continue
-		}
 		for _, pid := range v.PathIDs {
 			if !held[pid] {
 				a.record("leak", "live slice %s records path %q that transport no longer holds", id, pid)
@@ -430,16 +409,13 @@ func (a *Auditor) sweepCloud(in SweepInput, live map[slice.ID]SliceView) {
 		}
 		for _, stackID := range dc.StackIDs() {
 			owner := ctrl.OwnerOf(stackID)
-			if in.Pending[owner] {
-				continue
-			}
 			if _, ok := live[owner]; !ok {
 				a.record("leak", "cloud stack %q in %s survives its slice %s", stackID, dc.Name(), owner)
 			}
 		}
 	}
 	for id, v := range live {
-		if v.StackID == "" || in.Pending[id] {
+		if v.StackID == "" {
 			continue
 		}
 		dc, ok := in.TB.Region.Get(v.DC)
@@ -464,15 +440,12 @@ func (a *Auditor) sweepMEC(in SweepInput, live map[slice.ID]SliceView) {
 	placed := make(map[string]bool)
 	for _, app := range in.TB.MEC.Apps() {
 		placed[app.ID] = true
-		if in.Pending[app.Slice] {
-			continue
-		}
 		if _, ok := live[app.Slice]; !ok {
 			a.record("leak", "mec app %q survives its slice %s", app.ID, app.Slice)
 		}
 	}
 	for id, v := range live {
-		if v.MECAppID == "" || in.Pending[id] {
+		if v.MECAppID == "" {
 			continue
 		}
 		if !placed[v.MECAppID] {

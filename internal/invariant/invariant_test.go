@@ -153,21 +153,6 @@ func TestSweepDetectsDanglingRecords(t *testing.T) {
 	}
 }
 
-// TestSweepPendingExemption: resources of an in-flight install (the squeeze
-// window) are not leaks, and the ledger equality check stands down.
-func TestSweepPendingExemption(t *testing.T) {
-	tb := testEnv(t)
-	p := plmn("01")
-	reserveSlice(t, tb, "s-1", p, 20)
-	a := New(Options{})
-	a.Sweep(SweepInput{TB: tb, LedgerLoad: slice.ToKbps(20),
-		PLMNOwners: map[slice.PLMN]slice.ID{p: "s-1"},
-		Pending:    map[slice.ID]bool{"s-1": true}})
-	if err := a.Err(); err != nil {
-		t.Fatalf("pending install flagged: %v", err)
-	}
-}
-
 // TestEventStreamInvariants drives the observer with a legal sequence, then
 // a gap and an illegal transition.
 func TestEventStreamInvariants(t *testing.T) {
