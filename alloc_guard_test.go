@@ -149,10 +149,13 @@ func TestEpochAllocCeiling(t *testing.T) {
 // array on the caller's stack, the radio grant writes the PRBs into the
 // allocation's own map, the slice is read once and written once, and the
 // resize event is filled and numbered in place. (The epoch ceiling above
-// cannot see a single allocation per resize come back; this can.) No
-// sync.Pool is on the path, so it holds under the race detector too. It
-// runs plain and with an identity ctrl.Set.Wrap installed: a decorated
-// system allocates no more than the shipped one.
+// cannot see a single allocation per resize come back; this can.) A target
+// past the hysteresis band that the radio quantum swallows allocates
+// nothing either: the radio's check runs inside BeginResize through a
+// closure that stays on the stack. No sync.Pool is on the path, so it holds
+// under the race detector too. It runs plain and with an identity
+// ctrl.Set.Wrap installed: a decorated system allocates no more than the
+// shipped one.
 func TestResizeZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -179,6 +182,17 @@ func TestResizeZeroAllocs(t *testing.T) {
 			allocs := testing.AllocsPerRun(200, func() { resize(i); i++ })
 			if allocs != 0 {
 				t.Fatalf("a resize that goes through allocates %.1f allocs/op, want 0", allocs)
+			}
+			// At 1.8 Mbps the slice holds two PRBs per cell (2.06 Mbps);
+			// 1.9 is past the band and sizes to the same two.
+			resize(1)
+			allocs = testing.AllocsPerRun(200, func() {
+				if changed, err := o.Resize(id, 1.9); err != nil || changed {
+					t.Fatalf("resize to 1.9 Mbps: changed=%v err=%v, want the radio quantum to swallow it", changed, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("a resize the radio swallows allocates %.1f allocs/op, want 0", allocs)
 			}
 		})
 	}

@@ -11,6 +11,7 @@ package overbook
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -119,11 +120,22 @@ func BenchmarkParallelAdmissionReject(b *testing.B) {
 // that event publication stays off the sharded hot path: ns/op must not grow
 // with the subscriber count (each admit+delete publishes three events;
 // subscribers drain concurrently and the slowest merely resyncs, never
-// stalling Submit).
+// stalling Submit). Each subscriber counts the events delivered to it and,
+// from each EventResync marker's Seq, the events the ring lapped it on;
+// delivered/op, lost/op and resyncs/op are summed over subscribers. How a
+// subscriber's share splits between delivered and lost depends on
+// scheduling; their sum does not: once every subscriber has drained to the
+// last published Seq, delivered plus lost must equal what was published.
 //
 // Kept: poll_watch has one SSE subscriber; a workload with a subscriber-count
 // axis retires this.
 func BenchmarkWatchFanout(b *testing.B) {
+	// fanoutSub is one subscriber's tally. last is the Seq it has accounted
+	// up to, read while it drains; the counts are read after it stopped.
+	type fanoutSub struct {
+		delivered, lost, resyncs int64
+		last                     atomic.Int64
+	}
 	for _, subs := range []int{1, 64, 1024} {
 		b.Run(fmt.Sprintf("subs=%d", subs), func(b *testing.B) {
 			b.ReportAllocs()
@@ -144,16 +156,26 @@ func BenchmarkWatchFanout(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			bus := sys.Orchestrator.Events()
+			start := bus.LastSeq()
 			ctx, cancel := context.WithCancel(context.Background())
-			var consumed atomic.Int64
+			tallies := make([]fanoutSub, subs)
 			var wg sync.WaitGroup
-			for i := 0; i < subs; i++ {
+			for i := range tallies {
+				sub := &tallies[i]
+				sub.last.Store(start)
 				ch := sys.Orchestrator.Watch(ctx, WatchOptions{Buffer: 256})
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for range ch {
-						consumed.Add(1)
+					for ev := range ch {
+						if ev.Type == EventResync {
+							sub.resyncs++
+							sub.lost += ev.Seq - sub.last.Load()
+						} else {
+							sub.delivered++
+						}
+						sub.last.Store(ev.Seq)
 					}
 				}()
 			}
@@ -187,10 +209,35 @@ func BenchmarkWatchFanout(b *testing.B) {
 				}
 			})
 			b.StopTimer()
+			head := bus.LastSeq()
+			for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
+				drained := 0
+				for i := range tallies {
+					if tallies[i].last.Load() == head {
+						drained++
+					}
+				}
+				if drained == subs {
+					break
+				}
+				if time.Now().After(deadline) {
+					b.Fatalf("%d of %d subscribers drained to Seq %d within a minute", drained, subs, head)
+				}
+			}
 			cancel()
 			wg.Wait()
+			var delivered, lost, resyncs int64
+			for i := range tallies {
+				sub := &tallies[i]
+				if sub.delivered+sub.lost != head-start {
+					b.Fatalf("subscriber %d: %d delivered + %d lost, %d published", i, sub.delivered, sub.lost, head-start)
+				}
+				delivered, lost, resyncs = delivered+sub.delivered, lost+sub.lost, resyncs+sub.resyncs
+			}
 			if b.N > 0 {
-				b.ReportMetric(float64(consumed.Load())/float64(b.N), "events/op")
+				b.ReportMetric(float64(delivered)/float64(b.N), "delivered/op")
+				b.ReportMetric(float64(lost)/float64(b.N), "lost/op")
+				b.ReportMetric(float64(resyncs)/float64(b.N), "resyncs/op")
 			}
 		})
 	}
@@ -210,6 +257,15 @@ func epochLoadedSystem(b testing.TB, n, shards int) *System {
 // controllers' ctrl.Set.Wrap decoration (nil for none) before the
 // orchestrator is built — NewSimulated's assembly with that one step added.
 func epochLoadedSystemWrapped(b testing.TB, n, shards int, wrap func(ctrl.Domain) ctrl.Domain) *System {
+	b.Helper()
+	return epochSystem(b, n, shards, wrap, func(_ int, rng *rand.Rand) traffic.Demand {
+		return traffic.NewConstant(1, 0.15, rng)
+	})
+}
+
+// epochSystem is epochLoadedSystemWrapped with slice i's demand process made
+// by demand from the system's own seeded generator.
+func epochSystem(b testing.TB, n, shards int, wrap func(ctrl.Domain) ctrl.Domain, demand func(i int, rng *rand.Rand) traffic.Demand) *System {
 	b.Helper()
 	cfg := core.Config{
 		Overbook:            true,
@@ -247,7 +303,7 @@ func epochLoadedSystemWrapped(b testing.TB, n, shards int, wrap func(ctrl.Domain
 				PriceEUR:       10,
 				PenaltyEUR:     1,
 			},
-		}, traffic.NewConstant(1, 0.15, rng))
+		}, demand(i, rng))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -154,11 +154,12 @@ func TestBindingTracksSubstrate(t *testing.T) {
 	})
 
 	// A fade between two resizes to the same target. Once the slice sits at
-	// the target, a second resize there moves no cell — one PRB on each cell
+	// the target, a second resize there is no resize — one PRB on each cell
 	// is more than the 10 Mbps slice's hysteresis band, so a shrink that
-	// clears the band rounds back to the PRBs it holds — and after cell 0
-	// fades, the same resize sizes the throughput onto its extra PRBs. After
-	// each resize the allocation's PRB map names what the cells hold.
+	// clears the band rounds back to the PRBs it holds, and the radio says
+	// so — and after cell 0 fades, the same resize sizes the throughput onto
+	// its extra PRBs. After each step the allocation's PRB map names what
+	// the cells hold.
 	t.Run("fade", func(t *testing.T) {
 		o := installed(t, cfg)
 		sl, ok := o.Get("s-3")
@@ -175,8 +176,12 @@ func TestBindingTracksSubstrate(t *testing.T) {
 			return sl.Allocation().PRBs
 		}
 		held := resize("resize to the target")
-		if got := resize("resize before the fade"); !reflect.DeepEqual(got, held) {
-			t.Fatalf("the resize before the fade moved %v to %v; the step needs one that moves no cell", held, got)
+		if changed, err := o.Resize(sl.ID(), target); err != nil || changed {
+			t.Fatalf("resize before the fade: changed %v, %v; the radio quantum should swallow it", changed, err)
+		}
+		checkBindings(t, o, "resize before the fade")
+		if got := sl.Allocation().PRBs; !reflect.DeepEqual(got, held) {
+			t.Fatalf("the resize before the fade moved %v to %v", held, got)
 		}
 		o.tb.RAN.All()[0].SetMeanCQI(4)
 		if got := resize("resize in the fade"); reflect.DeepEqual(got, held) {

@@ -133,7 +133,9 @@ type Config struct {
 	PenaltyAware bool
 	// ReconfigThreshold is the hysteresis: reservations are resized only
 	// when the target differs from the current allocation by more than
-	// this fraction of the contract (default 0.05).
+	// this fraction of the contract (default 0.05), and then only when the
+	// radio would move: a target that sizes to the PRBs and throughput the
+	// slice already holds is no resize, however far past the band it is.
 	ReconfigThreshold float64
 	// ShareUnusedPRBs lets the cell scheduler lend idle reserved PRBs to
 	// saturated slices within an epoch (default false: violations then

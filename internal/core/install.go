@@ -217,24 +217,29 @@ func (o *Orchestrator) squeezeAll() {
 }
 
 // resizeLocked applies a new multi-domain allocation to the slice if it
-// holds one and the target differs enough from it (hysteresis). It returns
+// holds one, the target differs enough from it (hysteresis) and the radio
+// would move (a cell's PRBs, or the throughput they sustain). It returns
 // the slice's radio reservation afterwards, whether the slice was live
 // (admitted, installing or active — a finished slice is left alone) and
 // whether a reconfiguration happened. The caller holds the slice's shard
 // lock.
 //
 // The slice is read once and written once: BeginResize cuts its view, clamps
-// the target to [floor, contract] and runs the hysteresis test in one
-// critical section — a resize it swallows, a good share of the slices every
-// epoch, costs nothing else — and enters Reconfiguring when the resize goes
-// ahead. A resize that goes through applies its grants to the live
-// allocation under the slice lock — the radio grant writes the PRBs into the
-// allocation's own map, so no copy of the allocation is made on the way in
-// or out — and the same critical section ends the Reconfiguring state and
-// cuts what the event reports. That is the decide step; resizedLocked logs
-// and applies its outcome.
+// the target to [floor, contract], runs the hysteresis test and, past the
+// band, asks the RAN controller through the slice's binding whether the
+// target moves the radio, in one critical section (the cell mutexes nest
+// under the slice lock there) — a resize it swallows, most of the slices
+// every epoch, costs nothing else — and enters Reconfiguring when the
+// resize goes ahead. A resize that goes through applies its grants to the
+// live allocation under the slice lock — the radio grant writes the PRBs
+// into the allocation's own map, so no copy of the allocation is made on the
+// way in or out — and the same critical section ends the Reconfiguring state
+// and cuts what the event reports. That is the decide step; resizedLocked
+// logs and applies its outcome.
 func (o *Orchestrator) resizeLocked(m *managedSlice, targetMbps float64) (allocatedMbps float64, live, changed bool) {
-	v, live, resize := m.s.BeginResize(targetMbps, floorMbps, o.cfg.ReconfigThreshold)
+	v, live, resize := m.s.BeginResize(targetMbps, floorMbps, o.cfg.ReconfigThreshold, func(target, held float64) bool {
+		return o.tb.Ctrl.RAN.Moves(&m.bind, target, held)
+	})
 	before := v.AllocatedMbps
 	if !resize {
 		return before, live, false

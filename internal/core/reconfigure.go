@@ -12,11 +12,12 @@ import (
 // the control epoch from undoing it on its next pass (SetProvisionCap).
 
 // Resize applies a new provisioning target to the slice through the same
-// multi-domain reconfiguration path the control epoch uses: hysteresis,
-// clamping to [floorMbps, contract], the Active→Reconfiguring→Active state
-// walk, reverse-order abort on any domain failure, EventResized and the WAL
+// multi-domain reconfiguration path the control epoch uses: clamping to
+// [floorMbps, contract], hysteresis, the radio's check that the target
+// moves its allocation, the Active→Reconfiguring→Active state walk,
+// reverse-order abort on any domain failure, EventResized and the WAL
 // resize record. Returns whether a reconfiguration actually happened (false
-// when hysteresis swallowed it or a domain refused). Slices already
+// when hysteresis or the radio quantum swallowed it, or a domain refused). Slices already
 // rejected or terminated are skipped without error — a fleet operation must
 // tolerate members expiring under it; only an unknown ID is an error.
 //
@@ -38,8 +39,10 @@ func (o *Orchestrator) Resize(id slice.ID, targetMbps float64) (bool, error) {
 // The cap is volatile state — not written to the WAL — because recovery
 // imposes logged epoch outcomes rather than re-deciding them; the intent
 // plane re-establishes caps after a restart. Returns whether an immediate
-// reconfiguration happened. On a finished slice the cap is recorded but
-// never read, and nothing is resized.
+// reconfiguration happened: like Resize's, none does when the cap sits
+// inside the hysteresis band or sizes to the PRBs the slice holds. On a
+// finished slice the cap is recorded but never read, and nothing is
+// resized.
 func (o *Orchestrator) SetProvisionCap(id slice.ID, capMbps float64) (bool, error) {
 	if capMbps < 0 {
 		return false, fmt.Errorf("core: negative provision cap %.1f", capMbps)

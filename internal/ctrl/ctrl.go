@@ -102,18 +102,10 @@ type Binding struct {
 	id    slice.ID
 	cells []ran.Handle
 	// prbs is the PRBs held per cell, index-aligned with cells, and
-	// radioMbps the throughput they sustain at the mean CQI. prbsMoved is set
-	// when prbs change and cleared when a radio grant writes them into an
-	// allocation, so a resize that moves no cell writes no PRB map.
+	// radioMbps the throughput they sustain at the mean CQI.
 	prbs      []int
 	radioMbps float64
-	prbsMoved bool
 	paths     []*transport.Reservation
-	// pathMbps is the share every path in paths was last sized to — set by a
-	// reserve, an impose or a resize that succeeded, 0 (unknown) from the
-	// start of a reserve or impose and after a release — so a resize to it
-	// moves nothing and skips the network.
-	pathMbps float64
 	// worstDelayMs is the largest path delay — the number checked against
 	// the slice's latency budget.
 	worstDelayMs float64
@@ -201,7 +193,7 @@ func (c *RANController) reserveCells(p slice.PLMN, mbps float64, b *Binding) err
 		prbs = append(prbs, n)
 		total += granted
 	}
-	b.cells, b.prbs, b.radioMbps, b.prbsMoved = cells, prbs, total, true
+	b.cells, b.prbs, b.radioMbps = cells, prbs, total
 	return nil
 }
 
@@ -234,7 +226,7 @@ func (c *RANController) ImposeSlice(b *Binding, p slice.PLMN, prbs map[string]in
 		undo()
 		return fmt.Errorf("ctrl: radio impose for %s names an unknown eNB", p)
 	}
-	b.cells, b.prbs, b.prbsMoved = cells, sizes, true
+	b.cells, b.prbs = cells, sizes
 	return nil
 }
 
@@ -250,7 +242,6 @@ func (c *RANController) ImposeResize(b *Binding, prbs map[string]int) error {
 		if err := h.Resize(n); err != nil {
 			return fmt.Errorf("ctrl: radio resize on %s: %w", h.Cell().Name(), err)
 		}
-		b.prbsMoved = b.prbsMoved || b.prbs[i] != n
 		b.prbs[i] = n
 		resized++
 	}
@@ -261,11 +252,11 @@ func (c *RANController) ImposeResize(b *Binding, prbs map[string]int) error {
 }
 
 // resizeCells adjusts the reservations bound in b for a new aggregate
-// throughput and writes the new PRBs and the throughput they sustain into b,
-// marking b's PRBs moved when any cell's did. Each cell is visited once,
-// through its handle, under one acquisition of its mutex; a failure on one
-// eNB restores the previous sizes everywhere, in the cells and in b. Those
-// live in a small stack buffer at common cell counts.
+// throughput and writes the new PRBs and the throughput they sustain into b.
+// Each cell is visited once, through its handle, under one acquisition of
+// its mutex; a failure on one eNB restores the previous sizes everywhere, in
+// the cells and in b. Those live in a small stack buffer at common cell
+// counts.
 func (c *RANController) resizeCells(b *Binding, mbps float64) error {
 	if b == nil || len(b.cells) == 0 {
 		return errors.New("ctrl: resize: no radio reservation bound")
@@ -275,7 +266,6 @@ func (c *RANController) resizeCells(b *Binding, mbps float64) error {
 	var prevBuf [8]int
 	prev := prevBuf[:0]
 	total := 0.0
-	moved := false
 	for i, h := range cells {
 		was, prbs, granted, err := h.ResizeThroughput(share)
 		if err != nil {
@@ -286,13 +276,34 @@ func (c *RANController) resizeCells(b *Binding, mbps float64) error {
 			return fmt.Errorf("ctrl: radio resize on %s: %w", h.Cell().Name(), err)
 		}
 		prev = append(prev, was)
-		moved = moved || prbs != was
 		b.prbs[i] = prbs
 		total += granted
 	}
 	b.radioMbps = total
-	b.prbsMoved = b.prbsMoved || moved
 	return nil
+}
+
+// Moves reports whether resizeCells(b, mbps) would change anything: a cell's
+// PRBs, or the throughput the cells sustain against heldMbps, the throughput
+// the slice's allocation records. It sizes each cell through its handle as
+// resizeCells does — the same share split, the same sizing step, the same
+// summation order — so the two cannot disagree by a bit, and it writes
+// nothing. A binding with no cells, or a released cell, answers true: the
+// resize goes ahead and fails as it would have.
+func (c *RANController) Moves(b *Binding, mbps, heldMbps float64) bool {
+	if b == nil || len(b.cells) == 0 {
+		return true
+	}
+	share := mbps / float64(len(b.cells))
+	total := 0.0
+	for _, h := range b.cells {
+		held, prbs, granted, ok := h.SizeFor(share)
+		if !ok || prbs != held {
+			return true
+		}
+		total += granted
+	}
+	return total != heldMbps
 }
 
 // ReleaseSlice drops the PLMN from every eNB, which kills the handles a
@@ -406,8 +417,8 @@ type TransportController struct {
 
 	// bySlice serves the name-keyed release (Domain.Release, Abort): each
 	// slice's Binding, stored by Reserve and ImposePaths and deleted by the
-	// release, which frees the paths it holds and forgets their share.
-	// Resizes read the binding and never this map.
+	// release, which frees the paths it holds. Resizes read the binding and
+	// never this map.
 	mu      sync.Mutex
 	bySlice map[slice.ID]*Binding
 
@@ -430,12 +441,9 @@ func (c *TransportController) Domain() string { return "transport" }
 
 // reservePaths reserves one path from every eNB transport port to the chosen
 // data-center gateway, each sized to the eNB's share of the slice
-// throughput, and writes the slice, the path handles, their share and the
-// worst path delay into b.
-// All-or-nothing: on failure b holds the paths it held before, their share
-// unknown.
+// throughput, and writes the slice, the path handles and the worst path
+// delay into b. All-or-nothing: on failure b holds the paths it held before.
 func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDelayMs float64, b *Binding) error {
-	b.pathMbps = 0
 	if len(c.enbs) == 0 {
 		return errors.New("ctrl: transport has no eNB nodes")
 	}
@@ -454,7 +462,7 @@ func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDela
 		paths = append(paths, r)
 		worst = max(worst, r.DelayMs)
 	}
-	b.id, b.paths, b.pathMbps, b.worstDelayMs = id, paths, share, worst
+	b.id, b.paths, b.worstDelayMs = id, paths, worst
 	c.mu.Lock()
 	c.bySlice[id] = b
 	c.mu.Unlock()
@@ -462,21 +470,15 @@ func (c *TransportController) reservePaths(id slice.ID, dc string, mbps, maxDela
 }
 
 // ResizePaths changes every path bound in b to the new aggregate bandwidth,
-// through the handles and by no name. A share the paths already hold moves
-// nothing and returns at once, without the network's lock. On failure,
-// previously resized paths are restored.
+// through the handles and by no name. On failure, previously resized paths
+// are restored.
 func (c *TransportController) ResizePaths(b *Binding, mbps float64) error {
 	if b == nil || len(b.paths) == 0 {
 		return errors.New("ctrl: no transport paths bound")
 	}
-	share := mbps / float64(len(b.paths))
-	if b.pathMbps > 0 && share == b.pathMbps {
-		return nil
-	}
-	failed, err := c.net.ResizeEach(b.paths, share)
+	failed, err := c.net.ResizeEach(b.paths, mbps/float64(len(b.paths)))
 	switch {
 	case err == nil:
-		b.pathMbps = share
 		return nil
 	case errors.Is(err, transport.ErrUnknownPath):
 		return fmt.Errorf("ctrl: reservation %s vanished", failed)
@@ -485,8 +487,8 @@ func (c *TransportController) ResizePaths(b *Binding, mbps float64) error {
 	}
 }
 
-// ReleasePaths frees every path of the slice and forgets their share in its
-// binding. Idempotent. The caller holds what guards the binding (Tx.Binding).
+// ReleasePaths frees every path of the slice. Idempotent. The caller holds
+// what guards the binding (Tx.Binding).
 func (c *TransportController) ReleasePaths(id slice.ID) {
 	c.mu.Lock()
 	b := c.bySlice[id]
@@ -494,32 +496,23 @@ func (c *TransportController) ReleasePaths(id slice.ID) {
 	c.mu.Unlock()
 	if b != nil {
 		c.net.ReleaseEach(b.paths)
-		b.pathMbps = 0
 	}
 }
 
 // ImposePaths re-creates a slice's logged transport outcome for crash
 // recovery — the recorded hops at the recorded bandwidth, no path search —
-// and writes the handles, and their share when they all hold the same, into
-// b in the same step. All-or-nothing: on failure b's share is unknown.
+// and writes the handles into b in the same step. All-or-nothing.
 func (c *TransportController) ImposePaths(b *Binding, id slice.ID, paths []transport.Reservation) error {
-	b.pathMbps = 0
 	handles := make([]*transport.Reservation, 0, len(paths))
-	share := 0.0
-	for i, pr := range paths {
+	for _, pr := range paths {
 		r, err := c.net.Reserve(pr.ID, pr.Hops, pr.Mbps)
 		if err != nil {
 			c.net.ReleaseEach(handles)
 			return fmt.Errorf("ctrl: transport impose %s: %w", pr.ID, err)
 		}
 		handles = append(handles, r)
-		if i == 0 {
-			share = pr.Mbps
-		} else if pr.Mbps != share {
-			share = 0 // the paths hold different shares: unknown
-		}
 	}
-	b.paths, b.pathMbps = handles, share
+	b.paths = handles
 	c.mu.Lock()
 	c.bySlice[id] = b
 	c.mu.Unlock()

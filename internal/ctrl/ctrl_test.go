@@ -242,50 +242,6 @@ func TestRANStaleHandleNeverResizes(t *testing.T) {
 	}
 }
 
-// TestRANApplyWritesOnlyMovedPRBs: the radio grant of a resize that moves no
-// cell writes the throughput but no PRB map entry; one that moves a cell
-// writes every cell's PRBs again.
-func TestRANApplyWritesOnlyMovedPRBs(t *testing.T) {
-	tb := newTB(t)
-	c := tb.Ctrl.RAN
-	b := new(ctrl.Binding)
-	g, cause := c.Reserve(ctrl.Tx{PLMN: plmnA, Mbps: 20, Binding: b})
-	if cause != nil {
-		t.Fatal(cause)
-	}
-	var a slice.Allocation
-	g.Apply(&a)
-	held := maps.Clone(a.PRBs)
-	for name := range a.PRBs {
-		a.PRBs[name] = -1 // only a map write overwrites it
-	}
-	a.AllocatedMbps = 0
-	resize := func(mbps float64) {
-		t.Helper()
-		g, err := c.Resize(ctrl.Tx{Binding: b}, mbps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Apply(&a)
-		if a.AllocatedMbps != g.EffectiveMbps() {
-			t.Fatalf("resize to %v: allocation at %v Mbps, grant %v", mbps, a.AllocatedMbps, g.EffectiveMbps())
-		}
-	}
-	resize(20)
-	for name, n := range a.PRBs {
-		if n != -1 {
-			t.Fatalf("a resize that moved no cell wrote %s = %d", name, n)
-		}
-	}
-	resize(40)
-	for name, n := range a.PRBs {
-		e, _ := tb.RAN.Get(name)
-		if got, ok := e.Reservation(plmnA); !ok || n != got || n <= held[name] {
-			t.Fatalf("after a growing resize the allocation holds %s = %d, the cell %d (was %d)", name, n, got, held[name])
-		}
-	}
-}
-
 func TestRANResizeUnknownPLMN(t *testing.T) {
 	tb := newTB(t)
 	if _, err := resizeRadio(tb.Ctrl.RAN, new(ctrl.Binding), 10); err == nil {
@@ -293,6 +249,89 @@ func TestRANResizeUnknownPLMN(t *testing.T) {
 	}
 	if _, err := resizeRadio(tb.Ctrl.RAN, nil, 10); err == nil {
 		t.Fatal("resize with no binding succeeded")
+	}
+}
+
+// TestRANMovesAgreesWithResize: the radio's read-only check answers exactly
+// whether the resize it sizes changes a cell's PRBs or the throughput they
+// sustain — for targets around the quantum, before and after a fade on one
+// cell, and for a slice at the one-PRB minimum whose PRBs the fade keeps but
+// whose throughput it cuts — and moves nothing itself. A binding with no
+// live cells answers true, so its resize goes ahead and fails as before.
+func TestRANMovesAgreesWithResize(t *testing.T) {
+	tb := newTB(t)
+	c := tb.Ctrl.RAN
+	held := func(p slice.PLMN) map[string]int {
+		out := map[string]int{}
+		for _, e := range tb.RAN.All() {
+			if n, ok := e.Reservation(p); ok {
+				out[e.Name()] = n
+			}
+		}
+		return out
+	}
+	check := func(b *ctrl.Binding, p slice.PLMN, was radioReservation, mbps float64) radioReservation {
+		t.Helper()
+		moves := c.Moves(b, mbps, was.TotalMbps)
+		if got := held(p); !maps.Equal(got, was.PRBs) {
+			t.Fatalf("asking about %v Mbps moved the cells from %v to %v", mbps, was.PRBs, got)
+		}
+		now, err := resizeRadio(c, b, mbps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved := !maps.Equal(now.PRBs, was.PRBs) || now.TotalMbps != was.TotalMbps; moved != moves {
+			t.Fatalf("resize %v -> %v Mbps (%v -> %v PRBs): Moves said %v, the resize moved %v",
+				was.TotalMbps, mbps, was.PRBs, now.PRBs, moves, moved)
+		}
+		return now
+	}
+
+	b := new(ctrl.Binding)
+	res, err := reserveRadio(c, b, plmnA, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := new(ctrl.Binding)
+	tiny, err := reserveRadio(c, small, plmnB, 0.2) // one PRB on each cell
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var moved, still int
+	for i := 0; i < 400; i++ {
+		if i == 200 {
+			tb.RAN.All()[0].SetMeanCQI(9)
+		}
+		mbps := res.TotalMbps - rng.Float64()*0.5 // within the quantum, mostly
+		if i%3 == 0 {
+			mbps = 20 + (rng.Float64()-0.5)*6
+		}
+		now := check(b, plmnA, res, mbps)
+		if maps.Equal(now.PRBs, res.PRBs) && now.TotalMbps == res.TotalMbps {
+			still++
+		} else {
+			moved++
+		}
+		res = now
+	}
+	if moved == 0 || still == 0 {
+		t.Fatalf("%d resizes moved and %d did not: the walk needs both", moved, still)
+	}
+
+	// The fade left the minimal slice's PRBs where they were and cut the
+	// throughput they sustain: that moves; once recorded, it does not.
+	if !c.Moves(small, 0.2, tiny.TotalMbps) {
+		t.Fatal("a fade that cut the throughput of unchanged PRBs moved nothing")
+	}
+	tiny = check(small, plmnB, tiny, 0.2)
+	if c.Moves(small, 0.2, tiny.TotalMbps) {
+		t.Fatal("a resize to the PRBs and throughput the slice holds moves")
+	}
+
+	c.ReleaseSlice(plmnA)
+	if !c.Moves(b, res.TotalMbps, res.TotalMbps) || !c.Moves(new(ctrl.Binding), 10, 0) || !c.Moves(nil, 10, 0) {
+		t.Fatal("a binding with no live cells answered that nothing moves")
 	}
 }
 

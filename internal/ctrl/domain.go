@@ -165,23 +165,16 @@ func (g *radioGrant) Domain() string                 { return "ran" }
 func (g *radioGrant) EffectiveMbps() float64         { return g.radioMbps }
 func (g *radioGrant) ActivationDelay() time.Duration { return 0 }
 
-// Apply writes the throughput into the allocation and, when the binding's
-// PRBs moved since a radio grant last wrote them (or the allocation has no
-// PRB map yet), the PRBs per eNB name into the allocation's own map, in
-// place: a resize allocates nothing, and one that moved no cell writes no
-// map entry.
+// Apply writes the throughput into the allocation and the PRBs per eNB name
+// into the allocation's own map, in place: a resize allocates nothing.
 func (g *radioGrant) Apply(a *slice.Allocation) {
 	a.AllocatedMbps = g.radioMbps
-	if a.PRBs != nil && !g.prbsMoved {
-		return
-	}
 	if a.PRBs == nil {
 		a.PRBs = make(map[string]int, len(g.cells))
 	}
 	for i, h := range g.cells {
 		a.PRBs[h.Cell().Name()] = g.prbs[i]
 	}
-	g.prbsMoved = false
 }
 
 // radioCause classifies a RAN substrate error: a full MOCN broadcast list is

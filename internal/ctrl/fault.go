@@ -31,7 +31,9 @@ const (
 	// FaultCommit fails Commit (after every domain reserved), exercising
 	// the engine's full reverse-order rollback.
 	FaultCommit
-	// FaultResize fails Resize, exercising the epoch loop's restore path.
+	// FaultResize fails Resize, exercising the epoch loop's restore path. It
+	// fires only on a resize that reaches the domains: one the hysteresis
+	// band or the radio quantum swallows never calls Resize.
 	FaultResize
 )
 

@@ -194,6 +194,15 @@ func (e *ENB) sizeLocked(mbps float64) int {
 	return int(math.Ceil(mbps / e.perPRB))
 }
 
+// grantLocked is the one sizing step of every reservation the RAN controller
+// sizes — a reserve, a resize and the read-only SizeFor: the PRBs mbps needs
+// at the mean CQI, at least one so the cell keeps the slice schedulable, and
+// the throughput they sustain. The caller holds the cell mutex.
+func (e *ENB) grantLocked(mbps float64) (prbs int, granted float64) {
+	prbs = max(e.sizeLocked(mbps), 1)
+	return prbs, float64(prbs) * e.perPRB
+}
+
 // ThroughputForPRBs is the inverse sizing function at mean CQI.
 func (e *ENB) ThroughputForPRBs(prbs int) float64 {
 	e.mu.Lock()
@@ -250,12 +259,12 @@ func (e *ENB) Reserve(p slice.PLMN, prbs int) (Handle, error) {
 func (e *ENB) ReserveThroughput(p slice.PLMN, mbps float64) (h Handle, prbs int, granted float64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	prbs = max(e.sizeLocked(mbps), 1)
+	prbs, granted = e.grantLocked(mbps)
 	r, err := e.reserveLocked(p, prbs)
 	if err != nil {
 		return Handle{}, 0, 0, err
 	}
-	return Handle{e, r}, prbs, float64(prbs) * e.perPRB, nil
+	return Handle{e, r}, prbs, granted, nil
 }
 
 func (e *ENB) reserveLocked(p slice.PLMN, prbs int) (*cellRes, error) {
@@ -305,14 +314,33 @@ func (h Handle) ResizeThroughput(mbps float64) (prev, prbs int, granted float64,
 	}
 	e := h.e
 	e.mu.Lock()
-	prev, prbs = h.r.prbs, max(e.sizeLocked(mbps), 1)
+	prev = h.r.prbs
+	prbs, granted = e.grantLocked(mbps)
 	if err := e.resizeLocked(h.r, prbs); err != nil {
 		e.mu.Unlock()
 		return 0, 0, 0, err
 	}
-	granted = float64(prbs) * e.perPRB
 	e.mu.Unlock()
 	return prev, prbs, granted, nil
+}
+
+// SizeFor answers what ResizeThroughput(mbps) would do without doing it, in
+// one critical section that writes nothing: the PRBs the reservation holds,
+// those it would hold and the throughput they would sustain. It does not
+// check headroom, so a grow it sizes may still fail to fit. ok is false once
+// the reservation has been released.
+func (h Handle) SizeFor(mbps float64) (held, prbs int, granted float64, ok bool) {
+	if h.e == nil {
+		return 0, 0, 0, false
+	}
+	e := h.e
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !h.r.live {
+		return 0, 0, 0, false
+	}
+	prbs, granted = e.grantLocked(mbps)
+	return h.r.prbs, prbs, granted, true
 }
 
 func (e *ENB) resizeLocked(r *cellRes, prbs int) error {

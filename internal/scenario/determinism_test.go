@@ -34,7 +34,7 @@ func TestFixedSeedScenarioGolden(t *testing.T) {
 		"rejected":         {g.Rejected, 82},
 		"active":           {g.Active, 6},
 		"violation_epochs": {g.ViolationEpochs, 401},
-		"reconfigurations": {g.Reconfigurations, 868},
+		"reconfigurations": {g.Reconfigurations, 200},
 		"epochs":           {g.Epochs, 480},
 		"served_epochs":    {res.ServedEpochs, 2727},
 		"attached_ues":     {res.AttachedUEs, 66},

@@ -24,10 +24,10 @@ func TestFedChaosGoldens(t *testing.T) {
 	}{
 		"c7": {80, federation.Stats{SpansInstalled: 34, SpansRejected: 46, SpansCrossCluster: 13, SpansLive: 15,
 			Barriers: 239, RejectReasons: map[string]int{"radio-capacity": 46}},
-			invariant.Stats{Sweeps: 959, Events: 984}},
+			invariant.Stats{Sweeps: 959, Events: 227}},
 		"c8": {74, federation.Stats{SpansInstalled: 21, SpansRejected: 53, SpansCrossCluster: 8, SpansLive: 10,
 			Barriers: 239, RejectReasons: map[string]int{"radio-capacity": 53}},
-			invariant.Stats{Sweeps: 808, Events: 868}},
+			invariant.Stats{Sweeps: 808, Events: 128}},
 	}
 	for _, name := range FedChaosNames() {
 		name := name
@@ -73,10 +73,10 @@ func TestRolloutChaosGolden(t *testing.T) {
 				c.got.ID, c.got.Phase, c.got.Violations, c.id, c.phase, c.violations)
 		}
 	}
-	if g := res.Result.Gain; g.ViolationEpochs != 351 || g.Reconfigurations != 244 {
-		t.Errorf("violation epochs / reconfigs %d / %d, want 351 / 244", g.ViolationEpochs, g.Reconfigurations)
+	if g := res.Result.Gain; g.ViolationEpochs != 351 || g.Reconfigurations != 41 {
+		t.Errorf("violation epochs / reconfigs %d / %d, want 351 / 41", g.ViolationEpochs, g.Reconfigurations)
 	}
-	if want := (invariant.Stats{Sweeps: 240, Events: 734}); res.AuditStats != want {
+	if want := (invariant.Stats{Sweeps: 240, Events: 531}); res.AuditStats != want {
 		t.Errorf("audit %+v, want %+v", res.AuditStats, want)
 	}
 }

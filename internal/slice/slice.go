@@ -436,11 +436,16 @@ type ResizeView struct {
 // section. It cuts the view and clamps the target to [floorMbps, contract].
 // live reports whether the slice holds a reservation to resize (admitted,
 // installing or active); resize whether the clamped target also leaves the
-// hysteresis band of ±threshold·contract around the current reservation.
+// hysteresis band of ±threshold·contract around the current reservation and
+// the radio would move: moves, asked only once the band test passes, with
+// the clamped target and the reservation, reports whether resizing to the
+// target would change any cell's PRBs or the throughput they sustain. A
+// target the radio quantum swallows is no resize.
 // When resize is true an Active slice has entered Reconfiguring (one still
 // installing is resized in place, its data plane not live yet); the caller
 // ends it with CommitReconfigure, or EndReconfigure if a domain refuses.
-func (s *Slice) BeginResize(targetMbps, floorMbps, threshold float64) (v ResizeView, live, resize bool) {
+// moves runs under the slice lock and must not call back into the slice.
+func (s *Slice) BeginResize(targetMbps, floorMbps, threshold float64, moves func(targetMbps, allocatedMbps float64) bool) (v ResizeView, live, resize bool) {
 	contract := s.req.SLA.ThroughputMbps
 	if targetMbps < floorMbps {
 		targetMbps = floorMbps
@@ -457,6 +462,9 @@ func (s *Slice) BeginResize(targetMbps, floorMbps, threshold float64) (v ResizeV
 		return v, false, false
 	}
 	if diff := targetMbps - v.AllocatedMbps; diff > -contract*threshold && diff < contract*threshold {
+		return v, true, false
+	}
+	if !moves(targetMbps, v.AllocatedMbps) {
 		return v, true, false
 	}
 	if s.state == StateActive {

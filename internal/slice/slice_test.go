@@ -169,10 +169,13 @@ func TestTerminatedIsTerminal(t *testing.T) {
 	}
 }
 
+// radioMoves is a radio every resize moves.
+func radioMoves(_, _ float64) bool { return true }
+
 // beginReconfigure enters Reconfiguring the way a resize that goes through
 // does: a zero hysteresis band lets any target through a live slice.
 func beginReconfigure(s *Slice) error {
-	if _, _, resize := s.BeginResize(0, 0, 0); !resize {
+	if _, _, resize := s.BeginResize(0, 0, 0, radioMoves); !resize {
 		return fmt.Errorf("%w: no resize out of %s", ErrBadTransition, s.State())
 	}
 	return nil
@@ -215,19 +218,19 @@ func TestRecordEpochActiveOnly(t *testing.T) {
 
 // TestBeginResize pins the one-critical-section resize decision: the clamp
 // to [floor, contract], the hysteresis band around the current reservation,
-// which states hold something to resize, and Active -> Reconfiguring only
-// when the resize goes ahead.
+// the radio's answer past it, which states hold something to resize, and
+// Active -> Reconfiguring only when the resize goes ahead.
 func TestBeginResize(t *testing.T) {
 	const floor, threshold = 1, 0.05 // contract 50: the band is ±2.5 Mbps
 	s, _ := New("s1", validReq())
-	if _, live, resize := s.BeginResize(10, floor, threshold); live || resize {
+	if _, live, resize := s.BeginResize(10, floor, threshold, radioMoves); live || resize {
 		t.Fatalf("pending slice: live=%v resize=%v", live, resize)
 	}
 	s.Admit()
 	s.BeginInstall()
 	s.UpdateAllocation(func(a *Allocation) { a.AllocatedMbps = 20 })
 	// Installing: resized in place, state kept.
-	v, live, resize := s.BeginResize(99, floor, threshold)
+	v, live, resize := s.BeginResize(99, floor, threshold, radioMoves)
 	if !live || !resize || v.TargetMbps != 50 || v.AllocatedMbps != 20 || v.State != StateInstalling {
 		t.Fatalf("installing grow: %+v live=%v resize=%v", v, live, resize)
 	}
@@ -245,7 +248,7 @@ func TestBeginResize(t *testing.T) {
 		{0.2, floor, true},  // clamped up to the floor
 		{80, 50, true},      // clamped down to the contract
 	} {
-		v, live, resize := s.BeginResize(tc.target, floor, threshold)
+		v, live, resize := s.BeginResize(tc.target, floor, threshold, radioMoves)
 		if !live || resize != tc.resize || v.TargetMbps != tc.want || v.State != StateActive {
 			t.Fatalf("target %v: %+v live=%v resize=%v, want target %v resize %v", tc.target, v, live, resize, tc.want, tc.resize)
 		}
@@ -260,8 +263,19 @@ func TestBeginResize(t *testing.T) {
 			s.EndReconfigure()
 		}
 	}
+	// Outside the band, the radio decides: it is asked with the clamped
+	// target and the reservation, and a target it would not move is no
+	// resize. Inside the band it is never asked.
+	var asked []float64
+	still := func(target, held float64) bool { asked = append(asked, target, held); return false }
+	if v, live, resize := s.BeginResize(0.2, floor, threshold, still); !live || resize || v.TargetMbps != floor || s.State() != StateActive {
+		t.Fatalf("radio quantum: %+v live=%v resize=%v state %s", v, live, resize, s.State())
+	}
+	if _, _, resize := s.BeginResize(21, floor, threshold, still); resize || len(asked) != 2 || asked[0] != floor || asked[1] != 20 {
+		t.Fatalf("radio asked %v (resize=%v), want once with [%v 20]", asked, resize, float64(floor))
+	}
 	s.Terminate("deleted")
-	if _, live, resize := s.BeginResize(0, floor, threshold); live || resize || s.State() != StateTerminated {
+	if _, live, resize := s.BeginResize(0, floor, threshold, radioMoves); live || resize || s.State() != StateTerminated {
 		t.Fatalf("terminated slice: live=%v resize=%v state %s", live, resize, s.State())
 	}
 }

@@ -55,7 +55,7 @@ var mutators = []struct {
 	}},
 	{"begin-install", func(_ *rand.Rand, s *Slice) { s.BeginInstall() }},
 	{"activate", func(rng *rand.Rand, s *Slice) { s.Activate(time.Unix(1_700_000_000+rng.Int63n(1e6), 0).UTC()) }},
-	{"begin-resize", func(rng *rand.Rand, s *Slice) { s.BeginResize(rng.Float64()*60, 1, 0.05) }},
+	{"begin-resize", func(rng *rand.Rand, s *Slice) { s.BeginResize(rng.Float64()*60, 1, 0.05, radioMoves) }},
 	{"end-reconfigure", func(_ *rand.Rand, s *Slice) { s.EndReconfigure() }},
 	{"terminate", func(rng *rand.Rand, s *Slice) { s.Terminate([]string{"", "expired", "deleted by tenant"}[rng.Intn(3)]) }},
 	{"record-epoch", func(rng *rand.Rand, s *Slice) {

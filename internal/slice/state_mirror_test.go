@@ -43,7 +43,7 @@ func TestStateMirrorFollowsEveryTransition(t *testing.T) {
 		{
 			{"admit", (*Slice).Admit},
 			{"begin-install", (*Slice).BeginInstall},
-			{"resize-installing", func(s *Slice) error { s.BeginResize(40, floor, threshold); return nil }},
+			{"resize-installing", func(s *Slice) error { s.BeginResize(40, floor, threshold, radioMoves); return nil }},
 			{"commit-installing", func(s *Slice) error {
 				s.CommitReconfigure(func(a *Allocation) { a.AllocatedMbps = 40 })
 				return nil
@@ -54,14 +54,14 @@ func TestStateMirrorFollowsEveryTransition(t *testing.T) {
 			{"admit", (*Slice).Admit},
 			{"begin-install", (*Slice).BeginInstall},
 			{"activate", func(s *Slice) error { return s.Activate(time.Unix(1_700_000_000, 0).UTC()) }},
-			{"begin-resize", func(s *Slice) error { s.BeginResize(40, floor, threshold); return nil }},
+			{"begin-resize", func(s *Slice) error { s.BeginResize(40, floor, threshold, radioMoves); return nil }},
 			{"commit-reconfigure", func(s *Slice) error {
 				s.CommitReconfigure(func(a *Allocation) { a.AllocatedMbps = 40 })
 				return nil
 			}},
-			{"begin-resize-again", func(s *Slice) error { s.BeginResize(10, floor, threshold); return nil }},
+			{"begin-resize-again", func(s *Slice) error { s.BeginResize(10, floor, threshold, radioMoves); return nil }},
 			{"end-reconfigure", (*Slice).EndReconfigure},
-			{"begin-resize-then-terminate", func(s *Slice) error { s.BeginResize(10, floor, threshold); return nil }},
+			{"begin-resize-then-terminate", func(s *Slice) error { s.BeginResize(10, floor, threshold, radioMoves); return nil }},
 			{"terminate-reconfiguring", func(s *Slice) error { return s.Terminate("expired") }},
 		},
 	}
@@ -183,7 +183,7 @@ func TestStateRacesTransitions(t *testing.T) {
 		}
 		activate(t, s)
 		for e, target := range []float64{10, 40, 25} {
-			if _, _, resize := s.BeginResize(target, 1, 0.05); !resize {
+			if _, _, resize := s.BeginResize(target, 1, 0.05, radioMoves); !resize {
 				t.Fatalf("%s: no resize toward %v", s.ID(), target)
 			}
 			if e == 1 { // a domain refused: back to active, allocation kept
